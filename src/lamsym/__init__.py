@@ -12,12 +12,14 @@ front end over JSON problem files (`problem`, `runner`, `cli`).
 from .expr import (
     DomainBox,
     EvalDomainError,
+    EvalOverflowError,
     Expr,
     ParseError,
     SamplingError,
     ZeroTestConfig,
     ZeroVerdict,
     compile_expr,
+    compile_exprs,
     differentiate,
     evaluate,
     format_expr,

@@ -41,6 +41,12 @@ class EvalDomainError(ArithmeticError):
         self.subexpr = subexpr
 
 
+class EvalOverflowError(EvalDomainError, OverflowError):
+    """A power left the float range.  On numpy float64 operands the same
+    power gives inf instead, so callers that integrate or monitor treat it
+    like the OverflowError a plain `x**k` raises."""
+
+
 class SamplingError(RuntimeError):
     """Too many sample points hit domain errors during zero testing."""
 
@@ -990,7 +996,7 @@ def _guard_pow(a: float, b: float, blame=None) -> float:
         try:
             return a ** b
         except OverflowError:
-            raise EvalDomainError("overflow in power", blame)
+            raise EvalOverflowError("overflow in power", blame)
     if a == 0.0:
         if b > 0.0:
             return 0.0
@@ -1001,7 +1007,7 @@ def _guard_pow(a: float, b: float, blame=None) -> float:
         try:
             return a ** int(b)
         except OverflowError:
-            raise EvalDomainError("overflow in power", blame)
+            raise EvalOverflowError("overflow in power", blame)
     raise EvalDomainError("negative base with fractional exponent", blame)
 
 
@@ -1081,51 +1087,158 @@ def _c_div(a, b):
     return a / b
 
 
-def _c_pow(a, b):
-    return _guard_pow(a, b)
-
-
 _COMPILE_ENV = {
     "__builtins__": {},
     "_exp": _c_exp, "_log": _c_log, "_sin": math.sin, "_cos": math.cos,
-    "_sqrt": _c_sqrt, "_div": _c_div, "_pow": _c_pow,
+    "_sqrt": _c_sqrt, "_div": _c_div, "_pow": _guard_pow,
 }
 
 
-def _emit(e: Expr, sym: Mapping[str, str]) -> str:
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Var):
-        try:
-            return sym[e.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Sum):
-        return "(" + "+".join(_emit(t, sym) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(" + "*".join(_emit(f, sym) for f in e.factors) + ")"
-    if isinstance(e, Neg):
-        return "(-" + _emit(e.operand, sym) + ")"
-    if isinstance(e, Quotient):
-        return f"_div({_emit(e.numerator, sym)},{_emit(e.denominator, sym)})"
-    if isinstance(e, Power):
-        if isinstance(e.exponent, Const) and e.exponent.value.denominator == 1 \
-                and 0 < e.exponent.value <= 16:
-            return f"({_emit(e.base, sym)})**{int(e.exponent.value)}"
-        return f"_pow({_emit(e.base, sym)},{_emit(e.exponent, sym)})"
-    if isinstance(e, Func):
-        fn = {"exp": "_exp", "log": "_log", "sin": "_sin",
-              "cos": "_cos", "sqrt": "_sqrt"}[e.name]
-        return f"{fn}({_emit(e.arg, sym)})"
-    raise TypeError(type(e))
+_KIDS = {
+    Sum: lambda e: e.terms,
+    Product: lambda e: e.factors,
+    Power: lambda e: (e.base, e.exponent),
+    Quotient: lambda e: (e.numerator, e.denominator),
+    Neg: lambda e: (e.operand,),
+    Func: lambda e: (e.arg,),
+}
+
+_FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt": "_sqrt"}
+
+
+class _Fuser:
+    """Python source for several expressions evaluated in one scope.
+
+    Structurally equal subtrees get one node number; a node referenced more
+    than once is bound to a local (`_tN`) the first time it is needed and
+    read back afterwards (common-subexpression elimination).  Binding keeps
+    the evaluation order of the trees: when an operand binds locals, the
+    operands to its left are bound before them, so the first error raised
+    is the one that evaluating each tree in turn would raise.  Leaves are
+    not numbered: an operand is a leaf's source text or a node number.
+    """
+
+    def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
+        self.names = tuple(names)
+        self.sym = sym = {n: f"_v{i}" for i, n in enumerate(names)}
+        self.nodes: list = []       # node number -> (expr, operands)
+        self.code: list = []        # node number -> bound local, or None
+        self.refs: list = []        # node number -> references from distinct parents
+        self.lines: list = []
+        nodes, code, refs = self.nodes, self.code, self.refs
+        numbers: dict = {}          # (type or function name, operands) -> number
+        seen: dict = {}             # id(expr object) -> operand
+
+        def operand(e: Expr):
+            r = seen.get(id(e))
+            if r is not None:
+                return r
+            t = type(e)
+            if t is Var:
+                try:
+                    r = sym[e.name]
+                except KeyError:
+                    raise ValueError(f"unbound variable {e.name!r}") from None
+            elif t is Const:
+                try:
+                    r = repr(float(e.value))
+                except OverflowError:
+                    raise ValueError(f"constant of {len(str(abs(int(e.value))))} digits "
+                                     "is beyond the float range") from None
+            else:
+                kids = tuple([operand(k) for k in _KIDS[t](e)])
+                key = (e.name if t is Func else t, kids)
+                r = numbers.get(key)
+                if r is None:
+                    r = numbers[key] = len(nodes)
+                    nodes.append((e, kids))
+                    code.append(None)
+                    refs.append(0)
+                    for k in kids:
+                        if type(k) is int:
+                            refs[k] += 1
+            seen[id(e)] = r
+            return r
+
+        roots = [operand(e) for e in exprs]
+        for r in roots:
+            if type(r) is int:
+                refs[r] += 1
+        self.results = self._operands(roots)
+
+    def _operands(self, kids) -> list:
+        parts = []
+        for c in kids:
+            done = c if type(c) is str else self.code[c]
+            if done is not None:
+                parts.append(done)
+                continue
+            mark = len(self.lines)
+            part = self._source(c)
+            if len(self.lines) > mark:
+                early = []
+                for j, k in enumerate(kids[:len(parts)]):
+                    if type(k) is int and self.code[k] is None:
+                        early.append(f"{self._bind(k)}={parts[j]}")
+                        parts[j] = self.code[k]
+                self.lines[mark:mark] = early
+            parts.append(part)
+        return parts
+
+    def _bind(self, i: int) -> str:
+        name = self.code[i] = f"_t{i}"
+        return name
+
+    def _source(self, i: int) -> str:
+        e, kids = self.nodes[i]
+        t = type(e)
+        if t is Sum:
+            src = "(" + "+".join(self._operands(kids)) + ")"
+        elif t is Product:
+            src = "(" + "*".join(self._operands(kids)) + ")"
+        elif t is Power:
+            x = e.exponent
+            if type(x) is Const and x.value.denominator == 1 and 0 < x.value.numerator <= 16:
+                src = f"({self._operands(kids[:1])[0]})**{x.value.numerator}"
+            else:
+                src = "_pow({},{})".format(*self._operands(kids))
+        elif t is Quotient:
+            src = "_div({},{})".format(*self._operands(kids))
+        elif t is Neg:
+            src = f"(-{self._operands(kids)[0]})"
+        else:
+            src = f"{_FUNC_NAMES[e.name]}({self._operands(kids)[0]})"
+        if self.refs[i] > 1:
+            name = self._bind(i)
+            self.lines.append(f"{name}={src}")
+            return name
+        return src
+
+    def define(self, result: str) -> Callable:
+        args = ",".join(self.sym[n] for n in self.names)
+        env = dict(_COMPILE_ENV)
+        if not self.lines:
+            return eval(f"lambda {args}: {result}", env)
+        body = "".join(f" {line}\n" for line in self.lines)
+        exec(f"def _f({args}):\n{body} return {result}\n", env)
+        return env["_f"]
+
+
+def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple]:
+    """Compile to one positional-argument function over `names` returning
+    the tuple of the expressions' float values; every subtree that occurs
+    more than once, in one expression or across several, is evaluated once.
+
+    A constant beyond the float range raises ValueError."""
+    fuser = _Fuser(exprs, names)
+    return fuser.define("(" + "".join(f"{r}," for r in fuser.results) + ")")
 
 
 def compile_expr(e: Expr, names: Sequence[str]) -> Callable[..., float]:
-    """Compile to a positional-argument float function over `names`."""
-    sym = {n: f"_v{i}" for i, n in enumerate(names)}
-    args = ",".join(sym[n] for n in names)
-    src = f"lambda {args}: ({_emit(e, sym)})" if names else f"lambda: ({_emit(e, sym)})"
-    return eval(src, dict(_COMPILE_ENV))
+    """Compile to a positional-argument float function over `names`; the
+    single-expression case of `compile_exprs`."""
+    fuser = _Fuser((e,), names)
+    return fuser.define(fuser.results[0])
 
 
 # --------------------------------------------------------------------------
@@ -1204,7 +1317,7 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
 
     names = sorted(free_vars(z))
     terms = list(z.terms) if isinstance(z, Sum) else [z]
-    fns = [compile_expr(t, names) for t in terms]
+    fn = compile_exprs(terms, names)
     rng = random.Random(cfg.seed)
 
     worst = -1.0
@@ -1215,7 +1328,7 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
     for _ in range(cfg.samples):
         point = [rng.uniform(*box.interval(n)) for n in names]
         try:
-            vals = [f(*point) for f in fns]
+            vals = fn(*point)
         except EvalDomainError:
             failures += 1
             if blame is None:

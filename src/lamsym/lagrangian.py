@@ -25,6 +25,7 @@ from .expr import (
     add,
     coerce,
     compile_expr,
+    compile_exprs,
     differentiate,
     div,
     free_vars,
@@ -105,14 +106,13 @@ def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None,
     box = box or DomainBox()
     names = (lag.t,) + lag.q + lag.dq
     dv = [differentiate(lag.lagrangian, v) for v in lag.dq]
-    entries = [[compile_expr(differentiate(dv[a], vb), names) for vb in lag.dq]
-               for a in range(lag.n)]
+    entries = compile_exprs([differentiate(dv[a], vb) for a in range(lag.n) for vb in lag.dq],
+                            names)
     rng = random.Random(seed)
     worst = float("inf")
     for _ in range(samples):
         point = [rng.uniform(*box.interval(v)) for v in names]
-        m = np.array([[entries[a][b](*point) for b in range(lag.n)]
-                      for a in range(lag.n)])
+        m = np.array(entries(*point)).reshape(lag.n, lag.n)
         worst = min(worst, abs(float(np.linalg.det(m))))
     return worst > threshold, worst
 

@@ -9,12 +9,24 @@ preservation would buy nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, compile_expr, free_vars
+from .expr import (
+    Const,
+    EvalDomainError,
+    Expr,
+    Neg,
+    Product,
+    Sum,
+    Var,
+    compile_expr,
+    compile_exprs,
+    free_vars,
+)
 
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 1.0
@@ -70,41 +82,43 @@ def _grid_steps(t0: float, t1: float, h: float) -> int:
     return max(steps, 1)
 
 
-def _rk4_loop(rhs: Callable[[float, np.ndarray], np.ndarray], y0: Sequence[float],
+def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
               t0: float, t1: float, h: float,
               safety: float = SAFETY_LIMIT):
-    """Fixed-step integration; returns (states, reason) where reason is a
-    diagnostic when the trajectory left the safety box or hit a domain
-    error and was truncated."""
+    """Fixed-step integration of dy/dt = f(t, *y) on plain floats; returns
+    (states, reason) where reason is a diagnostic when the trajectory left
+    the safety box or hit a domain error and was truncated.
+
+    Every stage performs the same float operations, in the same order, as
+    a componentwise float64 array loop, so the states are bitwise the
+    same.  A power beyond the float range raises OverflowError on floats
+    where a float64 array would hold inf; it ends the trajectory at that
+    step as having left the safety box, as the inf would."""
     steps = _grid_steps(t0, t1, h)
-    y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    y = [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
-    out = [y.copy()]
+    states = np.empty((steps + 1, len(y)))
+    states[0] = y
+    half, sixth = h / 2, h / 6
+    limit = float(min(safety, np.finfo(float).max))   # |v| <= limit also rejects inf, nan
     for k in range(steps):
         t = t0 + k * h
         try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + (h / 2) * k1)
-            k3 = rhs(t + h / 2, y + (h / 2) * k2)
-            k4 = rhs(t + h, y + h * k3)
+            k1 = f(t, *y)
+            k2 = f(t + half, *[a + half * b for a, b in zip(y, k1)])
+            k3 = f(t + half, *[a + half * b for a, b in zip(y, k2)])
+            k4 = f(t + h, *[a + h * b for a, b in zip(y, k3)])
+        except OverflowError:
+            return states[:k + 1].copy(), f"state left safety box at t={t + h:.6g}"
         except EvalDomainError as err:
-            return np.array(out), f"domain error at t={t:.6g}: {err}"
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > safety:
-            return np.array(out), f"state left safety box at t={t + h:.6g}"
-        out.append(y.copy())
-    return np.array(out), None
-
-
-def compile_rhs(exprs: Sequence[Expr], names: Sequence[str]):
-    """Compile du/dt expressions over (t, state...) into an array function."""
-    fns = [compile_expr(e, ("t",) + tuple(names)) for e in exprs]
-
-    def rhs(t, y):
-        return np.array([f(t, *y) for f in fns])
-
-    return rhs
+            return states[:k + 1].copy(), f"domain error at t={t:.6g}: {err}"
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(abs(v) <= limit for v in y):
+            return states[:k + 1].copy(), f"state left safety box at t={t + h:.6g}"
+        states[k + 1] = y
+    return states, None
 
 
 def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
@@ -112,7 +126,8 @@ def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
                           t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP,
                           system: str = "", safety: float = SAFETY_LIMIT) -> Trajectory:
     """Integrate dy/dt = f(t, y) given componentwise expressions."""
-    states, reason = _rk4_loop(compile_rhs(exprs, names), y0, t0, t1, h, safety)
+    f = compile_exprs(exprs, ("t",) + tuple(names))
+    states, reason = _rk4_loop(f, y0, t0, t1, h, safety)
     return Trajectory(tuple(names), t0, h, states, system=system,
                       initial=tuple(float(v) for v in y0),
                       truncated=reason is not None, reason=reason)
@@ -129,6 +144,40 @@ def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,
                                  system=f"hamiltonian n={sys.n}", safety=safety)
 
 
+def _hessian_condition(m: Sequence[float], n: int) -> float:
+    """Condition number of the row-major n x n matrix m; infinite when m is
+    singular or not finite.
+
+    For n <= 3 it is the exact 1-norm condition number in closed form,
+    ||M||_1 ||adj M||_1 / |det M|.  For larger n it is the 2-norm one, the
+    largest over the smallest singular value, as np.linalg.cond computes it.
+    """
+    if n == 1:
+        return 1.0 if m[0] != 0.0 and math.isfinite(m[0]) else math.inf
+    if n == 2:
+        a, b, c, d = m
+        det = a * d - b * c
+        norm_m = max(abs(a) + abs(c), abs(b) + abs(d))
+        norm_adj = max(abs(d) + abs(c), abs(b) + abs(a))
+    elif n == 3:
+        a, b, c, d, e, f, g, h, i = m
+        # cofactors; adj M is their transpose, so its column sums are their row sums
+        c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+        c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
+        c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
+        det = a * c00 + b * c01 + c * c02
+        norm_m = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
+                     abs(c) + abs(f) + abs(i))
+        norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),
+                       abs(c20) + abs(c21) + abs(c22))
+    else:
+        s = np.linalg.svd(np.array(m).reshape(n, n), compute_uv=False).tolist()
+        return s[0] / s[-1] if s[-1] > 0.0 else math.inf
+    if det == 0.0 or not math.isfinite(det):
+        return math.inf
+    return norm_m / abs(det) * norm_adj
+
+
 def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
                              t0: float = 0.0, t1: float = DEFAULT_HORIZON,
                              h: float = DEFAULT_STEP,
@@ -137,37 +186,54 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
 
     At every stage the accelerations solve the linear system
     M(t,q,dq) ddq = dL/dq - d2L/dtddq - (d2L/dqddq) dq with M the velocity
-    Hessian, solved numerically; a condition estimate above 1e12 aborts.
+    Hessian.  One generated function evaluates every entry of M and of the
+    right-hand side, sharing common subexpressions.  The stage aborts when
+    the condition number of M exceeds 1e12: for n <= 3 the exact 1-norm
+    condition number in closed form (a zero or non-finite determinant counts
+    as infinite), for larger n the 2-norm condition number from an SVD.
+    For n = 1 the solve is a division, bitwise what LAPACK returns; larger
+    systems go to LAPACK.
     """
     from .expr import differentiate
     n = lag.n
     if len(q0) != n or len(dq0) != n:
         raise ValueError(f"initial state needs {n} positions and {n} velocities")
     names = lag.q + lag.dq
-    argnames = ("t",) + names
     l_expr = lag.lagrangian
     dv = [differentiate(l_expr, v) for v in lag.dq]
-    hess = [[compile_expr(differentiate(dv[a], vb), argnames) for vb in lag.dq]
-            for a in range(n)]
-    rhs_parts = []
-    for a in range(n):
-        parts = [compile_expr(differentiate(l_expr, lag.q[a]), argnames),
-                 compile_expr(differentiate(dv[a], "t"), argnames)]
-        parts.extend(compile_expr(differentiate(dv[a], qb), argnames) for qb in lag.q)
-        rhs_parts.append(parts)
+    hess = [differentiate(dv[a], vb) for a in range(n) for vb in lag.dq]
+    # unsimplified nodes, so the emitted arithmetic is
+    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order
+    rhs_b = [Sum((differentiate(l_expr, lag.q[a]), Neg(differentiate(dv[a], "t")),
+                  Neg(Sum((Const(0),) + tuple(Product((differentiate(dv[a], qb), Var(vb)))
+                                              for qb, vb in zip(lag.q, lag.dq))))))
+             for a in range(n)]
+    argnames = ("t",) + names
+    system = compile_exprs(hess + rhs_b, argnames)
+    hessian = None      # M alone, compiled when a stage first fails
+    nn = n * n
 
-    def rhs(t, y):
-        args = (t, *y)
-        m = np.array([[hess[a][b](*args) for b in range(n)] for a in range(n)])
-        if np.linalg.cond(m) > HESSIAN_CONDITION_LIMIT:
+    def check(m, t):
+        if not _hessian_condition(m, n) <= HESSIAN_CONDITION_LIMIT:
             raise IntegrationError(
                 f"velocity Hessian condition exceeds {HESSIAN_CONDITION_LIMIT:g} at t={t:.6g}")
-        b_vec = np.array([
-            parts[0](*args) - parts[1](*args)
-            - sum(parts[2 + j](*args) * y[n + j] for j in range(n))
-            for parts in rhs_parts])
-        ddq = np.linalg.solve(m, b_vec)
-        return np.concatenate([y[n:], ddq])
+
+    def rhs(t, *y):
+        nonlocal hessian
+        try:
+            v = system(t, *y)
+        except (EvalDomainError, OverflowError):
+            # M is checked before the right-hand side is evaluated, so a
+            # singular M outranks a domain error further on
+            if hessian is None:
+                hessian = compile_exprs(hess, argnames)
+            check(hessian(t, *y), t)
+            raise
+        check(v[:nn], t)
+        if n == 1:
+            return y[1], v[1] / v[0]
+        ddq = np.linalg.solve(np.array(v[:nn]).reshape(n, n), np.array(v[nn:]))
+        return y[n:] + tuple(ddq.tolist())
 
     states, reason = _rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h, safety)
     return Trajectory(tuple(names), t0, h, states, system=f"lagrangian n={n}",
@@ -180,7 +246,9 @@ def monitor(traj: Trajectory, exprs: Sequence[Expr],
     """Evaluate expressions pointwise along a trajectory.
 
     A domain error at a grid point truncates that series and records the
-    offending index.
+    offending index.  A power beyond the float range does not truncate:
+    the point gets the value that the stored float64 values give (inf, or
+    what the rest of the expression makes of inf).
     """
     out = []
     names = ("t",) + traj.names
@@ -193,8 +261,13 @@ def monitor(traj: Trajectory, exprs: Sequence[Expr],
         values = []
         truncated_at = None
         for k, row in enumerate(traj.states):
+            t = traj.t0 + k * traj.h
             try:
-                values.append(fn(traj.t0 + k * traj.h, *row))
+                try:
+                    values.append(fn(t, *row.tolist()))
+                except OverflowError:
+                    # float64 operands give inf where floats raise
+                    values.append(fn(t, *row))
             except EvalDomainError:
                 truncated_at = k
                 break
@@ -211,12 +284,11 @@ def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float,
     extra = free_vars(gamma) - {"t", "G"}
     if extra:
         raise ValueError(f"scalar law may only use (t, G), found {sorted(extra)}")
-    fn = compile_expr(gamma, ("t", "G"))
-    rhs = lambda t, y: np.array([fn(t, y[0])])
     n_steps = len(series.values) - 1
     if n_steps < 1:
         raise ValueError("series too short to compare")
-    states, reason = _rk4_loop(rhs, [g0], series.t0, series.t0 + n_steps * h, h)
+    states, reason = _rk4_loop(compile_exprs([gamma], ("t", "G")), [g0],
+                               series.t0, series.t0 + n_steps * h, h)
     if reason is not None:
         raise IntegrationError(f"scalar law integration failed: {reason}")
     return float(np.max(np.abs(states[:, 0] - series.values)))
@@ -226,9 +298,9 @@ def trajectory_to_csv(traj: Trajectory, stream, monitors: Sequence[MonitorSeries
     """Write the grid as CSV with full double precision."""
     header = ["t"] + list(traj.names) + [m.label for m in monitors]
     stream.write(",".join(header) + "\n")
-    times = traj.times
-    for k in range(len(traj.states)):
-        cells = [f"{times[k]:.17g}"] + [f"{v:.17g}" for v in traj.states[k]]
-        for m in monitors:
-            cells.append(f"{m.values[k]:.17g}" if k < len(m.values) else "")
+    fmt = ",".join(["%.17g"] * (1 + len(traj.names)))
+    columns = [m.values.tolist() for m in monitors]
+    for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states)):
+        cells = [fmt % (t, *row.tolist())]
+        cells.extend("%.17g" % c[k] if k < len(c) else "" for c in columns)
         stream.write(",".join(cells) + "\n")

@@ -16,6 +16,9 @@ from lamsym.expr import (
     Sum,
     Var,
     ZeroTestConfig,
+    _guard_pow,
+    compile_expr,
+    compile_exprs,
     differentiate,
     evaluate,
     format_expr,
@@ -292,3 +295,96 @@ def test_nonzero_witness_reproduces_its_residual():
     scale = 1.0 + max(abs(x) for x in vals)
     resid = abs(math.fsum(vals)) / scale
     assert resid == v.witness_residual
+
+
+# ---------------------------------------------------------------- compiling
+
+def _in_order(e, point):
+    """Tree walk doing the compiled evaluator's float operations in its
+    order: operands left to right, sums and products folded left to right,
+    integer powers 1..16 by `**`, and the same domain errors."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, (Sum, Product)):
+        vals = [_in_order(k, point) for k in (e.terms if isinstance(e, Sum) else e.factors)]
+        out = vals[0]
+        for v in vals[1:]:
+            out = out + v if isinstance(e, Sum) else out * v
+        return out
+    if isinstance(e, Neg):
+        return -_in_order(e.operand, point)
+    if isinstance(e, Quotient):
+        a, b = _in_order(e.numerator, point), _in_order(e.denominator, point)
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    if isinstance(e, Power):
+        x = e.exponent
+        if isinstance(x, Const) and x.value.denominator == 1 and 0 < x.value <= 16:
+            return _in_order(e.base, point) ** int(x.value)
+        return _guard_pow(_in_order(e.base, point), _in_order(x, point))
+    a = _in_order(e.arg, point)
+    if e.name == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise EvalDomainError("overflow in exp")
+    if e.name == "log":
+        if a <= 0.0:
+            raise EvalDomainError("log of non-positive argument")
+        return math.log(a)
+    if e.name == "sqrt":
+        if a < 0.0:
+            raise EvalDomainError("sqrt of negative argument")
+        return math.sqrt(a)
+    return getattr(math, e.name)(a)
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_fused_outputs_match_an_in_order_tree_walk():
+    # outputs share the subtrees a and b, so common-subexpression elimination
+    # binds them to locals; values must agree bitwise and the first error
+    # raised must be the one the outputs raise when evaluated one by one
+    rng = random.Random(11)
+    names = ("x", "y")
+    for _ in range(300):
+        a = random_tree(rng, 3, list(names))
+        b = random_tree(rng, 3, list(names))
+        outputs = [Sum((a, b)), Product((b, a, b)), Neg(Func("exp", a)), Quotient(b, a),
+                   Power(Sum((a, Const(F(1)))), Const(F(3)))]
+        fused = compile_exprs(outputs, names)
+        for _ in range(4):
+            point = {n: rng.uniform(-2.0, 2.0) for n in names}
+            args = [point[n] for n in names]
+            want = _outcome(lambda: [_in_order(o, point).hex() for o in outputs])
+            assert _outcome(lambda: [v.hex() for v in fused(*args)]) == want
+            assert _outcome(lambda: compile_expr(outputs[3], names)(*args).hex()) == \
+                _outcome(lambda: _in_order(outputs[3], point).hex())
+
+
+def test_fused_evaluator_binds_a_shared_subtree_once():
+    fn = compile_exprs([parse("exp(x*y)+1"), parse("2*exp(x*y)")], ("x", "y"))
+    assert fn(0.5, 2.0) == (math.exp(1.0) + 1, 2 * math.exp(1.0))
+    assert sum(v.startswith("_t") for v in fn.__code__.co_varnames) == 1
+
+
+def test_fused_evaluator_raises_the_first_error_in_tree_order():
+    # sqrt(y) is shared and bound to a local, but log(x) comes first
+    fn = compile_expr(parse("log(x) + sqrt(y)*sqrt(y)"), ("x", "y"))
+    with pytest.raises(EvalDomainError, match="log"):
+        fn(-1.0, -1.0)
+
+
+def test_constant_beyond_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        compile_expr(simplify(parse("10^400*x")), ("x",))
+    with pytest.raises(ValueError, match="float range"):
+        compile_exprs([parse("x"), Const(F(10) ** 400)], ("x",))

@@ -1,13 +1,19 @@
 import io
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lamsym.expr import Const, Var, compile_expr, evaluate, parse
+from lamsym.cli import main
+from lamsym.expr import Const, EvalDomainError, Var, compile_expr, differentiate, evaluate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
 from lamsym.numeric import (
+    HESSIAN_CONDITION_LIMIT,
     IntegrationError,
+    _hessian_condition,
     compare_with_scalar_ode,
     integrate_euler_lagrange,
     integrate_first_order,
@@ -16,7 +22,10 @@ from lamsym.numeric import (
     trajectory_to_csv,
 )
 from lamsym.lagrangian import LagrangianSystem, conjugate_momenta
+from lamsym.problem import load_problem
 from fractions import Fraction
+
+GOLDEN_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus_seed0.json"
 
 
 def oscillator():
@@ -208,3 +217,207 @@ def test_csv_export_with_monitor_columns():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,q1,p1,energy"
     assert float(lines[1].split(",")[3]) == pytest.approx(0.5, abs=1e-12)
+
+
+# ------------------------------------------------------------- reference integrator
+# The componentwise integrator on float64 arrays, one compiled function per
+# component, kept as the oracle for the fused evaluator on plain floats: the
+# states must agree bit for bit.
+
+def _ref_rk4(rhs, y0, t0, t1, h, safety=1e6):
+    steps = max(int(round((t1 - t0) / h)), 1)
+    y = np.asarray(y0, dtype=float)
+    out = [y.copy()]
+    for k in range(steps):
+        t = t0 + k * h
+        try:
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + (h / 2) * k1)
+            k3 = rhs(t + h / 2, y + (h / 2) * k2)
+            k4 = rhs(t + h, y + h * k3)
+        except EvalDomainError as err:
+            return np.array(out), f"domain error at t={t:.6g}: {err}"
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > safety:
+            return np.array(out), f"state left safety box at t={t + h:.6g}"
+        out.append(y.copy())
+    return np.array(out), None
+
+
+def _ref_first_order(exprs, names, y0, t0, t1, h):
+    fns = [compile_expr(e, ("t",) + tuple(names)) for e in exprs]
+    with np.errstate(all="ignore"):
+        return _ref_rk4(lambda t, y: np.array([f(t, *y) for f in fns]), y0, t0, t1, h)
+
+
+def _ref_euler_lagrange(lag, q0, dq0, t0, t1, h):
+    n = lag.n
+    argnames = ("t",) + lag.q + lag.dq
+    dv = [differentiate(lag.lagrangian, v) for v in lag.dq]
+    hess = [[compile_expr(differentiate(dv[a], vb), argnames) for vb in lag.dq]
+            for a in range(n)]
+    parts = [[compile_expr(differentiate(lag.lagrangian, lag.q[a]), argnames),
+              compile_expr(differentiate(dv[a], "t"), argnames)]
+             + [compile_expr(differentiate(dv[a], qb), argnames) for qb in lag.q]
+             for a in range(n)]
+
+    def rhs(t, y):
+        args = (t, *y)
+        m = np.array([[hess[a][b](*args) for b in range(n)] for a in range(n)])
+        assert np.linalg.cond(m) <= HESSIAN_CONDITION_LIMIT
+        b_vec = np.array([p[0](*args) - p[1](*args)
+                          - sum(p[2 + j](*args) * y[n + j] for j in range(n))
+                          for p in parts])
+        return np.concatenate([y[n:], np.linalg.solve(m, b_vec)])
+
+    return _ref_rk4(rhs, list(q0) + list(dq0), t0, t1, h)
+
+
+def _bundled(fname):
+    return load_problem(str(resources.files("lamsym").joinpath("problems", fname)))
+
+
+@pytest.mark.parametrize("fname", ["example2.json", "example5.json", "example6.json",
+                                   "example7.json"])
+def test_bundled_flows_are_bitwise_the_componentwise_reference(fname):
+    problem = _bundled(fname)
+    y0 = list(problem.candidates["initial_conditions"][0])
+    n = problem.n
+    if problem.kind == "hamiltonian":
+        sys = problem.phase_system()
+        traj = integrate_hamiltonian(sys, y0, 0.0, 0.2, 1e-3)
+        states, reason = _ref_first_order(canonical_equations(sys), sys.u, y0, 0.0, 0.2, 1e-3)
+    else:
+        lag = problem.lagrangian_system()
+        traj = integrate_euler_lagrange(lag, y0[:n], y0[n:], 0.0, 0.2, 1e-3)
+        states, reason = _ref_euler_lagrange(lag, y0[:n], y0[n:], 0.0, 0.2, 1e-3)
+    assert reason is None and not traj.truncated
+    assert len(traj.states) == 201
+    assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("n, text", [
+    (3, "(1+q2^2)*dq1^2/2 + dq2^2/2 + exp(-q1)*dq3^2/2 + dq1*dq3/4"
+        " - q1*q2*q3 - t*log(q3)"),
+    (4, "dq1^2/2 + dq2^2/2 + dq3^2/2 + (1+q1^2)*dq4^2/2 + dq1*dq2/5 + t*dq3*q4"
+        " - q1^2*q4^2/2 - q2*q3"),
+])
+def test_hand_written_flows_are_bitwise_the_componentwise_reference(n, text):
+    lag = LagrangianSystem(n, parse(text))
+    q0, dq0 = [0.9, 0.6, 0.7, 0.4][:n], [0.2, -0.1, 0.3, 0.1][:n]
+    traj = integrate_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    assert reason is None and len(traj.states) == 201
+    assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("text, y0", [("y1^2", 2.0), ("y1^17", 2.0), ("exp(y1)", 2.0),
+                                      ("log(y1)", 0.5)])
+def test_blowups_truncate_where_the_reference_does(text, y0):
+    # on plain floats x^17 raises OverflowError where a float64 array holds
+    # inf; both must end the trajectory at the same step with the same reason
+    traj = integrate_first_order([parse(text)], ["y1"], [y0], 0.0, 5.0, 0.3)
+    states, reason = _ref_first_order([parse(text)], ["y1"], [y0], 0.0, 5.0, 0.3)
+    assert traj.truncated and reason is not None
+    assert traj.reason == reason
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_monitor_matches_the_reference_on_overflow_and_domain_errors():
+    traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
+    names = ("t",) + traj.names
+    for text in ("y1^400", "1/y1^400", "-(y1*10^30)^16", "log(5-y1)"):
+        fn = compile_expr(parse(text), names)
+        want = []
+        with np.errstate(all="ignore"):
+            series = monitor(traj, [parse(text)])[0]
+            for k, row in enumerate(traj.states):
+                try:
+                    want.append(fn(traj.t0 + k * traj.h, *row))
+                except EvalDomainError:
+                    break
+        assert series.values.tobytes() == np.array(want).tobytes()
+        assert series.truncated_at == (len(want) if len(want) < len(traj.states) else None)
+
+
+def test_corpus_report_bytes_match_the_benchmark_golden(tmp_path):
+    out = tmp_path / "corpus.json"
+    assert main(["corpus", "--report", "json", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_CORPUS.read_bytes()
+
+
+# ------------------------------------------------------------- condition check
+
+@pytest.mark.parametrize("n, text", [
+    (1, "dq1^3/3"),                                          # M = 2 dq1 = 0 at rest
+    (2, "(dq1+dq2)^2/2"),
+    (3, "(dq1+dq2)^2/2 + dq3^2/2"),
+    (4, "(dq1+dq2)^2/2 + dq3^2/2 + dq4^2/2"),
+    (2, "(dq1+dq2)^2/2 + dq2^2/20000000000000"),             # 1-norm condition 4e13
+    (3, "dq1^2/2 + dq2^2/2 + dq3^2/20000000000000"),         # 1-norm condition 1e13
+])
+def test_singular_or_ill_conditioned_hessian_aborts(n, text):
+    lag = LagrangianSystem(n, parse(text))
+    with pytest.raises(IntegrationError, match="condition"):
+        integrate_euler_lagrange(lag, [0.5] * n, [0.0] * n, 0.0, 0.1, 1e-2)
+
+
+def test_singular_hessian_outranks_a_domain_error_in_the_right_hand_side():
+    # M = 2 dq1 vanishes at rest and dL/dq1 = 3 sqrt(q1)/2 leaves its domain
+    lag = LagrangianSystem(1, parse("dq1^3/3 + q1*sqrt(q1)"))
+    with pytest.raises(IntegrationError, match="condition"):
+        integrate_euler_lagrange(lag, [-1.0], [0.0], 0.0, 0.1, 1e-2)
+
+
+def test_well_conditioned_three_dof_hessian_integrates():
+    lag = LagrangianSystem(3, parse("dq1^2 + dq2^2 + dq3^2 + dq1*dq2/2 + dq2*dq3/2"
+                                    " - q1^2/2 - q2*q3"))
+    traj = integrate_euler_lagrange(lag, [0.3, 0.2, 0.1], [0.1, 0.0, -0.1], 0.0, 0.5, 1e-2)
+    assert not traj.truncated and len(traj.states) == 51
+
+
+def test_hessian_condition_is_the_exact_one_norm_condition_for_small_n():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            m = rng.uniform(-2.0, 2.0, (n, n)) + 3.0 * np.eye(n) * rng.choice([-1, 1])
+            assert _hessian_condition(m.ravel().tolist(), n) == \
+                pytest.approx(np.linalg.cond(m, 1), rel=1e-9)
+        assert _hessian_condition([0.0] * (n * n), n) == math.inf
+        assert _hessian_condition([math.nan] + [1.0] * (n * n - 1), n) == math.inf
+    m = rng.uniform(-2.0, 2.0, (4, 4)) + 3.0 * np.eye(4)
+    assert _hessian_condition(m.ravel().tolist(), 4) == np.linalg.cond(m)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(m=_finite.filter(lambda v: v != 0.0), b=_finite)
+def test_one_dof_division_is_bitwise_the_lapack_solve(m, b):
+    with np.errstate(all="ignore"):
+        want = np.linalg.solve(np.array([[m]]), np.array([b]))[0]
+    assert np.float64(b / m).tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- csv reference
+
+def _ref_csv(traj, stream, monitors=()):
+    header = ["t"] + list(traj.names) + [m.label for m in monitors]
+    stream.write(",".join(header) + "\n")
+    times = traj.times
+    for k in range(len(traj.states)):
+        cells = [f"{times[k]:.17g}"] + [f"{v:.17g}" for v in traj.states[k]]
+        for m in monitors:
+            cells.append(f"{m.values[k]:.17g}" if k < len(m.values) else "")
+        stream.write(",".join(cells) + "\n")
+
+
+def test_csv_bytes_match_the_reference_writer_with_a_truncated_monitor():
+    traj = integrate_first_order([parse("-1+0*y1"), parse("y1*y2")], ["y1", "y2"],
+                                 [0.5, 0.3], 0.0, 1.0, 1e-2)
+    series = monitor(traj, [parse("log(y1)"), parse("y1*y2")], labels=["L", "P"])
+    assert series[0].truncated_at is not None and series[1].truncated_at is None
+    got, want = io.StringIO(), io.StringIO()
+    trajectory_to_csv(traj, got, series)
+    _ref_csv(traj, want, series)
+    assert got.getvalue() == want.getvalue()

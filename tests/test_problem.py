@@ -221,3 +221,13 @@ def test_runner_records_error_for_impossible_extension(tmp_path):
     report = run_checks(problem, ("xh",))
     assert report.record("xh").verdict == "Error"
     assert "velocity map" in report.record("xh").detail
+
+
+def test_constant_beyond_float_range_is_an_error_verdict(tmp_path):
+    doc = dict(MINIMAL, vector_field={"phi": ["10^400*q1*sin(q1)"], "psi": ["p1"]})
+    out = tmp_path / "r.json"
+    assert main(["check", "--problem", write_problem(tmp_path, doc), "--select", "cs",
+                 "--report", "json", "--out", str(out)]) == 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["verdict"] == "Error"
+    assert "float range" in record["detail"]
