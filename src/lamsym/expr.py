@@ -16,7 +16,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -60,7 +63,20 @@ class SamplingError(RuntimeError):
 # --------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all nodes are immutable and structurally comparable."""
+    """Base class; all nodes are immutable and structurally comparable.
+
+    Every node caches its structural hash, computed at construction from
+    the children's cached hashes, so hashing never walks a subtree, and
+    its free-variable set, computed on first use."""
+
+    __slots__ = ("_hash", "_fv")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which sets the hash
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __add__(self, other):
         return add(self, coerce(other))
@@ -99,61 +115,97 @@ class Expr:
         return f"<{type(self).__name__} {format_expr(self)!r}>"
 
 
-@dataclass(frozen=True, repr=False)
+_setattr = object.__setattr__
+_hash_of = attrgetter("_hash")
+
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+            _setattr(self, "value", Fraction(self.value))
+        v = self.value
+        _setattr(self, "_hash", hash((Const, v.numerator, v.denominator)))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Var(Expr):
     name: str
 
+    def __post_init__(self):
+        _setattr(self, "_hash", hash((Var, self.name)))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Sum(Expr):
     terms: tuple
 
     def __post_init__(self):
         assert len(self.terms) >= 2
+        _setattr(self, "_hash", hash((Sum, *map(_hash_of, self.terms))))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Product(Expr):
     factors: tuple
 
     def __post_init__(self):
         assert len(self.factors) >= 2
+        _setattr(self, "_hash", hash((Product, *map(_hash_of, self.factors))))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Power(Expr):
     base: Expr
     exponent: Expr
 
+    def __post_init__(self):
+        _setattr(self, "_hash", hash((Power, self.base._hash, self.exponent._hash)))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Quotient(Expr):
     numerator: Expr
     denominator: Expr
 
+    def __post_init__(self):
+        _setattr(self, "_hash", hash((Quotient, self.numerator._hash,
+                                     self.denominator._hash)))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Neg(Expr):
     operand: Expr
 
+    def __post_init__(self):
+        _setattr(self, "_hash", hash((Neg, self.operand._hash)))
 
-@dataclass(frozen=True, repr=False)
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Func(Expr):
     name: str
     arg: Expr
 
     def __post_init__(self):
         assert self.name in FUNCTIONS
+        _setattr(self, "_hash", hash((Func, self.name, self.arg._hash)))
 
+
+# a frozen dataclass generates a __hash__ that rehashes every field, and
+# with it the whole subtree; every node reads its cached hash instead
+for _node in (Const, Var, Sum, Product, Power, Quotient, Neg, Func):
+    _node.__hash__ = Expr.__hash__
+
+_KIDS = {
+    Sum: lambda e: e.terms,
+    Product: lambda e: e.factors,
+    Power: lambda e: (e.base, e.exponent),
+    Quotient: lambda e: (e.numerator, e.denominator),
+    Neg: lambda e: (e.operand,),
+    Func: lambda e: (e.arg,),
+}
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
@@ -234,30 +286,30 @@ def func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
+_NO_VARS = frozenset()
+
+
 def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Sum):
-        out = frozenset()
-        for t in e.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(e, Product):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_vars(f)
-        return out
-    if isinstance(e, Power):
-        return free_vars(e.base) | free_vars(e.exponent)
-    if isinstance(e, Quotient):
-        return free_vars(e.numerator) | free_vars(e.denominator)
-    if isinstance(e, Neg):
-        return free_vars(e.operand)
-    if isinstance(e, Func):
-        return free_vars(e.arg)
-    raise TypeError(type(e))
+    try:
+        return e._fv
+    except AttributeError:
+        pass
+    t = type(e)
+    if t is Var:
+        out = frozenset((e.name,))
+    elif t is Const:
+        out = _NO_VARS
+    elif t in _KIDS:
+        # share a child's set when it holds all the others, as it mostly does
+        out = _NO_VARS
+        for k in _KIDS[t](e):
+            fk = free_vars(k)
+            if not fk <= out:
+                out = fk if out <= fk else out | fk
+    else:
+        raise TypeError(t)
+    _setattr(e, "_fv", out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +325,13 @@ _TOKEN = re.compile(
 _ADD_PREC = 10
 _MUL_PREC = 20
 _POW_PREC = 30
+
+# Deepest nesting `parse` accepts, of parentheses and operators in the text
+# and of the tree it builds.  Python refuses generated source nested 200
+# levels deep, so `compile_exprs` handles trees up to 199 levels; the
+# recursive passes (simplify, differentiate, format_expr) handle about 400.
+# Half of the compiler's limit leaves room for derivatives and normal forms.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -293,6 +352,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", "", n))
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -315,6 +375,10 @@ class _Parser:
         return e
 
     def expression(self, rbp: int) -> Expr:
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.peek()[2])
         left = self.nud()
         while True:
             kind, val, _ = self.peek()
@@ -335,6 +399,7 @@ class _Parser:
                 left = div(left, self.expression(lbp))
             else:  # right-associative power
                 left = Power(left, self.expression(lbp - 1))
+        self.level -= 1
         return left
 
     def nud(self) -> Expr:
@@ -364,8 +429,25 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string into a raw (unnormalized) tree."""
-    return _Parser(text).parse()
+    """Parse an expression string into a raw (unnormalized) tree.
+
+    Text or a tree nested deeper than MAX_NESTING levels is a ParseError;
+    left-associative chains such as x/y/x/y build deep trees from flat text."""
+    e = _Parser(text).parse()
+    if _depth(e) > MAX_NESTING:
+        raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", 0)
+    return e
+
+
+def _depth(e: Expr) -> int:
+    deepest, todo = 0, [(e, 1)]
+    while todo:
+        x, d = todo.pop()
+        deepest = max(deepest, d)
+        kids = _KIDS.get(type(x))
+        if kids is not None:
+            todo.extend((k, d + 1) for k in kids(x))
+    return deepest
 
 
 # --------------------------------------------------------------------------
@@ -375,26 +457,66 @@ def parse(text: str) -> Expr:
 _EXPAND_LIMIT = 128
 
 
+_MEMO: ContextVar = ContextVar("lamsym_simplify_memo", default=None)
+
+
+@contextmanager
+def simplify_memo():
+    """Scope in which `simplify` remembers every tree it normalized.
+
+    The memo maps each input tree to its normal form and each normal form
+    to itself, which is sound because `simplify` is idempotent.  It lives
+    until the outermost scope exits, normally or by an exception; a nested
+    scope shares the outer memo.  Each context (thread) has its own."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def simplify(e: Expr) -> Expr:
     """Normalize: exact constant folding, like-term collection in flattened
     sums, like-base merging and bounded expansion in products, cancellation
     of syntactically identical quotient factors.  Idempotent and pointwise
-    value preserving on the natural domain."""
-    if isinstance(e, (Const, Var)):
+    value preserving on the natural domain.
+
+    Inside a `simplify_memo()` scope (`runner.run_checks` opens one per
+    run) a tree equal to one normalized before in the scope, or to a normal
+    form produced in it, is answered from the memo; outside, every call
+    normalizes from scratch."""
+    t = type(e)
+    if t is Const or t is Var:
         return e
-    if isinstance(e, Neg):
-        return _negate(simplify(e.operand))
-    if isinstance(e, Sum):
-        return _norm_sum([simplify(t) for t in e.terms])
-    if isinstance(e, Product):
-        return _norm_product([simplify(f) for f in e.factors])
-    if isinstance(e, Quotient):
-        return _norm_quotient(simplify(e.numerator), simplify(e.denominator))
-    if isinstance(e, Power):
-        return _norm_power(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Func):
-        return _norm_func(e.name, simplify(e.arg))
-    raise TypeError(type(e))
+    memo = _MEMO.get()
+    if memo is not None:
+        r = memo.get(e)
+        if r is not None:
+            return r
+    if t is Neg:
+        r = _negate(simplify(e.operand))
+    elif t is Sum:
+        r = _norm_sum([simplify(a) for a in e.terms])
+    elif t is Product:
+        r = _norm_product([simplify(f) for f in e.factors])
+    elif t is Quotient:
+        r = _norm_quotient(simplify(e.numerator), simplify(e.denominator))
+    elif t is Power:
+        r = _norm_power(simplify(e.base), simplify(e.exponent))
+    elif t is Func:
+        r = _norm_func(e.name, simplify(e.arg))
+    else:
+        raise TypeError(t)
+    if r is not e and r._hash == e._hash and r == e:
+        r = e  # already normal: keep the input, whose subtrees may be memo keys
+    if memo is not None:
+        memo[e] = r
+        if r is not e:
+            memo[r] = r
+    return r
 
 
 def _sort_key(e: Expr):
@@ -1093,15 +1215,6 @@ _COMPILE_ENV = {
     "_sqrt": _c_sqrt, "_div": _c_div, "_pow": _guard_pow,
 }
 
-
-_KIDS = {
-    Sum: lambda e: e.terms,
-    Product: lambda e: e.factors,
-    Power: lambda e: (e.base, e.exponent),
-    Quotient: lambda e: (e.numerator, e.denominator),
-    Neg: lambda e: (e.operand,),
-    Func: lambda e: (e.arg,),
-}
 
 _FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt": "_sqrt"}
 

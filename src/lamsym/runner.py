@@ -28,6 +28,7 @@ from .expr import (
     is_identically_zero,
     neg,
     parse,
+    simplify_memo,
 )
 from .mechanics import FirstIntegralCandidate, PhaseSystem, PhaseVectorField
 from .problem import ProblemFile
@@ -132,24 +133,23 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
 
     report = Report(problem=problem.name, seed=cfg.seed)
     state: dict = {"ok": {}}
-
-    def ok(name: str) -> bool:
-        return state["ok"].get(name, False)
-
     checks = _CHECKS[problem.kind]
-    for name in wanted:
-        t_start = time.perf_counter()
-        try:
-            verdict, max_resid, witness, detail = checks[name](problem, state, box, zc, cfg)
-        except _Skip as sk:
-            record = CheckRecord(name, EQ_TAGS[name], "Skipped", detail=sk.reason)
-        except (SamplingError, ValueError, RuntimeError, ArithmeticError) as err:
-            record = CheckRecord(name, EQ_TAGS[name], "Error", detail=str(err))
-        else:
-            record = CheckRecord(name, EQ_TAGS[name], verdict, max_resid, witness, detail)
-        record.wall_ms = (time.perf_counter() - t_start) * 1e3
-        state["ok"][name] = record.verdict in ("ProvenZero", "NumericallyZero")
-        report.checks.append(record)
+    # the checks of one run share subtrees (canonical equations, derivatives
+    # of H, components of Lambda Phi); their normal forms are kept for the run
+    with simplify_memo():
+        for name in wanted:
+            t_start = time.perf_counter()
+            try:
+                verdict, max_resid, witness, detail = checks[name](problem, state, box, zc, cfg)
+            except _Skip as sk:
+                record = CheckRecord(name, EQ_TAGS[name], "Skipped", detail=sk.reason)
+            except (SamplingError, ValueError, RuntimeError, ArithmeticError) as err:
+                record = CheckRecord(name, EQ_TAGS[name], "Error", detail=str(err))
+            else:
+                record = CheckRecord(name, EQ_TAGS[name], verdict, max_resid, witness, detail)
+            record.wall_ms = (time.perf_counter() - t_start) * 1e3
+            state["ok"][name] = record.verdict in ("ProvenZero", "NumericallyZero")
+            report.checks.append(record)
     return report
 
 
@@ -160,6 +160,13 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
 def _need(condition: bool, reason: str):
     if not condition:
         raise _Skip(reason)
+
+
+def _need_passed(state: dict, prerequisite: str, reason: str):
+    """Skip unless the prerequisite check ran in this run and passed;
+    `reason` says why when it ran and did not pass."""
+    _need(prerequisite in state["ok"], f"prerequisite {prerequisite} not selected")
+    _need(state["ok"][prerequisite], reason)
 
 
 def _phase_context(problem: ProblemFile, state: dict):
@@ -197,14 +204,13 @@ def _require_lambda(state: dict) -> lam_mod.LambdaMatrix:
 def _check_cs(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     verdict = symmetry.check_point_symmetry(state["sys"], state["x"], box, zc)
-    state["cs_holds"] = verdict.holds
     tag, resid, witness = _aggregate(verdict.components)
     return tag, resid, witness, f"{2*problem.n} symmetry-condition residuals"
 
 
 def _check_ds(problem, state, box, zc, cfg):
     _phase_context(problem, state)
-    _need(state.get("cs_holds", False), "point symmetry does not hold")
+    _need_passed(state, "cs", "point symmetry does not hold")
     sys, x = state["sys"], state["x"]
     s = symmetry.compute_S(sys, x)
     candidate = FirstIntegralCandidate(s)
@@ -237,7 +243,7 @@ def _check_g(problem, state, box, zc, cfg):
 
 def _check_case(problem, state, box, zc, cfg):
     _phase_context(problem, state)
-    _need(state.get("cs_holds", False), "point symmetry does not hold")
+    _need_passed(state, "cs", "point symmetry does not hold")
     c = symmetry.classify_symmetry_case(state["sys"], state["x"], box,
                                         state.get("g_candidate"), zc)
     detail = f"{c.tag}; S = {format_expr(c.s)}"
@@ -253,7 +259,6 @@ def _check_las(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     lam = _require_lambda(state)
     verdict = lam_mod.check_lambda_symmetry(state["sys"], state["x"], lam, box, zc)
-    state["las_holds"] = verdict.holds
     tag, resid, witness = _aggregate(verdict.components)
     return tag, resid, witness, f"{2*problem.n} perturbed-condition residuals"
 
@@ -261,7 +266,7 @@ def _check_las(problem, state, box, zc, cfg):
 def _check_dtg(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     lam = _require_lambda(state)
-    _need(state.get("las_holds", False), "perturbed symmetry does not hold")
+    _need_passed(state, "las", "perturbed symmetry does not hold")
     g = state.get("g_candidate")
     _need(g is not None, "no generating-function candidate")
     rep = lam_mod.check_lambda_constant_G(state["sys"], state["x"], lam, g, box, zc)
@@ -276,7 +281,7 @@ def _check_dtg(problem, state, box, zc, cfg):
 def _check_dts(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     lam = _require_lambda(state)
-    _need(state.get("las_holds", False), "perturbed symmetry does not hold")
+    _need_passed(state, "las", "perturbed symmetry does not hold")
     rep = lam_mod.check_lambda_constant_S(state["sys"], state["x"], lam, box, zc)
     tag, resid, witness = _aggregate([rep.verdict])
     return tag, resid, witness, (f"S = {format_expr(rep.s)}; "
@@ -287,7 +292,6 @@ def _check_chart(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     _need(problem.chart is not None, "no chart in the problem file")
     rep = lam_mod.verify_chart(state["sys"], state["x"], problem.chart, box, zc)
-    state["chart_ok"] = rep.holds
     verdicts = _labeled(rep.invariance) + [rep.rectification] + _labeled(rep.inversion)
     tag, resid, witness = _aggregate(verdicts)
     return tag, resid, witness, f"{len(problem.chart.w)} invariants + rectification + inversion"
@@ -296,7 +300,7 @@ def _check_chart(problem, state, box, zc, cfg):
 def _check_wzl(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     _need(problem.chart is not None, "no chart in the problem file")
-    _need(state.get("chart_ok", False), "chart verification did not pass")
+    _need_passed(state, "chart", "chart verification did not pass")
     lam = state.get("lam") or lam_mod.LambdaMatrix.zeros(2 * problem.n)
     rs = lam_mod.reduced_system(state["sys"], state["x"], lam, problem.chart, box, zc)
     state["reduced"] = rs
@@ -311,7 +315,7 @@ def _check_wzl(problem, state, box, zc, cfg):
 def _check_sep(problem, state, box, zc, cfg):
     _phase_context(problem, state)
     _need(problem.chart is not None, "no chart in the problem file")
-    _need(state.get("chart_ok", False), "chart verification did not pass")
+    _need_passed(state, "chart", "chart verification did not pass")
     lam = _require_lambda(state)
     g = state.get("g_candidate")
     _need(g is not None, "no generating-function candidate")
@@ -396,7 +400,6 @@ def _check_xll(problem, state, box, zc, cfg):
     _lag_context(problem, state)
     verdict = lagmod.check_lagrangian_lambda_invariance(
         state["lag"], state["xl"], state["laml"], box, zc)
-    state["xll_holds"] = verdict.ok
     tag, resid, witness = _aggregate([verdict])
     return tag, resid, witness, "perturbed invariance residual"
 
@@ -408,7 +411,6 @@ def _check_leg(problem, state, box, zc, cfg):
     _need(vmap is not None and h is not None,
           "velocity map and Hamiltonian are required")
     rep = lagmod.verify_legendre(state["lag"], vmap, h, box, zc)
-    state["leg_ok"] = rep.holds
     verdicts = _labeled(rep.momentum_checks) + [rep.energy_check]
     tag, resid, witness = _aggregate(verdicts)
     return tag, resid, witness, f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}"
@@ -434,7 +436,7 @@ def _check_xh(problem, state, box, zc, cfg):
 
 def _check_lh(problem, state, box, zc, cfg):
     _lag_context(problem, state)
-    _need(state.get("xll_holds", False), "perturbed invariance does not hold")
+    _need_passed(state, "xll", "perturbed invariance does not hold")
     rep = lagmod.extend_lambda(state["xl"], state["laml"],
                                problem.candidates.get("lambda2_candidate"),
                                box, zc)
@@ -446,7 +448,7 @@ def _check_lh(problem, state, box, zc, cfg):
 
 def _check_gl(problem, state, box, zc, cfg):
     _lag_context(problem, state)
-    _need(state.get("xll_holds", False), "perturbed invariance does not hold")
+    _need_passed(state, "xll", "perturbed invariance does not hold")
     ics = problem.candidates.get("initial_conditions")
     _need(ics, "no initial conditions supplied")
     rep = lagmod.check_noether_lambda(state["lag"], state["xl"], state["laml"],

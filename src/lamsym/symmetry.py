@@ -108,7 +108,12 @@ class CaseClassification:
 
 def symmetry_condition_residuals(sys: PhaseSystem, x: PhaseVectorField) -> tuple:
     """The 2n residuals of the linearized invariance condition, with total
-    time derivatives expanded along solutions."""
+    time derivatives expanded along solutions, in normal form."""
+    return tuple(simplify(r) for r in _condition_sums(sys, x))
+
+
+def _condition_sums(sys: PhaseSystem, x: PhaseVectorField) -> tuple:
+    """The residuals of `symmetry_condition_residuals`, not yet normalized."""
     h = sys.hamiltonian
     dt = lambda f: total_time_derivative(sys, f)
     dtau = dt(x.tau)
@@ -129,8 +134,8 @@ def symmetry_condition_residuals(sys: PhaseSystem, x: PhaseVectorField) -> tuple
         if tau_dt:
             r1.append(neg(mul(x.tau, differentiate(h_pa, sys.t))))
             r2.append(mul(x.tau, differentiate(h_qa, sys.t)))
-        res_q.append(simplify(add(*r1)))
-        res_p.append(simplify(add(*r2)))
+        res_q.append(add(*r1))
+        res_p.append(add(*r2))
     return tuple(res_q + res_p)
 
 
@@ -138,7 +143,7 @@ def check_point_symmetry(sys: PhaseSystem, x: PhaseVectorField,
                          box: Optional[DomainBox] = None,
                          cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
     """Verify the exact symmetry condition componentwise."""
-    residuals = symmetry_condition_residuals(sys, x)
+    residuals = _condition_sums(sys, x)
     return SymmetryVerdict(tuple(is_identically_zero(r, box, cfg) for r in residuals))
 
 

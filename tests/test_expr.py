@@ -1,13 +1,17 @@
 import math
+import pickle
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamsym.expr import (
     Const,
     DomainBox,
     EvalDomainError,
     Func,
+    MAX_NESTING,
     Neg,
     ParseError,
     Power,
@@ -26,8 +30,12 @@ from lamsym.expr import (
     is_identically_zero,
     parse,
     simplify,
+    simplify_memo,
     substitute,
 )
+from lamsym import expr as expr_mod
+from lamsym import runner
+from lamsym.problem import load_problem
 from fractions import Fraction
 
 from gen import random_tree, well_conditioned
@@ -388,3 +396,137 @@ def test_constant_beyond_float_range_is_a_value_error():
         compile_expr(simplify(parse("10^400*x")), ("x",))
     with pytest.raises(ValueError, match="float range"):
         compile_exprs([parse("x"), Const(F(10) ** 400)], ("x",))
+
+
+# ---------------------------------------------------------------- memo, hashes
+
+def _family(seed: int) -> list:
+    """Random trees that share subtrees, so that a memo has hits."""
+    rng = random.Random(seed)
+    a = random_tree(rng, 3, ("q", "p"))
+    b = random_tree(rng, 3, ("q", "p"))
+    return [a, b, a + b, (a * b) - b, Quotient(a, b + 1), simplify(a) * b,
+            random_tree(random.Random(seed), 3, ("q", "p"))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_memoized_simplify_equals_unmemoized(seed):
+    trees = _family(seed)
+    plain = [simplify(e) for e in trees]
+    with simplify_memo():
+        memoized = [simplify(e) for e in trees]
+        again = [simplify(e) for e in trees]
+        renormalized = [simplify(n) for n in memoized]
+    assert memoized == plain
+    assert again == plain
+    assert renormalized == plain
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_simplify_idempotent_inside_and_outside_the_memo(seed):
+    for e in _family(seed):
+        n = simplify(e)
+        assert simplify(n) == n
+        with simplify_memo():
+            assert simplify(simplify(e)) == simplify(e) == n
+
+
+def test_equal_trees_have_equal_cached_hashes():
+    rng = random.Random(5)
+    for _ in range(200):
+        seed = rng.random()
+        a = random_tree(random.Random(seed), 4, ("q", "p"))
+        b = random_tree(random.Random(seed), 4, ("q", "p"))
+        assert a == b and a is not b
+        assert a._hash == b._hash == hash(a) == hash(b)
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+    assert parse("q*p+sin(q)") == parse("q*p+sin(q)")
+    assert hash(Power(Var("q"), Var("p"))) != hash(Quotient(Var("q"), Var("p")))
+
+
+def test_free_vars_is_cached_per_node():
+    e = parse("q1*p1 + sin(q2)/p2")
+    assert free_vars(e) == {"q1", "p1", "q2", "p2"}
+    assert free_vars(e) is free_vars(e)
+
+
+def _sin_nest(depth: int):
+    e = Var("x")
+    for _ in range(depth):
+        e = Func("sin", e)
+    return e
+
+
+def test_deep_sin_nest_simplifies_inside_and_outside_the_memo():
+    # already normal, so simplify hands back the input itself
+    e = _sin_nest(800)
+    assert simplify(e) is e
+    with simplify_memo():
+        e = _sin_nest(800)
+        assert simplify(e) is e
+        assert simplify(simplify(e)) is e
+
+
+def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
+    problem = load_problem(str(Path(runner.__file__).parent / "problems" / "example1.json"))
+    seen = []
+    original = runner._HAM_CHECKS["cs"]
+
+    def spy(*args):
+        seen.append(expr_mod._MEMO.get())
+        return original(*args)
+
+    monkeypatch.setitem(runner._HAM_CHECKS, "cs", spy)
+    assert runner.run_checks(problem, ("cs",)).status == "pass"
+    assert isinstance(seen[0], dict) and seen[0]
+    assert expr_mod._MEMO.get() is None
+
+    def boom(*args):
+        simplify(parse("q1*p1+q1*p1"))
+        raise KeyError("boom")
+
+    monkeypatch.setitem(runner._HAM_CHECKS, "cs", boom)
+    with pytest.raises(KeyError):
+        runner.run_checks(problem, ("cs",))
+    assert expr_mod._MEMO.get() is None
+
+
+# ---------------------------------------------------------------- nesting guard
+
+_NESTINGS = {
+    "parentheses": lambda k: "(" * k + "x" + ")" * k,
+    "functions": lambda k: "sin(" * k + "x" + ")" * k,
+    "power tower": lambda k: "^".join(["x"] * (k + 1)),
+    "division chain": lambda k: "/".join(["x", "y"] * k),
+    "sums in products": lambda k: "x*(1+" * k + "y" + ")" * k,
+    "negated sums": lambda k: "-(x+" * k + "y" + ")" * k,
+    "unary minus": lambda k: "-" * k + "x",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_every_tree_the_parser_accepts_is_handled(shape):
+    make = _NESTINGS[shape]
+    k = 1
+    while True:
+        try:
+            parse(make(k + 1))
+        except ParseError:
+            break
+        k += 1
+        assert k <= 2 * MAX_NESTING
+    e = parse(make(k))
+    n = simplify(e)
+    differentiate(e, "x")
+    compile_exprs([e, n], ("x", "y"))
+    format_expr(e)
+
+
+def test_parse_rejects_deep_nesting_with_a_parse_error():
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 3000 + "x" + ")" * 3000)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("/".join(["x", "y"] * 3000))

@@ -100,6 +100,23 @@ def test_exact_symmetry_fails_on_perturbed_system():
     assert report.record("cs").verdict == "NonZero"
     assert report.record("cs").witness is not None
     assert report.record("ds").verdict == "Skipped"
+    assert report.record("ds").detail == "point symmetry does not hold"
+
+
+@pytest.mark.parametrize("fname,selection,prerequisite", [
+    ("example2.json", ("dtg", "dts"), "las"),
+    ("example1.json", ("ds", "case"), "cs"),
+    ("example2.json", ("wzl", "sep"), "chart"),
+    ("example6.json", ("lh", "gl"), "xll"),
+])
+def test_skipped_names_a_prerequisite_that_was_not_selected(fname, selection, prerequisite):
+    report = run_checks(load_problem(bundled(fname)), selection)
+    for record in report.checks:
+        assert record.verdict == "Skipped"
+        assert record.detail == f"prerequisite {prerequisite} not selected"
+    with_prerequisite = run_checks(load_problem(bundled(fname)), (prerequisite,) + selection)
+    for name in selection:
+        assert with_prerequisite.record(name).verdict in ("ProvenZero", "NumericallyZero")
 
 
 def test_log_scaling_skips_separated_equation():
@@ -231,3 +248,9 @@ def test_constant_beyond_float_range_is_an_error_verdict(tmp_path):
     record = json.loads(out.read_text())["checks"][0]
     assert record["verdict"] == "Error"
     assert "float range" in record["detail"]
+
+
+def test_deeply_nested_input_exits_with_status_2(tmp_path, capsys):
+    doc = dict(MINIMAL, hamiltonian="(" * 3000 + "p1^2+q1^2" + ")" * 3000)
+    assert main(["check", "--problem", write_problem(tmp_path, doc)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
