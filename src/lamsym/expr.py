@@ -1,9 +1,10 @@
 """Minimal exact-arithmetic expression kernel.
 
 Expression trees are immutable: rational constants, named variables,
-flattened sums and products, powers, quotients, unary negation and the
-elementary functions exp, log, sin, cos, sqrt.  Constants stay exact
+flattened sums and products, powers, quotients and the elementary
+functions exp, log, sin, cos, sqrt.  Constants stay exact
 (fractions.Fraction); floating point enters only at evaluation time.
+A negation is a rational coefficient: `-x` is the product `-1*x`.
 
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
@@ -176,14 +177,6 @@ class Quotient(Expr):
 
 
 @dataclass(frozen=True, repr=False, slots=True)
-class Neg(Expr):
-    operand: Expr
-
-    def __post_init__(self):
-        _setattr(self, "_hash", hash((Neg, self.operand._hash)))
-
-
-@dataclass(frozen=True, repr=False, slots=True)
 class Func(Expr):
     name: str
     arg: Expr
@@ -195,7 +188,7 @@ class Func(Expr):
 
 # a frozen dataclass generates a __hash__ that rehashes every field, and
 # with it the whole subtree; every node reads its cached hash instead
-for _node in (Const, Var, Sum, Product, Power, Quotient, Neg, Func):
+for _node in (Const, Var, Sum, Product, Power, Quotient, Func):
     _node.__hash__ = Expr.__hash__
 
 _KIDS = {
@@ -203,12 +196,12 @@ _KIDS = {
     Product: lambda e: e.factors,
     Power: lambda e: (e.base, e.exponent),
     Quotient: lambda e: (e.numerator, e.denominator),
-    Neg: lambda e: (e.operand,),
     Func: lambda e: (e.arg,),
 }
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))
 
 
 def coerce(v) -> Expr:
@@ -257,8 +250,6 @@ def mul(*parts: Expr) -> Expr:
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)
-    if isinstance(e, Neg):
-        return e.operand
     if isinstance(e, Product) and isinstance(e.factors[0], Const):
         c = Const(-e.factors[0].value)
         rest = e.factors[1:]
@@ -269,7 +260,7 @@ def neg(e: Expr) -> Expr:
         return Product((c,) + rest)
     if isinstance(e, Quotient):
         return Quotient(neg(e.numerator), e.denominator)
-    return Neg(e)
+    return mul(MINUS_ONE, e)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -496,12 +487,16 @@ def simplify(e: Expr) -> Expr:
         r = memo.get(e)
         if r is not None:
             return r
-    if t is Neg:
-        r = _negate(simplify(e.operand))
-    elif t is Sum:
+    if t is Sum:
         r = _norm_sum([simplify(a) for a in e.terms])
     elif t is Product:
-        r = _norm_product([simplify(f) for f in e.factors])
+        rest = _negated(e)
+        if rest is None:
+            r = _norm_product([simplify(f) for f in e.factors])
+        else:
+            # normalize the operand, then flip its sign: `_norm_product` is
+            # not confluent and can reach another normal form
+            r = _negate(simplify(rest))
     elif t is Quotient:
         r = _norm_quotient(simplify(e.numerator), simplify(e.denominator))
     elif t is Power:
@@ -519,6 +514,14 @@ def simplify(e: Expr) -> Expr:
     return r
 
 
+def _negated(e: Product):
+    """The operand of a negation, a product led by the coefficient -1."""
+    f = e.factors
+    if type(f[0]) is Const and f[0].value == -1:
+        return f[1] if len(f) == 2 else Product(f[1:])
+    return None
+
+
 def _sort_key(e: Expr):
     if isinstance(e, Const):
         return (0, str(e.value))
@@ -528,11 +531,13 @@ def _sort_key(e: Expr):
         return (2, e.name, _sort_key(e.arg))
     if isinstance(e, Power):
         return (3, _sort_key(e.base), _sort_key(e.exponent))
-    if isinstance(e, Neg):
-        return (4, _sort_key(e.operand))
     if isinstance(e, Quotient):
         return (5, _sort_key(e.numerator), _sort_key(e.denominator))
     if isinstance(e, Product):
+        rest = _negated(e)
+        if rest is not None:
+            # a negation sorts by its operand, between powers and quotients
+            return (4, _sort_key(rest))
         return (6, len(e.factors)) + tuple(_sort_key(f) for f in e.factors)
     if isinstance(e, Sum):
         return (7, len(e.terms)) + tuple(_sort_key(t) for t in e.terms)
@@ -541,32 +546,20 @@ def _sort_key(e: Expr):
 
 def _negate(n: Expr) -> Expr:
     # canonical sign handling on an already-normalized tree
-    if isinstance(n, Const):
-        return Const(-n.value)
-    if isinstance(n, Neg):
-        return n.operand
-    if isinstance(n, Sum):
-        return _norm_sum([_negate(t) for t in n.terms])
-    if isinstance(n, Product) and isinstance(n.factors[0], Const):
-        c = -n.factors[0].value
-        rest = list(n.factors[1:])
-        return _join_coeff(c, rest[0] if len(rest) == 1 else Product(tuple(rest)))
-    if isinstance(n, Quotient):
-        return Quotient(_negate(n.numerator), n.denominator)
-    return Neg(n)
+    c, r = _split_coeff(n)
+    return _join_coeff(-c, r)
 
 
 def _split_coeff(n: Expr):
     """Split a normalized term into (rational coefficient, positive rest)."""
     if isinstance(n, Const):
         return n.value, ONE
-    if isinstance(n, Neg):
-        c, r = _split_coeff(n.operand)
-        return -c, r
     if isinstance(n, Product) and isinstance(n.factors[0], Const):
         rest = n.factors[1:]
         return n.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
-    if isinstance(n, Quotient):
+    if isinstance(n, Quotient) and n.denominator != ZERO:
+        # a quotient over zero is undefined everywhere and has no coefficient:
+        # scaled by 0 it would vanish, and with its negation it would cancel
         c, r = _split_coeff(n.numerator)
         return c, Quotient(r, n.denominator)
     if isinstance(n, Sum):
@@ -596,9 +589,9 @@ def _join_coeff(c: Fraction, rest: Expr) -> Expr:
             parts.append(_join_coeff(c * tc, tr))
         return _norm_sum(parts)
     if isinstance(rest, Quotient):
-        return Quotient(_join_coeff(c, rest.numerator), rest.denominator)
-    if c == -1:
-        return _negate(rest)
+        # the numerator of a quotient over zero keeps its coefficient
+        nc, nr = _split_coeff(rest.numerator)
+        return Quotient(_join_coeff(c * nc, nr), rest.denominator)
     if isinstance(rest, Product):
         return Product((Const(c),) + rest.factors)
     return Product((Const(c), rest))
@@ -653,9 +646,6 @@ def _norm_product(factors: list) -> Expr:
             todo = list(f.factors) + todo
         elif isinstance(f, Const):
             coeff *= f.value
-        elif isinstance(f, Neg):
-            coeff = -coeff
-            todo.insert(0, f.operand)
         elif isinstance(f, Quotient):
             todo.insert(0, f.numerator)
             den_parts.append(f.denominator)
@@ -671,6 +661,9 @@ def _norm_product(factors: list) -> Expr:
             bases[f] = bases.get(f, Fraction(0)) + 1
 
     if coeff == 0:
+        # a zero factor does not make a denominator that is zero defined
+        if den_parts:
+            return _norm_quotient(ZERO, _norm_product(den_parts))
         return ZERO
 
     # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
@@ -693,7 +686,7 @@ def _norm_product(factors: list) -> Expr:
             continue
         p = b if x == 1 else _norm_power(b, Const(x))
         # merged exponents can fold (e.g. an expanded power of a sum)
-        if isinstance(p, (Const, Product, Neg, Quotient)):
+        if isinstance(p, (Const, Product, Quotient)):
             return _norm_product(
                 [p, Const(coeff)]
                 + [bb if xx == 1 else Power(bb, Const(xx))
@@ -922,9 +915,6 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
                                       _norm_power(b.denominator, x))
             return _norm_quotient(_norm_power(b.denominator, Const(-v)),
                                   _norm_power(b.numerator, Const(-v)))
-        if isinstance(b, Neg) and v.denominator == 1:
-            inner = _norm_power(b.operand, x)
-            return inner if int(v) % 2 == 0 else _negate(inner)
         if isinstance(b, Sum) and v.denominator == 1 and 2 <= v <= 4:
             if len(b.terms) ** int(v) <= _EXPAND_LIMIT:
                 combos = list(b.terms)
@@ -977,14 +967,12 @@ def _node_prec(e: Expr) -> int:
         return _POW_PREC
     if isinstance(e, (Product, Quotient)):
         return _MUL_PREC
-    return _ADD_PREC  # Sum, Neg
+    return _ADD_PREC  # Sum
 
 
 def _sign_split(e: Expr):
     if isinstance(e, Const) and e.value < 0:
         return True, Const(-e.value)
-    if isinstance(e, Neg):
-        return True, e.operand
     if isinstance(e, Product) and isinstance(e.factors[0], Const) and e.factors[0].value < 0:
         return True, _negate(e)
     if isinstance(e, Quotient):
@@ -1030,9 +1018,8 @@ def _print_pos(e: Expr) -> str:
     if isinstance(e, Quotient):
         return _print(e.numerator, _MUL_PREC) + "/" + _print(e.denominator, _MUL_PREC + 1)
     if isinstance(e, Power):
-        return _print(e.base, _POW_PREC + 1) + "^" + _print(e.exponent, _POW_PREC + 1)
-    if isinstance(e, Neg):  # only reachable as a Power base
-        return "-" + _print(e.operand, _ADD_PREC + 1)
+        # `^` is right-associative, so a power exponent needs no parentheses
+        return _print(e.base, _POW_PREC + 1) + "^" + _print(e.exponent, _POW_PREC)
     raise TypeError(type(e))
 
 
@@ -1053,8 +1040,6 @@ def differentiate(e: Expr, v: str) -> Expr:
         return ONE
     if isinstance(e, Sum):
         return add(*[differentiate(t, v) for t in e.terms])
-    if isinstance(e, Neg):
-        return neg(differentiate(e.operand, v))
     if isinstance(e, Product):
         terms = []
         for i, f in enumerate(e.factors):
@@ -1106,8 +1091,6 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
         return Power(substitute(e.base, bindings), substitute(e.exponent, bindings))
     if isinstance(e, Quotient):
         return div(substitute(e.numerator, bindings), substitute(e.denominator, bindings))
-    if isinstance(e, Neg):
-        return neg(substitute(e.operand, bindings))
     if isinstance(e, Func):
         return Func(e.name, substitute(e.arg, bindings))
     raise TypeError(type(e))
@@ -1149,8 +1132,6 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         for f in e.factors:
             out *= evaluate(f, point)
         return out
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, point)
     if isinstance(e, Quotient):
         den = evaluate(e.denominator, point)
         if den == 0.0:
@@ -1317,8 +1298,6 @@ class _Fuser:
                 src = "_pow({},{})".format(*self._operands(kids))
         elif t is Quotient:
             src = "_div({},{})".format(*self._operands(kids))
-        elif t is Neg:
-            src = f"(-{self._operands(kids)[0]})"
         else:
             src = f"{_FUNC_NAMES[e.name]}({self._operands(kids)[0]})"
         if self.refs[i] > 1:

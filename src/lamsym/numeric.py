@@ -19,7 +19,7 @@ from .expr import (
     Const,
     EvalDomainError,
     Expr,
-    Neg,
+    MINUS_ONE,
     Product,
     Sum,
     Var,
@@ -203,10 +203,14 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     dv = [differentiate(l_expr, v) for v in lag.dq]
     hess = [differentiate(dv[a], vb) for a in range(n) for vb in lag.dq]
     # unsimplified nodes, so the emitted arithmetic is
-    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order
-    rhs_b = [Sum((differentiate(l_expr, lag.q[a]), Neg(differentiate(dv[a], "t")),
-                  Neg(Sum((Const(0),) + tuple(Product((differentiate(dv[a], qb), Var(vb)))
-                                              for qb, vb in zip(lag.q, lag.dq))))))
+    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order;
+    # -1*u rather than neg(u), which folds a zero derivative to +0.0 where
+    # -1.0*0.0 is -0.0
+    rhs_b = [Sum((differentiate(l_expr, lag.q[a]),
+                  Product((MINUS_ONE, differentiate(dv[a], "t"))),
+                  Product((MINUS_ONE, Sum((Const(0),) + tuple(
+                      Product((differentiate(dv[a], qb), Var(vb)))
+                      for qb, vb in zip(lag.q, lag.dq)))))))
              for a in range(n)]
     argnames = ("t",) + names
     system = compile_exprs(hess + rhs_b, argnames)

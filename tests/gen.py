@@ -5,7 +5,7 @@ import random
 
 from lamsym.expr import (
     Const, Func, Power, Quotient, Var, add, evaluate, mul, neg,
-    EvalDomainError, Expr, Neg, Product, Sum,
+    EvalDomainError, Expr, Product, Sum,
 )
 
 
@@ -26,8 +26,6 @@ def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:
             walk(x.base), walk(x.exponent)
         elif isinstance(x, Quotient):
             walk(x.numerator), walk(x.denominator)
-        elif isinstance(x, Neg):
-            walk(x.operand)
         elif isinstance(x, Func):
             walk(x.arg)
         return v

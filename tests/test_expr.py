@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamsym.expr import (
     Const,
@@ -12,15 +12,17 @@ from lamsym.expr import (
     EvalDomainError,
     Func,
     MAX_NESTING,
-    Neg,
+    MINUS_ONE,
     ParseError,
     Power,
     Product,
     Quotient,
+    SamplingError,
     Sum,
     Var,
     ZeroTestConfig,
     _guard_pow,
+    _negate,
     compile_expr,
     compile_exprs,
     differentiate,
@@ -28,6 +30,7 @@ from lamsym.expr import (
     format_expr,
     free_vars,
     is_identically_zero,
+    neg,
     parse,
     simplify,
     simplify_memo,
@@ -55,11 +58,12 @@ def test_parse_coefficient_quotient_folds_to_rational():
     assert Var("p1") in e.factors
 
 
-def test_parse_negated_sum_keeps_neg_node():
+def test_parse_negated_sum_is_a_minus_one_coefficient():
     e = parse("-(q1*p2+q2*p1)")
-    assert isinstance(e, Neg)
-    assert isinstance(e.operand, Sum)
-    assert Product((Var("q1"), Var("p2"))) in e.operand.terms
+    assert isinstance(e, Product) and len(e.factors) == 2
+    assert e.factors[0] == MINUS_ONE
+    assert isinstance(e.factors[1], Sum)
+    assert Product((Var("q1"), Var("p2"))) in e.factors[1].terms
 
 
 def test_parse_function_requires_parentheses():
@@ -92,7 +96,7 @@ def test_parse_power_right_associative():
 
 def test_parse_mixed_precedence():
     assert parse("a+b*c") == Sum((Var("a"), Product((Var("b"), Var("c")))))
-    assert parse("-q^2") == Neg(Power(Var("q"), Const(F(2))))
+    assert parse("-q^2") == Product((MINUS_ONE, Power(Var("q"), Const(F(2)))))
 
 
 # ---------------------------------------------------------------- simplify
@@ -140,6 +144,47 @@ def test_simplify_preserves_value():
         except EvalDomainError:
             continue
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
+
+
+# ---------------------------------------------------------------- negation
+
+def _tree(seed: int):
+    return random_tree(random.Random(seed), 4, ("q", "p"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_double_negation_normalizes_to_the_tree(seed):
+    t = _tree(seed)
+    assert simplify(neg(neg(t))) == simplify(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+@example(1065)  # normalizing -1*t as a product reaches another normal form
+def test_negation_normalizes_to_the_negated_normal_form(seed):
+    t = _tree(seed)
+    assert simplify(neg(t)) == _negate(simplify(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_negation_is_minus_the_compiled_tree(seed):
+    t = _tree(seed)
+    names = ("p", "q")
+    plain, negated = compile_expr(t, names), compile_expr(neg(t), names)
+    rng = random.Random(seed)
+    for _ in range(4):
+        args = [rng.uniform(-2.0, 2.0) for _ in names]
+        # a zero coefficient folds to +0 under negation, so adding +0.0
+        # leaves the sign of a zero result out of the comparison
+        want = _outcome(lambda: (-plain(*args) + 0.0).hex())
+        assert _outcome(lambda: (negated(*args) + 0.0).hex()) == want
+
+
+def test_a_negation_sorts_between_powers_and_quotients():
+    e = parse("sin(q^2)*sin(y/x)*sin(-q)*sin(p*q)")
+    assert format_expr(e) == "sin(q^2)*sin(-q)*sin(y/x)*sin(p*q)"
 
 
 # ---------------------------------------------------------------- derivative
@@ -226,6 +271,16 @@ def test_evaluate_negative_base_fractional_power_is_domain_error():
 
 # ---------------------------------------------------------------- zero test
 
+def test_a_quotient_over_zero_is_never_proven_zero():
+    # undefined everywhere, however it is spelled
+    for text in ("0*(1/(x-x))", "(x-x)/(x-x)"):
+        assert simplify(parse(text)) == Quotient(Const(F(0)), Const(F(0)))
+    for text in ("0*(1/(x-x))", "(x-x)/(x-x)", "1/(x-x) - 1/(x-x)", "(x-x)/(x-x) + y - y"):
+        with pytest.raises(SamplingError):
+            is_identically_zero(parse(text))
+    assert is_identically_zero(parse("0*(1/x)")).tag == "ProvenZero"
+
+
 def test_zero_literal_is_proven():
     assert is_identically_zero(parse("0")).tag == "ProvenZero"
     assert is_identically_zero(parse("q-q")).tag == "ProvenZero"
@@ -284,6 +339,17 @@ def test_format_round_trip_on_random_trees():
         assert parse(format_expr(e)) == n
 
 
+@pytest.mark.parametrize("text", ["q^p^2", "q^(-p)", "q^(1/2)", "(q^p)^2"])
+def test_format_power_parentheses(text):
+    assert format_expr(parse(text)) == text
+    assert parse(text) == simplify(parse(text))
+
+
+def test_format_round_trips_the_deepest_power_tower():
+    e = parse("^".join(["x"] * (MAX_NESTING - 1)))
+    assert parse(format_expr(e)) == simplify(e)
+
+
 def test_format_nested_quotient_parentheses():
     e = Quotient(parse("q+p"), parse("w*v"))
     s = format_expr(e)
@@ -321,8 +387,6 @@ def _in_order(e, point):
         for v in vals[1:]:
             out = out + v if isinstance(e, Sum) else out * v
         return out
-    if isinstance(e, Neg):
-        return -_in_order(e.operand, point)
     if isinstance(e, Quotient):
         a, b = _in_order(e.numerator, point), _in_order(e.denominator, point)
         if b == 0.0:
@@ -366,7 +430,7 @@ def test_fused_outputs_match_an_in_order_tree_walk():
     for _ in range(300):
         a = random_tree(rng, 3, list(names))
         b = random_tree(rng, 3, list(names))
-        outputs = [Sum((a, b)), Product((b, a, b)), Neg(Func("exp", a)), Quotient(b, a),
+        outputs = [Sum((a, b)), Product((b, a, b)), neg(Func("exp", a)), Quotient(b, a),
                    Power(Sum((a, Const(F(1)))), Const(F(3)))]
         fused = compile_exprs(outputs, names)
         for _ in range(4):
