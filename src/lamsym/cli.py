@@ -10,15 +10,7 @@ from importlib import resources
 from .expr import ParseError, parse
 from .numeric import integrate_euler_lagrange, integrate_hamiltonian, monitor, trajectory_to_csv
 from .problem import ProblemError, load_problem
-from .runner import (
-    HAMILTONIAN_CHECKS,
-    LAGRANGIAN_CHECKS,
-    RunConfig,
-    emit_report,
-    report_to_json,
-    report_to_text,
-    run_checks,
-)
+from .runner import RunConfig, emit_report, report_to_json, report_to_text, run_checks
 
 # Per-example check selections: checks that are expected to fail for
 # mathematical reasons (e.g. the exact symmetry condition on a field that

@@ -202,6 +202,13 @@ _KIDS = {
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
+# normal form of all that is undefined everywhere (x/0, log(0), sqrt(-1), ...);
+# it absorbs every node it enters, so no zero factor or cancellation drops it
+UNDEFINED = Quotient(ZERO, ZERO)
+
+
+def _undefined(e: Expr) -> bool:
+    return type(e) is Quotient and e.denominator == ZERO
 
 
 def coerce(v) -> Expr:
@@ -558,8 +565,7 @@ def _split_coeff(n: Expr):
         rest = n.factors[1:]
         return n.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
     if isinstance(n, Quotient) and n.denominator != ZERO:
-        # a quotient over zero is undefined everywhere and has no coefficient:
-        # scaled by 0 it would vanish, and with its negation it would cancel
+        # UNDEFINED has no coefficient: its numerator's 0 would make it vanish
         c, r = _split_coeff(n.numerator)
         return c, Quotient(r, n.denominator)
     if isinstance(n, Sum):
@@ -589,7 +595,7 @@ def _join_coeff(c: Fraction, rest: Expr) -> Expr:
             parts.append(_join_coeff(c * tc, tr))
         return _norm_sum(parts)
     if isinstance(rest, Quotient):
-        # the numerator of a quotient over zero keeps its coefficient
+        # UNDEFINED keeps its numerator 0 (elsewhere it has coefficient 1)
         nc, nr = _split_coeff(rest.numerator)
         return Quotient(_join_coeff(c * nc, nr), rest.denominator)
     if isinstance(rest, Product):
@@ -602,6 +608,8 @@ def _norm_sum(terms: list) -> Expr:
     for t in terms:
         if isinstance(t, Sum):
             flat.extend(t.terms)
+        elif _undefined(t):
+            return UNDEFINED
         else:
             flat.append(t)
     const = Fraction(0)
@@ -647,6 +655,8 @@ def _norm_product(factors: list) -> Expr:
         elif isinstance(f, Const):
             coeff *= f.value
         elif isinstance(f, Quotient):
+            if f.denominator == ZERO:
+                return UNDEFINED
             todo.insert(0, f.numerator)
             den_parts.append(f.denominator)
         elif isinstance(f, Power) and not isinstance(f.exponent, Const):
@@ -661,9 +671,6 @@ def _norm_product(factors: list) -> Expr:
             bases[f] = bases.get(f, Fraction(0)) + 1
 
     if coeff == 0:
-        # a zero factor does not make a denominator that is zero defined
-        if den_parts:
-            return _norm_quotient(ZERO, _norm_product(den_parts))
         return ZERO
 
     # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
@@ -781,7 +788,7 @@ def _strip_content(s: Sum, common: dict) -> Expr:
 def _norm_quotient(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
-            return Quotient(num, den)  # undefined everywhere; left intact
+            return UNDEFINED
         return _norm_product([Const(1 / den.value), num])
     if isinstance(num, Quotient):
         return _norm_quotient(num.numerator, _norm_product([num.denominator, den]))
@@ -885,6 +892,8 @@ def _nth_root_exact(v: Fraction, n: int):
 
 
 def _norm_power(b: Expr, x: Expr) -> Expr:
+    if _undefined(b) or _undefined(x):
+        return UNDEFINED
     if isinstance(x, Const):
         v = x.value
         if v == 0:
@@ -894,8 +903,10 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
         if isinstance(b, Const):
             if v.denominator == 1:
                 if b.value == 0 and v < 0:
-                    return Power(b, x)  # undefined
+                    return UNDEFINED
                 return Const(b.value ** int(v))
+            if b.value < 0:
+                return UNDEFINED  # a negative base has no real fractional power
             root = _nth_root_exact(b.value, v.denominator)
             if root is not None:
                 return _norm_power(Const(root), Const(Fraction(v.numerator)))
@@ -927,6 +938,8 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
 def _norm_func(name: str, a: Expr) -> Expr:
     if name == "sqrt":
         return _norm_power(a, Const(Fraction(1, 2)))
+    if _undefined(a) or (name == "log" and isinstance(a, Const) and a.value <= 0):
+        return UNDEFINED
     if name == "exp":
         if a == ZERO:
             return ONE
@@ -1371,10 +1384,12 @@ class ZeroVerdict:
     ProvenZero: the normal form is the literal zero constant.
     NumericallyZero: every sampled scaled residual was at most abs_tol.
     NonZero: carries a reproducible witness point and its scaled residual.
+    `samples` counts the points evaluated, `rejected` those lost to domain errors.
     """
 
     tag: str
     samples: int = 0
+    rejected: int = 0
     max_residual: float = 0.0
     witness: Optional[dict] = None
     witness_residual: Optional[float] = None
@@ -1444,6 +1459,7 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
         raise SamplingError(
             f"{failures}/{cfg.samples} sample points hit domain errors in {what}", blame)
     if worst <= cfg.abs_tol:
-        return ZeroVerdict("NumericallyZero", samples=evaluated, max_residual=worst)
-    return ZeroVerdict("NonZero", samples=evaluated, max_residual=worst,
+        return ZeroVerdict("NumericallyZero", samples=evaluated, rejected=failures,
+                           max_residual=worst)
+    return ZeroVerdict("NonZero", samples=evaluated, rejected=failures, max_residual=worst,
                        witness=worst_point, witness_residual=worst)

@@ -1,10 +1,16 @@
 """Check orchestration: run the requested verifications on a problem file
-in dependency order and collect structured verdicts.
+in the order of its kind (`HAMILTONIAN_CHECKS`, `LAGRANGIAN_CHECKS`) and
+collect structured verdicts.
 
-Mathematical failures are verdicts (NonZero), never exceptions; checks
-whose prerequisites failed or whose inputs are absent are Skipped with a
-reason.  Report JSON is byte-stable for a fixed problem, seed and
-selection (wall times are kept on the records but never serialized).
+One table, `CHECKS`, gives each check its report tag, its function and, per
+problem kind, the problem-file inputs it requires and the earlier checks
+that must pass.  `run_checks` alone enforces them, inputs first: a check is
+Skipped with the reason of its first absent input, else with `prerequisite
+NAME not selected` or the reason of a prerequisite that did not pass.  On
+Lagrangian problems the phase-side checks take the phase field from `xh`
+and the perturbation matrix from `lh`.  Mathematical failures are verdicts
+(NonZero), never exceptions.  Report JSON is byte-stable for a fixed
+problem, seed and selection (wall times are never serialized).
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -20,17 +27,15 @@ from . import lagrangian as lagmod
 from . import lambda_symmetry as lam_mod
 from . import numeric, symmetry
 from .expr import (
-    DomainBox,
     SamplingError,
     ZeroTestConfig,
     ZeroVerdict,
+    evaluate,
     format_expr,
     is_identically_zero,
-    neg,
-    parse,
     simplify_memo,
 )
-from .mechanics import FirstIntegralCandidate, PhaseSystem, PhaseVectorField
+from .mechanics import FirstIntegralCandidate, PhaseSystem
 from .problem import ProblemFile
 
 HAMILTONIAN_CHECKS = ("cs", "ds", "g", "case", "las", "dtg", "dts",
@@ -38,12 +43,13 @@ HAMILTONIAN_CHECKS = ("cs", "ds", "g", "case", "las", "dtg", "dts",
 LAGRANGIAN_CHECKS = ("xll", "leg", "xh", "lh", "las", "g", "dtg", "dts",
                      "chart", "wzl", "sep", "gamma", "gl", "lala", "lz", "mon")
 
-EQ_TAGS = {
-    "cs": "CS", "ds": "DS", "g": "G", "case": "CASE", "las": "LAS",
-    "dtg": "DTG", "dts": "DTS", "chart": "WZ", "wzl": "WZL", "sep": "SEP",
-    "gamma": "TDI", "mon": "MON", "xll": "XLL", "leg": "LEG", "xh": "XH",
-    "lh": "LH", "gl": "GL", "lala": "LALA", "lz": "LZ",
-}
+# trajectory settings of the integrating checks (mon, gl, lz)
+TRAJECTORY_T1 = 1.0
+TRAJECTORY_H = 1e-3
+MONITOR_TOL = 1e-6
+NOETHER_T1 = 0.5
+NOETHER_TOL = 1e-5
+REDUCTION_TOL = 1e-5
 
 _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 
@@ -53,12 +59,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 100
     abs_tol: float = 1e-9
-    monitor_tol: float = 1e-6
-    trajectory_t1: float = 1.0
-    trajectory_h: float = 1e-3
-    noether_t1: float = 0.5
-    noether_tol: float = 1e-5
-    reduction_tol: float = 1e-5
 
     def zero_cfg(self) -> ZeroTestConfig:
         return ZeroTestConfig(samples=self.samples, seed=self.seed,
@@ -97,14 +97,15 @@ class Report:
         raise KeyError(name)
 
 
-def _aggregate(verdicts: Sequence[ZeroVerdict]):
-    """Worst verdict tag, max scaled residual and worst witness of a set."""
+def _aggregate(verdicts: Sequence[ZeroVerdict], detail: str):
+    """A check's result from a set of verdicts: the worst tag, the max
+    scaled residual, the worst witness, and the detail."""
     if not verdicts:
-        return "ProvenZero", None, None
+        return "ProvenZero", None, None, detail
     worst = max(verdicts, key=lambda v: (_RANK[v.tag], v.max_residual))
     residuals = [v.max_residual for v in verdicts if v.tag != "ProvenZero"]
     max_resid = max(residuals) if residuals else 0.0
-    return worst.tag, max_resid, worst.witness
+    return worst.tag, max_resid, worst.witness, detail
 
 
 class _Skip(Exception):
@@ -113,15 +114,354 @@ class _Skip(Exception):
         self.reason = reason
 
 
+def _need(condition: bool, reason: str):
+    if not condition:
+        raise _Skip(reason)
+
+
 def _labeled(pairs):
     return [v for _, v in pairs]
+
+
+class _Context:
+    """What the checks of one run read and derive.  Systems are built on
+    first use, so a malformed one is an Error of the check reading it.  On
+    Lagrangian problems `xh` sets the phase field `x` and the candidate `g`,
+    and `lh` sets the matrix `lam`."""
+
+    def __init__(self, problem: ProblemFile, zc: ZeroTestConfig):
+        self.problem = problem
+        self.box = problem.box
+        self.zc = zc
+        self.passed: dict = {}
+        self.g = problem.candidates.get("G")
+        if problem.kind == "hamiltonian":
+            self.x = problem.vector_field()
+            self.lam = problem.lam
+        else:
+            self.x = self.lam = None
+            self.laml = problem.lam or lam_mod.LambdaMatrix.zeros(
+                problem.n, lam_mod.LAGRANGIAN_SIDE)
+
+    @cached_property
+    def sys(self) -> PhaseSystem:
+        if self.problem.kind == "hamiltonian":
+            return self.problem.phase_system()
+        return PhaseSystem(self.problem.n, self.problem.candidates["H_for_legendre"])
+
+    @cached_property
+    def lag(self) -> lagmod.LagrangianSystem:
+        return self.problem.lagrangian_system()
+
+    @cached_property
+    def xl(self) -> lagmod.ConfigVectorField:
+        return self.problem.config_field()
+
+
+# --------------------------------------------------------------------------
+# individual checks; each returns (verdict, max_residual, witness, detail)
+# --------------------------------------------------------------------------
+
+def _check_cs(ctx: _Context):
+    verdict = symmetry.check_point_symmetry(ctx.sys, ctx.x, ctx.box, ctx.zc)
+    return _aggregate(verdict.components, f"{2*ctx.problem.n} symmetry-condition residuals")
+
+
+def _check_ds(ctx: _Context):
+    s = symmetry.compute_S(ctx.sys, ctx.x)
+    candidate = FirstIntegralCandidate(s)
+    verdicts = [is_identically_zero(candidate.rate_residual(ctx.sys), ctx.box, ctx.zc)]
+    detail = f"S = {format_expr(s)}"
+    expected = ctx.problem.candidates.get("S_expected")
+    if expected is not None:
+        verdicts.append(is_identically_zero(s - expected, ctx.box, ctx.zc))
+        detail += "; matches expected S"
+    return _aggregate(verdicts, detail)
+
+
+def _check_g(ctx: _Context):
+    rep = symmetry.generating_function_test(ctx.sys, ctx.x, ctx.box, ctx.g, ctx.zc)
+    notes = []
+    if rep.sign_flipped:
+        notes.append("candidate verified with opposite sign")
+    if rep.g_verified:
+        notes.append(f"G = {format_expr(rep.verified_g)}")
+        notes.append("dG/dt is a function of t alone"
+                     if rep.rate_is_time_only else "dG/dt depends on the phase variables")
+    return _aggregate(_labeled(rep.closedness) + _labeled(rep.candidate),
+                      "; ".join(notes) if notes else "closedness only")
+
+
+def _check_case(ctx: _Context):
+    c = symmetry.classify_symmetry_case(ctx.sys, ctx.x, ctx.box, ctx.g, ctx.zc)
+    detail = f"{c.tag}; S = {format_expr(c.s)}"
+    if c.g is not None:
+        detail += f"; G = {format_expr(c.g)}"
+    if c.s_conservation is not None:
+        return _aggregate([c.s_conservation], detail)
+    return "ProvenZero", None, None, detail
+
+
+def _check_las(ctx: _Context):
+    verdict = lam_mod.check_lambda_symmetry(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
+    return _aggregate(verdict.components, f"{2*ctx.problem.n} perturbed-condition residuals")
+
+
+def _check_dtg(ctx: _Context):
+    _need(ctx.g is not None, "no generating-function candidate")
+    rep = lam_mod.check_lambda_constant_G(ctx.sys, ctx.x, ctx.lam, ctx.g, ctx.box, ctx.zc)
+    detail = f"dG/dt = {format_expr(rep.rate)}"
+    if rep.scalar is not None:
+        detail += f"; scalar reduction with lambda = {format_expr(rep.scalar)}"
+    return _aggregate(_labeled(rep.gradient_checks) + _labeled(rep.scalar_checks), detail)
+
+
+def _check_dts(ctx: _Context):
+    rep = lam_mod.check_lambda_constant_S(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
+    return _aggregate([rep.verdict], f"S = {format_expr(rep.s)}; dS/dt = {format_expr(rep.rate)}")
+
+
+def _check_chart(ctx: _Context):
+    chart = ctx.problem.chart
+    rep = lam_mod.verify_chart(ctx.sys, ctx.x, chart, ctx.box, ctx.zc)
+    verdicts = _labeled(rep.invariance) + [rep.rectification] + _labeled(rep.inversion)
+    return _aggregate(verdicts, f"{len(chart.w)} invariants + rectification + inversion")
+
+
+def _check_wzl(ctx: _Context):
+    chart = ctx.problem.chart
+    # a Hamiltonian file without a matrix states an exact symmetry: Lambda = 0
+    lam = ctx.lam or lam_mod.LambdaMatrix.zeros(2 * ctx.problem.n)
+    rs = lam_mod.reduced_system(ctx.sys, ctx.x, lam, chart, ctx.box, ctx.zc)
+    eqs = [f"d{n}/dt = {format_expr(w)}" for n, w in zip(chart.w_names, rs.w_rhs)]
+    eqs.append(f"dz/dt = {format_expr(rs.z_rhs)}")
+    flags = ",".join("free" if zf else "z" for zf in rs.z_free)
+    return _aggregate(_labeled(rs.dz_checks), "; ".join(eqs) + f"; z-dependence [{flags}]")
+
+
+def _check_sep(ctx: _Context):
+    sys, x, lam, g, box, zc = ctx.sys, ctx.x, ctx.lam, ctx.g, ctx.box, ctx.zc
+    chart = ctx.problem.chart
+    _need(g is not None, "no generating-function candidate")
+    scalar = lam_mod.scalar_lambda_reduction(sys, x, lam, box, zc)
+    _need(scalar is not None, "Lambda Phi is not a scalar multiple of Phi")
+    g_index = None
+    for j, wj in enumerate(chart.w):
+        if is_identically_zero(wj - g, box, zc).ok or \
+                is_identically_zero(wj + g, box, zc).ok:
+            g_index = j
+            break
+    _need(g_index is not None, "G is not one of the chart coordinates")
+    rep = lam_mod.check_separated_G(sys, x, lam, chart, g_index, box, zc)
+    return _aggregate(_labeled(rep.checks),
+                      f"dG/dt = {format_expr(rep.gamma)} in (t, G)"
+                      if rep.gamma is not None else "rate depends on other coordinates")
+
+
+def _check_gamma(ctx: _Context):
+    candidate = ctx.problem.candidates["Gamma"]
+    verdict = lam_mod.verify_time_dependent_integral(ctx.sys, candidate, ctx.box, ctx.zc)
+    return _aggregate([verdict], f"Gamma = {format_expr(candidate)}")
+
+
+def _check_mon(ctx: _Context):
+    problem = ctx.problem
+    gamma_law = problem.candidates.get("gamma")
+    big_gamma = problem.candidates.get("Gamma")
+    _need(gamma_law is not None or big_gamma is not None,
+          "nothing to monitor (no gamma or Gamma candidate)")
+    worst = 0.0
+    notes = []
+    for ic in problem.candidates["initial_conditions"]:
+        u0 = list(ic)
+        if problem.kind == "lagrangian":
+            # file rows are (q..., dq...); map to phase space via momenta
+            lag = ctx.lag
+            point = dict(zip(("t",) + lag.q + lag.dq, (0.0,) + tuple(ic)))
+            u0 = list(ic[:problem.n]) + [evaluate(m, point)
+                                         for m in lagmod.conjugate_momenta(lag)]
+        traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
+        if traj.truncated:
+            raise RuntimeError(f"trajectory truncated: {traj.reason}")
+        if big_gamma is not None:
+            series = numeric.monitor(traj, [big_gamma])[0]
+            drift = float(np.max(np.abs(series.values - series.values[0])))
+            worst = max(worst, drift)
+            notes.append(f"drift {drift:.3e}")
+        if gamma_law is not None and ctx.g is not None:
+            series = numeric.monitor(traj, [ctx.g])[0]
+            dev = numeric.compare_with_scalar_ode(series, gamma_law,
+                                                  float(series.values[0]), TRAJECTORY_H)
+            worst = max(worst, dev)
+            notes.append(f"scalar-law deviation {dev:.3e}")
+    verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"
+    return verdict, worst, None, "; ".join(notes)
+
+
+# ------------------------------------------------------- lagrangian pipeline
+
+def _check_xll(ctx: _Context):
+    verdict = lagmod.check_lagrangian_lambda_invariance(
+        ctx.lag, ctx.xl, ctx.laml, ctx.box, ctx.zc)
+    return _aggregate([verdict], "perturbed invariance residual")
+
+
+def _check_leg(ctx: _Context):
+    candidates = ctx.problem.candidates
+    rep = lagmod.verify_legendre(ctx.lag, candidates["velocity_map"],
+                                 candidates["H_for_legendre"], ctx.box, ctx.zc)
+    return _aggregate(_labeled(rep.momentum_checks) + [rep.energy_check],
+                      f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}")
+
+
+def _check_xh(ctx: _Context):
+    if ctx.laml.velocity_dependent:
+        x = lagmod.extend_vector_field_velocity_dependent(
+            ctx.lag, ctx.xl, ctx.laml, ctx.problem.candidates.get("velocity_map"))
+        g = None
+        note = "velocity-dependent extension; no generating function"
+    else:
+        x, g = lagmod.extend_vector_field(ctx.xl)
+        note = f"G = {format_expr(g)}"
+    ctx.x = x
+    ctx.g = ctx.problem.candidates.get("G", g)
+    psi = ", ".join(format_expr(c) for c in x.psi)
+    return "ProvenZero", None, None, f"psi = ({psi}); {note}"
+
+
+def _check_lh(ctx: _Context):
+    rep = lagmod.extend_lambda(ctx.xl, ctx.laml,
+                               ctx.problem.candidates.get("lambda2_candidate"),
+                               ctx.box, ctx.zc)
+    ctx.lam = rep.matrix
+    how = "solved" if rep.solved else "verified candidate"
+    return _aggregate(_labeled(rep.constraint_checks), f"lower-right block {how}")
+
+
+def _check_gl(ctx: _Context):
+    rep = lagmod.check_noether_lambda(ctx.lag, ctx.xl, ctx.laml, ctx.box,
+                                      ctx.problem.candidates["initial_conditions"],
+                                      NOETHER_T1, TRAJECTORY_H, NOETHER_TOL)
+    verdict = "NumericallyZero" if rep.holds else "NonZero"
+    return verdict, rep.max_residual, None, \
+        f"{len(rep.residuals)} trajectories, tol {rep.tol:g}"
+
+
+def _check_lala(ctx: _Context):
+    rep = lagmod.check_scalar_condition(ctx.xl, ctx.laml, ctx.box, ctx.zc)
+    if rep.scalar is None:
+        return "NonZero", None, None, "no scalar reduction on the configuration side"
+    detail = f"lambda = {format_expr(rep.scalar)}"
+    if not rep.is_constant:
+        return "NumericallyZero", 0.0, None, detail + " (not constant; extension not asserted)"
+    if not rep.extended_checks:
+        return "NumericallyZero", 0.0, None, detail + f"; {rep.note}"
+    return _aggregate(_labeled(rep.extended_checks), detail + "; extended matrix scales the field")
+
+
+def _check_lz(ctx: _Context):
+    candidates = ctx.problem.candidates
+    rep = lagmod.partial_reduction_check(
+        ctx.lag, ctx.xl, ctx.laml, candidates.get("eta", ()), candidates["theta"],
+        candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc,
+        t1=TRAJECTORY_T1, h=TRAJECTORY_H, tol=REDUCTION_TOL)
+    verdicts = _labeled(rep.invariance) + [rep.composition, rep.annihilation]
+    tag, resid, witness, detail = _aggregate(
+        verdicts, f"constraint-flow residual {rep.el_residual:.3e} (tol {rep.tol:g})")
+    if rep.el_residual > rep.tol:
+        tag = "NonZero"
+    return tag, max(resid or 0.0, rep.el_residual), witness, detail
+
+
+# --------------------------------------------------------------------------
+# the check table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """A row of the check table: tag, function, and per kind of problem the
+    (inputs, prerequisites) in the order tested.  An input is (file items,
+    reason when one is absent); a prerequisite is (earlier check, reason
+    when it ran and did not pass)."""
+
+    tag: str
+    fn: Callable[[_Context], tuple]
+    needs: Mapping[str, tuple]
+
+
+# prerequisites
+_CS = ("cs", "point symmetry does not hold")
+_LAS = ("las", "perturbed symmetry does not hold")
+_CHART = ("chart", "chart verification did not pass")
+_XLL = ("xll", "perturbed invariance does not hold")
+_XH = ("xh", "phase field not constructed")
+_LH = ("lh", "perturbation matrix not extended")
+
+# inputs
+_PHASE_H = (("H_for_legendre",), "no Hamiltonian supplied for the phase-side checks")
+_LAMBDA = (("lambda",), "no perturbation matrix available")
+_CHART_FILE = (("chart",), "no chart in the problem file")
+_ICS = (("initial_conditions",), "no initial conditions supplied")
+
+
+def _phase(tag, fn, inputs=(), prerequisites=(), lam=None, field=True) -> Check:
+    """A phase-side check.  On Hamiltonian problems it reads the file's
+    field and Lambda, an input when `lam` is "required" (absent means zero
+    when "optional").  On Lagrangian problems the phase system is the
+    H_for_legendre candidate, Lambda comes from lh and the field from xh
+    (unless `field` is false); a missing lh is named before a missing xh."""
+    ham = (inputs + ((_LAMBDA,) if lam == "required" else ()), prerequisites)
+    lag = ((_PHASE_H,) + inputs,
+           ((_LH,) if lam else ()) + ((_XH,) if field else ()) + prerequisites)
+    return Check(tag, fn, {"hamiltonian": ham, "lagrangian": lag})
+
+
+def _only(kind, tag, fn, inputs=(), prerequisites=()) -> Check:
+    return Check(tag, fn, {kind: (inputs, prerequisites)})
+
+
+CHECKS = {
+    "cs": _only("hamiltonian", "CS", _check_cs),
+    "ds": _only("hamiltonian", "DS", _check_ds, prerequisites=(_CS,)),
+    "g": _phase("G", _check_g),
+    "case": _only("hamiltonian", "CASE", _check_case, prerequisites=(_CS,)),
+    "las": _phase("LAS", _check_las, lam="required"),
+    "dtg": _phase("DTG", _check_dtg, prerequisites=(_LAS,), lam="required"),
+    "dts": _phase("DTS", _check_dts, prerequisites=(_LAS,), lam="required"),
+    "chart": _phase("WZ", _check_chart, inputs=(_CHART_FILE,)),
+    "wzl": _phase("WZL", _check_wzl, (_CHART_FILE,), (_CHART,), lam="optional"),
+    "sep": _phase("SEP", _check_sep, (_CHART_FILE,), (_CHART,), lam="required"),
+    "gamma": _phase("TDI", _check_gamma, field=False,
+                    inputs=((("Gamma",), "no time-dependent integral candidate"),)),
+    "mon": _phase("MON", _check_mon, inputs=(_ICS,)),
+    "xll": _only("lagrangian", "XLL", _check_xll),
+    "leg": _only("lagrangian", "LEG", _check_leg, inputs=(
+        (("velocity_map", "H_for_legendre"), "velocity map and Hamiltonian are required"),)),
+    "xh": _only("lagrangian", "XH", _check_xh),
+    "lh": _only("lagrangian", "LH", _check_lh, prerequisites=(_XLL,)),
+    "gl": _only("lagrangian", "GL", _check_gl, inputs=(_ICS,), prerequisites=(_XLL,)),
+    "lala": _only("lagrangian", "LALA", _check_lala),
+    "lz": _only("lagrangian", "LZ", _check_lz, inputs=(
+        (("theta", "reduced_L", "particular_solution"),
+         "theta, reduced_L and particular_solution are required"),)),
+}
+
+
+def _require(needs: tuple, problem: ProblemFile, passed: dict):
+    """Skip unless every input is present and every prerequisite ran and
+    passed, testing them in the order declared."""
+    inputs, prerequisites = needs
+    present = {"lambda": problem.lam, "chart": problem.chart}
+    for items, reason in inputs:
+        _need(all(present.get(i, problem.candidates.get(i)) for i in items), reason)
+    for name, reason in prerequisites:
+        _need(name in passed, f"prerequisite {name} not selected")
+        _need(passed[name], reason)
 
 
 def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
                cfg: Optional[RunConfig] = None) -> Report:
     cfg = cfg or RunConfig()
-    zc = cfg.zero_cfg()
-    box = problem.box
     order = HAMILTONIAN_CHECKS if problem.kind == "hamiltonian" else LAGRANGIAN_CHECKS
     if selection is not None:
         unknown = set(selection) - set(order)
@@ -132,381 +472,26 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
         wanted = list(order)
 
     report = Report(problem=problem.name, seed=cfg.seed)
-    state: dict = {"ok": {}}
-    checks = _CHECKS[problem.kind]
+    ctx = _Context(problem, cfg.zero_cfg())
     # the checks of one run share subtrees (canonical equations, derivatives
     # of H, components of Lambda Phi); their normal forms are kept for the run
     with simplify_memo():
         for name in wanted:
+            check = CHECKS[name]
             t_start = time.perf_counter()
             try:
-                verdict, max_resid, witness, detail = checks[name](problem, state, box, zc, cfg)
+                _require(check.needs[problem.kind], problem, ctx.passed)
+                verdict, max_resid, witness, detail = check.fn(ctx)
             except _Skip as sk:
-                record = CheckRecord(name, EQ_TAGS[name], "Skipped", detail=sk.reason)
+                record = CheckRecord(name, check.tag, "Skipped", detail=sk.reason)
             except (SamplingError, ValueError, RuntimeError, ArithmeticError) as err:
-                record = CheckRecord(name, EQ_TAGS[name], "Error", detail=str(err))
+                record = CheckRecord(name, check.tag, "Error", detail=str(err))
             else:
-                record = CheckRecord(name, EQ_TAGS[name], verdict, max_resid, witness, detail)
+                record = CheckRecord(name, check.tag, verdict, max_resid, witness, detail)
             record.wall_ms = (time.perf_counter() - t_start) * 1e3
-            state["ok"][name] = record.verdict in ("ProvenZero", "NumericallyZero")
+            ctx.passed[name] = record.verdict in ("ProvenZero", "NumericallyZero")
             report.checks.append(record)
     return report
-
-
-# --------------------------------------------------------------------------
-# individual checks; each returns (verdict, max_residual, witness, detail)
-# --------------------------------------------------------------------------
-
-def _need(condition: bool, reason: str):
-    if not condition:
-        raise _Skip(reason)
-
-
-def _need_passed(state: dict, prerequisite: str, reason: str):
-    """Skip unless the prerequisite check ran in this run and passed;
-    `reason` says why when it ran and did not pass."""
-    _need(prerequisite in state["ok"], f"prerequisite {prerequisite} not selected")
-    _need(state["ok"][prerequisite], reason)
-
-
-def _phase_context(problem: ProblemFile, state: dict):
-    """System, field and full-size matrix for the perturbed checks, built
-    once per run; for lagrangian problems these come from the extension
-    pipeline and the verified Legendre data."""
-    if "sys" in state:
-        return
-    if problem.kind == "hamiltonian":
-        state["sys"] = problem.phase_system()
-        state["x"] = problem.vector_field()
-        state["lam"] = problem.lam
-        state["g_candidate"] = problem.candidates.get("G")
-    else:
-        _lag_context(problem, state)
-        h = problem.candidates.get("H_for_legendre")
-        _need(h is not None, "no Hamiltonian supplied for the phase-side checks")
-        state["sys"] = PhaseSystem(problem.n, h)
-        _need("x" in state or not problem.lam or not problem.lam.velocity_dependent,
-              "phase field not constructed (run xh)")
-        if "x" not in state:
-            x, g = lagmod.extend_vector_field(problem.config_field())
-            state["x"] = x
-            state.setdefault("g_extended", g)
-        state["lam"] = state.get("lam_full")
-        state["g_candidate"] = problem.candidates.get("G", state.get("g_extended"))
-
-
-def _require_lambda(state: dict) -> lam_mod.LambdaMatrix:
-    lam = state.get("lam")
-    _need(lam is not None, "no perturbation matrix available")
-    return lam
-
-
-def _check_cs(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    verdict = symmetry.check_point_symmetry(state["sys"], state["x"], box, zc)
-    tag, resid, witness = _aggregate(verdict.components)
-    return tag, resid, witness, f"{2*problem.n} symmetry-condition residuals"
-
-
-def _check_ds(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    _need_passed(state, "cs", "point symmetry does not hold")
-    sys, x = state["sys"], state["x"]
-    s = symmetry.compute_S(sys, x)
-    candidate = FirstIntegralCandidate(s)
-    verdicts = [is_identically_zero(candidate.rate_residual(sys), box, zc)]
-    detail = f"S = {format_expr(s)}"
-    expected = problem.candidates.get("S_expected")
-    if expected is not None:
-        verdicts.append(is_identically_zero(s - expected, box, zc))
-        detail += "; matches expected S"
-    tag, resid, witness = _aggregate(verdicts)
-    return tag, resid, witness, detail
-
-
-def _check_g(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    sys, x = state["sys"], state["x"]
-    rep = symmetry.generating_function_test(sys, x, box, state.get("g_candidate"), zc)
-    state["g_report"] = rep
-    verdicts = _labeled(rep.closedness) + _labeled(rep.candidate)
-    tag, resid, witness = _aggregate(verdicts)
-    notes = []
-    if rep.sign_flipped:
-        notes.append("candidate verified with opposite sign")
-    if rep.g_verified:
-        notes.append(f"G = {format_expr(rep.verified_g)}")
-        notes.append("dG/dt is a function of t alone"
-                     if rep.rate_is_time_only else "dG/dt depends on the phase variables")
-    return tag, resid, witness, "; ".join(notes) if notes else "closedness only"
-
-
-def _check_case(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    _need_passed(state, "cs", "point symmetry does not hold")
-    c = symmetry.classify_symmetry_case(state["sys"], state["x"], box,
-                                        state.get("g_candidate"), zc)
-    detail = f"{c.tag}; S = {format_expr(c.s)}"
-    if c.g is not None:
-        detail += f"; G = {format_expr(c.g)}"
-    if c.s_conservation is not None:
-        tag, resid, witness = _aggregate([c.s_conservation])
-        return tag, resid, witness, detail
-    return "ProvenZero", None, None, detail
-
-
-def _check_las(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    lam = _require_lambda(state)
-    verdict = lam_mod.check_lambda_symmetry(state["sys"], state["x"], lam, box, zc)
-    tag, resid, witness = _aggregate(verdict.components)
-    return tag, resid, witness, f"{2*problem.n} perturbed-condition residuals"
-
-
-def _check_dtg(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    lam = _require_lambda(state)
-    _need_passed(state, "las", "perturbed symmetry does not hold")
-    g = state.get("g_candidate")
-    _need(g is not None, "no generating-function candidate")
-    rep = lam_mod.check_lambda_constant_G(state["sys"], state["x"], lam, g, box, zc)
-    verdicts = _labeled(rep.gradient_checks) + _labeled(rep.scalar_checks)
-    tag, resid, witness = _aggregate(verdicts)
-    detail = f"dG/dt = {format_expr(rep.rate)}"
-    if rep.scalar is not None:
-        detail += f"; scalar reduction with lambda = {format_expr(rep.scalar)}"
-    return tag, resid, witness, detail
-
-
-def _check_dts(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    lam = _require_lambda(state)
-    _need_passed(state, "las", "perturbed symmetry does not hold")
-    rep = lam_mod.check_lambda_constant_S(state["sys"], state["x"], lam, box, zc)
-    tag, resid, witness = _aggregate([rep.verdict])
-    return tag, resid, witness, (f"S = {format_expr(rep.s)}; "
-                                 f"dS/dt = {format_expr(rep.rate)}")
-
-
-def _check_chart(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    _need(problem.chart is not None, "no chart in the problem file")
-    rep = lam_mod.verify_chart(state["sys"], state["x"], problem.chart, box, zc)
-    verdicts = _labeled(rep.invariance) + [rep.rectification] + _labeled(rep.inversion)
-    tag, resid, witness = _aggregate(verdicts)
-    return tag, resid, witness, f"{len(problem.chart.w)} invariants + rectification + inversion"
-
-
-def _check_wzl(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    _need(problem.chart is not None, "no chart in the problem file")
-    _need_passed(state, "chart", "chart verification did not pass")
-    lam = state.get("lam") or lam_mod.LambdaMatrix.zeros(2 * problem.n)
-    rs = lam_mod.reduced_system(state["sys"], state["x"], lam, problem.chart, box, zc)
-    state["reduced"] = rs
-    tag, resid, witness = _aggregate(_labeled(rs.dz_checks))
-    eqs = [f"d{n}/dt = {format_expr(w)}"
-           for n, w in zip(problem.chart.w_names, rs.w_rhs)]
-    eqs.append(f"dz/dt = {format_expr(rs.z_rhs)}")
-    flags = ",".join("free" if zf else "z" for zf in rs.z_free)
-    return tag, resid, witness, "; ".join(eqs) + f"; z-dependence [{flags}]"
-
-
-def _check_sep(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    _need(problem.chart is not None, "no chart in the problem file")
-    _need_passed(state, "chart", "chart verification did not pass")
-    lam = _require_lambda(state)
-    g = state.get("g_candidate")
-    _need(g is not None, "no generating-function candidate")
-    scalar = lam_mod.scalar_lambda_reduction(state["sys"], state["x"], lam, box, zc)
-    _need(scalar is not None, "Lambda Phi is not a scalar multiple of Phi")
-    g_index = None
-    for j, wj in enumerate(problem.chart.w):
-        if is_identically_zero(wj - g, box, zc).ok or \
-                is_identically_zero(wj + g, box, zc).ok:
-            g_index = j
-            break
-    _need(g_index is not None, "G is not one of the chart coordinates")
-    rep = lam_mod.check_separated_G(state["sys"], state["x"], lam, problem.chart,
-                                    g_index, box, zc)
-    tag, resid, witness = _aggregate(_labeled(rep.checks))
-    detail = (f"dG/dt = {format_expr(rep.gamma)} in (t, G)"
-              if rep.gamma is not None else "rate depends on other coordinates")
-    return tag, resid, witness, detail
-
-
-def _check_gamma(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    candidate = problem.candidates.get("Gamma")
-    _need(candidate is not None, "no time-dependent integral candidate")
-    verdict = lam_mod.verify_time_dependent_integral(state["sys"], candidate, box, zc)
-    tag, resid, witness = _aggregate([verdict])
-    return tag, resid, witness, f"Gamma = {format_expr(candidate)}"
-
-
-def _check_mon(problem, state, box, zc, cfg):
-    _phase_context(problem, state)
-    ics = problem.candidates.get("initial_conditions")
-    _need(ics, "no initial conditions supplied")
-    sys = state["sys"]
-    gamma_law = problem.candidates.get("gamma")
-    big_gamma = problem.candidates.get("Gamma")
-    g = state.get("g_candidate")
-    _need(gamma_law is not None or big_gamma is not None,
-          "nothing to monitor (no gamma or Gamma candidate)")
-    worst = 0.0
-    notes = []
-    for ic in ics:
-        u0 = list(ic)
-        if problem.kind == "lagrangian":
-            # file rows are (q..., dq...); map to phase space via momenta
-            from .expr import evaluate
-            lag = state["lag"]
-            point = dict(zip(("t",) + lag.q + lag.dq, (0.0,) + tuple(ic)))
-            u0 = list(ic[:problem.n]) + [evaluate(m, point)
-                                         for m in lagmod.conjugate_momenta(lag)]
-        traj = numeric.integrate_hamiltonian(sys, u0, 0.0,
-                                             cfg.trajectory_t1, cfg.trajectory_h)
-        if traj.truncated:
-            raise RuntimeError(f"trajectory truncated: {traj.reason}")
-        if big_gamma is not None:
-            series = numeric.monitor(traj, [big_gamma])[0]
-            drift = float(np.max(np.abs(series.values - series.values[0])))
-            worst = max(worst, drift)
-            notes.append(f"drift {drift:.3e}")
-        if gamma_law is not None and g is not None:
-            series = numeric.monitor(traj, [g])[0]
-            dev = numeric.compare_with_scalar_ode(series, gamma_law,
-                                                  float(series.values[0]),
-                                                  cfg.trajectory_h)
-            worst = max(worst, dev)
-            notes.append(f"scalar-law deviation {dev:.3e}")
-    verdict = "NumericallyZero" if worst <= cfg.monitor_tol else "NonZero"
-    return verdict, worst, None, "; ".join(notes)
-
-
-# ------------------------------------------------------- lagrangian pipeline
-
-def _lag_context(problem: ProblemFile, state: dict):
-    if "lag" not in state:
-        state["lag"] = problem.lagrangian_system()
-        state["xl"] = problem.config_field()
-        state["laml"] = problem.lam or lam_mod.LambdaMatrix.zeros(
-            problem.n, lam_mod.LAGRANGIAN_SIDE)
-
-
-def _check_xll(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    verdict = lagmod.check_lagrangian_lambda_invariance(
-        state["lag"], state["xl"], state["laml"], box, zc)
-    tag, resid, witness = _aggregate([verdict])
-    return tag, resid, witness, "perturbed invariance residual"
-
-
-def _check_leg(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    vmap = problem.candidates.get("velocity_map")
-    h = problem.candidates.get("H_for_legendre")
-    _need(vmap is not None and h is not None,
-          "velocity map and Hamiltonian are required")
-    rep = lagmod.verify_legendre(state["lag"], vmap, h, box, zc)
-    verdicts = _labeled(rep.momentum_checks) + [rep.energy_check]
-    tag, resid, witness = _aggregate(verdicts)
-    return tag, resid, witness, f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}"
-
-
-def _check_xh(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    laml = state["laml"]
-    if laml.velocity_dependent:
-        x = lagmod.extend_vector_field_velocity_dependent(
-            state["lag"], state["xl"], laml,
-            problem.candidates.get("velocity_map"))
-        g = None
-        note = "velocity-dependent extension; no generating function"
-    else:
-        x, g = lagmod.extend_vector_field(state["xl"])
-        note = f"G = {format_expr(g)}"
-        state["g_extended"] = g
-    state["x"] = x
-    psi = ", ".join(format_expr(c) for c in x.psi)
-    return "ProvenZero", None, None, f"psi = ({psi}); {note}"
-
-
-def _check_lh(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    _need_passed(state, "xll", "perturbed invariance does not hold")
-    rep = lagmod.extend_lambda(state["xl"], state["laml"],
-                               problem.candidates.get("lambda2_candidate"),
-                               box, zc)
-    state["lam_full"] = rep.matrix
-    tag, resid, witness = _aggregate(_labeled(rep.constraint_checks))
-    how = "solved" if rep.solved else "verified candidate"
-    return tag, resid, witness, f"lower-right block {how}"
-
-
-def _check_gl(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    _need_passed(state, "xll", "perturbed invariance does not hold")
-    ics = problem.candidates.get("initial_conditions")
-    _need(ics, "no initial conditions supplied")
-    rep = lagmod.check_noether_lambda(state["lag"], state["xl"], state["laml"],
-                                      box, ics, cfg.noether_t1,
-                                      cfg.trajectory_h, cfg.noether_tol)
-    verdict = "NumericallyZero" if rep.holds else "NonZero"
-    return verdict, rep.max_residual, None, \
-        f"{len(rep.residuals)} trajectories, tol {rep.tol:g}"
-
-
-def _check_lala(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    rep = lagmod.check_scalar_condition(state["xl"], state["laml"], box, zc)
-    if rep.scalar is None:
-        return "NonZero", None, None, "no scalar reduction on the configuration side"
-    detail = f"lambda = {format_expr(rep.scalar)}"
-    if not rep.is_constant:
-        return "NumericallyZero", 0.0, None, detail + " (not constant; extension not asserted)"
-    if not rep.extended_checks:
-        return "NumericallyZero", 0.0, None, detail + f"; {rep.note}"
-    tag, resid, witness = _aggregate(_labeled(rep.extended_checks))
-    return tag, resid, witness, detail + "; extended matrix scales the field"
-
-
-def _check_lz(problem, state, box, zc, cfg):
-    _lag_context(problem, state)
-    theta = problem.candidates.get("theta")
-    reduced_l = problem.candidates.get("reduced_L")
-    particular = problem.candidates.get("particular_solution")
-    _need(theta is not None and reduced_l is not None and particular is not None,
-          "theta, reduced_L and particular_solution are required")
-    eta = problem.candidates.get("eta", ())
-    rep = lagmod.partial_reduction_check(
-        state["lag"], state["xl"], state["laml"], eta, theta, reduced_l,
-        particular, box, zc, t1=cfg.trajectory_t1, h=cfg.trajectory_h,
-        tol=cfg.reduction_tol)
-    verdicts = _labeled(rep.invariance) + [rep.composition, rep.annihilation]
-    tag, resid, witness = _aggregate(verdicts)
-    if rep.el_residual > rep.tol:
-        tag = "NonZero"
-    detail = f"constraint-flow residual {rep.el_residual:.3e} (tol {rep.tol:g})"
-    return tag, max(resid or 0.0, rep.el_residual), witness, detail
-
-
-_HAM_CHECKS = {
-    "cs": _check_cs, "ds": _check_ds, "g": _check_g, "case": _check_case,
-    "las": _check_las, "dtg": _check_dtg, "dts": _check_dts,
-    "chart": _check_chart, "wzl": _check_wzl, "sep": _check_sep,
-    "gamma": _check_gamma, "mon": _check_mon,
-}
-
-_LAG_CHECKS = dict(_HAM_CHECKS)
-_LAG_CHECKS.update({
-    "xll": _check_xll, "leg": _check_leg, "xh": _check_xh, "lh": _check_lh,
-    "gl": _check_gl, "lala": _check_lala, "lz": _check_lz,
-})
-
-_CHECKS = {"hamiltonian": _HAM_CHECKS, "lagrangian": _LAG_CHECKS}
 
 
 # --------------------------------------------------------------------------

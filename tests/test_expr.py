@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -275,10 +276,32 @@ def test_a_quotient_over_zero_is_never_proven_zero():
     # undefined everywhere, however it is spelled
     for text in ("0*(1/(x-x))", "(x-x)/(x-x)"):
         assert simplify(parse(text)) == Quotient(Const(F(0)), Const(F(0)))
-    for text in ("0*(1/(x-x))", "(x-x)/(x-x)", "1/(x-x) - 1/(x-x)", "(x-x)/(x-x) + y - y"):
+    for text in ("0*(1/(x-x))", "(x-x)/(x-x)", "1/(x-x) - 1/(x-x)", "(x-x)/(x-x) + y - y",
+                 "0*(x-x)^(-1)", "0*log(x-x)", "0*log(0)", "0*sqrt(0-1)",
+                 "log(x-x)-log(x-x)", "(x-x)^(-1)-(x-x)^(-1)"):
         with pytest.raises(SamplingError):
             is_identically_zero(parse(text))
     assert is_identically_zero(parse("0*(1/x)")).tag == "ProvenZero"
+
+
+@pytest.mark.parametrize("text", ["log(x-x)", "0^(-1)", "sqrt(0-1)", "(0-8)^(1/3)",
+                                  "exp(1/(x-x))", "0*(log(0)+y)", "x^(1/(x-x))"])
+def test_an_expression_undefined_everywhere_has_one_normal_form(text):
+    # it absorbs every sum, product, power and function it enters
+    assert simplify(parse(text)) == Quotient(Const(F(0)), Const(F(0)))
+
+
+def test_a_verdict_counts_the_samples_it_rejected():
+    cfg = ZeroTestConfig(samples=60, seed=3)
+    for text, tag in (("(sin(x)^2+cos(x)^2-1)*sqrt(x-7/10)", "NumericallyZero"),
+                      ("sqrt(x-7/10)", "NonZero")):
+        v = is_identically_zero(parse(text), cfg=cfg)
+        assert v.tag == tag
+        assert v.samples > 0 and v.rejected > 0
+        assert v.samples + v.rejected == cfg.samples
+        if tag == "NumericallyZero":
+            # the printed verdict does not show the count
+            assert str(v) == f"NumericallyZero(max={v.max_residual:.3e}, n={v.samples})"
 
 
 def test_zero_literal_is_proven():
@@ -537,13 +560,14 @@ def test_deep_sin_nest_simplifies_inside_and_outside_the_memo():
 def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
     problem = load_problem(str(Path(runner.__file__).parent / "problems" / "example1.json"))
     seen = []
-    original = runner._HAM_CHECKS["cs"]
+    check = runner.CHECKS["cs"]
+    original = check.fn
 
     def spy(*args):
         seen.append(expr_mod._MEMO.get())
         return original(*args)
 
-    monkeypatch.setitem(runner._HAM_CHECKS, "cs", spy)
+    monkeypatch.setitem(runner.CHECKS, "cs", replace(check, fn=spy))
     assert runner.run_checks(problem, ("cs",)).status == "pass"
     assert isinstance(seen[0], dict) and seen[0]
     assert expr_mod._MEMO.get() is None
@@ -552,7 +576,7 @@ def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
         simplify(parse("q1*p1+q1*p1"))
         raise KeyError("boom")
 
-    monkeypatch.setitem(runner._HAM_CHECKS, "cs", boom)
+    monkeypatch.setitem(runner.CHECKS, "cs", replace(check, fn=boom))
     with pytest.raises(KeyError):
         runner.run_checks(problem, ("cs",))
     assert expr_mod._MEMO.get() is None

@@ -2,13 +2,22 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from lamsym.cli import CORPUS, corpus_reports, main
 from lamsym.expr import Const, format_expr
-from lamsym.problem import ProblemError, load_problem
-from lamsym.runner import RunConfig, report_to_json, report_to_text, run_checks
+from lamsym.problem import _CANDIDATE_EXPRS, _CANDIDATE_LISTS, ProblemError, load_problem
+from lamsym.runner import (
+    CHECKS,
+    HAMILTONIAN_CHECKS,
+    LAGRANGIAN_CHECKS,
+    RunConfig,
+    report_to_json,
+    report_to_text,
+    run_checks,
+)
 from fractions import Fraction
 
 
@@ -103,20 +112,66 @@ def test_exact_symmetry_fails_on_perturbed_system():
     assert report.record("ds").detail == "point symmetry does not hold"
 
 
-@pytest.mark.parametrize("fname,selection,prerequisite", [
-    ("example2.json", ("dtg", "dts"), "las"),
-    ("example1.json", ("ds", "case"), "cs"),
-    ("example2.json", ("wzl", "sep"), "chart"),
-    ("example6.json", ("lh", "gl"), "xll"),
+@pytest.mark.parametrize("fname,selection,prerequisites", [
+    ("example2.json", ("dtg", "dts"), ("las",)),
+    ("example1.json", ("ds", "case"), ("cs",)),
+    ("example2.json", ("wzl", "sep"), ("chart",)),
+    ("example6.json", ("lh", "gl"), ("xll",)),
+    ("example5.json", ("las",), ("lh", "xll", "xh")),
+    ("example6.json", ("las",), ("lh", "xll", "xh")),
+    ("example7.json", ("chart",), ("xh",)),
+    ("example7.json", ("las", "dts", "wzl"), ("lh", "xll", "xh", "chart")),
 ])
-def test_skipped_names_a_prerequisite_that_was_not_selected(fname, selection, prerequisite):
+def test_skipped_names_a_prerequisite_that_was_not_selected(fname, selection, prerequisites):
+    # each record names the first prerequisite; with all of them the checks pass
     report = run_checks(load_problem(bundled(fname)), selection)
     for record in report.checks:
         assert record.verdict == "Skipped"
-        assert record.detail == f"prerequisite {prerequisite} not selected"
-    with_prerequisite = run_checks(load_problem(bundled(fname)), (prerequisite,) + selection)
+        assert record.detail == f"prerequisite {prerequisites[0]} not selected"
+    with_prerequisites = run_checks(load_problem(bundled(fname)), prerequisites + selection)
     for name in selection:
-        assert with_prerequisite.record(name).verdict in ("ProvenZero", "NumericallyZero")
+        assert with_prerequisites.record(name).verdict in ("ProvenZero", "NumericallyZero")
+
+
+def test_reduction_on_a_lagrangian_problem_never_runs_without_its_pipeline():
+    # wzl once reduced with a zero matrix when lh was not selected
+    report = run_checks(load_problem(bundled("example6.json")), ("chart", "wzl"))
+    assert [(r.verdict, r.detail) for r in report.checks] == [
+        ("Skipped", "prerequisite xh not selected"),
+        ("Skipped", "prerequisite lh not selected")]
+    assert report.status == "pass"
+    report = run_checks(load_problem(bundled("example6.json")), ("xll", "xh", "lh", "chart", "wzl"))
+    assert report.record("wzl").verdict == "ProvenZero"
+
+
+def test_phase_side_is_skipped_when_the_phase_field_was_not_constructed(tmp_path):
+    doc = {
+        "kind": "lagrangian", "n": 1,
+        "lagrangian": "(dq1/q1 + 1)^2*exp(-2*q1)/2",
+        "vector_field": {"phi": ["q1"]},
+        "lambda": {"entries": [["q1+dq1^2"]], "velocity_dependent": True},
+        "candidates": {"H_for_legendre": "p1^2/2"},
+    }
+    report = run_checks(load_problem(write_problem(tmp_path, doc)), ("xh", "g"))
+    assert report.record("xh").verdict == "Error"
+    assert report.record("g").verdict == "Skipped"
+    assert report.record("g").detail == "phase field not constructed"
+
+
+@pytest.mark.parametrize("kind,order", [("hamiltonian", HAMILTONIAN_CHECKS),
+                                        ("lagrangian", LAGRANGIAN_CHECKS)])
+def test_every_prerequisite_is_an_earlier_check_of_the_same_kind(kind, order):
+    assert len(set(order)) == len(order)
+    assert {name for name, check in CHECKS.items() if kind in check.needs} == set(order)
+    file_items = {"lambda", "chart", "lambda2_candidate", "initial_conditions"}
+    file_items |= set(_CANDIDATE_EXPRS + _CANDIDATE_LISTS)
+    for name in order:
+        inputs, prerequisites = CHECKS[name].needs[kind]
+        for items, reason in inputs:
+            assert set(items) <= file_items and reason
+        for prerequisite, reason in prerequisites:
+            assert prerequisite in order and reason
+            assert order.index(prerequisite) < order.index(name)
 
 
 def test_log_scaling_skips_separated_equation():
@@ -185,6 +240,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["check", "--problem", bundled("example4.json"),
                  "--select", "cs", "--out", str(tmp_path / "r2.txt")]) == 1
     assert main(["check", "--problem", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("number", range(1, 8))
+def test_full_order_report_matches_the_pinned_bytes(tmp_path, number):
+    # every check of the kind, in order, at seed 0; tests/reports holds the
+    # reports as they were before the check table replaced the hand-kept ones
+    out = tmp_path / "r.json"
+    main(["check", "--problem", bundled(f"example{number}.json"), "--seed", "0",
+          "--report", "json", "--out", str(out)])
+    pinned = Path(__file__).parent / "reports" / f"example{number}.json"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 def test_cli_corpus_json_is_byte_identical(tmp_path):
