@@ -4,8 +4,8 @@
 from lamsym import (
     DomainBox,
     ZeroTestConfig,
+    compile_expr,
     differentiate,
-    evaluate,
     format_expr,
     is_identically_zero,
     parse,
@@ -14,11 +14,11 @@ from lamsym import (
 )
 
 ## Constants are exact rationals all the way through; floating point only
-## enters when a point is evaluated.
+## enters when a tree is compiled to a function of its variables.
 e = parse("q^2*p/2 + 0.1*q")
 print("parsed:     ", format_expr(e))
 print("d/dq:       ", format_expr(simplify(differentiate(e, "q"))))
-print("at q=2,p=3: ", evaluate(e, {"q": 2, "p": 3}))
+print("at q=2,p=3: ", compile_expr(e, ("q", "p"))(2.0, 3.0))
 
 ## Like terms collect across different syntactic shapes.
 print("collected:  ", format_expr(parse("3*q^2+p^2+q^2+3*p^2")))

@@ -21,7 +21,6 @@ from .expr import (
     compile_expr,
     compile_exprs,
     differentiate,
-    evaluate,
     format_expr,
     free_vars,
     is_identically_zero,

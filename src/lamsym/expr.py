@@ -2,9 +2,12 @@
 
 Expression trees are immutable: rational constants, named variables,
 flattened sums and products, powers, quotients and the elementary
-functions exp, log, sin, cos, sqrt.  Constants stay exact
-(fractions.Fraction); floating point enters only at evaluation time.
-A negation is a rational coefficient: `-x` is the product `-1*x`.
+functions exp, log, sin, cos, sqrt.  Nodes are interned, so equal trees
+are one object and equality is identity.  Constants stay exact
+(fractions.Fraction); floating point enters only in the functions that
+`compile_exprs` generates, the one evaluator.  A negation is a rational
+coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
+scope normal forms and derivatives are remembered per node.
 
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
@@ -17,17 +20,17 @@ from __future__ import annotations
 import math
 import random
 import re
+import threading
 from operator import attrgetter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
+from weakref import KeyedRef
+from _weakref import _remove_dead_weakref
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
-
-Number = Union[int, float, Fraction]
-
 
 class ParseError(ValueError):
     """Syntax error with the character offset into the source text."""
@@ -39,10 +42,6 @@ class ParseError(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Real evaluation left its domain (log/sqrt/division/power)."""
-
-    def __init__(self, message: str, subexpr: Optional["Expr"] = None):
-        super().__init__(message)
-        self.subexpr = subexpr
 
 
 class EvalOverflowError(EvalDomainError, OverflowError):
@@ -64,20 +63,28 @@ class SamplingError(RuntimeError):
 # --------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all nodes are immutable and structurally comparable.
+    """Base class of the immutable expression nodes.
 
-    Every node caches its structural hash, computed at construction from
-    the children's cached hashes, so hashing never walks a subtree, and
-    its free-variable set, computed on first use."""
+    Nodes are interned: every constructor call goes through one weak-value
+    table, so there is exactly one live node per structural value and
+    structural equality is identity (`==` is `is`, inherited from object).
+    Every node caches its structural hash, computed at construction from the
+    children's cached hashes, and its free-variable set, computed on first
+    use.  pickle and copy hand back the interned node."""
 
-    __slots__ = ("_hash", "_fv")
+    __slots__ = ("_hash", "_fv", "__weakref__")
 
     def __hash__(self):
         return self._hash
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which sets the hash
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # pickle and copy rebuild through the constructor, which re-interns
+        return type(self), tuple(getattr(self, s) for s in type(self).__slots__)
 
     def __add__(self, other):
         return add(self, coerce(other))
@@ -119,77 +126,96 @@ class Expr:
 _setattr = object.__setattr__
 _hash_of = attrgetter("_hash")
 
+# The intern table maps a node's key, its class and fields with every child
+# node by id, to a weak reference to the one live node with that key.  A
+# child's id is stable while a node that holds it lives; an entry is dropped
+# as its node dies.  Hits need no lock; a miss publishes under the lock, so
+# threads racing to build the same node all get the first one published.
+_TABLE: dict = {}
+_LOCK = threading.Lock()
 
-@dataclass(frozen=True, repr=False, slots=True)
+
+def _forget(ref, _table=_TABLE, _remove=_remove_dead_weakref):
+    _remove(_table, ref.key)  # only if no live node took the key since
+
+
+def _find(key):
+    ref = _TABLE.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(key, cls, values: tuple, h: int) -> Expr:
+    e = object.__new__(cls)
+    for slot, v in zip(cls.__slots__, values):
+        _setattr(e, slot, v)
+    _setattr(e, "_hash", h)
+    with _LOCK:
+        first = _find(key)
+        if first is not None:
+            return first
+        _TABLE[key] = KeyedRef(e, _forget, key)
+    return e
+
+
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            _setattr(self, "value", Fraction(self.value))
-        v = self.value
-        _setattr(self, "_hash", hash((Const, v.numerator, v.denominator)))
+    def __new__(cls, value):
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        key = (cls, value.numerator, value.denominator)
+        return _find(key) or _intern(key, cls, (value,), hash(key))
 
 
-@dataclass(frozen=True, repr=False, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        _setattr(self, "_hash", hash((Var, self.name)))
-
-
-@dataclass(frozen=True, repr=False, slots=True)
-class Sum(Expr):
-    terms: tuple
-
-    def __post_init__(self):
-        assert len(self.terms) >= 2
-        _setattr(self, "_hash", hash((Sum, *map(_hash_of, self.terms))))
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _find(key) or _intern(key, cls, (name,), hash(key))
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Product(Expr):
-    factors: tuple
+class _Flat(Expr):
+    __slots__ = ()  # a Sum or Product of a tuple of two or more nodes
 
-    def __post_init__(self):
-        assert len(self.factors) >= 2
-        _setattr(self, "_hash", hash((Product, *map(_hash_of, self.factors))))
-
-
-@dataclass(frozen=True, repr=False, slots=True)
-class Power(Expr):
-    base: Expr
-    exponent: Expr
-
-    def __post_init__(self):
-        _setattr(self, "_hash", hash((Power, self.base._hash, self.exponent._hash)))
+    def __new__(cls, parts: tuple):
+        assert len(parts) >= 2
+        key = (cls, *map(id, parts))
+        return _find(key) or _intern(key, cls, (parts,), hash((cls, *map(_hash_of, parts))))
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Quotient(Expr):
-    numerator: Expr
-    denominator: Expr
-
-    def __post_init__(self):
-        _setattr(self, "_hash", hash((Quotient, self.numerator._hash,
-                                     self.denominator._hash)))
+class Sum(_Flat):
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+class Product(_Flat):
+    __slots__ = ("factors",)
+
+
+class _Pair(Expr):
+    __slots__ = ()  # a Power or Quotient of two nodes
+
+    def __new__(cls, a: Expr, b: Expr):
+        key = (cls, id(a), id(b))
+        return _find(key) or _intern(key, cls, (a, b), hash((cls, a._hash, b._hash)))
+
+
+class Power(_Pair):
+    __slots__ = ("base", "exponent")
+
+
+class Quotient(_Pair):
+    __slots__ = ("numerator", "denominator")
+
+
 class Func(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
 
-    def __post_init__(self):
-        assert self.name in FUNCTIONS
-        _setattr(self, "_hash", hash((Func, self.name, self.arg._hash)))
+    def __new__(cls, name: str, arg: Expr):
+        assert name in FUNCTIONS
+        key = (cls, name, id(arg))
+        return _find(key) or _intern(key, cls, (name, arg), hash((cls, name, arg._hash)))
 
-
-# a frozen dataclass generates a __hash__ that rehashes every field, and
-# with it the whole subtree; every node reads its cached hash instead
-for _node in (Const, Var, Sum, Product, Power, Quotient, Func):
-    _node.__hash__ = Expr.__hash__
 
 _KIDS = {
     Sum: lambda e: e.terms,
@@ -280,10 +306,6 @@ def div(a: Expr, b: Expr) -> Expr:
     return Quotient(a, b)
 
 
-def func(name: str, arg: Expr) -> Expr:
-    return Func(name, arg)
-
-
 _NO_VARS = frozenset()
 
 
@@ -330,6 +352,11 @@ _POW_PREC = 30
 # recursive passes (simplify, differentiate, format_expr) handle about 400.
 # Half of the compiler's limit leaves room for derivatives and normal forms.
 MAX_NESTING = 100
+
+# Largest size in bits, estimated as |k| * floor(log2 max(|a|, b)), of a
+# constant that `simplify` folds from an integer power (a/b)^k; a larger
+# power stays a Power of two constants, which keeps its value.
+MAX_POWER_BITS = 1 << 16
 
 
 class _Parser:
@@ -460,10 +487,12 @@ _MEMO: ContextVar = ContextVar("lamsym_simplify_memo", default=None)
 
 @contextmanager
 def simplify_memo():
-    """Scope in which `simplify` remembers every tree it normalized.
+    """Scope in which `simplify` remembers every tree it normalized and
+    `differentiate` every derivative it built.
 
-    The memo maps each input tree to its normal form and each normal form
-    to itself, which is sound because `simplify` is idempotent.  It lives
+    The memo maps each input tree to its normal form, each normal form to
+    itself, which is sound because `simplify` is idempotent, and each pair
+    (tree, variable name) to the derivative.  It lives
     until the outermost scope exits, normally or by an exception; a nested
     scope shares the outer memo.  Each context (thread) has its own."""
     if _MEMO.get() is not None:
@@ -483,9 +512,9 @@ def simplify(e: Expr) -> Expr:
     value preserving on the natural domain.
 
     Inside a `simplify_memo()` scope (`runner.run_checks` opens one per
-    run) a tree equal to one normalized before in the scope, or to a normal
-    form produced in it, is answered from the memo; outside, every call
-    normalizes from scratch."""
+    run) a tree normalized before in the scope, or a normal form produced
+    in it, is answered from the memo; outside, every call normalizes from
+    scratch."""
     t = type(e)
     if t is Const or t is Var:
         return e
@@ -512,8 +541,6 @@ def simplify(e: Expr) -> Expr:
         r = _norm_func(e.name, simplify(e.arg))
     else:
         raise TypeError(t)
-    if r is not e and r._hash == e._hash and r == e:
-        r = e  # already normal: keep the input, whose subtrees may be memo keys
     if memo is not None:
         memo[e] = r
         if r is not e:
@@ -874,21 +901,17 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
 
 
 def _nth_root_exact(v: Fraction, n: int):
-    if v < 0:
-        return None
+    """The rational n-th root of v >= 0 when it is exact and its terms are
+    within the float estimate's range, else None."""
     def iroot(k: int):
-        if k in (0, 1):
+        if k < 2:
             return k
+        if not n < k.bit_length() <= 1000:
+            return None  # 2^n > k, or k beyond the float estimate below
         r = round(k ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == k:
-                return cand
-        return None
-    a = iroot(v.numerator)
-    b = iroot(v.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
+        return next((c for c in (r - 1, r, r + 1) if c ** n == k), None)
+    a, b = iroot(v.numerator), iroot(v.denominator)
+    return None if a is None or b is None else Fraction(a, b)
 
 
 def _norm_power(b: Expr, x: Expr) -> Expr:
@@ -901,15 +924,18 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
         if v == 1:
             return b
         if isinstance(b, Const):
-            if v.denominator == 1:
-                if b.value == 0 and v < 0:
-                    return UNDEFINED
-                return Const(b.value ** int(v))
-            if b.value < 0:
-                return UNDEFINED  # a negative base has no real fractional power
-            root = _nth_root_exact(b.value, v.denominator)
-            if root is not None:
-                return _norm_power(Const(root), Const(Fraction(v.numerator)))
+            c = b.value
+            if v.denominator != 1:
+                if c < 0:
+                    return UNDEFINED  # a negative base has no real fractional power
+                root = _nth_root_exact(c, v.denominator)
+                if root is not None:
+                    return _norm_power(Const(root), Const(Fraction(v.numerator)))
+            elif c == 0 and v < 0:
+                return UNDEFINED
+            elif abs(v) * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
+                    <= MAX_POWER_BITS:
+                return Const(c ** int(v))
         if isinstance(b, Power) and isinstance(b.exponent, Const):
             m = b.exponent.value
             # (u^m)^v = u^(m*v) except for even integer m with fractional v,
@@ -1042,15 +1068,27 @@ def format_expr(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# calculus and evaluation
+# calculus
 # --------------------------------------------------------------------------
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Exact symbolic partial derivative with respect to variable `v`."""
+    """Exact symbolic partial derivative with respect to variable `v`,
+    remembered per (tree, v) inside a `simplify_memo()` scope."""
     if v not in free_vars(e):
         return ZERO
-    if isinstance(e, Var):
+    if type(e) is Var:
         return ONE
+    memo = _MEMO.get()
+    if memo is None:
+        return _derivative(e, v)
+    key = (e, v)
+    d = memo.get(key)
+    if d is None:
+        d = memo[key] = _derivative(e, v)
+    return d
+
+
+def _derivative(e: Expr, v: str) -> Expr:
     if isinstance(e, Sum):
         return add(*[differentiate(t, v) for t in e.terms])
     if isinstance(e, Product):
@@ -1109,74 +1147,29 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     raise TypeError(type(e))
 
 
-def _guard_pow(a: float, b: float, blame=None) -> float:
+# --------------------------------------------------------------------------
+# evaluation: every float value comes from code compiled here
+# --------------------------------------------------------------------------
+
+def _guard_pow(a: float, b: float) -> float:
     if a > 0.0:
         try:
             return a ** b
         except OverflowError:
-            raise EvalOverflowError("overflow in power", blame)
+            raise EvalOverflowError("overflow in power")
     if a == 0.0:
         if b > 0.0:
             return 0.0
         if b == 0.0:
             return 1.0
-        raise EvalDomainError("zero raised to a negative power", blame)
+        raise EvalDomainError("zero raised to a negative power")
     if b == int(b):
         try:
             return a ** int(b)
         except OverflowError:
-            raise EvalOverflowError("overflow in power", blame)
-    raise EvalDomainError("negative base with fractional exponent", blame)
+            raise EvalOverflowError("overflow in power")
+    raise EvalDomainError("negative base with fractional exponent")
 
-
-def evaluate(e: Expr, point: Mapping[str, float]) -> float:
-    """Real evaluation at a point binding every free variable."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise ValueError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Sum):
-        return math.fsum(evaluate(t, point) for t in e.terms)
-    if isinstance(e, Product):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, point)
-        return out
-    if isinstance(e, Quotient):
-        den = evaluate(e.denominator, point)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", e)
-        return evaluate(e.numerator, point) / den
-    if isinstance(e, Power):
-        return _guard_pow(evaluate(e.base, point), evaluate(e.exponent, point), e)
-    if isinstance(e, Func):
-        a = evaluate(e.arg, point)
-        if e.name == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                raise EvalDomainError("overflow in exp", e)
-        if e.name == "log":
-            if a <= 0.0:
-                raise EvalDomainError("log of non-positive argument", e)
-            return math.log(a)
-        if e.name == "sin":
-            return math.sin(a)
-        if e.name == "cos":
-            return math.cos(a)
-        if e.name == "sqrt":
-            if a < 0.0:
-                raise EvalDomainError("sqrt of negative argument", e)
-            return math.sqrt(a)
-    raise TypeError(type(e))
-
-
-# --------------------------------------------------------------------------
-# compiled evaluation (hot paths: sampling, integration, monitoring)
-# --------------------------------------------------------------------------
 
 def _c_exp(a):
     try:
@@ -1216,13 +1209,14 @@ _FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt
 class _Fuser:
     """Python source for several expressions evaluated in one scope.
 
-    Structurally equal subtrees get one node number; a node referenced more
-    than once is bound to a local (`_tN`) the first time it is needed and
-    read back afterwards (common-subexpression elimination).  Binding keeps
-    the evaluation order of the trees: when an operand binds locals, the
-    operands to its left are bound before them, so the first error raised
-    is the one that evaluating each tree in turn would raise.  Leaves are
-    not numbered: an operand is a leaf's source text or a node number.
+    Every distinct node, and so every distinct subtree, gets one number; a
+    node referenced more than once is bound to a local (`_tN`) the first
+    time it is needed and read back afterwards (common-subexpression
+    elimination).  Binding keeps the evaluation order of the trees: when an
+    operand binds locals, the operands to its left are bound before them,
+    so the first error raised is the one that evaluating each tree in turn
+    would raise.  Leaves are not numbered: an operand is a leaf's source
+    text or a node number.
     """
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
@@ -1233,8 +1227,7 @@ class _Fuser:
         self.refs: list = []        # node number -> references from distinct parents
         self.lines: list = []
         nodes, code, refs = self.nodes, self.code, self.refs
-        numbers: dict = {}          # (type or function name, operands) -> number
-        seen: dict = {}             # id(expr object) -> operand
+        seen: dict = {}             # id(node) -> operand
 
         def operand(e: Expr):
             r = seen.get(id(e))
@@ -1254,16 +1247,13 @@ class _Fuser:
                                      "is beyond the float range") from None
             else:
                 kids = tuple([operand(k) for k in _KIDS[t](e)])
-                key = (e.name if t is Func else t, kids)
-                r = numbers.get(key)
-                if r is None:
-                    r = numbers[key] = len(nodes)
-                    nodes.append((e, kids))
-                    code.append(None)
-                    refs.append(0)
-                    for k in kids:
-                        if type(k) is int:
-                            refs[k] += 1
+                r = len(nodes)
+                nodes.append((e, kids))
+                code.append(None)
+                refs.append(0)
+                for k in kids:
+                    if type(k) is int:
+                        refs[k] += 1
             seen[id(e)] = r
             return r
 
@@ -1286,15 +1276,11 @@ class _Fuser:
                 early = []
                 for j, k in enumerate(kids[:len(parts)]):
                     if type(k) is int and self.code[k] is None:
-                        early.append(f"{self._bind(k)}={parts[j]}")
-                        parts[j] = self.code[k]
+                        early.append(f"_t{k}={parts[j]}")
+                        parts[j] = self.code[k] = f"_t{k}"
                 self.lines[mark:mark] = early
             parts.append(part)
         return parts
-
-    def _bind(self, i: int) -> str:
-        name = self.code[i] = f"_t{i}"
-        return name
 
     def _source(self, i: int) -> str:
         e, kids = self.nodes[i]
@@ -1314,7 +1300,7 @@ class _Fuser:
         else:
             src = f"{_FUNC_NAMES[e.name]}({self._operands(kids)[0]})"
         if self.refs[i] > 1:
-            name = self._bind(i)
+            name = self.code[i] = f"_t{i}"
             self.lines.append(f"{name}={src}")
             return name
         return src
@@ -1409,6 +1395,22 @@ class ZeroVerdict:
 PROVEN_ZERO = ZeroVerdict("ProvenZero")
 
 
+def _blame(e: Expr, names: Sequence[str], point: Sequence[float]) -> Expr:
+    """The innermost subterm of `e` whose evaluation fails at `point`: each
+    step compiles the operands in evaluation order and enters the first
+    that fails."""
+    while type(e) in _KIDS:
+        for k in _KIDS[type(e)](e):
+            try:
+                compile_expr(k, names)(*point)
+            except ArithmeticError:
+                e = k
+                break
+        else:
+            break
+    return e
+
+
 def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
                         cfg: Optional[ZeroTestConfig] = None) -> ZeroVerdict:
     """Two-tier zero test: symbolic normalization, then seeded sampling.
@@ -1431,21 +1433,15 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
     worst_point = None
     evaluated = 0
     failures = 0
-    blame = None
+    failed_at = None
     for _ in range(cfg.samples):
         point = [rng.uniform(*box.interval(n)) for n in names]
         try:
             vals = fn(*point)
         except EvalDomainError:
             failures += 1
-            if blame is None:
-                # slow tree walk only to name the offending sub-expression
-                try:
-                    evaluate(z, dict(zip(names, point)))
-                except EvalDomainError as err:
-                    blame = err.subexpr
-                except ValueError:
-                    pass
+            if failed_at is None:
+                failed_at = point
             continue
         evaluated += 1
         scale = 1.0 + max(abs(v) for v in vals)
@@ -1455,9 +1451,9 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
             worst_point = dict(zip(names, point))
 
     if failures > 0.9 * cfg.samples:
-        what = format_expr(blame) if blame is not None else format_expr(z)
-        raise SamplingError(
-            f"{failures}/{cfg.samples} sample points hit domain errors in {what}", blame)
+        blame = _blame(z, names, failed_at)
+        raise SamplingError(f"{failures}/{cfg.samples} sample points hit domain errors "
+                            f"in {format_expr(blame)}", blame)
     if worst <= cfg.abs_tol:
         return ZeroVerdict("NumericallyZero", samples=evaluated, rejected=failures,
                            max_residual=worst)

@@ -24,7 +24,6 @@ from .expr import (
     ZeroVerdict,
     add,
     coerce,
-    compile_expr,
     compile_exprs,
     differentiate,
     div,
@@ -395,8 +394,7 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
     lam_phi = laml.vec(xl.phi)
     rate_expr = add(*[mul(lam_phi[a], moms[a]) for a in range(lag.n)])
     names = ("t",) + lag.q + lag.dq
-    p_fn = compile_expr(simplify(p_expr), names)
-    rate_fn = compile_expr(simplify(rate_expr), names)
+    p_and_rate = compile_exprs([simplify(p_expr), simplify(rate_expr)], names)
 
     residuals = []
     for ic in initial_conditions:
@@ -406,11 +404,12 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
         if traj.truncated:
             raise IntegrationFailed(traj.reason)
         times = traj.times
-        p_vals = [p_fn(times[k], *traj.states[k]) for k in range(len(times))]
+        p_vals, rates = zip(*[p_and_rate(times[k], *traj.states[k])
+                              for k in range(len(times))])
         worst_here = 0.0
         for k in range(1, len(times) - 1):
             dpdt = (p_vals[k + 1] - p_vals[k - 1]) / (2 * h)
-            resid = abs(dpdt + rate_fn(times[k], *traj.states[k]))
+            resid = abs(dpdt + rates[k])
             worst_here = max(worst_here, resid)
         residuals.append(worst_here)
     return NoetherReport(tuple(residuals), tol)
@@ -533,8 +532,7 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     g_constrained = [simplify(substitute(differentiate(lag.lagrangian, qa), constraint))
                      for qa in lag.q]
     names = ("t",) + lag.q
-    m_fns = [compile_expr(e, names) for e in m_constrained]
-    g_fns = [compile_expr(e, names) for e in g_constrained]
+    m_and_g = compile_exprs(m_constrained + g_constrained, names)
     box = box or DomainBox()
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h,
@@ -542,11 +540,11 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     if traj.truncated:
         raise IntegrationFailed(traj.reason)
     times = traj.times
+    rows = [m_and_g(times[k], *traj.states[k]) for k in range(len(times))]
     worst = 0.0
     for a in range(lag.n):
-        vals = [m_fns[a](times[k], *traj.states[k]) for k in range(len(times))]
         for k in range(1, len(times) - 1):
-            dmdt = (vals[k + 1] - vals[k - 1]) / (2 * h)
-            worst = max(worst, abs(dmdt - g_fns[a](times[k], *traj.states[k])))
+            dmdt = (rows[k + 1][a] - rows[k - 1][a]) / (2 * h)
+            worst = max(worst, abs(dmdt - rows[k][lag.n + a]))
     return PartialReductionReport(tuple(invariance), composition, annihilation,
                                   worst, tol)

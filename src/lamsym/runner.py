@@ -30,7 +30,7 @@ from .expr import (
     SamplingError,
     ZeroTestConfig,
     ZeroVerdict,
-    evaluate,
+    compile_exprs,
     format_expr,
     is_identically_zero,
     simplify_memo,
@@ -272,14 +272,14 @@ def _check_mon(ctx: _Context):
           "nothing to monitor (no gamma or Gamma candidate)")
     worst = 0.0
     notes = []
+    if problem.kind == "lagrangian":
+        # file rows are (q..., dq...); map to phase space via momenta
+        lag = ctx.lag
+        momenta = compile_exprs(lagmod.conjugate_momenta(lag), ("t",) + lag.q + lag.dq)
     for ic in problem.candidates["initial_conditions"]:
         u0 = list(ic)
         if problem.kind == "lagrangian":
-            # file rows are (q..., dq...); map to phase space via momenta
-            lag = ctx.lag
-            point = dict(zip(("t",) + lag.q + lag.dq, (0.0,) + tuple(ic)))
-            u0 = list(ic[:problem.n]) + [evaluate(m, point)
-                                         for m in lagmod.conjugate_momenta(lag)]
+            u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
         traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
         if traj.truncated:
             raise RuntimeError(f"trajectory truncated: {traj.reason}")

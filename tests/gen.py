@@ -1,12 +1,55 @@
-"""Seeded random expression generators shared by the test modules."""
+"""Seeded random expression generators and the reference tree walk
+shared by the test modules."""
 
 from fractions import Fraction
+import math
 import random
 
 from lamsym.expr import (
-    Const, Func, Power, Quotient, Var, add, evaluate, mul, neg,
-    EvalDomainError, Expr, Product, Sum,
+    Const, Func, Power, Quotient, Var, add, mul, neg,
+    EvalDomainError, Expr, Product, Sum, _guard_pow,
 )
+
+
+def in_order(e, point):
+    """Tree walk doing the compiled evaluator's float operations in its
+    order: operands left to right, sums and products folded left to right,
+    integer powers 1..16 by `**`, and the same domain errors."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, (Sum, Product)):
+        vals = [in_order(k, point) for k in (e.terms if isinstance(e, Sum) else e.factors)]
+        out = vals[0]
+        for v in vals[1:]:
+            out = out + v if isinstance(e, Sum) else out * v
+        return out
+    if isinstance(e, Quotient):
+        a, b = in_order(e.numerator, point), in_order(e.denominator, point)
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    if isinstance(e, Power):
+        x = e.exponent
+        if isinstance(x, Const) and x.value.denominator == 1 and 0 < x.value <= 16:
+            return in_order(e.base, point) ** int(x.value)
+        return _guard_pow(in_order(e.base, point), in_order(x, point))
+    a = in_order(e.arg, point)
+    if e.name == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise EvalDomainError("overflow in exp")
+    if e.name == "log":
+        if a <= 0.0:
+            raise EvalDomainError("log of non-positive argument")
+        return math.log(a)
+    if e.name == "sqrt":
+        if a < 0.0:
+            raise EvalDomainError("sqrt of negative argument")
+        return math.sqrt(a)
+    return getattr(math, e.name)(a)
 
 
 def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:
@@ -16,7 +59,7 @@ def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:
 
     def walk(x):
         nonlocal ok
-        v = evaluate(x, point)
+        v = in_order(x, point)
         if abs(v) > cap:
             ok = False
         for attr in ("terms", "factors"):

@@ -1,6 +1,11 @@
+import copy
+import gc
 import math
 import pickle
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,12 +27,10 @@ from lamsym.expr import (
     Sum,
     Var,
     ZeroTestConfig,
-    _guard_pow,
     _negate,
     compile_expr,
     compile_exprs,
     differentiate,
-    evaluate,
     format_expr,
     free_vars,
     is_identically_zero,
@@ -42,7 +45,7 @@ from lamsym import runner
 from lamsym.problem import load_problem
 from fractions import Fraction
 
-from gen import random_tree, well_conditioned
+from gen import in_order, random_tree, well_conditioned
 
 
 def F(n, d=1):
@@ -139,9 +142,9 @@ def test_simplify_preserves_value():
         point = {v: rng.uniform(0.2, 1.2) for v in free_vars(e)}
         if not well_conditioned(e, point):
             continue
-        a = evaluate(e, point)
+        a = in_order(e, point)
         try:
-            b = evaluate(s, point)
+            b = in_order(s, point)
         except EvalDomainError:
             continue
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
@@ -212,10 +215,10 @@ def test_derivative_against_finite_differences():
     for _ in range(10):
         point = {"q": rng.uniform(0.3, 1.1), "p": rng.uniform(0.3, 1.1)}
         h = 1e-6
-        up = evaluate(e, {**point, "q": point["q"] + h})
-        dn = evaluate(e, {**point, "q": point["q"] - h})
+        up = in_order(e, {**point, "q": point["q"] + h})
+        dn = in_order(e, {**point, "q": point["q"] - h})
         fd = (up - dn) / (2 * h)
-        exact = evaluate(d, point)
+        exact = in_order(d, point)
         assert abs(fd - exact) <= 1e-6 * (1 + abs(exact))
 
 
@@ -239,7 +242,7 @@ def test_substitute_chart_inverse():
     rng = random.Random(11)
     for _ in range(5):
         point = {"w": rng.uniform(0.2, 1.2), "z": rng.uniform(0.2, 1.2)}
-        assert abs(evaluate(out, point) - 2 * point["w"]) < 1e-12
+        assert abs(in_order(out, point) - 2 * point["w"]) < 1e-12
 
 
 def test_substitute_on_shell_velocity():
@@ -251,23 +254,23 @@ def test_substitute_on_shell_velocity():
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_basic():
-    assert evaluate(parse("q*p"), {"q": 2, "p": 3}) == 6
+    assert compile_expr(parse("q*p"), ("q", "p"))(2.0, 3.0) == 6
 
 
 def test_evaluate_domain_errors():
     with pytest.raises(EvalDomainError):
-        evaluate(parse("log(q1)"), {"q1": -1})
+        compile_expr(parse("log(q1)"), ("q1",))(-1.0)
     with pytest.raises(EvalDomainError):
-        evaluate(parse("sqrt(q)"), {"q": -4})
+        compile_expr(parse("sqrt(q)"), ("q",))(-4.0)
     with pytest.raises(EvalDomainError):
-        evaluate(parse("1/q"), {"q": 0})
+        compile_expr(parse("1/q"), ("q",))(0.0)
     with pytest.raises(ValueError, match="unbound"):
-        evaluate(parse("q+p"), {"q": 1})
+        compile_expr(parse("q+p"), ("q",))
 
 
 def test_evaluate_negative_base_fractional_power_is_domain_error():
     with pytest.raises(EvalDomainError):
-        evaluate(parse("q^(1/2)"), {"q": -2})
+        compile_expr(parse("q^(1/2)"), ("q",))(-2.0)
 
 
 # ---------------------------------------------------------------- zero test
@@ -347,6 +350,18 @@ def test_sampling_exhaustion_names_subexpression():
         is_identically_zero(e)
 
 
+def test_a_huge_constant_power_stays_unfolded():
+    e = simplify(parse("(3/7)^(10^6)"))
+    assert isinstance(e, Power)
+    assert e.base == Const(F(3, 7)) and e.exponent == Const(F(10**6))
+    assert simplify(e) is e
+    assert simplify(parse("(3/7)^(10^6)*(3/7)^(-10^6)")) == Const(F(1))
+    assert simplify(parse("(-2)^11")) == Const(F(-2048))
+    # a root of a constant beyond the float range stays a power too
+    assert isinstance(simplify(parse("(10^400)^(1/2)")), Power)
+    assert simplify(parse("(8/27)^(2/3)")) == Const(F(4, 9))
+
+
 # ---------------------------------------------------------------- format
 
 def test_format_zero_and_power():
@@ -396,47 +411,6 @@ def test_nonzero_witness_reproduces_its_residual():
 
 # ---------------------------------------------------------------- compiling
 
-def _in_order(e, point):
-    """Tree walk doing the compiled evaluator's float operations in its
-    order: operands left to right, sums and products folded left to right,
-    integer powers 1..16 by `**`, and the same domain errors."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return point[e.name]
-    if isinstance(e, (Sum, Product)):
-        vals = [_in_order(k, point) for k in (e.terms if isinstance(e, Sum) else e.factors)]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v if isinstance(e, Sum) else out * v
-        return out
-    if isinstance(e, Quotient):
-        a, b = _in_order(e.numerator, point), _in_order(e.denominator, point)
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    if isinstance(e, Power):
-        x = e.exponent
-        if isinstance(x, Const) and x.value.denominator == 1 and 0 < x.value <= 16:
-            return _in_order(e.base, point) ** int(x.value)
-        return _guard_pow(_in_order(e.base, point), _in_order(x, point))
-    a = _in_order(e.arg, point)
-    if e.name == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise EvalDomainError("overflow in exp")
-    if e.name == "log":
-        if a <= 0.0:
-            raise EvalDomainError("log of non-positive argument")
-        return math.log(a)
-    if e.name == "sqrt":
-        if a < 0.0:
-            raise EvalDomainError("sqrt of negative argument")
-        return math.sqrt(a)
-    return getattr(math, e.name)(a)
-
-
 def _outcome(fn):
     try:
         return "value", fn()
@@ -459,10 +433,10 @@ def test_fused_outputs_match_an_in_order_tree_walk():
         for _ in range(4):
             point = {n: rng.uniform(-2.0, 2.0) for n in names}
             args = [point[n] for n in names]
-            want = _outcome(lambda: [_in_order(o, point).hex() for o in outputs])
+            want = _outcome(lambda: [in_order(o, point).hex() for o in outputs])
             assert _outcome(lambda: [v.hex() for v in fused(*args)]) == want
             assert _outcome(lambda: compile_expr(outputs[3], names)(*args).hex()) == \
-                _outcome(lambda: _in_order(outputs[3], point).hex())
+                _outcome(lambda: in_order(outputs[3], point).hex())
 
 
 def test_fused_evaluator_binds_a_shared_subtree_once():
@@ -521,17 +495,51 @@ def test_simplify_idempotent_inside_and_outside_the_memo(seed):
 
 
 def test_equal_trees_have_equal_cached_hashes():
+    # interned: two separately built equal trees are one node, and pickle,
+    # copy and deepcopy hand that node back
     rng = random.Random(5)
     for _ in range(200):
         seed = rng.random()
         a = random_tree(random.Random(seed), 4, ("q", "p"))
         b = random_tree(random.Random(seed), 4, ("q", "p"))
-        assert a == b and a is not b
-        assert a._hash == b._hash == hash(a) == hash(b)
-        c = pickle.loads(pickle.dumps(a))
-        assert c == a and hash(c) == hash(a)
-    assert parse("q*p+sin(q)") == parse("q*p+sin(q)")
+        assert a is b
+        assert a._hash == hash(a)
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert parse("q*p+sin(q)") is parse("q*p+sin(q)")
     assert hash(Power(Var("q"), Var("p"))) != hash(Quotient(Var("q"), Var("p")))
+    with pytest.raises(AttributeError, match="immutable"):
+        Var("q").name = "p"
+
+
+def test_the_intern_table_releases_unreferenced_nodes():
+    before = len(expr_mod._TABLE)
+    e = parse("sin(release_probe^3 + 7/11)*release_probe")
+    alive = weakref.ref(e)
+    assert (Var, "release_probe") in expr_mod._TABLE
+    assert len(expr_mod._TABLE) > before
+    del e
+    gc.collect()
+    assert alive() is None
+    assert (Var, "release_probe") not in expr_mod._TABLE
+    assert len(expr_mod._TABLE) <= before
+
+
+def test_threads_building_the_same_trees_get_identical_nodes():
+    def build(probe):
+        rng = random.Random(99)
+        return [random_tree(rng, 5, ("q", "p", probe)) for _ in range(300)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that builds race
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for probe in ("thread_probe1", "thread_probe2", "thread_probe3"):
+                built = list(pool.map(build, [probe] * 4))
+                for other in built[1:]:
+                    assert all(a is b for a, b in zip(built[0], other))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_free_vars_is_cached_per_node():
@@ -545,6 +553,13 @@ def _sin_nest(depth: int):
     for _ in range(depth):
         e = Func("sin", e)
     return e
+
+
+def test_deep_equal_trees_compare_without_recursion():
+    assert _sin_nest(800) == _sin_nest(800)
+    with simplify_memo():
+        e = simplify(_sin_nest(800))
+        assert simplify(_sin_nest(800)) is e
 
 
 def test_deep_sin_nest_simplifies_inside_and_outside_the_memo():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lamsym.cli import main
-from lamsym.expr import Const, EvalDomainError, Var, compile_expr, differentiate, evaluate, parse
+from lamsym.expr import Const, EvalDomainError, Var, compile_expr, differentiate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
 from lamsym.numeric import (
     HESSIAN_CONDITION_LIMIT,
@@ -24,6 +24,7 @@ from lamsym.numeric import (
 from lamsym.lagrangian import LagrangianSystem, conjugate_momenta
 from lamsym.problem import load_problem
 from fractions import Fraction
+from gen import in_order
 
 GOLDEN_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus_seed0.json"
 
@@ -98,7 +99,7 @@ def test_exponential_lagrangian_matches_hamiltonian_flow():
     el = integrate_euler_lagrange(lag, [q0], [dq0], 0.0, 1.0, 1e-3)
     assert not el.truncated
     mom = conjugate_momenta(lag)[0]
-    p0 = evaluate(mom, {"t": 0.0, "q1": q0, "dq1": dq0})
+    p0 = in_order(mom, {"t": 0.0, "q1": q0, "dq1": dq0})
     ham = integrate_hamiltonian(sys, [q0, p0], 0.0, 1.0, 1e-3)
     assert np.max(np.abs(el.states[:, 0] - ham.states[:, 0])) < 1e-6
     fn = compile_expr(mom, ("t", "q1", "dq1"))
@@ -117,7 +118,7 @@ def test_two_dof_lagrangian_momenta_map_onto_hamiltonian_flow():
     assert not el.truncated
     moms = conjugate_momenta(lag)
     point = {"t": 0.0, "q1": q0[0], "q2": q0[1], "dq1": dq0[0], "dq2": dq0[1]}
-    p0 = [evaluate(m, point) for m in moms]
+    p0 = [in_order(m, point) for m in moms]
     ham = integrate_hamiltonian(sys, q0 + p0, 0.0, 0.5, 1e-3)
     assert np.max(np.abs(el.states[:, :2] - ham.states[:, :2])) < 1e-6
 
