@@ -1370,7 +1370,8 @@ class ZeroVerdict:
     ProvenZero: the normal form is the literal zero constant.
     NumericallyZero: every sampled scaled residual was at most abs_tol.
     NonZero: carries a reproducible witness point and its scaled residual.
-    `samples` counts the points evaluated, `rejected` those lost to domain errors.
+    `samples` counts the points evaluated, `rejected` those lost to domain
+    errors, overflow or a non-finite residual.
     """
 
     tag: str
@@ -1438,14 +1439,15 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
         point = [rng.uniform(*box.interval(n)) for n in names]
         try:
             vals = fn(*point)
-        except EvalDomainError:
+            resid = abs(math.fsum(vals)) / (1.0 + max(abs(v) for v in vals))
+        except (ArithmeticError, ValueError):   # domain, overflow, fsum's inf - inf
+            resid = math.nan
+        if not math.isfinite(resid):    # an inf or nan term is no evidence either way
             failures += 1
             if failed_at is None:
                 failed_at = point
             continue
         evaluated += 1
-        scale = 1.0 + max(abs(v) for v in vals)
-        resid = abs(math.fsum(vals)) / scale
         if resid > worst:
             worst = resid
             worst_point = dict(zip(names, point))

@@ -403,11 +403,10 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
         traj = integrate_euler_lagrange(lag, ic[:lag.n], ic[lag.n:], 0.0, t1, h)
         if traj.truncated:
             raise IntegrationFailed(traj.reason)
-        times = traj.times
-        p_vals, rates = zip(*[p_and_rate(times[k], *traj.states[k])
-                              for k in range(len(times))])
+        p_vals, rates = zip(*[p_and_rate(t, *row)
+                              for t, row in zip(traj.times.tolist(), traj.states.tolist())])
         worst_here = 0.0
-        for k in range(1, len(times) - 1):
+        for k in range(1, len(p_vals) - 1):
             dpdt = (p_vals[k + 1] - p_vals[k - 1]) / (2 * h)
             resid = abs(dpdt + rates[k])
             worst_here = max(worst_here, resid)
@@ -539,11 +538,10 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                                  system=f"constraint flow n={lag.n}")
     if traj.truncated:
         raise IntegrationFailed(traj.reason)
-    times = traj.times
-    rows = [m_and_g(times[k], *traj.states[k]) for k in range(len(times))]
+    rows = [m_and_g(t, *row) for t, row in zip(traj.times.tolist(), traj.states.tolist())]
     worst = 0.0
     for a in range(lag.n):
-        for k in range(1, len(times) - 1):
+        for k in range(1, len(rows) - 1):
             dmdt = (rows[k + 1][a] - rows[k - 1][a]) / (2 * h)
             worst = max(worst, abs(dmdt - rows[k][lag.n + a]))
     return PartialReductionReport(tuple(invariance), composition, annihilation,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .expr import (
     Const,
@@ -144,6 +146,28 @@ def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,
                                  system=f"hamiltonian n={sys.n}", safety=safety)
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+def _solve_errstate() -> np.errstate:
+    """The floating-point error state that np.linalg.solve holds around its
+    LAPACK kernel.  The kernel signals `invalid` only for a singular matrix,
+    which then raises LinAlgError; every other flag is ignored."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with m x = b, for an n x n float64 array m and a length-n one b.
+
+    This is the LAPACK kernel (dgesv) that np.linalg.solve calls on float64
+    operands, without its wrapper, so the result is bitwise the same.  Call
+    it inside `_solve_errstate()`, or a singular m gives nan instead of
+    raising LinAlgError."""
+    return _lapack_solve(m, b, signature="dd->d")
+
+
 def _hessian_condition(m: Sequence[float], n: int) -> float:
     """Condition number of the row-major n x n matrix m; infinite when m is
     singular or not finite.
@@ -170,6 +194,8 @@ def _hessian_condition(m: Sequence[float], n: int) -> float:
                      abs(c) + abs(f) + abs(i))
         norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),
                        abs(c20) + abs(c21) + abs(c22))
+    elif not all(map(math.isfinite, m)):
+        return math.inf
     else:
         s = np.linalg.svd(np.array(m).reshape(n, n), compute_uv=False).tolist()
         return s[0] / s[-1] if s[-1] > 0.0 else math.inf
@@ -191,8 +217,12 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     the condition number of M exceeds 1e12: for n <= 3 the exact 1-norm
     condition number in closed form (a zero or non-finite determinant counts
     as infinite), for larger n the 2-norm condition number from an SVD.
-    For n = 1 the solve is a division, bitwise what LAPACK returns; larger
-    systems go to LAPACK.
+    For n = 1 the solve is a division, bitwise what LAPACK returns.  Larger
+    systems call LAPACK's solve kernel directly, the one np.linalg.solve
+    wraps, so the states are bitwise those np.linalg.solve gives; the
+    floating-point error state that np.linalg.solve would enter and leave
+    on every stage is held once around the whole trajectory, and a singular
+    matrix still raises LinAlgError.
     """
     from .expr import differentiate
     n = lag.n
@@ -236,10 +266,11 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
         check(v[:nn], t)
         if n == 1:
             return y[1], v[1] / v[0]
-        ddq = np.linalg.solve(np.array(v[:nn]).reshape(n, n), np.array(v[nn:]))
-        return y[n:] + tuple(ddq.tolist())
+        a = np.array(v)
+        return y[n:] + tuple(_solve(a[:nn].reshape(n, n), a[nn:]).tolist())
 
-    states, reason = _rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h, safety)
+    with _solve_errstate():
+        states, reason = _rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h, safety)
     return Trajectory(tuple(names), t0, h, states, system=f"lagrangian n={n}",
                       initial=tuple(float(v) for v in list(q0) + list(dq0)),
                       truncated=reason is not None, reason=reason)

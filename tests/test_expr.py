@@ -307,6 +307,31 @@ def test_a_verdict_counts_the_samples_it_rejected():
             assert str(v) == f"NumericallyZero(max={v.max_residual:.3e}, n={v.samples})"
 
 
+@pytest.mark.parametrize("text, lo, hi", [
+    ("x*y", 1e200, 2e200),                 # the product is inf, the residual nan
+    ("x*y - 2*x*y", 1e300, 1.5e300),
+    ("(x+1)^16 - x", 1e30, 1e31),          # `**` raises a plain OverflowError
+    ("x*y - z*w", 1e200, 2e200),           # fsum raises ValueError on inf - inf
+    ("x + y", 1.6e308, 1.7e308),           # fsum raises OverflowError
+])
+def test_a_sample_that_overflows_is_rejected_not_evidence(text, lo, hi):
+    e = parse(text)
+    box = DomainBox({v: (lo, hi) for v in free_vars(e)})
+    with pytest.raises(SamplingError, match="100/100"):
+        is_identically_zero(e, box)
+
+
+def test_only_the_finite_samples_of_a_partly_overflowing_box_count():
+    # x*y overflows on about a tenth of this box
+    v = is_identically_zero(parse("x*y - 2*x*y"),
+                            DomainBox({"x": (1e307, 1.7e308), "y": (0.5, 1.5)}))
+    assert v.tag == "NonZero" and v.rejected > 0
+    assert v.samples + v.rejected == 100
+    assert math.isfinite(v.witness_residual)
+    x, y = v.witness["x"], v.witness["y"]
+    assert math.isfinite(x * y)
+
+
 def test_zero_literal_is_proven():
     assert is_identically_zero(parse("0")).tag == "ProvenZero"
     assert is_identically_zero(parse("q-q")).tag == "ProvenZero"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lamsym import numeric
 from lamsym.cli import main
 from lamsym.expr import Const, EvalDomainError, Var, compile_expr, differentiate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
@@ -14,6 +15,8 @@ from lamsym.numeric import (
     HESSIAN_CONDITION_LIMIT,
     IntegrationError,
     _hessian_condition,
+    _solve,
+    _solve_errstate,
     compare_with_scalar_ode,
     integrate_euler_lagrange,
     integrate_first_order,
@@ -390,6 +393,14 @@ def test_hessian_condition_is_the_exact_one_norm_condition_for_small_n():
     assert _hessian_condition(m.ravel().tolist(), 4) == np.linalg.cond(m)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hessian_condition_is_infinite_for_a_non_finite_entry_at_larger_n(n, bad):
+    m = (3.0 * np.eye(n)).ravel().tolist()
+    m[n + 1] = bad
+    assert _hessian_condition(m, n) == math.inf
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -398,6 +409,70 @@ def test_one_dof_division_is_bitwise_the_lapack_solve(m, b):
     with np.errstate(all="ignore"):
         want = np.linalg.solve(np.array([[m]]), np.array([b]))[0]
     assert np.float64(b / m).tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- stage solve
+
+@st.composite
+def _diagonally_dominant_system(draw):
+    n = draw(st.integers(2, 5))
+    m = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    for i in range(n):
+        m[i * n + i] += draw(st.sampled_from([-2.0, 2.0])) * n
+    b = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return np.array(m).reshape(n, n), np.array(b)
+
+
+@given(_diagonally_dominant_system())
+def test_the_stage_solve_is_bitwise_np_linalg_solve(system):
+    m, b = system
+    want = np.linalg.solve(m, b)
+    with _solve_errstate():
+        got = _solve(m, b)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_singular_stage_solve_raises(n):
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(np.ones((n, n)), np.ones(n))
+    with _solve_errstate(), pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _solve(np.ones((n, n)), np.ones(n))
+
+
+def _error_state():
+    return np.geterr(), np.geterrcall()
+
+
+def test_the_solve_error_state_is_held_over_the_flow_and_restored(monkeypatch):
+    before = _error_state()
+    seen = []
+
+    def spy(m, b):
+        seen.append(_error_state())
+        return _solve(m, b)
+
+    monkeypatch.setattr(numeric, "_solve", spy)
+    lag = LagrangianSystem(2, parse("dq1^2/2 + dq2^2/2 + dq1*dq2/4 - q1^2/2 - q2^2/2"))
+    integrate_euler_lagrange(lag, [0.1, 0.2], [0.0, 0.1], 0.0, 0.1, 1e-2)
+    with _solve_errstate():
+        held = _error_state()
+    assert held != before
+    assert len(seen) == 40 and all(s == held for s in seen)
+    assert _error_state() == before
+
+
+def test_the_error_state_is_restored_when_the_flow_raises(monkeypatch):
+    before = _error_state()
+    with pytest.raises(IntegrationError, match="condition"):
+        integrate_euler_lagrange(LagrangianSystem(2, parse("(dq1+dq2)^2/2")),
+                                 [0.5, 0.5], [0.0, 0.0], 0.0, 0.1, 1e-2)
+    assert _error_state() == before
+    monkeypatch.setattr(numeric, "_solve", lambda m, b: _solve(0.0 * m, b))
+    lag = LagrangianSystem(2, parse("dq1^2/2 + dq2^2/2 - q1^2/2"))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        integrate_euler_lagrange(lag, [0.1, 0.2], [0.0, 0.1], 0.0, 0.1, 1e-2)
+    assert _error_state() == before
 
 
 # ------------------------------------------------------------- csv reference
