@@ -51,7 +51,9 @@ class EvalOverflowError(EvalDomainError, OverflowError):
 
 
 class SamplingError(RuntimeError):
-    """Too many sample points hit domain errors during zero testing."""
+    """Too many sample points were rejected during zero testing: they hit
+    domain errors, overflowed, or gave a non-finite residual.  `subexpr` is
+    the innermost failing subterm when some hit a domain error."""
 
     def __init__(self, message: str, subexpr: Optional["Expr"] = None):
         super().__init__(message)
@@ -1433,29 +1435,44 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
     worst = -1.0
     worst_point = None
     evaluated = 0
-    failures = 0
-    failed_at = None
+    domain = overflow = nonfinite = 0   # rejected samples, by cause
+    domain_at = None
     for _ in range(cfg.samples):
         point = [rng.uniform(*box.interval(n)) for n in names]
         try:
             vals = fn(*point)
             resid = abs(math.fsum(vals)) / (1.0 + max(abs(v) for v in vals))
-        except (ArithmeticError, ValueError):   # domain, overflow, fsum's inf - inf
+        except OverflowError:       # a power, or fsum's intermediate sum
+            overflow += 1
+            continue
+        except EvalDomainError:
+            domain += 1
+            if domain_at is None:
+                domain_at = point
+            continue
+        except (ArithmeticError, ValueError):   # fsum's inf - inf
             resid = math.nan
         if not math.isfinite(resid):    # an inf or nan term is no evidence either way
-            failures += 1
-            if failed_at is None:
-                failed_at = point
+            nonfinite += 1
             continue
         evaluated += 1
         if resid > worst:
             worst = resid
             worst_point = dict(zip(names, point))
 
+    failures = domain + overflow + nonfinite
     if failures > 0.9 * cfg.samples:
-        blame = _blame(z, names, failed_at)
-        raise SamplingError(f"{failures}/{cfg.samples} sample points hit domain errors "
-                            f"in {format_expr(blame)}", blame)
+        blame = None
+        causes = []
+        if domain:
+            blame = _blame(z, names, domain_at)
+            causes.append(f"{domain} hit domain errors in {format_expr(blame)}")
+        if overflow:
+            causes.append(f"{overflow} overflowed")
+        if nonfinite:
+            causes.append(f"{nonfinite} gave a non-finite residual")
+        raise SamplingError(f"{failures}/{cfg.samples} sample points rejected: "
+                            + ", ".join(causes), blame)
     if worst <= cfg.abs_tol:
         return ZeroVerdict("NumericallyZero", samples=evaluated, rejected=failures,
                            max_residual=worst)

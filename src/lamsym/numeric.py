@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import solve1 as _lapack_solve
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve, svd as _lapack_svd
 
 from .expr import (
     Const,
@@ -78,10 +78,49 @@ class MonitorSeries:
 
 
 def _grid_steps(t0: float, t1: float, h: float) -> int:
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
+        raise ValueError("need finite t0, t1 and h")
     if h <= 0 or t1 <= t0:
         raise ValueError("need h > 0 and t1 > t0")
     steps = int(round((t1 - t0) / h))
     return max(steps, 1)
+
+
+_STEPPERS: dict = {}    # state size -> generated RK4 step
+
+
+def _stepper(d: int) -> Callable[..., Optional[tuple]]:
+    """The RK4 step for states of d components, generated once per d:
+    step(f, t, half, h, sixth, limit, y0, ..., y{d-1}) returns the next
+    state as a tuple, or None when a component fails |r| <= limit.
+
+    The stages are `a + half * b` (`a + h * b` for the last) and the update
+    `a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)`, componentwise on locals, the
+    same float operations in the same order as a float64 array loop."""
+    step = _STEPPERS.get(d)
+    if step is None:
+        y, a, b, c, e, r = ([f"{p}{i}" for i in range(d)] for p in "yabcer")
+
+        def tup(vs):
+            return "".join(v + "," for v in vs)
+
+        def shifted(coef, k):
+            return ", ".join(f"{yi} + {coef} * {ki}" for yi, ki in zip(y, k))
+
+        lines = [f"def step(f, t, half, h, sixth, limit, {', '.join(y)}):",
+                 f" {tup(a)} = f(t, {', '.join(y)})",
+                 f" {tup(b)} = f(t + half, {shifted('half', a)})",
+                 f" {tup(c)} = f(t + half, {shifted('half', b)})",
+                 f" {tup(e)} = f(t + h, {shifted('h', c)})"]
+        lines += [f" {ri} = {yi} + sixth * ({ai} + 2 * {bi} + 2 * {ci} + {ei})"
+                  for ri, yi, ai, bi, ci, ei in zip(r, y, a, b, c, e)]
+        lines += [f" if {' and '.join(f'abs({ri}) <= limit' for ri in r)}:",
+                  f"  return ({tup(r)})",
+                  " return None"]
+        env = {"__builtins__": {"abs": abs}}
+        exec("\n".join(lines) + "\n", env)
+        step = _STEPPERS[d] = env["step"]
+    return step
 
 
 def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
@@ -91,33 +130,30 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
     (states, reason) where reason is a diagnostic when the trajectory left
     the safety box or hit a domain error and was truncated.
 
-    Every stage performs the same float operations, in the same order, as
-    a componentwise float64 array loop, so the states are bitwise the
-    same.  A power beyond the float range raises OverflowError on floats
-    where a float64 array would hold inf; it ends the trajectory at that
-    step as having left the safety box, as the inf would."""
+    Each step is one call of the generated step for the state size
+    (`_stepper`), which performs the same float operations, in the same
+    order, as a componentwise float64 array loop, so the states are
+    bitwise the same.  A power beyond the float range raises OverflowError
+    on floats where a float64 array would hold inf; it ends the trajectory
+    at that step as having left the safety box, as the inf would."""
     steps = _grid_steps(t0, t1, h)
     y = [float(v) for v in y0]
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
     states = np.empty((steps + 1, len(y)))
     states[0] = y
+    step = _stepper(len(y))
     half, sixth = h / 2, h / 6
     limit = float(min(safety, np.finfo(float).max))   # |v| <= limit also rejects inf, nan
     for k in range(steps):
         t = t0 + k * h
         try:
-            k1 = f(t, *y)
-            k2 = f(t + half, *[a + half * b for a, b in zip(y, k1)])
-            k3 = f(t + half, *[a + half * b for a, b in zip(y, k2)])
-            k4 = f(t + h, *[a + h * b for a, b in zip(y, k3)])
+            y = step(f, t, half, h, sixth, limit, *y)
         except OverflowError:
-            return states[:k + 1].copy(), f"state left safety box at t={t + h:.6g}"
+            y = None
         except EvalDomainError as err:
             return states[:k + 1].copy(), f"domain error at t={t:.6g}: {err}"
-        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(abs(v) <= limit for v in y):
+        if y is None:
             return states[:k + 1].copy(), f"state left safety box at t={t + h:.6g}"
         states[k + 1] = y
     return states, None
@@ -151,9 +187,10 @@ def _raise_singular(err: str, flag: int) -> None:
 
 
 def _solve_errstate() -> np.errstate:
-    """The floating-point error state that np.linalg.solve holds around its
-    LAPACK kernel.  The kernel signals `invalid` only for a singular matrix,
-    which then raises LinAlgError; every other flag is ignored."""
+    """The floating-point error state that np.linalg.solve and np.linalg.svd
+    hold around their LAPACK kernels.  The solve kernel signals `invalid`
+    only for a singular matrix, the SVD kernel only when it does not
+    converge; either raises LinAlgError.  Every other flag is ignored."""
     return np.errstate(call=_raise_singular, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
@@ -168,13 +205,19 @@ def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lapack_solve(m, b, signature="dd->d")
 
 
-def _hessian_condition(m: Sequence[float], n: int) -> float:
+def _hessian_condition(m: Sequence[float], n: int,
+                       square: Optional[np.ndarray] = None) -> float:
     """Condition number of the row-major n x n matrix m; infinite when m is
-    singular or not finite.
+    singular or not finite.  `square` is m as an n x n float64 array, when
+    the caller has built one already.
 
     For n <= 3 it is the exact 1-norm condition number in closed form,
     ||M||_1 ||adj M||_1 / |det M|.  For larger n it is the 2-norm one, the
-    largest over the smallest singular value, as np.linalg.cond computes it.
+    largest over the smallest singular value, from the LAPACK kernel
+    (dgesdd) that np.linalg.svd and np.linalg.cond call on float64
+    operands, without their wrapper, so it is bitwise what np.linalg.cond
+    returns.  Inside `_solve_errstate()` an SVD that does not converge
+    raises LinAlgError; outside it the kernel warns and the result is inf.
     """
     if n == 1:
         return 1.0 if m[0] != 0.0 and math.isfinite(m[0]) else math.inf
@@ -197,7 +240,12 @@ def _hessian_condition(m: Sequence[float], n: int) -> float:
     elif not all(map(math.isfinite, m)):
         return math.inf
     else:
-        s = np.linalg.svd(np.array(m).reshape(n, n), compute_uv=False).tolist()
+        if square is None:
+            square = np.array(m).reshape(n, n)
+        try:
+            s = _lapack_svd(square, signature="d->d").tolist()
+        except LinAlgError:
+            raise LinAlgError("SVD did not converge") from None
         return s[0] / s[-1] if s[-1] > 0.0 else math.inf
     if det == 0.0 or not math.isfinite(det):
         return math.inf
@@ -216,13 +264,16 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     right-hand side, sharing common subexpressions.  The stage aborts when
     the condition number of M exceeds 1e12: for n <= 3 the exact 1-norm
     condition number in closed form (a zero or non-finite determinant counts
-    as infinite), for larger n the 2-norm condition number from an SVD.
-    For n = 1 the solve is a division, bitwise what LAPACK returns.  Larger
-    systems call LAPACK's solve kernel directly, the one np.linalg.solve
-    wraps, so the states are bitwise those np.linalg.solve gives; the
-    floating-point error state that np.linalg.solve would enter and leave
-    on every stage is held once around the whole trajectory, and a singular
-    matrix still raises LinAlgError.
+    as infinite), for larger n the 2-norm condition number from LAPACK's
+    SVD kernel, bitwise what np.linalg.cond returns.  For n = 1 the solve
+    is a division, bitwise what LAPACK returns.  Larger systems build one
+    float64 array of M and the right-hand side per stage, which the
+    condition number and the solve share, and call LAPACK's solve kernel
+    directly, the one np.linalg.solve wraps, so the states are bitwise
+    those np.linalg.solve gives.  The floating-point error state that
+    np.linalg.solve and np.linalg.svd would enter and leave on every stage
+    is held once around the whole trajectory; a singular matrix or an SVD
+    that does not converge still raises LinAlgError.
     """
     from .expr import differentiate
     n = lag.n
@@ -247,8 +298,8 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     hessian = None      # M alone, compiled when a stage first fails
     nn = n * n
 
-    def check(m, t):
-        if not _hessian_condition(m, n) <= HESSIAN_CONDITION_LIMIT:
+    def check(m, t, square=None):
+        if not _hessian_condition(m, n, square) <= HESSIAN_CONDITION_LIMIT:
             raise IntegrationError(
                 f"velocity Hessian condition exceeds {HESSIAN_CONDITION_LIMIT:g} at t={t:.6g}")
 
@@ -263,11 +314,13 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
                 hessian = compile_exprs(hess, argnames)
             check(hessian(t, *y), t)
             raise
-        check(v[:nn], t)
         if n == 1:
+            check(v[:1], t)
             return y[1], v[1] / v[0]
         a = np.array(v)
-        return y[n:] + tuple(_solve(a[:nn].reshape(n, n), a[nn:]).tolist())
+        m = a[:nn].reshape(n, n)
+        check(v[:nn], t, m)
+        return y[n:] + tuple(_solve(m, a[nn:]).tolist())
 
     with _solve_errstate():
         states, reason = _rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h, safety)
@@ -330,12 +383,19 @@ def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float,
 
 
 def trajectory_to_csv(traj: Trajectory, stream, monitors: Sequence[MonitorSeries] = ()) -> None:
-    """Write the grid as CSV with full double precision."""
+    """Write the grid as CSV with full double precision, one row at a time;
+    a truncated monitor column is left empty past its last value."""
     header = ["t"] + list(traj.names) + [m.label for m in monitors]
     stream.write(",".join(header) + "\n")
-    fmt = ",".join(["%.17g"] * (1 + len(traj.names)))
+    times = traj.times.tolist()
     columns = [m.values.tolist() for m in monitors]
-    for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states)):
+    if all(len(c) == len(times) for c in columns):
+        fmt = ",".join(["%.17g"] * len(header)) + "\n"
+        for t, row, *values in zip(times, traj.states, *columns):
+            stream.write(fmt % (t, *row.tolist(), *values))
+        return
+    fmt = ",".join(["%.17g"] * (1 + len(traj.names)))
+    for k, (t, row) in enumerate(zip(times, traj.states)):
         cells = [fmt % (t, *row.tolist())]
         cells.extend("%.17g" % c[k] if k < len(c) else "" for c in columns)
         stream.write(",".join(cells) + "\n")

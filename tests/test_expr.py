@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -319,6 +320,35 @@ def test_a_sample_that_overflows_is_rejected_not_evidence(text, lo, hi):
     box = DomainBox({v: (lo, hi) for v in free_vars(e)})
     with pytest.raises(SamplingError, match="100/100"):
         is_identically_zero(e, box)
+
+
+@pytest.mark.parametrize("text, lo, hi, cause", [
+    ("x*y", 1e200, 2e200, "100 gave a non-finite residual"),
+    ("(x+1)^16 - x", 1e30, 1e31, "100 overflowed"),
+    ("(x+1)^17 - x", 1e30, 1e31, "100 overflowed"),
+])
+def test_a_sampling_error_names_the_cause_of_its_rejections(text, lo, hi, cause):
+    e = parse(text)
+    box = DomainBox({v: (lo, hi) for v in free_vars(e)})
+    with pytest.raises(SamplingError) as info:
+        is_identically_zero(e, box)
+    assert str(info.value) == f"100/100 sample points rejected: {cause}"
+    assert info.value.subexpr is None
+
+
+def test_a_sampling_error_counts_domain_errors_apart_from_overflow():
+    # log(x) fails below 0, 10^x overflows above about 308
+    e = parse("log(x) + 10^x")
+    box = DomainBox({"x": (-3000.0, 3000.0)})
+    with pytest.raises(SamplingError) as info:
+        is_identically_zero(e, box)
+    found = re.fullmatch(r"(\d+)/100 sample points rejected: "
+                         r"(\d+) hit domain errors in log\(x\), (\d+) overflowed",
+                         str(info.value))
+    assert found, str(info.value)
+    rejected, domain, overflowed = map(int, found.groups())
+    assert domain > 0 and overflowed > 0 and domain + overflowed == rejected
+    assert info.value.subexpr == parse("log(x)")
 
 
 def test_only_the_finite_samples_of_a_partly_overflowing_box_count():

@@ -497,3 +497,104 @@ def test_csv_bytes_match_the_reference_writer_with_a_truncated_monitor():
     trajectory_to_csv(traj, got, series)
     _ref_csv(traj, want, series)
     assert got.getvalue() == want.getvalue()
+
+
+def test_csv_bytes_match_the_reference_writer_with_no_or_full_length_monitors():
+    traj = integrate_hamiltonian(PhaseSystem(2, parse("(p1^2+p2^2)/2 + q1^2*q2^2/3")),
+                                 [0.4, -0.3, 0.2, 0.1], 0.0, 0.5, 1e-2)
+    series = monitor(traj, [parse("(p1^2+p2^2)/2 + q1^2*q2^2/3"), parse("q1/3")],
+                     labels=["H", "third"])
+    assert all(s.truncated_at is None and len(s.values) == 51 for s in series)
+    for monitors in ((), series):
+        got, want = io.StringIO(), io.StringIO()
+        trajectory_to_csv(traj, got, monitors)
+        _ref_csv(traj, want, monitors)
+        assert got.getvalue() == want.getvalue()
+
+
+# ------------------------------------------------------------- generated step
+
+def _coupled_field(d):
+    """A nonlinear vector field of d components that uses t."""
+    return [parse(f"-y{(i + 1) % d + 1} + y{i + 1}*y{(i + 2) % d + 1}/{i + 3}"
+                  f" + sin(t)/{i + 5}") for i in range(d)]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_generated_step_is_bitwise_the_reference_for_every_state_size(d):
+    names = [f"y{i + 1}" for i in range(d)]
+    y0 = [0.1 * (i + 1) * (-1) ** i for i in range(d)]
+    traj = integrate_first_order(_coupled_field(d), names, y0, 0.0, 0.3, 1e-2)
+    states, reason = _ref_first_order(_coupled_field(d), names, y0, 0.0, 0.3, 1e-2)
+    assert reason is None and not traj.truncated and len(traj.states) == 31
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_an_eight_component_hamiltonian_is_bitwise_the_reference():
+    # four coupled anharmonic oscillators, the shape of the benchmark's n = 4 system
+    sys = PhaseSystem(4, parse(
+        "p1^2/2 + p2^2/3 + p3^2/4 + p4^2/5 + p1*p2/9 + p3*p4/11"
+        " + q1^2 + 3*q2^2/2 + 2*q3^2 + 5*q4^2/2"
+        " + q1^4/8 + q2^4/12 + q3^4/16 + q4^4/20 + q1*q2/7 + q2*q3/13 + q3*q4/17"))
+    u0 = [0.3, -0.2, 0.1, 0.4, 0.0, 0.2, -0.1, 0.05]
+    traj = integrate_hamiltonian(sys, u0, 0.0, 0.5, 1e-3)
+    states, reason = _ref_first_order(canonical_equations(sys), sys.u, u0, 0.0, 0.5, 1e-3)
+    assert reason is None and len(traj.states) == 501
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_the_scalar_law_comparison_is_bitwise_the_reference_loop():
+    traj = integrate_hamiltonian(oscillator(), [1.0, 0.0], 0.0, 0.5, 1e-3)
+    series = monitor(traj, [parse("(p1^2+q1^2)/2")])[0]
+    gamma = parse("-G/3 + sin(t)*G^2/5")
+    states, reason = _ref_first_order([gamma], ["G"], [0.5], 0.0, 0.5, 1e-3)
+    assert reason is None
+    want = float(np.max(np.abs(states[:, 0] - series.values)))
+    assert compare_with_scalar_ode(series, gamma, 0.5, 1e-3) == want
+
+
+@pytest.mark.parametrize("t0, t1, h", [(0.0, math.inf, 1e-3), (0.0, math.nan, 1e-3),
+                                       (-math.inf, 1.0, 1e-3), (math.nan, 1.0, 1e-3),
+                                       (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)])
+def test_a_non_finite_grid_is_rejected(t0, t1, h):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_first_order([parse("-y1")], ["y1"], [1.0], t0, t1, h)
+
+
+def test_cli_integrate_rejects_an_infinite_horizon(capsys):
+    path = str(resources.files("lamsym").joinpath("problems", "example2.json"))
+    code = main(["integrate", "--problem", path, "--ic", "q1=0.4,q2=0.3,p1=0.2,p2=0.1",
+                 "--t1", "inf"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+# ------------------------------------------------------------- svd kernel
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_hessian_condition_is_bitwise_the_svd_ratio_at_larger_n(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        m = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n) * rng.choice([-1, 1], n)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.float64(_hessian_condition(m.ravel().tolist(), n)).tobytes() == \
+            (s[0] / s[-1]).tobytes()
+    singular = rng.uniform(-1.0, 1.0, (n, n))
+    singular[-1] = 0.0
+    for m in (singular, np.zeros((n, n))):
+        assert _hessian_condition(m.ravel().tolist(), n) == math.inf
+    nan = np.eye(n).ravel().tolist()
+    nan[1] = math.nan
+    assert _hessian_condition(nan, n) == math.inf
+
+
+def test_an_svd_that_does_not_converge_raises(monkeypatch):
+    kernel = numeric._lapack_svd
+    # a nan matrix makes the kernel signal non-convergence, as np.linalg.svd reports it
+    monkeypatch.setattr(numeric, "_lapack_svd",
+                        lambda a, signature: kernel(np.full_like(a, math.nan), signature=signature))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.svd(np.full((4, 4), math.nan), compute_uv=False)
+    with _solve_errstate(), pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _hessian_condition(np.eye(4).ravel().tolist(), 4)
