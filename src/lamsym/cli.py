@@ -7,10 +7,10 @@ import argparse
 import sys
 from importlib import resources
 
-from .expr import ParseError, parse
+from .expr import ParseError, ZeroTestConfig, parse
 from .numeric import integrate_euler_lagrange, integrate_hamiltonian, monitor, trajectory_to_csv
 from .problem import ProblemError, load_problem
-from .runner import RunConfig, emit_report, report_to_json, report_to_text, run_checks
+from .runner import emit_report, report_to_json, report_to_text, run_checks
 
 # Per-example check selections: checks that are expected to fail for
 # mathematical reasons (e.g. the exact symmetry condition on a field that
@@ -72,8 +72,8 @@ def _cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     selection = args.select.split(",") if args.select else None
-    cfg = RunConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
     try:
+        cfg = ZeroTestConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
         report = run_checks(problem, selection, cfg)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -138,7 +138,7 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def corpus_reports(cfg: RunConfig) -> list:
+def corpus_reports(cfg: ZeroTestConfig) -> list:
     reports = []
     base = resources.files("lamsym").joinpath("problems")
     for fname, selection in CORPUS:
@@ -149,7 +149,11 @@ def corpus_reports(cfg: RunConfig) -> list:
 
 
 def _cmd_corpus(args) -> int:
-    cfg = RunConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
+    try:
+        cfg = ZeroTestConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     reports = corpus_reports(cfg)
     out = _open_out(args.out)
     stream = out or sys.stdout

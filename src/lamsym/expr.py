@@ -1347,7 +1347,6 @@ class DomainBox:
     interval, which keeps log/sqrt/division safe for all bundled problems."""
 
     intervals: dict = field(default_factory=dict)
-    default: tuple = DEFAULT_INTERVAL
 
     def __post_init__(self):
         for name, (lo, hi) in self.intervals.items():
@@ -1355,14 +1354,23 @@ class DomainBox:
                 raise ValueError(f"empty interval for {name!r}: [{lo}, {hi}]")
 
     def interval(self, name: str) -> tuple:
-        return self.intervals.get(name, self.default)
+        return self.intervals.get(name, DEFAULT_INTERVAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ZeroTestConfig:
+    """Settings of the sampling tier: at least one sample point, and a
+    finite, non-negative tolerance on the scaled residual."""
+
     samples: int = 100
     seed: int = 0
     abs_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.abs_tol}")
 
 
 @dataclass(frozen=True)

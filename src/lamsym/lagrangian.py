@@ -10,6 +10,7 @@ partial reduction through first-order differential invariants.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,9 +35,15 @@ from .expr import (
     simplify,
     substitute,
 )
-from .lambda_symmetry import HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix
-from .mechanics import PhaseVectorField
+from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
+                              _require_shape, _scalar_multiple, _velocity_names)
+from .mechanics import PhaseSystem, PhaseVectorField, hamiltonian_vector_field
 from .numeric import integrate_euler_lagrange, integrate_first_order
+
+# hessian_regularity samples the velocity Hessian at this many seeded points
+# and counts the Lagrangian regular when every |det| exceeds the threshold
+HESSIAN_SAMPLES = 25
+HESSIAN_DET_THRESHOLD = 1e-8
 
 
 class IntegrationFailed(RuntimeError):
@@ -61,6 +68,11 @@ class LagrangianSystem:
 
     def __repr__(self):
         return f"LagrangianSystem(n={self.n}, L={self.lagrangian})"
+
+    def velocity_hessian(self) -> list:
+        """The entries d2L/ddq_a ddq_b, row-major and not simplified."""
+        dv = [differentiate(self.lagrangian, v) for v in self.dq]
+        return [differentiate(d, vb) for d in dv for vb in self.dq]
 
 
 @dataclass(frozen=True)
@@ -88,32 +100,43 @@ def _free_velocity_dt(lag: LagrangianSystem, f: Expr) -> Expr:
     return add(*parts)
 
 
-def _require_lagrangian_side(lag: LagrangianSystem, laml: LambdaMatrix):
-    if laml.side != LAGRANGIAN_SIDE or laml.size != lag.n:
-        raise ValueError(f"need a lagrangian-side {lag.n}x{lag.n} matrix, "
-                         f"got {laml.side} {laml.size}x{laml.size}")
+def _prolonged_action(lag: LagrangianSystem, xl: ConfigVectorField,
+                      laml: LambdaMatrix, f: Expr) -> Expr:
+    """The perturbed prolongation of xl applied to f(t, q, dq), velocities free:
+    sum phi_a df/dq_a + (D_t phi_a + (Lambda phi)_a) df/ddq_a."""
+    lam_phi = laml.vec(xl.phi)
+    parts = [mul(xl.phi[a], differentiate(f, lag.q[a])) for a in range(lag.n)]
+    for a in range(lag.n):
+        coeff = add(_free_velocity_dt(lag, xl.phi[a]), lam_phi[a])
+        parts.append(mul(coeff, differentiate(f, lag.dq[a])))
+    return add(*parts)
 
 
-def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None,
-                       samples: int = 25, seed: int = 0,
-                       threshold: float = 1e-8):
-    """Numerically check invertibility of the velocity Hessian on the box.
+def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None):
+    """Numerically check invertibility of the velocity Hessian on the box at
+    HESSIAN_SAMPLES seeded points.
 
     Returns (regular, smallest |det| seen).
     """
-    import random
     box = box or DomainBox()
     names = (lag.t,) + lag.q + lag.dq
-    dv = [differentiate(lag.lagrangian, v) for v in lag.dq]
-    entries = compile_exprs([differentiate(dv[a], vb) for a in range(lag.n) for vb in lag.dq],
-                            names)
-    rng = random.Random(seed)
+    entries = compile_exprs(lag.velocity_hessian(), names)
+    rng = random.Random(0)
     worst = float("inf")
-    for _ in range(samples):
+    for _ in range(HESSIAN_SAMPLES):
         point = [rng.uniform(*box.interval(v)) for v in names]
         m = np.array(entries(*point)).reshape(lag.n, lag.n)
         worst = min(worst, abs(float(np.linalg.det(m))))
-    return worst > threshold, worst
+    return worst > HESSIAN_DET_THRESHOLD, worst
+
+
+def _require_regular(lag: LagrangianSystem, box: Optional[DomainBox]) -> float:
+    """The smallest sampled |det| of the velocity Hessian; ValueError when
+    the Lagrangian is singular on the box."""
+    regular, worst = hessian_regularity(lag, box)
+    if not regular:
+        raise ValueError(f"Lagrangian is singular on the box (|det| down to {worst:.3e})")
+    return worst
 
 
 def check_lagrangian_lambda_invariance(lag: LagrangianSystem, xl: ConfigVectorField,
@@ -122,16 +145,10 @@ def check_lagrangian_lambda_invariance(lag: LagrangianSystem, xl: ConfigVectorFi
                                        cfg: Optional[ZeroTestConfig] = None) -> ZeroVerdict:
     """Residual of the perturbed invariance condition
     sum phi dL/dq + (D_t phi + Lambda phi) dL/ddq = 0 with free velocities."""
-    _require_lagrangian_side(lag, laml)
+    _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     if xl.n != lag.n:
         raise ValueError("field dimension does not match the system")
-    lam_phi = laml.vec(xl.phi)
-    parts = []
-    for a in range(lag.n):
-        parts.append(mul(xl.phi[a], differentiate(lag.lagrangian, lag.q[a])))
-        coeff = add(_free_velocity_dt(lag, xl.phi[a]), lam_phi[a])
-        parts.append(mul(coeff, differentiate(lag.lagrangian, lag.dq[a])))
-    return is_identically_zero(add(*parts), box, cfg)
+    return is_identically_zero(_prolonged_action(lag, xl, laml, lag.lagrangian), box, cfg)
 
 
 def conjugate_momenta(lag: LagrangianSystem) -> tuple:
@@ -158,9 +175,7 @@ def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr:
     Hamiltonian must equal p.v - L at dq = v."""
     if len(velocity_map) != lag.n:
         raise ValueError(f"velocity map needs {lag.n} components")
-    regular, worst = hessian_regularity(lag, box)
-    if not regular:
-        raise ValueError(f"Lagrangian is singular on the box (|det| down to {worst:.3e})")
+    worst = _require_regular(lag, box)
     vmap = dict(zip(lag.dq, (coerce(v) for v in velocity_map)))
     moms = conjugate_momenta(lag)
     checks = []
@@ -174,18 +189,12 @@ def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr:
 
 
 def extend_vector_field(xl: ConfigVectorField):
-    """Phase-space extension for velocity-free matrices:
-    psi_alpha = -sum_beta p_beta dphi_beta/dq_alpha.  Returns the field and
-    its generating function G = phi . p."""
-    n = xl.n
-    qn = tuple(f"q{i+1}" for i in range(n))
-    pn = tuple(f"p{i+1}" for i in range(n))
-    psi = []
-    for a in range(n):
-        psi.append(simplify(neg(add(*[mul(Var(pn[b]), differentiate(xl.phi[b], qn[a]))
-                                      for b in range(n)]))))
-    g = simplify(add(*[mul(xl.phi[a], Var(pn[a])) for a in range(n)]))
-    return PhaseVectorField(xl.phi, tuple(psi)), g
+    """Phase-space extension for velocity-free matrices: the Hamiltonian
+    field of G = phi . p, so psi_alpha = -sum_beta p_beta dphi_beta/dq_alpha.
+    Returns the field and G."""
+    coords = PhaseSystem(xl.n, ZERO)    # only its coordinate names are read
+    g = simplify(add(*[mul(c, Var(p)) for c, p in zip(xl.phi, coords.p)]))
+    return hamiltonian_vector_field(coords, g), g
 
 
 def extend_vector_field_velocity_dependent(lag: LagrangianSystem, xl: ConfigVectorField,
@@ -200,7 +209,7 @@ def extend_vector_field_velocity_dependent(lag: LagrangianSystem, xl: ConfigVect
                 - p_beta dphi_beta/dq_alpha,
     rewritten into (t, q, p) through the supplied velocity map.
     """
-    _require_lagrangian_side(lag, laml)
+    _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     n = lag.n
     psi = []
     for a in range(n):
@@ -293,8 +302,7 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
     candidate must be supplied; either way the constraint is verified.
     """
     n = xl.n
-    if laml.side != LAGRANGIAN_SIDE or laml.size != n:
-        raise ValueError("need a lagrangian-side matrix matching the field dimension")
+    _require_shape(laml, LAGRANGIAN_SIDE, n)
     qn = tuple(f"q{i+1}" for i in range(n))
     pn = tuple(f"p{i+1}" for i in range(n))
     jac = _jacobian(xl, qn)
@@ -327,7 +335,6 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
         rows.append(tuple(laml.entries[a]) + (ZERO,) * n)
     for a in range(n):
         rows.append(tuple(c_block[a]) + tuple(d[a]))
-    from .lambda_symmetry import _velocity_names
     vel = set(_velocity_names(HAMILTONIAN_SIDE, 2 * n))
     velocity_dependent = any(free_vars(e) & vel for row in rows for e in row)
     full = LambdaMatrix(tuple(rows), HAMILTONIAN_SIDE,
@@ -339,24 +346,8 @@ def config_scalar_reduction(xl: ConfigVectorField, laml: LambdaMatrix,
                             box: Optional[DomainBox] = None,
                             cfg: Optional[ZeroTestConfig] = None) -> Optional[Expr]:
     """Scalar function lambda with Lambda^L phi = lambda phi, or None."""
-    if laml.side != LAGRANGIAN_SIDE or laml.size != xl.n:
-        raise ValueError("need a lagrangian-side matrix matching the field dimension")
-    lam_phi = laml.vec(xl.phi)
-    nonzero = [not is_identically_zero(c, box, cfg).ok for c in xl.phi]
-    if not any(nonzero):
-        raise ValueError("all components of the configuration field vanish on the box")
-    for a in range(xl.n):
-        for b in range(a + 1, xl.n):
-            cross = add(mul(lam_phi[a], xl.phi[b]), neg(mul(lam_phi[b], xl.phi[a])))
-            if not is_identically_zero(cross, box, cfg).ok:
-                return None
-    pivot = nonzero.index(True)
-    scalar = simplify(div(lam_phi[pivot], xl.phi[pivot]))
-    for b in range(xl.n):
-        resid = add(lam_phi[b], neg(mul(scalar, xl.phi[b])))
-        if not is_identically_zero(resid, box, cfg).ok:
-            return None
-    return scalar
+    _require_shape(laml, LAGRANGIAN_SIDE, xl.n)
+    return _scalar_multiple(laml.vec(xl.phi), xl.phi, box, cfg)
 
 
 @dataclass(frozen=True)
@@ -383,12 +374,10 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
     """Integrate variational trajectories from each (q0..., dq0...) row and
     bound |d/dt(phi . p) + (Lambda phi) . p| along them; the time derivative
     uses central differences on the stored grid."""
-    _require_lagrangian_side(lag, laml)
+    _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     if not initial_conditions:
         raise ValueError("need at least one initial condition (q..., dq...)")
-    regular, worst = hessian_regularity(lag, box)
-    if not regular:
-        raise ValueError(f"Lagrangian is singular on the box (|det| down to {worst:.3e})")
+    _require_regular(lag, box)
     moms = conjugate_momenta(lag)
     p_expr = add(*[mul(xl.phi[a], moms[a]) for a in range(lag.n)])
     lam_phi = laml.vec(xl.phi)
@@ -488,7 +477,7 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                             cfg: Optional[ZeroTestConfig] = None,
                             t1: float = 1.0, h: float = 1e-3,
                             tol: float = 1e-5) -> PartialReductionReport:
-    _require_lagrangian_side(lag, laml)
+    _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     if len(eta) != lag.n - 1:
         raise ValueError(f"need {lag.n - 1} zero-order invariants")
     if len(particular) != lag.n:
@@ -498,24 +487,17 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     reduced_l = coerce(reduced_l)
     particular = [coerce(e) for e in particular]
 
-    lam_phi = laml.vec(xl.phi)
-
-    def prolonged_action(f: Expr) -> Expr:
-        parts = [mul(xl.phi[a], differentiate(f, lag.q[a])) for a in range(lag.n)]
-        for a in range(lag.n):
-            coeff = add(_free_velocity_dt(lag, xl.phi[a]), lam_phi[a])
-            parts.append(mul(coeff, differentiate(f, lag.dq[a])))
-        return add(*parts)
+    def invariant(label: str, f: Expr) -> tuple:
+        return label, is_identically_zero(_prolonged_action(lag, xl, laml, f), box, cfg)
 
     invariance = []
     subs = {"theta": theta}
     for r, er in enumerate(eta):
-        invariance.append((f"X eta{r+1}", is_identically_zero(prolonged_action(er), box, cfg)))
         der = _free_velocity_dt(lag, er)
-        invariance.append((f"X deta{r+1}", is_identically_zero(prolonged_action(der), box, cfg)))
+        invariance += [invariant(f"X eta{r+1}", er), invariant(f"X deta{r+1}", der)]
         subs[f"eta{r+1}"] = er
         subs[f"deta{r+1}"] = der
-    invariance.append(("X theta", is_identically_zero(prolonged_action(theta), box, cfg)))
+    invariance.append(invariant("X theta", theta))
 
     composed = substitute(reduced_l, subs)
     composition = is_identically_zero(add(composed, neg(lag.lagrangian)), box, cfg)
@@ -534,8 +516,7 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     m_and_g = compile_exprs(m_constrained + g_constrained, names)
     box = box or DomainBox()
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
-    traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h,
-                                 system=f"constraint flow n={lag.n}")
+    traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)
     if traj.truncated:
         raise IntegrationFailed(traj.reason)
     rows = [m_and_g(t, *row) for t, row in zip(traj.times.tolist(), traj.states.tolist())]

@@ -35,6 +35,7 @@ from .expr import (
 from .mechanics import (
     PhaseSystem,
     PhaseVectorField,
+    _require_autonomous,
     canonical_equations,
     on_shell_map,
     total_time_derivative,
@@ -146,25 +147,48 @@ class ReductionChart:
         return ("t",) + self.w_names + (self.z_name,)
 
 
-def _require_autonomous(x: PhaseVectorField):
-    if simplify(x.tau) != ZERO:
-        raise ValueError("lambda machinery requires tau = 0")
+def _require_shape(lam: LambdaMatrix, side: str, size: int):
+    """ValueError unless lam is a side-side matrix of size x size."""
+    if lam.side != side or lam.size != size:
+        raise ValueError(f"need a {side}-side {size}x{size} matrix, "
+                         f"got {lam.side} {lam.size}x{lam.size}")
 
 
-def _require_side(sys: PhaseSystem, lam: LambdaMatrix):
-    if lam.side != HAMILTONIAN_SIDE or lam.size != 2 * sys.n:
-        raise ValueError(
-            f"need a hamiltonian-side {2*sys.n}x{2*sys.n} matrix, "
-            f"got {lam.side} {lam.size}x{lam.size}")
+def _lambda_phi(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix) -> tuple:
+    """Lambda Phi on shell, for a field with tau = 0 and a hamiltonian-side
+    matrix of the system's size."""
+    _require_autonomous(x)
+    _require_shape(lam, HAMILTONIAN_SIDE, 2 * sys.n)
+    return lam.on_shell(sys).vec(x.components)
+
+
+def _scalar_multiple(lam_phi: Sequence[Expr], comps: Sequence[Expr],
+                     box: Optional[DomainBox], cfg: Optional[ZeroTestConfig]) -> Optional[Expr]:
+    """The scalar lambda with lam_phi = lambda comps, or None.  It is read off
+    the first component that does not vanish on the box and cross-validated
+    against all others."""
+    nonzero = [not is_identically_zero(c, box, cfg).ok for c in comps]
+    if not any(nonzero):
+        raise ValueError("all components of the field vanish on the box")
+    for a in range(len(comps)):
+        for b in range(a + 1, len(comps)):
+            cross = add(mul(lam_phi[a], comps[b]), neg(mul(lam_phi[b], comps[a])))
+            if not is_identically_zero(cross, box, cfg).ok:
+                return None
+    pivot = nonzero.index(True)
+    scalar = simplify(div(lam_phi[pivot], comps[pivot]))
+    for b in range(len(comps)):
+        resid = add(lam_phi[b], neg(mul(scalar, comps[b])))
+        if not is_identically_zero(resid, box, cfg).ok:
+            return None
+    return scalar
 
 
 def lambda_prolongation(sys: PhaseSystem, x: PhaseVectorField,
                         lam: LambdaMatrix) -> tuple:
     """Velocity-direction coefficients of the perturbed first prolongation:
     D_t Phi_a + (Lambda Phi)_a, expanded along solutions."""
-    _require_autonomous(x)
-    _require_side(sys, lam)
-    lam_phi = lam.on_shell(sys).vec(x.components)
+    lam_phi = _lambda_phi(sys, x, lam)
     return tuple(simplify(add(total_time_derivative(sys, c), lp))
                  for c, lp in zip(x.components, lam_phi))
 
@@ -173,11 +197,9 @@ def check_lambda_symmetry(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatr
                           box: Optional[DomainBox] = None,
                           cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
     """Perturbed symmetry condition: [F, Phi]_a + dPhi_a/dt = -(Lambda Phi)_a."""
-    _require_autonomous(x)
-    _require_side(sys, lam)
+    lam_phi = _lambda_phi(sys, x, lam)
     rhs = canonical_equations(sys)
     comps = x.components
-    lam_phi = lam.on_shell(sys).vec(comps)
     verdicts = []
     for a in range(2 * sys.n):
         parts = [differentiate(comps[a], sys.t), lam_phi[a]]
@@ -192,27 +214,8 @@ def scalar_lambda_reduction(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
                             box: Optional[DomainBox] = None,
                             cfg: Optional[ZeroTestConfig] = None) -> Optional[Expr]:
     """Return the scalar function lambda with Lambda Phi = lambda Phi, if one
-    exists, else None.  The scalar is read off the first component where Phi
-    does not vanish on the box and cross-validated against all others."""
-    _require_autonomous(x)
-    _require_side(sys, lam)
-    comps = x.components
-    lam_phi = lam.on_shell(sys).vec(comps)
-    nonzero = [not is_identically_zero(c, box, cfg).ok for c in comps]
-    if not any(nonzero):
-        raise ValueError("all phase components of the field vanish on the box")
-    for a in range(2 * sys.n):
-        for b in range(a + 1, 2 * sys.n):
-            cross = add(mul(lam_phi[a], comps[b]), neg(mul(lam_phi[b], comps[a])))
-            if not is_identically_zero(cross, box, cfg).ok:
-                return None
-    pivot = nonzero.index(True)
-    scalar = simplify(div(lam_phi[pivot], comps[pivot]))
-    for b in range(2 * sys.n):
-        resid = add(lam_phi[b], neg(mul(scalar, comps[b])))
-        if not is_identically_zero(resid, box, cfg).ok:
-            return None
-    return scalar
+    exists, else None (see `_scalar_multiple`)."""
+    return _scalar_multiple(_lambda_phi(sys, x, lam), x.components, box, cfg)
 
 
 def _apply_j(sys: PhaseSystem, v: Sequence[Expr]) -> tuple:
@@ -248,7 +251,7 @@ def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
                             cfg: Optional[ZeroTestConfig] = None) -> LambdaConstantGReport:
     """Verify the deviation law for a generating function G of X."""
     _require_autonomous(x)
-    _require_side(sys, lam)
+    _require_shape(lam, HAMILTONIAN_SIDE, 2 * sys.n)
     rep = generating_function_test(sys, x, box, candidate_g=g, cfg=cfg)
     if not rep.g_verified:
         raise ValueError("the candidate is not a generating function of the field")
@@ -266,7 +269,7 @@ def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
     try:
         scalar = scalar_lambda_reduction(sys, x, lam, box, cfg)
     except ValueError:
-        scalar = None
+        pass
     if scalar is not None:
         scalar_checks = tuple(
             (f"d(rate)/d{v}+lambda*dG/d{v}", is_identically_zero(
@@ -293,11 +296,9 @@ class LambdaConstantSReport:
 def check_lambda_constant_S(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
                             box: Optional[DomainBox] = None,
                             cfg: Optional[ZeroTestConfig] = None) -> LambdaConstantSReport:
-    _require_autonomous(x)
-    _require_side(sys, lam)
+    lam_phi = _lambda_phi(sys, x, lam)
     s = compute_S(sys, x)
     rate = simplify(total_time_derivative(sys, s))
-    lam_phi = lam.on_shell(sys).vec(x.components)
     divergence = simplify(add(*[differentiate(c, v) for c, v in zip(lam_phi, sys.u)]))
     verdict = is_identically_zero(add(rate, divergence), box, cfg)
     return LambdaConstantSReport(s, rate, divergence, verdict)
@@ -374,23 +375,17 @@ def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
         return out
 
     lam_phi = lam.on_shell(sys).vec(x.components)
-    w_rhs, m_terms = [], []
-    for name, wj in zip(chart.w_names, chart.w):
-        w_rhs.append(to_chart(total_time_derivative(sys, wj), f"d{name}/dt"))
-        mj = add(*[mul(differentiate(wj, v), lam_phi[a]) for a, v in enumerate(sys.u)])
-        m_terms.append(to_chart(mj, f"M for {name}"))
-    z_rhs = to_chart(total_time_derivative(sys, chart.z), "dz/dt")
-    mz = add(*[mul(differentiate(chart.z, v), lam_phi[a]) for a, v in enumerate(sys.u)])
-    m_terms.append(to_chart(mz, "M for z"))
-
-    checks = []
-    for name, wj, mj in zip(chart.w_names, w_rhs, m_terms):
-        checks.append((f"d({name} rate)/dz", is_identically_zero(
-            add(differentiate(wj, chart.z_name), neg(mj)), box, cfg)))
-    checks.append(("d(z rate)/dz", is_identically_zero(
-        add(differentiate(z_rhs, chart.z_name), neg(m_terms[-1])), box, cfg)))
-    z_free = tuple(is_identically_zero(mj, box, cfg).ok for mj in m_terms)
-    return ReducedSystem(tuple(w_rhs), z_rhs, tuple(m_terms), tuple(checks), z_free)
+    names = chart.w_names + (chart.z_name,)
+    rates, m_terms = [], []
+    for name, f in zip(names, chart.w + (chart.z,)):
+        rates.append(to_chart(total_time_derivative(sys, f), f"d{name}/dt"))
+        m = add(*[mul(differentiate(f, v), lp) for v, lp in zip(sys.u, lam_phi)])
+        m_terms.append(to_chart(m, f"M for {name}"))
+    checks = tuple((f"d({name} rate)/dz", is_identically_zero(
+        add(differentiate(rate, chart.z_name), neg(m)), box, cfg))
+        for name, rate, m in zip(names, rates, m_terms))
+    z_free = tuple(is_identically_zero(m, box, cfg).ok for m in m_terms)
+    return ReducedSystem(tuple(rates[:-1]), rates[-1], tuple(m_terms), checks, z_free)
 
 
 @dataclass(frozen=True)

@@ -48,18 +48,15 @@ class Trajectory:
     t0: float
     h: float
     states: np.ndarray
-    system: str = ""
-    initial: tuple = ()
-    order: int = 4
-    truncated: bool = False
-    reason: Optional[str] = None
+    reason: Optional[str] = None    # why the trajectory ends early, if it does
+
+    @property
+    def truncated(self) -> bool:
+        return self.reason is not None
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(len(self.states))
-
-    def row(self, k: int) -> dict:
-        return dict(zip(self.names, self.states[k]))
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,11 @@ def _stepper(d: int) -> Callable[..., Optional[tuple]]:
 
 
 def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
-              t0: float, t1: float, h: float,
-              safety: float = SAFETY_LIMIT):
+              t0: float, t1: float, h: float):
     """Fixed-step integration of dy/dt = f(t, *y) on plain floats; returns
     (states, reason) where reason is a diagnostic when the trajectory left
-    the safety box or hit a domain error and was truncated.
+    the safety box |y_i| <= SAFETY_LIMIT or hit a domain error and was
+    truncated.
 
     Each step is one call of the generated step for the state size
     (`_stepper`), which performs the same float operations, in the same
@@ -144,11 +141,11 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
     states[0] = y
     step = _stepper(len(y))
     half, sixth = h / 2, h / 6
-    limit = float(min(safety, np.finfo(float).max))   # |v| <= limit also rejects inf, nan
     for k in range(steps):
         t = t0 + k * h
         try:
-            y = step(f, t, half, h, sixth, limit, *y)
+            # |v| <= SAFETY_LIMIT also rejects inf and nan
+            y = step(f, t, half, h, sixth, SAFETY_LIMIT, *y)
         except OverflowError:
             y = None
         except EvalDomainError as err:
@@ -161,25 +158,19 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
 
 def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
                           y0: Sequence[float], t0: float = 0.0,
-                          t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP,
-                          system: str = "", safety: float = SAFETY_LIMIT) -> Trajectory:
+                          t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP) -> Trajectory:
     """Integrate dy/dt = f(t, y) given componentwise expressions."""
     f = compile_exprs(exprs, ("t",) + tuple(names))
-    states, reason = _rk4_loop(f, y0, t0, t1, h, safety)
-    return Trajectory(tuple(names), t0, h, states, system=system,
-                      initial=tuple(float(v) for v in y0),
-                      truncated=reason is not None, reason=reason)
+    return Trajectory(tuple(names), t0, h, *_rk4_loop(f, y0, t0, t1, h))
 
 
 def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,
-                          t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP,
-                          safety: float = SAFETY_LIMIT) -> Trajectory:
+                          t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP) -> Trajectory:
     """Integrate the canonical equations from u0 = (q..., p...)."""
     from .mechanics import canonical_equations
     if len(u0) != 2 * sys.n:
         raise ValueError(f"initial state needs {2*sys.n} components")
-    return integrate_first_order(canonical_equations(sys), sys.u, u0, t0, t1, h,
-                                 system=f"hamiltonian n={sys.n}", safety=safety)
+    return integrate_first_order(canonical_equations(sys), sys.u, u0, t0, t1, h)
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -254,8 +245,7 @@ def _hessian_condition(m: Sequence[float], n: int,
 
 def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
                              t0: float = 0.0, t1: float = DEFAULT_HORIZON,
-                             h: float = DEFAULT_STEP,
-                             safety: float = SAFETY_LIMIT) -> Trajectory:
+                             h: float = DEFAULT_STEP) -> Trajectory:
     """Integrate the variational equations of a regular Lagrangian.
 
     At every stage the accelerations solve the linear system
@@ -282,7 +272,7 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     names = lag.q + lag.dq
     l_expr = lag.lagrangian
     dv = [differentiate(l_expr, v) for v in lag.dq]
-    hess = [differentiate(dv[a], vb) for a in range(n) for vb in lag.dq]
+    hess = lag.velocity_hessian()
     # unsimplified nodes, so the emitted arithmetic is
     # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order;
     # -1*u rather than neg(u), which folds a zero derivative to +0.0 where
@@ -323,10 +313,8 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
         return y[n:] + tuple(_solve(m, a[nn:]).tolist())
 
     with _solve_errstate():
-        states, reason = _rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h, safety)
-    return Trajectory(tuple(names), t0, h, states, system=f"lagrangian n={n}",
-                      initial=tuple(float(v) for v in list(q0) + list(dq0)),
-                      truncated=reason is not None, reason=reason)
+        return Trajectory(tuple(names), t0, h,
+                          *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 
 
 def monitor(traj: Trajectory, exprs: Sequence[Expr],

@@ -10,6 +10,7 @@ are substituted exactly before any check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -66,6 +67,27 @@ def _fail(path: str, message: str):
     raise ProblemError(f"{path}: {message}")
 
 
+def _object(value, path: str) -> dict:
+    """value as a dict; an absent or null item is an empty one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {type(value).__name__}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(path, "expected a finite number")
+    return x
+
+
 def _parse_expr(text, path: str, params: dict) -> Expr:
     if not isinstance(text, str):
         _fail(path, f"expected an expression string, got {type(text).__name__}")
@@ -109,6 +131,8 @@ def load_problem(path: str) -> ProblemFile:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ProblemError(f"{path}: invalid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ProblemError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     name = raw.get("name") or str(path)
 
     kind = raw.get("kind")
@@ -117,11 +141,11 @@ def load_problem(path: str) -> ProblemFile:
     if "n" not in raw:
         _fail("n", "missing")
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         _fail("n", f"must be a positive integer, got {n!r}")
 
     params = {}
-    for pname, pval in (raw.get("parameters") or {}).items():
+    for pname, pval in _object(raw.get("parameters"), "parameters").items():
         params[pname] = Const(_exact_number(pval, f"parameters.{pname}"))
 
     problem = ProblemFile(name=name, kind=kind, n=n)
@@ -154,39 +178,42 @@ def load_problem(path: str) -> ProblemFile:
             _fail("lambda.entries", f"expected {want} rows for {kind} kind")
         rows = tuple(_expr_list(row, f"lambda.entries[{i}]", params, want)
                      for i, row in enumerate(entries))
+        velocity_dependent = lam_raw.get("velocity_dependent", False)
+        if not isinstance(velocity_dependent, bool):
+            _fail("lambda.velocity_dependent",
+                  f"expected true or false, got {velocity_dependent!r}")
         try:
-            problem.lam = LambdaMatrix(rows, side,
-                                       bool(lam_raw.get("velocity_dependent", False)))
+            problem.lam = LambdaMatrix(rows, side, velocity_dependent)
         except ValueError as err:
             _fail("lambda", str(err))
 
     if "box" in raw and raw["box"] is not None:
         intervals = {}
-        for vname, bounds in raw["box"].items():
+        for vname, bounds in _object(raw["box"], "box").items():
             if (not isinstance(bounds, list)) or len(bounds) != 2:
                 _fail(f"box.{vname}", "expected [lo, hi]")
-            intervals[vname] = (float(bounds[0]), float(bounds[1]))
+            intervals[vname] = tuple(_float(b, f"box.{vname}[{i}]") for i, b in enumerate(bounds))
         try:
             problem.box = DomainBox(intervals)
         except ValueError as err:
             _fail("box", str(err))
 
     if "chart" in raw and raw["chart"] is not None:
-        ch = raw["chart"]
+        ch = _object(raw["chart"], "chart")
         for key in ("w", "z", "inverse"):
             if key not in ch:
                 _fail(f"chart.{key}", "missing")
         w = _expr_list(ch["w"], "chart.w", params, 2 * n - 1)
         z = _parse_expr(ch["z"], "chart.z", params)
         inverse = {vname: _parse_expr(txt, f"chart.inverse.{vname}", params)
-                   for vname, txt in ch["inverse"].items()}
+                   for vname, txt in _object(ch["inverse"], "chart.inverse").items()}
         phase_vars = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
         missing = [v for v in phase_vars if v not in inverse]
         if missing:
             _fail("chart.inverse", f"misses phase variables {missing}")
         problem.chart = ReductionChart(w, z, inverse)
 
-    cand = raw.get("candidates") or {}
+    cand = _object(raw.get("candidates"), "candidates")
     for key in cand:
         if key not in _CANDIDATE_EXPRS + _CANDIDATE_LISTS + (
                 "lambda2_candidate", "initial_conditions"):
@@ -216,7 +243,8 @@ def load_problem(path: str) -> ProblemFile:
             if not isinstance(row, list) or len(row) != 2 * n:
                 _fail(f"candidates.initial_conditions[{i}]",
                       f"expected {2*n} numbers")
-            rows.append(tuple(float(v) for v in row))
+            rows.append(tuple(_float(v, f"candidates.initial_conditions[{i}][{j}]")
+                              for j, v in enumerate(row)))
         problem.candidates["initial_conditions"] = tuple(rows)
 
     return problem

@@ -35,7 +35,7 @@ from .expr import (
     is_identically_zero,
     simplify_memo,
 )
-from .mechanics import FirstIntegralCandidate, PhaseSystem
+from .mechanics import PhaseSystem
 from .problem import ProblemFile
 
 HAMILTONIAN_CHECKS = ("cs", "ds", "g", "case", "las", "dtg", "dts",
@@ -54,15 +54,9 @@ REDUCTION_TOL = 1e-5
 _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    samples: int = 100
-    abs_tol: float = 1e-9
-
-    def zero_cfg(self) -> ZeroTestConfig:
-        return ZeroTestConfig(samples=self.samples, seed=self.seed,
-                              abs_tol=self.abs_tol)
+# a run's settings are its zero-test settings; callers of run_checks
+# (perfbench among them) still name them RunConfig
+RunConfig = ZeroTestConfig
 
 
 @dataclass
@@ -169,8 +163,7 @@ def _check_cs(ctx: _Context):
 
 def _check_ds(ctx: _Context):
     s = symmetry.compute_S(ctx.sys, ctx.x)
-    candidate = FirstIntegralCandidate(s)
-    verdicts = [is_identically_zero(candidate.rate_residual(ctx.sys), ctx.box, ctx.zc)]
+    verdicts = [symmetry.check_first_integral(ctx.sys, s, ctx.box, ctx.zc)]
     detail = f"S = {format_expr(s)}"
     expected = ctx.problem.candidates.get("S_expected")
     if expected is not None:
@@ -460,8 +453,8 @@ def _require(needs: tuple, problem: ProblemFile, passed: dict):
 
 
 def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
-               cfg: Optional[RunConfig] = None) -> Report:
-    cfg = cfg or RunConfig()
+               cfg: Optional[ZeroTestConfig] = None) -> Report:
+    cfg = cfg or ZeroTestConfig()
     order = HAMILTONIAN_CHECKS if problem.kind == "hamiltonian" else LAGRANGIAN_CHECKS
     if selection is not None:
         unknown = set(selection) - set(order)
@@ -472,7 +465,7 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
         wanted = list(order)
 
     report = Report(problem=problem.name, seed=cfg.seed)
-    ctx = _Context(problem, cfg.zero_cfg())
+    ctx = _Context(problem, cfg)
     # the checks of one run share subtrees (canonical equations, derivatives
     # of H, components of Lambda Phi); their normal forms are kept for the run
     with simplify_memo():

@@ -106,14 +106,9 @@ class CaseClassification:
     s_conservation: Optional[ZeroVerdict] = None
 
 
-def symmetry_condition_residuals(sys: PhaseSystem, x: PhaseVectorField) -> tuple:
-    """The 2n residuals of the linearized invariance condition, with total
-    time derivatives expanded along solutions, in normal form."""
-    return tuple(simplify(r) for r in _condition_sums(sys, x))
-
-
 def _condition_sums(sys: PhaseSystem, x: PhaseVectorField) -> tuple:
-    """The residuals of `symmetry_condition_residuals`, not yet normalized."""
+    """The 2n residuals of the linearized invariance condition, with total
+    time derivatives expanded along solutions, not normalized."""
     h = sys.hamiltonian
     dt = lambda f: total_time_derivative(sys, f)
     dtau = dt(x.tau)

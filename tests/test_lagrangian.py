@@ -1,11 +1,14 @@
 import random
+from importlib import resources
 
 import pytest
 
 from lamsym.expr import (
     Const,
     Var,
+    add,
     is_identically_zero,
+    mul,
     neg,
     parse,
     simplify,
@@ -32,7 +35,8 @@ from lamsym.lagrangian import (
     partial_reduction_check,
     verify_legendre,
 )
-from lamsym.mechanics import PhaseSystem, canonical_equations
+from lamsym.mechanics import PhaseSystem, canonical_equations, hamiltonian_vector_field
+from lamsym.problem import load_problem
 from fractions import Fraction
 from gen import in_order
 
@@ -192,6 +196,20 @@ def test_two_scale_field_extension():
     assert [simplify(c) for c in x.components] == [
         parse("q1"), Const(Fraction(1)), simplify(parse("-p1")), ZERO]
     assert g == simplify(parse("q1*p1+p2"))
+
+
+@pytest.mark.parametrize("number", [5, 6, 7])
+def test_extension_is_the_hamiltonian_field_of_g(number):
+    # the lift of phi to phase space is the field generated by G = phi . p
+    path = resources.files("lamsym").joinpath("problems", f"example{number}.json")
+    with resources.as_file(path) as p:
+        problem = load_problem(str(p))
+    sys = PhaseSystem(problem.n, problem.candidates["H_for_legendre"])
+    x, g = extend_vector_field(problem.config_field())
+    assert g is simplify(add(*[mul(c, Var(p)) for c, p in zip(problem.phi, sys.p)]))
+    y = hamiltonian_vector_field(sys, g)
+    assert all(a is b for a, b in zip(x.components, y.components))
+    assert x == y
 
 
 def test_log_pair_field_extension():
@@ -408,3 +426,32 @@ def test_extension_generating_function_regenerates_the_field():
     regenerated = hamiltonian_vector_field(sys, g)
     for a, b in zip(regenerated.components, x.components):
         assert is_identically_zero(a - b).ok
+
+
+# ------------------------------------------------------------- matrix shape
+
+TWO_SCALE_PHASE = PhaseSystem(2, TWO_SCALE_H)
+
+# each entry point that takes a matrix, with the side and size it needs
+SHAPED = [
+    ("check_lambda_symmetry", "hamiltonian", 4, lambda lam: check_lambda_symmetry(
+        TWO_SCALE_PHASE, extend_vector_field(two_scale_field())[0], lam)),
+    ("check_lagrangian_lambda_invariance", "lagrangian", 2,
+     lambda lam: check_lagrangian_lambda_invariance(
+         two_scale_lagrangian(), two_scale_field(), lam)),
+    ("extend_lambda", "lagrangian", 2, lambda lam: extend_lambda(two_scale_field(), lam)),
+    ("config_scalar_reduction", "lagrangian", 2,
+     lambda lam: config_scalar_reduction(two_scale_field(), lam)),
+]
+
+
+@pytest.mark.parametrize("name, side, size, call", SHAPED, ids=[s[0] for s in SHAPED])
+def test_matrix_of_the_wrong_side_or_size_is_rejected(name, side, size, call):
+    other = "hamiltonian" if side == "lagrangian" else "lagrangian"
+    with pytest.raises(ValueError, match=f"^need a {side}-side {size}x{size} matrix, "
+                                         f"got {other} {size}x{size}$"):
+        call(LambdaMatrix.zeros(size, other))
+    wrong = size + 2
+    with pytest.raises(ValueError, match=f"^need a {side}-side {size}x{size} matrix, "
+                                         f"got {side} {wrong}x{wrong}$"):
+        call(LambdaMatrix.zeros(wrong, side))

@@ -74,8 +74,7 @@ def test_grid_is_exact():
 
 
 def test_safety_box_truncates_blowup():
-    traj = integrate_first_order([parse("y1^2")], ["y1"], [2.0], 0.0, 5.0, 1e-3,
-                                 system="blowup")
+    traj = integrate_first_order([parse("y1^2")], ["y1"], [2.0], 0.0, 5.0, 1e-3)
     assert traj.truncated
     assert "safety box" in traj.reason
     assert len(traj.states) < 5001
@@ -348,6 +347,15 @@ def test_corpus_report_bytes_match_the_benchmark_golden(tmp_path):
     out = tmp_path / "corpus.json"
     assert main(["corpus", "--report", "json", "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == GOLDEN_CORPUS.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_corpus_report_bytes_match_the_pinned_seeds(tmp_path, seed):
+    # seeds whose sampled residuals differ from seed 0's; pinned in tests/reports
+    out = tmp_path / "corpus.json"
+    assert main(["corpus", "--report", "json", "--seed", str(seed), "--out", str(out)]) == 0
+    pinned = Path(__file__).resolve().parent / "reports" / f"corpus_seed{seed}.json"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 # ------------------------------------------------------------- condition check

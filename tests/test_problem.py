@@ -320,3 +320,77 @@ def test_deeply_nested_input_exits_with_status_2(tmp_path, capsys):
     doc = dict(MINIMAL, hamiltonian="(" * 3000 + "p1^2+q1^2" + ")" * 3000)
     assert main(["check", "--problem", write_problem(tmp_path, doc)]) == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def _bundled_doc(name: str):
+    with open(bundled(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# (bundled example, keys of the replaced item, replacement, field path named)
+MALFORMED = [
+    ("example1.json", ("parameters",), ["eps"], "parameters"),
+    ("example1.json", ("parameters",), [], "parameters: expected an object, got list"),
+    ("example1.json", ("box",), [[0.1, 1.0]], "box"),
+    ("example2.json", ("chart", "inverse"), ["(w1+w3)/2"], "chart.inverse"),
+    ("example1.json", ("box",), {"q1": ["a", 1.0]}, r"box.q1\[0\]"),
+    ("example1.json", ("box",), {"p1": [0.2, None]}, r"box.p1\[1\]"),
+    ("example2.json", ("candidates", "initial_conditions"), [[0.4, "a", 0.2, 0.1]],
+     r"candidates.initial_conditions\[0\]\[1\]"),
+    ("example2.json", ("candidates", "initial_conditions"), [[0.4, 0.3, 0.2, None]],
+     r"candidates.initial_conditions\[0\]\[3\]"),
+    ("example2.json", ("lambda", "velocity_dependent"), "no", "lambda.velocity_dependent"),
+    ("example1.json", ("box",), {"q1": [0.1, 10 ** 400]}, r"box.q1\[1\]: expected a finite"),
+]
+
+
+@pytest.mark.parametrize("name, keys, value, where", MALFORMED)
+def test_malformed_problem_file_is_a_schema_error(tmp_path, capsys, name, keys, value, where):
+    doc = _bundled_doc(name)
+    _set(doc, keys, value)
+    path = write_problem(tmp_path, doc)
+    with pytest.raises(ProblemError, match=where):
+        load_problem(path)
+    assert main(["check", "--problem", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json"])
+def test_top_level_document_must_be_an_object(tmp_path, name):
+    path = write_problem(tmp_path, [_bundled_doc(name)])
+    with pytest.raises(ProblemError, match="expected a JSON object, got list"):
+        load_problem(path)
+    assert main(["check", "--problem", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "corpus"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--samples", "0", "samples must be at least 1"),
+    ("--samples", "-5", "samples must be at least 1"),
+    ("--tol", "nan", "tolerance must be finite"),
+    ("--tol", "inf", "tolerance must be finite"),
+    ("--tol", "-1e-9", "non-negative"),
+])
+def test_bad_sampling_settings_exit_with_status_2(tmp_path, capsys, command, option, value,
+                                                   message):
+    argv = [command, f"{option}={value}", "--out", str(tmp_path / "r.txt")]
+    if command == "check":
+        argv[1:1] = ["--problem", bundled("example4.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_zero_test_config_is_keyword_only_and_checked():
+    with pytest.raises(TypeError):
+        RunConfig(100)
+    with pytest.raises(ValueError, match="samples"):
+        RunConfig(samples=0)
+    assert RunConfig(seed=3) == RunConfig(samples=100, seed=3, abs_tol=1e-9)
