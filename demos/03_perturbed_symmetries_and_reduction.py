@@ -8,6 +8,7 @@ from lamsym import (
     PhaseSystem,
     PhaseVectorField,
     ReductionChart,
+    check_first_integral,
     check_lambda_constant_G,
     check_lambda_symmetry,
     check_point_symmetry,
@@ -17,7 +18,6 @@ from lamsym import (
     reduced_system,
     scalar_lambda_reduction,
     verify_chart,
-    verify_time_dependent_integral,
 )
 
 ## Two crossed degrees of freedom; the momentum shift d/dp1 + d/dp2 is
@@ -56,4 +56,4 @@ print("z-free flags:", rs.z_free)
 sep = check_separated_G(sys, x, lam, chart, g_index=2)
 print("\nseparated equation: dG/dt =", format_expr(sep.gamma))
 print("(q1+q2)*exp(t) conserved:",
-      verify_time_dependent_integral(sys, parse("(q1+q2)*exp(t)")).ok)
+      check_first_integral(sys, parse("(q1+q2)*exp(t)")).ok)

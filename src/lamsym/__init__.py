@@ -63,7 +63,6 @@ from .lambda_symmetry import (
     reduced_system,
     scalar_lambda_reduction,
     verify_chart,
-    verify_time_dependent_integral,
 )
 from .lagrangian import (
     ConfigVectorField,
@@ -75,7 +74,6 @@ from .lagrangian import (
     conjugate_momenta,
     extend_lambda,
     extend_vector_field,
-    extend_vector_field_velocity_dependent,
     hessian_regularity,
     partial_reduction_check,
     verify_legendre,

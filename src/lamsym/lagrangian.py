@@ -38,16 +38,12 @@ from .expr import (
 from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
                               _require_shape, _scalar_multiple, _velocity_names)
 from .mechanics import PhaseSystem, PhaseVectorField, hamiltonian_vector_field
-from .numeric import integrate_euler_lagrange, integrate_first_order
+from .numeric import IntegrationError, integrate_euler_lagrange, integrate_first_order
 
 # hessian_regularity samples the velocity Hessian at this many seeded points
 # and counts the Lagrangian regular when every |det| exceeds the threshold
 HESSIAN_SAMPLES = 25
 HESSIAN_DET_THRESHOLD = 1e-8
-
-
-class IntegrationFailed(RuntimeError):
-    """A required trajectory left the safety box or hit a domain error."""
 
 
 class LagrangianSystem:
@@ -188,48 +184,43 @@ def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr:
     return LegendreReport(tuple(checks), energy, worst)
 
 
-def extend_vector_field(xl: ConfigVectorField):
-    """Phase-space extension for velocity-free matrices: the Hamiltonian
-    field of G = phi . p, so psi_alpha = -sum_beta p_beta dphi_beta/dq_alpha.
-    Returns the field and G."""
+def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = None,
+                        velocity_map: Optional[Sequence[Expr]] = None):
+    """The lift of phi to phase space: the Hamiltonian field of G = phi . p,
+    so psi_alpha = -sum_beta p_beta dphi_beta/dq_alpha.
+
+    When the matrix depends on velocities, psi_alpha also gets
+    -dLambda_{beta gamma}/ddq_alpha phi_gamma p_beta (the Lagrangian's
+    perturbed invariance removes the exact-rate term), and velocities left
+    over are rewritten into (t, q, p) through the velocity map.  Returns
+    the field and G, or None for G when the matrix depends on velocities.
+    """
     coords = PhaseSystem(xl.n, ZERO)    # only its coordinate names are read
     g = simplify(add(*[mul(c, Var(p)) for c, p in zip(xl.phi, coords.p)]))
-    return hamiltonian_vector_field(coords, g), g
-
-
-def extend_vector_field_velocity_dependent(lag: LagrangianSystem, xl: ConfigVectorField,
-                                           laml: LambdaMatrix,
-                                           velocity_map: Optional[Sequence[Expr]] = None
-                                           ) -> PhaseVectorField:
-    """Phase-space extension when the matrix depends on velocities.
-
-    Assumes the Lagrangian is invariant under the perturbed prolongation,
-    which removes the exact-rate term; what remains is
-    psi_alpha = -dLambda_{beta gamma}/ddq_alpha phi_gamma p_beta
-                - p_beta dphi_beta/dq_alpha,
-    rewritten into (t, q, p) through the supplied velocity map.
-    """
-    _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
-    n = lag.n
+    x = hamiltonian_vector_field(coords, g)
+    if laml is None:
+        return x, g
+    _require_shape(laml, LAGRANGIAN_SIDE, xl.n)
+    if not laml.velocity_dependent:
+        return x, g
+    n, dq = xl.n, _velocity_names(LAGRANGIAN_SIDE, xl.n)
     psi = []
     for a in range(n):
-        parts = []
+        parts = [x.psi[a]]
         for b in range(n):
             for c in range(n):
-                dlam = differentiate(laml.entries[b][c], lag.dq[a])
-                if dlam == ZERO:
-                    continue
-                parts.append(neg(mul(dlam, xl.phi[c], Var(lag.p[b]))))
-            parts.append(neg(mul(Var(lag.p[b]), differentiate(xl.phi[b], lag.q[a]))))
+                dlam = differentiate(laml.entries[b][c], dq[a])
+                if dlam != ZERO:
+                    parts.append(neg(mul(dlam, xl.phi[c], Var(coords.p[b]))))
         psi.append(simplify(add(*parts)))
-    leftover = set().union(*[free_vars(e) for e in psi]) & set(lag.dq)
+    leftover = set().union(*[free_vars(e) for e in psi]) & set(dq)
     if leftover:
         if velocity_map is None:
             raise ValueError(f"extension still contains {sorted(leftover)}; "
                              "a velocity map (t,q,p) is required")
-        vmap = dict(zip(lag.dq, (coerce(v) for v in velocity_map)))
+        vmap = dict(zip(dq, (coerce(v) for v in velocity_map)))
         psi = [simplify(substitute(e, vmap)) for e in psi]
-    return PhaseVectorField(xl.phi, tuple(psi))
+    return PhaseVectorField(x.phi, tuple(psi)), None
 
 
 @dataclass(frozen=True)
@@ -335,11 +326,8 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
         rows.append(tuple(laml.entries[a]) + (ZERO,) * n)
     for a in range(n):
         rows.append(tuple(c_block[a]) + tuple(d[a]))
-    vel = set(_velocity_names(HAMILTONIAN_SIDE, 2 * n))
-    velocity_dependent = any(free_vars(e) & vel for row in rows for e in row)
-    full = LambdaMatrix(tuple(rows), HAMILTONIAN_SIDE,
-                        velocity_dependent=velocity_dependent)
-    return LambdaExtensionReport(full, tuple(checks), solved)
+    return LambdaExtensionReport(LambdaMatrix(tuple(rows), HAMILTONIAN_SIDE),
+                                 tuple(checks), solved)
 
 
 def config_scalar_reduction(xl: ConfigVectorField, laml: LambdaMatrix,
@@ -391,7 +379,7 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
             raise ValueError(f"initial condition needs {2*lag.n} values (q..., dq...)")
         traj = integrate_euler_lagrange(lag, ic[:lag.n], ic[lag.n:], 0.0, t1, h)
         if traj.truncated:
-            raise IntegrationFailed(traj.reason)
+            raise IntegrationError(traj.reason)
         p_vals, rates = zip(*[p_and_rate(t, *row)
                               for t, row in zip(traj.times.tolist(), traj.states.tolist())])
         worst_here = 0.0
@@ -518,7 +506,7 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)
     if traj.truncated:
-        raise IntegrationFailed(traj.reason)
+        raise IntegrationError(traj.reason)
     rows = [m_and_g(t, *row) for t, row in zip(traj.times.tolist(), traj.states.tolist())]
     worst = 0.0
     for a in range(lag.n):

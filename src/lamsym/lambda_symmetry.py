@@ -11,7 +11,7 @@ motion before any check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .expr import (
@@ -40,7 +40,7 @@ from .mechanics import (
     on_shell_map,
     total_time_derivative,
 )
-from .symmetry import SymmetryVerdict, compute_S, check_first_integral, generating_function_test
+from .symmetry import SymmetryVerdict, compute_S, generating_function_test
 
 HAMILTONIAN_SIDE = "hamiltonian"
 LAGRANGIAN_SIDE = "lagrangian"
@@ -63,12 +63,13 @@ class LambdaMatrix:
 
     Hamiltonian-side matrices are 2n x 2n and act on the full phase
     components; Lagrangian-side matrices are n x n and act on the
-    configuration coefficients.
+    configuration coefficients.  `velocity_dependent` is derived: true
+    when an entry contains a velocity symbol of the matrix's side.
     """
 
     entries: tuple
     side: str = HAMILTONIAN_SIDE
-    velocity_dependent: bool = False
+    velocity_dependent: bool = field(init=False)
 
     def __post_init__(self):
         rows = tuple(tuple(coerce(e) for e in row) for row in self.entries)
@@ -80,14 +81,9 @@ class LambdaMatrix:
             raise ValueError(f"unknown side {self.side!r}")
         if self.side == HAMILTONIAN_SIDE and size % 2:
             raise ValueError("hamiltonian-side matrix must have even size")
-        if not self.velocity_dependent:
-            vel = set(_velocity_names(self.side, size))
-            for row in rows:
-                for e in row:
-                    hit = free_vars(e) & vel
-                    if hit:
-                        raise ValueError(
-                            f"velocity symbols {sorted(hit)} require velocity_dependent=True")
+        vel = set(_velocity_names(self.side, size))
+        object.__setattr__(self, "velocity_dependent",
+                           any(free_vars(e) & vel for row in rows for e in row))
 
     @property
     def size(self) -> int:
@@ -98,12 +94,11 @@ class LambdaMatrix:
         return cls(tuple((ZERO,) * size for _ in range(size)), side)
 
     @classmethod
-    def diagonal(cls, diag: Sequence, side: str = HAMILTONIAN_SIDE,
-                 velocity_dependent: bool = False) -> "LambdaMatrix":
+    def diagonal(cls, diag: Sequence, side: str = HAMILTONIAN_SIDE) -> "LambdaMatrix":
         d = [coerce(e) for e in diag]
         rows = tuple(tuple(d[i] if i == j else ZERO for j in range(len(d)))
                      for i in range(len(d)))
-        return cls(rows, side, velocity_dependent)
+        return cls(rows, side)
 
     def vec(self, v: Sequence[Expr]) -> tuple:
         if len(v) != self.size:
@@ -116,8 +111,8 @@ class LambdaMatrix:
         if not self.velocity_dependent:
             return self
         shell = on_shell_map(sys)
-        rows = tuple(tuple(substitute(e, shell) for e in row) for row in self.entries)
-        return LambdaMatrix(rows, self.side, velocity_dependent=False)
+        return LambdaMatrix(tuple(tuple(substitute(e, shell) for e in row)
+                                  for row in self.entries), self.side)
 
 
 @dataclass(frozen=True)
@@ -428,10 +423,3 @@ def check_separated_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
     gamma = simplify(substitute(rate, {chart.w_names[g_index]: Var("G")}))
     return SeparatedGReport(gamma, tuple(checks))
 
-
-def verify_time_dependent_integral(sys: PhaseSystem, integral: Expr,
-                                   box: Optional[DomainBox] = None,
-                                   cfg: Optional[ZeroTestConfig] = None) -> ZeroVerdict:
-    """Zero verdict on the total time derivative of an explicitly
-    time-dependent candidate integral."""
-    return check_first_integral(sys, integral, box, cfg)

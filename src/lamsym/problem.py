@@ -178,14 +178,18 @@ def load_problem(path: str) -> ProblemFile:
             _fail("lambda.entries", f"expected {want} rows for {kind} kind")
         rows = tuple(_expr_list(row, f"lambda.entries[{i}]", params, want)
                      for i, row in enumerate(entries))
-        velocity_dependent = lam_raw.get("velocity_dependent", False)
-        if not isinstance(velocity_dependent, bool):
-            _fail("lambda.velocity_dependent",
-                  f"expected true or false, got {velocity_dependent!r}")
         try:
-            problem.lam = LambdaMatrix(rows, side, velocity_dependent)
+            problem.lam = LambdaMatrix(rows, side)
         except ValueError as err:
             _fail("lambda", str(err))
+        # optional; when given it must say what the entries say
+        stated = lam_raw.get("velocity_dependent", problem.lam.velocity_dependent)
+        if not isinstance(stated, bool):
+            _fail("lambda.velocity_dependent", f"expected true or false, got {stated!r}")
+        if stated != problem.lam.velocity_dependent:
+            _fail("lambda.velocity_dependent",
+                  f"is {str(stated).lower()}, but the entries "
+                  f"{'do not ' if stated else ''}contain velocity symbols")
 
     if "box" in raw and raw["box"] is not None:
         intervals = {}

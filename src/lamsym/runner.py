@@ -253,7 +253,7 @@ def _check_sep(ctx: _Context):
 
 def _check_gamma(ctx: _Context):
     candidate = ctx.problem.candidates["Gamma"]
-    verdict = lam_mod.verify_time_dependent_integral(ctx.sys, candidate, ctx.box, ctx.zc)
+    verdict = symmetry.check_first_integral(ctx.sys, candidate, ctx.box, ctx.zc)
     return _aggregate([verdict], f"Gamma = {format_expr(candidate)}")
 
 
@@ -275,7 +275,7 @@ def _check_mon(ctx: _Context):
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
         traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
         if traj.truncated:
-            raise RuntimeError(f"trajectory truncated: {traj.reason}")
+            raise numeric.IntegrationError(f"trajectory truncated: {traj.reason}")
         if big_gamma is not None:
             series = numeric.monitor(traj, [big_gamma])[0]
             drift = float(np.max(np.abs(series.values - series.values[0])))
@@ -283,8 +283,7 @@ def _check_mon(ctx: _Context):
             notes.append(f"drift {drift:.3e}")
         if gamma_law is not None and ctx.g is not None:
             series = numeric.monitor(traj, [ctx.g])[0]
-            dev = numeric.compare_with_scalar_ode(series, gamma_law,
-                                                  float(series.values[0]), TRAJECTORY_H)
+            dev = numeric.compare_with_scalar_ode(series, gamma_law, float(series.values[0]))
             worst = max(worst, dev)
             notes.append(f"scalar-law deviation {dev:.3e}")
     verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"
@@ -308,14 +307,10 @@ def _check_leg(ctx: _Context):
 
 
 def _check_xh(ctx: _Context):
-    if ctx.laml.velocity_dependent:
-        x = lagmod.extend_vector_field_velocity_dependent(
-            ctx.lag, ctx.xl, ctx.laml, ctx.problem.candidates.get("velocity_map"))
-        g = None
-        note = "velocity-dependent extension; no generating function"
-    else:
-        x, g = lagmod.extend_vector_field(ctx.xl)
-        note = f"G = {format_expr(g)}"
+    x, g = lagmod.extend_vector_field(ctx.xl, ctx.laml,
+                                      ctx.problem.candidates.get("velocity_map"))
+    note = (f"G = {format_expr(g)}" if g is not None
+            else "velocity-dependent extension; no generating function")
     ctx.x = x
     ctx.g = ctx.problem.candidates.get("G", g)
     psi = ", ".join(format_expr(c) for c in x.psi)

@@ -30,7 +30,6 @@ from lamsym.lagrangian import (
     conjugate_momenta,
     extend_lambda,
     extend_vector_field,
-    extend_vector_field_velocity_dependent,
     hessian_regularity,
     partial_reduction_check,
     verify_legendre,
@@ -91,7 +90,7 @@ def exponential_field():
 
 
 def exponential_matrix():
-    return LambdaMatrix(((parse("q1+dq1"),),), LAGRANGIAN_SIDE, velocity_dependent=True)
+    return LambdaMatrix(((parse("q1+dq1"),),), LAGRANGIAN_SIDE)
 
 
 EXPONENTIAL_H = parse("q1^2*p1^2*exp(2*q1)/2 - q1*p1")
@@ -212,6 +211,18 @@ def test_extension_is_the_hamiltonian_field_of_g(number):
     assert x == y
 
 
+@pytest.mark.parametrize("field, matrix", [
+    (log_pair_field, log_pair_matrix),
+    (exponential_field, lambda: LambdaMatrix.diagonal([parse("q1*exp(t)")], LAGRANGIAN_SIDE))])
+def test_velocity_free_matrix_lift_is_the_hamiltonian_field_of_g(field, matrix):
+    xl = field()
+    coords = PhaseSystem(xl.n, ZERO)
+    g = simplify(add(*[mul(c, Var(p)) for c, p in zip(xl.phi, coords.p)]))
+    x, g_out = extend_vector_field(xl, matrix())
+    assert g_out is g
+    assert x == hamiltonian_vector_field(coords, g)
+
+
 def test_log_pair_field_extension():
     x, g = extend_vector_field(log_pair_field())
     assert [simplify(c) for c in x.components] == [
@@ -226,18 +237,16 @@ def test_constant_field_extension_has_zero_momentum_part():
 
 
 def test_velocity_dependent_extension_exponential():
-    x = extend_vector_field_velocity_dependent(
-        exponential_lagrangian(), exponential_field(), exponential_matrix(),
-        velocity_map=EXPONENTIAL_VMAP)
+    x, g = extend_vector_field(exponential_field(), exponential_matrix(),
+                               velocity_map=EXPONENTIAL_VMAP)
     assert is_identically_zero(x.psi[0] - parse("-q1*p1-p1")).ok
+    assert g is None
 
 
 def test_velocity_free_matrix_extension_agrees_with_plain_extension():
-    x1 = extend_vector_field_velocity_dependent(
-        two_scale_lagrangian(), two_scale_field(), two_scale_matrix())
-    x2, _ = extend_vector_field(two_scale_field())
-    for a, b in zip(x1.components, x2.components):
-        assert is_identically_zero(a - b).ok
+    x1, g1 = extend_vector_field(two_scale_field(), two_scale_matrix())
+    x2, g2 = extend_vector_field(two_scale_field())
+    assert x1 == x2 and g1 is g2
 
 
 def test_two_scale_matrix_extension_entrywise():
@@ -408,9 +417,8 @@ def test_extension_chain_log_pair():
 
 def test_extension_chain_exponential_velocity_dependent():
     sys = PhaseSystem(1, EXPONENTIAL_H)
-    x = extend_vector_field_velocity_dependent(
-        exponential_lagrangian(), exponential_field(), exponential_matrix(),
-        velocity_map=EXPONENTIAL_VMAP)
+    x, _g = extend_vector_field(exponential_field(), exponential_matrix(),
+                                velocity_map=EXPONENTIAL_VMAP)
     ext = extend_lambda(exponential_field(), exponential_matrix(),
                         candidate_lambda2=[[parse("q1+dq1")]])
     assert check_lambda_symmetry(sys, x, ext.matrix).holds

@@ -10,7 +10,7 @@ from lamsym.expr import (
     simplify,
 )
 from lamsym.mechanics import PhaseSystem, PhaseVectorField
-from lamsym.symmetry import check_point_symmetry, compute_S
+from lamsym.symmetry import check_first_integral, check_point_symmetry, compute_S
 from lamsym.lambda_symmetry import (
     ChartError,
     LambdaMatrix,
@@ -23,7 +23,6 @@ from lamsym.lambda_symmetry import (
     reduced_system,
     scalar_lambda_reduction,
     verify_chart,
-    verify_time_dependent_integral,
 )
 from fractions import Fraction
 
@@ -165,9 +164,20 @@ def test_zero_matrix_degenerates_to_point_symmetry():
             assert va.ok == vb.ok
 
 
-def test_velocity_dependent_matrix_requires_flag():
-    with pytest.raises(ValueError, match="velocity"):
-        LambdaMatrix.diagonal([parse("q1+dq1"), ZERO])
+def test_velocity_dependence_is_derived_from_entries():
+    # dp1 is not a velocity of the configuration side
+    cases = [("q1+dq1", "hamiltonian", True), ("p1*dp1", "hamiltonian", True),
+             ("q1*p1+t", "hamiltonian", False), ("exp(dq1)", "lagrangian", True),
+             ("q1+dp1", "lagrangian", False)]
+    for entry, side, dependent in cases:
+        size = 2 if side == "hamiltonian" else 1
+        lam = LambdaMatrix.diagonal([parse(entry)] + [ZERO] * (size - 1), side)
+        assert lam.velocity_dependent is dependent, entry
+    # the flag is no constructor argument
+    with pytest.raises(TypeError):
+        LambdaMatrix(((parse("dq1"),),), "lagrangian", True)
+    with pytest.raises(TypeError):
+        LambdaMatrix.diagonal([parse("dq1")], "lagrangian", True)
 
 
 # ------------------------------------------------------------ scalar reduction
@@ -250,7 +260,7 @@ def test_exponential_system_s_deviation_velocity_dependent():
     x = PhaseVectorField((Var("q1"),), (parse("-(q1*p1+p1)"),))
     lam = LambdaMatrix(
         ((parse("q1+dq1"), ZERO),
-         (parse("-p1"), parse("q1+dq1"))), velocity_dependent=True)
+         (parse("-p1"), parse("q1+dq1"))))
     rep = check_lambda_constant_S(sys, x, lam)
     assert rep.holds
     assert simplify(rep.s - parse("-q1")) == ZERO
@@ -358,19 +368,19 @@ def test_log_scaling_has_no_separated_equation():
 
 def test_exponential_damping_integral():
     sys = crossed_system()
-    assert verify_time_dependent_integral(sys, parse("(q1+q2)*exp(t)")).ok
+    assert check_first_integral(sys, parse("(q1+q2)*exp(t)")).ok
 
 
 def test_undamped_candidate_is_rejected():
     sys = crossed_system()
-    v = verify_time_dependent_integral(sys, parse("q1+q2"))
+    v = check_first_integral(sys, parse("q1+q2"))
     assert not v.ok
 
 
 def test_scaled_identity_integral_on_oscillating_system():
     # lambda = 1 constant: G * exp(t) is a time-dependent integral
     sys = crossed_system()
-    assert verify_time_dependent_integral(sys, parse("(q1+q2)*exp(1*t)")).ok
+    assert check_first_integral(sys, parse("(q1+q2)*exp(1*t)")).ok
 
 
 def test_two_scale_chart_reduction_certificates():

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from lamsym import numeric
 from lamsym.cli import main
-from lamsym.expr import Const, EvalDomainError, Var, compile_expr, differentiate, parse
+from lamsym.expr import Const, EvalDomainError, compile_expr, differentiate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
 from lamsym.numeric import (
     HESSIAN_CONDITION_LIMIT,
@@ -168,14 +168,14 @@ def test_scalar_law_matches_monitored_decay():
     sys = PhaseSystem(2, parse("-(q1*p2+q2*p1) + (p1-p2)^2/2"))
     traj = integrate_hamiltonian(sys, [0.4, 0.3, 0.2, 0.1], 0.0, 1.0, 1e-3)
     series = monitor(traj, [parse("q1+q2")])[0]
-    dev = compare_with_scalar_ode(series, parse("-G"), series.values[0], 1e-3)
+    dev = compare_with_scalar_ode(series, parse("-G"), series.values[0])
     assert dev < 1e-7
 
 
 def test_zero_law_against_conserved_series():
     traj = integrate_hamiltonian(oscillator(), [1.0, 0.0], 0.0, 1.0, 1e-3)
     series = monitor(traj, [parse("(p1^2+q1^2)/2")])[0]
-    dev = compare_with_scalar_ode(series, parse("0*G"), 0.5, 1e-3)
+    dev = compare_with_scalar_ode(series, parse("0*G"), 0.5)
     assert dev < 1e-12
 
 
@@ -187,15 +187,8 @@ def test_wrong_scalar_law_is_rejected():
     sys = PhaseSystem(2, parse(h))
     traj = integrate_hamiltonian(sys, [0.9, 0.6, 0.9, 0.3], 0.0, 1.0, 1e-3)
     series = monitor(traj, [parse("q1*p1+q2*p2")])[0]
-    dev = compare_with_scalar_ode(series, parse("-G^2/2"), series.values[0], 1e-3)
+    dev = compare_with_scalar_ode(series, parse("-G^2/2"), series.values[0])
     assert dev > 1e-3
-
-
-def test_grid_mismatch_is_an_error():
-    traj = integrate_hamiltonian(oscillator(), [1.0, 0.0], 0.0, 1.0, 1e-3)
-    series = monitor(traj, [Var("q1")])[0]
-    with pytest.raises(ValueError, match="grid"):
-        compare_with_scalar_ode(series, parse("0*G"), 1.0, 2e-3)
 
 
 # ------------------------------------------------------------- csv export
@@ -558,7 +551,7 @@ def test_the_scalar_law_comparison_is_bitwise_the_reference_loop():
     states, reason = _ref_first_order([gamma], ["G"], [0.5], 0.0, 0.5, 1e-3)
     assert reason is None
     want = float(np.max(np.abs(states[:, 0] - series.values)))
-    assert compare_with_scalar_ode(series, gamma, 0.5, 1e-3) == want
+    assert compare_with_scalar_ode(series, gamma, 0.5) == want
 
 
 @pytest.mark.parametrize("t0, t1, h", [(0.0, math.inf, 1e-3), (0.0, math.nan, 1e-3),
@@ -576,6 +569,27 @@ def test_cli_integrate_rejects_an_infinite_horizon(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the grid was allocated")
+
+
+@pytest.mark.parametrize("t1, h", [(1e6, 1e-9), (1e300, 1e-10),
+                                   (numeric.MAX_GRID_STEPS * 1e-3 + 1.0, 1e-3)])
+def test_a_grid_beyond_the_step_limit_is_rejected_before_allocation(monkeypatch, t1, h):
+    monkeypatch.setattr(np, "empty", _no_grid)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        integrate_first_order([parse("-y1")], ["y1"], [1.0], 0.0, t1, h)
+
+
+def test_cli_integrate_rejects_a_grid_beyond_the_step_limit(monkeypatch, capsys):
+    monkeypatch.setattr(np, "empty", _no_grid)
+    path = str(resources.files("lamsym").joinpath("problems", "example1.json"))
+    code = main(["integrate", "--problem", path, "--ic", "q1=1,p1=0",
+                 "--t1", "1000000", "--step", "1e-9"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: grid of 1e+15 steps exceeds the limit")
 
 
 # ------------------------------------------------------------- svd kernel

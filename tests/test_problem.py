@@ -347,6 +347,11 @@ MALFORMED = [
      r"candidates.initial_conditions\[0\]\[3\]"),
     ("example2.json", ("lambda", "velocity_dependent"), "no", "lambda.velocity_dependent"),
     ("example1.json", ("box",), {"q1": [0.1, 10 ** 400]}, r"box.q1\[1\]: expected a finite"),
+    # the stated flag disagrees with the entries, in either direction
+    ("example7.json", ("lambda", "velocity_dependent"), False,
+     "lambda.velocity_dependent: is false, but the entries contain velocity symbols"),
+    ("example5.json", ("lambda", "velocity_dependent"), True,
+     "lambda.velocity_dependent: is true, but the entries do not contain velocity symbols"),
 ]
 
 
@@ -367,6 +372,13 @@ def test_top_level_document_must_be_an_object(tmp_path, name):
     with pytest.raises(ProblemError, match="expected a JSON object, got list"):
         load_problem(path)
     assert main(["check", "--problem", path]) == 2
+
+
+@pytest.mark.parametrize("name", ["example2.json", "example7.json"])
+def test_velocity_dependence_is_read_off_the_entries_when_not_stated(tmp_path, name):
+    doc = _bundled_doc(name)
+    stated = doc["lambda"].pop("velocity_dependent", False)
+    assert load_problem(write_problem(tmp_path, doc)).lam.velocity_dependent is stated
 
 
 @pytest.mark.parametrize("command", ["check", "corpus"])
