@@ -118,11 +118,8 @@ def _cmd_integrate(args) -> int:
             y0 = _parse_ic(args.ic, names)
             traj = integrate_euler_lagrange(lag, y0[:lag.n], y0[lag.n:],
                                             0.0, args.t1, args.step)
-        series = []
-        if args.monitor:
-            exprs = [parse(s) for s in args.monitor.split(";") if s.strip()]
-            series = monitor(traj, exprs,
-                             labels=[s.strip() for s in args.monitor.split(";") if s.strip()])
+        labels = [s.strip() for s in (args.monitor or "").split(";") if s.strip()]
+        series = monitor(traj, [parse(s) for s in labels], labels)
     except (ValueError, ParseError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -132,10 +129,11 @@ def _cmd_integrate(args) -> int:
     finally:
         if out:
             out.close()
-    if traj.truncated:
-        print(f"warning: {traj.reason}", file=sys.stderr)
-        return 1
-    return 0
+    warnings = [traj.reason] if traj.truncated else []
+    warnings += [f"monitor {s.label} {s.reason}" for s in series if s.reason is not None]
+    for text in warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return 1 if warnings else 0
 
 
 def corpus_reports(cfg: ZeroTestConfig) -> list:

@@ -38,7 +38,8 @@ from .expr import (
 from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
                               _require_shape, _scalar_multiple, _velocity_names)
 from .mechanics import PhaseSystem, PhaseVectorField, hamiltonian_vector_field
-from .numeric import IntegrationError, integrate_euler_lagrange, integrate_first_order
+from .numeric import (central_residual, integrate_euler_lagrange, integrate_first_order,
+                      values_along)
 
 # hessian_regularity samples the velocity Hessian at this many seeded points
 # and counts the Lagrangian regular when every |det| exceeds the threshold
@@ -370,24 +371,15 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
     p_expr = add(*[mul(xl.phi[a], moms[a]) for a in range(lag.n)])
     lam_phi = laml.vec(xl.phi)
     rate_expr = add(*[mul(lam_phi[a], moms[a]) for a in range(lag.n)])
-    names = ("t",) + lag.q + lag.dq
-    p_and_rate = compile_exprs([simplify(p_expr), simplify(rate_expr)], names)
+    p_and_rate = compile_exprs([simplify(p_expr), simplify(rate_expr)], ("t",) + lag.q + lag.dq)
 
     residuals = []
     for ic in initial_conditions:
         if len(ic) != 2 * lag.n:
             raise ValueError(f"initial condition needs {2*lag.n} values (q..., dq...)")
         traj = integrate_euler_lagrange(lag, ic[:lag.n], ic[lag.n:], 0.0, t1, h)
-        if traj.truncated:
-            raise IntegrationError(traj.reason)
-        p_vals, rates = zip(*[p_and_rate(t, *row)
-                              for t, row in zip(traj.times.tolist(), traj.states.tolist())])
-        worst_here = 0.0
-        for k in range(1, len(p_vals) - 1):
-            dpdt = (p_vals[k + 1] - p_vals[k - 1]) / (2 * h)
-            resid = abs(dpdt + rates[k])
-            worst_here = max(worst_here, resid)
-        residuals.append(worst_here)
+        p_vals, rates = values_along(traj, p_and_rate, "Noether rate").T
+        residuals.append(central_residual(p_vals, -rates, h))
     return NoetherReport(tuple(residuals), tol)
 
 
@@ -500,18 +492,10 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     m_constrained = [simplify(substitute(m, constraint)) for m in moms]
     g_constrained = [simplify(substitute(differentiate(lag.lagrangian, qa), constraint))
                      for qa in lag.q]
-    names = ("t",) + lag.q
-    m_and_g = compile_exprs(m_constrained + g_constrained, names)
+    m_and_g = compile_exprs(m_constrained + g_constrained, ("t",) + lag.q)
     box = box or DomainBox()
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)
-    if traj.truncated:
-        raise IntegrationError(traj.reason)
-    rows = [m_and_g(t, *row) for t, row in zip(traj.times.tolist(), traj.states.tolist())]
-    worst = 0.0
-    for a in range(lag.n):
-        for k in range(1, len(rows) - 1):
-            dmdt = (rows[k + 1][a] - rows[k - 1][a]) / (2 * h)
-            worst = max(worst, abs(dmdt - rows[k][lag.n + a]))
+    rows = values_along(traj, m_and_g, "constraint-flow residual")
     return PartialReductionReport(tuple(invariance), composition, annihilation,
-                                  worst, tol)
+                                  central_residual(rows[:, :lag.n], rows[:, lag.n:], h), tol)

@@ -27,7 +27,6 @@ from .expr import (
     Var,
     compile_expr,
     compile_exprs,
-    free_vars,
 )
 
 DEFAULT_STEP = 1e-3
@@ -69,11 +68,11 @@ class MonitorSeries:
     t0: float
     h: float
     values: np.ndarray
-    truncated_at: Optional[int] = None
+    reason: Optional[str] = None    # why the series ends early, if it does
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(len(self.values))
+    def truncated_at(self) -> Optional[int]:
+        return None if self.reason is None else len(self.values)
 
 
 def _grid_steps(t0: float, t1: float, h: float) -> int:
@@ -321,46 +320,62 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
                           *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 
 
+def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
+    """fn(t, *state) at the grid points t = t0 + k*h up to the first domain
+    error, as (values, reason); reason is "truncated at step k: ..." or None.
+    A power beyond the float range gets the value that the stored float64
+    values give (inf, or what the rest of the expression makes of inf)."""
+    values = []
+    for k, row in enumerate(traj.states):
+        t = traj.t0 + k * traj.h
+        try:
+            try:
+                values.append(fn(t, *row.tolist()))
+            except OverflowError:
+                # float64 operands give inf where floats raise
+                with np.errstate(all="ignore"):
+                    values.append(fn(t, *row))
+        except EvalDomainError as err:
+            return np.array(values), f"truncated at step {k}: {err}"
+    return np.array(values), None
+
+
+def values_along(traj: Trajectory, fn: Callable[..., object], what: str) -> np.ndarray:
+    """fn along the whole of traj, as the evidence of a verdict: IntegrationError
+    when traj is truncated, when a domain error stops the evaluation ("WHAT
+    truncated at step k: ..."), or when a value is not finite."""
+    if traj.truncated:
+        raise IntegrationError(f"trajectory truncated: {traj.reason}")
+    values, reason = evaluate_along(traj, fn)
+    if reason is not None:
+        raise IntegrationError(f"{what} {reason}")
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        raise IntegrationError(f"{what} is not finite at step {bad[0, 0]}")
+    return values
+
+
+def central_residual(f: np.ndarray, g: np.ndarray, h: float) -> float:
+    """max_k |(f[k+1] - f[k-1]) / (2h) - g[k]| over the interior grid points,
+    0.0 without any; rows are grid points, and the columns of a 2-D f are
+    compared with those of g.  Finite values give a finite residual or inf."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs((f[2:] - f[:-2]) / (2 * h) - g[1:-1]), initial=0.0))
+
+
 def monitor(traj: Trajectory, exprs: Sequence[Expr],
             labels: Optional[Sequence[str]] = None) -> list:
-    """Evaluate expressions pointwise along a trajectory.
-
-    A domain error at a grid point truncates that series and records the
-    offending index.  A power beyond the float range does not truncate:
-    the point gets the value that the stored float64 values give (inf, or
-    what the rest of the expression makes of inf).
-    """
-    out = []
+    """Evaluate expressions along a trajectory (`evaluate_along`); a domain
+    error truncates a series and gives its reason, an overflow does not."""
     names = ("t",) + traj.names
-    for i, e in enumerate(exprs):
-        missing = free_vars(e) - set(names)
-        if missing:
-            raise ValueError(f"monitor expression uses unknown variables {sorted(missing)}")
-        fn = compile_expr(e, names)
-        label = labels[i] if labels else f"m{i+1}"
-        values = []
-        truncated_at = None
-        for k, row in enumerate(traj.states):
-            t = traj.t0 + k * traj.h
-            try:
-                try:
-                    values.append(fn(t, *row.tolist()))
-                except OverflowError:
-                    # float64 operands give inf where floats raise
-                    values.append(fn(t, *row))
-            except EvalDomainError:
-                truncated_at = k
-                break
-        out.append(MonitorSeries(label, traj.t0, traj.h, np.array(values), truncated_at))
-    return out
+    return [MonitorSeries(labels[i] if labels else f"m{i+1}", traj.t0, traj.h,
+                          *evaluate_along(traj, compile_expr(e, names)))
+            for i, e in enumerate(exprs)]
 
 
 def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float) -> float:
     """Integrate dG/dt = gamma(t, G) on the series' grid and return the
     maximum absolute deviation from the monitored values."""
-    extra = free_vars(gamma) - {"t", "G"}
-    if extra:
-        raise ValueError(f"scalar law may only use (t, G), found {sorted(extra)}")
     n_steps = len(series.values) - 1
     if n_steps < 1:
         raise ValueError("series too short to compare")

@@ -30,6 +30,7 @@ from .expr import (
     SamplingError,
     ZeroTestConfig,
     ZeroVerdict,
+    compile_expr,
     compile_exprs,
     format_expr,
     is_identically_zero,
@@ -265,6 +266,7 @@ def _check_mon(ctx: _Context):
           "nothing to monitor (no gamma or Gamma candidate)")
     worst = 0.0
     notes = []
+    names = ("t",) + ctx.sys.u
     if problem.kind == "lagrangian":
         # file rows are (q..., dq...); map to phase space via momenta
         lag = ctx.lag
@@ -274,16 +276,15 @@ def _check_mon(ctx: _Context):
         if problem.kind == "lagrangian":
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
         traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
-        if traj.truncated:
-            raise numeric.IntegrationError(f"trajectory truncated: {traj.reason}")
         if big_gamma is not None:
-            series = numeric.monitor(traj, [big_gamma])[0]
-            drift = float(np.max(np.abs(series.values - series.values[0])))
+            values = numeric.values_along(traj, compile_expr(big_gamma, names), "monitor Gamma")
+            drift = float(np.max(np.abs(values - values[0])))
             worst = max(worst, drift)
             notes.append(f"drift {drift:.3e}")
         if gamma_law is not None and ctx.g is not None:
-            series = numeric.monitor(traj, [ctx.g])[0]
-            dev = numeric.compare_with_scalar_ode(series, gamma_law, float(series.values[0]))
+            values = numeric.values_along(traj, compile_expr(ctx.g, names), "monitor G")
+            series = numeric.MonitorSeries("G", traj.t0, traj.h, values)
+            dev = numeric.compare_with_scalar_ode(series, gamma_law, float(values[0]))
             worst = max(worst, dev)
             notes.append(f"scalar-law deviation {dev:.3e}")
     verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"

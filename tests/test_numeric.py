@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from importlib import resources
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lamsym import numeric
+from lamsym import lagrangian as lagmod, numeric
 from lamsym.cli import main
 from lamsym.expr import Const, EvalDomainError, compile_expr, differentiate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
@@ -17,15 +18,18 @@ from lamsym.numeric import (
     _hessian_condition,
     _solve,
     _solve_errstate,
+    central_residual,
     compare_with_scalar_ode,
     integrate_euler_lagrange,
     integrate_first_order,
     integrate_hamiltonian,
     monitor,
     trajectory_to_csv,
+    values_along,
 )
 from lamsym.lagrangian import LagrangianSystem, conjugate_momenta
 from lamsym.problem import load_problem
+from lamsym.runner import run_checks
 from fractions import Fraction
 from gen import in_order
 
@@ -145,7 +149,7 @@ def test_monitor_decaying_quantity_follows_exponential():
     sys = PhaseSystem(1, parse(f"-q1*p1 + ({eps})*q1*p1 - ({eps})*q1*p1*log(p1)"))
     traj = integrate_hamiltonian(sys, [0.8, 0.9], 0.0, 1.0, 1e-3)
     series = monitor(traj, [parse("2*q1*p1")])[0]
-    expected = series.values[0] * np.exp(-eps * series.times)
+    expected = series.values[0] * np.exp(-eps * traj.times)
     assert np.max(np.abs(series.values - expected)) < 1e-6
 
 
@@ -158,7 +162,7 @@ def test_monitor_truncates_on_domain_error():
 
 def test_monitor_rejects_unknown_variables():
     traj = integrate_hamiltonian(oscillator(), [1.0, 0.0], 0.0, 0.1, 1e-2)
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match="w3"):
         monitor(traj, [parse("q1+w3")])
 
 
@@ -620,3 +624,121 @@ def test_an_svd_that_does_not_converge_raises(monkeypatch):
         np.linalg.svd(np.full((4, 4), math.nan), compute_uv=False)
     with _solve_errstate(), pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         _hessian_condition(np.eye(4).ravel().tolist(), 4)
+
+
+# ------------------------------------------------------------- along-trajectory verdicts
+
+def _ref_central(rows, n, h, add_rate):
+    """Reference for `central_residual`: the scalar loops of `gl` (n = 1, rows
+    (phi . p, (Lambda phi) . p), rate added) and of `lz` (rows (m..., g...),
+    rate subtracted)."""
+    worst = 0.0
+    for a in range(n):
+        for k in range(1, len(rows) - 1):
+            d = (rows[k + 1][a] - rows[k - 1][a]) / (2 * h)
+            worst = max(worst, abs(d + rows[k][n + a] if add_rate else d - rows[k][n + a]))
+    return worst
+
+
+def _ref_residual(f, g, h):
+    if f.ndim == 1:     # gl hands over g = -(Lambda phi) . p
+        return _ref_central(list(zip(f.tolist(), (-g).tolist())), 1, h, True)
+    return _ref_central(np.hstack([f, g]).tolist(), f.shape[1], h, False)
+
+
+@pytest.mark.parametrize("fname", ["example6.json", "example7.json"])
+def test_the_central_residual_is_bitwise_the_scalar_loops_on_the_examples(monkeypatch, fname):
+    seen = []
+
+    def spy(f, g, h):
+        got = central_residual(f, g, h)
+        seen.append((got.hex(), _ref_residual(f, g, h).hex()))
+        return got
+
+    monkeypatch.setattr(lagmod, "central_residual", spy)
+    # one gl trajectory and one lz constraint flow each
+    report = run_checks(_bundled(fname), ["xll", "gl", "lz"])
+    assert report.status == "pass"
+    assert len(seen) == 2 and all(got == want for got, want in seen)
+
+
+def test_the_central_residual_is_bitwise_the_scalar_loops_on_random_arrays():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        steps, n, h = int(rng.integers(2, 40)), int(rng.integers(1, 4)), rng.uniform(1e-4, 1.0)
+        f = rng.normal(size=steps) * 10.0 ** rng.integers(-3, 4)
+        g = rng.normal(size=steps)
+        assert central_residual(f, g, h).hex() == _ref_residual(f, g, h).hex()
+        f2, g2 = rng.normal(size=(steps, n)), rng.normal(size=(steps, n))
+        assert central_residual(f2, g2, h).hex() == _ref_residual(f2, g2, h).hex()
+    assert central_residual(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0.1) == 0.0
+
+
+def test_values_along_is_an_error_unless_the_whole_grid_is_finite():
+    traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
+    names = ("t",) + traj.names
+    assert values_along(traj, compile_expr(parse("y1^2"), names), "y").tolist() == \
+        [float(k * k) for k in range(1, 12)]
+    with pytest.raises(IntegrationError, match="^y truncated at step 4: log of non-positive"):
+        values_along(traj, compile_expr(parse("log(5-y1)"), names), "y")
+    # y1^400 overflows at y1 = 6: the float64 retry gives inf, without a warning
+    with pytest.raises(IntegrationError, match="^y is not finite at step 5$"):
+        values_along(traj, compile_expr(parse("y1^400"), names), "y")
+    blown = integrate_first_order([parse("y1^2")], ["y1"], [2.0], 0.0, 5.0, 0.3)
+    with pytest.raises(IntegrationError, match="^trajectory truncated: state left safety box"):
+        values_along(blown, compile_expr(parse("y1"), names), "y")
+
+
+def _check_json(tmp_path, doc, selection):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["check", "--problem", str(path), "--select", selection,
+                 "--report", "json", "--out", str(out)])
+    return code, {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+LOG_DRIFT = {"name": "log-drift", "kind": "hamiltonian", "n": 1, "hamiltonian": "p1^2/2",
+             "vector_field": {"phi": ["0"], "psi": ["1"]},
+             "lambda": {"entries": [["0", "0"], ["0", "0"]]},
+             "candidates": {"Gamma": "log(q1)", "initial_conditions": [[0.0005, -1]]}}
+
+
+def test_a_monitor_truncated_by_a_domain_error_is_an_error(tmp_path):
+    # q1 leaves log's domain after one step; the drift of one point is no evidence
+    code, checks = _check_json(tmp_path, LOG_DRIFT, "gamma,mon")
+    assert code == 1
+    assert checks["gamma"]["verdict"] == "NonZero"
+    assert checks["mon"]["verdict"] == "Error"
+    assert checks["mon"]["detail"] == \
+        "monitor Gamma truncated at step 1: log of non-positive argument"
+
+
+def test_a_noether_rate_that_overflows_everywhere_is_an_error(tmp_path):
+    # phi . p = exp(600)*10^100*dq1 is inf at every grid point
+    doc = {"name": "overflow-momentum", "kind": "lagrangian", "n": 1,
+           "lagrangian": "10^100*dq1^2/2", "vector_field": {"phi": ["exp(400*q1)"]},
+           "lambda": {"entries": [["-400*dq1"]]},
+           "candidates": {"initial_conditions": [[1.5, 0.5]]}}
+    code, checks = _check_json(tmp_path, doc, "xll,gl")
+    assert code == 1
+    assert checks["xll"]["verdict"] == "ProvenZero"
+    assert checks["gl"]["verdict"] == "Error"
+    assert checks["gl"]["detail"] == "Noether rate is not finite at step 0"
+
+
+def test_cli_integrate_warns_of_a_truncated_monitor_and_keeps_the_csv(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(LOG_DRIFT), encoding="utf-8")
+    code = main(["integrate", "--problem", str(path), "--ic", "q1=0.0005,p1=-1",
+                 "--t1", "0.01", "--monitor", "log(q1)"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == \
+        "warning: monitor log(q1) truncated at step 1: log of non-positive argument\n"
+    traj = integrate_hamiltonian(load_problem(str(path)).phase_system(), [0.0005, -1.0],
+                                 0.0, 0.01, 1e-3)
+    want = io.StringIO()
+    _ref_csv(traj, want, monitor(traj, [parse("log(q1)")], labels=["log(q1)"]))
+    assert captured.out == want.getvalue()
+    assert captured.out.count(",\n") == 10
