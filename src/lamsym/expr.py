@@ -1208,6 +1208,48 @@ _COMPILE_ENV = {
 _FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt": "_sqrt"}
 
 
+def _small_power(e: Power) -> int:
+    """k when `e` compiles to `(base)**k`, an integer exponent in 1..16; else 0."""
+    x = e.exponent.value if type(e.exponent) is Const else 0
+    return x.numerator if x.denominator == 1 and 0 < x <= 16 else 0
+
+
+def _fold(e: Expr, kids: tuple):
+    """`e`'s value when its operands are all float literals, computed by the
+    generated code's float operations in its order, unless that raises or is
+    not finite.  Else its operands: a leading run of literal terms or factors
+    made one, without the IEEE identities x*1.0, x + -0.0, and x + 0.0 after
+    a +0.0 term (a sum is -0.0 only when both operands are)."""
+    if float not in map(type, kids):
+        return kids
+    t, n = type(e), len(kids)
+    lead = next((i for i, k in enumerate(kids) if type(k) is not float), n)
+    if lead == n or (lead > 1 and (t is Sum or t is Product)):
+        try:
+            if t is Sum or t is Product:
+                v = kids[0]
+                for k in kids[1:lead]:
+                    v = v + k if t is Sum else v * k
+            elif t is Power:
+                k = _small_power(e)
+                v = kids[0] ** k if k else _guard_pow(*kids)
+            else:
+                v = (_c_div if t is Quotient else _COMPILE_ENV[_FUNC_NAMES[e.name]])(*kids)
+        except (ArithmeticError, ValueError):
+            v = math.inf
+        if math.isfinite(v):
+            if lead == n:
+                return v
+            kids = (v,) + kids[lead:]
+    if t is Product:
+        return tuple(k for k in kids if type(k) is not float or k != 1.0)
+    if t is Sum:
+        zeros = [i for i, k in enumerate(kids) if type(k) is float and k == 0.0]
+        keep = [i for i in zeros if math.copysign(1.0, kids[i]) > 0.0][:1]
+        return tuple(k for i, k in enumerate(kids) if i not in zeros or i in keep)
+    return kids
+
+
 class _Fuser:
     """Python source for several expressions evaluated in one scope.
 
@@ -1217,8 +1259,8 @@ class _Fuser:
     elimination).  Binding keeps the evaluation order of the trees: when an
     operand binds locals, the operands to its left are bound before them,
     so the first error raised is the one that evaluating each tree in turn
-    would raise.  Leaves are not numbered: an operand is a leaf's source
-    text or a node number.
+    would raise.  Leaves and constant-only parts (`_fold`) are not numbered:
+    an operand is a variable's source text, a float literal or a node number.
     """
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
@@ -1243,19 +1285,20 @@ class _Fuser:
                     raise ValueError(f"unbound variable {e.name!r}") from None
             elif t is Const:
                 try:
-                    r = repr(float(e.value))
+                    r = float(e.value)
                 except OverflowError:
                     raise ValueError(f"constant of {len(str(abs(int(e.value))))} digits "
                                      "is beyond the float range") from None
             else:
-                kids = tuple([operand(k) for k in _KIDS[t](e)])
-                r = len(nodes)
-                nodes.append((e, kids))
-                code.append(None)
-                refs.append(0)
-                for k in kids:
-                    if type(k) is int:
-                        refs[k] += 1
+                r = _fold(e, tuple([operand(k) for k in _KIDS[t](e)]))
+                if type(r) is tuple:
+                    kids, r = r, len(nodes)
+                    nodes.append((e, kids))
+                    code.append(None)
+                    refs.append(0)
+                    for k in kids:
+                        if type(k) is int:
+                            refs[k] += 1
             seen[id(e)] = r
             return r
 
@@ -1268,7 +1311,8 @@ class _Fuser:
     def _operands(self, kids) -> list:
         parts = []
         for c in kids:
-            done = c if type(c) is str else self.code[c]
+            t = type(c)
+            done = c if t is str else repr(c) if t is float else self.code[c]
             if done is not None:
                 parts.append(done)
                 continue
@@ -1292,9 +1336,13 @@ class _Fuser:
         elif t is Product:
             src = "(" + "*".join(self._operands(kids)) + ")"
         elif t is Power:
-            x = e.exponent
-            if type(x) is Const and x.value.denominator == 1 and 0 < x.value.numerator <= 16:
-                src = f"({self._operands(kids[:1])[0]})**{x.value.numerator}"
+            # _guard_pow(b, 0.0) is 1.0 = b**0 and _guard_pow(b, 1.0) is
+            # b + 0.0 for every float b (-0.0 gives 0.0); neither can raise
+            k, x = _small_power(e), kids[1]
+            if k or (type(x) is float and x == 0.0):
+                src = f"({self._operands(kids[:1])[0]})**{k}"
+            elif type(x) is float and x == 1.0:
+                src = f"({self._operands(kids[:1])[0]}+0.0)"
             else:
                 src = "_pow({},{})".format(*self._operands(kids))
         elif t is Quotient:

@@ -276,10 +276,10 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     l_expr = lag.lagrangian
     dv = [differentiate(l_expr, v) for v in lag.dq]
     hess = lag.velocity_hessian()
-    # unsimplified nodes, so the emitted arithmetic is
-    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order;
-    # -1*u rather than neg(u), which folds a zero derivative to +0.0 where
-    # -1.0*0.0 is -0.0
+    # unsimplified nodes, so the arithmetic is that of
+    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order,
+    # less the constants and IEEE identities the compiler folds; -1*u rather
+    # than neg(u), which folds a zero derivative to +0.0 where -1.0*0.0 is -0.0
     rhs_b = [Sum((differentiate(l_expr, lag.q[a]),
                   Product((MINUS_ONE, differentiate(dv[a], "t"))),
                   Product((MINUS_ONE, Sum((Const(0),) + tuple(

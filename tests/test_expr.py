@@ -494,6 +494,41 @@ def test_fused_outputs_match_an_in_order_tree_walk():
                 _outcome(lambda: in_order(outputs[3], point).hex())
 
 
+# runs of constant-only terms: the first five raise, or give a value beyond
+# the float range, when evaluated, so compiling leaves them to do so at run
+# time; the others fold to 0.1 + 0.2 + 0.3 = 0.6000000000000001 and to -0.0
+_NEG_ZERO = Product((MINUS_ONE, Const(F(0))))
+_CONSTANT_RUNS = [(Quotient(Const(F(1)), Const(F(0))),), (Func("log", Const(F(-1))),),
+                  (Power(Power(Const(F(10)), Const(F(200))), Const(F(2))),),
+                  (Func("exp", Const(F(1000))),),
+                  (Product((Const(F(10) ** 200), Const(F(10) ** 200))),),
+                  (Const(F(1, 10)), Const(F(2, 10)), Const(F(3, 10))), (_NEG_ZERO, _NEG_ZERO)]
+_EDGES = (0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324)
+
+
+def test_folded_constants_match_an_in_order_tree_walk():
+    # unsimplified derivatives carry constant-only subtrees (exponents k + -1,
+    # factors 1, terms 0 and -1*0) that are evaluated when compiling; values
+    # must keep their bits at signed zeros and near the end of the float
+    # range, and a constant that raises must raise when evaluated
+    rng = random.Random(12)
+    names = ("x", "y")
+    for i in range(300):
+        a = random_tree(rng, 3, list(names))
+        da = differentiate(a, "x")
+        derivatives = [da, differentiate(da, "y"), differentiate(a, "y")]
+        run = Sum(_CONSTANT_RUNS[i % len(_CONSTANT_RUNS)] + (Product((da, Var("y"))),))
+        compiled = [(outputs, compile_exprs(outputs, names))
+                    for outputs in (derivatives, derivatives + [run])]
+        for j in range(6):
+            pick = (lambda: rng.choice(_EDGES)) if j % 2 else (lambda: rng.uniform(-2.0, 2.0))
+            point = {n: pick() for n in names}
+            args = [point[n] for n in names]
+            for outputs, fused in compiled:
+                want = _outcome(lambda: [in_order(o, point).hex() for o in outputs])
+                assert _outcome(lambda: [v.hex() for v in fused(*args)]) == want
+
+
 def test_fused_evaluator_binds_a_shared_subtree_once():
     fn = compile_exprs([parse("exp(x*y)+1"), parse("2*exp(x*y)")], ("x", "y"))
     assert fn(0.5, 2.0) == (math.exp(1.0) + 1, 2 * math.exp(1.0))

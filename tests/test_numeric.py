@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lamsym import lagrangian as lagmod, numeric
+from lamsym import expr, lagrangian as lagmod, numeric
 from lamsym.cli import main
 from lamsym.expr import Const, EvalDomainError, compile_expr, differentiate, parse
 from lamsym.mechanics import PhaseSystem, canonical_equations
@@ -277,38 +278,88 @@ def _bundled(fname):
     return load_problem(str(resources.files("lamsym").joinpath("problems", fname)))
 
 
+def _bundled_flow(fname, t1=0.2):
+    problem = _bundled(fname)
+    y0 = list(problem.candidates["initial_conditions"][0])
+    n = problem.n
+    if problem.kind == "hamiltonian":
+        return integrate_hamiltonian(problem.phase_system(), y0, 0.0, t1, 1e-3)
+    return integrate_euler_lagrange(problem.lagrangian_system(), y0[:n], y0[n:], 0.0, t1, 1e-3)
+
+
 @pytest.mark.parametrize("fname", ["example2.json", "example5.json", "example6.json",
                                    "example7.json"])
 def test_bundled_flows_are_bitwise_the_componentwise_reference(fname):
     problem = _bundled(fname)
     y0 = list(problem.candidates["initial_conditions"][0])
     n = problem.n
+    traj = _bundled_flow(fname)
     if problem.kind == "hamiltonian":
         sys = problem.phase_system()
-        traj = integrate_hamiltonian(sys, y0, 0.0, 0.2, 1e-3)
         states, reason = _ref_first_order(canonical_equations(sys), sys.u, y0, 0.0, 0.2, 1e-3)
     else:
         lag = problem.lagrangian_system()
-        traj = integrate_euler_lagrange(lag, y0[:n], y0[n:], 0.0, 0.2, 1e-3)
         states, reason = _ref_euler_lagrange(lag, y0[:n], y0[n:], 0.0, 0.2, 1e-3)
     assert reason is None and not traj.truncated
     assert len(traj.states) == 201
     assert traj.states.tobytes() == states.tobytes()
 
 
-@pytest.mark.parametrize("n, text", [
-    (3, "(1+q2^2)*dq1^2/2 + dq2^2/2 + exp(-q1)*dq3^2/2 + dq1*dq3/4"
-        " - q1*q2*q3 - t*log(q3)"),
-    (4, "dq1^2/2 + dq2^2/2 + dq3^2/2 + (1+q1^2)*dq4^2/2 + dq1*dq2/5 + t*dq3*q4"
-        " - q1^2*q4^2/2 - q2*q3"),
-])
-def test_hand_written_flows_are_bitwise_the_componentwise_reference(n, text):
-    lag = LagrangianSystem(n, parse(text))
+_HAND_WRITTEN = {
+    3: "(1+q2^2)*dq1^2/2 + dq2^2/2 + exp(-q1)*dq3^2/2 + dq1*dq3/4 - q1*q2*q3 - t*log(q3)",
+    4: "dq1^2/2 + dq2^2/2 + dq3^2/2 + (1+q1^2)*dq4^2/2 + dq1*dq2/5 + t*dq3*q4"
+       " - q1^2*q4^2/2 - q2*q3",
+}
+
+
+def _hand_written_flow(n):
+    lag = LagrangianSystem(n, parse(_HAND_WRITTEN[n]))
     q0, dq0 = [0.9, 0.6, 0.7, 0.4][:n], [0.2, -0.1, 0.3, 0.1][:n]
-    traj = integrate_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    return lag, q0, dq0, integrate_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+
+
+@pytest.mark.parametrize("n, text", _HAND_WRITTEN.items())
+def test_hand_written_flows_are_bitwise_the_componentwise_reference(n, text):
+    lag, q0, dq0, traj = _hand_written_flow(n)
     states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
     assert reason is None and len(traj.states) == 201
     assert traj.states.tobytes() == states.tobytes()
+
+
+# sha256 of traj.states.tobytes().  The componentwise reference compiles
+# through compile_expr as well, so a compiler fault could move both sides of
+# the bitwise tests above; these digests pin the states without it.
+_STATES_SHA256 = {
+    "example2.json": "77ecfd68e5da933bb9e114accc1431a920e062979a38d4fe5223737cf9b7f8a4",
+    "example5.json": "bb64281740031907e74eeadb584998789dc12e40903f47d05f81234b67db9f16",
+    "example6.json": "cc8be34328f376fe461fbc93fb88cf2217ce3aecc7b473be796d76eff2db284b",
+    "example7.json": "3feabeea6f05f0799458b0a832dd9db7773969dca455c8c683d693878e04ea33",
+    3: "04695b78314a06360ac68da834e86332837b49f86ee3406e02e6bb2da98ce339",
+    4: "10ce35e82c0c07e5de9b1ed5568bda049d5e99c4e227110c9bd39e06142a7528",
+}
+
+
+@pytest.mark.parametrize("flow", _STATES_SHA256)
+def test_flows_keep_their_recorded_bits(flow):
+    traj = _hand_written_flow(flow)[3] if flow in _HAND_WRITTEN else _bundled_flow(flow)
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == _STATES_SHA256[flow]
+
+
+def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
+    # every power in its derivative trees has a constant integer exponent
+    # in 1..16 or one that folds to 0 or 1, and none of these is guarded
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return expr._guard_pow(a, b)
+
+    monkeypatch.setitem(expr._COMPILE_ENV, "_pow", counting)
+    compile_expr(parse("x^y"), ("x", "y"))(2.0, 0.5)
+    assert calls == [0.5]
+    calls.clear()
+    traj = _bundled_flow("example6.json", t1=0.01)
+    assert len(traj.states) == 11 and calls == []
 
 
 @pytest.mark.parametrize("text, y0", [("y1^2", 2.0), ("y1^17", 2.0), ("exp(y1)", 2.0),
