@@ -1217,9 +1217,11 @@ def _small_power(e: Power) -> int:
 def _fold(e: Expr, kids: tuple):
     """`e`'s value when its operands are all float literals, computed by the
     generated code's float operations in its order, unless that raises or is
-    not finite.  Else its operands: a leading run of literal terms or factors
-    made one, without the IEEE identities x*1.0, x + -0.0, and x + 0.0 after
-    a +0.0 term (a sum is -0.0 only when both operands are)."""
+    not finite; 1.0 for a variable to a power that folds to 0.0, which is
+    1.0 for every float, nan and inf included.  Else its operands: a leading
+    run of literal terms or factors made one, without the IEEE identities
+    x*1.0, x + -0.0, and x + 0.0 after a +0.0 term (a sum is -0.0 only when
+    both operands are)."""
     if float not in map(type, kids):
         return kids
     t, n = type(e), len(kids)
@@ -1241,6 +1243,10 @@ def _fold(e: Expr, kids: tuple):
             if lead == n:
                 return v
             kids = (v,) + kids[lead:]
+    if t is Power:
+        # a variable cannot raise; a subtree base keeps (b)**0 for its errors
+        x = kids[1]
+        return 1.0 if type(kids[0]) is str and type(x) is float and x == 0.0 else kids
     if t is Product:
         return tuple(k for k in kids if type(k) is not float or k != 1.0)
     if t is Sum:

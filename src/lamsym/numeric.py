@@ -246,6 +246,47 @@ def _hessian_condition(m: Sequence[float], n: int,
     return norm_m / abs(det) * norm_adj
 
 
+_CERTIFICATES: dict = {}    # matrix size -> generated condition certificate
+
+
+def _certificate(n: int) -> Callable[[Sequence[float]], bool]:
+    """certified(v) for a sequence v whose first n*n entries are the
+    row-major matrix M, generated once per n: True only when a bound proves
+    that the 2-norm condition number of M is at most
+    HESSIAN_CONDITION_LIMIT / 100; False when the bound cannot decide.
+
+    The bounds are Johnson's lower bound on the smallest singular value,
+    lb = min_i (|m_ii| - (R_i + C_i) / 2) with R_i and C_i the off-diagonal
+    absolute sums of row and column i, and ub = sqrt(||M||_1) sqrt(||M||_inf)
+    on the largest; M is certified when every entry is finite, 0 < lb and
+    ub <= lb * HESSIAN_CONDITION_LIMIT / 100.  The factor 100 absorbs the
+    rounding of the bounds and the SVD's own error, of order n eps kappa, so
+    `_hessian_condition` of a certified M is finite and far below the
+    limit.  A nan or inf entry makes the sum of all |m_ij| nan or inf, and
+    M is not certified."""
+    certified = _CERTIFICATES.get(n)
+    if certified is None:
+        a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+        rows, diag = range(n), [a[i][i] for i in range(n)]
+        lines = ["def certified(v):"]
+        lines += [f" {a[i][j]}=abs(v[{i * n + j}])" for i in rows for j in rows]
+        lines += [f" r{i}={'+'.join(a[i][j] for j in rows if j != i)}" for i in rows]
+        lines += [f" c{j}={'+'.join(a[i][j] for i in rows if i != j)}" for j in rows]
+        lines += [f" s{i}={diag[i]}+r{i}" for i in rows]
+        # a finite sum of all |m_ij| means no entry or partial sum is nan or inf
+        lines += [f" if not {'+'.join(f's{i}' for i in rows)}<_inf:",
+                  "  return False",
+                  f" lb=min({','.join(f'{diag[i]}-0.5*(r{i}+c{i})' for i in rows)})",
+                  f" ub=_sqrt(max({','.join(f'{diag[j]}+c{j}' for j in rows)}))"
+                  f"*_sqrt(max({','.join(f's{i}' for i in rows)}))",
+                  f" return 0.0<lb and ub<=lb*{HESSIAN_CONDITION_LIMIT / 100!r}"]
+        env = {"__builtins__": {"abs": abs, "min": min, "max": max},
+               "_sqrt": math.sqrt, "_inf": math.inf}
+        exec("\n".join(lines) + "\n", env)
+        certified = _CERTIFICATES[n] = env["certified"]
+    return certified
+
+
 def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
                              t0: float = 0.0, t1: float = DEFAULT_HORIZON,
                              h: float = DEFAULT_STEP) -> Trajectory:
@@ -258,12 +299,17 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     the condition number of M exceeds 1e12: for n <= 3 the exact 1-norm
     condition number in closed form (a zero or non-finite determinant counts
     as infinite), for larger n the 2-norm condition number from LAPACK's
-    SVD kernel, bitwise what np.linalg.cond returns.  For n = 1 the solve
-    is a division, bitwise what LAPACK returns.  Larger systems build one
-    float64 array of M and the right-hand side per stage, which the
-    condition number and the solve share, and call LAPACK's solve kernel
-    directly, the one np.linalg.solve wraps, so the states are bitwise
-    those np.linalg.solve gives.  The floating-point error state that
+    SVD kernel, bitwise what np.linalg.cond returns.  For n >= 4 a stage
+    first asks the generated certificate (`_certificate`), a bound that
+    proves the 2-norm condition number at most 1e10 for well-conditioned,
+    diagonally dominant M; only a stage it cannot certify runs the SVD, so
+    every stage that aborts still aborts, at the same step with the same
+    reason.  For n = 1 the solve is a division, bitwise what LAPACK
+    returns.  Larger systems fill one float64 buffer per trajectory with M
+    and the right-hand side at each stage, which the condition number and
+    the solve share, and call LAPACK's solve kernel directly, the one
+    np.linalg.solve wraps, so the states are bitwise those np.linalg.solve
+    gives.  The floating-point error state that
     np.linalg.solve and np.linalg.svd would enter and leave on every stage
     is held once around the whole trajectory; a singular matrix or an SVD
     that does not converge still raises LinAlgError.
@@ -290,6 +336,9 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     system = compile_exprs(hess + rhs_b, argnames)
     hessian = None      # M alone, compiled when a stage first fails
     nn = n * n
+    buf = np.empty(nn + n)      # M and the right-hand side of the current stage
+    square, right = buf[:nn].reshape(n, n), buf[nn:]
+    certified = _certificate(n) if n >= 4 else None
 
     def check(m, t, square=None):
         if not _hessian_condition(m, n, square) <= HESSIAN_CONDITION_LIMIT:
@@ -310,10 +359,10 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
         if n == 1:
             check(v[:1], t)
             return y[1], v[1] / v[0]
-        a = np.array(v)
-        m = a[:nn].reshape(n, n)
-        check(v[:nn], t, m)
-        return y[n:] + tuple(_solve(m, a[nn:]).tolist())
+        buf[:] = v
+        if certified is None or not certified(v):
+            check(v[:nn], t, square)
+        return y[n:] + tuple(_solve(square, right).tolist())
 
     with _solve_errstate():
         return Trajectory(tuple(names), t0, h,
@@ -326,15 +375,15 @@ def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
     A power beyond the float range gets the value that the stored float64
     values give (inf, or what the rest of the expression makes of inf)."""
     values = []
-    for k, row in enumerate(traj.states):
+    for k, row in enumerate(traj.states.tolist()):
         t = traj.t0 + k * traj.h
         try:
             try:
-                values.append(fn(t, *row.tolist()))
+                values.append(fn(t, *row))
             except OverflowError:
                 # float64 operands give inf where floats raise
                 with np.errstate(all="ignore"):
-                    values.append(fn(t, *row))
+                    values.append(fn(t, *traj.states[k]))
         except EvalDomainError as err:
             return np.array(values), f"truncated at step {k}: {err}"
     return np.array(values), None

@@ -529,6 +529,24 @@ def test_folded_constants_match_an_in_order_tree_walk():
                 assert _outcome(lambda: [v.hex() for v in fused(*args)]) == want
 
 
+def test_a_variable_to_a_power_that_folds_to_zero_is_left_out():
+    # v**0 is 1.0 for every float v, nan and inf included, and a variable
+    # cannot raise, so x^(1+-1)*y compiles to y; a base that may raise keeps
+    # its (b)**0, and an exponent that is node number 0 is not the float 0.0
+    names = ("x", "y")
+    fuser = expr_mod._Fuser((parse("x^(1+-1)*y"),), names)
+    assert "**" not in "".join(fuser.lines + fuser.results)
+    fn = compile_expr(parse("x^(1+-1)*y"), names)
+    for x in (math.nan, math.inf, -math.inf, -0.0):
+        for y in (-0.0, 2.5, math.nan, -math.inf):
+            assert fn(x, y).hex() == y.hex()
+    guarded = parse("log(x)^(1+-1)*y")
+    assert "**0" in "".join(expr_mod._Fuser((guarded,), names).results)
+    with pytest.raises(EvalDomainError, match="log"):
+        compile_expr(guarded, names)(-1.0, 2.0)
+    assert compile_expr(parse("x^(y+1)"), names)(2.0, 2.0) == 8.0
+
+
 def test_fused_evaluator_binds_a_shared_subtree_once():
     fn = compile_exprs([parse("exp(x*y)+1"), parse("2*exp(x*y)")], ("x", "y"))
     assert fn(0.5, 2.0) == (math.exp(1.0) + 1, 2 * math.exp(1.0))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamsym import expr, lagrangian as lagmod, numeric
 from lamsym.cli import main
@@ -312,8 +312,14 @@ _HAND_WRITTEN = {
 }
 
 
-def _hand_written_flow(n):
-    lag = LagrangianSystem(n, parse(_HAND_WRITTEN[n]))
+# M_ii = 1 and M_ij = 1/2: not diagonally dominant, so no stage of it is
+# certified, yet kappa_2 = 5 (eigenvalues 5/2 and 1/2), so none aborts
+_COUPLED_4 = ("dq1^2/2+dq2^2/2+dq3^2/2+dq4^2/2"
+              " + (dq1*dq2+dq1*dq3+dq1*dq4+dq2*dq3+dq2*dq4+dq3*dq4)/2")
+
+
+def _hand_written_flow(n, text=None):
+    lag = LagrangianSystem(n, parse(text or _HAND_WRITTEN[n]))
     q0, dq0 = [0.9, 0.6, 0.7, 0.4][:n], [0.2, -0.1, 0.3, 0.1][:n]
     return lag, q0, dq0, integrate_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
 
@@ -336,13 +342,34 @@ _STATES_SHA256 = {
     "example7.json": "3feabeea6f05f0799458b0a832dd9db7773969dca455c8c683d693878e04ea33",
     3: "04695b78314a06360ac68da834e86332837b49f86ee3406e02e6bb2da98ce339",
     4: "10ce35e82c0c07e5de9b1ed5568bda049d5e99c4e227110c9bd39e06142a7528",
+    "coupled4": "3fcaa864ee1879036510f643e3c5b64db83f3e6ab3f759356335c9a1f7c5a692",
 }
 
 
 @pytest.mark.parametrize("flow", _STATES_SHA256)
 def test_flows_keep_their_recorded_bits(flow):
-    traj = _hand_written_flow(flow)[3] if flow in _HAND_WRITTEN else _bundled_flow(flow)
+    if flow == "coupled4":
+        traj = _hand_written_flow(4, _COUPLED_4)[3]
+    else:
+        traj = _hand_written_flow(flow)[3] if flow in _HAND_WRITTEN else _bundled_flow(flow)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == _STATES_SHA256[flow]
+
+
+def test_only_stages_the_certificate_cannot_decide_call_the_svd(monkeypatch):
+    calls = []
+    kernel = numeric._lapack_svd
+
+    def counting(a, signature):
+        calls.append(a.shape)
+        return kernel(a, signature=signature)
+
+    monkeypatch.setattr(numeric, "_lapack_svd", counting)
+    traj = _hand_written_flow(4)[3]
+    assert len(traj.states) == 201 and calls == []
+    lag, q0, dq0, traj = _hand_written_flow(4, _COUPLED_4)
+    assert len(traj.states) == 201 and calls == [(4, 4)] * (4 * 200)
+    states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    assert reason is None and traj.states.tobytes() == states.tobytes()
 
 
 def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
@@ -415,6 +442,7 @@ def test_corpus_report_bytes_match_the_pinned_seeds(tmp_path, seed):
     (4, "(dq1+dq2)^2/2 + dq3^2/2 + dq4^2/2"),
     (2, "(dq1+dq2)^2/2 + dq2^2/20000000000000"),             # 1-norm condition 4e13
     (3, "dq1^2/2 + dq2^2/2 + dq3^2/20000000000000"),         # 1-norm condition 1e13
+    (4, "dq1^2/2 + dq2^2/2 + dq3^2/2 + dq4^2/20000000000000"),  # dominant, 2-norm 1e13
 ])
 def test_singular_or_ill_conditioned_hessian_aborts(n, text):
     lag = LagrangianSystem(n, parse(text))
@@ -675,6 +703,43 @@ def test_an_svd_that_does_not_converge_raises(monkeypatch):
         np.linalg.svd(np.full((4, 4), math.nan), compute_uv=False)
     with _solve_errstate(), pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         _hessian_condition(np.eye(4).ravel().tolist(), 4)
+
+
+@st.composite
+def _hessians(draw):
+    """(n, row-major entries): off-diagonal entries in [-1, 1] and diagonal
+    entries (n - 1) 10^g, dominant for g > 0, all but one 10^s times larger,
+    so that s sets the condition number; sometimes two nearly parallel rows;
+    all scaled by 10^k for |k| <= 300; sometimes a nan or inf entry."""
+    n = draw(st.sampled_from([4, 5, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(-1.0, 1.0, (n, n))
+    diag = rng.choice([-1.0, 1.0], n) * (n - 1) * 10.0 ** draw(st.floats(-1.0, 3.0))
+    diag[1:] *= 10.0 ** draw(st.floats(0.0, 13.0))
+    m[np.diag_indices(n)] = diag
+    p = rng.permutation(n)
+    m = m[p][:, p]
+    if draw(st.integers(0, 3)) == 0:
+        m[-1] = m[0] * (1.0 + 10.0 ** -draw(st.integers(0, 16)))
+    with np.errstate(over="ignore", under="ignore"):
+        m = m * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.integers(0, 4)) == 0:
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return n, m.ravel().tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hessians())
+@example((4, np.diag([1.0, -1.0, 1.0, 5e9]).ravel().tolist()))     # kappa 5e9 certifies
+@example((4, np.diag([1.0, -1.0, 1.0, 3e11]).ravel().tolist()))    # kappa 3e11 must not
+def test_a_certified_hessian_is_well_conditioned(case):
+    # the certificate skips the SVD, so it must only pass matrices whose
+    # exact condition number sits far below the limit
+    n, entries = case
+    if numeric._certificate(n)(entries + [0.0] * n):
+        with _solve_errstate():
+            assert _hessian_condition(entries, n) <= HESSIAN_CONDITION_LIMIT / 10
 
 
 # ------------------------------------------------------------- along-trajectory verdicts
