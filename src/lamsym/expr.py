@@ -7,7 +7,9 @@ are one object and equality is identity.  Constants stay exact
 (fractions.Fraction); floating point enters only in the functions that
 `compile_exprs` generates, the one evaluator.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
-scope normal forms and derivatives are remembered per node.
+scope normal forms, normalizer steps, derivatives and zero-test verdicts
+are remembered; `simplify` and `differentiate` open a scope of their own
+when none is open.
 
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
@@ -25,6 +27,7 @@ from operator import attrgetter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import wraps
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 from weakref import KeyedRef
@@ -71,10 +74,10 @@ class Expr:
     table, so there is exactly one live node per structural value and
     structural equality is identity (`==` is `is`, inherited from object).
     Every node caches its structural hash, computed at construction from the
-    children's cached hashes, and its free-variable set, computed on first
-    use.  pickle and copy hand back the interned node."""
+    children's cached hashes, and its free-variable set and sort key,
+    computed on first use.  pickle and copy hand back the interned node."""
 
-    __slots__ = ("_hash", "_fv", "__weakref__")
+    __slots__ = ("_hash", "_fv", "_sk", "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -151,6 +154,7 @@ def _intern(key, cls, values: tuple, h: int) -> Expr:
     for slot, v in zip(cls.__slots__, values):
         _setattr(e, slot, v)
     _setattr(e, "_hash", h)
+    _setattr(e, "_sk", None)
     with _LOCK:
         first = _find(key)
         if first is not None:
@@ -489,14 +493,18 @@ _MEMO: ContextVar = ContextVar("lamsym_simplify_memo", default=None)
 
 @contextmanager
 def simplify_memo():
-    """Scope in which `simplify` remembers every tree it normalized and
-    `differentiate` every derivative it built.
+    """Scope in which the kernel remembers the work it did.
 
-    The memo maps each input tree to its normal form, each normal form to
-    itself, which is sound because `simplify` is idempotent, and each pair
-    (tree, variable name) to the derivative.  It lives
-    until the outermost scope exits, normally or by an exception; a nested
-    scope shares the outer memo.  Each context (thread) has its own."""
+    One dict maps each tree `simplify` normalized to its normal form and
+    each normal form to itself, which is sound because `simplify` is
+    idempotent; each normalizer step (`_norm_sum`, `_norm_product`,
+    `_norm_quotient`, `_norm_power`, `_norm_func`) and its operand nodes to
+    its result; each pair (tree, variable name) to the derivative; and each
+    zero test's normal form, ZeroTestConfig and box bounds to its verdict.
+    Every entry is a pure function of interned nodes, so a hit is the very
+    node or verdict that recomputing would build.  The memo lives until the
+    outermost scope exits, normally or by an exception; a nested scope
+    shares the outer memo.  Each context (thread) has its own."""
     if _MEMO.get() is not None:
         yield
         return
@@ -507,24 +515,45 @@ def simplify_memo():
         _MEMO.reset(token)
 
 
+def _remembered(step):
+    """`step`, a normalizer step on interned nodes, remembered per operands
+    in the open `simplify_memo()` scope; outside a scope it runs every time.
+    A list, the one operand of `_norm_sum` and `_norm_product`, is keyed by
+    its nodes."""
+    @wraps(step)
+    def remembered(*args):
+        memo = _MEMO.get()
+        if memo is None:
+            return step(*args)
+        first = args[0]
+        key = (step, *first) if type(first) is list else (step, *args)
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = step(*args)
+        return r
+    return remembered
+
+
 def simplify(e: Expr) -> Expr:
     """Normalize: exact constant folding, like-term collection in flattened
     sums, like-base merging and bounded expansion in products, cancellation
     of syntactically identical quotient factors.  Idempotent and pointwise
     value preserving on the natural domain.
 
-    Inside a `simplify_memo()` scope (`runner.run_checks` opens one per
-    run) a tree normalized before in the scope, or a normal form produced
-    in it, is answered from the memo; outside, every call normalizes from
-    scratch."""
+    Runs inside a `simplify_memo()` scope, and opens one for the call when
+    none is open (`runner.run_checks` opens one per run): a tree normalized
+    before in the scope, a normal form produced in it, or a normalizer step
+    taken before on the same operands is answered from the memo."""
     t = type(e)
     if t is Const or t is Var:
         return e
     memo = _MEMO.get()
-    if memo is not None:
-        r = memo.get(e)
-        if r is not None:
-            return r
+    if memo is None:
+        with simplify_memo():
+            return simplify(e)
+    r = memo.get(e)
+    if r is not None:
+        return r
     if t is Sum:
         r = _norm_sum([simplify(a) for a in e.terms])
     elif t is Product:
@@ -543,10 +572,9 @@ def simplify(e: Expr) -> Expr:
         r = _norm_func(e.name, simplify(e.arg))
     else:
         raise TypeError(t)
-    if memo is not None:
-        memo[e] = r
-        if r is not e:
-            memo[r] = r
+    memo[e] = r
+    if r is not e:
+        memo[r] = r
     return r
 
 
@@ -559,25 +587,35 @@ def _negated(e: Product):
 
 
 def _sort_key(e: Expr):
-    if isinstance(e, Const):
-        return (0, str(e.value))
-    if isinstance(e, Var):
-        return (1, e.name)
-    if isinstance(e, Func):
-        return (2, e.name, _sort_key(e.arg))
-    if isinstance(e, Power):
-        return (3, _sort_key(e.base), _sort_key(e.exponent))
-    if isinstance(e, Quotient):
-        return (5, _sort_key(e.numerator), _sort_key(e.denominator))
-    if isinstance(e, Product):
+    """The key that orders the terms of a normal sum and the factors of a
+    normal product; computed once per node and kept in its `_sk` slot."""
+    k = e._sk
+    if k is not None:
+        return k
+    t = type(e)
+    if t is Const:
+        k = (0, str(e.value))
+    elif t is Var:
+        k = (1, e.name)
+    elif t is Func:
+        k = (2, e.name, _sort_key(e.arg))
+    elif t is Power:
+        k = (3, _sort_key(e.base), _sort_key(e.exponent))
+    elif t is Quotient:
+        k = (5, _sort_key(e.numerator), _sort_key(e.denominator))
+    elif t is Product:
         rest = _negated(e)
         if rest is not None:
             # a negation sorts by its operand, between powers and quotients
-            return (4, _sort_key(rest))
-        return (6, len(e.factors)) + tuple(_sort_key(f) for f in e.factors)
-    if isinstance(e, Sum):
-        return (7, len(e.terms)) + tuple(_sort_key(t) for t in e.terms)
-    raise TypeError(type(e))
+            k = (4, _sort_key(rest))
+        else:
+            k = (6, len(e.factors)) + tuple(_sort_key(f) for f in e.factors)
+    elif t is Sum:
+        k = (7, len(e.terms)) + tuple(_sort_key(u) for u in e.terms)
+    else:
+        raise TypeError(t)
+    _setattr(e, "_sk", k)
+    return k
 
 
 def _negate(n: Expr) -> Expr:
@@ -632,6 +670,7 @@ def _join_coeff(c: Fraction, rest: Expr) -> Expr:
     return Product((Const(c), rest))
 
 
+@_remembered
 def _norm_sum(terms: list) -> Expr:
     flat = []
     for t in terms:
@@ -668,6 +707,7 @@ def _rational_exponent(e: Expr):
     return e, Fraction(1)
 
 
+@_remembered
 def _norm_product(factors: list) -> Expr:
     coeff = Fraction(1)
     bases: dict = {}   # atomic base expr -> accumulated rational exponent
@@ -814,6 +854,7 @@ def _strip_content(s: Sum, common: dict) -> Expr:
     return _norm_sum(parts)
 
 
+@_remembered
 def _norm_quotient(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
@@ -916,6 +957,7 @@ def _nth_root_exact(v: Fraction, n: int):
     return None if a is None or b is None else Fraction(a, b)
 
 
+@_remembered
 def _norm_power(b: Expr, x: Expr) -> Expr:
     if _undefined(b) or _undefined(x):
         return UNDEFINED
@@ -963,6 +1005,7 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
     return Power(b, x)
 
 
+@_remembered
 def _norm_func(name: str, a: Expr) -> Expr:
     if name == "sqrt":
         return _norm_power(a, Const(Fraction(1, 2)))
@@ -1075,14 +1118,16 @@ def format_expr(e: Expr) -> str:
 
 def differentiate(e: Expr, v: str) -> Expr:
     """Exact symbolic partial derivative with respect to variable `v`,
-    remembered per (tree, v) inside a `simplify_memo()` scope."""
+    remembered per (tree, v) in the `simplify_memo()` scope, which it opens
+    for the call when none is open."""
     if v not in free_vars(e):
         return ZERO
     if type(e) is Var:
         return ONE
     memo = _MEMO.get()
     if memo is None:
-        return _derivative(e, v)
+        with simplify_memo():
+            return differentiate(e, v)
     key = (e, v)
     d = memo.get(key)
     if d is None:
@@ -1410,6 +1455,15 @@ class DomainBox:
     def interval(self, name: str) -> tuple:
         return self.intervals.get(name, DEFAULT_INTERVAL)
 
+    def points(self, names: Sequence[str], seed: int, count: int):
+        """`count` seeded points over `names`, one list per point: each
+        coordinate is `random.Random(seed).uniform(lo, hi)` over its
+        variable's interval, drawn in `names` order."""
+        draw = random.Random(seed).random
+        spans = [(lo, hi - lo) for lo, hi in map(self.interval, names)]
+        for _ in range(count):
+            yield [lo + width * draw() for lo, width in spans]
+
 
 @dataclass(frozen=True, kw_only=True)
 class ZeroTestConfig:
@@ -1482,6 +1536,11 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
 
     Residuals are scaled by (1 + max |additive subterm|) at each point so
     that cancellations between large terms are judged relatively.
+
+    Inside a `simplify_memo()` scope a sampled verdict is remembered per
+    normal form, `cfg` and the box bounds of its free variables; the same
+    residual sampled again in the scope gets that verdict object back.  A
+    SamplingError is raised afresh every time.
     """
     box = box or DomainBox()
     cfg = cfg or ZeroTestConfig()
@@ -1490,17 +1549,27 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
         return PROVEN_ZERO
 
     names = sorted(free_vars(z))
+    memo = _MEMO.get()
+    if memo is not None:
+        key = (ZeroVerdict, z, cfg, tuple(map(box.interval, names)))
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = _sampled_verdict(z, names, box, cfg)
+        return verdict
+    return _sampled_verdict(z, names, box, cfg)
+
+
+def _sampled_verdict(z: Expr, names: list, box: DomainBox,
+                     cfg: ZeroTestConfig) -> ZeroVerdict:
     terms = list(z.terms) if isinstance(z, Sum) else [z]
     fn = compile_exprs(terms, names)
-    rng = random.Random(cfg.seed)
 
     worst = -1.0
     worst_point = None
     evaluated = 0
     domain = overflow = nonfinite = 0   # rejected samples, by cause
     domain_at = None
-    for _ in range(cfg.samples):
-        point = [rng.uniform(*box.interval(n)) for n in names]
+    for point in box.points(names, cfg.seed, cfg.samples):
         try:
             vals = fn(*point)
             resid = abs(math.fsum(vals)) / (1.0 + max(abs(v) for v in vals))

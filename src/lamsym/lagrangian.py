@@ -10,7 +10,6 @@ partial reduction through first-order differential invariants.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -118,10 +117,8 @@ def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None):
     box = box or DomainBox()
     names = (lag.t,) + lag.q + lag.dq
     entries = compile_exprs(lag.velocity_hessian(), names)
-    rng = random.Random(0)
     worst = float("inf")
-    for _ in range(HESSIAN_SAMPLES):
-        point = [rng.uniform(*box.interval(v)) for v in names]
+    for point in box.points(names, 0, HESSIAN_SAMPLES):
         m = np.array(entries(*point)).reshape(lag.n, lag.n)
         worst = min(worst, abs(float(np.linalg.det(m))))
     return worst > HESSIAN_DET_THRESHOLD, worst

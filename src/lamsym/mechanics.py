@@ -22,6 +22,7 @@ from .expr import (
     mul,
     neg,
     simplify,
+    simplify_memo,
     substitute,
 )
 
@@ -101,8 +102,9 @@ def canonical_equations(sys: PhaseSystem) -> tuple:
     """Right-hand side F of the equations of motion: (dH/dp, -dH/dq)."""
     if sys._rhs is None:
         h = sys.hamiltonian
-        f_q = tuple(simplify(differentiate(h, v)) for v in sys.p)
-        f_p = tuple(simplify(neg(differentiate(h, v))) for v in sys.q)
+        with simplify_memo():
+            f_q = tuple(simplify(differentiate(h, v)) for v in sys.p)
+            f_p = tuple(simplify(neg(differentiate(h, v))) for v in sys.q)
         sys._rhs = f_q + f_p
     return sys._rhs
 

@@ -314,24 +314,25 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     is held once around the whole trajectory; a singular matrix or an SVD
     that does not converge still raises LinAlgError.
     """
-    from .expr import differentiate
+    from .expr import differentiate, simplify_memo
     n = lag.n
     if len(q0) != n or len(dq0) != n:
         raise ValueError(f"initial state needs {n} positions and {n} velocities")
     names = lag.q + lag.dq
     l_expr = lag.lagrangian
-    dv = [differentiate(l_expr, v) for v in lag.dq]
-    hess = lag.velocity_hessian()
-    # unsimplified nodes, so the arithmetic is that of
-    # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order,
-    # less the constants and IEEE identities the compiler folds; -1*u rather
-    # than neg(u), which folds a zero derivative to +0.0 where -1.0*0.0 is -0.0
-    rhs_b = [Sum((differentiate(l_expr, lag.q[a]),
-                  Product((MINUS_ONE, differentiate(dv[a], "t"))),
-                  Product((MINUS_ONE, Sum((Const(0),) + tuple(
-                      Product((differentiate(dv[a], qb), Var(vb)))
-                      for qb, vb in zip(lag.q, lag.dq)))))))
-             for a in range(n)]
+    with simplify_memo():   # the Hessian and the right-hand side share dL/ddq
+        dv = [differentiate(l_expr, v) for v in lag.dq]
+        hess = lag.velocity_hessian()
+        # unsimplified nodes, so the arithmetic is that of
+        # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order,
+        # less the constants and IEEE identities the compiler folds; -1*u rather
+        # than neg(u), which folds a zero derivative to +0.0 where -1.0*0.0 is -0.0
+        rhs_b = [Sum((differentiate(l_expr, lag.q[a]),
+                      Product((MINUS_ONE, differentiate(dv[a], "t"))),
+                      Product((MINUS_ONE, Sum((Const(0),) + tuple(
+                          Product((differentiate(dv[a], qb), Var(vb)))
+                          for qb, vb in zip(lag.q, lag.dq)))))))
+                 for a in range(n)]
     argnames = ("t",) + names
     system = compile_exprs(hess + rhs_b, argnames)
     hessian = None      # M alone, compiled when a stage first fails

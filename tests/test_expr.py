@@ -705,6 +705,164 @@ def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
     assert expr_mod._MEMO.get() is None
 
 
+def _reference_sort_key(e):
+    # the sort key computed afresh on every call: the reference for the cached one
+    if isinstance(e, Const):
+        return (0, str(e.value))
+    if isinstance(e, Var):
+        return (1, e.name)
+    if isinstance(e, Func):
+        return (2, e.name, _reference_sort_key(e.arg))
+    if isinstance(e, Power):
+        return (3, _reference_sort_key(e.base), _reference_sort_key(e.exponent))
+    if isinstance(e, Quotient):
+        return (5, _reference_sort_key(e.numerator), _reference_sort_key(e.denominator))
+    if isinstance(e, Product):
+        f = e.factors
+        if isinstance(f[0], Const) and f[0].value == -1:
+            return (4, _reference_sort_key(f[1] if len(f) == 2 else Product(f[1:])))
+        return (6, len(f)) + tuple(_reference_sort_key(x) for x in f)
+    return (7, len(e.terms)) + tuple(_reference_sort_key(t) for t in e.terms)
+
+
+def _subtrees(e):
+    todo, seen = [e], []
+    while todo:
+        x = todo.pop()
+        seen.append(x)
+        todo.extend(expr_mod._KIDS.get(type(x), lambda _: ())(x))
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_cached_sort_key_equals_the_uncached_key(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        e = random_tree(rng, 4, ("q", "p", "w"))
+        for x in _subtrees(e) + _subtrees(simplify(e)):
+            assert expr_mod._sort_key(x) == _reference_sort_key(x)
+            assert expr_mod._sort_key(x) is x._sk
+
+
+def _continued_fraction(levels: int) -> str:
+    text = "x"
+    for _ in range(levels):
+        text = f"1/(1+{text})"
+    return text
+
+
+def test_nested_quotient_takes_linearly_many_quotient_steps(monkeypatch):
+    # each level used to double the _norm_quotient calls: 2^(k+2) - 1 at k
+    # levels, about 4 * 10^9 at 30
+    e = parse(_continued_fraction(30))
+    calls = []
+    step = expr_mod._norm_quotient
+
+    def counted(num, den):
+        calls.append(1)
+        assert len(calls) <= 4 * 30  # 59 calls; fails fast rather than hang
+        return step(num, den)
+
+    monkeypatch.setattr(expr_mod, "_norm_quotient", counted)
+    outside = simplify(e)
+    assert calls
+    calls.clear()
+    text = format_expr(e)
+    assert calls
+    with simplify_memo():
+        calls.clear()
+        assert simplify(e) is outside
+        assert calls
+        assert format_expr(e) == text
+    assert parse(text) is outside
+
+
+def test_zero_test_verdicts_are_remembered_per_residual_box_and_config():
+    r = parse("x/1000000")
+    box = DomainBox({"x": (0.2, 1.2)})
+    cfg = ZeroTestConfig(samples=20, seed=1, abs_tol=1e-9)
+    variants = [
+        (DomainBox({"x": (2.0, 3.0)}), cfg),
+        (box, replace(cfg, seed=2)),
+        (box, replace(cfg, samples=21)),
+        (box, replace(cfg, abs_tol=1e-3)),
+    ]
+    fresh = [is_identically_zero(r, b, c) for b, c in variants]
+    with simplify_memo():
+        base = is_identically_zero(r, box, cfg)
+        assert base.tag == "NonZero"
+        # a variable the residual does not contain leaves the key unchanged
+        assert is_identically_zero(r, DomainBox({"x": (0.2, 1.2), "y": (5.0, 6.0)}), cfg) is base
+        for (b, c), want in zip(variants, fresh):
+            assert want != base
+            assert is_identically_zero(r, b, c) == want
+        assert is_identically_zero(r, box, cfg) is base
+    with simplify_memo():
+        # a sampling error is raised again, not remembered
+        for _ in range(2):
+            with pytest.raises(SamplingError):
+                is_identically_zero(parse("log(x)"), DomainBox({"x": (-2.0, -1.0)}))
+
+
+def _verdict_or_error(e, box, cfg):
+    try:
+        return is_identically_zero(e, box, cfg)
+    except SamplingError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_verdict_taken_twice_in_a_scope_equals_a_fresh_scope(seed):
+    rng = random.Random(seed)
+    residuals = [random_tree(rng, 3, ("q", "p")) for _ in range(4)]
+    box = DomainBox({"q": (0.5, 1.5)})
+    cfg = ZeroTestConfig(samples=30, seed=seed % 7)
+    fresh = []
+    for e in residuals:
+        with simplify_memo():
+            fresh.append(_verdict_or_error(e, box, cfg))
+    with simplify_memo():
+        for _ in range(2):
+            assert [_verdict_or_error(e, box, cfg) for e in residuals] == fresh
+
+
+def test_box_points_are_the_uniform_draws_of_a_seeded_generator():
+    box = DomainBox({"a": (-3, 2), "b": (0.5, 0.75), "c": (-1e6, 1e-3)})
+    names = ["b", "a", "c", "d"]
+    rng = random.Random(11)
+    want = [[rng.uniform(*box.interval(n)) for n in names] for _ in range(50)]
+    got = list(box.points(names, 11, 50))
+    assert [[x.hex() for x in p] for p in got] == [[x.hex() for x in p] for p in want]
+
+
+def test_example6_full_order_normalizer_and_sampling_work_is_bounded(monkeypatch):
+    # step computations (memo misses) and sampled verdicts of one run; without
+    # the step memo the run takes 2,075 steps, without the verdict memo it
+    # samples 37 times
+    problem = load_problem(str(Path(runner.__file__).parent / "problems" / "example6.json"))
+    steps = {}
+
+    def counted(name, body):
+        def step(*args):
+            steps[name] = steps.get(name, 0) + 1
+            return body(*args)
+        return step
+
+    for name in ("_norm_sum", "_norm_product", "_norm_quotient", "_norm_power", "_norm_func"):
+        body = getattr(expr_mod, name).__wrapped__
+        monkeypatch.setattr(expr_mod, name, expr_mod._remembered(counted(name, body)))
+    sampled = counted("sampled", expr_mod._sampled_verdict)
+    monkeypatch.setattr(expr_mod, "_sampled_verdict", sampled)
+    report = runner.run_checks(problem)
+    assert report.status == "pass"
+    sampled_count = steps.pop("sampled")
+    assert sum(steps.values()) <= 1000   # 915 with the step memo
+    assert steps["_norm_power"] <= 40     # 29; 367 without it
+    assert sampled_count <= 20            # 17
+
+
 # ---------------------------------------------------------------- nesting guard
 
 _NESTINGS = {

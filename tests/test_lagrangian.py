@@ -197,6 +197,19 @@ def test_two_scale_field_extension():
     assert g == simplify(parse("q1*p1+p2"))
 
 
+@pytest.mark.parametrize("number, smallest", [(5, "0x1.8098c05ec0382p-4"),
+                                              (6, "0x1.292c82a812cfdp-1"),
+                                              (7, "0x1.22df87658576cp-4")])
+def test_hessian_regularity_samples_the_same_points(number, smallest):
+    # the points come from DomainBox.points, shared with the zero test; the
+    # pinned values are those of per-coordinate random.Random(0).uniform draws
+    path = resources.files("lamsym").joinpath("problems", f"example{number}.json")
+    with resources.as_file(path) as p:
+        problem = load_problem(str(p))
+    regular, worst = hessian_regularity(problem.lagrangian_system(), problem.box)
+    assert regular and worst.hex() == smallest
+
+
 @pytest.mark.parametrize("number", [5, 6, 7])
 def test_extension_is_the_hamiltonian_field_of_g(number):
     # the lift of phi to phase space is the field generated by G = phi . p
