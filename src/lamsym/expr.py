@@ -23,11 +23,9 @@ import math
 import random
 import re
 import threading
-from operator import attrgetter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import wraps
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 from weakref import KeyedRef
@@ -72,15 +70,12 @@ class Expr:
 
     Nodes are interned: every constructor call goes through one weak-value
     table, so there is exactly one live node per structural value and
-    structural equality is identity (`==` is `is`, inherited from object).
-    Every node caches its structural hash, computed at construction from the
-    children's cached hashes, and its free-variable set and sort key,
-    computed on first use.  pickle and copy hand back the interned node."""
+    structural equality is identity: `==` and `hash` are object's, so a
+    dict lookup on a node makes no Python call.  Every node caches its
+    free-variable set and sort key, computed on first use; no other slot
+    holds a node.  pickle and copy hand back the interned node."""
 
-    __slots__ = ("_hash", "_fv", "_sk", "__weakref__")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_fv", "_sk", "__weakref__")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -129,7 +124,6 @@ class Expr:
 
 
 _setattr = object.__setattr__
-_hash_of = attrgetter("_hash")
 
 # The intern table maps a node's key, its class and fields with every child
 # node by id, to a weak reference to the one live node with that key.  A
@@ -149,11 +143,10 @@ def _find(key):
     return None if ref is None else ref()
 
 
-def _intern(key, cls, values: tuple, h: int) -> Expr:
+def _intern(key, cls, values: tuple) -> Expr:
     e = object.__new__(cls)
     for slot, v in zip(cls.__slots__, values):
         _setattr(e, slot, v)
-    _setattr(e, "_hash", h)
     _setattr(e, "_sk", None)
     with _LOCK:
         first = _find(key)
@@ -170,7 +163,7 @@ class Const(Expr):
         if not isinstance(value, Fraction):
             value = Fraction(value)
         key = (cls, value.numerator, value.denominator)
-        return _find(key) or _intern(key, cls, (value,), hash(key))
+        return _find(key) or _intern(key, cls, (value,))
 
 
 class Var(Expr):
@@ -178,7 +171,7 @@ class Var(Expr):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _find(key) or _intern(key, cls, (name,), hash(key))
+        return _find(key) or _intern(key, cls, (name,))
 
 
 class _Flat(Expr):
@@ -187,7 +180,7 @@ class _Flat(Expr):
     def __new__(cls, parts: tuple):
         assert len(parts) >= 2
         key = (cls, *map(id, parts))
-        return _find(key) or _intern(key, cls, (parts,), hash((cls, *map(_hash_of, parts))))
+        return _find(key) or _intern(key, cls, (parts,))
 
 
 class Sum(_Flat):
@@ -203,7 +196,7 @@ class _Pair(Expr):
 
     def __new__(cls, a: Expr, b: Expr):
         key = (cls, id(a), id(b))
-        return _find(key) or _intern(key, cls, (a, b), hash((cls, a._hash, b._hash)))
+        return _find(key) or _intern(key, cls, (a, b))
 
 
 class Power(_Pair):
@@ -220,7 +213,7 @@ class Func(Expr):
     def __new__(cls, name: str, arg: Expr):
         assert name in FUNCTIONS
         key = (cls, name, id(arg))
-        return _find(key) or _intern(key, cls, (name, arg), hash((cls, name, arg._hash)))
+        return _find(key) or _intern(key, cls, (name, arg))
 
 
 _KIDS = {
@@ -234,6 +227,7 @@ _KIDS = {
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
+_UNIT = ONE.value  # the coefficient and exponent 1, shared rather than built per call
 # normal form of all that is undefined everywhere (x/0, log(0), sqrt(-1), ...);
 # it absorbs every node it enters, so no zero factor or cancellation drops it
 UNDEFINED = Quotient(ZERO, ZERO)
@@ -499,12 +493,19 @@ def simplify_memo():
     each normal form to itself, which is sound because `simplify` is
     idempotent; each normalizer step (`_norm_sum`, `_norm_product`,
     `_norm_quotient`, `_norm_power`, `_norm_func`) and its operand nodes to
-    its result; each pair (tree, variable name) to the derivative; and each
-    zero test's normal form, ZeroTestConfig and box bounds to its verdict.
-    Every entry is a pure function of interned nodes, so a hit is the very
-    node or verdict that recomputing would build.  The memo lives until the
-    outermost scope exits, normally or by an exception; a nested scope
-    shares the outer memo.  Each context (thread) has its own."""
+    its result; each normal term to its `_split_coeff` split; each pair
+    (tree, variable name) to the derivative; and each zero test's normal
+    form, ZeroTestConfig and box bounds to its verdict.  Every entry is a
+    pure function of interned nodes, so a hit is the very node or verdict
+    that recomputing would build.  The memo lives until the outermost scope
+    exits, normally or by an exception; a nested scope shares the outer
+    memo.  Each context (thread) has its own.
+
+    A step looks itself up in its own frame, keyed (step, operands...) with
+    a list operand keyed by its nodes, and stores every result it returns,
+    so a chain of steps that recurses along a tree takes one frame per
+    level.  Outside a scope `_MEMO.get({})` hands it a throwaway dict, so
+    it runs every time."""
     if _MEMO.get() is not None:
         yield
         return
@@ -513,25 +514,6 @@ def simplify_memo():
         yield
     finally:
         _MEMO.reset(token)
-
-
-def _remembered(step):
-    """`step`, a normalizer step on interned nodes, remembered per operands
-    in the open `simplify_memo()` scope; outside a scope it runs every time.
-    A list, the one operand of `_norm_sum` and `_norm_product`, is keyed by
-    its nodes."""
-    @wraps(step)
-    def remembered(*args):
-        memo = _MEMO.get()
-        if memo is None:
-            return step(*args)
-        first = args[0]
-        key = (step, *first) if type(first) is list else (step, *args)
-        r = memo.get(key)
-        if r is None:
-            r = memo[key] = step(*args)
-        return r
-    return remembered
 
 
 def simplify(e: Expr) -> Expr:
@@ -625,27 +607,39 @@ def _negate(n: Expr) -> Expr:
 
 
 def _split_coeff(n: Expr):
-    """Split a normalized term into (rational coefficient, positive rest)."""
-    if isinstance(n, Const):
+    """Split a normalized term into (rational coefficient, positive rest).
+    The split of a product, quotient or sum is remembered per term in the
+    open scope."""
+    t = type(n)
+    if t is Const:
         return n.value, ONE
-    if isinstance(n, Product) and isinstance(n.factors[0], Const):
+    # UNDEFINED has no coefficient: its numerator's 0 would make it vanish
+    if not (t is Product and type(n.factors[0]) is Const or t is Sum
+            or t is Quotient and n.denominator is not ZERO):
+        return _UNIT, n
+    memo, key = _MEMO.get({}), (_split_coeff, n)
+    r = memo.get(key)
+    if r is not None:
+        return r
+    if t is Product:
         rest = n.factors[1:]
-        return n.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
-    if isinstance(n, Quotient) and n.denominator != ZERO:
-        # UNDEFINED has no coefficient: its numerator's 0 would make it vanish
-        c, r = _split_coeff(n.numerator)
-        return c, Quotient(r, n.denominator)
-    if isinstance(n, Sum):
+        r = n.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
+    elif t is Quotient:
+        c, rest = _split_coeff(n.numerator)
+        r = c, Quotient(rest, n.denominator)
+    else:
         # scale out the leading coefficient so that rests are scale-canonical
         c0, _ = _split_coeff(n.terms[0])
         if c0 == 1:
-            return Fraction(1), n
-        parts = []
-        for t in n.terms:
-            tc, tr = _split_coeff(t)
-            parts.append(_join_coeff(tc / c0, tr))
-        return c0, Sum(tuple(parts))
-    return Fraction(1), n
+            r = _UNIT, n
+        else:
+            parts = []
+            for u in n.terms:
+                uc, ur = _split_coeff(u)
+                parts.append(_join_coeff(uc / c0, ur))
+            r = c0, Sum(tuple(parts))
+    memo[key] = r
+    return r
 
 
 def _join_coeff(c: Fraction, rest: Expr) -> Expr:
@@ -670,46 +664,45 @@ def _join_coeff(c: Fraction, rest: Expr) -> Expr:
     return Product((Const(c), rest))
 
 
-@_remembered
 def _norm_sum(terms: list) -> Expr:
+    memo, key = _MEMO.get({}), (_norm_sum, *terms)
+    r = memo.get(key)
+    if r is not None:
+        return r
     flat = []
     for t in terms:
         if isinstance(t, Sum):
             flat.extend(t.terms)
         elif _undefined(t):
-            return UNDEFINED
+            return memo.setdefault(key, UNDEFINED)
         else:
             flat.append(t)
-    const = Fraction(0)
-    coeffs: dict = {}
+    coeffs: dict = {}  # rest -> summed coefficient; the constant's rest is ONE
     for t in flat:
         c, r = _split_coeff(t)
-        if r == ONE:
-            const += c
-        else:
-            coeffs[r] = coeffs.get(r, Fraction(0)) + c
-    parts = []
-    if const != 0:
-        parts.append(Const(const))
+        prev = coeffs.get(r)
+        coeffs[r] = c if prev is None else prev + c
+    const = coeffs.pop(ONE, 0)
+    parts = [Const(const)] if const != 0 else []
     for r in sorted(coeffs, key=_sort_key):
         if coeffs[r] != 0:
             parts.append(_join_coeff(coeffs[r], r))
-    if not parts:
-        return ZERO
-    if len(parts) == 1:
-        return parts[0]
-    return Sum(tuple(parts))
+    r = ZERO if not parts else parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    return memo.setdefault(key, r)
 
 
 def _rational_exponent(e: Expr):
     if isinstance(e, Power) and isinstance(e.exponent, Const):
         return e.base, e.exponent.value
-    return e, Fraction(1)
+    return e, _UNIT
 
 
-@_remembered
 def _norm_product(factors: list) -> Expr:
-    coeff = Fraction(1)
+    memo, key = _MEMO.get({}), (_norm_product, *factors)
+    r = memo.get(key)
+    if r is not None:
+        return r
+    coeff = _UNIT
     bases: dict = {}   # atomic base expr -> accumulated rational exponent
     opaque: list = []  # powers with non-constant exponents
     den_parts: list = []
@@ -725,7 +718,7 @@ def _norm_product(factors: list) -> Expr:
             coeff *= f.value
         elif isinstance(f, Quotient):
             if f.denominator == ZERO:
-                return UNDEFINED
+                return memo.setdefault(key, UNDEFINED)
             todo.insert(0, f.numerator)
             den_parts.append(f.denominator)
         elif isinstance(f, Power) and not isinstance(f.exponent, Const):
@@ -735,12 +728,12 @@ def _norm_product(factors: list) -> Expr:
             if r != f:
                 todo.insert(0, r)
             else:
-                bases[f.base] = bases.get(f.base, Fraction(0)) + f.exponent.value
+                bases[f.base] = bases.get(f.base, 0) + f.exponent.value
         else:
-            bases[f] = bases.get(f, Fraction(0)) + 1
+            bases[f] = bases.get(f, 0) + 1
 
     if coeff == 0:
-        return ZERO
+        return memo.setdefault(key, ZERO)
 
     # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
     exp_args = []
@@ -752,8 +745,8 @@ def _norm_product(factors: list) -> Expr:
     if exp_args:
         combined = _norm_sum(exp_args)
         if combined != ZERO:
-            key = Func("exp", combined)
-            bases[key] = bases.get(key, Fraction(0)) + 1
+            e = Func("exp", combined)
+            bases[e] = bases.get(e, 0) + 1
 
     built = []
     for b in sorted(bases, key=_sort_key):
@@ -763,38 +756,31 @@ def _norm_product(factors: list) -> Expr:
         p = b if x == 1 else _norm_power(b, Const(x))
         # merged exponents can fold (e.g. an expanded power of a sum)
         if isinstance(p, (Const, Product, Quotient)):
-            return _norm_product(
+            return memo.setdefault(key, _norm_product(
                 [p, Const(coeff)]
                 + [bb if xx == 1 else Power(bb, Const(xx))
                    for bb, xx in bases.items() if bb != b and xx != 0]
                 + opaque
-                + [Quotient(ONE, d) for d in den_parts])
+                + [Quotient(ONE, d) for d in den_parts]))
         built.append(p)
     built.extend(sorted(opaque, key=_sort_key))
 
     # bounded distribution over sums
     sums = [b for b in built if isinstance(b, Sum)]
-    if sums:
-        size = 1
+    if sums and math.prod(len(s.terms) for s in sums) <= _EXPAND_LIMIT:
+        rest = [b for b in built if not isinstance(b, Sum)]
+        combos = [[Const(coeff)]]  # the factor lists of the expansion's terms
         for s in sums:
-            size *= len(s.terms)
-        if size <= _EXPAND_LIMIT:
-            rest = [b for b in built if not isinstance(b, Sum)]
-            combos = [Const(coeff)]
-            for s in sums:
-                combos = [mul(c, t) for c in combos for t in s.terms]
-            expanded = _norm_sum([_norm_product(_factor_list(c) + rest) for c in combos])
-            if den_parts:
-                return _norm_quotient(expanded, _norm_product(den_parts))
-            return expanded
-
-    if not built:
+            parts = [_factor_list(t) for t in s.terms]
+            combos = [c + t for c in combos for t in parts]
+        numerator = _norm_sum([_norm_product(c + rest) for c in combos])
+    elif not built:
         numerator = Const(coeff)
     else:
         numerator = _join_coeff(coeff, built[0] if len(built) == 1 else Product(tuple(built)))
     if den_parts:
-        return _norm_quotient(numerator, _norm_product(den_parts))
-    return numerator
+        numerator = _norm_quotient(numerator, _norm_product(den_parts))
+    return memo.setdefault(key, numerator)
 
 
 def _factor_list(e: Expr):
@@ -813,10 +799,10 @@ def _term_power_map(t: Expr):
         return pm
     for f in _factor_list(r):
         if isinstance(f, Power) and not isinstance(f.exponent, Const):
-            pm[f] = pm.get(f, Fraction(0)) + 1
+            pm[f] = pm.get(f, 0) + 1
         else:
             b, x = _rational_exponent(f)
-            pm[b] = pm.get(b, Fraction(0)) + x
+            pm[b] = pm.get(b, 0) + x
     return pm
 
 
@@ -843,7 +829,7 @@ def _strip_content(s: Sum, common: dict) -> Expr:
         pm = _term_power_map(t)
         factors = []
         for b in pm:
-            x = pm[b] - common.get(b, Fraction(0))
+            x = pm[b] - common.get(b, 0)
             if x == 0:
                 continue
             factors.append(b if x == 1 else Power(b, Const(x)))
@@ -854,18 +840,21 @@ def _strip_content(s: Sum, common: dict) -> Expr:
     return _norm_sum(parts)
 
 
-@_remembered
 def _norm_quotient(num: Expr, den: Expr) -> Expr:
+    memo, key = _MEMO.get({}), (_norm_quotient, num, den)
+    r = memo.get(key)
+    if r is not None:
+        return r
     if isinstance(den, Const):
-        if den.value == 0:
-            return UNDEFINED
-        return _norm_product([Const(1 / den.value), num])
-    if isinstance(num, Quotient):
-        return _norm_quotient(num.numerator, _norm_product([num.denominator, den]))
-    if isinstance(den, Quotient):
-        return _norm_quotient(_norm_product([num, den.denominator]), den.numerator)
-    if isinstance(num, Const) and num.value == 0:
-        return ZERO
+        r = UNDEFINED if den.value == 0 else _norm_product([Const(1 / den.value), num])
+    elif isinstance(num, Quotient):
+        r = _norm_quotient(num.numerator, _norm_product([num.denominator, den]))
+    elif isinstance(den, Quotient):
+        r = _norm_quotient(_norm_product([num, den.denominator]), den.numerator)
+    elif isinstance(num, Const) and num.value == 0:
+        r = ZERO
+    if r is not None:
+        return memo.setdefault(key, r)
 
     nc, nrest = _split_coeff(num)
     dc, drest = _split_coeff(den)
@@ -886,7 +875,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
                 common = _sum_content(f)
                 if common:
                     for b, x in common.items():
-                        powers[b] = powers.get(b, Fraction(0)) + sign * x
+                        powers[b] = powers.get(b, 0) + sign * x
                     out.append(_strip_content(f, common))
                     continue
             out.append(f)
@@ -906,7 +895,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
                     opaque.append(f)
             else:
                 b, x = _rational_exponent(f)
-                powers[b] = powers.get(b, Fraction(0)) + sign * x
+                powers[b] = powers.get(b, 0) + sign * x
 
     absorb(nf, 1, opaque_num)
     absorb(df, -1, opaque_den)
@@ -925,22 +914,22 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
     c = nc / dc
     new_num = _norm_product([Const(c)] + new_nf) if new_nf else Const(c)
     if not new_df:
-        return new_num
+        return memo.setdefault(key, new_num)
     if isinstance(new_num, Const) and new_num.value == 0:
-        return ZERO
+        return memo.setdefault(key, ZERO)
     new_den = _norm_product(new_df)
     if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
-        return _norm_quotient(new_num, new_den)
+        return memo.setdefault(key, _norm_quotient(new_num, new_den))
     dc2, dr2 = _split_coeff(new_den)
     if dc2 != 1:
         # keep denominators coefficient-free (monic leading term)
         new_num = _norm_product([Const(1 / dc2), new_num])
         new_den = dr2
         if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
-            return _norm_quotient(new_num, new_den)
+            return memo.setdefault(key, _norm_quotient(new_num, new_den))
     if isinstance(new_num, Const) and new_num.value == 0:
-        return ZERO
-    return Quotient(new_num, new_den)
+        return memo.setdefault(key, ZERO)
+    return memo.setdefault(key, Quotient(new_num, new_den))
 
 
 def _nth_root_exact(v: Fraction, n: int):
@@ -957,77 +946,78 @@ def _nth_root_exact(v: Fraction, n: int):
     return None if a is None or b is None else Fraction(a, b)
 
 
-@_remembered
 def _norm_power(b: Expr, x: Expr) -> Expr:
+    memo, key = _MEMO.get({}), (_norm_power, b, x)
+    r = memo.get(key)
+    if r is not None:
+        return r
     if _undefined(b) or _undefined(x):
-        return UNDEFINED
+        return memo.setdefault(key, UNDEFINED)
     if isinstance(x, Const):
         v = x.value
         if v == 0:
-            return ONE
+            return memo.setdefault(key, ONE)
         if v == 1:
-            return b
+            return memo.setdefault(key, b)
         if isinstance(b, Const):
             c = b.value
             if v.denominator != 1:
                 if c < 0:
-                    return UNDEFINED  # a negative base has no real fractional power
+                    # a negative base has no real fractional power
+                    return memo.setdefault(key, UNDEFINED)
                 root = _nth_root_exact(c, v.denominator)
                 if root is not None:
-                    return _norm_power(Const(root), Const(Fraction(v.numerator)))
+                    return memo.setdefault(key, _norm_power(Const(root), Const(v.numerator)))
             elif c == 0 and v < 0:
-                return UNDEFINED
+                return memo.setdefault(key, UNDEFINED)
             elif abs(v) * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
                     <= MAX_POWER_BITS:
-                return Const(c ** int(v))
+                return memo.setdefault(key, Const(c ** int(v)))
         if isinstance(b, Power) and isinstance(b.exponent, Const):
             m = b.exponent.value
             # (u^m)^v = u^(m*v) except for even integer m with fractional v,
             # where the left side is |u|^(m*v)
             if not (m.denominator == 1 and m.numerator % 2 == 0 and v.denominator != 1):
-                return _norm_power(b.base, Const(m * v))
+                return memo.setdefault(key, _norm_power(b.base, Const(m * v)))
         if isinstance(b, Func) and b.name == "exp":
-            return Func("exp", _norm_product([Const(v), b.arg]))
+            return memo.setdefault(key, Func("exp", _norm_product([Const(v), b.arg])))
         if isinstance(b, Product) and v.denominator == 1:
-            return _norm_product([_norm_power(f, x) for f in b.factors])
+            return memo.setdefault(key, _norm_product([_norm_power(f, x) for f in b.factors]))
         if isinstance(b, Quotient) and v.denominator == 1:
             if v > 0:
-                return _norm_quotient(_norm_power(b.numerator, x),
-                                      _norm_power(b.denominator, x))
-            return _norm_quotient(_norm_power(b.denominator, Const(-v)),
-                                  _norm_power(b.numerator, Const(-v)))
+                r = _norm_quotient(_norm_power(b.numerator, x), _norm_power(b.denominator, x))
+            else:
+                r = _norm_quotient(_norm_power(b.denominator, Const(-v)),
+                                   _norm_power(b.numerator, Const(-v)))
+            return memo.setdefault(key, r)
         if isinstance(b, Sum) and v.denominator == 1 and 2 <= v <= 4:
             if len(b.terms) ** int(v) <= _EXPAND_LIMIT:
-                combos = list(b.terms)
+                combos = parts = [_factor_list(t) for t in b.terms]  # factor lists
                 for _ in range(int(v) - 1):
-                    combos = [mul(c, t) for c in combos for t in b.terms]
-                return _norm_sum([_norm_product(_factor_list(c)) for c in combos])
-    return Power(b, x)
+                    combos = [c + t for c in combos for t in parts]
+                return memo.setdefault(key, _norm_sum([_norm_product(c) for c in combos]))
+    return memo.setdefault(key, Power(b, x))
 
 
-@_remembered
 def _norm_func(name: str, a: Expr) -> Expr:
+    memo, key = _MEMO.get({}), (_norm_func, name, a)
+    r = memo.get(key)
+    if r is not None:
+        return r
     if name == "sqrt":
-        return _norm_power(a, Const(Fraction(1, 2)))
-    if _undefined(a) or (name == "log" and isinstance(a, Const) and a.value <= 0):
-        return UNDEFINED
-    if name == "exp":
-        if a == ZERO:
-            return ONE
-        if isinstance(a, Func) and a.name == "log":
-            return a.arg
-        return Func("exp", a)
-    if name == "log":
-        if a == ONE:
-            return ZERO
-        if isinstance(a, Func) and a.name == "exp":
-            return a.arg
-        return Func("log", a)
-    if name == "sin" and a == ZERO:
-        return ZERO
-    if name == "cos" and a == ZERO:
-        return ONE
-    return Func(name, a)
+        r = _norm_power(a, Const(Fraction(1, 2)))
+    elif _undefined(a) or (name == "log" and isinstance(a, Const) and a.value <= 0):
+        r = UNDEFINED
+    elif isinstance(a, Func) and (name, a.name) in (("exp", "log"), ("log", "exp")):
+        r = a.arg
+    elif a == ZERO and name != "log":
+        r = ZERO if name == "sin" else ONE
+    elif a == ONE and name == "log":
+        r = ZERO
+    else:
+        r = Func(name, a)
+    memo[key] = r
+    return r
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import random
@@ -17,6 +18,7 @@ from lamsym.expr import (
     Const,
     DomainBox,
     EvalDomainError,
+    Expr,
     Func,
     MAX_NESTING,
     MINUS_ONE,
@@ -611,7 +613,7 @@ def test_equal_trees_have_equal_cached_hashes():
         a = random_tree(random.Random(seed), 4, ("q", "p"))
         b = random_tree(random.Random(seed), 4, ("q", "p"))
         assert a is b
-        assert a._hash == hash(a)
+        assert Expr.__hash__ is object.__hash__ and Expr.__eq__ is object.__eq__
         assert pickle.loads(pickle.dumps(a)) is a
         assert copy.copy(a) is a and copy.deepcopy(a) is a
     assert parse("q*p+sin(q)") is parse("q*p+sin(q)")
@@ -842,25 +844,110 @@ def test_example6_full_order_normalizer_and_sampling_work_is_bounded(monkeypatch
     # the step memo the run takes 2,075 steps, without the verdict memo it
     # samples 37 times
     problem = load_problem(str(Path(runner.__file__).parent / "problems" / "example6.json"))
-    steps = {}
-
-    def counted(name, body):
-        def step(*args):
-            steps[name] = steps.get(name, 0) + 1
-            return body(*args)
-        return step
-
-    for name in ("_norm_sum", "_norm_product", "_norm_quotient", "_norm_power", "_norm_func"):
-        body = getattr(expr_mod, name).__wrapped__
-        monkeypatch.setattr(expr_mod, name, expr_mod._remembered(counted(name, body)))
-    sampled = counted("sampled", expr_mod._sampled_verdict)
-    monkeypatch.setattr(expr_mod, "_sampled_verdict", sampled)
-    report = runner.run_checks(problem)
+    sampled = []
+    sample = expr_mod._sampled_verdict
+    monkeypatch.setattr(expr_mod, "_sampled_verdict", lambda *a: sampled.append(a) or sample(*a))
+    with simplify_memo():
+        # run_checks shares this scope; a step keeps one entry per miss
+        report = runner.run_checks(problem)
+        memo = expr_mod._MEMO.get()
+    steps = dict.fromkeys(
+        ("_norm_sum", "_norm_product", "_norm_quotient", "_norm_power", "_norm_func"), 0)
+    for key in memo:
+        if type(key) is tuple and getattr(key[0], "__name__", None) in steps:
+            steps[key[0].__name__] += 1
     assert report.status == "pass"
-    sampled_count = steps.pop("sampled")
+    sampled_count = len(sampled)
     assert sum(steps.values()) <= 1000   # 915 with the step memo
     assert steps["_norm_power"] <= 40     # 29; 367 without it
     assert sampled_count <= 20            # 17
+
+
+def _reference_split(n):
+    # the split computed afresh on every call: the reference for the remembered one
+    if isinstance(n, Const):
+        return n.value, expr_mod.ONE
+    if isinstance(n, Product) and isinstance(n.factors[0], Const):
+        rest = n.factors[1:]
+        return n.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
+    if isinstance(n, Quotient) and n.denominator != expr_mod.ZERO:
+        c, r = _reference_split(n.numerator)
+        return c, Quotient(r, n.denominator)
+    if isinstance(n, Sum):
+        c0, _ = _reference_split(n.terms[0])
+        if c0 == 1:
+            return Fraction(1), n
+        parts = []
+        for t in n.terms:
+            tc, tr = _reference_split(t)
+            parts.append(expr_mod._join_coeff(tc / c0, tr))
+        return c0, Sum(tuple(parts))
+    return Fraction(1), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_remembered_split_equals_the_uncached_split(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        n = simplify(random_tree(rng, 4, ("q", "p", "w")))
+        want = [_reference_split(x) for x in _subtrees(n)]
+        with simplify_memo():
+            for _ in range(2):  # computed, then remembered
+                got = [expr_mod._split_coeff(x) for x in _subtrees(n)]
+                assert got == want
+                assert all(type(c) is Fraction for c, _ in got)
+        assert all(type(x.value) is Fraction for x in _subtrees(n) if isinstance(x, Const))
+
+
+def _holds_a_node(value) -> bool:
+    if isinstance(value, Expr):
+        return True
+    return isinstance(value, (tuple, frozenset)) and any(map(_holds_a_node, value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_only_structural_fields_hold_nodes(seed):
+    # a node's own class declares its structural fields; a cache slot that
+    # held a node (say a split whose rest is the node itself) would send a
+    # walker over every slot, such as perfbench's node counter, round a loop
+    rng = random.Random(seed)
+    with simplify_memo():
+        for _ in range(4):
+            e = random_tree(rng, 4, ("q", "p", "w"))
+            n = simplify(e)
+            d = simplify(differentiate(e, "q"))
+            for x in _subtrees(e) + _subtrees(n) + _subtrees(d):
+                expr_mod._sort_key(x)
+                free_vars(x)
+                for cls in type(x).__mro__[1:]:
+                    for slot in getattr(cls, "__slots__", ()):
+                        assert not _holds_a_node(getattr(x, slot, None)), slot
+
+
+# sha256 of the printed normal forms of 1,000 seeded random trees and of their
+# q-derivatives, recorded before the kernel dropped its structural hashes
+_NORMAL_FORMS_SHA256 = "676ecfd68a48cffd1098d252353b563edd8b761aee2a89443f3ebdd23bbe29b8"
+
+
+def test_random_trees_keep_their_recorded_normal_forms():
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        e = random_tree(rng, 4, ("q", "p"))
+        n, dn = simplify(e), simplify(differentiate(e, "q"))
+        digest.update(f"{format_expr(n)}\n{format_expr(dn)}\n".encode())
+    assert digest.hexdigest() == _NORMAL_FORMS_SHA256
+
+
+def test_a_900_level_exponential_nest_simplifies():
+    # the exponential merge of e*2+1 takes one _norm_product step per level;
+    # each step looks itself up in its own frame, so a level costs one frame
+    e = Var("x")
+    for _ in range(900):
+        e = Func("exp", e)
+    assert simplify(e * 2 + 1) is Sum((expr_mod.ONE, Product((Const(2), e))))
 
 
 # ---------------------------------------------------------------- nesting guard
