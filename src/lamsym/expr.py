@@ -485,6 +485,15 @@ _EXPAND_LIMIT = 128
 _MEMO: ContextVar = ContextVar("lamsym_simplify_memo", default=None)
 
 
+class _Forgetful(dict):
+    """The memo of a normalizer step outside a scope: it keeps nothing."""
+    def __setitem__(self, key, value):
+        pass
+
+
+_NO_MEMO = _Forgetful()
+
+
 @contextmanager
 def simplify_memo():
     """Scope in which the kernel remembers the work it did.
@@ -502,10 +511,10 @@ def simplify_memo():
     memo.  Each context (thread) has its own.
 
     A step looks itself up in its own frame, keyed (step, operands...) with
-    a list operand keyed by its nodes, and stores every result it returns,
-    so a chain of steps that recurses along a tree takes one frame per
-    level.  Outside a scope `_MEMO.get({})` hands it a throwaway dict, so
-    it runs every time."""
+    a list operand keyed by its nodes, and stores its result at its one
+    exit, so a chain of steps that recurses along a tree takes one frame
+    per level.  Outside a scope it looks up and stores into `_NO_MEMO`,
+    which stays empty, so it runs every time."""
     if _MEMO.get() is not None:
         yield
         return
@@ -617,7 +626,7 @@ def _split_coeff(n: Expr):
     if not (t is Product and type(n.factors[0]) is Const or t is Sum
             or t is Quotient and n.denominator is not ZERO):
         return _UNIT, n
-    memo, key = _MEMO.get({}), (_split_coeff, n)
+    memo, key = _MEMO.get(_NO_MEMO), (_split_coeff, n)
     r = memo.get(key)
     if r is not None:
         return r
@@ -665,7 +674,7 @@ def _join_coeff(c: Fraction, rest: Expr) -> Expr:
 
 
 def _norm_sum(terms: list) -> Expr:
-    memo, key = _MEMO.get({}), (_norm_sum, *terms)
+    memo, key = _MEMO.get(_NO_MEMO), (_norm_sum, *terms)
     r = memo.get(key)
     if r is not None:
         return r
@@ -674,21 +683,24 @@ def _norm_sum(terms: list) -> Expr:
         if isinstance(t, Sum):
             flat.extend(t.terms)
         elif _undefined(t):
-            return memo.setdefault(key, UNDEFINED)
+            r = UNDEFINED
+            break
         else:
             flat.append(t)
-    coeffs: dict = {}  # rest -> summed coefficient; the constant's rest is ONE
-    for t in flat:
-        c, r = _split_coeff(t)
-        prev = coeffs.get(r)
-        coeffs[r] = c if prev is None else prev + c
-    const = coeffs.pop(ONE, 0)
-    parts = [Const(const)] if const != 0 else []
-    for r in sorted(coeffs, key=_sort_key):
-        if coeffs[r] != 0:
-            parts.append(_join_coeff(coeffs[r], r))
-    r = ZERO if not parts else parts[0] if len(parts) == 1 else Sum(tuple(parts))
-    return memo.setdefault(key, r)
+    else:  # no term is undefined
+        coeffs: dict = {}  # rest -> summed coefficient; the constant's rest is ONE
+        for t in flat:
+            c, rest = _split_coeff(t)
+            prev = coeffs.get(rest)
+            coeffs[rest] = c if prev is None else prev + c
+        const = coeffs.pop(ONE, 0)
+        parts = [Const(const)] if const != 0 else []
+        for rest in sorted(coeffs, key=_sort_key):
+            if coeffs[rest] != 0:
+                parts.append(_join_coeff(coeffs[rest], rest))
+        r = ZERO if not parts else parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    memo[key] = r
+    return r
 
 
 def _rational_exponent(e: Expr):
@@ -698,7 +710,7 @@ def _rational_exponent(e: Expr):
 
 
 def _norm_product(factors: list) -> Expr:
-    memo, key = _MEMO.get({}), (_norm_product, *factors)
+    memo, key = _MEMO.get(_NO_MEMO), (_norm_product, *factors)
     r = memo.get(key)
     if r is not None:
         return r
@@ -718,69 +730,74 @@ def _norm_product(factors: list) -> Expr:
             coeff *= f.value
         elif isinstance(f, Quotient):
             if f.denominator == ZERO:
-                return memo.setdefault(key, UNDEFINED)
+                r = UNDEFINED
+                break
             todo.insert(0, f.numerator)
             den_parts.append(f.denominator)
         elif isinstance(f, Power) and not isinstance(f.exponent, Const):
             opaque.append(f)
         elif isinstance(f, Power):
-            r = _norm_power(f.base, f.exponent)
-            if r != f:
-                todo.insert(0, r)
+            p = _norm_power(f.base, f.exponent)
+            if p != f:
+                todo.insert(0, p)
             else:
                 bases[f.base] = bases.get(f.base, 0) + f.exponent.value
         else:
             bases[f] = bases.get(f, 0) + 1
 
-    if coeff == 0:
-        return memo.setdefault(key, ZERO)
+    if r is None and coeff == 0:
+        r = ZERO
 
-    # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
-    exp_args = []
-    for b in list(bases):
-        if isinstance(b, Func) and b.name == "exp":
-            x = bases.pop(b)
-            if x != 0:
-                exp_args.append(_norm_product([Const(x), b.arg]))
-    if exp_args:
-        combined = _norm_sum(exp_args)
-        if combined != ZERO:
-            e = Func("exp", combined)
-            bases[e] = bases.get(e, 0) + 1
+    if r is None:
+        # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
+        exp_args = []
+        for b in list(bases):
+            if isinstance(b, Func) and b.name == "exp":
+                x = bases.pop(b)
+                if x != 0:
+                    exp_args.append(_norm_product([Const(x), b.arg]))
+        if exp_args:
+            combined = _norm_sum(exp_args)
+            if combined != ZERO:
+                e = Func("exp", combined)
+                bases[e] = bases.get(e, 0) + 1
 
-    built = []
-    for b in sorted(bases, key=_sort_key):
-        x = bases[b]
-        if x == 0:
-            continue
-        p = b if x == 1 else _norm_power(b, Const(x))
-        # merged exponents can fold (e.g. an expanded power of a sum)
-        if isinstance(p, (Const, Product, Quotient)):
-            return memo.setdefault(key, _norm_product(
-                [p, Const(coeff)]
-                + [bb if xx == 1 else Power(bb, Const(xx))
-                   for bb, xx in bases.items() if bb != b and xx != 0]
-                + opaque
-                + [Quotient(ONE, d) for d in den_parts]))
-        built.append(p)
-    built.extend(sorted(opaque, key=_sort_key))
+        built = []
+        for b in sorted(bases, key=_sort_key):
+            x = bases[b]
+            if x == 0:
+                continue
+            p = b if x == 1 else _norm_power(b, Const(x))
+            # merged exponents can fold (e.g. an expanded power of a sum)
+            if isinstance(p, (Const, Product, Quotient)):
+                r = _norm_product(
+                    [p, Const(coeff)]
+                    + [bb if xx == 1 else Power(bb, Const(xx))
+                       for bb, xx in bases.items() if bb != b and xx != 0]
+                    + opaque
+                    + [Quotient(ONE, d) for d in den_parts])
+                break
+            built.append(p)
 
-    # bounded distribution over sums
-    sums = [b for b in built if isinstance(b, Sum)]
-    if sums and math.prod(len(s.terms) for s in sums) <= _EXPAND_LIMIT:
-        rest = [b for b in built if not isinstance(b, Sum)]
-        combos = [[Const(coeff)]]  # the factor lists of the expansion's terms
-        for s in sums:
-            parts = [_factor_list(t) for t in s.terms]
-            combos = [c + t for c in combos for t in parts]
-        numerator = _norm_sum([_norm_product(c + rest) for c in combos])
-    elif not built:
-        numerator = Const(coeff)
-    else:
-        numerator = _join_coeff(coeff, built[0] if len(built) == 1 else Product(tuple(built)))
-    if den_parts:
-        numerator = _norm_quotient(numerator, _norm_product(den_parts))
-    return memo.setdefault(key, numerator)
+    if r is None:
+        built.extend(sorted(opaque, key=_sort_key))
+        # bounded distribution over sums
+        sums = [b for b in built if isinstance(b, Sum)]
+        if sums and math.prod(len(s.terms) for s in sums) <= _EXPAND_LIMIT:
+            rest = [b for b in built if not isinstance(b, Sum)]
+            combos = [[Const(coeff)]]  # the factor lists of the expansion's terms
+            for s in sums:
+                parts = [_factor_list(t) for t in s.terms]
+                combos = [c + t for c in combos for t in parts]
+            r = _norm_sum([_norm_product(c + rest) for c in combos])
+        elif not built:
+            r = Const(coeff)
+        else:
+            r = _join_coeff(coeff, built[0] if len(built) == 1 else Product(tuple(built)))
+        if den_parts:
+            r = _norm_quotient(r, _norm_product(den_parts))
+    memo[key] = r
+    return r
 
 
 def _factor_list(e: Expr):
@@ -841,7 +858,7 @@ def _strip_content(s: Sum, common: dict) -> Expr:
 
 
 def _norm_quotient(num: Expr, den: Expr) -> Expr:
-    memo, key = _MEMO.get({}), (_norm_quotient, num, den)
+    memo, key = _MEMO.get(_NO_MEMO), (_norm_quotient, num, den)
     r = memo.get(key)
     if r is not None:
         return r
@@ -853,83 +870,84 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
         r = _norm_quotient(_norm_product([num, den.denominator]), den.numerator)
     elif isinstance(num, Const) and num.value == 0:
         r = ZERO
-    if r is not None:
-        return memo.setdefault(key, r)
+    else:
+        nc, nrest = _split_coeff(num)
+        dc, drest = _split_coeff(den)
+        nf = _factor_list(nrest) if nrest != ONE else []
+        df = _factor_list(drest) if drest != ONE else []
 
-    nc, nrest = _split_coeff(num)
-    dc, drest = _split_coeff(den)
-    nf = _factor_list(nrest) if nrest != ONE else []
-    df = _factor_list(drest) if drest != ONE else []
+        # cancel common factors; powers of a common base cancel by exponent
+        powers: dict = {}
+        opaque_num: list = []
+        opaque_den: list = []
 
-    # cancel common factors; powers of a common base cancel by exponent
-    powers: dict = {}
-    opaque_num: list = []
-    opaque_den: list = []
+        def pull_sum_content(factors, sign):
+            # a sum whose terms share a monomial factor donates it to the
+            # quotient so that it can cancel against the other side
+            out = []
+            for f in factors:
+                if isinstance(f, Sum):
+                    common = _sum_content(f)
+                    if common:
+                        for b, x in common.items():
+                            powers[b] = powers.get(b, 0) + sign * x
+                        out.append(_strip_content(f, common))
+                        continue
+                out.append(f)
+            return out
 
-    def pull_sum_content(factors, sign):
-        # a sum whose terms share a monomial factor donates it to the
-        # quotient so that it can cancel against the other side
-        out = []
-        for f in factors:
-            if isinstance(f, Sum):
-                common = _sum_content(f)
-                if common:
-                    for b, x in common.items():
-                        powers[b] = powers.get(b, 0) + sign * x
-                    out.append(_strip_content(f, common))
-                    continue
-            out.append(f)
-        return out
+        nf = pull_sum_content(nf, 1)
+        df = pull_sum_content(df, -1)
 
-    nf = pull_sum_content(nf, 1)
-    df = pull_sum_content(df, -1)
-
-    def absorb(factors, sign, opaque):
-        for f in factors:
-            if isinstance(f, Power) and not isinstance(f.exponent, Const):
-                if sign > 0 and f in opaque_den:
-                    opaque_den.remove(f)
-                elif sign < 0 and f in opaque_num:
-                    opaque_num.remove(f)
+        def absorb(factors, sign, opaque):
+            for f in factors:
+                if isinstance(f, Power) and not isinstance(f.exponent, Const):
+                    if sign > 0 and f in opaque_den:
+                        opaque_den.remove(f)
+                    elif sign < 0 and f in opaque_num:
+                        opaque_num.remove(f)
+                    else:
+                        opaque.append(f)
                 else:
-                    opaque.append(f)
+                    b, x = _rational_exponent(f)
+                    powers[b] = powers.get(b, 0) + sign * x
+
+        absorb(nf, 1, opaque_num)
+        absorb(df, -1, opaque_den)
+
+        new_nf, new_df = [], []
+        for b in sorted(powers, key=_sort_key):
+            x = powers[b]
+            if x == 0:
+                continue
+            side = new_nf if x > 0 else new_df
+            x = abs(x)
+            side.append(b if x == 1 else Power(b, Const(x)))
+        new_nf.extend(opaque_num)
+        new_df.extend(opaque_den)
+
+        c = nc / dc
+        new_num = _norm_product([Const(c)] + new_nf) if new_nf else Const(c)
+        if not new_df:
+            r = new_num
+        elif isinstance(new_num, Const) and new_num.value == 0:
+            r = ZERO
+        else:
+            new_den = _norm_product(new_df)
+            if not (isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const))):
+                dc2, dr2 = _split_coeff(new_den)
+                if dc2 != 1:
+                    # keep denominators coefficient-free (monic leading term)
+                    new_num = _norm_product([Const(1 / dc2), new_num])
+                    new_den = dr2
+            if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
+                r = _norm_quotient(new_num, new_den)
+            elif isinstance(new_num, Const) and new_num.value == 0:
+                r = ZERO
             else:
-                b, x = _rational_exponent(f)
-                powers[b] = powers.get(b, 0) + sign * x
-
-    absorb(nf, 1, opaque_num)
-    absorb(df, -1, opaque_den)
-
-    new_nf, new_df = [], []
-    for b in sorted(powers, key=_sort_key):
-        x = powers[b]
-        if x == 0:
-            continue
-        side = new_nf if x > 0 else new_df
-        x = abs(x)
-        side.append(b if x == 1 else Power(b, Const(x)))
-    new_nf.extend(opaque_num)
-    new_df.extend(opaque_den)
-
-    c = nc / dc
-    new_num = _norm_product([Const(c)] + new_nf) if new_nf else Const(c)
-    if not new_df:
-        return memo.setdefault(key, new_num)
-    if isinstance(new_num, Const) and new_num.value == 0:
-        return memo.setdefault(key, ZERO)
-    new_den = _norm_product(new_df)
-    if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
-        return memo.setdefault(key, _norm_quotient(new_num, new_den))
-    dc2, dr2 = _split_coeff(new_den)
-    if dc2 != 1:
-        # keep denominators coefficient-free (monic leading term)
-        new_num = _norm_product([Const(1 / dc2), new_num])
-        new_den = dr2
-        if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
-            return memo.setdefault(key, _norm_quotient(new_num, new_den))
-    if isinstance(new_num, Const) and new_num.value == 0:
-        return memo.setdefault(key, ZERO)
-    return memo.setdefault(key, Quotient(new_num, new_den))
+                r = Quotient(new_num, new_den)
+    memo[key] = r
+    return r
 
 
 def _nth_root_exact(v: Fraction, n: int):
@@ -947,60 +965,63 @@ def _nth_root_exact(v: Fraction, n: int):
 
 
 def _norm_power(b: Expr, x: Expr) -> Expr:
-    memo, key = _MEMO.get({}), (_norm_power, b, x)
+    memo, key = _MEMO.get(_NO_MEMO), (_norm_power, b, x)
     r = memo.get(key)
     if r is not None:
         return r
     if _undefined(b) or _undefined(x):
-        return memo.setdefault(key, UNDEFINED)
-    if isinstance(x, Const):
+        r = UNDEFINED
+    elif isinstance(x, Const):
         v = x.value
         if v == 0:
-            return memo.setdefault(key, ONE)
-        if v == 1:
-            return memo.setdefault(key, b)
-        if isinstance(b, Const):
+            r = ONE
+        elif v == 1:
+            r = b
+        elif isinstance(b, Const):
             c = b.value
             if v.denominator != 1:
                 if c < 0:
                     # a negative base has no real fractional power
-                    return memo.setdefault(key, UNDEFINED)
-                root = _nth_root_exact(c, v.denominator)
-                if root is not None:
-                    return memo.setdefault(key, _norm_power(Const(root), Const(v.numerator)))
+                    r = UNDEFINED
+                else:
+                    root = _nth_root_exact(c, v.denominator)
+                    if root is not None:
+                        r = _norm_power(Const(root), Const(v.numerator))
             elif c == 0 and v < 0:
-                return memo.setdefault(key, UNDEFINED)
+                r = UNDEFINED
             elif abs(v) * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
                     <= MAX_POWER_BITS:
-                return memo.setdefault(key, Const(c ** int(v)))
-        if isinstance(b, Power) and isinstance(b.exponent, Const):
+                r = Const(c ** int(v))
+        elif isinstance(b, Power) and isinstance(b.exponent, Const):
             m = b.exponent.value
             # (u^m)^v = u^(m*v) except for even integer m with fractional v,
             # where the left side is |u|^(m*v)
             if not (m.denominator == 1 and m.numerator % 2 == 0 and v.denominator != 1):
-                return memo.setdefault(key, _norm_power(b.base, Const(m * v)))
-        if isinstance(b, Func) and b.name == "exp":
-            return memo.setdefault(key, Func("exp", _norm_product([Const(v), b.arg])))
-        if isinstance(b, Product) and v.denominator == 1:
-            return memo.setdefault(key, _norm_product([_norm_power(f, x) for f in b.factors]))
-        if isinstance(b, Quotient) and v.denominator == 1:
+                r = _norm_power(b.base, Const(m * v))
+        elif isinstance(b, Func) and b.name == "exp":
+            r = Func("exp", _norm_product([Const(v), b.arg]))
+        elif isinstance(b, Product) and v.denominator == 1:
+            r = _norm_product([_norm_power(f, x) for f in b.factors])
+        elif isinstance(b, Quotient) and v.denominator == 1:
             if v > 0:
                 r = _norm_quotient(_norm_power(b.numerator, x), _norm_power(b.denominator, x))
             else:
                 r = _norm_quotient(_norm_power(b.denominator, Const(-v)),
                                    _norm_power(b.numerator, Const(-v)))
-            return memo.setdefault(key, r)
-        if isinstance(b, Sum) and v.denominator == 1 and 2 <= v <= 4:
-            if len(b.terms) ** int(v) <= _EXPAND_LIMIT:
-                combos = parts = [_factor_list(t) for t in b.terms]  # factor lists
-                for _ in range(int(v) - 1):
-                    combos = [c + t for c in combos for t in parts]
-                return memo.setdefault(key, _norm_sum([_norm_product(c) for c in combos]))
-    return memo.setdefault(key, Power(b, x))
+        elif isinstance(b, Sum) and v.denominator == 1 and 2 <= v <= 4 \
+                and len(b.terms) ** int(v) <= _EXPAND_LIMIT:
+            combos = parts = [_factor_list(t) for t in b.terms]  # factor lists
+            for _ in range(int(v) - 1):
+                combos = [c + t for c in combos for t in parts]
+            r = _norm_sum([_norm_product(c) for c in combos])
+    if r is None:  # no rule applies
+        r = Power(b, x)
+    memo[key] = r
+    return r
 
 
 def _norm_func(name: str, a: Expr) -> Expr:
-    memo, key = _MEMO.get({}), (_norm_func, name, a)
+    memo, key = _MEMO.get(_NO_MEMO), (_norm_func, name, a)
     r = memo.get(key)
     if r is not None:
         return r
@@ -1008,13 +1029,21 @@ def _norm_func(name: str, a: Expr) -> Expr:
         r = _norm_power(a, Const(Fraction(1, 2)))
     elif _undefined(a) or (name == "log" and isinstance(a, Const) and a.value <= 0):
         r = UNDEFINED
-    elif isinstance(a, Func) and (name, a.name) in (("exp", "log"), ("log", "exp")):
-        r = a.arg
-    elif a == ZERO and name != "log":
-        r = ZERO if name == "sin" else ONE
-    elif a == ONE and name == "log":
+    elif name == "exp":
+        if a == ZERO:
+            r = ONE
+        elif isinstance(a, Func) and a.name == "log":
+            r = a.arg
+    elif name == "log":
+        if a == ONE:
+            r = ZERO
+        elif isinstance(a, Func) and a.name == "exp":
+            r = a.arg
+    elif name == "sin" and a == ZERO:
         r = ZERO
-    else:
+    elif name == "cos" and a == ZERO:
+        r = ONE
+    if r is None:  # no rule applies
         r = Func(name, a)
     memo[key] = r
     return r
