@@ -1085,45 +1085,36 @@ def _sign_split(e: Expr):
 
 
 def _print(e: Expr, ctx: int) -> str:
-    negd, pos = _sign_split(e)
-    s = _print_pos(pos)
-    if negd:
-        s = "-" + s
-        if _ADD_PREC < ctx:
-            return "(" + s + ")"
-        return s
-    if _node_prec(pos) < ctx:
-        return "(" + s + ")"
-    return s
-
-
-def _print_pos(e: Expr) -> str:
+    """`e` printed in a context of precedence ctx; one frame per tree level."""
+    negd, e = _sign_split(e)
     if isinstance(e, Const):
         v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Func):
-        return f"{e.name}({_print(e.arg, 0)})"
-    if isinstance(e, Sum):
-        out = _print(e.terms[0], _ADD_PREC)
+        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    elif isinstance(e, Var):
+        s = e.name
+    elif isinstance(e, Func):
+        s = f"{e.name}({_print(e.arg, 0)})"
+    elif isinstance(e, Sum):
+        s = _print(e.terms[0], _ADD_PREC)
         for t in e.terms[1:]:
-            negd, pos = _sign_split(t)
-            if negd:
-                out += "-" + _print(pos, _ADD_PREC + 1)
-            else:
-                out += "+" + _print(t, _ADD_PREC + 1)
-        return out
-    if isinstance(e, Product):
-        return "*".join(_print(f, _MUL_PREC) for f in e.factors)
-    if isinstance(e, Quotient):
-        return _print(e.numerator, _MUL_PREC) + "/" + _print(e.denominator, _MUL_PREC + 1)
-    if isinstance(e, Power):
+            negt, pos = _sign_split(t)
+            s += "-" + _print(pos, _ADD_PREC + 1) if negt else "+" + _print(t, _ADD_PREC + 1)
+    elif isinstance(e, Product):
+        s = _print(e.factors[0], _MUL_PREC)
+        for f in e.factors[1:]:
+            s += "*" + _print(f, _MUL_PREC)
+    elif isinstance(e, Quotient):
+        s = _print(e.numerator, _MUL_PREC) + "/" + _print(e.denominator, _MUL_PREC + 1)
+    elif isinstance(e, Power):
         # `^` is right-associative, so a power exponent needs no parentheses
-        return _print(e.base, _POW_PREC + 1) + "^" + _print(e.exponent, _POW_PREC)
-    raise TypeError(type(e))
+        s = _print(e.base, _POW_PREC + 1) + "^" + _print(e.exponent, _POW_PREC)
+    else:
+        raise TypeError(type(e))
+    if negd:
+        s = "-" + s
+    if (_ADD_PREC if negd else _node_prec(e)) < ctx:
+        return "(" + s + ")"
+    return s
 
 
 def format_expr(e: Expr) -> str:

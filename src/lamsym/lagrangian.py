@@ -11,7 +11,7 @@ partial reduction through first-order differential invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class LagrangianSystem:
         extra = free_vars(self.lagrangian) - set(self.q) - set(self.dq) - {self.t}
         if extra:
             raise ValueError(f"lagrangian contains unknown variables: {sorted(extra)}")
+        self._flow: Optional[Callable] = None     # compiled by numeric.integrate_euler_lagrange
 
     def __repr__(self):
         return f"LagrangianSystem(n={self.n}, L={self.lagrangian})"

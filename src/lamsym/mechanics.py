@@ -10,7 +10,7 @@ the modules that need it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .expr import (
     Expr,
@@ -44,6 +44,7 @@ class PhaseSystem:
         if extra:
             raise ValueError(f"hamiltonian contains unknown variables: {sorted(extra)}")
         self._rhs: Optional[tuple] = None
+        self._flow: Optional[Callable] = None     # compiled by numeric.integrate_hamiltonian
 
     def __repr__(self):
         return f"PhaseSystem(n={self.n}, H={self.hamiltonian})"

@@ -10,6 +10,7 @@ preservation would buy nothing.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,12 +28,15 @@ from .expr import (
     Var,
     compile_expr,
     compile_exprs,
+    differentiate,
+    simplify_memo,
 )
 
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 1.0
 SAFETY_LIMIT = 1e6
 MAX_GRID_STEPS = 10**7      # longest grid a trajectory may ask for
+CSV_CHUNK_ROWS = 256       # rows `trajectory_to_csv` formats per write
 HESSIAN_CONDITION_LIMIT = 1e12
 
 
@@ -169,11 +173,14 @@ def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
 
 def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,
                           t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP) -> Trajectory:
-    """Integrate the canonical equations from u0 = (q..., p...)."""
+    """Integrate the canonical equations from u0 = (q..., p...); they are
+    compiled once per system and remembered on it."""
     from .mechanics import canonical_equations
     if len(u0) != 2 * sys.n:
         raise ValueError(f"initial state needs {2*sys.n} components")
-    return integrate_first_order(canonical_equations(sys), sys.u, u0, t0, t1, h)
+    if sys._flow is None:
+        sys._flow = compile_exprs(canonical_equations(sys), ("t",) + sys.u)
+    return Trajectory(sys.u, t0, h, *_rk4_loop(sys._flow, u0, t0, t1, h))
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -189,14 +196,53 @@ def _solve_errstate() -> np.errstate:
                        divide="ignore", under="ignore")
 
 
-def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with m x = b, for an n x n float64 array m and a length-n one b.
+# _solve(m, b) is x with m x = b, for an n x n float64 array m and a length-n
+# one b: the LAPACK kernel (dgesv) that np.linalg.solve calls on float64
+# operands, without its wrapper, so the result is bitwise the same; float64
+# operands select its "dd->d" loop.  Call it inside `_solve_errstate()`, or a
+# singular m gives nan instead of raising LinAlgError.
+_solve = _lapack_solve
 
-    This is the LAPACK kernel (dgesv) that np.linalg.solve calls on float64
-    operands, without its wrapper, so the result is bitwise the same.  Call
-    it inside `_solve_errstate()`, or a singular m gives nan instead of
-    raising LinAlgError."""
-    return _lapack_solve(m, b, signature="dd->d")
+
+def _condition_lines(n: int) -> list:
+    """Source lines that set `cond` to the exact 1-norm condition number
+    ||M||_1 ||adj M||_1 / |det M| of the row-major n x n matrix in the locals
+    m0, m1, ..., for n <= 3; infinite when M is singular or not finite.
+    `_closed_condition` and the Euler-Lagrange stage both run them."""
+    if n == 1:
+        return ["cond = 1.0 if m0 != 0.0 and _isfinite(m0) else _inf"]
+    if n == 2:
+        lines = ["det = m0 * m3 - m1 * m2",
+                 "norm_m = max(abs(m0) + abs(m2), abs(m1) + abs(m3))",
+                 "norm_adj = max(abs(m3) + abs(m2), abs(m1) + abs(m0))"]
+    else:
+        # cofactors; adj M is their transpose, so its column sums are their row sums
+        lines = ["c00, c01, c02 = m4 * m8 - m5 * m7, m5 * m6 - m3 * m8, m3 * m7 - m4 * m6",
+                 "c10, c11, c12 = m2 * m7 - m1 * m8, m0 * m8 - m2 * m6, m1 * m6 - m0 * m7",
+                 "c20, c21, c22 = m1 * m5 - m2 * m4, m2 * m3 - m0 * m5, m0 * m4 - m1 * m3",
+                 "det = m0 * c00 + m1 * c01 + m2 * c02",
+                 "norm_m = max(abs(m0) + abs(m3) + abs(m6), abs(m1) + abs(m4) + abs(m7),"
+                 " abs(m2) + abs(m5) + abs(m8))",
+                 "norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),"
+                 " abs(c20) + abs(c21) + abs(c22))"]
+    return lines + ["cond = norm_m / abs(det) * norm_adj if det != 0.0 and _isfinite(det) else _inf"]
+
+
+_CONDITIONS: dict = {}      # n <= 3 -> generated closed-form condition number
+
+
+def _closed_condition(n: int) -> Callable[..., float]:
+    """condition(m0, m1, ...) for n <= 3, which runs `_condition_lines`,
+    generated once per n."""
+    condition = _CONDITIONS.get(n)
+    if condition is None:
+        lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
+        lines += [f" {line}" for line in _condition_lines(n)] + [" return cond"]
+        env = {"__builtins__": {"abs": abs, "max": max},
+               "_isfinite": math.isfinite, "_inf": math.inf}
+        exec("\n".join(lines) + "\n", env)
+        condition = _CONDITIONS[n] = env["condition"]
+    return condition
 
 
 def _hessian_condition(m: Sequence[float], n: int,
@@ -205,45 +251,35 @@ def _hessian_condition(m: Sequence[float], n: int,
     singular or not finite.  `square` is m as an n x n float64 array, when
     the caller has built one already.
 
-    For n <= 3 it is the exact 1-norm condition number in closed form,
-    ||M||_1 ||adj M||_1 / |det M|.  For larger n it is the 2-norm one, the
-    largest over the smallest singular value, from the LAPACK kernel
-    (dgesdd) that np.linalg.svd and np.linalg.cond call on float64
-    operands, without their wrapper, so it is bitwise what np.linalg.cond
-    returns.  Inside `_solve_errstate()` an SVD that does not converge
-    raises LinAlgError; outside it the kernel warns and the result is inf.
+    For n <= 3 it is the exact 1-norm condition number in closed form
+    (`_condition_lines`).  For larger n it is the 2-norm one, the largest
+    over the smallest singular value, from the LAPACK kernel (dgesdd) that
+    np.linalg.svd and np.linalg.cond call on float64 operands, without
+    their wrapper, so it is bitwise what np.linalg.cond returns.  Inside
+    `_solve_errstate()` an SVD that does not converge raises LinAlgError;
+    outside it the kernel warns and the result is inf.
     """
-    if n == 1:
-        return 1.0 if m[0] != 0.0 and math.isfinite(m[0]) else math.inf
-    if n == 2:
-        a, b, c, d = m
-        det = a * d - b * c
-        norm_m = max(abs(a) + abs(c), abs(b) + abs(d))
-        norm_adj = max(abs(d) + abs(c), abs(b) + abs(a))
-    elif n == 3:
-        a, b, c, d, e, f, g, h, i = m
-        # cofactors; adj M is their transpose, so its column sums are their row sums
-        c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
-        c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
-        c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
-        det = a * c00 + b * c01 + c * c02
-        norm_m = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
-                     abs(c) + abs(f) + abs(i))
-        norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),
-                       abs(c20) + abs(c21) + abs(c22))
-    elif not all(map(math.isfinite, m)):
+    if n <= 3:
+        return _closed_condition(n)(*m)
+    if not all(map(math.isfinite, m)):
         return math.inf
-    else:
-        if square is None:
-            square = np.array(m).reshape(n, n)
-        try:
-            s = _lapack_svd(square, signature="d->d").tolist()
-        except LinAlgError:
-            raise LinAlgError("SVD did not converge") from None
-        return s[0] / s[-1] if s[-1] > 0.0 else math.inf
-    if det == 0.0 or not math.isfinite(det):
-        return math.inf
-    return norm_m / abs(det) * norm_adj
+    if square is None:
+        square = np.array(m).reshape(n, n)
+    try:
+        s = _lapack_svd(square, signature="d->d").tolist()
+    except LinAlgError:
+        raise LinAlgError("SVD did not converge") from None
+    return s[0] / s[-1] if s[-1] > 0.0 else math.inf
+
+
+def _exceeded(t: float, limit: float) -> IntegrationError:
+    return IntegrationError(f"velocity Hessian condition exceeds {limit:g} at t={t:.6g}")
+
+
+def _check_condition(m: Sequence[float], n: int, t: float, limit: float,
+                     square: Optional[np.ndarray] = None) -> None:
+    if not _hessian_condition(m, n, square) <= limit:
+        raise _exceeded(t, limit)
 
 
 _CERTIFICATES: dict = {}    # matrix size -> generated condition certificate
@@ -287,38 +323,63 @@ def _certificate(n: int) -> Callable[[Sequence[float]], bool]:
     return certified
 
 
-def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
-                             t0: float = 0.0, t1: float = DEFAULT_HORIZON,
-                             h: float = DEFAULT_STEP) -> Trajectory:
-    """Integrate the variational equations of a regular Lagrangian.
+_STAGES: dict = {}  # n -> generated Euler-Lagrange stage factory
 
-    At every stage the accelerations solve the linear system
-    M(t,q,dq) ddq = dL/dq - d2L/dtddq - (d2L/dqddq) dq with M the velocity
-    Hessian.  One generated function evaluates every entry of M and of the
-    right-hand side, sharing common subexpressions.  The stage aborts when
-    the condition number of M exceeds 1e12: for n <= 3 the exact 1-norm
-    condition number in closed form (a zero or non-finite determinant counts
-    as infinite), for larger n the 2-norm condition number from LAPACK's
-    SVD kernel, bitwise what np.linalg.cond returns.  For n >= 4 a stage
-    first asks the generated certificate (`_certificate`), a bound that
-    proves the 2-norm condition number at most 1e10 for well-conditioned,
-    diagonally dominant M; only a stage it cannot certify runs the SVD, so
-    every stage that aborts still aborts, at the same step with the same
-    reason.  For n = 1 the solve is a division, bitwise what LAPACK
-    returns.  Larger systems fill one float64 buffer per trajectory with M
-    and the right-hand side at each stage, which the condition number and
-    the solve share, and call LAPACK's solve kernel directly, the one
-    np.linalg.solve wraps, so the states are bitwise those np.linalg.solve
-    gives.  The floating-point error state that
-    np.linalg.solve and np.linalg.svd would enter and leave on every stage
-    is held once around the whole trajectory; a singular matrix or an SVD
-    that does not converge still raises LinAlgError.
-    """
-    from .expr import differentiate, simplify_memo
-    n = lag.n
-    if len(q0) != n or len(dq0) != n:
-        raise ValueError(f"initial state needs {n} positions and {n} velocities")
-    names = lag.q + lag.dq
+
+def _stage(n: int) -> Callable:
+    """stage(system, on_error, solve, limit, buf, square, right) for n
+    degrees of freedom, generated once per n; it binds one flow's
+    Euler-Lagrange vector field rhs(t, q..., dq...).
+
+    rhs evaluates M and the right-hand side b as system(t, q..., dq...); on
+    a domain error or an overflow it calls on_error(t, q..., dq...), which
+    raises when M is ill-conditioned, then raises that error again.  It
+    aborts when the condition number of M exceeds limit: for n <= 3 by
+    `_condition_lines` on locals, for n >= 4 by the certificate and, when
+    that cannot decide, `_hessian_condition`'s SVD.  It returns dq and
+    M^-1 b: b / M for n = 1; for larger n it packs M and b into the
+    bytearray buf, which the float64 views square and right share, and
+    calls solve(square, right)."""
+    stage = _STAGES.get(n)
+    if stage is None:
+        nn = n * n
+        m, b = [f"m{i}" for i in range(nn)], [f"b{i}" for i in range(n)]
+        y, x = ", ".join(f"y{i}" for i in range(2 * n)), [f"x{i}" for i in range(n)]
+        closed = _condition_lines(n) if n <= 3 else []
+        lines = ["def stage(system, on_error, solve, limit, buf, square, right):",
+                 f" def rhs(t, {y}):",
+                 "  try:",
+                 f"   v = system(t, {y})",
+                 "  except (_EvalDomainError, OverflowError):",
+                 f"   on_error(t, {y})",
+                 "   raise"]
+        if closed:
+            lines += [f"  {', '.join(m + b)}, = v"] + [f"  {line}" for line in closed]
+            lines += ["  if not cond <= limit:", "   raise _exceeded(t, limit)"]
+        if n == 1:
+            lines += ["  return y1, b0 / m0"]
+        else:
+            lines += ["  _pack_into(buf, 0, *v)"]
+            if not closed:
+                lines += ["  if not _certified(v):",
+                          f"   _check_condition(v[:{nn}], {n}, t, limit, square)"]
+            lines += [f"  {', '.join(x)}, = solve(square, right).tolist()",
+                      f"  return {', '.join([f'y{i}' for i in range(n, 2 * n)] + x)}"]
+        lines += [" return rhs"]
+        env = {"__builtins__": {"abs": abs, "max": max, "OverflowError": OverflowError},
+               "_isfinite": math.isfinite, "_inf": math.inf,
+               "_EvalDomainError": EvalDomainError, "_exceeded": _exceeded,
+               "_check_condition": _check_condition,
+               "_pack_into": struct.Struct(f"{nn + n}d").pack_into,
+               "_certified": None if closed else _certificate(n)}
+        exec("\n".join(lines) + "\n", env)
+        stage = _STAGES[n] = env["stage"]
+    return stage
+
+
+def _euler_lagrange_system(lag) -> list:
+    """The n*n velocity Hessian entries, row-major, then the n right-hand
+    sides dL/dq_a - d2L/dtddq_a - sum_b d2L/ddq_a dq_b * dq_b, unsimplified."""
     l_expr = lag.lagrangian
     with simplify_memo():   # the Hessian and the right-hand side share dL/ddq
         dv = [differentiate(l_expr, v) for v in lag.dq]
@@ -327,47 +388,61 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
         # dL/dq_a - d2L/dtddq_a - (0 + sum_j d2L/ddq_a dq_j * dq_j), in that order,
         # less the constants and IEEE identities the compiler folds; -1*u rather
         # than neg(u), which folds a zero derivative to +0.0 where -1.0*0.0 is -0.0
-        rhs_b = [Sum((differentiate(l_expr, lag.q[a]),
-                      Product((MINUS_ONE, differentiate(dv[a], "t"))),
-                      Product((MINUS_ONE, Sum((Const(0),) + tuple(
-                          Product((differentiate(dv[a], qb), Var(vb)))
-                          for qb, vb in zip(lag.q, lag.dq)))))))
-                 for a in range(n)]
+        return hess + [Sum((differentiate(l_expr, lag.q[a]),
+                            Product((MINUS_ONE, differentiate(dv[a], "t"))),
+                            Product((MINUS_ONE, Sum((Const(0),) + tuple(
+                                Product((differentiate(dv[a], qb), Var(vb)))
+                                for qb, vb in zip(lag.q, lag.dq)))))))
+                       for a in range(lag.n)]
+
+
+def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
+                             t0: float = 0.0, t1: float = DEFAULT_HORIZON,
+                             h: float = DEFAULT_STEP) -> Trajectory:
+    """Integrate the variational equations of a regular Lagrangian.
+
+    At every stage the accelerations solve the linear system
+    M(t,q,dq) ddq = dL/dq - d2L/dtddq - (d2L/dqddq) dq with M the velocity
+    Hessian.  One generated function evaluates every entry of M and of the
+    right-hand side, sharing common subexpressions; it is compiled once per
+    system and remembered on it.  Each stage is one call of the function
+    `_stage` generates once per n, bound per flow to that function, to the
+    solve kernel and to HESSIAN_CONDITION_LIMIT as they are when the flow
+    starts.  It aborts when the condition number of M exceeds 1e12: for n <= 3 the
+    exact 1-norm one in closed form, for larger n the 2-norm one from
+    LAPACK's SVD kernel, bitwise what np.linalg.cond returns, which runs
+    only when the generated certificate (`_certificate`) cannot prove it at
+    most 1e10.  When M and the right-hand side cannot be evaluated, M alone
+    is checked first, so a singular M outranks a domain error.  For n = 1
+    the solve is a division, bitwise what LAPACK returns.  Larger systems
+    pack M and the right-hand side into one bytearray per trajectory, which
+    float64 views share, and call LAPACK's solve kernel directly, the one
+    np.linalg.solve wraps, so the states are bitwise those np.linalg.solve
+    gives.  The floating-point error state that np.linalg.solve and
+    np.linalg.svd would enter and leave on every stage is held once around
+    the whole trajectory; a singular matrix or an SVD that does not
+    converge still raises LinAlgError.
+    """
+    n = lag.n
+    if len(q0) != n or len(dq0) != n:
+        raise ValueError(f"initial state needs {n} positions and {n} velocities")
+    names = lag.q + lag.dq
     argnames = ("t",) + names
-    system = compile_exprs(hess + rhs_b, argnames)
-    hessian = None      # M alone, compiled when a stage first fails
+    if lag._flow is None:
+        lag._flow = compile_exprs(_euler_lagrange_system(lag), argnames)
+    limit = HESSIAN_CONDITION_LIMIT
+
+    def on_error(t, *y):
+        # M alone, compiled when a stage first fails, which ends the flow
+        _check_condition(compile_exprs(lag.velocity_hessian(), argnames)(t, *y), n, t, limit)
+
     nn = n * n
-    buf = np.empty(nn + n)      # M and the right-hand side of the current stage
-    square, right = buf[:nn].reshape(n, n), buf[nn:]
-    certified = _certificate(n) if n >= 4 else None
-
-    def check(m, t, square=None):
-        if not _hessian_condition(m, n, square) <= HESSIAN_CONDITION_LIMIT:
-            raise IntegrationError(
-                f"velocity Hessian condition exceeds {HESSIAN_CONDITION_LIMIT:g} at t={t:.6g}")
-
-    def rhs(t, *y):
-        nonlocal hessian
-        try:
-            v = system(t, *y)
-        except (EvalDomainError, OverflowError):
-            # M is checked before the right-hand side is evaluated, so a
-            # singular M outranks a domain error further on
-            if hessian is None:
-                hessian = compile_exprs(hess, argnames)
-            check(hessian(t, *y), t)
-            raise
-        if n == 1:
-            check(v[:1], t)
-            return y[1], v[1] / v[0]
-        buf[:] = v
-        if certified is None or not certified(v):
-            check(v[:nn], t, square)
-        return y[n:] + tuple(_solve(square, right).tolist())
-
+    buf = bytearray(8 * (nn + n))   # M and the right-hand side of the current stage
+    shared = np.frombuffer(buf)
+    rhs = _stage(n)(lag._flow, on_error, _solve, limit, buf, shared[:nn].reshape(n, n),
+                    shared[nn:])
     with _solve_errstate():
-        return Trajectory(tuple(names), t0, h,
-                          *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
+        return Trajectory(names, t0, h, *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 
 
 def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
@@ -438,19 +513,18 @@ def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float) -> fl
 
 
 def trajectory_to_csv(traj: Trajectory, stream, monitors: Sequence[MonitorSeries] = ()) -> None:
-    """Write the grid as CSV with full double precision, one row at a time;
-    a truncated monitor column is left empty past its last value."""
+    """Write the grid as CSV with full double precision, at most
+    CSV_CHUNK_ROWS rows per write; a truncated monitor column is left empty
+    past its last value."""
     header = ["t"] + list(traj.names) + [m.label for m in monitors]
     stream.write(",".join(header) + "\n")
-    times = traj.times.tolist()
-    columns = [m.values.tolist() for m in monitors]
-    if all(len(c) == len(times) for c in columns):
-        fmt = ",".join(["%.17g"] * len(header)) + "\n"
-        for t, row, *values in zip(times, traj.states, *columns):
-            stream.write(fmt % (t, *row.tolist(), *values))
-        return
-    fmt = ",".join(["%.17g"] * (1 + len(traj.names)))
-    for k, (t, row) in enumerate(zip(times, traj.states)):
-        cells = [fmt % (t, *row.tolist())]
-        cells.extend("%.17g" % c[k] if k < len(c) else "" for c in columns)
-        stream.write(",".join(cells) + "\n")
+    states, times, rows = traj.states, traj.times, len(traj.states)
+    lengths = [len(m.values) for m in monitors]
+    # within a chunk every monitor column is either full or empty
+    cuts = sorted({*range(0, rows, CSV_CHUNK_ROWS), *(k for k in lengths if k < rows), rows})
+    for k0, k1 in zip(cuts, cuts[1:]):
+        fmt = ",".join(["%.17g"] * (1 + len(traj.names))
+                       + ["%.17g" if k > k0 else "" for k in lengths]) + "\n"
+        cells = np.column_stack([times[k0:k1], states[k0:k1]]
+                                + [m.values[k0:k1] for m, k in zip(monitors, lengths) if k > k0])
+        stream.write(fmt * (k1 - k0) % tuple(cells.ravel().tolist()))

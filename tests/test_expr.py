@@ -2,9 +2,11 @@ import copy
 import gc
 import hashlib
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -971,6 +973,24 @@ def test_a_700_level_exponential_nest_simplifies():
     for _ in range(700):
         e = Func("exp", e)
     assert simplify(e * 2 + 1) is Sum((expr_mod.ONE, Product((Const(2), e))))
+
+
+def test_a_987_level_exponential_nest_prints():
+    # the deepest nest simplify handles in a script; the printer takes one
+    # frame per level, so it prints it too (it reached 494 levels at two).
+    # The limit leaves a margin over the ~993 frames the print needs, and
+    # stays well under the ~1980 that two frames per level would need.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\nsys.setrecursionlimit(1100)\n"
+            "from lamsym.expr import Func, Var, format_expr\n"
+            "e = Var('x')\n"
+            "for _ in range(987):\n"
+            "    e = Func('exp', e)\n"
+            "print(format_expr(e * 2 + 1))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "1+2*" + "exp(" * 987 + "x" + ")" * 987 + "\n"
 
 
 # ---------------------------------------------------------------- nesting guard

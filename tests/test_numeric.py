@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -457,6 +460,37 @@ def test_singular_hessian_outranks_a_domain_error_in_the_right_hand_side():
         integrate_euler_lagrange(lag, [-1.0], [0.0], 0.0, 0.1, 1e-2)
 
 
+def _decoupled(n, first, last=None):
+    """L with M = diag(first, 1, ..., 1, last) for the texts first and last."""
+    parts = [f"({first})*dq1^2/2"] + [f"dq{i}^2/2" for i in range(2, n + 1)]
+    if last is not None:
+        parts[-1] = f"({last})*dq{n}^2/2"
+    return " + ".join(parts)
+
+
+_ABORTS = (
+    # M_11 = 1 + inf - inf: 10^308*q1 overflows at q1 = 10
+    [(n, _decoupled(n, "1 + 10^308*q1*t - 10^308*q1"), 0.25, 0.25) for n in (1, 2, 3, 4)]
+    # n = 1's condition number is 1 or infinite, so its limit case is M = 0
+    + [(1, _decoupled(1, "1/1000 - t"), 0.0, 0.001)]
+    # M_nn = (1.00075 - t) / 10^12: the condition number is 9.9975e11 at the
+    # stage t = 0.0005 and 1.00025e12 at t = 0.001, the end of the first step
+    + [(n, _decoupled(n, "1", "(4003/4000 - t)/1000000000000"), 0.0, 0.001)
+       for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("n, text, t0, t_abort", _ABORTS)
+def test_the_stage_aborts_on_a_nan_entry_or_a_condition_just_over_the_limit(
+        n, text, t0, t_abort):
+    lag = LagrangianSystem(n, parse(text))
+    q0, dq0 = [10.0] + [0.5] * (n - 1), [0.0] * n
+    m = expr.compile_exprs(lag.velocity_hessian(), ("t",) + lag.q + lag.dq)(t0, *q0, *dq0)
+    assert math.isnan(m[0]) == ("10^308" in text)
+    with pytest.raises(IntegrationError) as err:
+        integrate_euler_lagrange(lag, q0, dq0, t0, t0 + 0.01, 1e-3)
+    assert str(err.value) == f"velocity Hessian condition exceeds 1e+12 at t={t_abort:g}"
+
+
 def test_well_conditioned_three_dof_hessian_integrates():
     lag = LagrangianSystem(3, parse("dq1^2 + dq2^2 + dq3^2 + dq1*dq2/2 + dq2*dq3/2"
                                     " - q1^2/2 - q2*q3"))
@@ -559,6 +593,43 @@ def test_the_error_state_is_restored_when_the_flow_raises(monkeypatch):
     assert _error_state() == before
 
 
+# ------------------------------------------------------------- compiled flows
+
+def test_a_flow_is_compiled_once_per_system(monkeypatch):
+    built = []
+
+    class Counting(expr._Fuser):
+        def __init__(self, exprs, names):
+            built.append(tuple(names))
+            super().__init__(exprs, names)
+
+    monkeypatch.setattr(expr, "_Fuser", Counting)
+    h_text = "(p1^2+p2^2)/2 + q1^2*q2^2/3 + q1*p2/11"
+    l_text = "dq1^2/2 + dq2^2/2 + dq1*dq2/4 - q1^2/2 - q2^2/2 + q1*q2/11"
+    runs = []
+    for _ in range(2):      # two fresh systems of the same H and of the same L
+        sys_h, lag = PhaseSystem(2, parse(h_text)), LagrangianSystem(2, parse(l_text))
+        for y0 in ([0.4, -0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.2, 0.2, -0.1, 0.0]):
+            runs.append(integrate_hamiltonian(sys_h, y0, 0.0, 0.05, 1e-2).states.tobytes())
+            runs.append(integrate_euler_lagrange(lag, y0[:2], y0[2:], 0.0, 0.05, 1e-2)
+                        .states.tobytes())
+    # one compilation per flow of each system; a fresh system compiles
+    # afresh, to the same bits
+    assert built == [("t", "q1", "q2", "p1", "p2"), ("t", "q1", "q2", "dq1", "dq2")] * 2
+    assert runs[:6] == runs[6:]
+
+
+def test_nothing_is_generated_at_import():
+    # generated code is built on first use, not in set-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import lamsym\nfrom lamsym import numeric as n\n"
+            "print(len(n._STEPPERS), len(n._CERTIFICATES), len(n._CONDITIONS), len(n._STAGES))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
 # ------------------------------------------------------------- csv reference
 
 def _ref_csv(traj, stream, monitors=()):
@@ -594,6 +665,23 @@ def test_csv_bytes_match_the_reference_writer_with_no_or_full_length_monitors():
         trajectory_to_csv(traj, got, monitors)
         _ref_csv(traj, want, monitors)
         assert got.getvalue() == want.getvalue()
+
+
+def test_csv_bytes_match_the_reference_writer_across_chunks(monkeypatch):
+    traj = integrate_first_order([parse("-1+0*y1"), parse("y1*y2")], ["y1", "y2"],
+                                 [0.9, 0.3], 0.0, 1.0, 1e-3)
+    series = monitor(traj, [parse("log(y1)"), parse("y1*y2")], labels=["L", "P"])
+    cut = series[0].truncated_at
+    assert len(traj.states) == 1001 > 2 * numeric.CSV_CHUNK_ROWS
+    assert 2 * numeric.CSV_CHUNK_ROWS < cut < 1001 and series[1].truncated_at is None
+    # chunks of the module's size, one that ends at the truncation, odd ones
+    for rows in (numeric.CSV_CHUNK_ROWS, cut, cut // 2, 7, 1000):
+        monkeypatch.setattr(numeric, "CSV_CHUNK_ROWS", rows)
+        for monitors in ((), series, series[:1], series[::-1]):
+            got, want = io.StringIO(), io.StringIO()
+            trajectory_to_csv(traj, got, monitors)
+            _ref_csv(traj, want, monitors)
+            assert got.getvalue() == want.getvalue()
 
 
 # ------------------------------------------------------------- generated step
