@@ -1582,7 +1582,7 @@ def _sampled_verdict(z: Expr, names: list, box: DomainBox,
     for point in box.points(names, cfg.seed, cfg.samples):
         try:
             vals = fn(*point)
-            resid = abs(math.fsum(vals)) / (1.0 + max(abs(v) for v in vals))
+            resid = abs(math.fsum(vals)) / (1.0 + max(map(abs, vals)))
         except OverflowError:       # a power, or fsum's intermediate sum
             overflow += 1
             continue

@@ -61,7 +61,7 @@ class LagrangianSystem:
         extra = free_vars(self.lagrangian) - set(self.q) - set(self.dq) - {self.t}
         if extra:
             raise ValueError(f"lagrangian contains unknown variables: {sorted(extra)}")
-        self._flow: Optional[Callable] = None     # compiled by numeric.integrate_euler_lagrange
+        self._flow: Optional[Callable] = None     # numeric._euler_lagrange_stage of this system
 
     def __repr__(self):
         return f"LagrangianSystem(n={self.n}, L={self.lagrangian})"

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve, svd as _lapack_svd
 
+from . import expr
 from .expr import (
     Const,
     EvalDomainError,
@@ -37,6 +38,7 @@ DEFAULT_HORIZON = 1.0
 SAFETY_LIMIT = 1e6
 MAX_GRID_STEPS = 10**7      # longest grid a trajectory may ask for
 CSV_CHUNK_ROWS = 256       # rows `trajectory_to_csv` formats per write
+RK4_CHUNK_STEPS = 256      # steps `_rk4_loop` runs per call of the generated loop
 HESSIAN_CONDITION_LIMIT = 1e12
 
 
@@ -90,41 +92,48 @@ def _grid_steps(t0: float, t1: float, h: float) -> int:
     return max(int(round(steps)), 1)
 
 
-_STEPPERS: dict = {}    # state size -> generated RK4 step
+def _generated(lines: list, name: str, **env) -> Callable:
+    """The function `name` that the source lines define, run with the
+    builtins abs, min, max, range and OverflowError, math.isfinite as
+    _isfinite, inf as _inf and the names in env."""
+    env = {**env, "__builtins__": {"abs": abs, "min": min, "max": max, "range": range,
+                                   "OverflowError": OverflowError},
+           "_isfinite": math.isfinite, "_inf": math.inf}
+    exec("\n".join(lines) + "\n", env)
+    return env[name]
 
 
-def _stepper(d: int) -> Callable[..., Optional[tuple]]:
-    """The RK4 step for states of d components, generated once per d:
-    step(f, t, half, h, sixth, limit, y0, ..., y{d-1}) returns the next
-    state as a tuple, or None when a component fails |r| <= limit.
+_LOOPS: dict = {}   # state size -> generated RK4 loop
+
+
+def _loop(d: int) -> Callable[..., None]:
+    """The RK4 loop for states of d components, generated once per d:
+    loop(f, append, t0, h, half, sixth, limit, k0, k1, y0, ..., y{d-1})
+    runs the steps k = k0, ..., k1 - 1 from the state y, at t = t0 + k*h,
+    and appends each new state as a tuple; it returns, without appending,
+    at the first new state with a component that fails |r| <= limit.
 
     The stages are `a + half * b` (`a + h * b` for the last) and the update
     `a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)`, componentwise on locals, the
     same float operations in the same order as a float64 array loop."""
-    step = _STEPPERS.get(d)
-    if step is None:
-        y, a, b, c, e, r = ([f"{p}{i}" for i in range(d)] for p in "yabcer")
-
-        def tup(vs):
-            return "".join(v + "," for v in vs)
-
-        def shifted(coef, k):
-            return ", ".join(f"{yi} + {coef} * {ki}" for yi, ki in zip(y, k))
-
-        lines = [f"def step(f, t, half, h, sixth, limit, {', '.join(y)}):",
-                 f" {tup(a)} = f(t, {', '.join(y)})",
-                 f" {tup(b)} = f(t + half, {shifted('half', a)})",
-                 f" {tup(c)} = f(t + half, {shifted('half', b)})",
-                 f" {tup(e)} = f(t + h, {shifted('h', c)})"]
-        lines += [f" {ri} = {yi} + sixth * ({ai} + 2 * {bi} + 2 * {ci} + {ei})"
-                  for ri, yi, ai, bi, ci, ei in zip(r, y, a, b, c, e)]
-        lines += [f" if {' and '.join(f'abs({ri}) <= limit' for ri in r)}:",
-                  f"  return ({tup(r)})",
-                  " return None"]
-        env = {"__builtins__": {"abs": abs}}
-        exec("\n".join(lines) + "\n", env)
-        step = _STEPPERS[d] = env["step"]
-    return step
+    loop = _LOOPS.get(d)
+    if loop is None:
+        y, a, b, c, e = ([f"{p}{i}" for i in range(d)] for p in "yabce")
+        ys = ", ".join(y)
+        lines = [f"def loop(f, append, t0, h, half, sixth, limit, k0, k1, {ys}):",
+                 " for k in range(k0, k1):",
+                 "  t = t0 + k * h",
+                 f"  {''.join(v + ',' for v in a)} = f(t, {ys})"]
+        lines += [f"  {''.join(v + ',' for v in out)} = f(t + {coef}, "
+                  f"{', '.join(f'{yi} + {coef} * {ki}' for yi, ki in zip(y, k))})"
+                  for out, coef, k in ((b, "half", a), (c, "half", b), (e, "h", c))]
+        lines += [f"  {yi} = {yi} + sixth * ({ai} + 2 * {bi} + 2 * {ci} + {ei})"
+                  for yi, ai, bi, ci, ei in zip(y, a, b, c, e)]
+        lines += [f"  if not ({' and '.join(f'abs({yi}) <= limit' for yi in y)}):",
+                  "   return",
+                  f"  append(({ys},))"]
+        loop = _LOOPS[d] = _generated(lines, "loop")
+    return loop
 
 
 def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
@@ -134,32 +143,38 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
     the safety box |y_i| <= SAFETY_LIMIT or hit a domain error and was
     truncated.
 
-    Each step is one call of the generated step for the state size
-    (`_stepper`), which performs the same float operations, in the same
-    order, as a componentwise float64 array loop, so the states are
-    bitwise the same.  A power beyond the float range raises OverflowError
-    on floats where a float64 array would hold inf; it ends the trajectory
-    at that step as having left the safety box, as the inf would."""
+    The steps run in chunks of RK4_CHUNK_STEPS, each one call of `_loop`,
+    so the states are bitwise those of a componentwise float64 array loop.
+    A chunk appends its states to a list that holds the state it starts
+    from, which is copied into the states array and cut back to its last
+    state before the next chunk.  A power beyond the float range raises
+    OverflowError on floats where a float64 array would hold inf; it ends
+    the trajectory at that step as having left the safety box, as the inf
+    would."""
     steps = _grid_steps(t0, t1, h)
-    y = [float(v) for v in y0]
+    y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
     states = np.empty((steps + 1, len(y)))
-    states[0] = y
-    step = _stepper(len(y))
+    loop, chunk, rows = _loop(len(y)), RK4_CHUNK_STEPS, [y]
     half, sixth = h / 2, h / 6
-    for k in range(steps):
-        t = t0 + k * h
+    for k0 in range(0, steps, chunk):
+        k1, failure = min(k0 + chunk, steps), None
         try:
             # |v| <= SAFETY_LIMIT also rejects inf and nan
-            y = step(f, t, half, h, sixth, SAFETY_LIMIT, *y)
+            loop(f, rows.append, t0, h, half, sixth, SAFETY_LIMIT, k0, k1, *rows[-1])
         except OverflowError:
-            y = None
+            pass
         except EvalDomainError as err:
-            return states[:k + 1].copy(), f"domain error at t={t:.6g}: {err}"
-        if y is None:
-            return states[:k + 1].copy(), f"state left safety box at t={t + h:.6g}"
-        states[k + 1] = y
+            failure = err
+        k = k0 + len(rows) - 1      # the last state is that of grid point k
+        states[k0:k + 1] = rows
+        del rows[:-1]
+        if k < k1:
+            t = t0 + k * h
+            return states[:k + 1].copy(), (f"state left safety box at t={t + h:.6g}"
+                                           if failure is None else
+                                           f"domain error at t={t:.6g}: {failure}")
     return states, None
 
 
@@ -208,7 +223,7 @@ def _condition_lines(n: int) -> list:
     """Source lines that set `cond` to the exact 1-norm condition number
     ||M||_1 ||adj M||_1 / |det M| of the row-major n x n matrix in the locals
     m0, m1, ..., for n <= 3; infinite when M is singular or not finite.
-    `_closed_condition` and the Euler-Lagrange stage both run them."""
+    `_hessian_condition` and the Euler-Lagrange stage both run them."""
     if n == 1:
         return ["cond = 1.0 if m0 != 0.0 and _isfinite(m0) else _inf"]
     if n == 2:
@@ -231,36 +246,28 @@ def _condition_lines(n: int) -> list:
 _CONDITIONS: dict = {}      # n <= 3 -> generated closed-form condition number
 
 
-def _closed_condition(n: int) -> Callable[..., float]:
-    """condition(m0, m1, ...) for n <= 3, which runs `_condition_lines`,
-    generated once per n."""
-    condition = _CONDITIONS.get(n)
-    if condition is None:
-        lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
-        lines += [f" {line}" for line in _condition_lines(n)] + [" return cond"]
-        env = {"__builtins__": {"abs": abs, "max": max},
-               "_isfinite": math.isfinite, "_inf": math.inf}
-        exec("\n".join(lines) + "\n", env)
-        condition = _CONDITIONS[n] = env["condition"]
-    return condition
-
-
 def _hessian_condition(m: Sequence[float], n: int,
                        square: Optional[np.ndarray] = None) -> float:
     """Condition number of the row-major n x n matrix m; infinite when m is
     singular or not finite.  `square` is m as an n x n float64 array, when
     the caller has built one already.
 
-    For n <= 3 it is the exact 1-norm condition number in closed form
-    (`_condition_lines`).  For larger n it is the 2-norm one, the largest
-    over the smallest singular value, from the LAPACK kernel (dgesdd) that
-    np.linalg.svd and np.linalg.cond call on float64 operands, without
-    their wrapper, so it is bitwise what np.linalg.cond returns.  Inside
-    `_solve_errstate()` an SVD that does not converge raises LinAlgError;
-    outside it the kernel warns and the result is inf.
+    For n <= 3 it is the exact 1-norm condition number in closed form, from
+    a function that runs `_condition_lines`, generated once per n.  For
+    larger n it is the 2-norm one, the largest over the smallest singular
+    value, from the LAPACK kernel (dgesdd) that np.linalg.svd and
+    np.linalg.cond call on float64 operands, without their wrapper, so it
+    is bitwise what np.linalg.cond returns.  Inside `_solve_errstate()` an
+    SVD that does not converge raises LinAlgError; outside it the kernel
+    warns and the result is inf.
     """
     if n <= 3:
-        return _closed_condition(n)(*m)
+        condition = _CONDITIONS.get(n)
+        if condition is None:
+            lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
+            lines += [f" {line}" for line in _condition_lines(n)] + [" return cond"]
+            condition = _CONDITIONS[n] = _generated(lines, "condition")
+        return condition(*m)
     if not all(map(math.isfinite, m)):
         return math.inf
     if square is None:
@@ -282,99 +289,94 @@ def _check_condition(m: Sequence[float], n: int, t: float, limit: float,
         raise _exceeded(t, limit)
 
 
-_CERTIFICATES: dict = {}    # matrix size -> generated condition certificate
-
-
-def _certificate(n: int) -> Callable[[Sequence[float]], bool]:
-    """certified(v) for a sequence v whose first n*n entries are the
-    row-major matrix M, generated once per n: True only when a bound proves
-    that the 2-norm condition number of M is at most
-    HESSIAN_CONDITION_LIMIT / 100; False when the bound cannot decide.
+def _certificate_lines(n: int) -> list:
+    """Source lines that set `cert` for the row-major n x n matrix M in the
+    locals m0, m1, ...: True only when a bound proves that the 2-norm
+    condition number of M is at most `cert_limit`, the condition limit over
+    100; False when the bound cannot decide.  `_certificate` and the
+    Euler-Lagrange stage for n >= 4 both run them.
 
     The bounds are Johnson's lower bound on the smallest singular value,
     lb = min_i (|m_ii| - (R_i + C_i) / 2) with R_i and C_i the off-diagonal
     absolute sums of row and column i, and ub = sqrt(||M||_1) sqrt(||M||_inf)
-    on the largest; M is certified when every entry is finite, 0 < lb and
-    ub <= lb * HESSIAN_CONDITION_LIMIT / 100.  The factor 100 absorbs the
-    rounding of the bounds and the SVD's own error, of order n eps kappa, so
-    `_hessian_condition` of a certified M is finite and far below the
-    limit.  A nan or inf entry makes the sum of all |m_ij| nan or inf, and
-    M is not certified."""
+    on the largest; M is certified when the sum of all |m_ij|, nan or inf
+    when an entry is, is finite, 0 < lb and ub <= lb * cert_limit.  The
+    factor 100 absorbs the rounding of the bounds and the SVD's own error,
+    of order n eps kappa, so `_hessian_condition` of a certified M is finite
+    and far below the limit."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    rows, diag = range(n), [a[i][i] for i in range(n)]
+    lines = [f"{a[i][j]} = abs(m{i * n + j})" for i in rows for j in rows]
+    lines += [f"r{i} = {' + '.join(a[i][j] for j in rows if j != i)}" for i in rows]
+    lines += [f"c{j} = {' + '.join(a[i][j] for i in rows if i != j)}" for j in rows]
+    lines += [f"s{i} = {diag[i]} + r{i}" for i in rows]
+    return lines + [
+        f"lb = min({', '.join(f'{diag[i]} - 0.5 * (r{i} + c{i})' for i in rows)})",
+        f"cert = {' + '.join(f's{i}' for i in rows)} < _inf and 0.0 < lb and"
+        f" _root(max({', '.join(f'{diag[j]} + c{j}' for j in rows)}))"
+        f" * _root(max({', '.join(f's{i}' for i in rows)})) <= lb * cert_limit"]
+
+
+_CERTIFICATES: dict = {}    # matrix size -> generated condition certificate
+
+
+def _certificate(n: int) -> Callable[[Sequence[float]], bool]:
+    """certified(v), which runs `_certificate_lines` on the first n*n
+    entries of v with cert_limit = HESSIAN_CONDITION_LIMIT / 100, generated
+    once per n."""
     certified = _CERTIFICATES.get(n)
     if certified is None:
-        a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-        rows, diag = range(n), [a[i][i] for i in range(n)]
-        lines = ["def certified(v):"]
-        lines += [f" {a[i][j]}=abs(v[{i * n + j}])" for i in rows for j in rows]
-        lines += [f" r{i}={'+'.join(a[i][j] for j in rows if j != i)}" for i in rows]
-        lines += [f" c{j}={'+'.join(a[i][j] for i in rows if i != j)}" for j in rows]
-        lines += [f" s{i}={diag[i]}+r{i}" for i in rows]
-        # a finite sum of all |m_ij| means no entry or partial sum is nan or inf
-        lines += [f" if not {'+'.join(f's{i}' for i in rows)}<_inf:",
-                  "  return False",
-                  f" lb=min({','.join(f'{diag[i]}-0.5*(r{i}+c{i})' for i in rows)})",
-                  f" ub=_sqrt(max({','.join(f'{diag[j]}+c{j}' for j in rows)}))"
-                  f"*_sqrt(max({','.join(f's{i}' for i in rows)}))",
-                  f" return 0.0<lb and ub<=lb*{HESSIAN_CONDITION_LIMIT / 100!r}"]
-        env = {"__builtins__": {"abs": abs, "min": min, "max": max},
-               "_sqrt": math.sqrt, "_inf": math.inf}
-        exec("\n".join(lines) + "\n", env)
-        certified = _CERTIFICATES[n] = env["certified"]
+        lines = ["def certified(v):", f" {''.join(f'm{i}, ' for i in range(n * n))}*_ = v"]
+        lines += [f" {line}" for line in _certificate_lines(n)] + [" return cert"]
+        certified = _CERTIFICATES[n] = _generated(
+            lines, "certified", _root=math.sqrt, cert_limit=HESSIAN_CONDITION_LIMIT / 100)
     return certified
 
 
-_STAGES: dict = {}  # n -> generated Euler-Lagrange stage factory
+def _euler_lagrange_stage(lag) -> Callable:
+    """bind(on_error, solve, limit, buf, square, right) for the system lag,
+    generated once per system; it returns the flow's Euler-Lagrange vector
+    field rhs(t, q..., dq...).
 
-
-def _stage(n: int) -> Callable:
-    """stage(system, on_error, solve, limit, buf, square, right) for n
-    degrees of freedom, generated once per n; it binds one flow's
-    Euler-Lagrange vector field rhs(t, q..., dq...).
-
-    rhs evaluates M and the right-hand side b as system(t, q..., dq...); on
-    a domain error or an overflow it calls on_error(t, q..., dq...), which
+    rhs evaluates M and the right-hand side b (`_euler_lagrange_system`) on
+    locals, from the lines `compile_exprs` would generate for them; on a
+    domain error or an overflow it calls on_error(t, q..., dq...), which
     raises when M is ill-conditioned, then raises that error again.  It
     aborts when the condition number of M exceeds limit: for n <= 3 by
-    `_condition_lines` on locals, for n >= 4 by the certificate and, when
-    that cannot decide, `_hessian_condition`'s SVD.  It returns dq and
-    M^-1 b: b / M for n = 1; for larger n it packs M and b into the
-    bytearray buf, which the float64 views square and right share, and
-    calls solve(square, right)."""
-    stage = _STAGES.get(n)
-    if stage is None:
-        nn = n * n
-        m, b = [f"m{i}" for i in range(nn)], [f"b{i}" for i in range(n)]
-        y, x = ", ".join(f"y{i}" for i in range(2 * n)), [f"x{i}" for i in range(n)]
-        closed = _condition_lines(n) if n <= 3 else []
-        lines = ["def stage(system, on_error, solve, limit, buf, square, right):",
-                 f" def rhs(t, {y}):",
-                 "  try:",
-                 f"   v = system(t, {y})",
-                 "  except (_EvalDomainError, OverflowError):",
-                 f"   on_error(t, {y})",
-                 "   raise"]
-        if closed:
-            lines += [f"  {', '.join(m + b)}, = v"] + [f"  {line}" for line in closed]
-            lines += ["  if not cond <= limit:", "   raise _exceeded(t, limit)"]
-        if n == 1:
-            lines += ["  return y1, b0 / m0"]
-        else:
-            lines += ["  _pack_into(buf, 0, *v)"]
-            if not closed:
-                lines += ["  if not _certified(v):",
-                          f"   _check_condition(v[:{nn}], {n}, t, limit, square)"]
-            lines += [f"  {', '.join(x)}, = solve(square, right).tolist()",
-                      f"  return {', '.join([f'y{i}' for i in range(n, 2 * n)] + x)}"]
-        lines += [" return rhs"]
-        env = {"__builtins__": {"abs": abs, "max": max, "OverflowError": OverflowError},
-               "_isfinite": math.isfinite, "_inf": math.inf,
-               "_EvalDomainError": EvalDomainError, "_exceeded": _exceeded,
-               "_check_condition": _check_condition,
-               "_pack_into": struct.Struct(f"{nn + n}d").pack_into,
-               "_certified": None if closed else _certificate(n)}
-        exec("\n".join(lines) + "\n", env)
-        stage = _STAGES[n] = env["stage"]
-    return stage
+    `_condition_lines`, for n >= 4 by `_hessian_condition`'s SVD, which runs
+    only when `_certificate_lines`, with cert_limit = limit / 100, cannot
+    decide.  It returns dq and M^-1 b: b / M for n = 1, bitwise what LAPACK
+    returns; for larger n it packs M and b into the bytearray buf, which
+    the float64 views square and right share, and calls solve(square,
+    right), LAPACK's solve kernel (`_solve`)."""
+    n = lag.n
+    nn, names = n * n, ("t",) + lag.q + lag.dq
+    fuser = expr._Fuser(_euler_lagrange_system(lag), names)
+    args, t = ", ".join(fuser.sym[v] for v in names), fuser.sym["t"]
+    dq, m = [fuser.sym[v] for v in lag.dq], [f"m{i}" for i in range(nn)]
+    b, x = [f"b{i}" for i in range(n)], [f"x{i}" for i in range(n)]
+    lines = ["try:"] + [f" {line}" for line in fuser.lines]
+    lines += [f" {v} = {r}" for v, r in zip(m + b, fuser.results)]
+    lines += ["except (_EvalDomainError, OverflowError):", f" on_error({args})", " raise"]
+    if n <= 3:
+        lines += _condition_lines(n) + ["if not cond <= limit:", f" raise _exceeded({t}, limit)"]
+    else:
+        lines += _certificate_lines(n)
+    if n == 1:
+        lines += [f"return {dq[0]}, b0 / m0"]
+    else:
+        lines += [f"_pack_into(buf, 0, {', '.join(m + b)})"]
+        if n > 3:
+            lines += ["if not cert:",
+                      f" _check_condition(({', '.join(m)}), {n}, {t}, limit, square)"]
+        lines += [f"{', '.join(x)}, = solve(square, right).tolist()",
+                  f"return {', '.join(dq + x)}"]
+    head = ["def bind(on_error, solve, limit, buf, square, right):"]
+    head += [" cert_limit = limit / 100"] * (n > 3) + [f" def rhs({args}):"]
+    return _generated(head + [f"  {line}" for line in lines] + [" return rhs"], "bind",
+                      **expr._COMPILE_ENV, _root=math.sqrt, _EvalDomainError=EvalDomainError,
+                      _exceeded=_exceeded, _check_condition=_check_condition,
+                      _pack_into=struct.Struct(f"{nn + n}d").pack_into)
 
 
 def _euler_lagrange_system(lag) -> list:
@@ -403,44 +405,36 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
 
     At every stage the accelerations solve the linear system
     M(t,q,dq) ddq = dL/dq - d2L/dtddq - (d2L/dqddq) dq with M the velocity
-    Hessian.  One generated function evaluates every entry of M and of the
-    right-hand side, sharing common subexpressions; it is compiled once per
-    system and remembered on it.  Each stage is one call of the function
-    `_stage` generates once per n, bound per flow to that function, to the
-    solve kernel and to HESSIAN_CONDITION_LIMIT as they are when the flow
-    starts.  It aborts when the condition number of M exceeds 1e12: for n <= 3 the
-    exact 1-norm one in closed form, for larger n the 2-norm one from
-    LAPACK's SVD kernel, bitwise what np.linalg.cond returns, which runs
-    only when the generated certificate (`_certificate`) cannot prove it at
-    most 1e10.  When M and the right-hand side cannot be evaluated, M alone
-    is checked first, so a singular M outranks a domain error.  For n = 1
-    the solve is a division, bitwise what LAPACK returns.  Larger systems
-    pack M and the right-hand side into one bytearray per trajectory, which
-    float64 views share, and call LAPACK's solve kernel directly, the one
-    np.linalg.solve wraps, so the states are bitwise those np.linalg.solve
-    gives.  The floating-point error state that np.linalg.solve and
-    np.linalg.svd would enter and leave on every stage is held once around
-    the whole trajectory; a singular matrix or an SVD that does not
-    converge still raises LinAlgError.
+    Hessian, in one call of the stage generated once per system and
+    remembered on it (`_euler_lagrange_stage`), bound per flow to the solve
+    kernel, to one bytearray for M and the right-hand side and to
+    HESSIAN_CONDITION_LIMIT as they are when the flow starts.  It aborts
+    when the condition number of M exceeds the limit: for n <= 3 the exact
+    1-norm one, for larger n the 2-norm one, bitwise what np.linalg.cond
+    returns.  When M and the right-hand side cannot be evaluated, M alone
+    is checked first, so a singular M outranks a domain error.  The states
+    are bitwise those np.linalg.solve gives.  The floating-point error
+    state that np.linalg.solve and np.linalg.svd would enter and leave on
+    every stage is held once around the whole trajectory; a singular matrix
+    or an SVD that does not converge still raises LinAlgError.
     """
     n = lag.n
     if len(q0) != n or len(dq0) != n:
         raise ValueError(f"initial state needs {n} positions and {n} velocities")
     names = lag.q + lag.dq
-    argnames = ("t",) + names
     if lag._flow is None:
-        lag._flow = compile_exprs(_euler_lagrange_system(lag), argnames)
+        lag._flow = _euler_lagrange_stage(lag)
     limit = HESSIAN_CONDITION_LIMIT
 
     def on_error(t, *y):
         # M alone, compiled when a stage first fails, which ends the flow
-        _check_condition(compile_exprs(lag.velocity_hessian(), argnames)(t, *y), n, t, limit)
+        m = compile_exprs(lag.velocity_hessian(), ("t",) + names)(t, *y)
+        _check_condition(m, n, t, limit)
 
     nn = n * n
     buf = bytearray(8 * (nn + n))   # M and the right-hand side of the current stage
     shared = np.frombuffer(buf)
-    rhs = _stage(n)(lag._flow, on_error, _solve, limit, buf, shared[:nn].reshape(n, n),
-                    shared[nn:])
+    rhs = lag._flow(on_error, _solve, limit, buf, shared[:nn].reshape(n, n), shared[nn:])
     with _solve_errstate():
         return Trajectory(names, t0, h, *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 
@@ -448,21 +442,23 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
 def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
     """fn(t, *state) at the grid points t = t0 + k*h up to the first domain
     error, as (values, reason); reason is "truncated at step k: ..." or None.
-    A power beyond the float range gets the value that the stored float64
-    values give (inf, or what the rest of the expression makes of inf)."""
-    values = []
-    for k, row in enumerate(traj.states.tolist()):
-        t = traj.t0 + k * traj.h
+    One map runs fn over the times and the state columns.  When row
+    k = len(values) raises OverflowError, fn runs again on its float64
+    values, which give inf (or what the rest of fn makes of inf) where
+    floats raise, and the map resumes at row k + 1."""
+    values, times = [], traj.times.tolist()
+    rows = map(fn, times, *traj.states.T.tolist())
+    while True:
         try:
             try:
-                values.append(fn(t, *row))
+                values.extend(rows)
+                return np.array(values), None
             except OverflowError:
-                # float64 operands give inf where floats raise
+                k = len(values)
                 with np.errstate(all="ignore"):
-                    values.append(fn(t, *traj.states[k]))
+                    values.append(fn(times[k], *traj.states[k]))
         except EvalDomainError as err:
-            return np.array(values), f"truncated at step {k}: {err}"
-    return np.array(values), None
+            return np.array(values), f"truncated at step {len(values)}: {err}"
 
 
 def values_along(traj: Trajectory, fn: Callable[..., object], what: str) -> np.ndarray:

@@ -404,20 +404,70 @@ def test_blowups_truncate_where_the_reference_does(text, y0):
     assert traj.states.tobytes() == states.tobytes()
 
 
+# dy1/dt with y1 = 0 at t = 0 and h = 1, and the reason's start: step k
+# first fails at k = kf, at its last stage y1 = k + 1, where log(kf - k) leaves
+# its domain, the power's base reaches 6 (6^400 overflows, 5.85^400 does not)
+# and y1 = (k + 1) * 1e6 / (kf + 1/2) leaves the safety box
+_FAILING_FIELDS = {
+    "log": ("1 + 0*log({kf} + 1 - y1)", "domain error at t="),
+    "power": ("1 + 0*(y1*6/({kf} + 1))^400", "state left safety box at t="),
+    "box": ("2000000/(2*{kf} + 1) + 0*y1", "state left safety box at t="),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 4, numeric.RK4_CHUNK_STEPS])
+@pytest.mark.parametrize("kind", _FAILING_FIELDS)
+def test_chunked_flows_truncate_where_the_reference_does(monkeypatch, chunk, kind):
+    monkeypatch.setattr(numeric, "RK4_CHUNK_STEPS", chunk)
+    text, start = _FAILING_FIELDS[kind]
+    spans, loop = [], numeric._loop
+
+    def spying(d):
+        def run(f, append, t0, h, half, sixth, limit, k0, k1, *y):
+            spans.append((k0, k1))
+            return loop(d)(f, append, t0, h, half, sixth, limit, k0, k1, *y)
+        return run
+
+    monkeypatch.setattr(numeric, "_loop", spying)
+    # with chunks of 4: the first step, the last of a chunk, the first of the
+    # next, mid-chunk, and no failure on grids that end on and off a chunk's end
+    for kf, t1 in [(0, 12.0), (3, 12.0), (4, 12.0), (6, 12.0), (20, 8.0), (20, 9.0)]:
+        spans.clear()
+        field = [parse(text.format(kf=kf))]
+        traj = integrate_first_order(field, ["y1"], [0.0], 0.0, t1, 1.0)
+        states, reason = _ref_first_order(field, ["y1"], [0.0], 0.0, t1, 1.0)
+        assert traj.reason == reason
+        assert traj.states.tobytes() == states.tobytes()
+        if kf < t1:
+            assert len(states) == kf + 1 and reason.startswith(start)
+        else:
+            assert len(states) == t1 + 1 and reason is None
+        # chunks up to the one that holds the failing step or the last one
+        steps = int(t1)
+        assert spans == [(k0, min(k0 + chunk, steps))
+                         for k0 in range(0, min(kf, steps - 1) + 1, chunk)]
+
+
 def test_monitor_matches_the_reference_on_overflow_and_domain_errors():
     traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
     names = ("t",) + traj.names
-    for text in ("y1^400", "1/y1^400", "-(y1*10^30)^16", "log(5-y1)"):
+    # y1 = 1, ..., 11: (y1+5)^400 overflows on every row and y1^300 on the
+    # last one only; the last two overflow on rows 5 and 6 and leave the
+    # domain of log on row 7, one after an overflow on that row
+    for text in ("y1^400", "1/y1^400", "-(y1*10^30)^16", "log(5-y1)", "(y1+5)^400",
+                 "y1^300", "y1^400 + log(8-y1)", "log(8-y1) + y1^400"):
         fn = compile_expr(parse(text), names)
-        want = []
+        want, reason = [], None
         with np.errstate(all="ignore"):
             series = monitor(traj, [parse(text)])[0]
             for k, row in enumerate(traj.states):
                 try:
                     want.append(fn(traj.t0 + k * traj.h, *row))
-                except EvalDomainError:
+                except EvalDomainError as err:
+                    reason = f"truncated at step {k}: {err}"
                     break
         assert series.values.tobytes() == np.array(want).tobytes()
+        assert series.reason == reason
         assert series.truncated_at == (len(want) if len(want) < len(traj.states) else None)
 
 
@@ -619,15 +669,33 @@ def test_a_flow_is_compiled_once_per_system(monkeypatch):
     assert runs[:6] == runs[6:]
 
 
+def test_mon_compiles_its_monitored_expressions_once_per_check(monkeypatch):
+    built = []
+
+    class Counting(expr._Fuser):
+        def __init__(self, exprs, names):
+            built.append(tuple(names))
+            super().__init__(exprs, names)
+
+    monkeypatch.setattr(expr, "_Fuser", Counting)
+    problem = _bundled("example2.json")
+    u0 = problem.candidates["initial_conditions"][0]
+    problem.candidates["initial_conditions"] = [u0, [v * 0.9 for v in u0], [v * 1.1 for v in u0]]
+    report = run_checks(problem, ["mon"])
+    assert [c.verdict for c in report.checks] == ["NumericallyZero"]
+    # the flow, Gamma and G, each compiled once for three initial conditions
+    assert built.count(("t", "q1", "q2", "p1", "p2")) == 3
+
+
 def test_nothing_is_generated_at_import():
     # generated code is built on first use, not in set-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import lamsym\nfrom lamsym import numeric as n\n"
-            "print(len(n._STEPPERS), len(n._CERTIFICATES), len(n._CONDITIONS), len(n._STAGES))\n")
+            "print(len(n._LOOPS), len(n._CERTIFICATES), len(n._CONDITIONS))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 # ------------------------------------------------------------- csv reference
