@@ -3,8 +3,10 @@
 Expression trees are immutable: rational constants, named variables,
 flattened sums and products, powers, quotients and the elementary
 functions exp, log, sin, cos, sqrt.  Nodes are interned, so equal trees
-are one object and equality is identity.  Constants stay exact
-(fractions.Fraction); floating point enters only in the functions that
+are one object and equality is identity.  Constants stay exact, each in
+one canonical form: an int when integral, else a fractions.Fraction with
+denominator > 1 (`_ratio` divides two of them); floating point enters
+only in the functions that
 `compile_exprs` generates, the one evaluator.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
 scope normal forms, normalizer steps, derivatives and zero-test verdicts
@@ -160,8 +162,12 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
+        # the canonical rational: an int when integral, else a Fraction
+        if type(value) is not int:
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
         key = (cls, value.numerator, value.denominator)
         return _find(key) or _intern(key, cls, (value,))
 
@@ -224,13 +230,21 @@ _KIDS = {
     Func: lambda e: (e.arg,),
 }
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-MINUS_ONE = Const(Fraction(-1))
-_UNIT = ONE.value  # the coefficient and exponent 1, shared rather than built per call
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 # normal form of all that is undefined everywhere (x/0, log(0), sqrt(-1), ...);
 # it absorbs every node it enters, so no zero factor or cancellation drops it
 UNDEFINED = Quotient(ZERO, ZERO)
+
+
+def _ratio(a, b):
+    """a / b for rationals a and b != 0, exactly and in Const's canonical
+    form; `/` on two ints would give a float."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _undefined(e: Expr) -> bool:
@@ -241,7 +255,7 @@ def coerce(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction)):
-        return Const(Fraction(v))
+        return Const(v)
     if isinstance(v, float):
         # decimal reading of the literal, not the binary float
         return Const(Fraction(str(v)))
@@ -299,10 +313,10 @@ def neg(e: Expr) -> Expr:
 def div(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Const) and b.value != 0:
         if isinstance(a, Const):
-            return Const(a.value / b.value)
+            return Const(_ratio(a.value, b.value))
         if b.value == 1:
             return a
-        return mul(Const(1 / b.value), a)
+        return mul(Const(_ratio(1, b.value)), a)
     return Quotient(a, b)
 
 
@@ -625,7 +639,7 @@ def _split_coeff(n: Expr):
     # UNDEFINED has no coefficient: its numerator's 0 would make it vanish
     if not (t is Product and type(n.factors[0]) is Const or t is Sum
             or t is Quotient and n.denominator is not ZERO):
-        return _UNIT, n
+        return 1, n
     memo, key = _MEMO.get(_NO_MEMO), (_split_coeff, n)
     r = memo.get(key)
     if r is not None:
@@ -640,18 +654,18 @@ def _split_coeff(n: Expr):
         # scale out the leading coefficient so that rests are scale-canonical
         c0, _ = _split_coeff(n.terms[0])
         if c0 == 1:
-            r = _UNIT, n
+            r = 1, n
         else:
             parts = []
             for u in n.terms:
                 uc, ur = _split_coeff(u)
-                parts.append(_join_coeff(uc / c0, ur))
+                parts.append(_join_coeff(_ratio(uc, c0), ur))
             r = c0, Sum(tuple(parts))
     memo[key] = r
     return r
 
 
-def _join_coeff(c: Fraction, rest: Expr) -> Expr:
+def _join_coeff(c: int | Fraction, rest: Expr) -> Expr:
     if c == 0:
         return ZERO
     if rest == ONE:
@@ -706,7 +720,7 @@ def _norm_sum(terms: list) -> Expr:
 def _rational_exponent(e: Expr):
     if isinstance(e, Power) and isinstance(e.exponent, Const):
         return e.base, e.exponent.value
-    return e, _UNIT
+    return e, 1
 
 
 def _norm_product(factors: list) -> Expr:
@@ -714,7 +728,7 @@ def _norm_product(factors: list) -> Expr:
     r = memo.get(key)
     if r is not None:
         return r
-    coeff = _UNIT
+    coeff = 1
     bases: dict = {}   # atomic base expr -> accumulated rational exponent
     opaque: list = []  # powers with non-constant exponents
     den_parts: list = []
@@ -863,7 +877,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
     if r is not None:
         return r
     if isinstance(den, Const):
-        r = UNDEFINED if den.value == 0 else _norm_product([Const(1 / den.value), num])
+        r = UNDEFINED if den.value == 0 else _norm_product([Const(_ratio(1, den.value)), num])
     elif isinstance(num, Quotient):
         r = _norm_quotient(num.numerator, _norm_product([num.denominator, den]))
     elif isinstance(den, Quotient):
@@ -926,7 +940,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
         new_nf.extend(opaque_num)
         new_df.extend(opaque_den)
 
-        c = nc / dc
+        c = _ratio(nc, dc)
         new_num = _norm_product([Const(c)] + new_nf) if new_nf else Const(c)
         if not new_df:
             r = new_num
@@ -938,7 +952,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
                 dc2, dr2 = _split_coeff(new_den)
                 if dc2 != 1:
                     # keep denominators coefficient-free (monic leading term)
-                    new_num = _norm_product([Const(1 / dc2), new_num])
+                    new_num = _norm_product([Const(_ratio(1, dc2)), new_num])
                     new_den = dr2
             if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
                 r = _norm_quotient(new_num, new_den)
@@ -950,7 +964,7 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
     return r
 
 
-def _nth_root_exact(v: Fraction, n: int):
+def _nth_root_exact(v: int | Fraction, n: int):
     """The rational n-th root of v >= 0 when it is exact and its terms are
     within the float estimate's range, else None."""
     def iroot(k: int):
@@ -991,7 +1005,8 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
                 r = UNDEFINED
             elif abs(v) * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
                     <= MAX_POWER_BITS:
-                r = Const(c ** int(v))
+                # v is an int; an int c to a negative power would be a float
+                r = Const(Fraction(c) ** v)
         elif isinstance(b, Power) and isinstance(b.exponent, Const):
             m = b.exponent.value
             # (u^m)^v = u^(m*v) except for even integer m with fractional v,
@@ -1053,7 +1068,7 @@ def _norm_func(name: str, a: Expr) -> Expr:
 # printing
 # --------------------------------------------------------------------------
 
-def _const_prec(v: Fraction) -> int:
+def _const_prec(v: int | Fraction) -> int:
     if v < 0:
         return _ADD_PREC
     if v.denominator != 1:
@@ -1159,11 +1174,11 @@ def _derivative(e: Expr, v: str) -> Expr:
     if isinstance(e, Quotient):
         a, b = e.numerator, e.denominator
         da, db = differentiate(a, v), differentiate(b, v)
-        return div(add(mul(da, b), neg(mul(a, db))), Power(b, Const(Fraction(2))))
+        return div(add(mul(da, b), neg(mul(a, db))), Power(b, Const(2)))
     if isinstance(e, Power):
         b, x = e.base, e.exponent
         if v not in free_vars(x):
-            return mul(x, Power(b, add(x, Const(Fraction(-1)))), differentiate(b, v))
+            return mul(x, Power(b, add(x, MINUS_ONE)), differentiate(b, v))
         if v not in free_vars(b):
             return mul(e, Func("log", b), differentiate(x, v))
         return mul(e, add(mul(differentiate(x, v), Func("log", b)),
@@ -1179,7 +1194,7 @@ def _derivative(e: Expr, v: str) -> Expr:
         if e.name == "cos":
             return neg(mul(Func("sin", e.arg), da))
         if e.name == "sqrt":
-            return div(da, mul(Const(Fraction(2)), Func("sqrt", e.arg)))
+            return div(da, mul(Const(2), Func("sqrt", e.arg)))
     raise TypeError(type(e))
 
 

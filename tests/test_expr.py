@@ -99,6 +99,45 @@ def test_parse_numbers_are_exact_rationals():
     assert parse("2e2") == Const(F(200))
 
 
+def _canonical(v) -> bool:
+    # the one form of a rational value: an int when integral, else a Fraction
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
+def test_a_constant_holds_its_value_in_canonical_form():
+    assert Const(F(6, 3)) is Const(2) and type(Const(F(6, 3)).value) is int
+    assert Const(True) is Const(1) and type(Const(True).value) is int
+    assert Const(0.5).value == F(1, 2) and type(Const(0.5).value) is Fraction
+    assert type(parse("6/3").value) is int and parse("6/3") == Const(2)
+    assert type(parse("1/3").value) is Fraction and parse("1/3") == Const(F(1, 3))
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("q/2*2", "q"),                      # a constant divisor
+    ("q/(1/2)", "2*q"),
+    ("(6*q)/(3*p)", "2*q/p"),            # a quotient's coefficients
+    ("(1/2+q)^(-1)/q", "2/(q+2*q^2)"),   # a monic denominator
+    ("(q+3)^(-1)/q", "1/3/(q+1/3*q^2)"),
+    ("2^-3", "1/8"),                     # a constant to a negative power
+    ("(-2)^-3", "-1/8"),
+    ("3^-2", "1/9"),
+    ("(1/2)^-2", "4"),
+    ("4^(1/2)", "2"),                    # an exact root
+    ("(4/9)^(1/2)", "2/3"),
+])
+def test_exact_division_and_powers_keep_canonical_rationals(text, printed):
+    e = simplify(parse(text))
+    assert format_expr(e) == printed
+    assert all(_canonical(x.value) for x in _subtrees(e) if isinstance(x, Const))
+
+
+def test_a_split_and_a_constant_denominator_divide_exactly():
+    c, rest = expr_mod._split_coeff(simplify(parse("2*p+6*q")))
+    assert type(c) is int and c == 2 and format_expr(rest) == "p+3*q"
+    r = simplify(Quotient(Var("q"), Const(F(1, 2))))
+    assert r == Product((Const(2), Var("q"))) and type(r.factors[0].value) is int
+
+
 def test_parse_power_right_associative():
     e = parse("q^p^2")
     assert e == Power(Var("q"), Power(Var("p"), Const(F(2))))
@@ -129,6 +168,46 @@ def test_simplify_collects_like_terms():
 def test_simplify_cancels_identical_quotient_factors():
     assert simplify(parse("q*p/(p*q)")) == Const(F(1))
     assert simplify(parse("exp(q)*w/exp(q)")) == Var("w")
+
+
+def _exact_value(e, point):
+    """`e` at a rational point in exact arithmetic; ZeroDivisionError where
+    it is undefined.  Trees without functions keep integer exponents."""
+    t = type(e)
+    if t is Const:
+        assert _canonical(e.value), e.value
+        return e.value
+    if t is Var:
+        return point[e.name]
+    if t is Sum:
+        return sum(_exact_value(u, point) for u in e.terms)
+    if t is Product:
+        return math.prod(_exact_value(f, point) for f in e.factors)
+    if t is Quotient:
+        return Fraction(_exact_value(e.numerator, point), _exact_value(e.denominator, point))
+    x = _exact_value(e.exponent, point)
+    assert type(x) is int, x
+    return Fraction(_exact_value(e.base, point)) ** x
+
+
+def test_simplify_keeps_exact_values_at_rational_points():
+    # a float that entered a constant through a true division would show
+    # here as a binary fraction unequal to the exact value
+    rng = random.Random(18)
+    compared = 0
+    for _ in range(500):
+        e = random_tree(rng, 4, ("q", "p"), funcs=False)
+        s = simplify(e)
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in ("q", "p")}
+            try:
+                want = _exact_value(e, point)
+                got = _exact_value(s, point)
+            except ZeroDivisionError:
+                continue
+            assert got == want, (e, s, point)
+            compared += 1
+    assert compared >= 1000
 
 
 def test_simplify_idempotent_on_random_trees():
@@ -566,10 +645,13 @@ def test_fused_evaluator_raises_the_first_error_in_tree_order():
 
 
 def test_constant_beyond_float_range_is_a_value_error():
-    with pytest.raises(ValueError, match="float range"):
+    message = "^constant of 401 digits is beyond the float range$"
+    with pytest.raises(ValueError, match=message):
         compile_expr(simplify(parse("10^400*x")), ("x",))
-    with pytest.raises(ValueError, match="float range"):
+    with pytest.raises(ValueError, match=message):
         compile_exprs([parse("x"), Const(F(10) ** 400)], ("x",))
+    with pytest.raises(ValueError, match=message):
+        compile_exprs([parse("x"), Const(F(10 ** 401, 3))], ("x",))
 
 
 # ---------------------------------------------------------------- memo, hashes
@@ -901,13 +983,13 @@ def _reference_split(n):
     if isinstance(n, Sum):
         c0, _ = _reference_split(n.terms[0])
         if c0 == 1:
-            return Fraction(1), n
+            return 1, n
         parts = []
         for t in n.terms:
             tc, tr = _reference_split(t)
-            parts.append(expr_mod._join_coeff(tc / c0, tr))
+            parts.append(expr_mod._join_coeff(Fraction(tc, c0), tr))
         return c0, Sum(tuple(parts))
-    return Fraction(1), n
+    return 1, n
 
 
 @settings(max_examples=60, deadline=None)
@@ -921,8 +1003,8 @@ def test_remembered_split_equals_the_uncached_split(seed):
             for _ in range(2):  # computed, then remembered
                 got = [expr_mod._split_coeff(x) for x in _subtrees(n)]
                 assert got == want
-                assert all(type(c) is Fraction for c, _ in got)
-        assert all(type(x.value) is Fraction for x in _subtrees(n) if isinstance(x, Const))
+                assert all(_canonical(c) for c, _ in got)
+        assert all(_canonical(x.value) for x in _subtrees(n) if isinstance(x, Const))
 
 
 def _holds_a_node(value) -> bool:
