@@ -5,9 +5,11 @@ flattened sums and products, powers, quotients and the elementary
 functions exp, log, sin, cos, sqrt.  Nodes are interned, so equal trees
 are one object and equality is identity.  Constants stay exact, each in
 one canonical form: an int when integral, else a fractions.Fraction with
-denominator > 1 (`_ratio` divides two of them); floating point enters
-only in the functions that
-`compile_exprs` generates, the one evaluator.  A negation is a rational
+denominator > 1 (`_ratio` divides two of them).  Floating point enters
+only in the functions that `compile_exprs` generates, the one evaluator:
+plain float operations, a quotient as `/`, and, in a function that divides
+or takes a sine or cosine, one handler that turns a division by zero or
+sin or cos of inf into EvalDomainError.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
 scope normal forms, normalizer steps, derivatives and zero-test verdicts
 are remembered; `simplify` and `differentiate` open a scope of their own
@@ -1235,6 +1237,8 @@ def _guard_pow(a: float, b: float) -> float:
         if b == 0.0:
             return 1.0
         raise EvalDomainError("zero raised to a negative power")
+    if not math.isfinite(b):        # int(b) would raise ValueError or OverflowError
+        raise EvalDomainError("negative base with non-finite exponent")
     if b == int(b):
         try:
             return a ** int(b)
@@ -1262,16 +1266,17 @@ def _c_sqrt(a):
     return math.sqrt(a)
 
 
-def _c_div(a, b):
-    if b == 0.0:
-        raise EvalDomainError("division by zero")
-    return a / b
+def _domain_error(err: ArithmeticError | ValueError) -> EvalDomainError:
+    """The domain error for the ZeroDivisionError of a float division by zero
+    or the ValueError of sin or cos of an infinite argument in generated code."""
+    return EvalDomainError("division by zero" if type(err) is ZeroDivisionError
+                           else "sin or cos of an infinite argument")
 
 
 _COMPILE_ENV = {
-    "__builtins__": {},
+    "__builtins__": {}, "ZeroDivisionError": ZeroDivisionError, "ValueError": ValueError,
     "_exp": _c_exp, "_log": _c_log, "_sin": math.sin, "_cos": math.cos,
-    "_sqrt": _c_sqrt, "_div": _c_div, "_pow": _guard_pow,
+    "_sqrt": _c_sqrt, "_pow": _guard_pow, "_domain_error": _domain_error,
 }
 
 
@@ -1306,7 +1311,7 @@ def _fold(e: Expr, kids: tuple):
                 k = _small_power(e)
                 v = kids[0] ** k if k else _guard_pow(*kids)
             else:
-                v = (_c_div if t is Quotient else _COMPILE_ENV[_FUNC_NAMES[e.name]])(*kids)
+                v = kids[0] / kids[1] if t is Quotient else _COMPILE_ENV[_FUNC_NAMES[e.name]](*kids)
         except (ArithmeticError, ValueError):
             v = math.inf
         if math.isfinite(v):
@@ -1378,7 +1383,7 @@ class _Fuser:
             seen[id(e)] = r
             return r
 
-        roots = [operand(e) for e in exprs]
+        self.roots = roots = [operand(e) for e in exprs]   # str, float or node number
         for r in roots:
             if type(r) is int:
                 refs[r] += 1
@@ -1422,7 +1427,7 @@ class _Fuser:
             else:
                 src = "_pow({},{})".format(*self._operands(kids))
         elif t is Quotient:
-            src = "_div({},{})".format(*self._operands(kids))
+            src = "({}/{})".format(*self._operands(kids))
         else:
             src = f"{_FUNC_NAMES[e.name]}({self._operands(kids)[0]})"
         if self.refs[i] > 1:
@@ -1434,10 +1439,12 @@ class _Fuser:
     def define(self, result: str) -> Callable:
         args = ",".join(self.sym[n] for n in self.names)
         env = dict(_COMPILE_ENV)
-        if not self.lines:
-            return eval(f"lambda {args}: {result}", env)
-        body = "".join(f" {line}\n" for line in self.lines)
-        exec(f"def _f({args}):\n{body} return {result}\n", env)
+        if not self.lines and not any(op in result for op in ("/", "_sin(", "_cos(")):
+            return eval(f"lambda {args}: {result}", env)    # nothing for the handler
+        body = "".join(f"  {line}\n" for line in self.lines)
+        exec(f"def _f({args}):\n try:\n{body}  return {result}\n"
+             " except (ZeroDivisionError, ValueError) as err:\n"
+             "  raise _domain_error(err) from None\n", env)
         return env["_f"]
 
 

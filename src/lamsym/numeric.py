@@ -289,12 +289,14 @@ def _check_condition(m: Sequence[float], n: int, t: float, limit: float,
         raise _exceeded(t, limit)
 
 
-def _certificate_lines(n: int) -> list:
+def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
     """Source lines that set `cert` for the row-major n x n matrix M in the
     locals m0, m1, ...: True only when a bound proves that the 2-norm
     condition number of M is at most `cert_limit`, the condition limit over
-    100; False when the bound cannot decide.  `_certificate` and the
-    Euler-Lagrange stage for n >= 4 both run them.
+    100; False when the bound cannot decide.  The Euler-Lagrange stage for
+    n >= 4 runs them.  `literals` maps the indices of entries that are float
+    literals in the stage to their values: their absolute values are
+    constants, and each sum leads with its constants, which Python folds.
 
     The bounds are Johnson's lower bound on the smallest singular value,
     lb = min_i (|m_ii| - (R_i + C_i) / 2) with R_i and C_i the off-diagonal
@@ -304,33 +306,30 @@ def _certificate_lines(n: int) -> list:
     factor 100 absorbs the rounding of the bounds and the SVD's own error,
     of order n eps kappa, so `_hessian_condition` of a certified M is finite
     and far below the limit."""
-    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    rows, diag = range(n), [a[i][i] for i in range(n)]
-    lines = [f"{a[i][j]} = abs(m{i * n + j})" for i in rows for j in rows]
-    lines += [f"r{i} = {' + '.join(a[i][j] for j in rows if j != i)}" for i in rows]
-    lines += [f"c{j} = {' + '.join(a[i][j] for i in rows if i != j)}" for j in rows]
-    lines += [f"s{i} = {diag[i]} + r{i}" for i in rows]
+    literals, rows = literals or {}, range(n)
+    a = [[repr(abs(literals[i * n + j])) if i * n + j in literals else f"a{i}_{j}"
+          for j in rows] for i in rows]
+    lines = [f"{a[i][j]} = abs(m{i * n + j})" for i in rows for j in rows
+             if i * n + j not in literals]
+
+    def total(terms: list, name: str = "") -> str:
+        # the sum, constants first: parenthesized when it is a constant, else
+        # bound to the local `name` when one is given
+        src = " + ".join(sorted(terms, key=str.isidentifier))
+        if not any(map(str.isidentifier, terms)):
+            return f"({src})"
+        if name:
+            lines.append(f"{name} = {src}")
+        return name or src
+
+    r = [total([a[i][j] for j in rows if j != i], f"r{i}") for i in rows]
+    c = [total([a[i][j] for i in rows if i != j], f"c{j}") for j in rows]
+    s = [total([a[i][i], r[i]], f"s{i}") for i in rows]
     return lines + [
-        f"lb = min({', '.join(f'{diag[i]} - 0.5 * (r{i} + c{i})' for i in rows)})",
-        f"cert = {' + '.join(f's{i}' for i in rows)} < _inf and 0.0 < lb and"
-        f" _root(max({', '.join(f'{diag[j]} + c{j}' for j in rows)}))"
-        f" * _root(max({', '.join(f's{i}' for i in rows)})) <= lb * cert_limit"]
-
-
-_CERTIFICATES: dict = {}    # matrix size -> generated condition certificate
-
-
-def _certificate(n: int) -> Callable[[Sequence[float]], bool]:
-    """certified(v), which runs `_certificate_lines` on the first n*n
-    entries of v with cert_limit = HESSIAN_CONDITION_LIMIT / 100, generated
-    once per n."""
-    certified = _CERTIFICATES.get(n)
-    if certified is None:
-        lines = ["def certified(v):", f" {''.join(f'm{i}, ' for i in range(n * n))}*_ = v"]
-        lines += [f" {line}" for line in _certificate_lines(n)] + [" return cert"]
-        certified = _CERTIFICATES[n] = _generated(
-            lines, "certified", _root=math.sqrt, cert_limit=HESSIAN_CONDITION_LIMIT / 100)
-    return certified
+        f"lb = min({', '.join(f'{a[i][i]} - 0.5 * ({r[i]} + {c[i]})' for i in rows)})",
+        f"cert = {total(s)} < _inf and 0.0 < lb and"
+        f" _root(max({', '.join(total([a[j][j], c[j]]) for j in rows)}))"
+        f" * _root(max({', '.join(s)})) <= lb * cert_limit"]
 
 
 def _euler_lagrange_stage(lag) -> Callable:
@@ -341,14 +340,16 @@ def _euler_lagrange_stage(lag) -> Callable:
     rhs evaluates M and the right-hand side b (`_euler_lagrange_system`) on
     locals, from the lines `compile_exprs` would generate for them; on a
     domain error or an overflow it calls on_error(t, q..., dq...), which
-    raises when M is ill-conditioned, then raises that error again.  It
-    aborts when the condition number of M exceeds limit: for n <= 3 by
+    raises when M is ill-conditioned, then raises that error again, a
+    division by zero or sin or cos of inf as `expr._domain_error` gives it.
+    It aborts when the condition number of M exceeds limit: for n <= 3 by
     `_condition_lines`, for n >= 4 by `_hessian_condition`'s SVD, which runs
-    only when `_certificate_lines`, with cert_limit = limit / 100, cannot
-    decide.  It returns dq and M^-1 b: b / M for n = 1, bitwise what LAPACK
-    returns; for larger n it packs M and b into the bytearray buf, which
-    the float64 views square and right share, and calls solve(square,
-    right), LAPACK's solve kernel (`_solve`)."""
+    only when `_certificate_lines`, with cert_limit = limit / 100 and the
+    entries of M that compile to float literals folded, cannot decide.
+    It returns dq and M^-1 b: b / M for n = 1, bitwise what LAPACK returns;
+    for larger n it packs M and b into the bytearray buf, which the float64
+    views square and right share, and calls solve(square, right), LAPACK's
+    solve kernel (`_solve`)."""
     n = lag.n
     nn, names = n * n, ("t",) + lag.q + lag.dq
     fuser = expr._Fuser(_euler_lagrange_system(lag), names)
@@ -357,11 +358,14 @@ def _euler_lagrange_stage(lag) -> Callable:
     b, x = [f"b{i}" for i in range(n)], [f"x{i}" for i in range(n)]
     lines = ["try:"] + [f" {line}" for line in fuser.lines]
     lines += [f" {v} = {r}" for v, r in zip(m + b, fuser.results)]
-    lines += ["except (_EvalDomainError, OverflowError):", f" on_error({args})", " raise"]
+    lines += ["except (_EvalDomainError, OverflowError):", f" on_error({args})", " raise",
+              "except (ZeroDivisionError, ValueError) as err:", f" on_error({args})",
+              " raise _domain_error(err) from None"]
     if n <= 3:
         lines += _condition_lines(n) + ["if not cond <= limit:", f" raise _exceeded({t}, limit)"]
     else:
-        lines += _certificate_lines(n)
+        lines += _certificate_lines(n, {k: r for k, r in enumerate(fuser.roots[:nn])
+                                        if type(r) is float})
     if n == 1:
         lines += [f"return {dq[0]}, b0 / m0"]
     else:
@@ -445,7 +449,9 @@ def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
     One map runs fn over the times and the state columns.  When row
     k = len(values) raises OverflowError, fn runs again on its float64
     values, which give inf (or what the rest of fn makes of inf) where
-    floats raise, and the map resumes at row k + 1."""
+    floats raise, and the map resumes at row k + 1.  There a nonzero finite
+    numerator over zero is still a division by zero, but 0/0 gives nan and
+    inf/0 inf, as float64 has them."""
     values, times = [], traj.times.tolist()
     rows = map(fn, times, *traj.states.T.tolist())
     while True:
@@ -455,8 +461,11 @@ def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
                 return np.array(values), None
             except OverflowError:
                 k = len(values)
-                with np.errstate(all="ignore"):
-                    values.append(fn(times[k], *traj.states[k]))
+                with np.errstate(all="ignore", divide="raise"):
+                    try:
+                        values.append(fn(times[k], *traj.states[k]))
+                    except FloatingPointError:      # a float64 division by zero
+                        raise EvalDomainError("division by zero") from None
         except EvalDomainError as err:
             return np.array(values), f"truncated at step {len(values)}: {err}"
 
@@ -494,15 +503,17 @@ def monitor(traj: Trajectory, exprs: Sequence[Expr],
             for i, e in enumerate(exprs)]
 
 
-def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float) -> float:
+def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr | Callable, g0: float) -> float:
     """Integrate dG/dt = gamma(t, G) on the series' grid and return the
-    maximum absolute deviation from the monitored values."""
+    maximum absolute deviation from the monitored values; gamma is an
+    expression or its `compile_exprs` over ("t", "G"), compiled once by a
+    caller that compares several series with one law."""
     n_steps = len(series.values) - 1
     if n_steps < 1:
         raise ValueError("series too short to compare")
     h = series.h
-    states, reason = _rk4_loop(compile_exprs([gamma], ("t", "G")), [g0],
-                               series.t0, series.t0 + n_steps * h, h)
+    law = compile_exprs([gamma], ("t", "G")) if isinstance(gamma, Expr) else gamma
+    states, reason = _rk4_loop(law, [g0], series.t0, series.t0 + n_steps * h, h)
     if reason is not None:
         raise IntegrationError(f"scalar law integration failed: {reason}")
     return float(np.max(np.abs(states[:, 0] - series.values)))

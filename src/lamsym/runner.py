@@ -267,7 +267,7 @@ def _check_mon(ctx: _Context):
     worst = 0.0
     notes = []
     names = ("t",) + ctx.sys.u
-    gamma_fn = g_fn = None      # compiled after the first flow, so errors keep their order
+    gamma_fn = g_fn = law = None    # compiled after the first flow, so errors keep their order
     if problem.kind == "lagrangian":
         # file rows are (q..., dq...); map to phase space via momenta
         lag = ctx.lag
@@ -287,7 +287,8 @@ def _check_mon(ctx: _Context):
             g_fn = g_fn or compile_expr(ctx.g, names)
             values = numeric.values_along(traj, g_fn, "monitor G")
             series = numeric.MonitorSeries("G", traj.t0, traj.h, values)
-            dev = numeric.compare_with_scalar_ode(series, gamma_law, float(values[0]))
+            law = law or compile_exprs([gamma_law], ("t", "G"))
+            dev = numeric.compare_with_scalar_ode(series, law, float(values[0]))
             worst = max(worst, dev)
             notes.append(f"scalar-law deviation {dev:.3e}")
     verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"

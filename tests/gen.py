@@ -49,6 +49,8 @@ def in_order(e, point):
         if a < 0.0:
             raise EvalDomainError("sqrt of negative argument")
         return math.sqrt(a)
+    if math.isinf(a):
+        raise EvalDomainError("sin or cos of an infinite argument")
     return getattr(math, e.name)(a)
 
 

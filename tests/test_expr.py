@@ -358,6 +358,39 @@ def test_evaluate_negative_base_fractional_power_is_domain_error():
         compile_expr(parse("q^(1/2)"), ("q",))(-2.0)
 
 
+@pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+def test_a_negative_base_to_a_non_finite_power_is_a_domain_error(b):
+    # int(b) raises OverflowError for +-inf and ValueError for nan
+    with pytest.raises(EvalDomainError, match="^negative base with non-finite exponent$"):
+        expr_mod._guard_pow(-2.0, b)
+    with pytest.raises(EvalDomainError, match="^negative base with non-finite exponent$"):
+        compile_expr(parse("(q-2)^(p*10^300*r)"), ("q", "p", "r"))(1.0, 1e10, b)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_sin_or_cos_of_an_infinite_argument_is_a_domain_error(name):
+    fn = compile_expr(parse(f"{name}(q*10^300)"), ("q",))
+    assert fn(0.5) == getattr(math, name)(0.5e300)
+    for q in (1e10, -1e10):
+        with pytest.raises(EvalDomainError, match="^sin or cos of an infinite argument$"):
+            fn(q)
+
+
+def test_generated_code_divides_inline_without_a_helper():
+    # a quotient is the float division itself; the one handler of each
+    # generated function turns its ZeroDivisionError into a domain error
+    assert not any("div" in name for name in expr_mod._COMPILE_ENV)
+    fuser = expr_mod._Fuser([parse("x/y + 1/(x-y)"), parse("(x/y)/(x/y + 2)")], ("x", "y"))
+    source = "\n".join(fuser.lines + fuser.results)
+    assert source.count("/") == 3 and "div" not in source     # x/y is bound once
+    fn = compile_exprs([parse("x/y + 1/(x-y)"), parse("(x/y)/(x/y + 2)")], ("x", "y"))
+    assert set(fn.__code__.co_names) == {"ZeroDivisionError", "ValueError", "_domain_error"}
+    assert fn(1.0, 2.0) == (0.5 + 1 / (1.0 - 2.0), 0.5 / 2.5)
+    for point in [(1.0, 0.0), (1.0, 1.0), (0.0, -0.0)]:
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            fn(*point)
+
+
 # ---------------------------------------------------------------- zero test
 
 def test_a_quotient_over_zero_is_never_proven_zero():

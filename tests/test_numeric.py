@@ -452,23 +452,42 @@ def test_monitor_matches_the_reference_on_overflow_and_domain_errors():
     traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
     names = ("t",) + traj.names
     # y1 = 1, ..., 11: (y1+5)^400 overflows on every row and y1^300 on the
-    # last one only; the last two overflow on rows 5 and 6 and leave the
-    # domain of log on row 7, one after an overflow on that row
+    # last one only; the next two overflow on rows 5 and 6 and leave the
+    # domain of log on row 7, one after an overflow on that row; the last
+    # two divide by zero on row 9, the first after an overflow on that row
     for text in ("y1^400", "1/y1^400", "-(y1*10^30)^16", "log(5-y1)", "(y1+5)^400",
-                 "y1^300", "y1^400 + log(8-y1)", "log(8-y1) + y1^400"):
+                 "y1^300", "y1^400 + log(8-y1)", "log(8-y1) + y1^400",
+                 "y1^400 + 1/(y1-10)", "1/(y1-10)"):
         fn = compile_expr(parse(text), names)
         want, reason = [], None
-        with np.errstate(all="ignore"):
+        # float64 divides by zero silently unless told to raise
+        with np.errstate(all="ignore", divide="raise"):
             series = monitor(traj, [parse(text)])[0]
             for k, row in enumerate(traj.states):
                 try:
                     want.append(fn(traj.t0 + k * traj.h, *row))
+                except FloatingPointError:
+                    reason = f"truncated at step {k}: division by zero"
+                    break
                 except EvalDomainError as err:
                     reason = f"truncated at step {k}: {err}"
                     break
         assert series.values.tobytes() == np.array(want).tobytes()
         assert series.reason == reason
         assert series.truncated_at == (len(want) if len(want) < len(traj.states) else None)
+
+
+def test_a_float64_retry_row_divides_zero_or_infinity_by_zero_silently():
+    # a row that overflows is evaluated again on float64 values, where only a
+    # finite nonzero numerator over zero raises: inf/0 gives inf and 0/0 nan
+    # where plain floats raise "division by zero"
+    traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
+    inf_over_zero, zero_over_zero = monitor(
+        traj, [parse("y1^400/(y1-10)"), parse("y1^400 + (y1-10)/(y1-10)")])
+    assert inf_over_zero.reason is None and zero_over_zero.reason is None
+    assert inf_over_zero.values[9] == math.inf and math.isnan(zero_over_zero.values[9])
+    with pytest.raises(EvalDomainError, match="^division by zero$"):
+        compile_expr(parse("(y1-10)/(y1-10)"), ("t", "y1"))(0.0, 10.0)
 
 
 def test_corpus_report_bytes_match_the_benchmark_golden(tmp_path):
@@ -508,6 +527,23 @@ def test_singular_hessian_outranks_a_domain_error_in_the_right_hand_side():
     lag = LagrangianSystem(1, parse("dq1^3/3 + q1*sqrt(q1)"))
     with pytest.raises(IntegrationError, match="condition"):
         integrate_euler_lagrange(lag, [-1.0], [0.0], 0.0, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("n, regular, singular", [
+    (1, "dq1^2/2", "dq1^3/3"),
+    (2, "(dq1+dq2)^2/2 + dq2^2/2", "(dq1+dq2)^2/2"),
+    (4, "dq1^2/2 + dq2^2/2 + dq3^2/2 + dq4^2/2", "(dq1+dq2)^2/2 + dq3^2/2 + dq4^2/2"),
+])
+def test_a_stage_that_divides_by_zero_checks_the_hessian_first(n, regular, singular):
+    # dL/dq1 of 1/q1 divides by q1^2 = 0; M is checked before that is reported
+    lag = LagrangianSystem(n, parse(f"{regular} + 1/q1"))
+    traj = integrate_euler_lagrange(lag, [0.0] * n, [0.0] * n, 0.0, 0.1, 1e-2)
+    assert traj.reason == "domain error at t=0: division by zero" and len(traj.states) == 1
+    rhs = next(c for c in lag._flow.__code__.co_consts if hasattr(c, "co_names"))
+    assert "_domain_error" in rhs.co_names and not any("div" in v for v in rhs.co_names)
+    lag = LagrangianSystem(n, parse(f"{singular} + 1/q1"))
+    with pytest.raises(IntegrationError, match="condition"):
+        integrate_euler_lagrange(lag, [0.0] * n, [0.0] * n, 0.0, 0.1, 1e-2)
 
 
 def _decoupled(n, first, last=None):
@@ -683,19 +719,21 @@ def test_mon_compiles_its_monitored_expressions_once_per_check(monkeypatch):
     problem.candidates["initial_conditions"] = [u0, [v * 0.9 for v in u0], [v * 1.1 for v in u0]]
     report = run_checks(problem, ["mon"])
     assert [c.verdict for c in report.checks] == ["NumericallyZero"]
-    # the flow, Gamma and G, each compiled once for three initial conditions
+    # the flow, Gamma and G, and the scalar law of G, each compiled once for
+    # three initial conditions
     assert built.count(("t", "q1", "q2", "p1", "p2")) == 3
+    assert built.count(("t", "G")) == 1
 
 
 def test_nothing_is_generated_at_import():
     # generated code is built on first use, not in set-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import lamsym\nfrom lamsym import numeric as n\n"
-            "print(len(n._LOOPS), len(n._CERTIFICATES), len(n._CONDITIONS))\n")
+            "print(len(n._LOOPS), len(n._CONDITIONS))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0"]
 
 
 # ------------------------------------------------------------- csv reference
@@ -862,12 +900,12 @@ def test_an_svd_that_does_not_converge_raises(monkeypatch):
 
 
 @st.composite
-def _hessians(draw):
+def _hessians(draw, sizes=(4, 5, 6)):
     """(n, row-major entries): off-diagonal entries in [-1, 1] and diagonal
     entries (n - 1) 10^g, dominant for g > 0, all but one 10^s times larger,
     so that s sets the condition number; sometimes two nearly parallel rows;
     all scaled by 10^k for |k| <= 300; sometimes a nan or inf entry."""
-    n = draw(st.sampled_from([4, 5, 6]))
+    n = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.uniform(-1.0, 1.0, (n, n))
     diag = rng.choice([-1.0, 1.0], n) * (n - 1) * 10.0 ** draw(st.floats(-1.0, 3.0))
@@ -885,6 +923,15 @@ def _hessians(draw):
     return n, m.ravel().tolist()
 
 
+def _certificate(n, literals=None):
+    """certified(v): the certificate lines of an n x n stage, run on the first
+    n*n entries of v with the stage's cert_limit."""
+    lines = ["def certified(v):", f" {''.join(f'm{i}, ' for i in range(n * n))}*_ = v"]
+    lines += [f" {line}" for line in numeric._certificate_lines(n, literals)] + [" return cert"]
+    return numeric._generated(lines, "certified", _root=math.sqrt,
+                              cert_limit=HESSIAN_CONDITION_LIMIT / 100)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_hessians())
 @example((4, np.diag([1.0, -1.0, 1.0, 5e9]).ravel().tolist()))     # kappa 5e9 certifies
@@ -893,7 +940,24 @@ def test_a_certified_hessian_is_well_conditioned(case):
     # the certificate skips the SVD, so it must only pass matrices whose
     # exact condition number sits far below the limit
     n, entries = case
-    if numeric._certificate(n)(entries + [0.0] * n):
+    if _certificate(n)(entries + [0.0] * n):
+        with _solve_errstate():
+            assert _hessian_condition(entries, n) <= HESSIAN_CONDITION_LIMIT / 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hessians(sizes=(4, 5)), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example((4, np.diag([1.0, -1.0, 1.0, 5e9]).ravel().tolist()), 0, 1.0)
+@example((4, np.diag([1.0, -1.0, 1.0, 3e11]).ravel().tolist()), 0, 1.0)
+def test_a_certificate_with_literal_entries_certifies_only_well_conditioned_hessians(
+        case, seed, share):
+    # an Euler-Lagrange stage folds the entries that compile to float
+    # literals, which are finite, into its certificate's constants
+    n, entries = case
+    rng = np.random.default_rng(seed)
+    literals = {k: v for k, v in enumerate(entries)
+                if rng.random() < share and math.isfinite(v)}
+    if _certificate(n, literals)(entries + [0.0] * n):
         with _solve_errstate():
             assert _hessian_condition(entries, n) <= HESSIAN_CONDITION_LIMIT / 10
 

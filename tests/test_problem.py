@@ -272,6 +272,24 @@ def test_cli_integrate_emits_csv(tmp_path):
     assert float(lines[-1].split(",")[3]) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("(q1-200000)^(p1*q1*10^300)", "negative base with non-finite exponent"),     # inf
+    ("(q1-200000)^(p1*q1*10^300*0)", "negative base with non-finite exponent"),   # nan
+    ("sin(10^300*q1*p1)", "sin or cos of an infinite argument"),
+])
+def test_cli_monitor_of_a_non_finite_argument_truncates_with_a_warning(tmp_path, capsys,
+                                                                      text, reason):
+    doc = dict(MINIMAL, hamiltonian="p1^2/2 - cos(q1)")
+    out = tmp_path / "traj.csv"
+    code = main(["integrate", "--problem", write_problem(tmp_path, doc),
+                 "--ic", "q1=100000,p1=100000", "--t1", "0.01", "--monitor", text,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"warning: monitor {text} truncated at step 0: {reason}\n"
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 12 and all(line.endswith(",") for line in lines[1:])
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lamsym.cli", "check", "--problem",
