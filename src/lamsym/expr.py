@@ -1342,6 +1342,7 @@ class _Fuser:
     so the first error raised is the one that evaluating each tree in turn
     would raise.  Leaves and constant-only parts (`_fold`) are not numbered:
     an operand is a variable's source text, a float literal or a node number.
+    `emit` gives the roots' source, all at once or a slice at a time.
     """
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
@@ -1387,9 +1388,10 @@ class _Fuser:
         for r in roots:
             if type(r) is int:
                 refs[r] += 1
-        self.results = self._operands(roots)
 
-    def _operands(self, kids) -> list:
+    def emit(self, kids) -> list:
+        """The source of the operands kids, in order; the lines they need are
+        appended to `lines`, and a subtree an earlier call bound is read back."""
         parts = []
         for c in kids:
             t = type(c)
@@ -1413,23 +1415,23 @@ class _Fuser:
         e, kids = self.nodes[i]
         t = type(e)
         if t is Sum:
-            src = "(" + "+".join(self._operands(kids)) + ")"
+            src = "(" + "+".join(self.emit(kids)) + ")"
         elif t is Product:
-            src = "(" + "*".join(self._operands(kids)) + ")"
+            src = "(" + "*".join(self.emit(kids)) + ")"
         elif t is Power:
             # _guard_pow(b, 0.0) is 1.0 = b**0 and _guard_pow(b, 1.0) is
             # b + 0.0 for every float b (-0.0 gives 0.0); neither can raise
             k, x = _small_power(e), kids[1]
             if k or (type(x) is float and x == 0.0):
-                src = f"({self._operands(kids[:1])[0]})**{k}"
+                src = f"({self.emit(kids[:1])[0]})**{k}"
             elif type(x) is float and x == 1.0:
-                src = f"({self._operands(kids[:1])[0]}+0.0)"
+                src = f"({self.emit(kids[:1])[0]}+0.0)"
             else:
-                src = "_pow({},{})".format(*self._operands(kids))
+                src = "_pow({},{})".format(*self.emit(kids))
         elif t is Quotient:
-            src = "({}/{})".format(*self._operands(kids))
+            src = "({}/{})".format(*self.emit(kids))
         else:
-            src = f"{_FUNC_NAMES[e.name]}({self._operands(kids)[0]})"
+            src = f"{_FUNC_NAMES[e.name]}({self.emit(kids)[0]})"
         if self.refs[i] > 1:
             name = self.code[i] = f"_t{i}"
             self.lines.append(f"{name}={src}")
@@ -1441,11 +1443,17 @@ class _Fuser:
         env = dict(_COMPILE_ENV)
         if not self.lines and not any(op in result for op in ("/", "_sin(", "_cos(")):
             return eval(f"lambda {args}: {result}", env)    # nothing for the handler
-        body = "".join(f"  {line}\n" for line in self.lines)
-        exec(f"def _f({args}):\n try:\n{body}  return {result}\n"
-             " except (ZeroDivisionError, ValueError) as err:\n"
-             "  raise _domain_error(err) from None\n", env)
+        body = "".join(f" {line}\n" for line in _guarded(self.lines + [f"return {result}"]))
+        exec(f"def _f({args}):\n{body}", env)
         return env["_f"]
+
+
+def _guarded(lines: list) -> list:
+    """lines in a try block whose handler raises a float division by zero or
+    sin or cos of an infinite argument as `_domain_error` gives it."""
+    return (["try:"] + [f" {line}" for line in lines]
+            + ["except (ZeroDivisionError, ValueError) as err:",
+               " raise _domain_error(err) from None"])
 
 
 def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple]:
@@ -1455,14 +1463,14 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., 
 
     A constant beyond the float range raises ValueError."""
     fuser = _Fuser(exprs, names)
-    return fuser.define("(" + "".join(f"{r}," for r in fuser.results) + ")")
+    return fuser.define("(" + "".join(f"{r}," for r in fuser.emit(fuser.roots)) + ")")
 
 
 def compile_expr(e: Expr, names: Sequence[str]) -> Callable[..., float]:
     """Compile to a positional-argument float function over `names`; the
     single-expression case of `compile_exprs`."""
     fuser = _Fuser((e,), names)
-    return fuser.define(fuser.results[0])
+    return fuser.define(fuser.emit(fuser.roots)[0])
 
 
 # --------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def _condition_lines(n: int) -> list:
     """Source lines that set `cond` to the exact 1-norm condition number
     ||M||_1 ||adj M||_1 / |det M| of the row-major n x n matrix in the locals
     m0, m1, ..., for n <= 3; infinite when M is singular or not finite.
-    `_hessian_condition` and the Euler-Lagrange stage both run them."""
+    The Euler-Lagrange stage runs them."""
     if n == 1:
         return ["cond = 1.0 if m0 != 0.0 and _isfinite(m0) else _inf"]
     if n == 2:
@@ -243,37 +243,22 @@ def _condition_lines(n: int) -> list:
     return lines + ["cond = norm_m / abs(det) * norm_adj if det != 0.0 and _isfinite(det) else _inf"]
 
 
-_CONDITIONS: dict = {}      # n <= 3 -> generated closed-form condition number
+def _hessian_condition(m: Sequence[float], n: int) -> float:
+    """The 2-norm condition number of the row-major n x n matrix m, the
+    largest over the smallest singular value; infinite when m is singular or
+    not finite.  An Euler-Lagrange stage for n >= 4 calls it when its
+    certificate cannot decide.
 
-
-def _hessian_condition(m: Sequence[float], n: int,
-                       square: Optional[np.ndarray] = None) -> float:
-    """Condition number of the row-major n x n matrix m; infinite when m is
-    singular or not finite.  `square` is m as an n x n float64 array, when
-    the caller has built one already.
-
-    For n <= 3 it is the exact 1-norm condition number in closed form, from
-    a function that runs `_condition_lines`, generated once per n.  For
-    larger n it is the 2-norm one, the largest over the smallest singular
-    value, from the LAPACK kernel (dgesdd) that np.linalg.svd and
+    It comes from the LAPACK kernel (dgesdd) that np.linalg.svd and
     np.linalg.cond call on float64 operands, without their wrapper, so it
     is bitwise what np.linalg.cond returns.  Inside `_solve_errstate()` an
     SVD that does not converge raises LinAlgError; outside it the kernel
     warns and the result is inf.
     """
-    if n <= 3:
-        condition = _CONDITIONS.get(n)
-        if condition is None:
-            lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
-            lines += [f" {line}" for line in _condition_lines(n)] + [" return cond"]
-            condition = _CONDITIONS[n] = _generated(lines, "condition")
-        return condition(*m)
     if not all(map(math.isfinite, m)):
         return math.inf
-    if square is None:
-        square = np.array(m).reshape(n, n)
     try:
-        s = _lapack_svd(square, signature="d->d").tolist()
+        s = _lapack_svd(np.array(m).reshape(n, n), signature="d->d").tolist()
     except LinAlgError:
         raise LinAlgError("SVD did not converge") from None
     return s[0] / s[-1] if s[-1] > 0.0 else math.inf
@@ -281,12 +266,6 @@ def _hessian_condition(m: Sequence[float], n: int,
 
 def _exceeded(t: float, limit: float) -> IntegrationError:
     return IntegrationError(f"velocity Hessian condition exceeds {limit:g} at t={t:.6g}")
-
-
-def _check_condition(m: Sequence[float], n: int, t: float, limit: float,
-                     square: Optional[np.ndarray] = None) -> None:
-    if not _hessian_condition(m, n, square) <= limit:
-        raise _exceeded(t, limit)
 
 
 def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
@@ -333,19 +312,20 @@ def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
 
 
 def _euler_lagrange_stage(lag) -> Callable:
-    """bind(on_error, solve, limit, buf, square, right) for the system lag,
-    generated once per system; it returns the flow's Euler-Lagrange vector
-    field rhs(t, q..., dq...).
+    """bind(solve, limit, buf, square, right) for the system lag, generated
+    once per system; it returns the flow's Euler-Lagrange vector field
+    rhs(t, q..., dq...).
 
-    rhs evaluates M and the right-hand side b (`_euler_lagrange_system`) on
-    locals, from the lines `compile_exprs` would generate for them; on a
-    domain error or an overflow it calls on_error(t, q..., dq...), which
-    raises when M is ill-conditioned, then raises that error again, a
-    division by zero or sin or cos of inf as `expr._domain_error` gives it.
-    It aborts when the condition number of M exceeds limit: for n <= 3 by
-    `_condition_lines`, for n >= 4 by `_hessian_condition`'s SVD, which runs
-    only when `_certificate_lines`, with cert_limit = limit / 100 and the
-    entries of M that compile to float literals folded, cannot decide.
+    rhs evaluates M, tests its condition number against limit, and only then
+    evaluates the right-hand side b (`_euler_lagrange_system`), so a singular
+    M outranks any error in b.  Both are evaluated on locals from one
+    `expr._Fuser`, which binds the subtrees b shares with M while M is
+    emitted; a division by zero or sin or cos of inf raises as
+    `expr._domain_error` gives it.  The test is `_condition_lines` for
+    n <= 3; for n >= 4 it is `_certificate_lines`, with cert_limit =
+    limit / 100 and the entries of M that compile to float literals folded,
+    then, when that cannot decide, `_hessian_condition`'s SVD, outside the
+    handler (LinAlgError is a ValueError).
     It returns dq and M^-1 b: b / M for n = 1, bitwise what LAPACK returns;
     for larger n it packs M and b into the bytearray buf, which the float64
     views square and right share, and calls solve(square, right), LAPACK's
@@ -356,30 +336,34 @@ def _euler_lagrange_stage(lag) -> Callable:
     args, t = ", ".join(fuser.sym[v] for v in names), fuser.sym["t"]
     dq, m = [fuser.sym[v] for v in lag.dq], [f"m{i}" for i in range(nn)]
     b, x = [f"b{i}" for i in range(n)], [f"x{i}" for i in range(n)]
-    lines = ["try:"] + [f" {line}" for line in fuser.lines]
-    lines += [f" {v} = {r}" for v, r in zip(m + b, fuser.results)]
-    lines += ["except (_EvalDomainError, OverflowError):", f" on_error({args})", " raise",
-              "except (ZeroDivisionError, ValueError) as err:", f" on_error({args})",
-              " raise _domain_error(err) from None"]
+
+    def evaluate(targets: list, roots: list) -> list:
+        # the roots assigned to targets, with the lines they need, in one try
+        mark = len(fuser.lines)
+        src = fuser.emit(roots)
+        return expr._guarded(fuser.lines[mark:] + [f"{v} = {r}" for v, r in zip(targets, src)])
+
+    lines = evaluate(m, fuser.roots[:nn])
     if n <= 3:
-        lines += _condition_lines(n) + ["if not cond <= limit:", f" raise _exceeded({t}, limit)"]
+        lines += _condition_lines(n)
+        test = "cond <= limit"
     else:
         lines += _certificate_lines(n, {k: r for k, r in enumerate(fuser.roots[:nn])
                                         if type(r) is float})
+        test = f"cert or _hessian_condition(({', '.join(m)}), {n}) <= limit"
+    lines += [f"if not ({test}):", f" raise _exceeded({t}, limit)"]
+    lines += evaluate(b, fuser.roots[nn:])
     if n == 1:
         lines += [f"return {dq[0]}, b0 / m0"]
     else:
-        lines += [f"_pack_into(buf, 0, {', '.join(m + b)})"]
-        if n > 3:
-            lines += ["if not cert:",
-                      f" _check_condition(({', '.join(m)}), {n}, {t}, limit, square)"]
-        lines += [f"{', '.join(x)}, = solve(square, right).tolist()",
+        lines += [f"_pack_into(buf, 0, {', '.join(m + b)})",
+                  f"{', '.join(x)}, = solve(square, right).tolist()",
                   f"return {', '.join(dq + x)}"]
-    head = ["def bind(on_error, solve, limit, buf, square, right):"]
+    head = ["def bind(solve, limit, buf, square, right):"]
     head += [" cert_limit = limit / 100"] * (n > 3) + [f" def rhs({args}):"]
     return _generated(head + [f"  {line}" for line in lines] + [" return rhs"], "bind",
-                      **expr._COMPILE_ENV, _root=math.sqrt, _EvalDomainError=EvalDomainError,
-                      _exceeded=_exceeded, _check_condition=_check_condition,
+                      **expr._COMPILE_ENV, _root=math.sqrt, _exceeded=_exceeded,
+                      _hessian_condition=_hessian_condition,
                       _pack_into=struct.Struct(f"{nn + n}d").pack_into)
 
 
@@ -415,12 +399,12 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     HESSIAN_CONDITION_LIMIT as they are when the flow starts.  It aborts
     when the condition number of M exceeds the limit: for n <= 3 the exact
     1-norm one, for larger n the 2-norm one, bitwise what np.linalg.cond
-    returns.  When M and the right-hand side cannot be evaluated, M alone
-    is checked first, so a singular M outranks a domain error.  The states
-    are bitwise those np.linalg.solve gives.  The floating-point error
-    state that np.linalg.solve and np.linalg.svd would enter and leave on
-    every stage is held once around the whole trajectory; a singular matrix
-    or an SVD that does not converge still raises LinAlgError.
+    returns.  M is tested before the right-hand side is evaluated, so a
+    singular M outranks a domain error there.  The states are bitwise
+    those np.linalg.solve gives.  The floating-point error state that
+    np.linalg.solve and np.linalg.svd would enter and leave on every stage
+    is held once around the whole trajectory; a singular matrix or an SVD
+    that does not converge still raises LinAlgError.
     """
     n = lag.n
     if len(q0) != n or len(dq0) != n:
@@ -428,17 +412,11 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
     names = lag.q + lag.dq
     if lag._flow is None:
         lag._flow = _euler_lagrange_stage(lag)
-    limit = HESSIAN_CONDITION_LIMIT
-
-    def on_error(t, *y):
-        # M alone, compiled when a stage first fails, which ends the flow
-        m = compile_exprs(lag.velocity_hessian(), ("t",) + names)(t, *y)
-        _check_condition(m, n, t, limit)
-
     nn = n * n
     buf = bytearray(8 * (nn + n))   # M and the right-hand side of the current stage
     shared = np.frombuffer(buf)
-    rhs = lag._flow(on_error, _solve, limit, buf, shared[:nn].reshape(n, n), shared[nn:])
+    rhs = lag._flow(_solve, HESSIAN_CONDITION_LIMIT, buf, shared[:nn].reshape(n, n),
+                    shared[nn:])
     with _solve_errstate():
         return Trajectory(names, t0, h, *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 

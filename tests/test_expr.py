@@ -381,7 +381,8 @@ def test_generated_code_divides_inline_without_a_helper():
     # generated function turns its ZeroDivisionError into a domain error
     assert not any("div" in name for name in expr_mod._COMPILE_ENV)
     fuser = expr_mod._Fuser([parse("x/y + 1/(x-y)"), parse("(x/y)/(x/y + 2)")], ("x", "y"))
-    source = "\n".join(fuser.lines + fuser.results)
+    results = fuser.emit(fuser.roots)
+    source = "\n".join(fuser.lines + results)
     assert source.count("/") == 3 and "div" not in source     # x/y is bound once
     fn = compile_exprs([parse("x/y + 1/(x-y)"), parse("(x/y)/(x/y + 2)")], ("x", "y"))
     assert set(fn.__code__.co_names) == {"ZeroDivisionError", "ValueError", "_domain_error"}
@@ -652,13 +653,15 @@ def test_a_variable_to_a_power_that_folds_to_zero_is_left_out():
     # its (b)**0, and an exponent that is node number 0 is not the float 0.0
     names = ("x", "y")
     fuser = expr_mod._Fuser((parse("x^(1+-1)*y"),), names)
-    assert "**" not in "".join(fuser.lines + fuser.results)
+    results = fuser.emit(fuser.roots)
+    assert "**" not in "".join(fuser.lines + results)
     fn = compile_expr(parse("x^(1+-1)*y"), names)
     for x in (math.nan, math.inf, -math.inf, -0.0):
         for y in (-0.0, 2.5, math.nan, -math.inf):
             assert fn(x, y).hex() == y.hex()
     guarded = parse("log(x)^(1+-1)*y")
-    assert "**0" in "".join(expr_mod._Fuser((guarded,), names).results)
+    fuser = expr_mod._Fuser((guarded,), names)
+    assert "**0" in "".join(fuser.emit(fuser.roots))
     with pytest.raises(EvalDomainError, match="log"):
         compile_expr(guarded, names)(-1.0, 2.0)
     assert compile_expr(parse("x^(y+1)"), names)(2.0, 2.0) == 8.0

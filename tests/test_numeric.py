@@ -546,6 +546,41 @@ def test_a_stage_that_divides_by_zero_checks_the_hessian_first(n, regular, singu
         integrate_euler_lagrange(lag, [0.0] * n, [0.0] * n, 0.0, 0.1, 1e-2)
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("(dq1+dq2)^2/2 + 1/q1", "abort"),                       # M singular, b divides by 0
+    ("(dq1+dq2)^2/2 + dq2^2/2 + 1/q1", "division by zero"),  # M regular, b divides by 0
+])
+def test_a_failing_flow_compiles_its_stage_once(monkeypatch, text, outcome):
+    # M is tested before b is evaluated, so no failure compiles M again
+    built = []
+
+    class Counting(expr._Fuser):
+        def __init__(self, exprs, names):
+            built.append(len(exprs))
+            super().__init__(exprs, names)
+
+    monkeypatch.setattr(expr, "_Fuser", Counting)
+    lag = LagrangianSystem(2, parse(text))
+    if outcome == "abort":
+        with pytest.raises(IntegrationError, match="condition"):
+            integrate_euler_lagrange(lag, [0.0, 0.0], [0.0, 0.0], 0.0, 0.1, 1e-2)
+    else:
+        traj = integrate_euler_lagrange(lag, [0.0, 0.0], [0.0, 0.0], 0.0, 0.1, 1e-2)
+        assert traj.reason == f"domain error at t=0: {outcome}"
+    assert built == [4 + 2]
+
+
+def test_an_svd_that_does_not_converge_in_a_stage_raises_linalg_error(monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, so the SVD of an uncertified
+    # stage must run outside the handler that makes a ValueError a domain error
+    kernel = numeric._lapack_svd
+    monkeypatch.setattr(numeric, "_lapack_svd",
+                        lambda a, signature: kernel(np.full_like(a, math.nan), signature=signature))
+    lag = LagrangianSystem(4, parse(_COUPLED_4))
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        integrate_euler_lagrange(lag, [0.9, 0.6, 0.7, 0.4], [0.2, -0.1, 0.3, 0.1], 0.0, 0.2, 1e-3)
+
+
 def _decoupled(n, first, last=None):
     """L with M = diag(first, 1, ..., 1, last) for the texts first and last."""
     parts = [f"({first})*dq1^2/2"] + [f"dq{i}^2/2" for i in range(2, n + 1)]
@@ -584,15 +619,24 @@ def test_well_conditioned_three_dof_hessian_integrates():
     assert not traj.truncated and len(traj.states) == 51
 
 
+def _condition(n):
+    """condition(m0, m1, ...): the condition lines of an n x n stage (n <= 3),
+    run on the row-major entries of M."""
+    lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
+    lines += [f" {line}" for line in numeric._condition_lines(n)] + [" return cond"]
+    return numeric._generated(lines, "condition")
+
+
 def test_hessian_condition_is_the_exact_one_norm_condition_for_small_n():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
+        condition = _condition(n)
         for _ in range(200):
             m = rng.uniform(-2.0, 2.0, (n, n)) + 3.0 * np.eye(n) * rng.choice([-1, 1])
-            assert _hessian_condition(m.ravel().tolist(), n) == \
+            assert condition(*m.ravel().tolist()) == \
                 pytest.approx(np.linalg.cond(m, 1), rel=1e-9)
-        assert _hessian_condition([0.0] * (n * n), n) == math.inf
-        assert _hessian_condition([math.nan] + [1.0] * (n * n - 1), n) == math.inf
+        assert condition(*[0.0] * (n * n)) == math.inf
+        assert condition(math.nan, *[1.0] * (n * n - 1)) == math.inf
     m = rng.uniform(-2.0, 2.0, (4, 4)) + 3.0 * np.eye(4)
     assert _hessian_condition(m.ravel().tolist(), 4) == np.linalg.cond(m)
 
@@ -729,11 +773,11 @@ def test_nothing_is_generated_at_import():
     # generated code is built on first use, not in set-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import lamsym\nfrom lamsym import numeric as n\n"
-            "print(len(n._LOOPS), len(n._CONDITIONS))\n")
+            "print(len(n._LOOPS))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"]
 
 
 # ------------------------------------------------------------- csv reference
