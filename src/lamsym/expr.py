@@ -1296,7 +1296,7 @@ def _fold(e: Expr, kids: tuple):
     1.0 for every float, nan and inf included.  Else its operands: a leading
     run of literal terms or factors made one, without the IEEE identities
     x*1.0, x + -0.0, and x + 0.0 after a +0.0 term (a sum is -0.0 only when
-    both operands are)."""
+    both operands are); the lone operand left of a sum or product."""
     if float not in map(type, kids):
         return kids
     t, n = type(e), len(kids)
@@ -1323,12 +1323,14 @@ def _fold(e: Expr, kids: tuple):
         x = kids[1]
         return 1.0 if type(kids[0]) is str and type(x) is float and x == 0.0 else kids
     if t is Product:
-        return tuple(k for k in kids if type(k) is not float or k != 1.0)
-    if t is Sum:
+        kids = tuple(k for k in kids if type(k) is not float or k != 1.0)
+    elif t is Sum:
         zeros = [i for i, k in enumerate(kids) if type(k) is float and k == 0.0]
         keep = [i for i in zeros if math.copysign(1.0, kids[i]) > 0.0][:1]
-        return tuple(k for i, k in enumerate(kids) if i not in zeros or i in keep)
-    return kids
+        kids = tuple(k for i, k in enumerate(kids) if i not in zeros or i in keep)
+    else:
+        return kids
+    return kids[0] if len(kids) == 1 else kids
 
 
 class _Fuser:

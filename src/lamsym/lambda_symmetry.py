@@ -40,7 +40,8 @@ from .mechanics import (
     on_shell_map,
     total_time_derivative,
 )
-from .symmetry import SymmetryVerdict, compute_S, generating_function_test
+from .symmetry import (SymmetryVerdict, compute_S, generating_function_test,
+                       invariance_residuals)
 
 HAMILTONIAN_SIDE = "hamiltonian"
 LAGRANGIAN_SIDE = "lagrangian"
@@ -191,18 +192,11 @@ def lambda_prolongation(sys: PhaseSystem, x: PhaseVectorField,
 def check_lambda_symmetry(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
                           box: Optional[DomainBox] = None,
                           cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
-    """Perturbed symmetry condition: [F, Phi]_a + dPhi_a/dt = -(Lambda Phi)_a."""
-    lam_phi = _lambda_phi(sys, x, lam)
-    rhs = canonical_equations(sys)
-    comps = x.components
-    verdicts = []
-    for a in range(2 * sys.n):
-        parts = [differentiate(comps[a], sys.t), lam_phi[a]]
-        for b, v in enumerate(sys.u):
-            parts.append(mul(rhs[b], differentiate(comps[a], v)))
-            parts.append(neg(mul(comps[b], differentiate(rhs[a], v))))
-        verdicts.append(is_identically_zero(add(*parts), box, cfg))
-    return SymmetryVerdict(tuple(verdicts))
+    """Perturbed symmetry condition: [F, Phi]_a + dPhi_a/dt = -(Lambda Phi)_a,
+    against the normalized F of `canonical_equations` (see
+    `symmetry.check_point_symmetry`)."""
+    residuals = invariance_residuals(sys, x, canonical_equations(sys), _lambda_phi(sys, x, lam))
+    return SymmetryVerdict(tuple(is_identically_zero(r, box, cfg) for r in residuals))
 
 
 def scalar_lambda_reduction(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,

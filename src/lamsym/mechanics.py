@@ -9,7 +9,7 @@ the modules that need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .expr import (
@@ -23,7 +23,6 @@ from .expr import (
     neg,
     simplify,
     simplify_memo,
-    substitute,
 )
 
 
@@ -144,17 +143,19 @@ def _require_autonomous(*fields: PhaseVectorField):
             raise ValueError("operation requires tau = 0 (use evolutionary_form first)")
 
 
+def bracket(sys: PhaseSystem, xc: Sequence[Expr], yc: Sequence[Expr]) -> tuple:
+    """The 2n components of the commutator [X, Y] of the phase components xc
+    and yc, sum over b of X_b dY_a/du_b - Y_b dX_a/du_b, not normalized."""
+    return tuple(add(*[part for b, v in enumerate(sys.u)
+                       for part in (mul(xc[b], differentiate(yc[a], v)),
+                                    neg(mul(yc[b], differentiate(xc[a], v))))])
+                 for a in range(2 * sys.n))
+
+
 def lie_bracket(sys: PhaseSystem, x: PhaseVectorField, y: PhaseVectorField) -> PhaseVectorField:
     """Commutator [X, Y] of two phase-space fields with tau = 0."""
     _require_autonomous(x, y)
-    xc, yc = x.components, y.components
-    out = []
-    for a in range(2 * sys.n):
-        parts = []
-        for b, v in enumerate(sys.u):
-            parts.append(mul(xc[b], differentiate(yc[a], v)))
-            parts.append(neg(mul(yc[b], differentiate(xc[a], v))))
-        out.append(simplify(add(*parts)))
+    out = [simplify(c) for c in bracket(sys, x.components, y.components)]
     return PhaseVectorField(tuple(out[:sys.n]), tuple(out[sys.n:]))
 
 

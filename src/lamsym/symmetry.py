@@ -9,8 +9,8 @@ handled separately, including the closedness conditions for G to exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .expr import (
     DomainBox,
@@ -29,6 +29,7 @@ from .expr import (
 from .mechanics import (
     PhaseSystem,
     PhaseVectorField,
+    bracket,
     evolutionary_form,
     total_time_derivative,
 )
@@ -106,39 +107,32 @@ class CaseClassification:
     s_conservation: Optional[ZeroVerdict] = None
 
 
-def _condition_sums(sys: PhaseSystem, x: PhaseVectorField) -> tuple:
-    """The 2n residuals of the linearized invariance condition, with total
-    time derivatives expanded along solutions, not normalized."""
-    h = sys.hamiltonian
-    dt = lambda f: total_time_derivative(sys, f)
-    dtau = dt(x.tau)
-    tau_dt = x.tau != ZERO
-    res_q, res_p = [], []
-    for a in range(sys.n):
-        qa, pa = sys.q[a], sys.p[a]
-        h_pa = differentiate(h, pa)
-        h_qa = differentiate(h, qa)
-        r1 = [dt(x.phi[a]), neg(mul(h_pa, dtau))]
-        r2 = [dt(x.psi[a]), mul(h_qa, dtau)]
-        for b in range(sys.n):
-            qb, pb = sys.q[b], sys.p[b]
-            r1.append(neg(mul(x.phi[b], differentiate(h_pa, qb))))
-            r1.append(neg(mul(x.psi[b], differentiate(h_pa, pb))))
-            r2.append(mul(x.phi[b], differentiate(h_qa, qb)))
-            r2.append(mul(x.psi[b], differentiate(h_qa, pb)))
-        if tau_dt:
-            r1.append(neg(mul(x.tau, differentiate(h_pa, sys.t))))
-            r2.append(mul(x.tau, differentiate(h_qa, sys.t)))
-        res_q.append(add(*r1))
-        res_p.append(add(*r2))
-    return tuple(res_q + res_p)
+def invariance_residuals(sys: PhaseSystem, x: PhaseVectorField, f: Sequence[Expr],
+                         lam_phi: Sequence[Expr] = ()) -> tuple:
+    """The 2n residuals dPhi_a/dt + (Lambda Phi)_a + [F, Phi]_a of the
+    linearized invariance condition of du/dt = F, not normalized; without
+    lam_phi, Lambda = 0 and this is the exact condition.  A field with
+    tau != 0 also gets -F_a D_t tau - tau dF_a/dt, D_t along solutions."""
+    comps = x.components
+    out = tuple(add(differentiate(c, sys.t), *lam_phi[a:a + 1], br)
+                for a, (c, br) in enumerate(zip(comps, bracket(sys, f, comps))))
+    if x.tau == ZERO:
+        return out
+    dtau = total_time_derivative(sys, x.tau)
+    return tuple(add(r, neg(mul(fa, dtau)), neg(mul(x.tau, differentiate(fa, sys.t))))
+                 for r, fa in zip(out, f))
 
 
 def check_point_symmetry(sys: PhaseSystem, x: PhaseVectorField,
                          box: Optional[DomainBox] = None,
                          cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
-    """Verify the exact symmetry condition componentwise."""
-    residuals = _condition_sums(sys, x)
+    """Verify the exact symmetry condition componentwise, against F as
+    differentiated, (dH/dp, -dH/dq); the normalizer is not confluent, and
+    the normalized F of `check_lambda_symmetry` moves example 3's residual."""
+    h = sys.hamiltonian
+    f = ([differentiate(h, v) for v in sys.p]
+         + [neg(differentiate(h, v)) for v in sys.q])
+    residuals = invariance_residuals(sys, x, f)
     return SymmetryVerdict(tuple(is_identically_zero(r, box, cfg) for r in residuals))
 
 

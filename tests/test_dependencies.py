@@ -33,3 +33,31 @@ def test_the_guard_flags_a_third_party_import(tmp_path):
     module.write_text("import json, numpy.linalg\nfrom . import expr\n"
                       "def f():\n    from hypothesis import given\n", encoding="utf-8")
     assert _foreign_imports(module) == {"hypothesis"}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names that the imports in path bind and that its code never reads;
+    `from __future__` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export
+    assert not _unused_imports(path)
+
+
+def test_the_guard_flags_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport os.path, json as j\n"
+                      "from typing import Optional, Sequence\n"
+                      "def f(x: Optional[int]):\n    return os.sep\n", encoding="utf-8")
+    assert _unused_imports(module) == {"j", "Sequence"}

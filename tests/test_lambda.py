@@ -1,15 +1,29 @@
+import random
+from importlib import resources
+
 import pytest
 
 from lamsym.expr import (
     Const,
+    Func,
+    SamplingError,
     Var,
     add,
+    div,
+    format_expr,
     is_identically_zero,
     neg,
     parse,
     simplify,
 )
-from lamsym.mechanics import PhaseSystem, PhaseVectorField
+from lamsym.mechanics import (
+    PhaseSystem,
+    PhaseVectorField,
+    canonical_equations,
+    scale_field,
+    total_time_derivative,
+)
+from lamsym.problem import load_problem
 from lamsym.symmetry import check_first_integral, check_point_symmetry, compute_S
 from lamsym.lambda_symmetry import (
     ChartError,
@@ -25,6 +39,7 @@ from lamsym.lambda_symmetry import (
     verify_chart,
 )
 from fractions import Fraction
+from gen import random_polynomial, random_tree
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
@@ -148,20 +163,97 @@ def test_perturbed_rotation_lambda_symmetry():
     assert check_lambda_symmetry(sys, x, lam).holds
 
 
+# Since [F, g F] = (D_t g) F, the field Phi = g F is a lambda symmetry of
+# every autonomous H with Lambda = -(D_t g / g) I, for any g that does not
+# vanish: the condition's residuals are known to be zero.
+
+Q = ("q1", "q2")
+
+
+def _scaled_flow(rng, potential):
+    """H = (p1^2+p2^2)/2 + potential, Phi = g F with g the exp of a random
+    2-term polynomial in q and p, and the diagonal entry -(D_t g / g)."""
+    sys = PhaseSystem(2, add(parse("(p1^2+p2^2)/2"), potential))
+    g = Func("exp", random_polynomial(rng, Q + ("p1", "p2"), 2))
+    f = canonical_equations(sys)
+    x = scale_field(PhaseVectorField(f[:2], f[2:]), g)
+    return sys, x, neg(div(total_time_derivative(sys, g), g))
+
+
+def _tags(verdict):
+    return [v.tag for v in verdict.components]
+
+
+def test_generated_lambda_symmetries_of_polynomial_potentials():
+    rng = random.Random(2010)
+    for _ in range(40):
+        sys, x, entry = _scaled_flow(rng, random_polynomial(rng, Q))
+        lam = LambdaMatrix.diagonal([entry] * 4)
+        assert _tags(check_lambda_symmetry(sys, x, lam)) == ["ProvenZero"] * 4
+        # 1/7 more on the diagonal entry of a component of F that is not 0
+        k = rng.choice([a for a, c in enumerate(canonical_equations(sys)) if c != ZERO])
+        mutant = [add(entry, Const(Fraction(1, 7))) if a == k else entry for a in range(4)]
+        assert "NonZero" in _tags(check_lambda_symmetry(sys, x, LambdaMatrix.diagonal(mutant)))
+
+
+def test_generated_lambda_symmetries_of_random_tree_potentials():
+    rng = random.Random(1004)
+    nonzero = []
+    for _ in range(30):
+        potential = random_tree(rng, 3, Q)
+        sys, x, entry = _scaled_flow(rng, potential)
+        try:
+            verdict = check_lambda_symmetry(sys, x, LambdaMatrix.diagonal([entry] * 4))
+        except SamplingError:
+            # only where H itself cannot be sampled on the box
+            with pytest.raises(SamplingError):
+                is_identically_zero(sys.hamiltonian)
+            continue
+        if "NonZero" in _tags(verdict):
+            nonzero.append(format_expr(potential))
+    # A known false NonZero: the pole q1 + q2 = 5/4 lies inside the box, the
+    # normal form keeps the square and the fourth power of 1-4/5*q1-4/5*q2
+    # expanded as two unrelated denominators, and near the pole those
+    # expanded sums cancel to a relative error of 3e-4 in float arithmetic.
+    assert nonzero == ["-4/5*q2^4/(1-4/5*q1-4/5*q2)"]
+
+
 def test_zero_matrix_degenerates_to_point_symmetry():
-    # verdict for verdict on both a symmetry and a non-symmetry
+    # tag for tag on a symmetry, a non-symmetry and generated flows, with
+    # Phi = F: the residual dF/dt is zero unless the potential depends on t
     cases = [
         (PhaseSystem(1, parse("(p1^2+q1^2)/2")),
          PhaseVectorField((Var("q1"),), (Var("p1"),))),
         (PhaseSystem(1, parse("(p1^2+q1^2)/2")),
          PhaseVectorField((Var("q1"),), (ZERO,))),
     ]
+    rng = random.Random(300)
+    for _ in range(20):
+        sys = PhaseSystem(2, add(parse("(p1^2+p2^2)/2"), random_polynomial(rng, Q + ("t",))))
+        f = canonical_equations(sys)
+        cases.append((sys, PhaseVectorField(f[:2], f[2:])))
     for sys, x in cases:
-        a = check_lambda_symmetry(sys, x, LambdaMatrix.zeros(2))
-        b = check_point_symmetry(sys, x)
-        assert a.holds == b.holds
-        for va, vb in zip(a.components, b.components):
-            assert va.ok == vb.ok
+        a = check_lambda_symmetry(sys, x, LambdaMatrix.zeros(2 * sys.n))
+        assert _tags(a) == _tags(check_point_symmetry(sys, x))
+
+
+@pytest.mark.parametrize("name, tags", [
+    ("example2.json", ["ProvenZero"] * 4),
+    ("example3.json", ["ProvenZero"] * 2 + ["NumericallyZero"] * 2),
+    ("example4.json", ["ProvenZero"] * 2),
+])
+def test_a_scaled_field_keeps_the_verdicts_of_the_bundled_lambda_symmetries(name, tags):
+    # g X with Lambda - (D_t g / g) I has residuals g times those of X with Lambda
+    with resources.as_file(resources.files("lamsym").joinpath("problems", name)) as path:
+        problem = load_problem(str(path))
+    sys, x, lam, box = problem.phase_system(), problem.vector_field(), problem.lam, problem.box
+    g = Func("exp", Var("q1"))
+    shift = neg(div(total_time_derivative(sys, g), g))
+    scaled = scale_field(x, g)
+    shifted = LambdaMatrix(tuple(tuple(add(e, shift) if a == b else e for b, e in enumerate(row))
+                                 for a, row in enumerate(lam.entries)))
+    assert _tags(check_lambda_symmetry(sys, x, lam, box)) == tags
+    assert _tags(check_lambda_symmetry(sys, scaled, shifted, box)) == tags
 
 
 def test_velocity_dependence_is_derived_from_entries():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -390,6 +391,21 @@ def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
     calls.clear()
     traj = _bundled_flow("example6.json", t1=0.01)
     assert len(traj.states) == 11 and calls == []
+
+
+def test_a_stage_binds_no_copy_of_a_lone_operand():
+    # the derivatives of (dq1+dq2)^2/2 hold sums and products that fold down
+    # to one operand (x + -0.0, x*1.0); the stage reads that operand where
+    # it used to bind a copy of it, _t4=(_t1) and _t5=(_v1)
+    text = "(dq1+dq2)^2/2 + dq2^2/2 + 1/q1 + q1*dq1*dq2"
+    lag = LagrangianSystem(2, parse(text))
+    fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
+    fuser.emit(fuser.roots)
+    assert len(fuser.lines) == 8
+    assert not [line for line in fuser.lines if re.fullmatch(r"_t\d+=\(_[tv]\d+\)", line)]
+    lag, q0, dq0, traj = _hand_written_flow(2, text)
+    states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    assert reason is None and traj.states.tobytes() == states.tobytes()
 
 
 @pytest.mark.parametrize("text, y0", [("y1^2", 2.0), ("y1^17", 2.0), ("exp(y1)", 2.0),

@@ -226,6 +226,15 @@ def test_time_translation_is_a_symmetry_of_autonomous_systems():
     assert not check_point_symmetry(driven, x).holds
 
 
+@pytest.mark.parametrize("h, tags", [("p1^2/2 + 1/q1^2", ["ProvenZero"] * 2),
+                                     ("p1^2/2 + 1/q1^2 + q1", ["ProvenZero", "NonZero"])])
+def test_dilation_with_time_component(h, tags):
+    # q -> c q, p -> p/c, t -> c^2 t leaves only the inverse-square potential
+    x = PhaseVectorField((parse("q1"),), (parse("-p1"),), parse("2*t"))
+    verdict = check_point_symmetry(PhaseSystem(1, parse(h)), x)
+    assert [v.tag for v in verdict.components] == tags
+
+
 def test_divergence_quantity_matches_evolutionary_form():
     # S computed with tau present equals the plain divergence of the
     # equivalent tau = 0 field
