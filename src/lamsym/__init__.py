@@ -12,7 +12,6 @@ front end over JSON problem files (`problem`, `runner`, `cli`).
 from .expr import (
     DomainBox,
     EvalDomainError,
-    EvalOverflowError,
     Expr,
     ParseError,
     SamplingError,

@@ -95,8 +95,12 @@ def _parse_ic(text: str, names) -> list:
     for piece in text.split(","):
         if "=" not in piece:
             raise ValueError(f"bad assignment {piece!r}")
-        name, val = piece.split("=", 1)
-        values[name.strip()] = float(val)
+        name, val = (s.strip() for s in piece.split("=", 1))
+        if name not in names:
+            raise ValueError(f"initial condition names unknown variable {name!r}")
+        if name in values:
+            raise ValueError(f"initial condition assigns {name!r} twice")
+        values[name] = float(val)
     missing = [n for n in names if n not in values]
     if missing:
         raise ValueError(f"initial condition misses {missing}")

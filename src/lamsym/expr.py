@@ -7,9 +7,12 @@ are one object and equality is identity.  Constants stay exact, each in
 one canonical form: an int when integral, else a fractions.Fraction with
 denominator > 1 (`_ratio` divides two of them).  Floating point enters
 only in the functions that `compile_exprs` generates, the one evaluator:
-plain float operations, a quotient as `/`, and, in a function that divides
-or takes a sine or cosine, one handler that turns a division by zero or
-sin or cos of inf into EvalDomainError.  A negation is a rational
+plain float operations, a quotient as `/`, a power as `**` (through
+`_guard_pow`, which adds its domain errors, unless the exponent is a whole
+number 0..16, which has none), and, in a function that divides or takes a
+sine or cosine, one handler that turns a division by zero or sin or cos
+of inf into EvalDomainError; a power beyond the float range raises the
+OverflowError of `**`.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
 scope normal forms, normalizer steps, derivatives and zero-test verdicts
 are remembered; `simplify` and `differentiate` open a scope of their own
@@ -47,12 +50,6 @@ class ParseError(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Real evaluation left its domain (log/sqrt/division/power)."""
-
-
-class EvalOverflowError(EvalDomainError, OverflowError):
-    """A power left the float range.  On numpy float64 operands the same
-    power gives inf instead, so callers that integrate or monitor treat it
-    like the OverflowError a plain `x**k` raises."""
 
 
 class SamplingError(RuntimeError):
@@ -1226,25 +1223,17 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 # --------------------------------------------------------------------------
 
 def _guard_pow(a: float, b: float) -> float:
-    if a > 0.0:
-        try:
-            return a ** b
-        except OverflowError:
-            raise EvalOverflowError("overflow in power")
-    if a == 0.0:
-        if b > 0.0:
-            return 0.0
-        if b == 0.0:
-            return 1.0
-        raise EvalDomainError("zero raised to a negative power")
-    if not math.isfinite(b):        # int(b) would raise ValueError or OverflowError
-        raise EvalDomainError("negative base with non-finite exponent")
-    if b == int(b):
-        try:
-            return a ** int(b)
-        except OverflowError:
-            raise EvalOverflowError("overflow in power")
-    raise EvalDomainError("negative base with fractional exponent")
+    """`a ** b` where it is real; a power beyond the float range raises the
+    OverflowError of `**`.  `not a > 0.0` holds for nan too."""
+    if not a > 0.0:
+        if a == 0.0:
+            if not b >= 0.0:
+                raise EvalDomainError("zero raised to a negative power")
+        elif not math.isfinite(b):      # int(b) would raise ValueError or OverflowError
+            raise EvalDomainError("negative base with non-finite exponent")
+        elif b != int(b):
+            raise EvalDomainError("negative base with fractional exponent")
+    return a ** b
 
 
 def _c_exp(a):
@@ -1283,20 +1272,23 @@ _COMPILE_ENV = {
 _FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt": "_sqrt"}
 
 
-def _small_power(e: Power) -> int:
-    """k when `e` compiles to `(base)**k`, an integer exponent in 1..16; else 0."""
-    x = e.exponent.value if type(e.exponent) is Const else 0
-    return x.numerator if x.denominator == 1 and 0 < x <= 16 else 0
+def _small_power(x) -> Optional[int]:
+    """k when a power whose exponent operand is x compiles to `(base)**k`:
+    x is a float literal, from a `Const` or a folded constant subtree, that
+    is a whole number k in 0..16, where `(base)**k` is `_guard_pow(base, x)`
+    and cannot raise a domain error; else None."""
+    return int(x) if type(x) is float and x.is_integer() and 0.0 <= x <= 16.0 else None
 
 
 def _fold(e: Expr, kids: tuple):
     """`e`'s value when its operands are all float literals, computed by the
     generated code's float operations in its order, unless that raises or is
-    not finite; 1.0 for a variable to a power that folds to 0.0, which is
-    1.0 for every float, nan and inf included.  Else its operands: a leading
-    run of literal terms or factors made one, without the IEEE identities
-    x*1.0, x + -0.0, and x + 0.0 after a +0.0 term (a sum is -0.0 only when
-    both operands are); the lone operand left of a sum or product."""
+    not finite.  Else its operands: a leading run of literal terms or factors
+    made one, without the IEEE identities x*1.0, x + -0.0, x**1.0, and
+    x + 0.0 after a +0.0 term (a sum is -0.0 only when both operands are);
+    1.0 for a variable to a power that folds to 0.0, which is 1.0 for every
+    float, nan and inf included; the lone operand left of a sum or product
+    or the base of a power to 1.0."""
     if float not in map(type, kids):
         return kids
     t, n = type(e), len(kids)
@@ -1308,8 +1300,7 @@ def _fold(e: Expr, kids: tuple):
                 for k in kids[1:lead]:
                     v = v + k if t is Sum else v * k
             elif t is Power:
-                k = _small_power(e)
-                v = kids[0] ** k if k else _guard_pow(*kids)
+                v = _guard_pow(*kids)
             else:
                 v = kids[0] / kids[1] if t is Quotient else _COMPILE_ENV[_FUNC_NAMES[e.name]](*kids)
         except (ArithmeticError, ValueError):
@@ -1319,8 +1310,11 @@ def _fold(e: Expr, kids: tuple):
                 return v
             kids = (v,) + kids[lead:]
     if t is Power:
-        # a variable cannot raise; a subtree base keeps (b)**0 for its errors
+        # b**1.0 is b; a variable cannot raise, but a subtree base keeps
+        # (b)**0 for its errors
         x = kids[1]
+        if type(x) is float and x == 1.0:
+            return kids[0]
         return 1.0 if type(kids[0]) is str and type(x) is float and x == 0.0 else kids
     if t is Product:
         kids = tuple(k for k in kids if type(k) is not float or k != 1.0)
@@ -1421,15 +1415,11 @@ class _Fuser:
         elif t is Product:
             src = "(" + "*".join(self.emit(kids)) + ")"
         elif t is Power:
-            # _guard_pow(b, 0.0) is 1.0 = b**0 and _guard_pow(b, 1.0) is
-            # b + 0.0 for every float b (-0.0 gives 0.0); neither can raise
-            k, x = _small_power(e), kids[1]
-            if k or (type(x) is float and x == 0.0):
-                src = f"({self.emit(kids[:1])[0]})**{k}"
-            elif type(x) is float and x == 1.0:
-                src = f"({self.emit(kids[:1])[0]}+0.0)"
-            else:
+            k = _small_power(kids[1])
+            if k is None:
                 src = "_pow({},{})".format(*self.emit(kids))
+            else:
+                src = f"({self.emit(kids[:1])[0]})**{k}"
         elif t is Quotient:
             src = "({}/{})".format(*self.emit(kids))
         else:

@@ -246,37 +246,32 @@ def _solve_lambda2(jac, laml: LambdaMatrix, box, cfg):
                for a in range(n)]
     if not any(any(row) for row in nonzero):
         return [[ZERO] * n for _ in range(n)]  # vacuous constraint
-    diagonal = all(not nonzero[a][b] for a in range(n) for b in range(n) if a != b)
-    if diagonal:
-        d = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            for g in range(n):
-                rhs = simplify(mul(jac[a][a], laml.entries[g][a]))
-                if nonzero[g][g]:
-                    d[a][g] = simplify(div(rhs, jac[g][g]))
-                elif not is_identically_zero(rhs, box, cfg).ok:
-                    raise ValueError(
-                        "extension constraint unsatisfiable: zero Jacobian column "
-                        f"{g+1} against nonzero right-hand side")
-        return d
     lower = all(not nonzero[a][b] for a in range(n) for b in range(n) if b > a)
     upper = all(not nonzero[a][b] for a in range(n) for b in range(n) if b < a)
-    if (lower or upper) and all(nonzero[a][a] for a in range(n)):
-        # substitution on D J^T = R, one row of D at a time; equation gamma
-        # involves the unknowns D[a][b] with b <= gamma for lower Jacobians
-        r = [[simplify(add(*[mul(jac[b][a], laml.entries[g][b]) for b in range(n)]))
-              for g in range(n)] for a in range(n)]
-        d = [[ZERO] * n for _ in range(n)]
-        cols = range(n) if lower else range(n - 1, -1, -1)
-        for a in range(n):
-            for g in cols:
-                acc = r[a][g]
-                for b in range(n):
-                    if b != g and (jac[g][b] != ZERO):
-                        acc = add(acc, neg(mul(d[a][b], jac[g][b])))
+    pivots = all(nonzero[a][a] for a in range(n))
+    if not (lower and upper or (lower or upper) and pivots):
+        return None
+    # substitution on D J^T = R, one row of D at a time; equation gamma
+    # involves the unknowns D[a][b] with b <= gamma for lower Jacobians.  A
+    # zero pivot, which only a diagonal Jacobian may have, leaves its unknown
+    # at 0 when its equation already vanishes
+    r = [[simplify(add(*[mul(jac[b][a], laml.entries[g][b]) for b in range(n)]))
+          for g in range(n)] for a in range(n)]
+    d = [[ZERO] * n for _ in range(n)]
+    cols = range(n) if lower else range(n - 1, -1, -1)
+    for a in range(n):
+        for g in cols:
+            acc = r[a][g]
+            for b in range(n):
+                if b != g and (jac[g][b] != ZERO):
+                    acc = add(acc, neg(mul(d[a][b], jac[g][b])))
+            if nonzero[g][g]:
                 d[a][g] = simplify(div(acc, jac[g][g]))
-        return d
-    return None
+            elif not is_identically_zero(acc, box, cfg).ok:
+                raise ValueError(
+                    "extension constraint unsatisfiable: zero Jacobian column "
+                    f"{g+1} against nonzero right-hand side")
+    return d
 
 
 def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,

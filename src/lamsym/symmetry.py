@@ -176,24 +176,17 @@ def generating_function_test(sys: PhaseSystem, x: PhaseVectorField,
 
     closedness = []
     if not tau_general:
-        for a in range(sys.n):
-            for b in range(a, sys.n):
-                qa, pa = sys.q[a], sys.p[a]
-                qb, pb = sys.q[b], sys.p[b]
-                if b > a:
-                    r = add(differentiate(x.phi[a], pb), neg(differentiate(x.phi[b], pa)))
-                    closedness.append((f"dphi{a+1}/dp{b+1}=dphi{b+1}/dp{a+1}",
-                                       is_identically_zero(r, box, cfg)))
-                    r = add(differentiate(x.psi[a], qb), neg(differentiate(x.psi[b], qa)))
-                    closedness.append((f"dpsi{a+1}/dq{b+1}=dpsi{b+1}/dq{a+1}",
-                                       is_identically_zero(r, box, cfg)))
-                r = add(differentiate(x.phi[a], qb), differentiate(x.psi[b], pa))
-                closedness.append((f"dphi{a+1}/dq{b+1}=-dpsi{b+1}/dp{a+1}",
+        # G exists iff its gradient over u = (p, q), (phi, -psi), has a
+        # symmetric Jacobian: with f = (phi, psi), df_i/du_j = +-df_j/du_i
+        # for i < j, minus when u_i and u_j are both momenta or both positions
+        n, f, u = sys.n, x.phi + x.psi, sys.p + sys.q
+        fn = [f"phi{a+1}" for a in range(n)] + [f"psi{a+1}" for a in range(n)]
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                same, dj = (i < n) == (j < n), differentiate(f[j], u[i])
+                r = add(differentiate(f[i], u[j]), neg(dj) if same else dj)
+                closedness.append((f"d{fn[i]}/d{u[j]}={'' if same else '-'}d{fn[j]}/d{u[i]}",
                                    is_identically_zero(r, box, cfg)))
-                if b > a:
-                    r = add(differentiate(x.phi[b], qa), differentiate(x.psi[a], pb))
-                    closedness.append((f"dphi{b+1}/dq{a+1}=-dpsi{a+1}/dp{b+1}",
-                                       is_identically_zero(r, box, cfg)))
 
     candidate = ()
     sign_flipped = False

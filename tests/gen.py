@@ -7,14 +7,14 @@ import random
 
 from lamsym.expr import (
     Const, Func, Power, Quotient, Var, add, mul, neg,
-    EvalDomainError, Expr, Product, Sum, _guard_pow,
+    EvalDomainError, Expr, Product, Sum,
 )
 
 
 def in_order(e, point):
     """Tree walk doing the compiled evaluator's float operations in its
     order: operands left to right, sums and products folded left to right,
-    integer powers 1..16 by `**`, and the same domain errors."""
+    a power as `a ** b` where it is real, and the same domain errors."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -31,10 +31,14 @@ def in_order(e, point):
             raise EvalDomainError("division by zero")
         return a / b
     if isinstance(e, Power):
-        x = e.exponent
-        if isinstance(x, Const) and x.value.denominator == 1 and 0 < x.value <= 16:
-            return in_order(e.base, point) ** int(x.value)
-        return _guard_pow(in_order(e.base, point), in_order(x, point))
+        a, b = in_order(e.base, point), in_order(e.exponent, point)
+        if a == 0.0 and not b >= 0.0:
+            raise EvalDomainError("zero raised to a negative power")
+        if not a >= 0.0 and not abs(b) < math.inf:
+            raise EvalDomainError("negative base with non-finite exponent")
+        if not a >= 0.0 and b % 1.0 != 0.0:
+            raise EvalDomainError("negative base with fractional exponent")
+        return a ** b
     a = in_order(e.arg, point)
     if e.name == "exp":
         try:

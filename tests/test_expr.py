@@ -367,6 +367,31 @@ def test_a_negative_base_to_a_non_finite_power_is_a_domain_error(b):
         compile_expr(parse("(q-2)^(p*10^300*r)"), ("q", "p", "r"))(1.0, 1e10, b)
 
 
+def test_a_power_overflows_alike_however_its_exponent_is_spelled():
+    # x^3 compiles to (x)**3, x^(4+-1) folds its exponent to 3.0 and x^y
+    # calls _pow: each is `**`, which raises the same OverflowError
+    outcomes = set()
+    for text, args in (("x^3", (1e200,)), ("x^(4+-1)", (1e200,)), ("x^y", (1e200, 3.0))):
+        fn = compile_expr(parse(text), ("x", "y")[:len(args)])
+        with pytest.raises(OverflowError) as err:
+            fn(*args)
+        outcomes.add((type(err.value), str(err.value)))
+    with pytest.raises(OverflowError) as err:
+        1e200 ** 3
+    assert outcomes == {(OverflowError, str(err.value))}
+
+
+def test_a_power_keeps_the_sign_of_a_zero_base_as_float_power_does():
+    # (-0.0)**3.0 and (-0.0)**1.0 are -0.0; an exponent that folds to 1
+    # leaves the base itself
+    assert expr_mod._guard_pow(-0.0, 3.0).hex() == (-0.0).hex()
+    for text in ("x^y", "x^3", "x^(4+-1)", "x^(2+-1)", "x^1"):
+        fn = compile_expr(parse(text), ("x", "y"))
+        assert fn(-0.0, 3.0 if "y" in text else 0.0).hex() == (-0.0).hex(), text
+    fuser = expr_mod._Fuser((parse("x^(2+-1)*y"),), ("x", "y"))
+    assert fuser.emit(fuser.roots) == ["(_v0*_v1)"]
+
+
 @pytest.mark.parametrize("name", ["sin", "cos"])
 def test_sin_or_cos_of_an_infinite_argument_is_a_domain_error(name):
     fn = compile_expr(parse(f"{name}(q*10^300)"), ("q",))
@@ -610,6 +635,17 @@ def test_fused_outputs_match_an_in_order_tree_walk():
             assert _outcome(lambda: [v.hex() for v in fused(*args)]) == want
             assert _outcome(lambda: compile_expr(outputs[3], names)(*args).hex()) == \
                 _outcome(lambda: in_order(outputs[3], point).hex())
+
+
+def test_a_guarded_power_matches_an_in_order_tree_walk_at_edge_values():
+    # random trees reach _pow with negative whole exponents only; x^y calls
+    # it on signed zeros, infinities, nan and fractional exponents too
+    power = parse("x^y")
+    fn = compile_expr(power, ("x", "y"))
+    for x in (0.0, -0.0, 2.0, -2.0, 0.5, 1e200, math.inf, -math.inf, math.nan):
+        for y in (0.0, 1.0, 3.0, -1.0, 0.5, -2.5, 400.0, math.inf, -math.inf, math.nan):
+            want = _outcome(lambda: in_order(power, {"x": x, "y": y}).hex())
+            assert _outcome(lambda: fn(x, y).hex()) == want, (x, y)
 
 
 # runs of constant-only terms: the first five raise, or give a value beyond

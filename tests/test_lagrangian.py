@@ -289,6 +289,20 @@ def test_zero_matrix_extension_is_zero():
     assert all(simplify(e) == ZERO for row in rep.matrix.entries for e in row)
 
 
+def test_a_zero_pivot_is_solved_on_a_diagonal_jacobian_only():
+    # dphi/dq = diag(1, 0): the zero pivot's unknowns stay 0 when its
+    # equations vanish (Lambda_21 = 0) and are unsatisfiable when they do not;
+    # the triangular [[1, 0], [1, 0]] with the same zero pivot needs a candidate
+    lam = LambdaMatrix(((parse("q1"), ZERO), (parse("q2"), parse("q1"))), LAGRANGIAN_SIDE)
+    with pytest.raises(ValueError, match="^extension constraint unsatisfiable: zero "
+                                         "Jacobian column 2 against nonzero right-hand side$"):
+        extend_lambda(two_scale_field(), lam)
+    rep = extend_lambda(two_scale_field(), two_scale_matrix())
+    assert rep.solved and rep.holds and simplify(rep.matrix.entries[3][3]) == ZERO
+    with pytest.raises(ValueError, match="neither diagonal nor triangular"):
+        extend_lambda(ConfigVectorField((parse("q1"), parse("q1"))), two_scale_matrix())
+
+
 def test_matrix_extension_accepts_verified_candidate():
     rep = extend_lambda(two_scale_field(), two_scale_matrix(),
                         candidate_lambda2=[[parse("q1"), ZERO], [ZERO, ZERO]])

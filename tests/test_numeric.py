@@ -376,9 +376,19 @@ def test_only_stages_the_certificate_cannot_decide_call_the_svd(monkeypatch):
     assert reason is None and traj.states.tobytes() == states.tobytes()
 
 
+# shaped like perfbench's generated n = 4 Lagrangian: kinetic terms
+# m*(1+a*q^2)*dq^2/2 and a quartic potential
+_QUARTIC_4 = ("(5/4)*(1+(1/2)*q1^2)*dq1^2/2 + (1+(1/4)*q2^2)*dq2^2/2"
+              " + (3/2)*(1+(3/4)*q3^2)*dq3^2/2 + 2*(1+(1/2)*q4^2)*dq4^2/2 + (1/8)*dq1*dq2"
+              " - (q1^2/2 + (1/5)*q1^4/4 + (3/2)*q2^2/2 + (1/10)*q2^4/4 + q3^2/2"
+              " + (3/10)*q3^4/4 + 2*q4^2/2 + (1/5)*q4^4/4 + (-1/16)*q1*q4)")
+
+
 def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
-    # every power in its derivative trees has a constant integer exponent
-    # in 1..16 or one that folds to 0 or 1, and none of these is guarded
+    # every power in the derivative trees of example 6 and of _QUARTIC_4 has
+    # an exponent that is a whole number 0..16, a constant or one that folds
+    # from constants (q^(4+-1)), so none is guarded; one that folds to 1
+    # leaves the base itself
     calls = []
 
     def counting(a, b):
@@ -391,6 +401,14 @@ def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
     calls.clear()
     traj = _bundled_flow("example6.json", t1=0.01)
     assert len(traj.states) == 11 and calls == []
+    lag = LagrangianSystem(4, parse(_QUARTIC_4))
+    fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
+    source = "\n".join(fuser.emit(fuser.roots) + fuser.lines)
+    assert "_pow(" not in source and not re.search(r"\(_v\d+\+0\.0\)", source)
+    lag, q0, dq0, traj = _hand_written_flow(4, _QUARTIC_4)
+    assert len(traj.states) == 201 and calls == []
+    states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
+    assert reason is None and traj.states.tobytes() == states.tobytes()
 
 
 def test_a_stage_binds_no_copy_of_a_lone_operand():

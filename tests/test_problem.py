@@ -272,6 +272,20 @@ def test_cli_integrate_emits_csv(tmp_path):
     assert float(lines[-1].split(",")[3]) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("ic, message", [
+    ("q1=0.4,p1=0.2,q9=7,q1=0.5", "initial condition names unknown variable 'q9'"),
+    ("q1=0.4,p1=0.2,q1=0.5", "initial condition assigns 'q1' twice"),
+    ("q1=0.4, p1 =0.2,q1 = 0.5", "initial condition assigns 'q1' twice"),
+])
+def test_cli_integrate_rejects_unknown_and_repeated_names(tmp_path, capsys, ic, message):
+    out = tmp_path / "traj.csv"
+    code = main(["integrate", "--problem", bundled("example1.json"), "--ic", ic,
+                 "--t1", "0.01", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, reason", [
     ("(q1-200000)^(p1*q1*10^300)", "negative base with non-finite exponent"),     # inf
     ("(q1-200000)^(p1*q1*10^300*0)", "negative base with non-finite exponent"),   # nan

@@ -244,3 +244,51 @@ def test_divergence_quantity_matches_evolutionary_form():
                          (parse("p2"), parse("p1")), parse("q1*p1"))
     xt = evolutionary_form(sys, x)
     assert is_identically_zero(compute_S(sys, x) - compute_S(sys, xt)).ok
+
+
+# ---------------------------------------------------------- known answers
+# Textbook first integrals at the default zero-test seed: every verdict is
+# ok and each mutant is NonZero.  Kepler's LRL components are
+# NumericallyZero today (max about 1.5e-16): their normal forms keep sums of
+# quotients over powers of r that the normalizer does not combine.
+
+_R = "(q1^2+q2^2)^(1/2)"
+_L3 = "(q1*p2-q2*p1)"
+
+
+def test_kepler_angular_momentum_and_lrl_vector_are_conserved():
+    # Goldstein, Classical Mechanics, 3.9: H = |p|^2/2 - 1/r in the plane
+    kepler = PhaseSystem(2, parse(f"(p1^2+p2^2)/2 - 1/{_R}"))
+    assert check_first_integral(kepler, parse(_L3)).tag == "ProvenZero"
+    assert check_point_symmetry(kepler, hamiltonian_vector_field(kepler, parse(_L3))).holds
+    for lrl in (f"p2*{_L3} - q1/{_R}", f"-p1*{_L3} - q2/{_R}"):
+        assert check_first_integral(kepler, parse(lrl)).ok, lrl
+    flipped = check_first_integral(kepler, parse(f"p2*{_L3} + q1/{_R}"))
+    assert flipped.tag == "NonZero"
+
+
+_TODA_I3 = "p1*p2*p3 - p1*exp(q2-q3) - p2*exp(q3-q1) - p3*exp(q1-q2)"
+
+
+def test_periodic_toda_momentum_and_cubic_integral_are_proven():
+    # Henon and Flaschka, Phys. Rev. B 9 (1974): the periodic lattice, n = 3
+    toda = PhaseSystem(3, parse("(p1^2+p2^2+p3^2)/2 + exp(q1-q2) + exp(q2-q3) + exp(q3-q1)"))
+    for integral in ("p1+p2+p3", _TODA_I3):
+        assert check_first_integral(toda, parse(integral)).tag == "ProvenZero", integral
+    assert check_point_symmetry(toda, hamiltonian_vector_field(toda, parse(_TODA_I3))).holds
+    doubled = check_first_integral(toda, parse(_TODA_I3 + " - p3*exp(q1-q2)"))
+    assert doubled.tag == "NonZero"
+
+
+def test_isotropic_oscillator_u4_generators_are_proven():
+    # the n^2 = 16 generators q_i q_j + p_i p_j (i <= j) and q_i p_j - q_j p_i
+    # (i < j) of U(4); unequal weights break the symmetry
+    osc = PhaseSystem(4, parse("(p1^2+q1^2+p2^2+q2^2+p3^2+q3^2+p4^2+q4^2)/2"))
+    pairs = [(i, j) for i in range(1, 5) for j in range(i, 5)]
+    generators = ([f"q{i}*q{j}+p{i}*p{j}" for i, j in pairs]
+                  + [f"q{i}*p{j}-q{j}*p{i}" for i, j in pairs if i < j])
+    assert len(generators) == 16
+    for g in generators:
+        assert check_first_integral(osc, parse(g)).tag == "ProvenZero", g
+        assert check_point_symmetry(osc, hamiltonian_vector_field(osc, parse(g))).holds, g
+    assert check_first_integral(osc, parse("q1*q2+2*p1*p2")).tag == "NonZero"
