@@ -11,8 +11,8 @@ plain float operations, a quotient as `/`, a power as `**` (through
 `_guard_pow`, which adds its domain errors, unless the exponent is a whole
 number 0..16, which has none), and, in a function that divides or takes a
 sine or cosine, one handler that turns a division by zero or sin or cos
-of inf into EvalDomainError; a power beyond the float range raises the
-OverflowError of `**`.  A negation is a rational
+of inf into EvalDomainError; a power or exp beyond the float range raises
+the OverflowError of `**` or `math.exp`.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
 scope normal forms, normalizer steps, derivatives and zero-test verdicts
 are remembered; `simplify` and `differentiate` open a scope of their own
@@ -1176,6 +1176,8 @@ def _derivative(e: Expr, v: str) -> Expr:
         return div(add(mul(da, b), neg(mul(a, db))), Power(b, Const(2)))
     if isinstance(e, Power):
         b, x = e.base, e.exponent
+        if x is ZERO:       # 0*B^0: zero wherever simplify(B^0) is 1
+            return mul(ZERO, e)
         if v not in free_vars(x):
             return mul(x, Power(b, add(x, MINUS_ONE)), differentiate(b, v))
         if v not in free_vars(b):
@@ -1236,13 +1238,6 @@ def _guard_pow(a: float, b: float) -> float:
     return a ** b
 
 
-def _c_exp(a):
-    try:
-        return math.exp(a)
-    except OverflowError:
-        raise EvalDomainError("overflow in exp")
-
-
 def _c_log(a):
     if a <= 0.0:
         raise EvalDomainError("log of non-positive argument")
@@ -1264,7 +1259,7 @@ def _domain_error(err: ArithmeticError | ValueError) -> EvalDomainError:
 
 _COMPILE_ENV = {
     "__builtins__": {}, "ZeroDivisionError": ZeroDivisionError, "ValueError": ValueError,
-    "_exp": _c_exp, "_log": _c_log, "_sin": math.sin, "_cos": math.cos,
+    "_exp": math.exp, "_log": _c_log, "_sin": math.sin, "_cos": math.cos,
     "_sqrt": _c_sqrt, "_pow": _guard_pow, "_domain_error": _domain_error,
 }
 
@@ -1605,7 +1600,7 @@ def _sampled_verdict(z: Expr, names: list, box: DomainBox,
         try:
             vals = fn(*point)
             resid = abs(math.fsum(vals)) / (1.0 + max(map(abs, vals)))
-        except OverflowError:       # a power, or fsum's intermediate sum
+        except OverflowError:       # a power, exp, or fsum's intermediate sum
             overflow += 1
             continue
         except EvalDomainError:

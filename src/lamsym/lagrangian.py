@@ -300,8 +300,8 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
     else:
         d = _solve_lambda2(jac, laml, box, cfg)
         if d is None:
-            raise ValueError("Jacobian dphi/dq is neither diagonal nor triangular; "
-                             "supply a candidate lower-right block")
+            raise ValueError("Jacobian dphi/dq is neither diagonal nor triangular with a "
+                             "nonzero diagonal; supply a candidate lower-right block")
         solved = True
 
     checks = []

@@ -363,7 +363,7 @@ def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
             raise ChartError(f"{what} still contains phase variables {sorted(stray)}")
         return out
 
-    lam_phi = lam.on_shell(sys).vec(x.components)
+    lam_phi = _lambda_phi(sys, x, lam)
     names = chart.w_names + (chart.z_name,)
     rates, m_terms = [], []
     for name, f in zip(names, chart.w + (chart.z,)):

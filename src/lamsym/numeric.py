@@ -147,10 +147,10 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
     so the states are bitwise those of a componentwise float64 array loop.
     A chunk appends its states to a list that holds the state it starts
     from, which is copied into the states array and cut back to its last
-    state before the next chunk.  A power beyond the float range raises
-    OverflowError on floats where a float64 array would hold inf; it ends
-    the trajectory at that step as having left the safety box, as the inf
-    would."""
+    state before the next chunk.  A power or exp beyond the float range
+    raises OverflowError on floats where a float64 array would hold inf; it
+    ends the trajectory at that step as having left the safety box, as the
+    inf would."""
     steps = _grid_steps(t0, t1, h)
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
@@ -422,36 +422,26 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
 
 
 def evaluate_along(traj: Trajectory, fn: Callable[..., object]) -> tuple:
-    """fn(t, *state) at the grid points t = t0 + k*h up to the first domain
-    error, as (values, reason); reason is "truncated at step k: ..." or None.
-    One map runs fn over the times and the state columns.  When row
-    k = len(values) raises OverflowError, fn runs again on its float64
-    values, which give inf (or what the rest of fn makes of inf) where
-    floats raise, and the map resumes at row k + 1.  There a nonzero finite
-    numerator over zero is still a division by zero, but 0/0 gives nan and
-    inf/0 inf, as float64 has them."""
-    values, times = [], traj.times.tolist()
-    rows = map(fn, times, *traj.states.T.tolist())
-    while True:
-        try:
-            try:
-                values.extend(rows)
-                return np.array(values), None
-            except OverflowError:
-                k = len(values)
-                with np.errstate(all="ignore", divide="raise"):
-                    try:
-                        values.append(fn(times[k], *traj.states[k]))
-                    except FloatingPointError:      # a float64 division by zero
-                        raise EvalDomainError("division by zero") from None
-        except EvalDomainError as err:
-            return np.array(values), f"truncated at step {len(values)}: {err}"
+    """fn(t, *state) at the grid points t = t0 + k*h up to the first row
+    k that raises, as (values, reason); reason is "truncated at step k: ..."
+    with a domain error's message or "overflow", or None.  One map runs fn
+    over the times and the state columns."""
+    values = []
+    try:
+        values.extend(map(fn, traj.times.tolist(), *traj.states.T.tolist()))
+        return np.array(values), None
+    except OverflowError:
+        err = "overflow"
+    except EvalDomainError as exc:
+        err = exc
+    return np.array(values), f"truncated at step {len(values)}: {err}"
 
 
 def values_along(traj: Trajectory, fn: Callable[..., object], what: str) -> np.ndarray:
     """fn along the whole of traj, as the evidence of a verdict: IntegrationError
-    when traj is truncated, when a domain error stops the evaluation ("WHAT
-    truncated at step k: ..."), or when a value is not finite."""
+    when traj is truncated, when a domain error or an overflow stops the
+    evaluation ("WHAT truncated at step k: ..."), or when a value is not
+    finite."""
     if traj.truncated:
         raise IntegrationError(f"trajectory truncated: {traj.reason}")
     values, reason = evaluate_along(traj, fn)
@@ -474,7 +464,7 @@ def central_residual(f: np.ndarray, g: np.ndarray, h: float) -> float:
 def monitor(traj: Trajectory, exprs: Sequence[Expr],
             labels: Optional[Sequence[str]] = None) -> list:
     """Evaluate expressions along a trajectory (`evaluate_along`); a domain
-    error truncates a series and gives its reason, an overflow does not."""
+    error or an overflow truncates a series and gives its reason."""
     names = ("t",) + traj.names
     return [MonitorSeries(labels[i] if labels else f"m{i+1}", traj.t0, traj.h,
                           *evaluate_along(traj, compile_expr(e, names)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .expr import Const, DomainBox, Expr, ParseError, parse, substitute
+from .expr import Const, DomainBox, Expr, ParseError, free_vars, parse, substitute
 from .lagrangian import ConfigVectorField, LagrangianSystem
 from .lambda_symmetry import (
     HAMILTONIAN_SIDE,
@@ -88,22 +88,27 @@ def _float(value, path: str) -> float:
     return x
 
 
-def _parse_expr(text, path: str, params: dict) -> Expr:
+def _parse_expr(text, path: str, params: dict, names: Optional[frozenset] = None) -> Expr:
+    """The expression with params substituted; one with a variable outside
+    names, unless names is None, is an error."""
     if not isinstance(text, str):
         _fail(path, f"expected an expression string, got {type(text).__name__}")
     try:
-        e = parse(text)
+        e = substitute(parse(text), params)
     except ParseError as err:
         _fail(path, f"parse error: {err}")
-    return substitute(e, params)
+    if names is not None and free_vars(e) - names:
+        _fail(path, f"unknown variables {sorted(free_vars(e) - names)}")
+    return e
 
 
-def _expr_list(values, path: str, params: dict, expected: Optional[int] = None) -> tuple:
+def _expr_list(values, path: str, params: dict, names: frozenset,
+               expected: Optional[int] = None) -> tuple:
     if not isinstance(values, list):
         _fail(path, "expected a list of expression strings")
     if expected is not None and len(values) != expected:
         _fail(path, f"expected {expected} entries, got {len(values)}")
-    return tuple(_parse_expr(v, f"{path}[{i}]", params) for i, v in enumerate(values))
+    return tuple(_parse_expr(v, f"{path}[{i}]", params, names) for i, v in enumerate(values))
 
 
 def _exact_number(value, path: str) -> Fraction:
@@ -144,8 +149,19 @@ def load_problem(path: str) -> ProblemFile:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         _fail("n", f"must be a positive integer, got {n!r}")
 
+    # the variables an item may use: t, q and p (and their velocities dq and
+    # dp), the chart's w and z, G of gamma, and theta, eta and deta of reduced_L
+    q, p = [f"q{i+1}" for i in range(n)], [f"p{i+1}" for i in range(n)]
+    eta = [f"eta{r+1}" for r in range(n - 1)]
+    tq, dq = frozenset(["t", *q]), frozenset("d" + v for v in q)
+    phase = tq | set(p)
+    lifted = phase | dq | {"d" + v for v in p}
+    chart_names = frozenset(["t", "z", *(f"w{j+1}" for j in range(2 * n - 1))])
+    reduced = frozenset(["t", "theta", *eta, *("d" + v for v in eta)])
     params = {}
     for pname, pval in _object(raw.get("parameters"), "parameters").items():
+        if pname in lifted | chart_names | reduced | {"G"}:
+            _fail(f"parameters.{pname}", "is the name of a variable")
         params[pname] = Const(_exact_number(pval, f"parameters.{pname}"))
 
     problem = ProblemFile(name=name, kind=kind, n=n)
@@ -157,13 +173,14 @@ def load_problem(path: str) -> ProblemFile:
     vf = raw.get("vector_field")
     if not isinstance(vf, dict) or "phi" not in vf:
         _fail("vector_field", "missing phi")
-    problem.phi = _expr_list(vf["phi"], "vector_field.phi", params, n)
+    problem.phi = _expr_list(vf["phi"], "vector_field.phi", params,
+                             phase if kind == "hamiltonian" else tq, n)
     if kind == "hamiltonian":
         if "psi" not in vf:
             _fail("vector_field.psi", "missing for hamiltonian kind")
-        problem.psi = _expr_list(vf["psi"], "vector_field.psi", params, n)
+        problem.psi = _expr_list(vf["psi"], "vector_field.psi", params, phase, n)
         if "tau" in vf:
-            problem.tau = _parse_expr(vf["tau"], "vector_field.tau", params)
+            problem.tau = _parse_expr(vf["tau"], "vector_field.tau", params, phase)
     elif "psi" in vf:
         _fail("vector_field.psi", "not allowed for lagrangian kind")
 
@@ -176,7 +193,8 @@ def load_problem(path: str) -> ProblemFile:
         entries = lam_raw["entries"]
         if not isinstance(entries, list) or len(entries) != want:
             _fail("lambda.entries", f"expected {want} rows for {kind} kind")
-        rows = tuple(_expr_list(row, f"lambda.entries[{i}]", params, want)
+        names = lifted if kind == "hamiltonian" else tq | dq
+        rows = tuple(_expr_list(row, f"lambda.entries[{i}]", params, names, want)
                      for i, row in enumerate(entries))
         try:
             problem.lam = LambdaMatrix(rows, side)
@@ -207,12 +225,11 @@ def load_problem(path: str) -> ProblemFile:
         for key in ("w", "z", "inverse"):
             if key not in ch:
                 _fail(f"chart.{key}", "missing")
-        w = _expr_list(ch["w"], "chart.w", params, 2 * n - 1)
-        z = _parse_expr(ch["z"], "chart.z", params)
-        inverse = {vname: _parse_expr(txt, f"chart.inverse.{vname}", params)
+        w = _expr_list(ch["w"], "chart.w", params, phase, 2 * n - 1)
+        z = _parse_expr(ch["z"], "chart.z", params, phase)
+        inverse = {vname: _parse_expr(txt, f"chart.inverse.{vname}", params, chart_names)
                    for vname, txt in _object(ch["inverse"], "chart.inverse").items()}
-        phase_vars = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-        missing = [v for v in phase_vars if v not in inverse]
+        missing = [v for v in q + p if v not in inverse]
         if missing:
             _fail("chart.inverse", f"misses phase variables {missing}")
         problem.chart = ReductionChart(w, z, inverse)
@@ -222,21 +239,24 @@ def load_problem(path: str) -> ProblemFile:
         if key not in _CANDIDATE_EXPRS + _CANDIDATE_LISTS + (
                 "lambda2_candidate", "initial_conditions"):
             _fail(f"candidates.{key}", "unknown candidate")
+    names = {"gamma": frozenset(["t", "G"]), "theta": tq | dq, "reduced_L": reduced,
+             "eta": tq, "particular_solution": tq}
     for key in _CANDIDATE_EXPRS:
         if key in cand:
-            problem.candidates[key] = _parse_expr(cand[key], f"candidates.{key}", params)
+            problem.candidates[key] = _parse_expr(cand[key], f"candidates.{key}", params,
+                                                  names.get(key, phase))
     for key in _CANDIDATE_LISTS:
         if key in cand:
             expected = {"velocity_map": n, "particular_solution": n,
                         "eta": n - 1}.get(key)
             problem.candidates[key] = _expr_list(cand[key], f"candidates.{key}",
-                                                 params, expected)
+                                                 params, names.get(key, phase), expected)
     if "lambda2_candidate" in cand:
         rows = cand["lambda2_candidate"]
         if not isinstance(rows, list) or len(rows) != n:
             _fail("candidates.lambda2_candidate", f"expected {n} rows")
         problem.candidates["lambda2_candidate"] = tuple(
-            _expr_list(row, f"candidates.lambda2_candidate[{i}]", params, n)
+            _expr_list(row, f"candidates.lambda2_candidate[{i}]", params, lifted, n)
             for i, row in enumerate(rows))
     if "initial_conditions" in cand:
         ics = cand["initial_conditions"]

@@ -14,7 +14,8 @@ from lamsym.expr import (
 def in_order(e, point):
     """Tree walk doing the compiled evaluator's float operations in its
     order: operands left to right, sums and products folded left to right,
-    a power as `a ** b` where it is real, and the same domain errors."""
+    a power as `a ** b` where it is real, and the same domain errors; a
+    power or exp beyond the float range raises its OverflowError."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -41,10 +42,7 @@ def in_order(e, point):
         return a ** b
     a = in_order(e.arg, point)
     if e.name == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise EvalDomainError("overflow in exp")
+        return math.exp(a)
     if e.name == "log":
         if a <= 0.0:
             raise EvalDomainError("log of non-positive argument")
@@ -81,7 +79,7 @@ def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:
 
     try:
         walk(e)
-    except EvalDomainError:
+    except (EvalDomainError, OverflowError):
         return False
     return ok
 

@@ -1106,8 +1106,9 @@ def test_only_structural_fields_hold_nodes(seed):
 
 
 # sha256 of the printed normal forms of 1,000 seeded random trees and of their
-# q-derivatives, recorded before the kernel dropped its structural hashes
-_NORMAL_FORMS_SHA256 = "676ecfd68a48cffd1098d252353b563edd8b761aee2a89443f3ebdd23bbe29b8"
+# q-derivatives, recorded before the kernel dropped its structural hashes and
+# moved by trees 278, 830 and 847 when the derivative of B^0 became 0*B^0
+_NORMAL_FORMS_SHA256 = "097c4969dbffd5bf26aabf29555d1402d0b2e19f959638514e2e78076de96b59"
 
 
 def test_random_trees_keep_their_recorded_normal_forms():
@@ -1118,6 +1119,22 @@ def test_random_trees_keep_their_recorded_normal_forms():
         n, dn = simplify(e), simplify(differentiate(e, "q"))
         digest.update(f"{format_expr(n)}\n{format_expr(dn)}\n".encode())
     assert digest.hexdigest() == _NORMAL_FORMS_SHA256
+
+
+def test_the_derivative_of_a_zeroth_power_is_zero_where_the_power_is_one():
+    # simplify(B^0) is 1 wherever B is defined, so its derivative is 0 there
+    # rather than the power rule's 0*B^-1*B', which is 0/0 when B is 0; a B
+    # undefined everywhere keeps 0/0 both ways
+    q = Var("q")
+    assert simplify(differentiate(Power(neg(q) + q, Const(0)), "q")) == Const(0)
+    assert format_expr(simplify(differentiate(Power(Func("log", q - q), Const(0)), "q"))) \
+        == "0/0"
+    rng = random.Random(15)
+    trees = [random_tree(rng, 4, ("q", "p")) for _ in range(1000)]
+    for i in (278, 830, 847):
+        d = simplify(differentiate(trees[i], "q"))
+        assert d is simplify(differentiate(simplify(trees[i]), "q"))
+        assert format_expr(d) != "0/0"
 
 
 def test_a_700_level_exponential_nest_simplifies():

@@ -299,7 +299,9 @@ def test_a_zero_pivot_is_solved_on_a_diagonal_jacobian_only():
         extend_lambda(two_scale_field(), lam)
     rep = extend_lambda(two_scale_field(), two_scale_matrix())
     assert rep.solved and rep.holds and simplify(rep.matrix.entries[3][3]) == ZERO
-    with pytest.raises(ValueError, match="neither diagonal nor triangular"):
+    with pytest.raises(ValueError, match="^Jacobian dphi/dq is neither diagonal nor "
+                                         "triangular with a nonzero diagonal; supply a "
+                                         "candidate lower-right block$"):
         extend_lambda(ConfigVectorField((parse("q1"), parse("q1"))), two_scale_matrix())
 
 

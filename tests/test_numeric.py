@@ -242,6 +242,8 @@ def _ref_rk4(rhs, y0, t0, t1, h, safety=1e6):
             k4 = rhs(t + h, y + h * k3)
         except EvalDomainError as err:
             return np.array(out), f"domain error at t={t:.6g}: {err}"
+        except OverflowError:   # math.exp, where a float64 array gives inf
+            return np.array(out), f"state left safety box at t={t + h:.6g}"
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > safety:
             return np.array(out), f"state left safety box at t={t + h:.6g}"
@@ -485,43 +487,67 @@ def test_chunked_flows_truncate_where_the_reference_does(monkeypatch, chunk, kin
 def test_monitor_matches_the_reference_on_overflow_and_domain_errors():
     traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
     names = ("t",) + traj.names
-    # y1 = 1, ..., 11: (y1+5)^400 overflows on every row and y1^300 on the
-    # last one only; the next two overflow on rows 5 and 6 and leave the
-    # domain of log on row 7, one after an overflow on that row; the last
-    # two divide by zero on row 9, the first after an overflow on that row
+    # y1 = 1, ..., 11: (y1+5)^400 overflows on every row, y1^300 on the last
+    # one only and exp(100*y1) from row 7; the next two overflow on rows 5
+    # and 6, before log(8-y1) leaves its domain on row 7; the last two divide
+    # by zero on row 9, the first after an overflow on row 5
     for text in ("y1^400", "1/y1^400", "-(y1*10^30)^16", "log(5-y1)", "(y1+5)^400",
-                 "y1^300", "y1^400 + log(8-y1)", "log(8-y1) + y1^400",
+                 "y1^300", "exp(100*y1)", "y1^400 + log(8-y1)", "log(8-y1) + y1^400",
                  "y1^400 + 1/(y1-10)", "1/(y1-10)"):
         fn = compile_expr(parse(text), names)
         want, reason = [], None
-        # float64 divides by zero silently unless told to raise
-        with np.errstate(all="ignore", divide="raise"):
-            series = monitor(traj, [parse(text)])[0]
-            for k, row in enumerate(traj.states):
-                try:
-                    want.append(fn(traj.t0 + k * traj.h, *row))
-                except FloatingPointError:
-                    reason = f"truncated at step {k}: division by zero"
-                    break
-                except EvalDomainError as err:
-                    reason = f"truncated at step {k}: {err}"
-                    break
+        series = monitor(traj, [parse(text)])[0]
+        for k, row in enumerate(traj.states.tolist()):
+            try:
+                want.append(fn(traj.t0 + k * traj.h, *row))
+            except OverflowError:
+                reason = f"truncated at step {k}: overflow"
+                break
+            except EvalDomainError as err:
+                reason = f"truncated at step {k}: {err}"
+                break
         assert series.values.tobytes() == np.array(want).tobytes()
         assert series.reason == reason
         assert series.truncated_at == (len(want) if len(want) < len(traj.states) else None)
 
 
-def test_a_float64_retry_row_divides_zero_or_infinity_by_zero_silently():
-    # a row that overflows is evaluated again on float64 values, where only a
-    # finite nonzero numerator over zero raises: inf/0 gives inf and 0/0 nan
-    # where plain floats raise "division by zero"
+def test_an_overflowing_row_truncates_before_a_later_division_by_zero():
+    # y1 = 1, ..., 11: y1^400 overflows from row 5 on, so neither inf/0 nor
+    # 0/0 on row 9 is ever evaluated; every row runs on plain floats, where
+    # 0/0 is a division by zero
     traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
-    inf_over_zero, zero_over_zero = monitor(
-        traj, [parse("y1^400/(y1-10)"), parse("y1^400 + (y1-10)/(y1-10)")])
-    assert inf_over_zero.reason is None and zero_over_zero.reason is None
-    assert inf_over_zero.values[9] == math.inf and math.isnan(zero_over_zero.values[9])
+    for series in monitor(traj, [parse("y1^400/(y1-10)"),
+                                 parse("y1^400 + (y1-10)/(y1-10)")]):
+        assert series.reason == "truncated at step 5: overflow"
+        assert series.truncated_at == 5 and all(map(math.isfinite, series.values))
     with pytest.raises(EvalDomainError, match="^division by zero$"):
         compile_expr(parse("(y1-10)/(y1-10)"), ("t", "y1"))(0.0, 10.0)
+
+
+def test_every_generated_function_runs_on_plain_floats(monkeypatch, tmp_path):
+    # numpy float64 values would give inf or nan where a float raises, and
+    # np.float64 is a subclass of float, so the type must be float itself
+    define = expr._Fuser.define
+
+    def checked(self, result):
+        fn = define(self, result)
+
+        def run(*args):
+            assert all(type(a) is float for a in args), [type(a).__name__ for a in args]
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(expr._Fuser, "define", checked)
+    out = tmp_path / "corpus.json"
+    assert main(["corpus", "--report", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_CORPUS.read_bytes()
+    problems = resources.files("lamsym").joinpath("problems")
+    for fname, ic, mon in [("example2.json", "q1=0.4,q2=0.3,p1=0.2,p2=0.1", "(q1+q2)*exp(t)"),
+                           ("example6.json", "q1=1.1,q2=0.8,dq1=0.2,dq2=0.1", "q1*dq1+log(q2)")]:
+        assert main(["integrate", "--problem", str(problems.joinpath(fname)), "--ic", ic,
+                     "--t1", "0.2", "--monitor", mon, "--out", str(tmp_path / "f.csv")]) == 0
+    traj = integrate_first_order([parse("1+0*y1")], ["y1"], [1.0], 0.0, 10.0, 1.0)
+    assert monitor(traj, [parse("y1^400")])[0].truncated_at == 5
 
 
 def test_corpus_report_bytes_match_the_benchmark_golden(tmp_path):
@@ -1095,9 +1121,11 @@ def test_values_along_is_an_error_unless_the_whole_grid_is_finite():
         [float(k * k) for k in range(1, 12)]
     with pytest.raises(IntegrationError, match="^y truncated at step 4: log of non-positive"):
         values_along(traj, compile_expr(parse("log(5-y1)"), names), "y")
-    # y1^400 overflows at y1 = 6: the float64 retry gives inf, without a warning
-    with pytest.raises(IntegrationError, match="^y is not finite at step 5$"):
+    # y1^400 overflows at y1 = 6; y1*10^308 is inf at y1 = 2 without raising
+    with pytest.raises(IntegrationError, match="^y truncated at step 5: overflow$"):
         values_along(traj, compile_expr(parse("y1^400"), names), "y")
+    with pytest.raises(IntegrationError, match="^y is not finite at step 1$"):
+        values_along(traj, compile_expr(parse("y1*10^307*10"), names), "y")
     blown = integrate_first_order([parse("y1^2")], ["y1"], [2.0], 0.0, 5.0, 0.3)
     with pytest.raises(IntegrationError, match="^trajectory truncated: state left safety box"):
         values_along(blown, compile_expr(parse("y1"), names), "y")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lamsym.cli import CORPUS, corpus_reports, main
-from lamsym.expr import Const, format_expr
+from lamsym.expr import Const, format_expr, parse, simplify
 from lamsym.problem import _CANDIDATE_EXPRS, _CANDIDATE_LISTS, ProblemError, load_problem
 from lamsym.runner import (
     CHECKS,
@@ -384,6 +384,39 @@ MALFORMED = [
      "lambda.velocity_dependent: is false, but the entries contain velocity symbols"),
     ("example5.json", ("lambda", "velocity_dependent"), True,
      "lambda.velocity_dependent: is true, but the entries do not contain velocity symbols"),
+    # a variable the item may not use: a would be sampled as a variable, and
+    # cs read ProvenZero and ds NonZero
+    ("example1.json", ("vector_field",), {"phi": ["a*q1"], "psi": ["a*p1"]},
+     r"^vector_field.phi\[0\]: unknown variables \['a'\]$"),
+    ("example1.json", ("vector_field", "psi"), ["dp1"], r"vector_field.psi\[0\]: unknown"),
+    ("example1.json", ("vector_field", "tau"), "z", "vector_field.tau: unknown"),
+    ("example1.json", ("candidates", "S_expected"), "2*dq1", "candidates.S_expected: unknown"),
+    ("example2.json", ("chart", "w"), ["q1-q2", "p1-p2", "w1"], r"chart.w\[2\]: unknown"),
+    ("example2.json", ("chart", "z"), "(p1+p2)/2+dp1", "chart.z: unknown"),
+    ("example2.json", ("chart", "inverse", "q1"), "(w1+w3)/2+q2",
+     r"^chart.inverse.q1: unknown variables \['q2'\]$"),
+    ("example2.json", ("candidates", "G"), "q1+q3", "candidates.G: unknown"),
+    ("example2.json", ("candidates", "gamma"), "-G*q1", "candidates.gamma: unknown"),
+    ("example2.json", ("candidates", "Gamma"), "G*exp(t)", "candidates.Gamma: unknown"),
+    ("example2.json", ("lambda", "entries", 0, 0), "w1", r"lambda.entries\[0\]\[0\]: unknown"),
+    ("example5.json", ("vector_field", "phi"), ["q1", "p1"],
+     r"vector_field.phi\[1\]: unknown"),
+    ("example5.json", ("lambda", "entries", 1, 1), "dp1", r"lambda.entries\[1\]\[1\]: unknown"),
+    ("example5.json", ("candidates", "velocity_map"), ["q1", "dq1"],
+     r"candidates.velocity_map\[1\]: unknown"),
+    ("example5.json", ("candidates", "H_for_legendre"), "dq1", "candidates.H_for_legendre: unknown"),
+    ("example6.json", ("candidates", "theta"), "p1", "candidates.theta: unknown"),
+    ("example6.json", ("candidates", "eta"), ["q1*dq2"], r"candidates.eta\[0\]: unknown"),
+    ("example6.json", ("candidates", "reduced_L"), "theta^2/2 + deta2^2",
+     "candidates.reduced_L: unknown"),
+    ("example6.json", ("candidates", "particular_solution"), ["q1", "p2"],
+     r"candidates.particular_solution\[1\]: unknown"),
+    ("example7.json", ("candidates", "lambda2_candidate"), [["q1+w1"]],
+     r"candidates.lambda2_candidate\[0\]\[0\]: unknown"),
+    # a parameter may not replace a variable
+    ("example1.json", ("parameters",), {"q1": 2}, "^parameters.q1: is the name of a variable$"),
+    ("example2.json", ("parameters",), {"G": 2}, "^parameters.G: is the name of a variable$"),
+    ("example6.json", ("parameters",), {"deta1": 2}, "parameters.deta1: is the name"),
 ]
 
 
@@ -396,6 +429,18 @@ def test_malformed_problem_file_is_a_schema_error(tmp_path, capsys, name, keys, 
         load_problem(path)
     assert main(["check", "--problem", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_each_item_may_use_its_own_variables(tmp_path):
+    # velocities of q and p in a hamiltonian-side matrix, t everywhere, and
+    # parameters with names no item of an n = 2 problem uses
+    doc = _bundled_doc("example2.json")
+    doc["parameters"] = {"a": 2, "w4": 3, "eta2": 5}
+    doc["lambda"]["entries"][0][0] = "a*dq1*dp2*t"
+    doc["candidates"].update(G="q1+q2+w4*t", gamma="-G+eta2*t")
+    problem = load_problem(write_problem(tmp_path, doc))
+    assert format_expr(problem.lam.entries[0][0]) == "2*dp2*dq1*t"
+    assert simplify(problem.candidates["gamma"]) is simplify(parse("-G+5*t"))
 
 
 @pytest.mark.parametrize("name", ["example1.json", "example2.json"])
