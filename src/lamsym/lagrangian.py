@@ -35,8 +35,8 @@ from .expr import (
     substitute,
 )
 from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
-                              _require_shape, _scalar_multiple, _velocity_names)
-from .mechanics import PhaseSystem, PhaseVectorField, hamiltonian_vector_field
+                              _require_shape, _scalar_multiple)
+from .mechanics import Coordinates, PhaseVectorField, hamiltonian_vector_field
 from .numeric import (central_residual, integrate_euler_lagrange, integrate_first_order,
                       values_along)
 
@@ -46,17 +46,11 @@ HESSIAN_SAMPLES = 25
 HESSIAN_DET_THRESHOLD = 1e-8
 
 
-class LagrangianSystem:
+class LagrangianSystem(Coordinates):
     """A first-order Lagrangian L(t, q, dq) with n degrees of freedom."""
 
     def __init__(self, n: int, lagrangian: Expr):
-        if n < 1:
-            raise ValueError("need at least one degree of freedom")
-        self.n = n
-        self.t = "t"
-        self.q = tuple(f"q{i+1}" for i in range(n))
-        self.dq = tuple(f"dq{i+1}" for i in range(n))
-        self.p = tuple(f"p{i+1}" for i in range(n))
+        super().__init__(n)
         self.lagrangian = coerce(lagrangian)
         extra = free_vars(self.lagrangian) - set(self.q) - set(self.dq) - {self.t}
         if extra:
@@ -74,14 +68,13 @@ class LagrangianSystem:
 
 @dataclass(frozen=True)
 class ConfigVectorField:
-    """phi_alpha(t, q) d/dq_alpha; no momentum or velocity dependence."""
+    """phi_alpha(t, q) d/dq_alpha over t and q1..qn, n the length of phi."""
 
     phi: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "phi", tuple(coerce(e) for e in self.phi))
-        banned = {v for e in self.phi for v in free_vars(e)
-                  if v.startswith("p") or v.startswith("dq") or v.startswith("dp")}
+        banned = set().union(*map(free_vars, self.phi)) - {"t", *Coordinates(self.n).q}
         if banned:
             raise ValueError(f"configuration field may only use (t, q): {sorted(banned)}")
 
@@ -176,7 +169,7 @@ def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr:
     checks = []
     for a in range(lag.n):
         resid = add(Var(lag.p[a]), neg(substitute(moms[a], vmap)))
-        checks.append((f"p{a+1} consistency", is_identically_zero(resid, box, cfg)))
+        checks.append((f"{lag.p[a]} consistency", is_identically_zero(resid, box, cfg)))
     pv = add(*[mul(Var(lag.p[a]), vmap[lag.dq[a]]) for a in range(lag.n)])
     resid = add(coerce(h_expr), neg(pv), substitute(lag.lagrangian, vmap))
     energy = is_identically_zero(resid, box, cfg)
@@ -194,7 +187,7 @@ def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = No
     over are rewritten into (t, q, p) through the velocity map.  Returns
     the field and G, or None for G when the matrix depends on velocities.
     """
-    coords = PhaseSystem(xl.n, ZERO)    # only its coordinate names are read
+    coords = Coordinates(xl.n)
     g = simplify(add(*[mul(c, Var(p)) for c, p in zip(xl.phi, coords.p)]))
     x = hamiltonian_vector_field(coords, g)
     if laml is None:
@@ -202,7 +195,7 @@ def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = No
     _require_shape(laml, LAGRANGIAN_SIDE, xl.n)
     if not laml.velocity_dependent:
         return x, g
-    n, dq = xl.n, _velocity_names(LAGRANGIAN_SIDE, xl.n)
+    n, dq = xl.n, coords.dq
     psi = []
     for a in range(n):
         parts = [x.psi[a]]
@@ -231,11 +224,6 @@ class LambdaExtensionReport:
     @property
     def holds(self) -> bool:
         return all(v.ok for _, v in self.constraint_checks)
-
-
-def _jacobian(xl: ConfigVectorField, qn) -> list:
-    return [[simplify(differentiate(xl.phi[g], qn[b])) for b in range(xl.n)]
-            for g in range(xl.n)]
 
 
 def _solve_lambda2(jac, laml: LambdaMatrix, box, cfg):
@@ -288,9 +276,8 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
     """
     n = xl.n
     _require_shape(laml, LAGRANGIAN_SIDE, n)
-    qn = tuple(f"q{i+1}" for i in range(n))
-    pn = tuple(f"p{i+1}" for i in range(n))
-    jac = _jacobian(xl, qn)
+    c = Coordinates(n)
+    jac = [[simplify(differentiate(xl.phi[g], c.q[b])) for b in range(n)] for g in range(n)]
 
     solved = False
     if candidate_lambda2 is not None:
@@ -312,7 +299,7 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
             checks.append((f"block constraint ({a+1},{g+1})",
                            is_identically_zero(add(lhs, neg(rhs)), box, cfg)))
 
-    c_block = [[simplify(neg(add(*[mul(differentiate(laml.entries[g][b], qn[a]), Var(pn[g]))
+    c_block = [[simplify(neg(add(*[mul(differentiate(laml.entries[g][b], c.q[a]), Var(c.p[g]))
                                    for g in range(n)])))
                 for b in range(n)] for a in range(n)]
     rows = []
@@ -443,6 +430,13 @@ class PartialReductionReport:
                 and self.el_residual <= self.tol)
 
 
+def reduced_variables(n: int) -> tuple:
+    """The variables of a reduced Lagrangian besides t: theta, the
+    invariants eta1..eta_{n-1} and their velocities deta1..deta_{n-1}."""
+    eta = tuple(f"eta{r+1}" for r in range(n - 1))
+    return "theta", eta, tuple("d" + v for v in eta)
+
+
 def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                             laml: LambdaMatrix, eta: Sequence[Expr], theta: Expr,
                             reduced_l: Expr, particular: Sequence[Expr],
@@ -463,20 +457,21 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     def invariant(label: str, f: Expr) -> tuple:
         return label, is_identically_zero(_prolonged_action(lag, xl, laml, f), box, cfg)
 
+    theta_name, eta_names, deta_names = reduced_variables(lag.n)
     invariance = []
-    subs = {"theta": theta}
-    for r, er in enumerate(eta):
+    subs = {theta_name: theta}
+    for er, name, dname in zip(eta, eta_names, deta_names):
         der = _free_velocity_dt(lag, er)
-        invariance += [invariant(f"X eta{r+1}", er), invariant(f"X deta{r+1}", der)]
-        subs[f"eta{r+1}"] = er
-        subs[f"deta{r+1}"] = der
-    invariance.append(invariant("X theta", theta))
+        invariance += [invariant(f"X {name}", er), invariant(f"X {dname}", der)]
+        subs[name] = er
+        subs[dname] = der
+    invariance.append(invariant(f"X {theta_name}", theta))
 
     composed = substitute(reduced_l, subs)
     composition = is_identically_zero(add(composed, neg(lag.lagrangian)), box, cfg)
 
     constraint = dict(zip(lag.dq, particular))
-    dl_dtheta = substitute(differentiate(reduced_l, "theta"), subs)
+    dl_dtheta = substitute(differentiate(reduced_l, theta_name), subs)
     annihilation = is_identically_zero(
         substitute(dl_dtheta, constraint), box, cfg)
 

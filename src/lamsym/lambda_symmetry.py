@@ -33,6 +33,7 @@ from .expr import (
     substitute,
 )
 from .mechanics import (
+    Coordinates,
     PhaseSystem,
     PhaseVectorField,
     _require_autonomous,
@@ -49,13 +50,6 @@ LAGRANGIAN_SIDE = "lagrangian"
 
 class ChartError(ValueError):
     """A reduction chart failed verification or is incomplete."""
-
-
-def _velocity_names(side: str, size: int):
-    if side == LAGRANGIAN_SIDE:
-        return tuple(f"dq{i+1}" for i in range(size))
-    n = size // 2
-    return tuple(f"dq{i+1}" for i in range(n)) + tuple(f"dp{i+1}" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,9 @@ class LambdaMatrix:
             raise ValueError(f"unknown side {self.side!r}")
         if self.side == HAMILTONIAN_SIDE and size % 2:
             raise ValueError("hamiltonian-side matrix must have even size")
-        vel = set(_velocity_names(self.side, size))
+        lagrangian = self.side == LAGRANGIAN_SIDE
+        c = Coordinates(size if lagrangian else size // 2)
+        vel = set(c.dq if lagrangian else c.velocities)
         object.__setattr__(self, "velocity_dependent",
                            any(free_vars(e) & vel for row in rows for e in row))
 
@@ -131,16 +127,16 @@ class ReductionChart:
         object.__setattr__(self, "inverse",
                            {k: coerce(v) for k, v in dict(self.inverse).items()})
 
+    z_name = "z"
+
+    @classmethod
+    def variables_for(cls, size: int) -> tuple:
+        """(t, w1..w_size, z): the variables of a chart with size invariants."""
+        return ("t", *(f"w{j+1}" for j in range(size)), cls.z_name)
+
     @property
     def w_names(self) -> tuple:
-        return tuple(f"w{j+1}" for j in range(len(self.w)))
-
-    @property
-    def z_name(self) -> str:
-        return "z"
-
-    def variables(self) -> tuple:
-        return ("t",) + self.w_names + (self.z_name,)
+        return self.variables_for(len(self.w))[1:-1]
 
 
 def _require_shape(lam: LambdaMatrix, side: str, size: int):
@@ -354,7 +350,7 @@ def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
     report = verify_chart(sys, x, chart, box, cfg)
     if not report.holds:
         raise ChartError("chart verification failed; reduction is undefined")
-    chart_vars = set(chart.variables())
+    chart_vars = set(chart.variables_for(len(chart.w)))
 
     def to_chart(e: Expr, what: str) -> Expr:
         out = simplify(substitute(simplify(e), chart.inverse))

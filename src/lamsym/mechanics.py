@@ -4,7 +4,8 @@ Conventions: a system with n degrees of freedom uses variables
 t, q1..qn, p1..pn.  The equations of motion are du/dt = F(u, t) with
 F = (dH/dp, -dH/dq).  Velocity symbols dq1..dqn, dp1..dpn are ordinary
 variables; on-shell substitution (velocity -> F component) is owned by
-the modules that need it.
+the modules that need it.  `Coordinates` is the one place these names
+are formatted; every other module reads them there.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .expr import (
 )
 
 
-class PhaseSystem:
-    """A Hamiltonian H(t, q, p) with n degrees of freedom."""
+class Coordinates:
+    """The variables of n degrees of freedom: t, u = (q1..qn, p1..pn), and
+    the velocity symbols (dq1..dqn, dp1..dpn) of u."""
 
-    def __init__(self, n: int, hamiltonian: Expr):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one degree of freedom")
         self.n = n
@@ -37,7 +39,15 @@ class PhaseSystem:
         self.q = tuple(f"q{i+1}" for i in range(n))
         self.p = tuple(f"p{i+1}" for i in range(n))
         self.u = self.q + self.p
-        self.velocities = tuple(f"d{name}" for name in self.u)
+        self.velocities = tuple("d" + v for v in self.u)
+        self.dq = self.velocities[:n]
+
+
+class PhaseSystem(Coordinates):
+    """A Hamiltonian H(t, q, p) with n degrees of freedom."""
+
+    def __init__(self, n: int, hamiltonian: Expr):
+        super().__init__(n)
         self.hamiltonian = coerce(hamiltonian)
         extra = free_vars(self.hamiltonian) - set(self.u) - {self.t}
         if extra:
@@ -129,7 +139,7 @@ def poisson_bracket(sys: PhaseSystem, f: Expr, g: Expr) -> Expr:
     return add(*parts)
 
 
-def hamiltonian_vector_field(sys: PhaseSystem, k: Expr) -> PhaseVectorField:
+def hamiltonian_vector_field(sys: Coordinates, k: Expr) -> PhaseVectorField:
     """The field generated by k: phi = grad_p k, psi = -grad_q k, tau = 0."""
     k = coerce(k)
     phi = tuple(simplify(differentiate(k, v)) for v in sys.p)

@@ -4,7 +4,10 @@ A problem file carries either a Hamiltonian or a Lagrangian, the vector
 field under test, and optional ingredients (perturbation matrix, domain
 box, reduction chart, candidate quantities, initial conditions).  All
 expressions are strings in the expression grammar; numeric parameters
-are substituted exactly before any check.
+are substituted exactly before any check.  One table, `_items`, gives
+each expression item, H and L included, its shape, its length and the
+variables it may use; a file that breaks it, or names a parameter like
+one of those variables, is refused at load.
 """
 
 from __future__ import annotations
@@ -15,15 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .expr import Const, DomainBox, Expr, ParseError, free_vars, parse, substitute
-from .lagrangian import ConfigVectorField, LagrangianSystem
+from .expr import Const, DomainBox, Expr, ParseError, ZERO, free_vars, parse, substitute
+from .lagrangian import ConfigVectorField, LagrangianSystem, reduced_variables
 from .lambda_symmetry import (
     HAMILTONIAN_SIDE,
     LAGRANGIAN_SIDE,
     LambdaMatrix,
     ReductionChart,
 )
-from .mechanics import PhaseSystem, PhaseVectorField
+from .mechanics import Coordinates, PhaseSystem, PhaseVectorField
 
 
 class ProblemError(ValueError):
@@ -56,7 +59,6 @@ class ProblemFile:
         return LagrangianSystem(self.n, self.lagrangian)
 
     def vector_field(self) -> PhaseVectorField:
-        from .expr import ZERO
         return PhaseVectorField(self.phi, self.psi, self.tau if self.tau is not None else ZERO)
 
     def config_field(self) -> ConfigVectorField:
@@ -88,27 +90,67 @@ def _float(value, path: str) -> float:
     return x
 
 
-def _parse_expr(text, path: str, params: dict, names: Optional[frozenset] = None) -> Expr:
-    """The expression with params substituted; one with a variable outside
-    names, unless names is None, is an error."""
-    if not isinstance(text, str):
-        _fail(path, f"expected an expression string, got {type(text).__name__}")
+def _items(kind: str, n: int) -> dict:
+    """Every expression item of a problem file of this kind with n degrees
+    of freedom, by path: (shape, the variables it may use, length).  The
+    shape is "expr" for one expression, "map" for an object of them,
+    "list" for a list of length of them and "rows" for length such lists."""
+    c = Coordinates(n)
+    config = frozenset([c.t, *c.q])
+    phase = frozenset([c.t, *c.u])
+    velocity = config | set(c.dq)
+    lifted = phase | set(c.velocities)
+    theta, eta, deta = reduced_variables(n)
+    reduced = frozenset([c.t, theta, *eta, *deta])
+    ham = kind == "hamiltonian"
+    return {
+        kind: ("expr", phase if ham else velocity, None),
+        "vector_field.phi": ("list", phase if ham else config, n),
+        "vector_field.psi": ("list", phase, n),
+        "vector_field.tau": ("expr", phase, None),
+        "lambda.entries": ("rows", lifted if ham else velocity, 2 * n if ham else n),
+        "chart.w": ("list", phase, 2 * n - 1),
+        "chart.z": ("expr", phase, None),
+        "chart.inverse": ("map", frozenset(ReductionChart.variables_for(2 * n - 1)), None),
+        "candidates.G": ("expr", phase, None),
+        "candidates.S_expected": ("expr", phase, None),
+        "candidates.gamma": ("expr", frozenset([c.t, "G"]), None),
+        "candidates.Gamma": ("expr", phase, None),
+        "candidates.H_for_legendre": ("expr", phase, None),
+        "candidates.theta": ("expr", velocity, None),
+        "candidates.reduced_L": ("expr", reduced, None),
+        "candidates.velocity_map": ("list", phase, n),
+        "candidates.eta": ("list", config, n - 1),
+        "candidates.particular_solution": ("list", config, n),
+        "candidates.lambda2_candidate": ("rows", lifted, n),
+    }
+
+
+def _read(value, path: str, params: dict, shape: str, names: frozenset, length):
+    """The item at path in its shape, with params substituted; an
+    expression with a variable outside names is an error."""
+    if shape == "map":
+        return {k: _read(v, f"{path}.{k}", params, "expr", names, None)
+                for k, v in _object(value, path).items()}
+    if shape == "rows" and (not isinstance(value, list) or len(value) != length):
+        _fail(path, f"expected {length} rows")
+    if shape == "list" and not isinstance(value, list):
+        _fail(path, "expected a list of expression strings")
+    if shape == "list" and len(value) != length:
+        _fail(path, f"expected {length} entries, got {len(value)}")
+    if shape != "expr":
+        inner = "list" if shape == "rows" else "expr"
+        return tuple(_read(v, f"{path}[{i}]", params, inner, names, length)
+                     for i, v in enumerate(value))
+    if not isinstance(value, str):
+        _fail(path, f"expected an expression string, got {type(value).__name__}")
     try:
-        e = substitute(parse(text), params)
+        e = substitute(parse(value), params)
     except ParseError as err:
         _fail(path, f"parse error: {err}")
-    if names is not None and free_vars(e) - names:
+    if free_vars(e) - names:
         _fail(path, f"unknown variables {sorted(free_vars(e) - names)}")
     return e
-
-
-def _expr_list(values, path: str, params: dict, names: frozenset,
-               expected: Optional[int] = None) -> tuple:
-    if not isinstance(values, list):
-        _fail(path, "expected a list of expression strings")
-    if expected is not None and len(values) != expected:
-        _fail(path, f"expected {expected} entries, got {len(values)}")
-    return tuple(_parse_expr(v, f"{path}[{i}]", params, names) for i, v in enumerate(values))
 
 
 def _exact_number(value, path: str) -> Fraction:
@@ -122,11 +164,6 @@ def _exact_number(value, path: str) -> Fraction:
         except ValueError:
             _fail(path, f"cannot read {value!r} as an exact number")
     _fail(path, f"expected a number, got {type(value).__name__}")
-
-
-_CANDIDATE_EXPRS = ("G", "S_expected", "gamma", "Gamma", "H_for_legendre",
-                    "theta", "reduced_L")
-_CANDIDATE_LISTS = ("velocity_map", "eta", "particular_solution")
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -149,53 +186,38 @@ def load_problem(path: str) -> ProblemFile:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         _fail("n", f"must be a positive integer, got {n!r}")
 
-    # the variables an item may use: t, q and p (and their velocities dq and
-    # dp), the chart's w and z, G of gamma, and theta, eta and deta of reduced_L
-    q, p = [f"q{i+1}" for i in range(n)], [f"p{i+1}" for i in range(n)]
-    eta = [f"eta{r+1}" for r in range(n - 1)]
-    tq, dq = frozenset(["t", *q]), frozenset("d" + v for v in q)
-    phase = tq | set(p)
-    lifted = phase | dq | {"d" + v for v in p}
-    chart_names = frozenset(["t", "z", *(f"w{j+1}" for j in range(2 * n - 1))])
-    reduced = frozenset(["t", "theta", *eta, *("d" + v for v in eta)])
+    items = _items(kind, n)
+    variables = frozenset().union(*(names for _, names, _ in items.values()))
     params = {}
     for pname, pval in _object(raw.get("parameters"), "parameters").items():
-        if pname in lifted | chart_names | reduced | {"G"}:
+        if pname in variables:
             _fail(f"parameters.{pname}", "is the name of a variable")
         params[pname] = Const(_exact_number(pval, f"parameters.{pname}"))
 
-    problem = ProblemFile(name=name, kind=kind, n=n)
-    problem_key = "hamiltonian" if kind == "hamiltonian" else "lagrangian"
-    if problem_key not in raw:
-        _fail(problem_key, "missing")
-    setattr(problem, problem_key, _parse_expr(raw[problem_key], problem_key, params))
+    def read(path: str, within: dict):
+        """The item at path, read from within, its parent; a missing item
+        is an error."""
+        key = path.rpartition(".")[2]
+        if key not in within:
+            _fail(path, "missing")
+        return _read(within[key], path, params, *items[path])
 
-    vf = raw.get("vector_field")
-    if not isinstance(vf, dict) or "phi" not in vf:
-        _fail("vector_field", "missing phi")
-    problem.phi = _expr_list(vf["phi"], "vector_field.phi", params,
-                             phase if kind == "hamiltonian" else tq, n)
+    problem = ProblemFile(name=name, kind=kind, n=n)
+    setattr(problem, kind, read(kind, raw))
+
+    vf = _object(raw.get("vector_field"), "vector_field")
+    problem.phi = read("vector_field.phi", vf)
     if kind == "hamiltonian":
-        if "psi" not in vf:
-            _fail("vector_field.psi", "missing for hamiltonian kind")
-        problem.psi = _expr_list(vf["psi"], "vector_field.psi", params, phase, n)
+        problem.psi = read("vector_field.psi", vf)
         if "tau" in vf:
-            problem.tau = _parse_expr(vf["tau"], "vector_field.tau", params, phase)
+            problem.tau = read("vector_field.tau", vf)
     elif "psi" in vf:
         _fail("vector_field.psi", "not allowed for lagrangian kind")
 
     if "lambda" in raw and raw["lambda"] is not None:
-        lam_raw = raw["lambda"]
-        if not isinstance(lam_raw, dict) or "entries" not in lam_raw:
-            _fail("lambda", "expected {entries: [[..]], velocity_dependent?: bool}")
+        lam_raw = _object(raw["lambda"], "lambda")
         side = HAMILTONIAN_SIDE if kind == "hamiltonian" else LAGRANGIAN_SIDE
-        want = 2 * n if kind == "hamiltonian" else n
-        entries = lam_raw["entries"]
-        if not isinstance(entries, list) or len(entries) != want:
-            _fail("lambda.entries", f"expected {want} rows for {kind} kind")
-        names = lifted if kind == "hamiltonian" else tq | dq
-        rows = tuple(_expr_list(row, f"lambda.entries[{i}]", params, names, want)
-                     for i, row in enumerate(entries))
+        rows = read("lambda.entries", lam_raw)
         try:
             problem.lam = LambdaMatrix(rows, side)
         except ValueError as err:
@@ -222,42 +244,20 @@ def load_problem(path: str) -> ProblemFile:
 
     if "chart" in raw and raw["chart"] is not None:
         ch = _object(raw["chart"], "chart")
-        for key in ("w", "z", "inverse"):
-            if key not in ch:
-                _fail(f"chart.{key}", "missing")
-        w = _expr_list(ch["w"], "chart.w", params, phase, 2 * n - 1)
-        z = _parse_expr(ch["z"], "chart.z", params, phase)
-        inverse = {vname: _parse_expr(txt, f"chart.inverse.{vname}", params, chart_names)
-                   for vname, txt in _object(ch["inverse"], "chart.inverse").items()}
-        missing = [v for v in q + p if v not in inverse]
+        w, z, inverse = (read(f"chart.{key}", ch) for key in ("w", "z", "inverse"))
+        missing = [v for v in Coordinates(n).u if v not in inverse]
         if missing:
             _fail("chart.inverse", f"misses phase variables {missing}")
         problem.chart = ReductionChart(w, z, inverse)
 
     cand = _object(raw.get("candidates"), "candidates")
     for key in cand:
-        if key not in _CANDIDATE_EXPRS + _CANDIDATE_LISTS + (
-                "lambda2_candidate", "initial_conditions"):
+        if f"candidates.{key}" not in items and key != "initial_conditions":
             _fail(f"candidates.{key}", "unknown candidate")
-    names = {"gamma": frozenset(["t", "G"]), "theta": tq | dq, "reduced_L": reduced,
-             "eta": tq, "particular_solution": tq}
-    for key in _CANDIDATE_EXPRS:
-        if key in cand:
-            problem.candidates[key] = _parse_expr(cand[key], f"candidates.{key}", params,
-                                                  names.get(key, phase))
-    for key in _CANDIDATE_LISTS:
-        if key in cand:
-            expected = {"velocity_map": n, "particular_solution": n,
-                        "eta": n - 1}.get(key)
-            problem.candidates[key] = _expr_list(cand[key], f"candidates.{key}",
-                                                 params, names.get(key, phase), expected)
-    if "lambda2_candidate" in cand:
-        rows = cand["lambda2_candidate"]
-        if not isinstance(rows, list) or len(rows) != n:
-            _fail("candidates.lambda2_candidate", f"expected {n} rows")
-        problem.candidates["lambda2_candidate"] = tuple(
-            _expr_list(row, f"candidates.lambda2_candidate[{i}]", params, lifted, n)
-            for i, row in enumerate(rows))
+    for path in items:
+        head, _, key = path.partition(".")
+        if head == "candidates" and key in cand:
+            problem.candidates[key] = read(path, cand)
     if "initial_conditions" in cand:
         ics = cand["initial_conditions"]
         if not isinstance(ics, list):

@@ -120,7 +120,7 @@ def _labeled(pairs):
 
 class _Context:
     """What the checks of one run read and derive.  Systems are built on
-    first use, so a malformed one is an Error of the check reading it.  On
+    first use, by the first check that reads them.  On
     Lagrangian problems `xh` sets the phase field `x` and the candidate `g`,
     and `lh` sets the matrix `lam`."""
 

@@ -49,10 +49,6 @@ class SymmetryVerdict:
     def holds(self) -> bool:
         return all(v.ok for v in self.components)
 
-    def worst(self) -> ZeroVerdict:
-        bad = [v for v in self.components if not v.ok]
-        return bad[0] if bad else self.components[0]
-
 
 @dataclass(frozen=True)
 class GeneratingFunctionReport:
@@ -195,10 +191,10 @@ def generating_function_test(sys: PhaseSystem, x: PhaseVectorField,
         def gradient_match(g):
             out = []
             for a in range(sys.n):
-                out.append((f"dG/dp{a+1}=phi~{a+1}",
+                out.append((f"dG/d{sys.p[a]}=phi~{a+1}",
                             is_identically_zero(
                                 add(differentiate(g, sys.p[a]), neg(xt.phi[a])), box, cfg)))
-                out.append((f"dG/dq{a+1}=-psi~{a+1}",
+                out.append((f"dG/d{sys.q[a]}=-psi~{a+1}",
                             is_identically_zero(
                                 add(differentiate(g, sys.q[a]), xt.psi[a]), box, cfg)))
             return tuple(out)

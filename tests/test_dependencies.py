@@ -2,6 +2,7 @@
 and numpy."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -61,3 +62,34 @@ def test_the_guard_flags_an_unused_import(tmp_path):
                       "from typing import Optional, Sequence\n"
                       "def f(x: Optional[int]):\n    return os.sep\n", encoding="utf-8")
     assert _unused_imports(module) == {"j", "Sequence"}
+
+
+# a literal q, p, dq or dp that ends right before a replacement field
+_COORDINATE_PREFIX = re.compile(r"(?<!\w)d?[qp]$")
+
+
+def _formatted_coordinate_names(path: Path) -> list:
+    """Lines of the f-strings in path that format a q, p, dq or dp name."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.JoinedStr):
+            parts = node.values
+            if any(isinstance(a, ast.Constant) and isinstance(b, ast.FormattedValue)
+                   and _COORDINATE_PREFIX.search(a.value) for a, b in zip(parts, parts[1:])):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "mechanics.py"],
+                         ids=lambda p: p.name)
+def test_only_mechanics_formats_coordinate_names(path):
+    # mechanics.Coordinates owns the names; every other module reads them there
+    assert not _formatted_coordinate_names(path)
+
+
+def test_the_guard_flags_a_formatted_coordinate_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('a = [f"q{i+1}" for i in range(2)]\nb = f"(dp{k})"\n'
+                      'c = f"step {k}"\nd = f"{p}{i}"\ne = f"loop{k}"\nf = f"x {p}"\n'
+                      'g = f"{x}: p{a+1} consistency"\n', encoding="utf-8")
+    assert _formatted_coordinate_names(module) == [1, 2, 7]

@@ -210,6 +210,40 @@ def test_simplify_keeps_exact_values_at_rational_points():
     assert compared >= 1000
 
 
+def _to_sympy(e, sp):
+    """The rational tree e (no functions) as a sympy expression."""
+    t = type(e)
+    if t is Const:
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if t is Var:
+        return sp.Symbol(e.name)
+    if t is Sum:
+        return sp.Add(*(_to_sympy(u, sp) for u in e.terms))
+    if t is Product:
+        return sp.Mul(*(_to_sympy(f, sp) for f in e.factors))
+    if t is Quotient:
+        return _to_sympy(e.numerator, sp) / _to_sympy(e.denominator, sp)
+    return _to_sympy(e.base, sp) ** _to_sympy(e.exponent, sp)
+
+
+def test_differentiate_agrees_with_sympy_on_rational_trees():
+    # an independent oracle: sympy's diff of the same tree, compared by
+    # cancel(together(a - b)); a derivative sympy finds undefined is skipped
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    undefined = 0
+    for _ in range(300):
+        e = random_tree(rng, 4, ("q", "p"), funcs=False)
+        v = rng.choice(("q", "p"))
+        got = _to_sympy(differentiate(e, v), sp)
+        want = sp.diff(_to_sympy(e, sp), sp.Symbol(v))
+        if any(x.has(sp.zoo, sp.nan, sp.oo) for x in (got, want)):
+            undefined += 1
+            continue
+        assert sp.cancel(sp.together(got - want)) == 0, (e, v)
+    assert undefined <= 30
+
+
 def test_simplify_idempotent_on_random_trees():
     rng = random.Random(42)
     for _ in range(300):

@@ -121,6 +121,18 @@ def test_log_pair_is_matrix_invariant():
         log_pair_lagrangian(), log_pair_field(), log_pair_matrix()).ok
 
 
+@pytest.mark.parametrize("name", ["q7", "q2", "z", "w1", "theta", "pi", "p1", "dq1", "dp1"])
+def test_a_configuration_field_uses_only_t_and_its_own_positions(name):
+    # q7 on n = 1 would be a constant to the invariance check, which would
+    # then read phi = q7 as a symmetry of L = dq1^2/2
+    with pytest.raises(ValueError, match=rf"may only use \(t, q\): \['{name}'\]$"):
+        ConfigVectorField((parse(f"t*q1 + {name}"),))
+
+
+def test_a_field_with_two_components_may_use_q2():
+    assert ConfigVectorField((parse("t*q1"), parse("q2"))).n == 2
+
+
 # ------------------------------------------------------------- momenta
 
 def test_free_particle_momentum():

@@ -8,7 +8,7 @@ import pytest
 
 from lamsym.cli import CORPUS, corpus_reports, main
 from lamsym.expr import Const, format_expr, parse, simplify
-from lamsym.problem import _CANDIDATE_EXPRS, _CANDIDATE_LISTS, ProblemError, load_problem
+from lamsym.problem import ProblemError, _items, load_problem
 from lamsym.runner import (
     CHECKS,
     HAMILTONIAN_CHECKS,
@@ -163,8 +163,9 @@ def test_phase_side_is_skipped_when_the_phase_field_was_not_constructed(tmp_path
 def test_every_prerequisite_is_an_earlier_check_of_the_same_kind(kind, order):
     assert len(set(order)) == len(order)
     assert {name for name, check in CHECKS.items() if kind in check.needs} == set(order)
-    file_items = {"lambda", "chart", "lambda2_candidate", "initial_conditions"}
-    file_items |= set(_CANDIDATE_EXPRS + _CANDIDATE_LISTS)
+    file_items = {"lambda", "chart", "initial_conditions"}
+    file_items |= {path.partition(".")[2] for path in _items(kind, 2)
+                   if path.startswith("candidates.")}
     for name in order:
         inputs, prerequisites = CHECKS[name].needs[kind]
         for items, reason in inputs:
@@ -417,6 +418,12 @@ MALFORMED = [
     ("example1.json", ("parameters",), {"q1": 2}, "^parameters.q1: is the name of a variable$"),
     ("example2.json", ("parameters",), {"G": 2}, "^parameters.G: is the name of a variable$"),
     ("example6.json", ("parameters",), {"deta1": 2}, "parameters.deta1: is the name"),
+    # H and L follow the same rule; a stray variable would make every check
+    # that builds the system an Error
+    ("example1.json", ("hamiltonian",), "(p1^2+q1^2)/2 + a*q1",
+     r"^hamiltonian: unknown variables \['a'\]$"),
+    ("example7.json", ("lagrangian",), "(dq1/q1 + 1)^2*exp(-2*q1)/2 + p1*q1",
+     r"^lagrangian: unknown variables \['p1'\]$"),
 ]
 
 
