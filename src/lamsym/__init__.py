@@ -15,6 +15,7 @@ from .expr import (
     Expr,
     ParseError,
     SamplingError,
+    Verdicts,
     ZeroTestConfig,
     ZeroVerdict,
     compile_expr,
@@ -28,7 +29,6 @@ from .expr import (
     substitute,
 )
 from .mechanics import (
-    FirstIntegralCandidate,
     PhaseSystem,
     PhaseVectorField,
     canonical_equations,
@@ -43,7 +43,6 @@ from .symmetry import (
     CaseClassification,
     GeneratingFunctionReport,
     NotASymmetryError,
-    SymmetryVerdict,
     check_first_integral,
     check_point_symmetry,
     classify_symmetry_case,

@@ -21,7 +21,8 @@ when none is open.
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
 zero only when the normal form is the literal zero constant; everything
-else is decided by seeded random sampling over a domain box.
+else is decided by seeded random sampling over a domain box.  A check
+of the other modules returns its labelled verdicts as one `Verdicts`.
 """
 
 from __future__ import annotations
@@ -1539,6 +1540,19 @@ class ZeroVerdict:
 
 
 PROVEN_ZERO = ZeroVerdict("ProvenZero")
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """The zero verdicts of one check, as (label, ZeroVerdict) pairs in the
+    order tested; the check holds when every verdict is ok.  Reports that
+    carry more than verdicts subclass it."""
+
+    checks: tuple
+
+    @property
+    def holds(self) -> bool:
+        return all(v.ok for _, v in self.checks)
 
 
 def _blame(e: Expr, names: Sequence[str], point: Sequence[float]) -> Expr:

@@ -5,7 +5,8 @@ conjugate momenta and verification of user-supplied Legendre data, the
 extension of the configuration field and of the n x n matrix to phase
 space, the on-shell conservation check for P = phi . p along integrated
 trajectories, the scalar condition on the configuration side, and the
-partial reduction through first-order differential invariants.
+partial reduction through first-order differential invariants.  A report
+of zero verdicts is an `expr.Verdicts` with its payload fields.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .expr import (
     DomainBox,
     Expr,
     Var,
+    Verdicts,
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
@@ -145,14 +147,10 @@ def conjugate_momenta(lag: LagrangianSystem) -> tuple:
 
 
 @dataclass(frozen=True)
-class LegendreReport:
-    momentum_checks: tuple
-    energy_check: ZeroVerdict
-    min_hessian_det: float
+class LegendreReport(Verdicts):
+    """The momentum checks, then the energy check H = p.v - L."""
 
-    @property
-    def holds(self) -> bool:
-        return all(v.ok for _, v in self.momentum_checks) and self.energy_check.ok
+    min_hessian_det: float
 
 
 def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr: Expr,
@@ -172,8 +170,8 @@ def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr:
         checks.append((f"{lag.p[a]} consistency", is_identically_zero(resid, box, cfg)))
     pv = add(*[mul(Var(lag.p[a]), vmap[lag.dq[a]]) for a in range(lag.n)])
     resid = add(coerce(h_expr), neg(pv), substitute(lag.lagrangian, vmap))
-    energy = is_identically_zero(resid, box, cfg)
-    return LegendreReport(tuple(checks), energy, worst)
+    checks.append(("energy", is_identically_zero(resid, box, cfg)))
+    return LegendreReport(tuple(checks), worst)
 
 
 def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = None,
@@ -216,14 +214,12 @@ def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = No
 
 
 @dataclass(frozen=True)
-class LambdaExtensionReport:
-    matrix: LambdaMatrix
-    constraint_checks: tuple
-    solved: bool
+class LambdaExtensionReport(Verdicts):
+    """The extended matrix, whose lower-right block was solved or a
+    candidate; `checks` are the block constraints."""
 
-    @property
-    def holds(self) -> bool:
-        return all(v.ok for _, v in self.constraint_checks)
+    matrix: LambdaMatrix
+    solved: bool
 
 
 def _solve_lambda2(jac, laml: LambdaMatrix, box, cfg):
@@ -307,8 +303,8 @@ def extend_lambda(xl: ConfigVectorField, laml: LambdaMatrix,
         rows.append(tuple(laml.entries[a]) + (ZERO,) * n)
     for a in range(n):
         rows.append(tuple(c_block[a]) + tuple(d[a]))
-    return LambdaExtensionReport(LambdaMatrix(tuple(rows), HAMILTONIAN_SIDE),
-                                 tuple(checks), solved)
+    return LambdaExtensionReport(tuple(checks), LambdaMatrix(tuple(rows), HAMILTONIAN_SIDE),
+                                 solved)
 
 
 def config_scalar_reduction(xl: ConfigVectorField, laml: LambdaMatrix,
@@ -364,22 +360,18 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
 
 
 @dataclass(frozen=True)
-class ScalarConditionReport:
+class ScalarConditionReport(Verdicts):
     """Scalar condition on the configuration side and its consequence for
-    the extended matrix when the scalar is a constant c: Lambda Phi = c Phi."""
+    the extended matrix when the scalar is a constant c: Lambda Phi = c Phi,
+    in `checks`, empty unless the constant branch is asserted."""
 
     scalar: Optional[Expr]
     is_constant: bool
-    extended_checks: tuple
     note: str = ""
 
     @property
     def holds(self) -> bool:
-        if self.scalar is None:
-            return False
-        if not self.is_constant:
-            return True  # scalar exists; the constant branch is simply not asserted
-        return all(v.ok for _, v in self.extended_checks)
+        return self.scalar is not None and super().holds
 
 
 def check_scalar_condition(xl: ConfigVectorField, laml: LambdaMatrix,
@@ -389,45 +381,40 @@ def check_scalar_condition(xl: ConfigVectorField, laml: LambdaMatrix,
     assert Lambda Phi = c Phi on the extended field and matrix."""
     scalar = config_scalar_reduction(xl, laml, box, cfg)
     if scalar is None:
-        return ScalarConditionReport(None, False, (), "no scalar reduction")
+        return ScalarConditionReport((), None, False, "no scalar reduction")
     constant = all(is_identically_zero(differentiate(scalar, v), box, cfg).ok
                    for v in free_vars(scalar))
     if not constant:
-        return ScalarConditionReport(scalar, False, (),
+        return ScalarConditionReport((), scalar, False,
                                      "scalar is not constant; extension not asserted")
     x, _g = extend_vector_field(xl)
     try:
         ext = extend_lambda(xl, laml, box=box, cfg=cfg)
     except ValueError as err:
-        return ScalarConditionReport(scalar, True, (),
-                                     f"extension unavailable: {err}")
+        return ScalarConditionReport((), scalar, True, f"extension unavailable: {err}")
     lam_phi = ext.matrix.vec(x.components)
     checks = tuple(
         (f"(Lambda Phi - c Phi)_{a+1}", is_identically_zero(
             add(lam_phi[a], neg(mul(scalar, x.components[a]))), box, cfg))
         for a in range(2 * xl.n))
-    return ScalarConditionReport(scalar, True, checks)
+    return ScalarConditionReport(checks, scalar, True)
 
 
 @dataclass(frozen=True)
-class PartialReductionReport:
+class PartialReductionReport(Verdicts):
     """Verdicts for a reduction through differential invariants:
     invariance of each invariant under the perturbed prolongation, equality
-    of the rewritten Lagrangian with the original, annihilation of
-    d(reduced L)/d(theta) by the particular solution, and the trajectory
-    residual of the full variational equations under the constraint flow."""
+    of the rewritten Lagrangian with the original ("composition"),
+    annihilation of d(reduced L)/d(theta) by the particular solution
+    ("annihilation"), and the trajectory residual of the full variational
+    equations under the constraint flow, which must not exceed tol."""
 
-    invariance: tuple
-    composition: ZeroVerdict
-    annihilation: ZeroVerdict
     el_residual: float
     tol: float
 
     @property
     def holds(self) -> bool:
-        return (all(v.ok for _, v in self.invariance)
-                and self.composition.ok and self.annihilation.ok
-                and self.el_residual <= self.tol)
+        return super().holds and self.el_residual <= self.tol
 
 
 def reduced_variables(n: int) -> tuple:
@@ -458,22 +445,23 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
         return label, is_identically_zero(_prolonged_action(lag, xl, laml, f), box, cfg)
 
     theta_name, eta_names, deta_names = reduced_variables(lag.n)
-    invariance = []
+    checks = []
     subs = {theta_name: theta}
     for er, name, dname in zip(eta, eta_names, deta_names):
         der = _free_velocity_dt(lag, er)
-        invariance += [invariant(f"X {name}", er), invariant(f"X {dname}", der)]
+        checks += [invariant(f"X {name}", er), invariant(f"X {dname}", der)]
         subs[name] = er
         subs[dname] = der
-    invariance.append(invariant(f"X {theta_name}", theta))
+    checks.append(invariant(f"X {theta_name}", theta))
 
     composed = substitute(reduced_l, subs)
-    composition = is_identically_zero(add(composed, neg(lag.lagrangian)), box, cfg)
+    checks.append(("composition", is_identically_zero(
+        add(composed, neg(lag.lagrangian)), box, cfg)))
 
     constraint = dict(zip(lag.dq, particular))
     dl_dtheta = substitute(differentiate(reduced_l, theta_name), subs)
-    annihilation = is_identically_zero(
-        substitute(dl_dtheta, constraint), box, cfg)
+    checks.append(("annihilation", is_identically_zero(
+        substitute(dl_dtheta, constraint), box, cfg)))
 
     # constraint flow dq = f(t, q) must satisfy the full variational equations
     moms = conjugate_momenta(lag)
@@ -485,5 +473,5 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)
     rows = values_along(traj, m_and_g, "constraint-flow residual")
-    return PartialReductionReport(tuple(invariance), composition, annihilation,
+    return PartialReductionReport(tuple(checks),
                                   central_residual(rows[:, :lag.n], rows[:, lag.n:], h), tol)

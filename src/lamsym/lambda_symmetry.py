@@ -6,7 +6,8 @@ conservation laws for the quantities G and S, the scalar reduction
 Lambda.Phi = lambda.Phi, and the invariant-chart reduction of the
 equations are verified here.  Lambda entries may reference the velocity
 symbols dq*/dp*, which are always substituted with the equations of
-motion before any check.
+motion before any check.  Each report is an `expr.Verdicts`: its labelled
+zero verdicts in one `checks` tuple, plus what the check derived.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .expr import (
     DomainBox,
     Expr,
     Var,
+    Verdicts,
     ZERO,
     ZeroTestConfig,
-    ZeroVerdict,
     add,
     coerce,
     differentiate,
@@ -41,8 +42,7 @@ from .mechanics import (
     on_shell_map,
     total_time_derivative,
 )
-from .symmetry import (SymmetryVerdict, compute_S, generating_function_test,
-                       invariance_residuals)
+from .symmetry import compute_S, generating_function_test, invariance_residuals
 
 HAMILTONIAN_SIDE = "hamiltonian"
 LAGRANGIAN_SIDE = "lagrangian"
@@ -187,12 +187,13 @@ def lambda_prolongation(sys: PhaseSystem, x: PhaseVectorField,
 
 def check_lambda_symmetry(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
                           box: Optional[DomainBox] = None,
-                          cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
+                          cfg: Optional[ZeroTestConfig] = None) -> Verdicts:
     """Perturbed symmetry condition: [F, Phi]_a + dPhi_a/dt = -(Lambda Phi)_a,
-    against the normalized F of `canonical_equations` (see
-    `symmetry.check_point_symmetry`)."""
+    against the normalized F of `canonical_equations`, labelled as in
+    `symmetry.check_point_symmetry`."""
     residuals = invariance_residuals(sys, x, canonical_equations(sys), _lambda_phi(sys, x, lam))
-    return SymmetryVerdict(tuple(is_identically_zero(r, box, cfg) for r in residuals))
+    return Verdicts(tuple((v, is_identically_zero(r, box, cfg))
+                          for v, r in zip(sys.u, residuals)))
 
 
 def scalar_lambda_reduction(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -209,26 +210,14 @@ def _apply_j(sys: PhaseSystem, v: Sequence[Expr]) -> tuple:
 
 
 @dataclass(frozen=True)
-class LambdaConstantGReport:
+class LambdaConstantGReport(Verdicts):
     """Controlled conservation of a generating function G:
     grad(dG/dt along solutions) = J Lambda J grad G, componentwise; when
-    Lambda Phi = lambda Phi also grad(rate) = -lambda grad G."""
+    Lambda Phi = lambda Phi, `checks` goes on with grad(rate) = -lambda grad G."""
 
     g: Expr
     rate: Expr
-    gradient_checks: tuple
     scalar: Optional[Expr] = None
-    scalar_checks: tuple = ()
-
-    @property
-    def holds(self) -> bool:
-        return all(v.ok for _, v in self.gradient_checks)
-
-    @property
-    def scalar_holds(self) -> Optional[bool]:
-        if not self.scalar_checks:
-            return None
-        return all(v.ok for _, v in self.scalar_checks)
 
 
 def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -238,44 +227,38 @@ def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
     _require_autonomous(x)
     _require_shape(lam, HAMILTONIAN_SIDE, 2 * sys.n)
     rep = generating_function_test(sys, x, box, candidate_g=g, cfg=cfg)
-    if not rep.g_verified:
+    if rep.verified_g is None:
         raise ValueError("the candidate is not a generating function of the field")
     gv = rep.verified_g
     rate = simplify(total_time_derivative(sys, gv))
     grad_g = [differentiate(gv, v) for v in sys.u]
     target = _apply_j(sys, lam.on_shell(sys).vec(_apply_j(sys, grad_g)))
-    checks = tuple(
+    checks = [
         (f"d(rate)/d{v}", is_identically_zero(
             add(differentiate(rate, v), neg(target[a])), box, cfg))
-        for a, v in enumerate(sys.u))
+        for a, v in enumerate(sys.u)]
 
     scalar = None
-    scalar_checks = ()
     try:
         scalar = scalar_lambda_reduction(sys, x, lam, box, cfg)
     except ValueError:
         pass
     if scalar is not None:
-        scalar_checks = tuple(
+        checks += [
             (f"d(rate)/d{v}+lambda*dG/d{v}", is_identically_zero(
                 add(differentiate(rate, v), mul(scalar, grad_g[a])), box, cfg))
-            for a, v in enumerate(sys.u))
-    return LambdaConstantGReport(gv, rate, checks, scalar, scalar_checks)
+            for a, v in enumerate(sys.u)]
+    return LambdaConstantGReport(tuple(checks), gv, rate, scalar)
 
 
 @dataclass(frozen=True)
-class LambdaConstantSReport:
+class LambdaConstantSReport(Verdicts):
     """Controlled conservation of the divergence quantity S:
     dS/dt along solutions = -div(Lambda Phi)."""
 
     s: Expr
     rate: Expr
     divergence: Expr
-    verdict: ZeroVerdict
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict.ok
 
 
 def check_lambda_constant_S(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -286,25 +269,12 @@ def check_lambda_constant_S(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
     rate = simplify(total_time_derivative(sys, s))
     divergence = simplify(add(*[differentiate(c, v) for c, v in zip(lam_phi, sys.u)]))
     verdict = is_identically_zero(add(rate, divergence), box, cfg)
-    return LambdaConstantSReport(s, rate, divergence, verdict)
-
-
-@dataclass(frozen=True)
-class ChartReport:
-    invariance: tuple
-    rectification: ZeroVerdict
-    inversion: tuple
-
-    @property
-    def holds(self) -> bool:
-        return (all(v.ok for _, v in self.invariance)
-                and self.rectification.ok
-                and all(v.ok for _, v in self.inversion))
+    return LambdaConstantSReport((("dS/dt+div(Lambda Phi)", verdict),), s, rate, divergence)
 
 
 def verify_chart(sys: PhaseSystem, x: PhaseVectorField, chart: ReductionChart,
                  box: Optional[DomainBox] = None,
-                 cfg: Optional[ZeroTestConfig] = None) -> ChartReport:
+                 cfg: Optional[ZeroTestConfig] = None) -> Verdicts:
     """Check X w_j = 0, X z = 1, and that the inverse map really inverts
     the chart (forward after inverse is the identity on (w, z))."""
     _require_autonomous(x)
@@ -313,33 +283,28 @@ def verify_chart(sys: PhaseSystem, x: PhaseVectorField, chart: ReductionChart,
     missing = [v for v in sys.u if v not in chart.inverse]
     if missing:
         raise ChartError(f"inverse map misses variables: {missing}")
-    invariance = tuple(
-        (f"X{name}", is_identically_zero(x.apply(sys, wj), box, cfg))
-        for name, wj in zip(chart.w_names, chart.w))
-    rect = is_identically_zero(add(x.apply(sys, chart.z), coerce(-1)), box, cfg)
-    inversion = []
+    checks = [(f"X{name}", is_identically_zero(x.apply(sys, wj), box, cfg))
+              for name, wj in zip(chart.w_names, chart.w)]
+    rect = add(x.apply(sys, chart.z), coerce(-1))
+    checks.append(("Xz=1", is_identically_zero(rect, box, cfg)))
     for name, wj in zip(chart.w_names, chart.w):
         resid = add(substitute(wj, chart.inverse), neg(Var(name)))
-        inversion.append((f"{name} after inverse", is_identically_zero(resid, box, cfg)))
+        checks.append((f"{name} after inverse", is_identically_zero(resid, box, cfg)))
     resid = add(substitute(chart.z, chart.inverse), neg(Var(chart.z_name)))
-    inversion.append(("z after inverse", is_identically_zero(resid, box, cfg)))
-    return ChartReport(invariance, rect, tuple(inversion))
+    checks.append(("z after inverse", is_identically_zero(resid, box, cfg)))
+    return Verdicts(tuple(checks))
 
 
 @dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(Verdicts):
     """Equations of motion rewritten in chart variables: dw_j/dt = W_j,
-    dz/dt = Z, with the z-dependence certificates M."""
+    dz/dt = Z, with the z-dependence certificates M: `checks` holds
+    d(rate)/dz = M for each, and `z_free` which M vanish."""
 
     w_rhs: tuple
     z_rhs: Expr
     m: tuple
-    dz_checks: tuple
     z_free: tuple
-
-    @property
-    def holds(self) -> bool:
-        return all(v.ok for _, v in self.dz_checks)
 
 
 def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -370,20 +335,16 @@ def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
         add(differentiate(rate, chart.z_name), neg(m)), box, cfg))
         for name, rate, m in zip(names, rates, m_terms))
     z_free = tuple(is_identically_zero(m, box, cfg).ok for m in m_terms)
-    return ReducedSystem(tuple(rates[:-1]), rates[-1], tuple(m_terms), checks, z_free)
+    return ReducedSystem(checks, tuple(rates[:-1]), rates[-1], tuple(m_terms), z_free)
 
 
 @dataclass(frozen=True)
-class SeparatedGReport:
+class SeparatedGReport(Verdicts):
     """When Lambda Phi = lambda Phi and G is a chart coordinate, its
-    reduced equation closes: dG/dt = gamma(t, G)."""
+    reduced equation closes: dG/dt = gamma(t, G); gamma is None when a
+    check failed."""
 
     gamma: Optional[Expr]
-    checks: tuple
-
-    @property
-    def holds(self) -> bool:
-        return self.gamma is not None and all(v.ok for _, v in self.checks)
 
 
 def check_separated_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -409,7 +370,7 @@ def check_separated_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
     checks.append(("d(G rate)/dz", is_identically_zero(
         differentiate(rate, chart.z_name), box, cfg)))
     if not all(v.ok for _, v in checks):
-        return SeparatedGReport(None, tuple(checks))
+        return SeparatedGReport(tuple(checks), None)
     gamma = simplify(substitute(rate, {chart.w_names[g_index]: Var("G")}))
-    return SeparatedGReport(gamma, tuple(checks))
+    return SeparatedGReport(tuple(checks), gamma)
 

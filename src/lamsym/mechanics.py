@@ -92,22 +92,6 @@ class PhaseVectorField:
         return add(*parts)
 
 
-@dataclass(frozen=True)
-class FirstIntegralCandidate:
-    """A function of (t, q, p) together with an optional expected rate
-    of change along the flow (zero for a genuine first integral)."""
-
-    expr: Expr
-    expected_rate: Optional[Expr] = None
-
-    def rate_residual(self, sys: PhaseSystem) -> Expr:
-        """df/dt along solutions minus the expected rate."""
-        rate = total_time_derivative(sys, self.expr)
-        if self.expected_rate is None:
-            return rate
-        return add(rate, neg(self.expected_rate))
-
-
 def canonical_equations(sys: PhaseSystem) -> tuple:
     """Right-hand side F of the equations of motion: (dH/dp, -dH/dq)."""
     if sys._rhs is None:

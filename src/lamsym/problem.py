@@ -211,8 +211,10 @@ def load_problem(path: str) -> ProblemFile:
         problem.psi = read("vector_field.psi", vf)
         if "tau" in vf:
             problem.tau = read("vector_field.tau", vf)
-    elif "psi" in vf:
-        _fail("vector_field.psi", "not allowed for lagrangian kind")
+    else:
+        for key in ("psi", "tau"):
+            if key in vf:
+                _fail(f"vector_field.{key}", "not allowed for lagrangian kind")
 
     if "lambda" in raw and raw["lambda"] is not None:
         lam_raw = _object(raw["lambda"], "lambda")

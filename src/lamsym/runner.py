@@ -9,8 +9,10 @@ Skipped with the reason of its first absent input, else with `prerequisite
 NAME not selected` or the reason of a prerequisite that did not pass.  On
 Lagrangian problems the phase-side checks take the phase field from `xh`
 and the perturbation matrix from `lh`.  Mathematical failures are verdicts
-(NonZero), never exceptions.  Report JSON is byte-stable for a fixed
-problem, seed and selection (wall times are never serialized).
+(NonZero), never exceptions.  A check's result is the worst of the
+labelled verdicts its library function returns in `checks` (`_aggregate`).
+Report JSON is byte-stable for a fixed problem, seed and selection (wall
+times are never serialized).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from . import numeric, symmetry
 from .expr import (
     SamplingError,
     ZeroTestConfig,
-    ZeroVerdict,
     compile_expr,
     compile_exprs,
     format_expr,
@@ -92,11 +93,12 @@ class Report:
         raise KeyError(name)
 
 
-def _aggregate(verdicts: Sequence[ZeroVerdict], detail: str):
-    """A check's result from a set of verdicts: the worst tag, the max
-    scaled residual, the worst witness, and the detail."""
-    if not verdicts:
+def _aggregate(checks: Sequence[tuple], detail: str):
+    """A check's result from its (label, ZeroVerdict) pairs: the worst tag,
+    the max scaled residual, the worst witness, and the detail."""
+    if not checks:
         return "ProvenZero", None, None, detail
+    verdicts = [v for _, v in checks]
     worst = max(verdicts, key=lambda v: (_RANK[v.tag], v.max_residual))
     residuals = [v.max_residual for v in verdicts if v.tag != "ProvenZero"]
     max_resid = max(residuals) if residuals else 0.0
@@ -112,10 +114,6 @@ class _Skip(Exception):
 def _need(condition: bool, reason: str):
     if not condition:
         raise _Skip(reason)
-
-
-def _labeled(pairs):
-    return [v for _, v in pairs]
 
 
 class _Context:
@@ -158,19 +156,19 @@ class _Context:
 # --------------------------------------------------------------------------
 
 def _check_cs(ctx: _Context):
-    verdict = symmetry.check_point_symmetry(ctx.sys, ctx.x, ctx.box, ctx.zc)
-    return _aggregate(verdict.components, f"{2*ctx.problem.n} symmetry-condition residuals")
+    rep = symmetry.check_point_symmetry(ctx.sys, ctx.x, ctx.box, ctx.zc)
+    return _aggregate(rep.checks, f"{2*ctx.problem.n} symmetry-condition residuals")
 
 
 def _check_ds(ctx: _Context):
     s = symmetry.compute_S(ctx.sys, ctx.x)
-    verdicts = [symmetry.check_first_integral(ctx.sys, s, ctx.box, ctx.zc)]
+    checks = [("dS/dt", symmetry.check_first_integral(ctx.sys, s, ctx.box, ctx.zc))]
     detail = f"S = {format_expr(s)}"
     expected = ctx.problem.candidates.get("S_expected")
     if expected is not None:
-        verdicts.append(is_identically_zero(s - expected, ctx.box, ctx.zc))
+        checks.append(("S=S_expected", is_identically_zero(s - expected, ctx.box, ctx.zc)))
         detail += "; matches expected S"
-    return _aggregate(verdicts, detail)
+    return _aggregate(checks, detail)
 
 
 def _check_g(ctx: _Context):
@@ -178,12 +176,11 @@ def _check_g(ctx: _Context):
     notes = []
     if rep.sign_flipped:
         notes.append("candidate verified with opposite sign")
-    if rep.g_verified:
+    if rep.verified_g is not None:
         notes.append(f"G = {format_expr(rep.verified_g)}")
         notes.append("dG/dt is a function of t alone"
                      if rep.rate_is_time_only else "dG/dt depends on the phase variables")
-    return _aggregate(_labeled(rep.closedness) + _labeled(rep.candidate),
-                      "; ".join(notes) if notes else "closedness only")
+    return _aggregate(rep.checks, "; ".join(notes) if notes else "closedness only")
 
 
 def _check_case(ctx: _Context):
@@ -192,13 +189,13 @@ def _check_case(ctx: _Context):
     if c.g is not None:
         detail += f"; G = {format_expr(c.g)}"
     if c.s_conservation is not None:
-        return _aggregate([c.s_conservation], detail)
+        return _aggregate((("dS/dt", c.s_conservation),), detail)
     return "ProvenZero", None, None, detail
 
 
 def _check_las(ctx: _Context):
-    verdict = lam_mod.check_lambda_symmetry(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
-    return _aggregate(verdict.components, f"{2*ctx.problem.n} perturbed-condition residuals")
+    rep = lam_mod.check_lambda_symmetry(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
+    return _aggregate(rep.checks, f"{2*ctx.problem.n} perturbed-condition residuals")
 
 
 def _check_dtg(ctx: _Context):
@@ -207,19 +204,18 @@ def _check_dtg(ctx: _Context):
     detail = f"dG/dt = {format_expr(rep.rate)}"
     if rep.scalar is not None:
         detail += f"; scalar reduction with lambda = {format_expr(rep.scalar)}"
-    return _aggregate(_labeled(rep.gradient_checks) + _labeled(rep.scalar_checks), detail)
+    return _aggregate(rep.checks, detail)
 
 
 def _check_dts(ctx: _Context):
     rep = lam_mod.check_lambda_constant_S(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
-    return _aggregate([rep.verdict], f"S = {format_expr(rep.s)}; dS/dt = {format_expr(rep.rate)}")
+    return _aggregate(rep.checks, f"S = {format_expr(rep.s)}; dS/dt = {format_expr(rep.rate)}")
 
 
 def _check_chart(ctx: _Context):
     chart = ctx.problem.chart
     rep = lam_mod.verify_chart(ctx.sys, ctx.x, chart, ctx.box, ctx.zc)
-    verdicts = _labeled(rep.invariance) + [rep.rectification] + _labeled(rep.inversion)
-    return _aggregate(verdicts, f"{len(chart.w)} invariants + rectification + inversion")
+    return _aggregate(rep.checks, f"{len(chart.w)} invariants + rectification + inversion")
 
 
 def _check_wzl(ctx: _Context):
@@ -230,7 +226,7 @@ def _check_wzl(ctx: _Context):
     eqs = [f"d{n}/dt = {format_expr(w)}" for n, w in zip(chart.w_names, rs.w_rhs)]
     eqs.append(f"dz/dt = {format_expr(rs.z_rhs)}")
     flags = ",".join("free" if zf else "z" for zf in rs.z_free)
-    return _aggregate(_labeled(rs.dz_checks), "; ".join(eqs) + f"; z-dependence [{flags}]")
+    return _aggregate(rs.checks, "; ".join(eqs) + f"; z-dependence [{flags}]")
 
 
 def _check_sep(ctx: _Context):
@@ -247,7 +243,7 @@ def _check_sep(ctx: _Context):
             break
     _need(g_index is not None, "G is not one of the chart coordinates")
     rep = lam_mod.check_separated_G(sys, x, lam, chart, g_index, box, zc)
-    return _aggregate(_labeled(rep.checks),
+    return _aggregate(rep.checks,
                       f"dG/dt = {format_expr(rep.gamma)} in (t, G)"
                       if rep.gamma is not None else "rate depends on other coordinates")
 
@@ -255,7 +251,7 @@ def _check_sep(ctx: _Context):
 def _check_gamma(ctx: _Context):
     candidate = ctx.problem.candidates["Gamma"]
     verdict = symmetry.check_first_integral(ctx.sys, candidate, ctx.box, ctx.zc)
-    return _aggregate([verdict], f"Gamma = {format_expr(candidate)}")
+    return _aggregate((("dGamma/dt", verdict),), f"Gamma = {format_expr(candidate)}")
 
 
 def _check_mon(ctx: _Context):
@@ -300,15 +296,14 @@ def _check_mon(ctx: _Context):
 def _check_xll(ctx: _Context):
     verdict = lagmod.check_lagrangian_lambda_invariance(
         ctx.lag, ctx.xl, ctx.laml, ctx.box, ctx.zc)
-    return _aggregate([verdict], "perturbed invariance residual")
+    return _aggregate((("invariance", verdict),), "perturbed invariance residual")
 
 
 def _check_leg(ctx: _Context):
     candidates = ctx.problem.candidates
     rep = lagmod.verify_legendre(ctx.lag, candidates["velocity_map"],
                                  candidates["H_for_legendre"], ctx.box, ctx.zc)
-    return _aggregate(_labeled(rep.momentum_checks) + [rep.energy_check],
-                      f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}")
+    return _aggregate(rep.checks, f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}")
 
 
 def _check_xh(ctx: _Context):
@@ -328,7 +323,7 @@ def _check_lh(ctx: _Context):
                                ctx.box, ctx.zc)
     ctx.lam = rep.matrix
     how = "solved" if rep.solved else "verified candidate"
-    return _aggregate(_labeled(rep.constraint_checks), f"lower-right block {how}")
+    return _aggregate(rep.checks, f"lower-right block {how}")
 
 
 def _check_gl(ctx: _Context):
@@ -347,9 +342,9 @@ def _check_lala(ctx: _Context):
     detail = f"lambda = {format_expr(rep.scalar)}"
     if not rep.is_constant:
         return "NumericallyZero", 0.0, None, detail + " (not constant; extension not asserted)"
-    if not rep.extended_checks:
+    if not rep.checks:
         return "NumericallyZero", 0.0, None, detail + f"; {rep.note}"
-    return _aggregate(_labeled(rep.extended_checks), detail + "; extended matrix scales the field")
+    return _aggregate(rep.checks, detail + "; extended matrix scales the field")
 
 
 def _check_lz(ctx: _Context):
@@ -358,9 +353,8 @@ def _check_lz(ctx: _Context):
         ctx.lag, ctx.xl, ctx.laml, candidates.get("eta", ()), candidates["theta"],
         candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc,
         t1=TRAJECTORY_T1, h=TRAJECTORY_H, tol=REDUCTION_TOL)
-    verdicts = _labeled(rep.invariance) + [rep.composition, rep.annihilation]
     tag, resid, witness, detail = _aggregate(
-        verdicts, f"constraint-flow residual {rep.el_residual:.3e} (tol {rep.tol:g})")
+        rep.checks, f"constraint-flow residual {rep.el_residual:.3e} (tol {rep.tol:g})")
     if rep.el_residual > rep.tol:
         tag = "NonZero"
     return tag, max(resid or 0.0, rep.el_residual), witness, detail

@@ -5,6 +5,8 @@ linearized invariance residuals vanish along solutions.  Every verified
 symmetry yields the divergence-type quantity S (a first integral when
 non-constant); fields that are gradients of a generating function G are
 handled separately, including the closedness conditions for G to exist.
+A check of several residuals returns their labelled zero verdicts as an
+`expr.Verdicts`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional, Sequence
 from .expr import (
     DomainBox,
     Expr,
+    Verdicts,
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
@@ -40,42 +43,23 @@ class NotASymmetryError(ValueError):
 
 
 @dataclass(frozen=True)
-class SymmetryVerdict:
-    """Componentwise zero verdicts of the 2n symmetry-condition residuals."""
-
-    components: tuple
-
-    @property
-    def holds(self) -> bool:
-        return all(v.ok for v in self.components)
-
-
-@dataclass(frozen=True)
-class GeneratingFunctionReport:
+class GeneratingFunctionReport(Verdicts):
     """Result of testing whether X is generated by a function G.
 
-    closedness: mixed-partial symmetry conditions on (phi, psi), present
-        only when tau is a function of t alone.
-    candidate: componentwise checks grad_p G = phi~, grad_q G = -psi~.
+    checks: the mixed-partial closedness conditions on (phi, psi), present
+        only when tau is a function of t alone, then the componentwise
+        candidate checks grad_p G = phi~, grad_q G = -psi~.
+    closed: every closedness condition holds.
     sign_flipped: the candidate verified only after negation (the sign of
         a generating function is conventional).
     gradient_rate: the 2n checks that grad(dG/dt along solutions) = 0,
         i.e. the rate of change of G depends on t alone.
     """
 
-    closedness: tuple = ()
-    candidate: tuple = ()
-    sign_flipped: bool = False
-    verified_g: Optional[Expr] = None
-    gradient_rate: tuple = ()
-
-    @property
-    def closed(self) -> bool:
-        return all(v.ok for _, v in self.closedness)
-
-    @property
-    def g_verified(self) -> bool:
-        return self.verified_g is not None
+    closed: bool
+    sign_flipped: bool
+    verified_g: Optional[Expr]
+    gradient_rate: tuple
 
     @property
     def rate_is_time_only(self) -> Optional[bool]:
@@ -86,8 +70,8 @@ class GeneratingFunctionReport:
     @property
     def holds(self) -> bool:
         """Full pass: integrability, a verified G, and conservation of G
-        up to a purely time-dependent term."""
-        return self.closed and self.g_verified and bool(self.rate_is_time_only)
+        up to a purely time-dependent term (tested on a verified G only)."""
+        return super().holds and bool(self.rate_is_time_only)
 
 
 CASE_GENERATING_FUNCTION = "generating-function"
@@ -121,15 +105,16 @@ def invariance_residuals(sys: PhaseSystem, x: PhaseVectorField, f: Sequence[Expr
 
 def check_point_symmetry(sys: PhaseSystem, x: PhaseVectorField,
                          box: Optional[DomainBox] = None,
-                         cfg: Optional[ZeroTestConfig] = None) -> SymmetryVerdict:
-    """Verify the exact symmetry condition componentwise, against F as
-    differentiated, (dH/dp, -dH/dq); the normalizer is not confluent, and
-    the normalized F of `check_lambda_symmetry` moves example 3's residual."""
+                         cfg: Optional[ZeroTestConfig] = None) -> Verdicts:
+    """Verify the exact symmetry condition componentwise, each residual
+    labelled with its phase variable, against F as differentiated,
+    (dH/dp, -dH/dq); the normalizer is not confluent, and the normalized F
+    of `check_lambda_symmetry` moves example 3's residual."""
     h = sys.hamiltonian
     f = ([differentiate(h, v) for v in sys.p]
          + [neg(differentiate(h, v)) for v in sys.q])
-    residuals = invariance_residuals(sys, x, f)
-    return SymmetryVerdict(tuple(is_identically_zero(r, box, cfg) for r in residuals))
+    return Verdicts(tuple((v, is_identically_zero(r, box, cfg))
+                          for v, r in zip(sys.u, invariance_residuals(sys, x, f))))
 
 
 def compute_S(sys: PhaseSystem, x: PhaseVectorField) -> Expr:
@@ -210,14 +195,14 @@ def generating_function_test(sys: PhaseSystem, x: PhaseVectorField,
             verified_g = simplify(candidate_g)
 
     gradient_rate = ()
-    closed_ok = all(v.ok for _, v in closedness)
-    if verified_g is not None and (tau_general or closed_ok):
+    closed = all(v.ok for _, v in closedness)
+    if verified_g is not None and (tau_general or closed):
         rate = total_time_derivative(sys, verified_g)
         gradient_rate = tuple(
             (f"d(dG/dt)/d{v}", is_identically_zero(differentiate(rate, v), box, cfg))
             for v in sys.u)
 
-    return GeneratingFunctionReport(tuple(closedness), candidate, sign_flipped,
+    return GeneratingFunctionReport(tuple(closedness) + candidate, closed, sign_flipped,
                                     verified_g, gradient_rate)
 
 

@@ -228,13 +228,19 @@ def _to_sympy(e, sp):
 
 def test_differentiate_agrees_with_sympy_on_rational_trees():
     # an independent oracle: sympy's diff of the same tree, compared by
-    # cancel(together(a - b)); a derivative sympy finds undefined is skipped
+    # cancel(together(a - b)); a derivative sympy finds undefined is skipped.
+    # The normal form must equal its tree wherever sympy defines both, so a
+    # tree simplify proves 0 is 0 (plain cancel: sympy 1.14's
+    # cancel(together(...)) leaves one such difference as -125/27 + 125/27)
     sp = pytest.importorskip("sympy")
     rng = random.Random(2024)
     undefined = 0
     for _ in range(300):
         e = random_tree(rng, 4, ("q", "p"), funcs=False)
         v = rng.choice(("q", "p"))
+        normal, tree = _to_sympy(simplify(e), sp), _to_sympy(e, sp)
+        if not any(x.has(sp.zoo, sp.nan, sp.oo) for x in (normal, tree)):
+            assert sp.cancel(normal - tree) == 0, e
         got = _to_sympy(differentiate(e, v), sp)
         want = sp.diff(_to_sympy(e, sp), sp.Symbol(v))
         if any(x.has(sp.zoo, sp.nan, sp.oo) for x in (got, want)):

@@ -362,14 +362,14 @@ def test_log_pair_scalar_is_constant_and_extends():
     assert rep.scalar == Const(Fraction(1))
     assert rep.is_constant
     assert rep.holds
-    assert len(rep.extended_checks) == 4
+    assert len(rep.checks) == 4
 
 
 def test_two_scale_scalar_is_not_constant():
     rep = check_scalar_condition(two_scale_field(), two_scale_matrix())
     assert rep.scalar == Var("q1")
     assert not rep.is_constant
-    assert rep.extended_checks == ()
+    assert rep.checks == ()
 
 
 def test_zero_matrix_scalar_is_zero():
@@ -414,7 +414,7 @@ def test_exponential_partial_reduction_opposite_branch():
         eta=[], theta=parse("(dq1/q1)*exp(-q1) + exp(-q1)"),
         reduced_l=parse("theta^2/2"),
         particular=[parse("q1")])
-    assert not rep.annihilation.ok
+    assert not dict(rep.checks)["annihilation"].ok
     assert rep.el_residual < 1e-5
     assert not rep.holds
 
@@ -425,7 +425,7 @@ def test_partial_reduction_rejects_non_invariant_theta():
         eta=[parse("q1*q2")], theta=parse("dq1/q1 - log(q1) + q1"),
         reduced_l=parse("theta^2/2 + deta1^2/(2*eta1^2)"),
         particular=[parse("q1*log(q1)"), parse("q2*(1/2 - log(q1))")])
-    bad = [lbl for lbl, v in rep.invariance if not v.ok]
+    bad = [lbl for lbl, v in rep.checks if not v.ok]
     assert "X theta" in bad
     assert not rep.holds
 

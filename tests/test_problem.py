@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from lamsym import lagrangian, lambda_symmetry, symmetry
 from lamsym.cli import CORPUS, corpus_reports, main
-from lamsym.expr import Const, format_expr, parse, simplify
+from lamsym.expr import Const, Verdicts, format_expr, parse, simplify
 from lamsym.problem import ProblemError, _items, load_problem
 from lamsym.runner import (
     CHECKS,
@@ -85,13 +87,19 @@ def test_unknown_candidate_is_rejected(tmp_path):
         load_problem(write_problem(tmp_path, doc))
 
 
-def test_lagrangian_kind_rejects_psi(tmp_path):
-    doc = {
-        "kind": "lagrangian", "n": 1, "lagrangian": "dq1^2/2",
-        "vector_field": {"phi": ["q1"], "psi": ["p1"]},
-    }
-    with pytest.raises(ProblemError, match="psi"):
-        load_problem(write_problem(tmp_path, doc))
+def test_lagrangian_kind_rejects_psi(tmp_path, capsys):
+    # a Lagrangian file's field is phi alone: psi, and tau alike, would be dropped
+    for key in ("psi", "tau"):
+        doc = {
+            "kind": "lagrangian", "n": 1, "lagrangian": "dq1^2/2",
+            "vector_field": {"phi": ["q1"], key: ["p1"] if key == "psi" else "1"},
+        }
+        path = write_problem(tmp_path, doc)
+        with pytest.raises(ProblemError,
+                           match=f"^vector_field.{key}: not allowed for lagrangian kind$"):
+            load_problem(path)
+        assert main(["check", "--problem", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: vector_field.{key}: ")
 
 
 # ------------------------------------------------------------------ running
@@ -252,6 +260,35 @@ def test_full_order_report_matches_the_pinned_bytes(tmp_path, number):
           "--report", "json", "--out", str(out)])
     pinned = Path(__file__).parent / "reports" / f"example{number}.json"
     assert out.read_bytes() == pinned.read_bytes()
+
+
+def test_every_check_labels_its_verdicts_distinctly(monkeypatch):
+    # tests look a verdict up by its label, so a repeated label would hide
+    # one: record what each library check returns on the seven examples
+    labels = {}
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, Verdicts):
+                labels.setdefault(fn.__name__, []).append([lbl for lbl, _ in out.checks])
+            return out
+        return call
+
+    for mod in (symmetry, lambda_symmetry, lagrangian):
+        for name, fn in list(vars(mod).items()):
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                monkeypatch.setattr(mod, name, recorded(fn))
+    for number in range(1, 8):
+        run_checks(load_problem(bundled(f"example{number}.json")))
+    assert sorted(labels) == [
+        "check_lambda_constant_G", "check_lambda_constant_S", "check_lambda_symmetry",
+        "check_point_symmetry", "check_scalar_condition", "check_separated_G",
+        "extend_lambda", "generating_function_test", "partial_reduction_check",
+        "reduced_system", "verify_chart", "verify_legendre"]
+    for name, runs in labels.items():
+        for run in runs:
+            assert len(set(run)) == len(run), (name, run)
 
 
 def test_cli_corpus_json_is_byte_identical(tmp_path):
@@ -424,6 +461,9 @@ MALFORMED = [
      r"^hamiltonian: unknown variables \['a'\]$"),
     ("example7.json", ("lagrangian",), "(dq1/q1 + 1)^2*exp(-2*q1)/2 + p1*q1",
      r"^lagrangian: unknown variables \['p1'\]$"),
+    # a Lagrangian file's field is phi alone
+    ("example7.json", ("vector_field", "tau"), "1",
+     "^vector_field.tau: not allowed for lagrangian kind$"),
 ]
 
 

@@ -55,7 +55,7 @@ def test_half_scaling_is_not_a_symmetry():
     x = PhaseVectorField((Var("q1"),), (Const(Fraction(0)),))
     verdict = check_point_symmetry(oscillator(), x)
     assert not verdict.holds
-    assert next(v for v in verdict.components if not v.ok).witness is not None
+    assert next(v for _, v in verdict.checks if not v.ok).witness is not None
 
 
 # ---------------------------------------------------------- the quantity S
@@ -109,7 +109,7 @@ def test_momentum_shift_candidate_verifies_up_to_sign():
                          (Const(Fraction(1)), Const(Fraction(1))))
     rep = generating_function_test(sys, x, candidate_g=parse("q1+q2"))
     assert rep.closed
-    assert rep.g_verified
+    assert rep.verified_g is not None
     assert rep.sign_flipped
     assert rep.rate_is_time_only is False  # dG/dt = -G, not a pure function of t
     assert not rep.holds
@@ -119,7 +119,7 @@ def test_opposite_scaling_fails_closedness():
     x = PhaseVectorField((Var("q1"), neg(Var("q2"))), (Var("p1"), neg(Var("p2"))))
     rep = generating_function_test(oscillator2(), x)
     assert not rep.closed
-    bad = [lbl for lbl, v in rep.closedness if not v.ok]
+    bad = [lbl for lbl, v in rep.checks if not v.ok]
     assert "dphi1/dq1=-dpsi1/dp1" in bad
 
 
@@ -232,7 +232,7 @@ def test_dilation_with_time_component(h, tags):
     # q -> c q, p -> p/c, t -> c^2 t leaves only the inverse-square potential
     x = PhaseVectorField((parse("q1"),), (parse("-p1"),), parse("2*t"))
     verdict = check_point_symmetry(PhaseSystem(1, parse(h)), x)
-    assert [v.tag for v in verdict.components] == tags
+    assert [v.tag for _, v in verdict.checks] == tags
 
 
 def test_divergence_quantity_matches_evolutionary_form():
