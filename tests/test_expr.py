@@ -832,6 +832,25 @@ def test_the_intern_table_releases_unreferenced_nodes():
     assert len(expr_mod._TABLE) <= before
 
 
+def test_dropped_trees_leave_the_intern_table_as_it_was():
+    # an entry holds its node's children, not the node, and goes when the
+    # node dies; so dropping a scope's trees, their normal forms and their
+    # derivatives drops every entry they made, and no entry outlives its node
+    gc.collect()
+    before = len(expr_mod._TABLE)
+    rng = random.Random(26)
+    with simplify_memo():
+        kept = []
+        for _ in range(1000):
+            e = random_tree(rng, 4, ("q", "p", "table_probe"))
+            kept += [e, simplify(e), differentiate(e, "q")]
+        assert len(expr_mod._TABLE) > before
+    del kept, e
+    gc.collect()
+    assert len(expr_mod._TABLE) == before
+    assert all(ref() is not None for ref in list(expr_mod._TABLE.values()))
+
+
 def test_threads_building_the_same_trees_get_identical_nodes():
     def build(probe):
         rng = random.Random(99)
@@ -1080,6 +1099,29 @@ def test_example6_full_order_normalizer_and_sampling_work_is_bounded(monkeypatch
     assert sum(steps.values()) <= 1000   # 915 with the step memo
     assert steps["_norm_power"] <= 40     # 29; 367 without it
     assert sampled_count <= 20            # 17
+
+
+# sha256 of the printed normal forms that `simplify` produced in full-order
+# runs of the seven bundled examples, one scope per example: 858 forms, the
+# same at every zero-test seed, since sampling builds no tree
+_EXAMPLE_NORMAL_FORMS_SHA256 = "9dd89d4107ac04b3584a444071c163bc9d894d78f0f81d0f72ef80ee94b988e5"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+def test_bundled_examples_keep_their_recorded_normal_forms(seed):
+    problems = Path(runner.__file__).parent / "problems"
+    forms = []
+    for number in range(1, 8):
+        problem = load_problem(str(problems / f"example{number}.json"))
+        with simplify_memo():
+            memo = expr_mod._MEMO.get()
+            runner.run_checks(problem, cfg=ZeroTestConfig(seed=seed))
+            # a node key maps a tree or a normal form to its normal form
+            normal = {v for k, v in list(memo.items()) if isinstance(k, Expr)}
+        forms += map(format_expr, normal)
+    assert len(forms) == 858
+    digest = hashlib.sha256("".join(f"{f}\n" for f in sorted(forms)).encode())
+    assert digest.hexdigest() == _EXAMPLE_NORMAL_FORMS_SHA256
 
 
 def _reference_split(n):
