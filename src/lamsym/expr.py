@@ -31,12 +31,12 @@ import math
 import random
 import re
 import threading
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
-from weakref import KeyedRef
 from _weakref import _remove_dead_weakref
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -71,9 +71,11 @@ class Expr:
     """Base class of the immutable expression nodes.
 
     Nodes are interned: every constructor call goes through one weak-value
-    table, so there is exactly one live node per structural value and
+    table, keyed by the node's class and fields with the child nodes
+    themselves, so there is exactly one live node per structural value and
     structural equality is identity: `==` and `hash` are object's, so a
-    dict lookup on a node makes no Python call.  Every node caches its
+    dict lookup on a node, or on a key of nodes, makes no Python call, and
+    building a node that exists is one lookup.  Every node caches its
     free-variable set and sort key, computed on first use; no other slot
     holds a node.  pickle and copy hand back the interned node."""
 
@@ -125,36 +127,50 @@ class Expr:
         return f"<{type(self).__name__} {format_expr(self)!r}>"
 
 
-_setattr = object.__setattr__
+_new = object.__new__
+_put_fv = Expr._fv.__set__   # the cache slots' setters, past the immutability guard
+_put_sk = Expr._sk.__set__
 
-# The intern table maps a node's key, its class and fields with every child
-# node by id, to a weak reference to the one live node with that key.  A
-# child's id is stable while a node that holds it lives; an entry is dropped
-# as its node dies.  Hits need no lock; a miss publishes under the lock, so
-# threads racing to build the same node all get the first one published.
+# The intern table maps a node's key to a weak reference to the one live node
+# with that key.  The key is the node's class and fields and holds the very
+# children the node holds: (class, parts) for a sum or product, with the
+# tuple the node stores, (class, a, b) for a power or quotient, (class, name,
+# arg) for a function, so it hashes and compares by identity with no Python
+# call.  A child lives as long as its parent, and the entry goes as its node
+# dies, so a key holds no node longer than the node would be held anyway.  A
+# hit is one lookup; a miss publishes under the lock, so threads racing to
+# build the same node all get the first one published.
 _TABLE: dict = {}
 _LOCK = threading.Lock()
 
 
-def _forget(ref, _table=_TABLE, _remove=_remove_dead_weakref):
-    _remove(_table, ref.key)  # only if no live node took the key since
+class _Ref(weakref.ref):
+    """The table's reference to a node, which carries the node's key.  It is
+    a node's `__weakref__`, so it names weakref as its module, as KeyedRef
+    does: a walker that takes every type of this module for a node, such as
+    perfbench's node counter, must not walk into the key's children."""
+    __slots__ = ("key",)
+    __module__ = weakref.__name__
 
 
-def _find(key):
-    ref = _TABLE.get(key)
-    return None if ref is None else ref()
+def _forget(r, _table=_TABLE, _remove=_remove_dead_weakref):
+    _remove(_table, r.key)  # only if no live node took the key since
 
 
-def _intern(key, cls, values: tuple) -> Expr:
-    e = object.__new__(cls)
-    for slot, v in zip(cls.__slots__, values):
-        _setattr(e, slot, v)
-    _setattr(e, "_sk", None)
+def _intern(key, cls, *values) -> Expr:
+    """A new node of class cls with fields values, published under key; if
+    another thread published a node under key first, that node instead."""
+    e = _new(cls)
+    for put, v in zip(cls._puts, values):
+        put(e, v)
+    _put_sk(e, None)
     with _LOCK:
-        first = _find(key)
-        if first is not None:
+        r = _TABLE.get(key)
+        first = r and r()
+        if first:
             return first
-        _TABLE[key] = KeyedRef(e, _forget, key)
+        r = _TABLE[key] = _Ref(e, _forget)
+        r.key = key
     return e
 
 
@@ -169,7 +185,8 @@ class Const(Expr):
             if value.denominator == 1:
                 value = value.numerator
         key = (cls, value.numerator, value.denominator)
-        return _find(key) or _intern(key, cls, (value,))
+        r = _TABLE.get(key)
+        return r and r() or _intern(key, cls, value)
 
 
 class Var(Expr):
@@ -177,7 +194,8 @@ class Var(Expr):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _find(key) or _intern(key, cls, (name,))
+        r = _TABLE.get(key)
+        return r and r() or _intern(key, cls, name)
 
 
 class _Flat(Expr):
@@ -185,8 +203,9 @@ class _Flat(Expr):
 
     def __new__(cls, parts: tuple):
         assert len(parts) >= 2
-        key = (cls, *map(id, parts))
-        return _find(key) or _intern(key, cls, (parts,))
+        key = (cls, parts)
+        r = _TABLE.get(key)
+        return r and r() or _intern(key, cls, parts)
 
 
 class Sum(_Flat):
@@ -201,8 +220,9 @@ class _Pair(Expr):
     __slots__ = ()  # a Power or Quotient of two nodes
 
     def __new__(cls, a: Expr, b: Expr):
-        key = (cls, id(a), id(b))
-        return _find(key) or _intern(key, cls, (a, b))
+        key = (cls, a, b)
+        r = _TABLE.get(key)
+        return r and r() or _intern(key, cls, a, b)
 
 
 class Power(_Pair):
@@ -218,8 +238,14 @@ class Func(Expr):
 
     def __new__(cls, name: str, arg: Expr):
         assert name in FUNCTIONS
-        key = (cls, name, id(arg))
-        return _find(key) or _intern(key, cls, (name, arg))
+        key = (cls, name, arg)
+        r = _TABLE.get(key)
+        return r and r() or _intern(key, cls, name, arg)
+
+
+# each node class's field setters, in the order of its constructor's arguments
+for _cls in (Const, Var, Sum, Product, Power, Quotient, Func):
+    _cls._puts = tuple(getattr(_cls, s).__set__ for s in _cls.__slots__)
 
 
 _KIDS = {
@@ -269,7 +295,7 @@ def coerce(v) -> Expr:
 def add(*parts: Expr) -> Expr:
     flat = []
     for p in parts:
-        if isinstance(p, Sum):
+        if type(p) is Sum:
             flat.extend(p.terms)
         else:
             flat.append(p)
@@ -283,7 +309,7 @@ def add(*parts: Expr) -> Expr:
 def mul(*parts: Expr) -> Expr:
     flat = []
     for p in parts:
-        if isinstance(p, Product):
+        if type(p) is Product:
             flat.extend(p.factors)
         else:
             flat.append(p)
@@ -342,7 +368,7 @@ def free_vars(e: Expr) -> frozenset:
                 out = fk if out <= fk else out | fk
     else:
         raise TypeError(t)
-    _setattr(e, "_fv", out)
+    _put_fv(e, out)
     return out
 
 
@@ -619,7 +645,7 @@ def _sort_key(e: Expr):
         k = (7, len(e.terms)) + tuple(_sort_key(u) for u in e.terms)
     else:
         raise TypeError(t)
-    _setattr(e, "_sk", k)
+    _put_sk(e, k)
     return k
 
 
@@ -668,21 +694,22 @@ def _split_coeff(n: Expr):
 def _join_coeff(c: int | Fraction, rest: Expr) -> Expr:
     if c == 0:
         return ZERO
-    if rest == ONE:
+    if rest is ONE:
         return Const(c)
     if c == 1:
         return rest
-    if isinstance(rest, Sum):
+    t = type(rest)
+    if t is Sum:
         parts = []
-        for t in rest.terms:
-            tc, tr = _split_coeff(t)
-            parts.append(_join_coeff(c * tc, tr))
+        for u in rest.terms:
+            uc, ur = _split_coeff(u)
+            parts.append(_join_coeff(c * uc, ur))
         return _norm_sum(parts)
-    if isinstance(rest, Quotient):
+    if t is Quotient:
         # UNDEFINED keeps its numerator 0 (elsewhere it has coefficient 1)
         nc, nr = _split_coeff(rest.numerator)
         return Quotient(_join_coeff(c * nc, nr), rest.denominator)
-    if isinstance(rest, Product):
+    if t is Product:
         return Product((Const(c),) + rest.factors)
     return Product((Const(c), rest))
 
@@ -694,7 +721,7 @@ def _norm_sum(terms: list) -> Expr:
         return r
     flat = []
     for t in terms:
-        if isinstance(t, Sum):
+        if type(t) is Sum:
             flat.extend(t.terms)
         elif _undefined(t):
             r = UNDEFINED
@@ -734,26 +761,28 @@ def _norm_product(factors: list) -> Expr:
     den_parts: list = []
 
     # decompose every factor down to atoms (Var/Func/Sum/odd powers),
-    # routing quotients to the denominator and signs/constants to coeff
-    todo = list(factors)
+    # routing quotients to the denominator and signs/constants to coeff;
+    # the stack holds the factors still to visit, the next one on top
+    todo = factors[::-1]
     while todo:
-        f = todo.pop(0)
-        if isinstance(f, Product):
-            todo = list(f.factors) + todo
-        elif isinstance(f, Const):
+        f = todo.pop()
+        t = type(f)
+        if t is Product:
+            todo.extend(reversed(f.factors))
+        elif t is Const:
             coeff *= f.value
-        elif isinstance(f, Quotient):
-            if f.denominator == ZERO:
+        elif t is Quotient:
+            if f.denominator is ZERO:
                 r = UNDEFINED
                 break
-            todo.insert(0, f.numerator)
+            todo.append(f.numerator)
             den_parts.append(f.denominator)
-        elif isinstance(f, Power) and not isinstance(f.exponent, Const):
+        elif t is Power and type(f.exponent) is not Const:
             opaque.append(f)
-        elif isinstance(f, Power):
+        elif t is Power:
             p = _norm_power(f.base, f.exponent)
-            if p != f:
-                todo.insert(0, p)
+            if p is not f:
+                todo.append(p)
             else:
                 bases[f.base] = bases.get(f.base, 0) + f.exponent.value
         else:
@@ -766,7 +795,7 @@ def _norm_product(factors: list) -> Expr:
         # exponentials combine: exp(a)^x * exp(b)^y = exp(x*a + y*b)
         exp_args = []
         for b in list(bases):
-            if isinstance(b, Func) and b.name == "exp":
+            if type(b) is Func and b.name == "exp":
                 x = bases.pop(b)
                 if x != 0:
                     exp_args.append(_norm_product([Const(x), b.arg]))
@@ -783,7 +812,7 @@ def _norm_product(factors: list) -> Expr:
                 continue
             p = b if x == 1 else _norm_power(b, Const(x))
             # merged exponents can fold (e.g. an expanded power of a sum)
-            if isinstance(p, (Const, Product, Quotient)):
+            if type(p) in (Const, Product, Quotient):
                 r = _norm_product(
                     [p, Const(coeff)]
                     + [bb if xx == 1 else Power(bb, Const(xx))
@@ -796,9 +825,9 @@ def _norm_product(factors: list) -> Expr:
     if r is None:
         built.extend(sorted(opaque, key=_sort_key))
         # bounded distribution over sums
-        sums = [b for b in built if isinstance(b, Sum)]
+        sums = [b for b in built if type(b) is Sum]
         if sums and math.prod(len(s.terms) for s in sums) <= _EXPAND_LIMIT:
-            rest = [b for b in built if not isinstance(b, Sum)]
+            rest = [b for b in built if type(b) is not Sum]
             combos = [[Const(coeff)]]  # the factor lists of the expansion's terms
             for s in sums:
                 parts = [_factor_list(t) for t in s.terms]
@@ -1307,7 +1336,7 @@ def _fold(e: Expr, kids: tuple):
             kids = (v,) + kids[lead:]
     if t is Power:
         # b**1.0 is b; a variable cannot raise, but a subtree base keeps
-        # (b)**0 for its errors
+        # (b)**0 for its errors until it is bound to a local (`_Fuser._source`)
         x = kids[1]
         if type(x) is float and x == 1.0:
             return kids[0]
@@ -1415,7 +1444,13 @@ class _Fuser:
             if k is None:
                 src = "_pow({},{})".format(*self.emit(kids))
             else:
-                src = f"({self.emit(kids[:1])[0]})**{k}"
+                base = self.emit(kids[:1])[0]
+                if k == 0 and type(kids[0]) is int and self.code[kids[0]] is not None:
+                    # the base's own line raises its errors, and b**0 is 1.0
+                    # for every float b
+                    self.code[i] = "1.0"
+                    return "1.0"
+                src = f"({base})**{k}"
         elif t is Quotient:
             src = "({}/{})".format(*self.emit(kids))
         else:

@@ -1184,7 +1184,11 @@ def test_only_structural_fields_hold_nodes(seed):
                 free_vars(x)
                 for cls in type(x).__mro__[1:]:
                     for slot in getattr(cls, "__slots__", ()):
-                        assert not _holds_a_node(getattr(x, slot, None)), slot
+                        value = getattr(x, slot, None)
+                        assert not _holds_a_node(value), slot
+                        # nor may a slot hold another type of the kernel,
+                        # which that counter would take for a node
+                        assert type(value).__module__ != expr_mod.__name__, slot
 
 
 # sha256 of the printed normal forms of 1,000 seeded random trees and of their

@@ -428,6 +428,21 @@ def test_a_stage_binds_no_copy_of_a_lone_operand():
     assert reason is None and traj.states.tobytes() == states.tobytes()
 
 
+@pytest.mark.parametrize("fname", ["example5.json", "example6.json", "example7.json"])
+def test_a_stage_reads_one_for_a_zeroth_power_of_a_bound_subtree(fname, monkeypatch):
+    # these stages held _t3=(_t2)**0 with _t2 bound on the line before: the
+    # base's own line raises its errors and b**0 is 1.0 for every float b, so
+    # the stage reads 1.0; test_flows_keep_their_recorded_bits pins the flows
+    sources = []
+    generated = numeric._generated
+    monkeypatch.setattr(numeric, "_generated",
+                        lambda lines, *a, **kw: sources.append(lines) or generated(lines, *a, **kw))
+    numeric._euler_lagrange_stage(_bundled(fname).lagrangian_system())
+    assert len(sources) == 1
+    source = "\n".join(sources[0])
+    assert "**2" in source and not re.search(r"\*\*0\b", source)
+
+
 @pytest.mark.parametrize("text, y0", [("y1^2", 2.0), ("y1^17", 2.0), ("exp(y1)", 2.0),
                                       ("log(y1)", 0.5)])
 def test_blowups_truncate_where_the_reference_does(text, y0):
