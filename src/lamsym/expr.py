@@ -145,10 +145,9 @@ _LOCK = threading.Lock()
 
 
 class _Ref(weakref.ref):
-    """The table's reference to a node, which carries the node's key.  It is
-    a node's `__weakref__`, so it names weakref as its module, as KeyedRef
-    does: a walker that takes every type of this module for a node, such as
-    perfbench's node counter, must not walk into the key's children."""
+    """The table's reference to a node, carrying its key.  It is the node's
+    `__weakref__`, so its module is weakref's, as KeyedRef's is: perfbench's
+    node counter takes each type of this module for a node."""
     __slots__ = ("key",)
     __module__ = weakref.__name__
 
