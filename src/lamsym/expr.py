@@ -14,9 +14,9 @@ sine or cosine, one handler that turns a division by zero or sin or cos
 of inf into EvalDomainError; a power or exp beyond the float range raises
 the OverflowError of `**` or `math.exp`.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
-scope normal forms, normalizer steps, derivatives and zero-test verdicts
-are remembered; `simplify` and `differentiate` open a scope of their own
-when none is open.
+scope normal forms, normalizer steps, derivatives, zero-test verdicts and
+sample point sets are remembered; `simplify` and `differentiate` open a
+scope of their own when none is open.
 
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
@@ -542,10 +542,13 @@ def simplify_memo():
     idempotent; each normalizer step (`_norm_sum`, `_norm_product`,
     `_norm_quotient`, `_norm_power`, `_norm_func`) and its operand nodes to
     its result; each normal term to its `_split_coeff` split; each pair
-    (tree, variable name) to the derivative; and each zero test's normal
-    form, ZeroTestConfig and box bounds to its verdict.  Every entry is a
-    pure function of interned nodes, so a hit is the very node or verdict
-    that recomputing would build.  The memo lives until the outermost scope
+    (tree, variable name) to the derivative; each zero test's normal form,
+    ZeroTestConfig and box bounds to its verdict; and each sample point
+    set to its variables, their intervals, seed and count, drawn once
+    however many zero tests read it.  `remembered` adds such an entry, as
+    `lagrangian.hessian_regularity` does for its result.  Every entry is a
+    pure function of its key, so a hit is the very node, verdict or point
+    set that recomputing would build.  The memo lives until the outermost scope
     exits, normally or by an exception; a nested scope shares the outer
     memo.  Each context (thread) has its own.
 
@@ -562,6 +565,17 @@ def simplify_memo():
         yield
     finally:
         _MEMO.reset(token)
+
+
+def remembered(key: tuple, compute: Callable, *args):
+    """`compute(*args)`, remembered under key in the open `simplify_memo()`
+    scope; outside a scope it is computed on every call.  key must name
+    compute and every input its result depends on."""
+    memo = _MEMO.get(_NO_MEMO)
+    r = memo.get(key)
+    if r is None:
+        r = memo[key] = compute(*args)
+    return r
 
 
 def simplify(e: Expr) -> Expr:
@@ -749,11 +763,56 @@ def _rational_exponent(e: Expr):
     return e, 1
 
 
+def _monomial_product(factors: list):
+    """The normal product of factors that are each a constant, a variable, a
+    function other than exp, or a constant power of one of those, made in
+    one pass: the constants multiplied into the coefficient and each base's
+    exponents added up.  None when a factor is of another kind, or when a
+    merged power does not stay a power (`2^(1/2)*2^(1/2)` is 2); then
+    `_norm_product` decomposes the factors."""
+    coeff = 1
+    bases: dict = {}   # base -> summed rational exponent
+    for f in factors:
+        t = type(f)
+        if t is Const:
+            coeff *= f.value
+            continue
+        b, x = f, 1
+        if t is Power and type(f.exponent) is Const:
+            b, x = f.base, f.exponent.value
+            t = type(b)
+            if t is Const and _norm_power(b, f.exponent) is not f:
+                return None
+        if not (t is Var or t is Const or t is Func and b.name != "exp"):
+            return None
+        bases[b] = bases.get(b, 0) + x
+    if coeff == 0:
+        return ZERO
+    built = []
+    for b in sorted(bases, key=_sort_key):
+        x = bases[b]
+        if x != 0:
+            p = b if x == 1 else _norm_power(b, Const(x))
+            if type(p) is Const or type(p) is Quotient:
+                return None
+            built.append(p)
+    if not built:
+        return Const(coeff)
+    return _join_coeff(coeff, built[0] if len(built) == 1 else Product(tuple(built)))
+
+
 def _norm_product(factors: list) -> Expr:
+    """The normal form of the product of the factors: the coefficient
+    first, then the bases in `_sort_key` order, each to its summed exponent,
+    exponentials combined into one, and sums distributed while the expansion
+    has at most _EXPAND_LIMIT terms; over a denominator when a factor is a
+    quotient.  A product of monomial factors is merged in one pass
+    (`_monomial_product`); any other is decomposed factor by factor."""
     memo, key = _MEMO.get(_NO_MEMO), (_norm_product, *factors)
     r = memo.get(key)
     if r is not None:
         return r
+    r = _monomial_product(factors)
     coeff = 1
     bases: dict = {}   # atomic base expr -> accumulated rational exponent
     opaque: list = []  # powers with non-constant exponents
@@ -761,8 +820,9 @@ def _norm_product(factors: list) -> Expr:
 
     # decompose every factor down to atoms (Var/Func/Sum/odd powers),
     # routing quotients to the denominator and signs/constants to coeff;
-    # the stack holds the factors still to visit, the next one on top
-    todo = factors[::-1]
+    # the stack holds the factors still to visit, the next one on top; a
+    # merged product leaves nothing to visit
+    todo = factors[::-1] if r is None else []
     while todo:
         f = todo.pop()
         t = type(f)
@@ -1304,13 +1364,25 @@ def _small_power(x) -> Optional[int]:
     return int(x) if type(x) is float and x.is_integer() and 0.0 <= x <= 16.0 else None
 
 
-def _fold(e: Expr, kids: tuple):
+def _raises_nothing(k, nodes: list) -> bool:
+    """Whether evaluating operand k cannot raise: it is a variable, a float
+    literal, or a sum or product of such operands (a float `+` or `*` gives
+    inf or nan where a power, quotient or function raises)."""
+    if type(k) is not int:
+        return True
+    e, kids = nodes[k]
+    return (type(e) is Sum or type(e) is Product) and all(
+        _raises_nothing(c, nodes) for c in kids)
+
+
+def _fold(e: Expr, kids: tuple, nodes: list):
     """`e`'s value when its operands are all float literals, computed by the
     generated code's float operations in its order, unless that raises or is
     not finite.  Else its operands: a leading run of literal terms or factors
     made one, without the IEEE identities x*1.0, x + -0.0, x**1.0, and
     x + 0.0 after a +0.0 term (a sum is -0.0 only when both operands are);
-    1.0 for a variable to a power that folds to 0.0, which is 1.0 for every
+    1.0 for a power that folds to 0.0 of a base that cannot raise
+    (`_raises_nothing` over the numbered nodes), which is 1.0 for every
     float, nan and inf included; the lone operand left of a sum or product
     or the base of a power to 1.0."""
     if float not in map(type, kids):
@@ -1334,12 +1406,12 @@ def _fold(e: Expr, kids: tuple):
                 return v
             kids = (v,) + kids[lead:]
     if t is Power:
-        # b**1.0 is b; a variable cannot raise, but a subtree base keeps
-        # (b)**0 for its errors until it is bound to a local (`_Fuser._source`)
+        # b**1.0 is b; a base that may raise keeps (b)**0 for its errors
+        # until it is bound to a local (`_Fuser._source`)
         x = kids[1]
         if type(x) is float and x == 1.0:
             return kids[0]
-        return 1.0 if type(kids[0]) is str and type(x) is float and x == 0.0 else kids
+        return 1.0 if type(x) is float and x == 0.0 and _raises_nothing(kids[0], nodes) else kids
     if t is Product:
         kids = tuple(k for k in kids if type(k) is not float or k != 1.0)
     elif t is Sum:
@@ -1392,7 +1464,7 @@ class _Fuser:
                     raise ValueError(f"constant of {len(str(abs(int(e.value))))} digits "
                                      "is beyond the float range") from None
             else:
-                r = _fold(e, tuple([operand(k) for k in _KIDS[t](e)]))
+                r = _fold(e, tuple([operand(k) for k in _KIDS[t](e)]), nodes)
                 if type(r) is tuple:
                     kids, r = r, len(nodes)
                     nodes.append((e, kids))
@@ -1408,6 +1480,7 @@ class _Fuser:
         for r in roots:
             if type(r) is int:
                 refs[r] += 1
+        del operand     # it holds itself through its cell: a cycle that keeps `nodes`
 
     def emit(self, kids) -> list:
         """The source of the operands kids, in order; the lines they need are
@@ -1467,7 +1540,7 @@ class _Fuser:
             return eval(f"lambda {args}: {result}", env)    # nothing for the handler
         body = "".join(f" {line}\n" for line in _guarded(self.lines + [f"return {result}"]))
         exec(f"def _f({args}):\n{body}", env)
-        return env["_f"]
+        return env.pop("_f")    # left in env, its own globals, it would be a cycle
 
 
 def _guarded(lines: list) -> list:
@@ -1518,13 +1591,13 @@ class DomainBox:
         return self.intervals.get(name, DEFAULT_INTERVAL)
 
     def points(self, names: Sequence[str], seed: int, count: int):
-        """`count` seeded points over `names`, one list per point: each
+        """`count` seeded points over `names`, one tuple per point: each
         coordinate is `random.Random(seed).uniform(lo, hi)` over its
         variable's interval, drawn in `names` order."""
         draw = random.Random(seed).random
         spans = [(lo, hi - lo) for lo, hi in map(self.interval, names)]
         for _ in range(count):
-            yield [lo + width * draw() for lo, width in spans]
+            yield tuple([lo + width * draw() for lo, width in spans])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -1614,8 +1687,10 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
 
     Inside a `simplify_memo()` scope a sampled verdict is remembered per
     normal form, `cfg` and the box bounds of its free variables; the same
-    residual sampled again in the scope gets that verdict object back.  A
-    SamplingError is raised afresh every time.
+    residual sampled again in the scope gets that verdict object back, and
+    the tests of one scope over the same variables, intervals, seed and
+    sample count share one point set.  A SamplingError is raised afresh
+    every time.
     """
     box = box or DomainBox()
     cfg = cfg or ZeroTestConfig()
@@ -1624,27 +1699,25 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
         return PROVEN_ZERO
 
     names = sorted(free_vars(z))
-    memo = _MEMO.get()
-    if memo is not None:
-        key = (ZeroVerdict, z, cfg, tuple(map(box.interval, names)))
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = _sampled_verdict(z, names, box, cfg)
-        return verdict
-    return _sampled_verdict(z, names, box, cfg)
+    return remembered((ZeroVerdict, z, cfg, tuple(map(box.interval, names))),
+                      _sampled_verdict, z, names, box, cfg)
 
 
 def _sampled_verdict(z: Expr, names: list, box: DomainBox,
                      cfg: ZeroTestConfig) -> ZeroVerdict:
     terms = list(z.terms) if isinstance(z, Sum) else [z]
     fn = compile_exprs(terms, names)
+    # one point set per variables, intervals, seed and count in the scope
+    points = remembered((DomainBox.points, tuple(names), tuple(map(box.interval, names)),
+                         cfg.seed, cfg.samples),
+                        lambda: tuple(box.points(names, cfg.seed, cfg.samples)))
 
     worst = -1.0
     worst_point = None
     evaluated = 0
     domain = overflow = nonfinite = 0   # rejected samples, by cause
     domain_at = None
-    for point in box.points(names, cfg.seed, cfg.samples):
+    for point in points:
         try:
             vals = fn(*point)
             resid = abs(math.fsum(vals)) / (1.0 + max(map(abs, vals)))
@@ -1664,7 +1737,7 @@ def _sampled_verdict(z: Expr, names: list, box: DomainBox,
         evaluated += 1
         if resid > worst:
             worst = resid
-            worst_point = dict(zip(names, point))
+            worst_point = point
 
     failures = domain + overflow + nonfinite
     if failures > 0.9 * cfg.samples:
@@ -1683,4 +1756,4 @@ def _sampled_verdict(z: Expr, names: list, box: DomainBox,
         return ZeroVerdict("NumericallyZero", samples=evaluated, rejected=failures,
                            max_residual=worst)
     return ZeroVerdict("NonZero", samples=evaluated, rejected=failures, max_residual=worst,
-                       witness=worst_point, witness_residual=worst)
+                       witness=dict(zip(names, worst_point)), witness_residual=worst)

@@ -33,6 +33,7 @@ from .expr import (
     is_identically_zero,
     mul,
     neg,
+    remembered,
     simplify,
     substitute,
 )
@@ -108,10 +109,16 @@ def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None):
     """Numerically check invertibility of the velocity Hessian on the box at
     HESSIAN_SAMPLES seeded points.
 
-    Returns (regular, smallest |det| seen).
+    Returns (regular, smallest |det| seen), remembered in the open
+    `simplify_memo()` scope per L, n and the box intervals of its variables.
     """
     box = box or DomainBox()
     names = (lag.t,) + lag.q + lag.dq
+    return remembered((hessian_regularity, lag.lagrangian, lag.n, tuple(map(box.interval, names))),
+                      _sampled_hessian_regularity, lag, box, names)
+
+
+def _sampled_hessian_regularity(lag: LagrangianSystem, box: DomainBox, names: tuple):
     entries = compile_exprs(lag.velocity_hessian(), names)
     worst = float("inf")
     for point in box.points(names, 0, HESSIAN_SAMPLES):

@@ -100,7 +100,7 @@ def _generated(lines: list, name: str, **env) -> Callable:
                                    "OverflowError": OverflowError},
            "_isfinite": math.isfinite, "_inf": math.inf}
     exec("\n".join(lines) + "\n", env)
-    return env[name]
+    return env.pop(name)    # left in env, its own globals, it would be a cycle
 
 
 _LOOPS: dict = {}   # state size -> generated RK4 loop

@@ -51,7 +51,7 @@ from lamsym import runner
 from lamsym.problem import load_problem
 from fractions import Fraction
 
-from gen import in_order, random_tree, well_conditioned
+from gen import in_order, random_const, random_tree, well_conditioned
 
 
 def F(n, d=1):
@@ -741,12 +741,36 @@ def test_a_variable_to_a_power_that_folds_to_zero_is_left_out():
     with pytest.raises(EvalDomainError, match="log"):
         compile_expr(guarded, names)(-1.0, 2.0)
     assert compile_expr(parse("x^(y+1)"), names)(2.0, 2.0) == 8.0
+    # a base of +, * and variables cannot raise either, and its parents fold
+    # over the 1.0; a base with a power in it may overflow and keeps (b)**0
+    fuser = expr_mod._Fuser((parse("((x+y)*x)^(1+-1)*2+3"),), names)
+    assert fuser.emit(fuser.roots) == ["5.0"] and not fuser.lines
+    overflowing = parse("(x^2+y)^(1+-1)*y")
+    fuser = expr_mod._Fuser((overflowing,), names)
+    assert "**0" in "".join(fuser.emit(fuser.roots))
+    with pytest.raises(OverflowError):
+        compile_expr(overflowing, names)(1e200, 2.0)
 
 
 def test_fused_evaluator_binds_a_shared_subtree_once():
     fn = compile_exprs([parse("exp(x*y)+1"), parse("2*exp(x*y)")], ("x", "y"))
     assert fn(0.5, 2.0) == (math.exp(1.0) + 1, 2 * math.exp(1.0))
     assert sum(v.startswith("_t") for v in fn.__code__.co_varnames) == 1
+
+
+def test_compiling_leaves_no_reference_cycle():
+    # neither the fuser's recursive operand walk nor the function it defines
+    # is left in a cycle that only the collector could free
+    shared = parse("exp(x*y)")
+    trees = [shared * parse("x+y") + 1 / shared, parse("(x+y)^2") * shared]
+    gc.collect()
+    gc.disable()
+    try:
+        compile_exprs(trees, ("x", "y"))(0.5, 2.0)
+        compile_expr(trees[0], ("x", "y"))(0.5, 2.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fused_evaluator_raises_the_first_error_in_tree_order():
@@ -1099,6 +1123,70 @@ def test_example6_full_order_normalizer_and_sampling_work_is_bounded(monkeypatch
     assert sum(steps.values()) <= 1000   # 915 with the step memo
     assert steps["_norm_power"] <= 40     # 29; 367 without it
     assert sampled_count <= 20            # 17
+
+
+def test_merged_monomial_products_equal_the_decomposed_ones(monkeypatch):
+    # a product of constants, variables, functions other than exp and
+    # constant powers of those is merged in one pass; with the merge off,
+    # every product is decomposed factor by factor, to the very same node.
+    # Factors: normal forms of random trees, the factors of those that are
+    # products, and powers of constants such as 2^(1/2), whose merged
+    # exponents can fold
+    rng = random.Random(2027)
+    pool = []
+    for _ in range(300):
+        n = simplify(random_tree(rng, 3, ["x", "y", "z"]))
+        pool += n.factors if type(n) is Product else [n]
+    pool += [simplify(Power(random_const(rng), Const(Fraction(rng.randint(1, 3), rng.randint(2, 3)))))
+             for _ in range(40)]
+    atoms = [f for f in pool if type(f) not in (Sum, Quotient)]
+    products = [[rng.choice(atoms if rng.random() < 0.8 else pool)
+                 for _ in range(rng.randint(2, 5))] for _ in range(2000)]
+    # 4^(100001/2), which the cancellation in x*3^(1/2)*4^(1/3)/4^(-300001/6)
+    # builds, is not normal: it is 2^100001, which sorts before 3^(1/2)
+    products.append([Var("x"), simplify(parse("3^(1/2)")), Power(Const(4), Const(F(100001, 2)))])
+    with simplify_memo():
+        merged = [expr_mod._norm_product(f) for f in products]
+        taken = sum(expr_mod._monomial_product(f) is not None for f in products)
+    monkeypatch.setattr(expr_mod, "_monomial_product", lambda factors: None)
+    with simplify_memo():
+        decomposed = [expr_mod._norm_product(f) for f in products]
+    assert taken > 500
+    assert [f for f, a, b in zip(products, merged, decomposed) if a is not b] == []
+
+
+@pytest.mark.parametrize("number", range(1, 8))
+def test_a_full_order_run_draws_each_point_set_once_and_samples_as_outside_a_scope(
+        number, monkeypatch):
+    # the zero tests of one run read their points from the scope: one draw per
+    # variables, intervals, seed and count, and every sampled verdict (or
+    # sampling error) is the one the same residual gets outside any scope
+    problem = load_problem(str(Path(runner.__file__).parent / "problems" / f"example{number}.json"))
+    draws, sampled = [], []
+    points, sample = DomainBox.points, expr_mod._sampled_verdict
+
+    def drawn(box, names, seed, count):
+        draws.append((tuple(names), tuple(map(box.interval, names)), seed, count))
+        return points(box, names, seed, count)
+
+    def verdict_or_error(*args):
+        try:
+            return sample(*args)
+        except SamplingError as err:
+            return str(err)
+
+    def recorded(*args):
+        sampled.append((args, verdict_or_error(*args)))
+        return sample(*args) if type(sampled[-1][1]) is str else sampled[-1][1]
+
+    monkeypatch.setattr(DomainBox, "points", drawn)
+    monkeypatch.setattr(expr_mod, "_sampled_verdict", recorded)
+    runner.run_checks(problem)
+    monkeypatch.undo()
+    assert draws and len(draws) == len(set(draws))
+    assert sampled and expr_mod._MEMO.get() is None
+    for args, outcome in sampled:
+        assert verdict_or_error(*args) == outcome
 
 
 # sha256 of the printed normal forms that `simplify` produced in full-order

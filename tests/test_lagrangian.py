@@ -35,6 +35,7 @@ from lamsym.lagrangian import (
     verify_legendre,
 )
 from lamsym.mechanics import PhaseSystem, canonical_equations, hamiltonian_vector_field
+from lamsym import lagrangian, runner
 from lamsym.problem import load_problem
 from fractions import Fraction
 from gen import in_order
@@ -220,6 +221,23 @@ def test_hessian_regularity_samples_the_same_points(number, smallest):
         problem = load_problem(str(p))
     regular, worst = hessian_regularity(problem.lagrangian_system(), problem.box)
     assert regular and worst.hex() == smallest
+
+
+def test_a_full_order_run_samples_the_hessian_once(monkeypatch):
+    # leg and gl both require a regular Hessian; a run's scope samples it once
+    # per system, and leg prints the smallest |det| of that sampling
+    path = resources.files("lamsym").joinpath("problems", "example6.json")
+    with resources.as_file(path) as p:
+        problem = load_problem(str(p))
+    calls = []
+    sample = lagrangian._sampled_hessian_regularity
+    monkeypatch.setattr(lagrangian, "_sampled_hessian_regularity",
+                        lambda *args: calls.append(args) or sample(*args))
+    report = runner.run_checks(problem)
+    assert len(calls) == 1
+    leg = next(r for r in report.checks if r.name == "leg")
+    smallest = float.fromhex("0x1.292c82a812cfdp-1")   # pinned above
+    assert leg.detail.endswith(f"min |Hessian det| sampled: {smallest:.3e}")
 
 
 @pytest.mark.parametrize("number", [5, 6, 7])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -416,12 +417,15 @@ def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
 def test_a_stage_binds_no_copy_of_a_lone_operand():
     # the derivatives of (dq1+dq2)^2/2 hold sums and products that fold down
     # to one operand (x + -0.0, x*1.0); the stage reads that operand where
-    # it used to bind a copy of it, _t4=(_t1) and _t5=(_v1)
+    # it used to bind a copy of it, _t4=(_t1) and _t5=(_v1); and it reads 1.0
+    # for (dq1+dq2)**0, whose base cannot raise, where it used to bind
+    # _t1=((_v3+_v4))**0 and the sums over _t1 that now fold
     text = "(dq1+dq2)^2/2 + dq2^2/2 + 1/q1 + q1*dq1*dq2"
     lag = LagrangianSystem(2, parse(text))
     fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
     fuser.emit(fuser.roots)
-    assert len(fuser.lines) == 8
+    assert len(fuser.lines) == 5
+    assert not [line for line in fuser.lines if "**0" in line]
     assert not [line for line in fuser.lines if re.fullmatch(r"_t\d+=\(_[tv]\d+\)", line)]
     lag, q0, dq0, traj = _hand_written_flow(2, text)
     states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
@@ -853,6 +857,22 @@ def test_nothing_is_generated_at_import():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+
+def test_generated_functions_leave_no_reference_cycle():
+    # a generated loop or stage is taken out of the namespace it was executed
+    # in, which is its own globals, so no cycle is left for the collector
+    lag = LagrangianSystem(2, parse("(dq1+dq2)^2/2 + dq2^2/2 + 1/q1 + q1*dq1*dq2"))
+    numeric._LOOPS.pop(9, None)
+    gc.collect()
+    gc.disable()
+    try:
+        numeric._euler_lagrange_stage(lag)
+        numeric._loop(9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- csv reference
