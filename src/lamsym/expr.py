@@ -769,7 +769,9 @@ def _monomial_product(factors: list):
     one pass: the constants multiplied into the coefficient and each base's
     exponents added up.  None when a factor is of another kind, or when a
     merged power does not stay a power (`2^(1/2)*2^(1/2)` is 2); then
-    `_norm_product` decomposes the factors."""
+    `_norm_product` decomposes the factors.  No rule applies to a power of
+    a variable or a function other than exp, so only a constant base goes
+    through `_norm_power`."""
     coeff = 1
     bases: dict = {}   # base -> summed rational exponent
     for f in factors:
@@ -789,16 +791,22 @@ def _monomial_product(factors: list):
     if coeff == 0:
         return ZERO
     built = []
-    for b in sorted(bases, key=_sort_key):
+    for b in sorted(bases, key=_sort_key) if len(bases) > 1 else bases:
         x = bases[b]
-        if x != 0:
-            p = b if x == 1 else _norm_power(b, Const(x))
-            if type(p) is Const or type(p) is Quotient:
+        if x == 0:
+            continue
+        if type(b) is Const:
+            p = _norm_power(b, Const(x))
+            if type(p) is not Power:
                 return None
-            built.append(p)
+        else:
+            p = b if x == 1 else Power(b, Const(x))
+        built.append(p)
     if not built:
         return Const(coeff)
-    return _join_coeff(coeff, built[0] if len(built) == 1 else Product(tuple(built)))
+    if coeff != 1:
+        return Product((Const(coeff), *built))
+    return built[0] if len(built) == 1 else Product(tuple(built))
 
 
 def _norm_product(factors: list) -> Expr:
