@@ -767,9 +767,10 @@ def _monomial_product(factors: list):
     """The normal product of factors that are each a constant, a variable, a
     function other than exp, or a constant power of one of those, made in
     one pass: the constants multiplied into the coefficient and each base's
-    exponents added up.  None when a factor is of another kind, or when a
-    merged power does not stay a power (`2^(1/2)*2^(1/2)` is 2); then
-    `_norm_product` decomposes the factors.  No rule applies to a power of
+    exponents added up.  None when a factor is of another kind or is a
+    power of a constant that is not normal, or when a merged power does not
+    stay a power (`2^(1/2)*2^(1/2)` is 2); then `_norm_product` decomposes
+    the factors.  No rule applies to a power of
     a variable or a function other than exp, so only a constant base goes
     through `_norm_power`."""
     coeff = 1

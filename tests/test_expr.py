@@ -1176,8 +1176,13 @@ def test_a_full_order_run_draws_each_point_set_once_and_samples_as_outside_a_sco
             return str(err)
 
     def recorded(*args):
-        sampled.append((args, verdict_or_error(*args)))
-        return sample(*args) if type(sampled[-1][1]) is str else sampled[-1][1]
+        try:
+            verdict = sample(*args)
+        except SamplingError as err:
+            sampled.append((args, str(err)))
+            raise
+        sampled.append((args, verdict))
+        return verdict
 
     monkeypatch.setattr(DomainBox, "points", drawn)
     monkeypatch.setattr(expr_mod, "_sampled_verdict", recorded)

@@ -859,7 +859,6 @@ def test_nothing_is_generated_at_import():
     assert proc.stdout.split() == ["0"]
 
 
-
 def test_generated_functions_leave_no_reference_cycle():
     # a generated loop or stage is taken out of the namespace it was executed
     # in, which is its own globals, so no cycle is left for the collector
