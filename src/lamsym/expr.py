@@ -763,65 +763,16 @@ def _rational_exponent(e: Expr):
     return e, 1
 
 
-def _monomial_product(factors: list):
-    """The normal product of factors that are each a constant, a variable, a
-    function other than exp, or a constant power of one of those, made in
-    one pass: the constants multiplied into the coefficient and each base's
-    exponents added up.  None when a factor is of another kind or is a
-    power of a constant that is not normal, or when a merged power does not
-    stay a power (`2^(1/2)*2^(1/2)` is 2); then `_norm_product` decomposes
-    the factors.  No rule applies to a power of
-    a variable or a function other than exp, so only a constant base goes
-    through `_norm_power`."""
-    coeff = 1
-    bases: dict = {}   # base -> summed rational exponent
-    for f in factors:
-        t = type(f)
-        if t is Const:
-            coeff *= f.value
-            continue
-        b, x = f, 1
-        if t is Power and type(f.exponent) is Const:
-            b, x = f.base, f.exponent.value
-            t = type(b)
-            if t is Const and _norm_power(b, f.exponent) is not f:
-                return None
-        if not (t is Var or t is Const or t is Func and b.name != "exp"):
-            return None
-        bases[b] = bases.get(b, 0) + x
-    if coeff == 0:
-        return ZERO
-    built = []
-    for b in sorted(bases, key=_sort_key) if len(bases) > 1 else bases:
-        x = bases[b]
-        if x == 0:
-            continue
-        if type(b) is Const:
-            p = _norm_power(b, Const(x))
-            if type(p) is not Power:
-                return None
-        else:
-            p = b if x == 1 else Power(b, Const(x))
-        built.append(p)
-    if not built:
-        return Const(coeff)
-    if coeff != 1:
-        return Product((Const(coeff), *built))
-    return built[0] if len(built) == 1 else Product(tuple(built))
-
-
 def _norm_product(factors: list) -> Expr:
     """The normal form of the product of the factors: the coefficient
     first, then the bases in `_sort_key` order, each to its summed exponent,
     exponentials combined into one, and sums distributed while the expansion
     has at most _EXPAND_LIMIT terms; over a denominator when a factor is a
-    quotient.  A product of monomial factors is merged in one pass
-    (`_monomial_product`); any other is decomposed factor by factor."""
+    quotient."""
     memo, key = _MEMO.get(_NO_MEMO), (_norm_product, *factors)
     r = memo.get(key)
     if r is not None:
         return r
-    r = _monomial_product(factors)
     coeff = 1
     bases: dict = {}   # atomic base expr -> accumulated rational exponent
     opaque: list = []  # powers with non-constant exponents
@@ -829,9 +780,8 @@ def _norm_product(factors: list) -> Expr:
 
     # decompose every factor down to atoms (Var/Func/Sum/odd powers),
     # routing quotients to the denominator and signs/constants to coeff;
-    # the stack holds the factors still to visit, the next one on top; a
-    # merged product leaves nothing to visit
-    todo = factors[::-1] if r is None else []
+    # the stack holds the factors still to visit, the next one on top
+    todo = factors[::-1]
     while todo:
         f = todo.pop()
         t = type(f)

@@ -51,7 +51,7 @@ from lamsym import runner
 from lamsym.problem import load_problem
 from fractions import Fraction
 
-from gen import in_order, random_const, random_tree, well_conditioned
+from gen import in_order, random_tree, well_conditioned
 
 
 def F(n, d=1):
@@ -1123,36 +1123,6 @@ def test_example6_full_order_normalizer_and_sampling_work_is_bounded(monkeypatch
     assert sum(steps.values()) <= 1000   # 915 with the step memo
     assert steps["_norm_power"] <= 40     # 29; 367 without it
     assert sampled_count <= 20            # 17
-
-
-def test_merged_monomial_products_equal_the_decomposed_ones(monkeypatch):
-    # a product of constants, variables, functions other than exp and
-    # constant powers of those is merged in one pass; with the merge off,
-    # every product is decomposed factor by factor, to the very same node.
-    # Factors: normal forms of random trees, the factors of those that are
-    # products, and powers of constants such as 2^(1/2), whose merged
-    # exponents can fold
-    rng = random.Random(2027)
-    pool = []
-    for _ in range(300):
-        n = simplify(random_tree(rng, 3, ["x", "y", "z"]))
-        pool += n.factors if type(n) is Product else [n]
-    pool += [simplify(Power(random_const(rng), Const(Fraction(rng.randint(1, 3), rng.randint(2, 3)))))
-             for _ in range(40)]
-    atoms = [f for f in pool if type(f) not in (Sum, Quotient)]
-    products = [[rng.choice(atoms if rng.random() < 0.8 else pool)
-                 for _ in range(rng.randint(2, 5))] for _ in range(2000)]
-    # 4^(100001/2), which the cancellation in x*3^(1/2)*4^(1/3)/4^(-300001/6)
-    # builds, is not normal: it is 2^100001, which sorts before 3^(1/2)
-    products.append([Var("x"), simplify(parse("3^(1/2)")), Power(Const(4), Const(F(100001, 2)))])
-    with simplify_memo():
-        merged = [expr_mod._norm_product(f) for f in products]
-        taken = sum(expr_mod._monomial_product(f) is not None for f in products)
-    monkeypatch.setattr(expr_mod, "_monomial_product", lambda factors: None)
-    with simplify_memo():
-        decomposed = [expr_mod._norm_product(f) for f in products]
-    assert taken > 500
-    assert [f for f, a, b in zip(products, merged, decomposed) if a is not b] == []
 
 
 @pytest.mark.parametrize("number", range(1, 8))
