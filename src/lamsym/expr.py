@@ -16,7 +16,8 @@ the OverflowError of `**` or `math.exp`.  A negation is a rational
 coefficient: `-x` is the product `-1*x`.  Inside a `simplify_memo()`
 scope normal forms, normalizer steps, derivatives, zero-test verdicts and
 sample point sets are remembered; `simplify` and `differentiate` open a
-scope of their own when none is open.
+scope of their own when none is open.  Generated code is kept per tree
+for as long as the tree lives (`generated`), in and out of any scope.
 
 Zero testing is two-tier: `simplify` normalizes (constant folding,
 like-term collection, bounded expansion) and an expression is *proven*
@@ -575,6 +576,25 @@ def remembered(key: tuple, compute: Callable, *args):
     r = memo.get(key)
     if r is None:
         r = memo[key] = compute(*args)
+    return r
+
+
+# tree -> {key: generated code}; an entry goes when its tree dies
+_GENERATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def generated(owner: Expr, key: tuple, build: Callable, *args):
+    """`build(*args)`, kept for as long as the tree owner lives, in and out of
+    any scope: nodes are interned, so the same tree built again in a later
+    call is the same owner, and its code is built once.  key must name build
+    and every input besides owner, and the result must not refer to owner,
+    or the entry would keep its own tree alive."""
+    kept = _GENERATED.get(owner)
+    if kept is None:
+        kept = _GENERATED[owner] = {}
+    r = kept.get(key)
+    if r is None:
+        r = kept[key] = build(*args)
     return r
 
 
@@ -1385,13 +1405,15 @@ def _fold(e: Expr, kids: tuple, nodes: list):
 class _Fuser:
     """Python source for several expressions evaluated in one scope.
 
-    Every distinct node, and so every distinct subtree, gets one number; a
-    node referenced more than once is bound to a local (`_tN`) the first
-    time it is needed and read back afterwards (common-subexpression
-    elimination).  Binding keeps the evaluation order of the trees: when an
-    operand binds locals, the operands to its left are bound before them,
-    so the first error raised is the one that evaluating each tree in turn
-    would raise.  Leaves and constant-only parts (`_fold`) are not numbered:
+    Every distinct computation gets one number: nodes are numbered by their
+    type, their function name and their operands' source text (a float
+    literal by its repr, as 0.0 == -0.0), so two distinct nodes whose
+    operands fold to the same source share one.  A number referenced more
+    than once is bound to a local (`_tN`) the first time it is needed and
+    read back afterwards (common-subexpression elimination).  Binding keeps
+    the evaluation order of the trees: when an operand binds locals, the
+    operands to its left are bound before them, so the first error raised
+    is the one that evaluating each tree in turn would raise.  Leaves and constant-only parts (`_fold`) are not numbered:
     an operand is a variable's source text, a float literal or a node number.
     `emit` gives the roots' source, all at once or a slice at a time.
     """
@@ -1405,6 +1427,7 @@ class _Fuser:
         self.lines: list = []
         nodes, code, refs = self.nodes, self.code, self.refs
         seen: dict = {}             # id(node) -> operand
+        numbered: dict = {}         # (type, name, operands' source) -> node number
 
         def operand(e: Expr):
             r = seen.get(id(e))
@@ -1425,13 +1448,18 @@ class _Fuser:
             else:
                 r = _fold(e, tuple([operand(k) for k in _KIDS[t](e)]), nodes)
                 if type(r) is tuple:
-                    kids, r = r, len(nodes)
-                    nodes.append((e, kids))
-                    code.append(None)
-                    refs.append(0)
-                    for k in kids:
-                        if type(k) is int:
-                            refs[k] += 1
+                    kids = r
+                    key = (t, e.name if t is Func else None,
+                           tuple([repr(k) if type(k) is float else k for k in kids]))
+                    r = numbered.get(key)
+                    if r is None:
+                        r = numbered[key] = len(nodes)
+                        nodes.append((e, kids))
+                        code.append(None)
+                        refs.append(0)
+                        for k in kids:
+                            if type(k) is int:
+                                refs[k] += 1
             seen[id(e)] = r
             return r
 
@@ -1522,7 +1550,13 @@ def compile_exprs(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., 
 
 def compile_expr(e: Expr, names: Sequence[str]) -> Callable[..., float]:
     """Compile to a positional-argument float function over `names`; the
-    single-expression case of `compile_exprs`."""
+    single-expression case of `compile_exprs`, `generated` once per tree
+    and names."""
+    names = tuple(names)
+    return generated(e, ("expr", names), _compile_one, e, names)
+
+
+def _compile_one(e: Expr, names: tuple) -> Callable[..., float]:
     fuser = _Fuser((e,), names)
     return fuser.define(fuser.emit(fuser.roots)[0])
 
@@ -1665,7 +1699,7 @@ def is_identically_zero(e: Expr, box: Optional[DomainBox] = None,
 def _sampled_verdict(z: Expr, names: list, box: DomainBox,
                      cfg: ZeroTestConfig) -> ZeroVerdict:
     terms = list(z.terms) if isinstance(z, Sum) else [z]
-    fn = compile_exprs(terms, names)
+    fn = generated(z, ("terms", tuple(names)), compile_exprs, terms, names)
     # one point set per variables, intervals, seed and count in the scope
     points = remembered((DomainBox.points, tuple(names), tuple(map(box.interval, names)),
                          cfg.seed, cfg.samples),

@@ -12,7 +12,7 @@ of zero verdicts is an `expr.Verdicts` with its payload fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .expr import (
     differentiate,
     div,
     free_vars,
+    generated,
     is_identically_zero,
     mul,
     neg,
@@ -58,7 +59,6 @@ class LagrangianSystem(Coordinates):
         extra = free_vars(self.lagrangian) - set(self.q) - set(self.dq) - {self.t}
         if extra:
             raise ValueError(f"lagrangian contains unknown variables: {sorted(extra)}")
-        self._flow: Optional[Callable] = None     # numeric._euler_lagrange_stage of this system
 
     def __repr__(self):
         return f"LagrangianSystem(n={self.n}, L={self.lagrangian})"
@@ -119,7 +119,8 @@ def hessian_regularity(lag: LagrangianSystem, box: Optional[DomainBox] = None):
 
 
 def _sampled_hessian_regularity(lag: LagrangianSystem, box: DomainBox, names: tuple):
-    entries = compile_exprs(lag.velocity_hessian(), names)
+    entries = generated(lag.lagrangian, ("hessian", lag.n),
+                        lambda: compile_exprs(lag.velocity_hessian(), names))
     worst = float("inf")
     for point in box.points(names, 0, HESSIAN_SAMPLES):
         m = np.array(entries(*point)).reshape(lag.n, lag.n)

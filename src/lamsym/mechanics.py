@@ -11,7 +11,7 @@ are formatted; every other module reads them there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .expr import (
     Expr,
@@ -53,7 +53,6 @@ class PhaseSystem(Coordinates):
         if extra:
             raise ValueError(f"hamiltonian contains unknown variables: {sorted(extra)}")
         self._rhs: Optional[tuple] = None
-        self._flow: Optional[Callable] = None     # compiled by numeric.integrate_hamiltonian
 
     def __repr__(self):
         return f"PhaseSystem(n={self.n}, H={self.hamiltonian})"

@@ -188,14 +188,16 @@ def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
 
 def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,
                           t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP) -> Trajectory:
-    """Integrate the canonical equations from u0 = (q..., p...); they are
-    compiled once per system and remembered on it."""
+    """Integrate the canonical equations from u0 = (q..., p...).  They are
+    derived and compiled once per H and n, and the code is kept while H lives
+    (`expr.generated`), so another system over the same H, from another
+    initial condition, neither derives nor compiles again."""
     from .mechanics import canonical_equations
     if len(u0) != 2 * sys.n:
         raise ValueError(f"initial state needs {2*sys.n} components")
-    if sys._flow is None:
-        sys._flow = compile_exprs(canonical_equations(sys), ("t",) + sys.u)
-    return Trajectory(sys.u, t0, h, *_rk4_loop(sys._flow, u0, t0, t1, h))
+    flow = expr.generated(sys.hamiltonian, ("flow", sys.n),
+                          lambda: compile_exprs(canonical_equations(sys), ("t",) + sys.u))
+    return Trajectory(sys.u, t0, h, *_rk4_loop(flow, u0, t0, t1, h))
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -312,9 +314,8 @@ def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
 
 
 def _euler_lagrange_stage(lag) -> Callable:
-    """bind(solve, limit, buf, square, right) for the system lag, generated
-    once per system; it returns the flow's Euler-Lagrange vector field
-    rhs(t, q..., dq...).
+    """bind(solve, limit, buf, square, right) for the system lag; it returns
+    the flow's Euler-Lagrange vector field rhs(t, q..., dq...).
 
     rhs evaluates M, tests its condition number against limit, and only then
     evaluates the right-hand side b (`_euler_lagrange_system`), so a singular
@@ -393,30 +394,29 @@ def integrate_euler_lagrange(lag, q0: Sequence[float], dq0: Sequence[float],
 
     At every stage the accelerations solve the linear system
     M(t,q,dq) ddq = dL/dq - d2L/dtddq - (d2L/dqddq) dq with M the velocity
-    Hessian, in one call of the stage generated once per system and
-    remembered on it (`_euler_lagrange_stage`), bound per flow to the solve
-    kernel, to one bytearray for M and the right-hand side and to
-    HESSIAN_CONDITION_LIMIT as they are when the flow starts.  It aborts
-    when the condition number of M exceeds the limit: for n <= 3 the exact
-    1-norm one, for larger n the 2-norm one, bitwise what np.linalg.cond
-    returns.  M is tested before the right-hand side is evaluated, so a
-    singular M outranks a domain error there.  The states are bitwise
-    those np.linalg.solve gives.  The floating-point error state that
-    np.linalg.solve and np.linalg.svd would enter and leave on every stage
-    is held once around the whole trajectory; a singular matrix or an SVD
-    that does not converge still raises LinAlgError.
+    Hessian, in one call of the stage (`_euler_lagrange_stage`).  The stage
+    is generated once per L and n and kept while L lives (`expr.generated`),
+    so another system over the same L neither derives nor compiles again;
+    each flow binds it to the solve kernel, to one bytearray of its own for
+    M and the right-hand side and to HESSIAN_CONDITION_LIMIT as they are
+    when the flow starts.  It aborts when the condition number of M exceeds
+    the limit: for n <= 3 the exact 1-norm one, for larger n the 2-norm one,
+    bitwise what np.linalg.cond returns.  M is tested before the right-hand
+    side is evaluated, so a singular M outranks a domain error there.  The
+    states are bitwise those np.linalg.solve gives.  The floating-point
+    error state that np.linalg.solve and np.linalg.svd would enter and leave
+    on every stage is held once around the whole trajectory; a singular
+    matrix or an SVD that does not converge still raises LinAlgError.
     """
     n = lag.n
     if len(q0) != n or len(dq0) != n:
         raise ValueError(f"initial state needs {n} positions and {n} velocities")
     names = lag.q + lag.dq
-    if lag._flow is None:
-        lag._flow = _euler_lagrange_stage(lag)
+    bind = expr.generated(lag.lagrangian, ("stage", n), _euler_lagrange_stage, lag)
     nn = n * n
     buf = bytearray(8 * (nn + n))   # M and the right-hand side of the current stage
     shared = np.frombuffer(buf)
-    rhs = lag._flow(_solve, HESSIAN_CONDITION_LIMIT, buf, shared[:nn].reshape(n, n),
-                    shared[nn:])
+    rhs = bind(_solve, HESSIAN_CONDITION_LIMIT, buf, shared[:nn].reshape(n, n), shared[nn:])
     with _solve_errstate():
         return Trajectory(names, t0, h, *_rk4_loop(rhs, list(q0) + list(dq0), t0, t1, h))
 
@@ -471,16 +471,16 @@ def monitor(traj: Trajectory, exprs: Sequence[Expr],
             for i, e in enumerate(exprs)]
 
 
-def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr | Callable, g0: float) -> float:
+def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float) -> float:
     """Integrate dG/dt = gamma(t, G) on the series' grid and return the
-    maximum absolute deviation from the monitored values; gamma is an
-    expression or its `compile_exprs` over ("t", "G"), compiled once by a
-    caller that compares several series with one law."""
+    maximum absolute deviation from the monitored values; gamma is compiled
+    once per tree and kept while it lives (`expr.generated`), so comparing
+    several series with one law compiles it once."""
     n_steps = len(series.values) - 1
     if n_steps < 1:
         raise ValueError("series too short to compare")
     h = series.h
-    law = compile_exprs([gamma], ("t", "G")) if isinstance(gamma, Expr) else gamma
+    law = expr.generated(gamma, ("law", ("t", "G")), compile_exprs, [gamma], ("t", "G"))
     states, reason = _rk4_loop(law, [g0], series.t0, series.t0 + n_steps * h, h)
     if reason is not None:
         raise IntegrationError(f"scalar law integration failed: {reason}")

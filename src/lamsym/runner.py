@@ -263,7 +263,6 @@ def _check_mon(ctx: _Context):
     worst = 0.0
     notes = []
     names = ("t",) + ctx.sys.u
-    gamma_fn = g_fn = law = None    # compiled after the first flow, so errors keep their order
     if problem.kind == "lagrangian":
         # file rows are (q..., dq...); map to phase space via momenta
         lag = ctx.lag
@@ -274,17 +273,14 @@ def _check_mon(ctx: _Context):
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
         traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
         if big_gamma is not None:
-            gamma_fn = gamma_fn or compile_expr(big_gamma, names)
-            values = numeric.values_along(traj, gamma_fn, "monitor Gamma")
+            values = numeric.values_along(traj, compile_expr(big_gamma, names), "monitor Gamma")
             drift = float(np.max(np.abs(values - values[0])))
             worst = max(worst, drift)
             notes.append(f"drift {drift:.3e}")
         if gamma_law is not None and ctx.g is not None:
-            g_fn = g_fn or compile_expr(ctx.g, names)
-            values = numeric.values_along(traj, g_fn, "monitor G")
+            values = numeric.values_along(traj, compile_expr(ctx.g, names), "monitor G")
             series = numeric.MonitorSeries("G", traj.t0, traj.h, values)
-            law = law or compile_exprs([gamma_law], ("t", "G"))
-            dev = numeric.compare_with_scalar_ode(series, law, float(values[0]))
+            dev = numeric.compare_with_scalar_ode(series, gamma_law, float(values[0]))
             worst = max(worst, dev)
             notes.append(f"scalar-law deviation {dev:.3e}")
     verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"

@@ -93,3 +93,47 @@ def test_the_guard_flags_a_formatted_coordinate_name(tmp_path):
                       'c = f"step {k}"\nd = f"{p}{i}"\ne = f"loop{k}"\nf = f"x {p}"\n'
                       'g = f"{x}: p{a+1} consistency"\n', encoding="utf-8")
     assert _formatted_coordinate_names(module) == [1, 2, 7]
+
+
+_COMPILERS = {"compile_expr", "compile_exprs", "_euler_lagrange_stage"}
+
+
+def _kept_compilations(path: Path) -> list:
+    """Lines of path that assign what compile_expr, compile_exprs or
+    _euler_lagrange_stage returns to an attribute, directly or by setattr."""
+    def compiles(node) -> bool:
+        return any(isinstance(n, ast.Call) and (getattr(n.func, "id", None) in _COMPILERS
+                                                or getattr(n.func, "attr", None) in _COMPILERS)
+                   for n in ast.walk(node))
+
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if compiles(node.value) and any(isinstance(n, ast.Attribute)
+                                            for t in targets for n in ast.walk(t)):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("setattr", "__setattr__") and any(map(compiles, node.args[2:]))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "expr.py"],
+                         ids=lambda p: p.name)
+def test_generated_code_is_kept_only_by_the_keeper(path):
+    # expr.generated keeps each tree's code while the tree lives; code kept
+    # on another object outlives or duplicates it
+    assert not _kept_compilations(path)
+
+
+def test_the_guard_flags_compiled_code_kept_on_an_attribute(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("f = compile_expr(e, names)\nself._flow = compile_exprs(rhs, names)\n"
+                      "sys.fn = sys.fn or expr.compile_expr(e, names)\n"
+                      "a.b, c = numeric._euler_lagrange_stage(lag), 1\n"
+                      "setattr(lag, '_flow', _euler_lagrange_stage(lag))\n"
+                      "object.__setattr__(self, 'f', compile_expr(e, n))\n"
+                      "g = generated(e, key, compile_exprs, [e], names)\n"
+                      "self.x: int = len(names)\n", encoding="utf-8")
+    assert _kept_compilations(module) == [2, 3, 4, 5, 6]

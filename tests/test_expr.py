@@ -859,19 +859,26 @@ def test_the_intern_table_releases_unreferenced_nodes():
 def test_dropped_trees_leave_the_intern_table_as_it_was():
     # an entry holds its node's children, not the node, and goes when the
     # node dies; so dropping a scope's trees, their normal forms and their
-    # derivatives drops every entry they made, and no entry outlives its node
+    # derivatives drops every entry they made, and no entry outlives its node.
+    # Generated code holds no node, so the code kept for the trees that hold
+    # table_probe, which no other test builds, goes too
     gc.collect()
-    before = len(expr_mod._TABLE)
+    before, generated = len(expr_mod._TABLE), len(expr_mod._GENERATED)
+    names = ("q", "p", "table_probe")
     rng = random.Random(26)
     with simplify_memo():
         kept = []
         for _ in range(1000):
-            e = random_tree(rng, 4, ("q", "p", "table_probe"))
+            e = random_tree(rng, 4, names)
             kept += [e, simplify(e), differentiate(e, "q")]
+            if "table_probe" in free_vars(kept[-2]):
+                compile_expr(kept[-2], names)
         assert len(expr_mod._TABLE) > before
+        assert len(expr_mod._GENERATED) > generated
     del kept, e
     gc.collect()
     assert len(expr_mod._TABLE) == before
+    assert len(expr_mod._GENERATED) == generated
     assert all(ref() is not None for ref in list(expr_mod._TABLE.values()))
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -285,6 +286,27 @@ def _bundled(fname):
     return load_problem(str(resources.files("lamsym").joinpath("problems", fname)))
 
 
+@pytest.fixture
+def fresh_keeper(monkeypatch):
+    """An empty keeper of generated code for the test, so that its code is
+    generated afresh whatever earlier tests kept."""
+    monkeypatch.setattr(expr, "_GENERATED", weakref.WeakKeyDictionary())
+
+
+@pytest.fixture
+def builds(monkeypatch, fresh_keeper):
+    """The names of every `expr._Fuser` built in the test."""
+    built = []
+
+    class Counting(expr._Fuser):
+        def __init__(self, exprs, names):
+            built.append(tuple(names))
+            super().__init__(exprs, names)
+
+    monkeypatch.setattr(expr, "_Fuser", Counting)
+    return built
+
+
 def _bundled_flow(fname, t1=0.2):
     problem = _bundled(fname)
     y0 = list(problem.candidates["initial_conditions"][0])
@@ -387,11 +409,12 @@ _QUARTIC_4 = ("(5/4)*(1+(1/2)*q1^2)*dq1^2/2 + (1+(1/4)*q2^2)*dq2^2/2"
               " + (3/10)*q3^4/4 + 2*q4^2/2 + (1/5)*q4^4/4 + (-1/16)*q1*q4)")
 
 
-def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
+def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch, builds):
     # every power in the derivative trees of example 6 and of _QUARTIC_4 has
     # an exponent that is a whole number 0..16, a constant or one that folds
     # from constants (q^(4+-1)), so none is guarded; one that folds to 1
-    # leaves the base itself
+    # leaves the base itself.  The keeper is empty, so the stages run here
+    # are generated under the counting _pow, not kept from an earlier test
     calls = []
 
     def counting(a, b):
@@ -404,12 +427,14 @@ def test_euler_lagrange_stages_of_example6_call_no_guarded_power(monkeypatch):
     calls.clear()
     traj = _bundled_flow("example6.json", t1=0.01)
     assert len(traj.states) == 11 and calls == []
+    assert builds == [("x", "y"), ("t", "q1", "q2", "dq1", "dq2")]
     lag = LagrangianSystem(4, parse(_QUARTIC_4))
     fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
     source = "\n".join(fuser.emit(fuser.roots) + fuser.lines)
     assert "_pow(" not in source and not re.search(r"\(_v\d+\+0\.0\)", source)
     lag, q0, dq0, traj = _hand_written_flow(4, _QUARTIC_4)
     assert len(traj.states) == 201 and calls == []
+    assert builds[2:] == [("t",) + lag.q + lag.dq] * 2    # the fuser above, then the stage
     states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
     assert reason is None and traj.states.tobytes() == states.tobytes()
 
@@ -419,17 +444,36 @@ def test_a_stage_binds_no_copy_of_a_lone_operand():
     # to one operand (x + -0.0, x*1.0); the stage reads that operand where
     # it used to bind a copy of it, _t4=(_t1) and _t5=(_v1); and it reads 1.0
     # for (dq1+dq2)**0, whose base cannot raise, where it used to bind
-    # _t1=((_v3+_v4))**0 and the sums over _t1 that now fold
+    # _t1=((_v3+_v4))**0 and the sums over _t1 that now fold; and it binds
+    # _t1=(1.0+_v1) once, where two nodes that fold to it bound it twice
     text = "(dq1+dq2)^2/2 + dq2^2/2 + 1/q1 + q1*dq1*dq2"
     lag = LagrangianSystem(2, parse(text))
     fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
     fuser.emit(fuser.roots)
-    assert len(fuser.lines) == 5
+    assert len(fuser.lines) == 4
+    sources = [line.split("=", 1)[1] for line in fuser.lines]
+    assert len(set(sources)) == len(sources)
     assert not [line for line in fuser.lines if "**0" in line]
     assert not [line for line in fuser.lines if re.fullmatch(r"_t\d+=\(_[tv]\d+\)", line)]
     lag, q0, dq0, traj = _hand_written_flow(2, text)
     states, reason = _ref_euler_lagrange(lag, q0, dq0, 0.0, 0.2, 1e-3)
     assert reason is None and traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("fname", ["example5.json", "example6.json", "example7.json"])
+def test_a_stage_computes_each_source_once(fname):
+    # a node is numbered by its type, function name and operands' source, so
+    # distinct nodes whose operands fold alike share one local: example 5's
+    # stage computed (0.0+(_t23*_t20)) for both m1 and m2
+    lag = _bundled(fname).lagrangian_system()
+    fuser = expr._Fuser(numeric._euler_lagrange_system(lag), ("t",) + lag.q + lag.dq)
+    fuser.emit(fuser.roots)
+    sources = [line.split("=", 1)[1] for line in fuser.lines]
+    assert sources and len(set(sources)) == len(sources)
+    # by source text: the floats by repr, as 0.0 == -0.0
+    numbered = [(type(e), getattr(e, "name", None), tuple(map(repr, kids)))
+                for e, kids in fuser.nodes]
+    assert len(set(numbered)) == len(numbered)
 
 
 @pytest.mark.parametrize("fname", ["example5.json", "example6.json", "example7.json"])
@@ -543,9 +587,10 @@ def test_an_overflowing_row_truncates_before_a_later_division_by_zero():
         compile_expr(parse("(y1-10)/(y1-10)"), ("t", "y1"))(0.0, 10.0)
 
 
-def test_every_generated_function_runs_on_plain_floats(monkeypatch, tmp_path):
+def test_every_generated_function_runs_on_plain_floats(monkeypatch, tmp_path, fresh_keeper):
     # numpy float64 values would give inf or nan where a float raises, and
-    # np.float64 is a subclass of float, so the type must be float itself
+    # np.float64 is a subclass of float, so the type must be float itself;
+    # the keeper is empty, so every function is defined through `checked`
     define = expr._Fuser.define
 
     def checked(self, result):
@@ -618,7 +663,8 @@ def test_a_stage_that_divides_by_zero_checks_the_hessian_first(n, regular, singu
     lag = LagrangianSystem(n, parse(f"{regular} + 1/q1"))
     traj = integrate_euler_lagrange(lag, [0.0] * n, [0.0] * n, 0.0, 0.1, 1e-2)
     assert traj.reason == "domain error at t=0: division by zero" and len(traj.states) == 1
-    rhs = next(c for c in lag._flow.__code__.co_consts if hasattr(c, "co_names"))
+    bind = expr._GENERATED[lag.lagrangian][("stage", n)]
+    rhs = next(c for c in bind.__code__.co_consts if hasattr(c, "co_names"))
     assert "_domain_error" in rhs.co_names and not any("div" in v for v in rhs.co_names)
     lag = LagrangianSystem(n, parse(f"{singular} + 1/q1"))
     with pytest.raises(IntegrationError, match="condition"):
@@ -629,16 +675,8 @@ def test_a_stage_that_divides_by_zero_checks_the_hessian_first(n, regular, singu
     ("(dq1+dq2)^2/2 + 1/q1", "abort"),                       # M singular, b divides by 0
     ("(dq1+dq2)^2/2 + dq2^2/2 + 1/q1", "division by zero"),  # M regular, b divides by 0
 ])
-def test_a_failing_flow_compiles_its_stage_once(monkeypatch, text, outcome):
+def test_a_failing_flow_compiles_its_stage_once(builds, text, outcome):
     # M is tested before b is evaluated, so no failure compiles M again
-    built = []
-
-    class Counting(expr._Fuser):
-        def __init__(self, exprs, names):
-            built.append(len(exprs))
-            super().__init__(exprs, names)
-
-    monkeypatch.setattr(expr, "_Fuser", Counting)
     lag = LagrangianSystem(2, parse(text))
     if outcome == "abort":
         with pytest.raises(IntegrationError, match="condition"):
@@ -646,7 +684,7 @@ def test_a_failing_flow_compiles_its_stage_once(monkeypatch, text, outcome):
     else:
         traj = integrate_euler_lagrange(lag, [0.0, 0.0], [0.0, 0.0], 0.0, 0.1, 1e-2)
         assert traj.reason == f"domain error at t=0: {outcome}"
-    assert built == [4 + 2]
+    assert builds == [("t", "q1", "q2", "dq1", "dq2")]
 
 
 def test_an_svd_that_does_not_converge_in_a_stage_raises_linalg_error(monkeypatch):
@@ -804,15 +842,7 @@ def test_the_error_state_is_restored_when_the_flow_raises(monkeypatch):
 
 # ------------------------------------------------------------- compiled flows
 
-def test_a_flow_is_compiled_once_per_system(monkeypatch):
-    built = []
-
-    class Counting(expr._Fuser):
-        def __init__(self, exprs, names):
-            built.append(tuple(names))
-            super().__init__(exprs, names)
-
-    monkeypatch.setattr(expr, "_Fuser", Counting)
+def test_a_flow_is_compiled_once_per_system(builds):
     h_text = "(p1^2+p2^2)/2 + q1^2*q2^2/3 + q1*p2/11"
     l_text = "dq1^2/2 + dq2^2/2 + dq1*dq2/4 - q1^2/2 - q2^2/2 + q1*q2/11"
     runs = []
@@ -822,21 +852,13 @@ def test_a_flow_is_compiled_once_per_system(monkeypatch):
             runs.append(integrate_hamiltonian(sys_h, y0, 0.0, 0.05, 1e-2).states.tobytes())
             runs.append(integrate_euler_lagrange(lag, y0[:2], y0[2:], 0.0, 0.05, 1e-2)
                         .states.tobytes())
-    # one compilation per flow of each system; a fresh system compiles
-    # afresh, to the same bits
-    assert built == [("t", "q1", "q2", "p1", "p2"), ("t", "q1", "q2", "dq1", "dq2")] * 2
+    # one compilation per H and per L: a fresh system over the same tree
+    # reads the kept code, and its flows have the same bits
+    assert builds == [("t", "q1", "q2", "p1", "p2"), ("t", "q1", "q2", "dq1", "dq2")]
     assert runs[:6] == runs[6:]
 
 
-def test_mon_compiles_its_monitored_expressions_once_per_check(monkeypatch):
-    built = []
-
-    class Counting(expr._Fuser):
-        def __init__(self, exprs, names):
-            built.append(tuple(names))
-            super().__init__(exprs, names)
-
-    monkeypatch.setattr(expr, "_Fuser", Counting)
+def test_mon_compiles_its_monitored_expressions_once_per_check(builds):
     problem = _bundled("example2.json")
     u0 = problem.candidates["initial_conditions"][0]
     problem.candidates["initial_conditions"] = [u0, [v * 0.9 for v in u0], [v * 1.1 for v in u0]]
@@ -844,8 +866,31 @@ def test_mon_compiles_its_monitored_expressions_once_per_check(monkeypatch):
     assert [c.verdict for c in report.checks] == ["NumericallyZero"]
     # the flow, Gamma and G, and the scalar law of G, each compiled once for
     # three initial conditions
-    assert built.count(("t", "q1", "q2", "p1", "p2")) == 3
-    assert built.count(("t", "G")) == 1
+    assert builds.count(("t", "q1", "q2", "p1", "p2")) == 3
+    assert builds.count(("t", "G")) == 1
+    # and kept while the problem holds their trees: a second check builds nothing
+    del builds[:]
+    again = run_checks(problem, ["mon"])
+    assert [(c.verdict, c.detail) for c in again.checks] == \
+        [(c.verdict, c.detail) for c in report.checks]
+    assert builds == []
+
+
+def test_monitor_compiles_a_tree_once(builds):
+    traj = integrate_first_order([parse("-y1")], ["y1"], [1.0], 0.0, 0.1, 1e-2)
+    quantity = parse("y1*exp(t)")
+    first, second = monitor(traj, [quantity])[0], monitor(traj, [quantity])[0]
+    assert first.values.tobytes() == second.values.tobytes()
+    assert builds == [("t", "y1"), ("t", "y1")]     # the flow, then the monitored tree
+
+
+def test_a_tree_rebuilt_after_it_died_compiles_again(builds):
+    text, names = "keeper_probe*exp(keeper_probe)", ("keeper_probe",)
+    assert compile_expr(parse(text), names)(1.0) == math.e
+    gc.collect()
+    assert compile_expr(parse(text), names)(1.0) == math.e
+    assert builds == [names, names]
+    assert len(expr._GENERATED) == 0
 
 
 def test_nothing_is_generated_at_import():
