@@ -1416,6 +1416,13 @@ class _Fuser:
     is the one that evaluating each tree in turn would raise.  Leaves and constant-only parts (`_fold`) are not numbered:
     an operand is a variable's source text, a float literal or a node number.
     `emit` gives the roots' source, all at once or a slice at a time.
+
+    The source runs no float operation its bits do not need, by IEEE
+    identities: a product with -1.0 factors is the negation of the product
+    of the others, (-x*y) for (-1.0*x*y) or (x*-1.0*y); an unbound one after
+    a sum's first term is subtracted, (a-(b)) for (a+(-1.0*b)); and the 1.0
+    of `(b)**0` on a bound base is left out of its product.  Only a nan's
+    sign bit differs: a unary minus flips it, -1.0*nan keeps it.
     """
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
@@ -1491,13 +1498,33 @@ class _Fuser:
             parts.append(part)
         return parts
 
+    def _negated(self, k: int) -> bool:
+        """Whether node k is a product that `_source` spells as a negation:
+        one with an odd number of -1.0 factors."""
+        e, kids = self.nodes[k]
+        return type(e) is Product and kids.count(-1.0) % 2 == 1
+
     def _source(self, i: int) -> str:
         e, kids = self.nodes[i]
         t = type(e)
         if t is Sum:
-            src = "(" + "+".join(self.emit(kids)) + ")"
+            parts = self.emit(kids)
+            src = "+".join(parts)
+            if "+(-" in src:
+                # an unbound negated term, (-x*y), is subtracted: a + (-y) is a - y;
+                # only the source of an unbound node starts with "(-"
+                src = parts[0] + "".join(
+                    "-(" + p[2:] if p[:2] == "(-" and self._negated(k) else "+" + p
+                    for k, p in zip(kids[1:], parts[1:]))
+            src = "(" + src + ")"
         elif t is Product:
-            src = "(" + "*".join(self.emit(kids)) + ")"
+            # -1.0 factors negate the product of the others, (-1.0*x)*y being
+            # -(x*y); the 1.0 of a bound base to the power 0 is left out
+            parts = self.emit(kids)
+            minus = parts.count("-1.0")
+            if minus or "1.0" in parts:
+                parts = [p for p in parts if p != "1.0" and p != "-1.0"] or ["1.0"]
+            src = ("(-" if minus % 2 else "(") + "*".join(parts) + ")"
         elif t is Power:
             k = _small_power(kids[1])
             if k is None:

@@ -94,11 +94,9 @@ def _grid_steps(t0: float, t1: float, h: float) -> int:
 
 def _generated(lines: list, name: str, **env) -> Callable:
     """The function `name` that the source lines define, run with the
-    builtins abs, min, max, range and OverflowError, math.isfinite as
-    _isfinite, inf as _inf and the names in env."""
-    env = {**env, "__builtins__": {"abs": abs, "min": min, "max": max, "range": range,
-                                   "OverflowError": OverflowError},
-           "_isfinite": math.isfinite, "_inf": math.inf}
+    builtins abs, range and OverflowError, inf as _inf and the names in env."""
+    env = {**env, "__builtins__": {"abs": abs, "range": range, "OverflowError": OverflowError},
+           "_inf": math.inf}
     exec("\n".join(lines) + "\n", env)
     return env.pop(name)    # left in env, its own globals, it would be a cycle
 
@@ -113,9 +111,10 @@ def _loop(d: int) -> Callable[..., None]:
     and appends each new state as a tuple; it returns, without appending,
     at the first new state with a component that fails |r| <= limit.
 
-    The stages are `a + half * b` (`a + h * b` for the last) and the update
-    `a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)`, componentwise on locals, the
-    same float operations in the same order as a float64 array loop."""
+    The stages are `a + half * b` (`a + h * b` for the last), at t + half
+    computed once, and the update `a + sixth * (b1 + (b2 + b2) + (b3 + b3) + b4)`,
+    componentwise on locals: the same values as a float64 array loop, since
+    b + b is 2 * b exactly."""
     loop = _LOOPS.get(d)
     if loop is None:
         y, a, b, c, e = ([f"{p}{i}" for i in range(d)] for p in "yabce")
@@ -123,11 +122,13 @@ def _loop(d: int) -> Callable[..., None]:
         lines = [f"def loop(f, append, t0, h, half, sixth, limit, k0, k1, {ys}):",
                  " for k in range(k0, k1):",
                  "  t = t0 + k * h",
+                 "  t_half = t + half",
                  f"  {''.join(v + ',' for v in a)} = f(t, {ys})"]
-        lines += [f"  {''.join(v + ',' for v in out)} = f(t + {coef}, "
+        lines += [f"  {''.join(v + ',' for v in out)} = f({at}, "
                   f"{', '.join(f'{yi} + {coef} * {ki}' for yi, ki in zip(y, k))})"
-                  for out, coef, k in ((b, "half", a), (c, "half", b), (e, "h", c))]
-        lines += [f"  {yi} = {yi} + sixth * ({ai} + 2 * {bi} + 2 * {ci} + {ei})"
+                  for out, at, coef, k in ((b, "t_half", "half", a), (c, "t_half", "half", b),
+                                           (e, "t + h", "h", c))]
+        lines += [f"  {yi} = {yi} + sixth * ({ai} + ({bi} + {bi}) + ({ci} + {ci}) + {ei})"
                   for yi, ai, bi, ci, ei in zip(y, a, b, c, e)]
         lines += [f"  if not ({' and '.join(f'abs({yi}) <= limit' for yi in y)}):",
                   "   return",
@@ -221,28 +222,40 @@ def _solve_errstate() -> np.errstate:
 _solve = _lapack_solve
 
 
+def _extremum(name: str, terms: list, op: str = ">") -> list:
+    """Source lines that set `name` to max(terms), or min(terms) for op "<",
+    as the builtin gives it, nan included: a term replaces the running value
+    only when it compares op to it."""
+    return [f"{name} = {terms[0]}"] + [
+        f"{name} = term if (term := {s}) {op} {name} else {name}" for s in terms[1:]]
+
+
 def _condition_lines(n: int) -> list:
     """Source lines that set `cond` to the exact 1-norm condition number
     ||M||_1 ||adj M||_1 / |det M| of the row-major n x n matrix in the locals
     m0, m1, ..., for n <= 3; infinite when M is singular or not finite.
-    The Euler-Lagrange stage runs them."""
+    The Euler-Lagrange stage runs them.  They take each |m_ij| and |det M|
+    once, write max as comparisons (`_extremum`) and test 0 < |det M| < inf,
+    so cond is bitwise what the builtins abs, max and math.isfinite give."""
     if n == 1:
-        return ["cond = 1.0 if m0 != 0.0 and _isfinite(m0) else _inf"]
+        return ["cond = 1.0 if 0.0 < abs(m0) < _inf else _inf"]
     if n == 2:
-        lines = ["det = m0 * m3 - m1 * m2",
-                 "norm_m = max(abs(m0) + abs(m2), abs(m1) + abs(m3))",
-                 "norm_adj = max(abs(m3) + abs(m2), abs(m1) + abs(m0))"]
+        lines = [f"a{i} = abs(m{i})" for i in range(4)]
+        lines += ["det = m0 * m3 - m1 * m2",
+                  *_extremum("norm_m", ["a0 + a2", "a1 + a3"]),
+                  *_extremum("norm_adj", ["a3 + a2", "a1 + a0"])]
     else:
         # cofactors; adj M is their transpose, so its column sums are their row sums
         lines = ["c00, c01, c02 = m4 * m8 - m5 * m7, m5 * m6 - m3 * m8, m3 * m7 - m4 * m6",
                  "c10, c11, c12 = m2 * m7 - m1 * m8, m0 * m8 - m2 * m6, m1 * m6 - m0 * m7",
                  "c20, c21, c22 = m1 * m5 - m2 * m4, m2 * m3 - m0 * m5, m0 * m4 - m1 * m3",
                  "det = m0 * c00 + m1 * c01 + m2 * c02",
-                 "norm_m = max(abs(m0) + abs(m3) + abs(m6), abs(m1) + abs(m4) + abs(m7),"
-                 " abs(m2) + abs(m5) + abs(m8))",
-                 "norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),"
-                 " abs(c20) + abs(c21) + abs(c22))"]
-    return lines + ["cond = norm_m / abs(det) * norm_adj if det != 0.0 and _isfinite(det) else _inf"]
+                 *_extremum("norm_m", [" + ".join(f"abs(m{i + j})" for i in (0, 3, 6))
+                                       for j in range(3)]),
+                 *_extremum("norm_adj", [" + ".join(f"abs(c{i}{j})" for j in range(3))
+                                         for i in range(3)])]
+    return lines + ["ad = abs(det)",
+                    "cond = norm_m / ad * norm_adj if 0.0 < ad < _inf else _inf"]
 
 
 def _hessian_condition(m: Sequence[float], n: int) -> float:
@@ -286,7 +299,8 @@ def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
     when an entry is, is finite, 0 < lb and ub <= lb * cert_limit.  The
     factor 100 absorbs the rounding of the bounds and the SVD's own error,
     of order n eps kappa, so `_hessian_condition` of a certified M is finite
-    and far below the limit."""
+    and far below the limit.  min and max are written as comparisons
+    (`_extremum`), so cert is what the builtins min and max give."""
     literals, rows = literals or {}, range(n)
     a = [[repr(abs(literals[i * n + j])) if i * n + j in literals else f"a{i}_{j}"
           for j in rows] for i in rows]
@@ -306,11 +320,11 @@ def _certificate_lines(n: int, literals: Optional[dict] = None) -> list:
     r = [total([a[i][j] for j in rows if j != i], f"r{i}") for i in rows]
     c = [total([a[i][j] for i in rows if i != j], f"c{j}") for j in rows]
     s = [total([a[i][i], r[i]], f"s{i}") for i in rows]
-    return lines + [
-        f"lb = min({', '.join(f'{a[i][i]} - 0.5 * ({r[i]} + {c[i]})' for i in rows)})",
-        f"cert = {total(s)} < _inf and 0.0 < lb and"
-        f" _root(max({', '.join(total([a[j][j], c[j]]) for j in rows)}))"
-        f" * _root(max({', '.join(s)})) <= lb * cert_limit"]
+    return (lines + _extremum("lb", [f"{a[i][i]} - 0.5 * ({r[i]} + {c[i]})" for i in rows], "<")
+            + _extremum("norm_1", [total([a[j][j], c[j]]) for j in rows])
+            + _extremum("norm_inf", s)
+            + [f"cert = {total(s)} < _inf and 0.0 < lb and"
+               " _root(norm_1) * _root(norm_inf) <= lb * cert_limit"])
 
 
 def _euler_lagrange_stage(lag) -> Callable:

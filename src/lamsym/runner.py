@@ -34,6 +34,7 @@ from .expr import (
     compile_expr,
     compile_exprs,
     format_expr,
+    generated,
     is_identically_zero,
     simplify_memo,
 )
@@ -266,7 +267,8 @@ def _check_mon(ctx: _Context):
     if problem.kind == "lagrangian":
         # file rows are (q..., dq...); map to phase space via momenta
         lag = ctx.lag
-        momenta = compile_exprs(lagmod.conjugate_momenta(lag), ("t",) + lag.q + lag.dq)
+        momenta = generated(lag.lagrangian, ("momenta", lag.n), lambda: compile_exprs(
+            lagmod.conjugate_momenta(lag), ("t",) + lag.q + lag.dq))
     for ic in problem.candidates["initial_conditions"]:
         u0 = list(ic)
         if problem.kind == "lagrangian":

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tokenize
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -15,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lamsym import expr, lagrangian as lagmod, numeric
+from lamsym import expr, lagrangian as lagmod, numeric, runner
 from lamsym.cli import main
-from lamsym.expr import Const, EvalDomainError, compile_expr, differentiate, parse
+from lamsym.expr import (Const, EvalDomainError, MINUS_ONE, Product, Sum, Var, compile_expr,
+                         differentiate, parse)
 from lamsym.mechanics import PhaseSystem, canonical_equations
 from lamsym.numeric import (
     HESSIAN_CONDITION_LIMIT,
@@ -876,6 +879,33 @@ def test_mon_compiles_its_monitored_expressions_once_per_check(builds):
     assert builds == []
 
 
+def test_a_second_run_compiles_no_list_of_trees_but_the_constraint_flow(monkeypatch,
+                                                                       fresh_keeper):
+    # the momenta of mon, the Noether rates of gl and the constrained momenta
+    # and forces of lz are kept with L.  The constraint flow of lz is not:
+    # integrate_first_order has only its component trees, any of which may be
+    # a module constant, to own it.  The zero-test residuals compile again
+    # because their normal forms die with the run's scope
+    calls = []
+    for module in (lagmod, runner, numeric):
+        def counting(exprs, names, _compile=module.compile_exprs, _module=module.__name__):
+            calls.append((_module, tuple(names)))
+            return _compile(exprs, names)
+
+        monkeypatch.setattr(module, "compile_exprs", counting)
+    problem = _bundled("example6.json")
+    report = run_checks(problem)
+    velocities, positions = ("t", "q1", "q2", "dq1", "dq2"), ("t", "q1", "q2")
+    for call in [("lamsym.runner", velocities), ("lamsym.lagrangian", velocities),
+                 ("lamsym.lagrangian", positions), ("lamsym.numeric", positions)]:
+        assert call in calls
+    del calls[:]
+    again = run_checks(problem)
+    assert [(c.verdict, c.max_residual, c.detail) for c in again.checks] == \
+        [(c.verdict, c.max_residual, c.detail) for c in report.checks]
+    assert calls == [("lamsym.numeric", positions)]
+
+
 def test_monitor_compiles_a_tree_once(builds):
     traj = integrate_first_order([parse("-y1")], ["y1"], [1.0], 0.0, 0.1, 1e-2)
     quantity = parse("y1*exp(t)")
@@ -1143,6 +1173,190 @@ def test_a_certificate_with_literal_entries_certifies_only_well_conditioned_hess
     if _certificate(n, literals)(entries + [0.0] * n):
         with _solve_errstate():
             assert _hessian_condition(entries, n) <= HESSIAN_CONDITION_LIMIT / 10
+
+
+# ------------------------------------------------------------- spelling of generated code
+# Generated float code is spelled with the fewest operations that give the
+# same bits: a -1.0 factor as a negation, a negated term as a subtraction, no
+# 1.0 factor, max and min as comparisons, b + b for 2 * b.
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                2.225073858507201e-308, -2.2250738585072014e-308, 1e-310, 1.0, -1.0,
+                sys.float_info.max, -sys.float_info.max, 8.98846567431158e+307, 1e308]
+_any_float = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+def _same(x, y):
+    """x and y have the same bits; a NaN only needs a NaN, as a unary minus
+    flips its sign bit where a product with -1.0 keeps it."""
+    if math.isnan(x):
+        return math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_any_float, _any_float, _any_float)
+def test_each_rewrite_of_generated_code_is_an_ieee_identity(a, x, y):
+    assert _same(a + (-1.0 * x), a - x)
+    assert _same((-1.0 * x) * y, -(x * y)) and _same((x * -1.0) * y, -(x * y))
+    assert _same(x * 1.0, x) and _same(2 * x, x + x)
+    # and as the compiler spells them: (a-(x)), (-x*y) and (_t0)
+    minus_x = Product((MINUS_ONE, Var("x")))
+    names = ("a", "x", "y")
+    assert _same(compile_expr(Sum((Var("a"), minus_x)), names)(a, x, y), a + (-1.0 * x))
+    assert _same(compile_expr(Product((minus_x, Var("y"))), names)(a, x, y), (-1.0 * x) * y)
+    assert _same(compile_expr(Product((Var("x"), MINUS_ONE, Var("y"))), names)(a, x, y),
+                 (x * -1.0) * y)
+
+
+def _oracle_condition_lines(n):
+    """The condition lines as they were spelled with abs, max and
+    math.isfinite calls: the oracle of `numeric._condition_lines`."""
+    if n == 1:
+        return ["cond = 1.0 if m0 != 0.0 and _isfinite(m0) else _inf"]
+    if n == 2:
+        lines = ["det = m0 * m3 - m1 * m2",
+                 "norm_m = max(abs(m0) + abs(m2), abs(m1) + abs(m3))",
+                 "norm_adj = max(abs(m3) + abs(m2), abs(m1) + abs(m0))"]
+    else:
+        lines = ["c00, c01, c02 = m4 * m8 - m5 * m7, m5 * m6 - m3 * m8, m3 * m7 - m4 * m6",
+                 "c10, c11, c12 = m2 * m7 - m1 * m8, m0 * m8 - m2 * m6, m1 * m6 - m0 * m7",
+                 "c20, c21, c22 = m1 * m5 - m2 * m4, m2 * m3 - m0 * m5, m0 * m4 - m1 * m3",
+                 "det = m0 * c00 + m1 * c01 + m2 * c02",
+                 "norm_m = max(abs(m0) + abs(m3) + abs(m6), abs(m1) + abs(m4) + abs(m7),"
+                 " abs(m2) + abs(m5) + abs(m8))",
+                 "norm_adj = max(abs(c00) + abs(c01) + abs(c02), abs(c10) + abs(c11) + abs(c12),"
+                 " abs(c20) + abs(c21) + abs(c22))"]
+    return lines + ["cond = norm_m / abs(det) * norm_adj if det != 0.0 and _isfinite(det) else _inf"]
+
+
+def _oracle_certificate_lines(n, literals):
+    """The certificate lines as they were spelled with min and max calls: the
+    oracle of `numeric._certificate_lines`."""
+    rows = range(n)
+    a = [[repr(abs(literals[i * n + j])) if i * n + j in literals else f"a{i}_{j}"
+          for j in rows] for i in rows]
+    lines = [f"{a[i][j]} = abs(m{i * n + j})" for i in rows for j in rows
+             if i * n + j not in literals]
+
+    def total(terms, name=""):
+        src = " + ".join(sorted(terms, key=str.isidentifier))
+        if not any(map(str.isidentifier, terms)):
+            return f"({src})"
+        if name:
+            lines.append(f"{name} = {src}")
+        return name or src
+
+    r = [total([a[i][j] for j in rows if j != i], f"r{i}") for i in rows]
+    c = [total([a[i][j] for i in rows if i != j], f"c{j}") for j in rows]
+    s = [total([a[i][i], r[i]], f"s{i}") for i in rows]
+    return lines + [
+        f"lb = min({', '.join(f'{a[i][i]} - 0.5 * ({r[i]} + {c[i]})' for i in rows)})",
+        f"cert = {total(s)} < _inf and 0.0 < lb and"
+        f" _root(max({', '.join(total([a[j][j], c[j]]) for j in rows)}))"
+        f" * _root(max({', '.join(s)})) <= lb * cert_limit"]
+
+
+def _matrix_function(n, lines, result):
+    """result(m0, m1, ...) after lines, on the row-major entries of an n x n M,
+    with the builtins the oracles call."""
+    source = [f"def entries({', '.join(f'm{i}' for i in range(n * n))}):"]
+    source += [f" {line}" for line in lines] + [f" return {result}"]
+    return numeric._generated(source, "entries", max=max, min=min, _isfinite=math.isfinite,
+                              _root=math.sqrt, cert_limit=HESSIAN_CONDITION_LIMIT / 100)
+
+
+_SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                    1.0, -1.0, 3.0, 1e308, -1e308]
+_entry = st.one_of(st.sampled_from(_SPECIAL_ENTRIES), st.floats())
+
+
+_CONDITIONS = {n: [_matrix_function(n, lines(n), "cond")
+                   for lines in (numeric._condition_lines, _oracle_condition_lines)]
+               for n in (1, 2, 3)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_condition_lines_give_the_bits_of_abs_max_and_isfinite(data):
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    m = data.draw(st.lists(_entry, min_size=n * n, max_size=n * n))
+    condition, oracle = _CONDITIONS[n]
+    assert _same(condition(*m), oracle(*m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_entry, min_size=16, max_size=16), st.lists(st.booleans(), min_size=16,
+                                                            max_size=16))
+@example([4.0, 0.5, 0.0, 0.0, 0.5, 4.0, 0.0, 0.0, 0.0, 0.0, 4.0, 1e-310,
+          0.0, 0.0, 5e-324, 4.0], [False] * 16)                        # certifies
+def test_certificate_lines_decide_as_min_and_max_do(m, folded):
+    literals = {k: v for k, v in enumerate(m) if folded[k] and math.isfinite(v)}
+    got = _matrix_function(4, numeric._certificate_lines(4, literals), "cert")(*m)
+    assert got == _matrix_function(4, _oracle_certificate_lines(4, literals), "cert")(*m)
+
+
+def _multiplies(tokens, unit):
+    """The NUMBER tokens for which unit(value) holds that are a factor of a
+    product: a `*` next to them, past a unary minus before them."""
+    found = []
+    for i, tok in enumerate(tokens):
+        if tok.type != tokenize.NUMBER or not unit(tok.string):
+            continue
+        j = i - 1 - (tokens[i - 1].string == "-")
+        if tokens[j].string == "*" or tokens[i + 1].string == "*":
+            found.append(tok.string)
+    return found
+
+
+def _unit_factors(source):
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    return _multiplies(tokens, lambda s: float(s) == 1.0)
+
+
+def _int_doublings(source):
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    return _multiplies(tokens, lambda s: s == "2")
+
+
+def test_the_spelling_guard_reads_tokens():
+    assert _unit_factors("(-1.0*x)\n(x*-1.0*y)\n(1.0*_t8*_t8)\n(x*1.0)\n") == ["1.0"] * 4
+    assert _unit_factors("(1.05*x)\n(-1.0625*x)\n(x*-10.0)\n(a-(1.0))\n(a+-1.0)\n") == []
+    assert _int_doublings("y = a + 2 * b\n") == ["2"]
+    assert _int_doublings("y = a + (b + b) + 2.0 * c + 12 * d\n") == []
+
+
+def test_generated_code_has_no_unit_factor_and_no_int_doubling(monkeypatch, fresh_keeper):
+    # the flow or stage of each bundled example and of two hand-written n = 4
+    # Lagrangians, and the loop for states of 4 components
+    sources = []
+    make, define = numeric._generated, expr._Fuser.define
+
+    def capture(lines, name, **env):
+        sources.append("\n".join(lines) + "\n")
+        return make(lines, name, **env)
+
+    def capture_define(fuser, result):
+        sources.append("\n".join(fuser.lines + [f"return {result}"]) + "\n")
+        return define(fuser, result)
+
+    monkeypatch.setattr(numeric, "_generated", capture)
+    monkeypatch.setattr(expr._Fuser, "define", capture_define)
+    monkeypatch.setattr(numeric, "_LOOPS", {})
+    systems = [_bundled(f"example{k}.json") for k in range(1, 8)]
+    for problem in systems:
+        if problem.kind == "hamiltonian":
+            sys_ = problem.phase_system()
+            expr.compile_exprs(canonical_equations(sys_), ("t",) + sys_.u)
+        else:
+            numeric._euler_lagrange_stage(problem.lagrangian_system())
+    for text in (_HAND_WRITTEN[4], _QUARTIC_4):
+        numeric._euler_lagrange_stage(LagrangianSystem(4, parse(text)))
+    numeric._loop(4)
+    assert len(sources) == len(systems) + 3
+    assert "(-" in "".join(sources) and "-(" in "".join(sources)
+    assert [s for s in sources if _unit_factors(s)] == []
+    assert _int_doublings(sources[-1]) == [] and "(a0 + (b0 + b0) + (c0 + c0) + e0)" in sources[-1]
 
 
 # ------------------------------------------------------------- along-trajectory verdicts
