@@ -579,19 +579,28 @@ def remembered(key: tuple, compute: Callable, *args):
     return r
 
 
-# tree -> {key: generated code}; an entry goes when its tree dies
+# tree -> {key: generated code, or a weak map from the next input tree to
+# the same}; an entry goes when any of its trees dies
 _GENERATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def generated(owner: Expr, key: tuple, build: Callable, *args):
-    """`build(*args)`, kept for as long as the tree owner lives, in and out of
-    any scope: nodes are interned, so the same tree built again in a later
-    call is the same owner, and its code is built once.  key must name build
-    and every input besides owner, and the result must not refer to owner,
-    or the entry would keep its own tree alive."""
+def generated(owner: Expr, key: tuple, build: Callable, *args, inputs: Sequence[Expr] = ()):
+    """`build(*args)`, kept for as long as the tree owner and every tree of
+    inputs live, in and out of any scope: nodes are interned, so the same
+    trees built again in a later call find the code, and it is built once.
+    key must name build and every input that is not a tree.  Each tree is
+    held weakly, so an input that is or contains owner, such as a Lambda
+    entry L, keeps no entry alive; the result must refer to no tree either."""
     kept = _GENERATED.get(owner)
     if kept is None:
         kept = _GENERATED[owner] = {}
+    for tree in inputs:
+        under = kept.get(key)
+        if under is None:
+            under = kept[key] = weakref.WeakKeyDictionary()
+        kept = under.get(tree)
+        if kept is None:
+            kept = under[tree] = {}
     r = kept.get(key)
     if r is None:
         r = kept[key] = build(*args)
@@ -1508,23 +1517,17 @@ class _Fuser:
         e, kids = self.nodes[i]
         t = type(e)
         if t is Sum:
+            # an unbound negated product after the first term, (-x*y), is
+            # subtracted, a + (-b) being a - b; a bound one is added as _tN
             parts = self.emit(kids)
-            src = "+".join(parts)
-            if "+(-" in src:
-                # an unbound negated term, (-x*y), is subtracted: a + (-y) is a - y;
-                # only the source of an unbound node starts with "(-"
-                src = parts[0] + "".join(
-                    "-(" + p[2:] if p[:2] == "(-" and self._negated(k) else "+" + p
-                    for k, p in zip(kids[1:], parts[1:]))
-            src = "(" + src + ")"
+            src = "(" + parts[0] + "".join([
+                "-(" + p[2:] if p[:2] == "(-" and self._negated(k) else "+" + p
+                for k, p in zip(kids[1:], parts[1:])]) + ")"
         elif t is Product:
             # -1.0 factors negate the product of the others, (-1.0*x)*y being
             # -(x*y); the 1.0 of a bound base to the power 0 is left out
-            parts = self.emit(kids)
-            minus = parts.count("-1.0")
-            if minus or "1.0" in parts:
-                parts = [p for p in parts if p != "1.0" and p != "-1.0"] or ["1.0"]
-            src = ("(-" if minus % 2 else "(") + "*".join(parts) + ")"
+            parts = [p for p in self.emit(kids) if p != "1.0" and p != "-1.0"] or ["1.0"]
+            src = ("(-" if self._negated(i) else "(") + "*".join(parts) + ")"
         elif t is Power:
             k = _small_power(kids[1])
             if k is None:

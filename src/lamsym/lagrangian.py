@@ -12,6 +12,7 @@ of zero verdicts is an `expr.Verdicts` with its payload fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -339,14 +340,6 @@ class NoetherReport:
         return self.max_residual <= self.tol
 
 
-def _noether_rates(lag: LagrangianSystem, xl: ConfigVectorField, laml: LambdaMatrix):
-    """phi . p and (Lambda phi) . p, compiled over (t, q, dq)."""
-    moms = conjugate_momenta(lag)
-    lam_phi = laml.vec(xl.phi)
-    return compile_exprs([simplify(add(*[mul(f[a], moms[a]) for a in range(lag.n)]))
-                          for f in (xl.phi, lam_phi)], ("t",) + lag.q + lag.dq)
-
-
 def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
                          laml: LambdaMatrix, box: Optional[DomainBox] = None,
                          initial_conditions: Sequence[Sequence[float]] = (),
@@ -359,8 +352,10 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
     if not initial_conditions:
         raise ValueError("need at least one initial condition (q..., dq...)")
     _require_regular(lag, box)
-    p_and_rate = generated(lag.lagrangian, ("noether", lag.n, xl.phi, laml.entries),
-                           _noether_rates, lag, xl, laml)
+    # phi . p and (Lambda phi) . p
+    p_and_rate = generated(lag.lagrangian, ("noether", lag.n), lambda: compile_exprs(
+        [simplify(add(*map(mul, f, conjugate_momenta(lag)))) for f in (xl.phi, laml.vec(xl.phi))],
+        ("t",) + lag.q + lag.dq), inputs=(*xl.phi, *chain.from_iterable(laml.entries)))
 
     residuals = []
     for ic in initial_conditions:
@@ -437,15 +432,6 @@ def reduced_variables(n: int) -> tuple:
     return "theta", eta, tuple("d" + v for v in eta)
 
 
-def _constrained_momenta_and_forces(lag: LagrangianSystem, constraint: dict):
-    """The momenta p_a and the forces dL/dq_a with the velocities replaced by
-    the constraint dq = f(t, q), compiled over (t, q)."""
-    moms = conjugate_momenta(lag)
-    forces = [differentiate(lag.lagrangian, qa) for qa in lag.q]
-    return compile_exprs([simplify(substitute(e, constraint)) for e in [*moms, *forces]],
-                         ("t",) + lag.q)
-
-
 def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                             laml: LambdaMatrix, eta: Sequence[Expr], theta: Expr,
                             reduced_l: Expr, particular: Sequence[Expr],
@@ -486,8 +472,10 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
         substitute(dl_dtheta, constraint), box, cfg)))
 
     # constraint flow dq = f(t, q) must satisfy the full variational equations
-    m_and_g = generated(lag.lagrangian, ("constrained", lag.n, tuple(particular)),
-                        _constrained_momenta_and_forces, lag, constraint)
+    m_and_g = generated(lag.lagrangian, ("constrained", lag.n), lambda: compile_exprs(
+        [simplify(substitute(e, constraint)) for e in
+         [*conjugate_momenta(lag), *(differentiate(lag.lagrangian, qa) for qa in lag.q)]],
+        ("t",) + lag.q), inputs=particular)
     box = box or DomainBox()
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)

@@ -923,6 +923,20 @@ def test_a_tree_rebuilt_after_it_died_compiles_again(builds):
     assert len(expr._GENERATED) == 0
 
 
+def test_code_kept_with_a_matrix_entry_that_is_l_goes_with_l(fresh_keeper):
+    # the Noether rates are kept under L, phi and Lambda; the entry L is L's
+    # own tree, so a key that held it would keep L's entry, and L, alive
+    lag = LagrangianSystem(1, parse("dq1^2/2 - q1^2/2 + dq1*q1^3/7"))
+    xl = lagmod.ConfigVectorField((parse("q1"),))
+    laml = lagmod.LambdaMatrix(((lag.lagrangian,),), lagmod.LAGRANGIAN_SIDE)
+    lagmod.check_noether_lambda(lag, xl, laml, initial_conditions=[(0.3, 0.1)], t1=0.01)
+    dead = weakref.ref(lag.lagrangian)
+    del lag, xl, laml
+    gc.collect()
+    assert dead() is None
+    assert len(expr._GENERATED) == 0
+
+
 def test_nothing_is_generated_at_import():
     # generated code is built on first use, not in set-up
     src = str(Path(__file__).resolve().parents[1] / "src")
