@@ -57,7 +57,7 @@ print("dG/dt =", format_expr(rep.rate))
 ## Along integrated variational trajectories the rate law holds on-shell.
 noe = check_noether_lambda(lag, xl, laml,
                            initial_conditions=[(1.1, 0.8, 0.2, 0.1)])
-print("trajectory rate residual:", f"{noe.max_residual:.2e}")
+print("trajectory rate residual:", f"{dict(noe.checks)['trajectory 1'].max_residual:.2e}")
 
 ## Partial reduction: L rewrites in the invariants (eta, deta, theta) and
 ## the first-order condition theta = 0 produces a particular solution.
@@ -68,4 +68,4 @@ lz = partial_reduction_check(
     reduced_l=parse("theta^2/2 + deta1^2/(2*eta1^2)"),
     particular=[parse("q1*log(q1)"), parse("q2*(1/2 - log(q1))")])
 print("partial reduction accepted:", lz.holds,
-      f"(constraint-flow residual {lz.el_residual:.2e})")
+      f"(constraint-flow residual {dict(lz.checks)['constraint flow'].max_residual:.2e})")

@@ -1644,8 +1644,10 @@ class ZeroVerdict:
     """Outcome of a zero test.
 
     ProvenZero: the normal form is the literal zero constant.
-    NumericallyZero: every sampled scaled residual was at most abs_tol.
-    NonZero: carries a reproducible witness point and its scaled residual.
+    NumericallyZero: every sampled scaled residual was at most abs_tol, or
+    a trajectory residual was within its tolerance (`within`).
+    NonZero: carries a reproducible witness point and its scaled residual;
+    a trajectory residual beyond its tolerance has no witness point.
     `samples` counts the points evaluated, `rejected` those lost to domain
     errors, overflow or a non-finite residual.
     """
@@ -1656,6 +1658,14 @@ class ZeroVerdict:
     max_residual: float = 0.0
     witness: Optional[dict] = None
     witness_residual: Optional[float] = None
+
+    @classmethod
+    def within(cls, residual: float, tol: float, samples: int) -> "ZeroVerdict":
+        """The verdict on a residual over `samples` grid points, decided by
+        the tolerance `tol`."""
+        if residual <= tol:
+            return cls("NumericallyZero", samples=samples, max_residual=residual)
+        return cls("NonZero", samples=samples, max_residual=residual, witness_residual=residual)
 
     @property
     def ok(self) -> bool:

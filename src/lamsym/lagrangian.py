@@ -6,7 +6,8 @@ extension of the configuration field and of the n x n matrix to phase
 space, the on-shell conservation check for P = phi . p along integrated
 trajectories, the scalar condition on the configuration side, and the
 partial reduction through first-order differential invariants.  A report
-of zero verdicts is an `expr.Verdicts` with its payload fields.
+of zero verdicts is an `expr.Verdicts` with its payload fields; a residual
+along a trajectory is a verdict within its tolerance (`ZeroVerdict.within`).
 """
 
 from __future__ import annotations
@@ -324,30 +325,15 @@ def config_scalar_reduction(xl: ConfigVectorField, laml: LambdaMatrix,
     return _scalar_multiple(laml.vec(xl.phi), xl.phi, box, cfg)
 
 
-@dataclass(frozen=True)
-class NoetherReport:
-    """Trajectory residuals of d/dt(phi . p) + (Lambda phi) . p = 0."""
-
-    residuals: tuple
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
-
-    @property
-    def holds(self) -> bool:
-        return self.max_residual <= self.tol
-
-
 def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
                          laml: LambdaMatrix, box: Optional[DomainBox] = None,
                          initial_conditions: Sequence[Sequence[float]] = (),
                          t1: float = 0.5, h: float = 1e-3,
-                         tol: float = 1e-5) -> NoetherReport:
+                         tol: float = 1e-5) -> Verdicts:
     """Integrate variational trajectories from each (q0..., dq0...) row and
-    bound |d/dt(phi . p) + (Lambda phi) . p| along them; the time derivative
-    uses central differences on the stored grid."""
+    bound |d/dt(phi . p) + (Lambda phi) . p| along them, one verdict within
+    tol per trajectory; the time derivative uses central differences on the
+    stored grid."""
     _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     if not initial_conditions:
         raise ValueError("need at least one initial condition (q..., dq...)")
@@ -357,14 +343,15 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
         [simplify(add(*map(mul, f, conjugate_momenta(lag)))) for f in (xl.phi, laml.vec(xl.phi))],
         ("t",) + lag.q + lag.dq), inputs=(*xl.phi, *chain.from_iterable(laml.entries)))
 
-    residuals = []
-    for ic in initial_conditions:
+    checks = []
+    for k, ic in enumerate(initial_conditions, 1):
         if len(ic) != 2 * lag.n:
             raise ValueError(f"initial condition needs {2*lag.n} values (q..., dq...)")
         traj = integrate_euler_lagrange(lag, ic[:lag.n], ic[lag.n:], 0.0, t1, h)
         p_vals, rates = values_along(traj, p_and_rate, "Noether rate").T
-        residuals.append(central_residual(p_vals, -rates, h))
-    return NoetherReport(tuple(residuals), tol)
+        checks.append((f"trajectory {k}", ZeroVerdict.within(
+            central_residual(p_vals, -rates, h), tol, len(rates[1:-1]))))
+    return Verdicts(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -408,23 +395,6 @@ def check_scalar_condition(xl: ConfigVectorField, laml: LambdaMatrix,
     return ScalarConditionReport(checks, scalar, True)
 
 
-@dataclass(frozen=True)
-class PartialReductionReport(Verdicts):
-    """Verdicts for a reduction through differential invariants:
-    invariance of each invariant under the perturbed prolongation, equality
-    of the rewritten Lagrangian with the original ("composition"),
-    annihilation of d(reduced L)/d(theta) by the particular solution
-    ("annihilation"), and the trajectory residual of the full variational
-    equations under the constraint flow, which must not exceed tol."""
-
-    el_residual: float
-    tol: float
-
-    @property
-    def holds(self) -> bool:
-        return super().holds and self.el_residual <= self.tol
-
-
 def reduced_variables(n: int) -> tuple:
     """The variables of a reduced Lagrangian besides t: theta, the
     invariants eta1..eta_{n-1} and their velocities deta1..deta_{n-1}."""
@@ -438,7 +408,13 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                             box: Optional[DomainBox] = None,
                             cfg: Optional[ZeroTestConfig] = None,
                             t1: float = 1.0, h: float = 1e-3,
-                            tol: float = 1e-5) -> PartialReductionReport:
+                            tol: float = 1e-5) -> Verdicts:
+    """Verdicts for a reduction through differential invariants:
+    invariance of each invariant under the perturbed prolongation, equality
+    of the rewritten Lagrangian with the original ("composition"),
+    annihilation of d(reduced L)/d(theta) by the particular solution
+    ("annihilation"), and the trajectory residual of the full variational
+    equations under the constraint flow, within tol ("constraint flow")."""
     _require_shape(laml, LAGRANGIAN_SIDE, lag.n)
     if len(eta) != lag.n - 1:
         raise ValueError(f"need {lag.n - 1} zero-order invariants")
@@ -480,5 +456,6 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
     q0 = [0.5 * (box.interval(v)[0] + box.interval(v)[1]) for v in lag.q]
     traj = integrate_first_order(particular, lag.q, q0, 0.0, t1, h)
     rows = values_along(traj, m_and_g, "constraint-flow residual")
-    return PartialReductionReport(tuple(checks),
-                                  central_residual(rows[:, :lag.n], rows[:, lag.n:], h), tol)
+    checks.append(("constraint flow", ZeroVerdict.within(
+        central_residual(rows[:, :lag.n], rows[:, lag.n:], h), tol, len(rows[1:-1]))))
+    return Verdicts(tuple(checks))

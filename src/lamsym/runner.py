@@ -10,7 +10,9 @@ NAME not selected` or the reason of a prerequisite that did not pass.  On
 Lagrangian problems the phase-side checks take the phase field from `xh`
 and the perturbation matrix from `lh`.  Mathematical failures are verdicts
 (NonZero), never exceptions.  A check's result is the worst of the
-labelled verdicts its library function returns in `checks` (`_aggregate`).
+labelled verdicts its library function returns in `checks` (`_aggregate`);
+a residual along a trajectory (mon, gl, lz) is NumericallyZero within its
+tolerance and NonZero beyond it (`ZeroVerdict.within`).
 Report JSON is byte-stable for a fixed problem, seed and selection (wall
 times are never serialized).
 """
@@ -31,6 +33,7 @@ from . import numeric, symmetry
 from .expr import (
     SamplingError,
     ZeroTestConfig,
+    ZeroVerdict,
     compile_expr,
     compile_exprs,
     format_expr,
@@ -96,14 +99,19 @@ class Report:
 
 def _aggregate(checks: Sequence[tuple], detail: str):
     """A check's result from its (label, ZeroVerdict) pairs: the worst tag,
-    the max scaled residual, the worst witness, and the detail."""
+    the max residual, the witness of the worst verdict that carries one, and
+    the detail."""
     if not checks:
         return "ProvenZero", None, None, detail
+
+    def rank(v):
+        return _RANK[v.tag], v.max_residual
+
     verdicts = [v for _, v in checks]
-    worst = max(verdicts, key=lambda v: (_RANK[v.tag], v.max_residual))
+    witnessed = [v for v in verdicts if v.witness is not None]
+    witness = max(witnessed, key=rank).witness if witnessed else None
     residuals = [v.max_residual for v in verdicts if v.tag != "ProvenZero"]
-    max_resid = max(residuals) if residuals else 0.0
-    return worst.tag, max_resid, worst.witness, detail
+    return max(verdicts, key=rank).tag, max(residuals, default=0.0), witness, detail
 
 
 class _Skip(Exception):
@@ -261,15 +269,14 @@ def _check_mon(ctx: _Context):
     big_gamma = problem.candidates.get("Gamma")
     _need(gamma_law is not None or big_gamma is not None,
           "nothing to monitor (no gamma or Gamma candidate)")
-    worst = 0.0
-    notes = []
+    checks, notes = [], []
     names = ("t",) + ctx.sys.u
     if problem.kind == "lagrangian":
         # file rows are (q..., dq...); map to phase space via momenta
         lag = ctx.lag
         momenta = generated(lag.lagrangian, ("momenta", lag.n), lambda: compile_exprs(
             lagmod.conjugate_momenta(lag), ("t",) + lag.q + lag.dq))
-    for ic in problem.candidates["initial_conditions"]:
+    for k, ic in enumerate(problem.candidates["initial_conditions"], 1):
         u0 = list(ic)
         if problem.kind == "lagrangian":
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
@@ -277,16 +284,18 @@ def _check_mon(ctx: _Context):
         if big_gamma is not None:
             values = numeric.values_along(traj, compile_expr(big_gamma, names), "monitor Gamma")
             drift = float(np.max(np.abs(values - values[0])))
-            worst = max(worst, drift)
+            checks.append((f"drift {k}", ZeroVerdict.within(drift, MONITOR_TOL, len(values))))
             notes.append(f"drift {drift:.3e}")
         if gamma_law is not None and ctx.g is not None:
             values = numeric.values_along(traj, compile_expr(ctx.g, names), "monitor G")
             series = numeric.MonitorSeries("G", traj.t0, traj.h, values)
             dev = numeric.compare_with_scalar_ode(series, gamma_law, float(values[0]))
-            worst = max(worst, dev)
+            checks.append((f"scalar law {k}", ZeroVerdict.within(dev, MONITOR_TOL, len(values))))
             notes.append(f"scalar-law deviation {dev:.3e}")
-    verdict = "NumericallyZero" if worst <= MONITOR_TOL else "NonZero"
-    return verdict, worst, None, "; ".join(notes)
+    if not checks:
+        # a gamma law without G: no residual tested
+        return "NumericallyZero", 0.0, None, ""
+    return _aggregate(checks, "; ".join(notes))
 
 
 # ------------------------------------------------------- lagrangian pipeline
@@ -328,9 +337,7 @@ def _check_gl(ctx: _Context):
     rep = lagmod.check_noether_lambda(ctx.lag, ctx.xl, ctx.laml, ctx.box,
                                       ctx.problem.candidates["initial_conditions"],
                                       NOETHER_T1, TRAJECTORY_H, NOETHER_TOL)
-    verdict = "NumericallyZero" if rep.holds else "NonZero"
-    return verdict, rep.max_residual, None, \
-        f"{len(rep.residuals)} trajectories, tol {rep.tol:g}"
+    return _aggregate(rep.checks, f"{len(rep.checks)} trajectories, tol {NOETHER_TOL:g}")
 
 
 def _check_lala(ctx: _Context):
@@ -351,11 +358,8 @@ def _check_lz(ctx: _Context):
         ctx.lag, ctx.xl, ctx.laml, candidates.get("eta", ()), candidates["theta"],
         candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc,
         t1=TRAJECTORY_T1, h=TRAJECTORY_H, tol=REDUCTION_TOL)
-    tag, resid, witness, detail = _aggregate(
-        rep.checks, f"constraint-flow residual {rep.el_residual:.3e} (tol {rep.tol:g})")
-    if rep.el_residual > rep.tol:
-        tag = "NonZero"
-    return tag, max(resid or 0.0, rep.el_residual), witness, detail
+    flow = dict(rep.checks)["constraint flow"].max_residual
+    return _aggregate(rep.checks, f"constraint-flow residual {flow:.3e} (tol {REDUCTION_TOL:g})")
 
 
 # --------------------------------------------------------------------------

@@ -137,3 +137,32 @@ def test_the_guard_flags_compiled_code_kept_on_an_attribute(tmp_path):
                       "g = generated(e, key, compile_exprs, [e], names)\n"
                       "self.x: int = len(names)\n", encoding="utf-8")
     assert _kept_compilations(module) == [2, 3, 4, 5, 6]
+
+
+_TOLERANCES = {"MONITOR_TOL", "NOETHER_TOL", "REDUCTION_TOL", "tol"}
+
+
+def _tolerance_comparisons(path: Path) -> list:
+    """Lines of path that compare a value with MONITOR_TOL, NOETHER_TOL,
+    REDUCTION_TOL or a name or attribute `tol`."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                                                   str(path)))
+                   if isinstance(node, ast.Compare)
+                   and any(getattr(n, "id", getattr(n, "attr", None)) in _TOLERANCES
+                           for n in ast.walk(node))})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("runner.py", "lagrangian.py")],
+                         ids=lambda p: p.name)
+def test_trajectory_residuals_are_decided_by_the_one_constructor(path):
+    # expr.ZeroVerdict.within decides a residual by its tolerance; a
+    # comparison beside it would be another verdict shape
+    assert not _tolerance_comparisons(path)
+
+
+def test_the_guard_flags_a_tolerance_comparison(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("ok = worst <= MONITOR_TOL\nif rep.el_residual > rep.tol:\n    pass\n"
+                      "v = ZeroVerdict.within(r, NOETHER_TOL, n)\nb = 2 * tol > r\n"
+                      "c = tolerance < 1\nd = max(r, REDUCTION_TOL)\n", encoding="utf-8")
+    assert _tolerance_comparisons(module) == [1, 2, 5]

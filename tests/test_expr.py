@@ -33,6 +33,7 @@ from lamsym.expr import (
     Sum,
     Var,
     ZeroTestConfig,
+    ZeroVerdict,
     _negate,
     compile_expr,
     compile_exprs,
@@ -489,6 +490,16 @@ def test_a_verdict_counts_the_samples_it_rejected():
         if tag == "NumericallyZero":
             # the printed verdict does not show the count
             assert str(v) == f"NumericallyZero(max={v.max_residual:.3e}, n={v.samples})"
+
+
+def test_a_residual_within_its_tolerance_is_numerically_zero():
+    tol = 1e-5
+    at = ZeroVerdict.within(tol, tol, 999)
+    assert (at.tag, at.max_residual, at.samples, at.witness) == ("NumericallyZero", tol, 999, None)
+    for residual in (math.nextafter(tol, math.inf), math.inf):
+        beyond = ZeroVerdict.within(residual, tol, 999)
+        assert (beyond.tag, beyond.max_residual, beyond.witness_residual, beyond.samples,
+                beyond.witness) == ("NonZero", residual, residual, 999, None)
 
 
 @pytest.mark.parametrize("text, lo, hi", [

@@ -283,12 +283,61 @@ def test_every_check_labels_its_verdicts_distinctly(monkeypatch):
         run_checks(load_problem(bundled(f"example{number}.json")))
     assert sorted(labels) == [
         "check_lambda_constant_G", "check_lambda_constant_S", "check_lambda_symmetry",
-        "check_point_symmetry", "check_scalar_condition", "check_separated_G",
-        "extend_lambda", "generating_function_test", "partial_reduction_check",
+        "check_noether_lambda", "check_point_symmetry", "check_scalar_condition",
+        "check_separated_G", "extend_lambda", "generating_function_test", "partial_reduction_check",
         "reduced_system", "verify_chart", "verify_legendre"]
     for name, runs in labels.items():
         for run in runs:
             assert len(set(run)) == len(run), (name, run)
+
+
+def test_lz_keeps_the_symbolic_witness_beside_a_larger_flow_residual(tmp_path):
+    # dq1 = 2 q1 log q1 breaks the annihilation and the constraint flow; the
+    # flow's residual is the larger, and it carries no witness point
+    doc = _bundled_doc("example6.json")
+    doc["candidates"]["particular_solution"] = ["2*q1*log(q1)", "q2*(1/2 - log(q1))"]
+    problem = load_problem(write_problem(tmp_path, doc))
+    c = problem.candidates
+    rep = lagrangian.partial_reduction_check(
+        problem.lagrangian_system(), problem.config_field(), problem.lam, c["eta"],
+        c["theta"], c["reduced_L"], c["particular_solution"], problem.box)
+    annihilation = dict(rep.checks)["annihilation"]
+    assert annihilation.tag == "NonZero" and annihilation.witness
+    record = run_checks(problem, ["lz"]).record("lz")
+    assert record.verdict == "NonZero"
+    assert record.witness == annihilation.witness
+    # max(symbolic, trajectory) is the trajectory residual the detail prints
+    assert record.max_residual > max(1e-5, *(v.max_residual for _, v in rep.checks
+                                             if v.tag != "ProvenZero" and v.witness))
+    assert record.detail == f"constraint-flow residual {record.max_residual:.3e} (tol 1e-05)"
+
+
+def test_lz_on_proven_symbolic_checks_reads_the_flow_tolerance(tmp_path):
+    # every symbolic check of this reduction is ProvenZero; the constraint
+    # flow is tolerance evidence, so the check reads NumericallyZero
+    doc = {"kind": "lagrangian", "n": 1, "lagrangian": "dq1^2/2",
+           "vector_field": {"phi": ["1"]},
+           "candidates": {"theta": "dq1", "reduced_L": "theta^2/2",
+                          "particular_solution": ["0"]}}
+    problem = load_problem(write_problem(tmp_path, doc))
+    c = problem.candidates
+    rep = lagrangian.partial_reduction_check(
+        problem.lagrangian_system(), problem.config_field(),
+        lambda_symmetry.LambdaMatrix.zeros(1, lambda_symmetry.LAGRANGIAN_SIDE), (),
+        c["theta"], c["reduced_L"], c["particular_solution"])
+    assert [v.tag for _, v in rep.checks] == ["ProvenZero"] * 3 + ["NumericallyZero"]
+    record = run_checks(problem, ["lz"]).record("lz")
+    assert (record.verdict, record.max_residual, record.witness) == ("NumericallyZero", 0.0, None)
+    assert record.detail == "constraint-flow residual 0.000e+00 (tol 1e-05)"
+
+
+def test_mon_with_a_law_and_nothing_to_monitor_tests_no_residual(tmp_path):
+    # a gamma law without G monitors nothing, yet reads NumericallyZero 0.0
+    doc = _bundled_doc("example2.json")
+    del doc["candidates"]["G"], doc["candidates"]["Gamma"]
+    report = run_checks(load_problem(write_problem(tmp_path, doc)), ["mon"])
+    assert json.loads(report_to_json(report))["checks"] == [
+        {"name": "mon", "eq": "MON", "verdict": "NumericallyZero", "max_residual": 0.0}]
 
 
 def test_cli_corpus_json_is_byte_identical(tmp_path):
