@@ -34,7 +34,6 @@ from .mechanics import (
     canonical_equations,
     evolutionary_form,
     hamiltonian_vector_field,
-    lie_bracket,
     poisson_bracket,
     scale_field,
     total_time_derivative,

@@ -393,6 +393,10 @@ _POW_PREC = 30
 # Half of the compiler's limit leaves room for derivatives and normal forms.
 MAX_NESTING = 100
 
+# Most sample points a zero test may ask for: the sampling tier builds its
+# whole point set at once, and 100,000 is 500 times the most any caller uses.
+MAX_SAMPLES = 100_000
+
 # Largest size in bits, estimated as |k| * floor(log2 max(|a|, b)), of a
 # constant that `simplify` folds from an integer power (a/b)^k; a larger
 # power stays a Power of two constants, which keeps its value.
@@ -1625,7 +1629,7 @@ class DomainBox:
 
 @dataclass(frozen=True, kw_only=True)
 class ZeroTestConfig:
-    """Settings of the sampling tier: at least one sample point, and a
+    """Settings of the sampling tier: 1 to MAX_SAMPLES sample points, and a
     finite, non-negative tolerance on the scaled residual."""
 
     samples: int = 100
@@ -1635,6 +1639,8 @@ class ZeroTestConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.abs_tol}")
 

@@ -13,6 +13,7 @@ along a trajectory is a verdict within its tolerance (`ZeroVerdict.within`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -41,7 +42,7 @@ from .expr import (
     substitute,
 )
 from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
-                              _require_shape, _scalar_multiple)
+                              _require_shape, _scalar_multiple, lambda_prolongation)
 from .mechanics import Coordinates, PhaseVectorField, hamiltonian_vector_field
 from .numeric import (central_residual, integrate_euler_lagrange, integrate_first_order,
                       values_along)
@@ -99,11 +100,9 @@ def _prolonged_action(lag: LagrangianSystem, xl: ConfigVectorField,
                       laml: LambdaMatrix, f: Expr) -> Expr:
     """The perturbed prolongation of xl applied to f(t, q, dq), velocities free:
     sum phi_a df/dq_a + (D_t phi_a + (Lambda phi)_a) df/ddq_a."""
-    lam_phi = laml.vec(xl.phi)
-    parts = [mul(xl.phi[a], differentiate(f, lag.q[a])) for a in range(lag.n)]
-    for a in range(lag.n):
-        coeff = add(_free_velocity_dt(lag, xl.phi[a]), lam_phi[a])
-        parts.append(mul(coeff, differentiate(f, lag.dq[a])))
+    coeffs = lambda_prolongation(partial(_free_velocity_dt, lag), xl.phi, laml)
+    parts = [mul(c, differentiate(f, v)) for c, v in zip(xl.phi, lag.q)]
+    parts += [mul(c, differentiate(f, v)) for c, v in zip(coeffs, lag.dq)]
     return add(*parts)
 
 

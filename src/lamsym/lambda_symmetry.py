@@ -13,7 +13,7 @@ zero verdicts in one `checks` tuple, plus what the check derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .expr import (
     DomainBox,
@@ -176,13 +176,12 @@ def _scalar_multiple(lam_phi: Sequence[Expr], comps: Sequence[Expr],
     return scalar
 
 
-def lambda_prolongation(sys: PhaseSystem, x: PhaseVectorField,
+def lambda_prolongation(dt: Callable[[Expr], Expr], psi: Sequence[Expr],
                         lam: LambdaMatrix) -> tuple:
-    """Velocity-direction coefficients of the perturbed first prolongation:
-    D_t Phi_a + (Lambda Phi)_a, expanded along solutions."""
-    lam_phi = _lambda_phi(sys, x, lam)
-    return tuple(simplify(add(total_time_derivative(sys, c), lp))
-                 for c, lp in zip(x.components, lam_phi))
+    """The next coefficients psi^(k+1) = D_t psi^(k) + Lambda psi^(k) of the
+    perturbed prolongation of a field with tau = 0, psi^(0) its components and
+    dt the total derivative D_t; apply it again for a higher order.  Not normalized."""
+    return tuple(add(dt(c), lp) for c, lp in zip(psi, lam.vec(psi)))
 
 
 def check_lambda_symmetry(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,

@@ -130,10 +130,9 @@ def hamiltonian_vector_field(sys: Coordinates, k: Expr) -> PhaseVectorField:
     return PhaseVectorField(phi, psi)
 
 
-def _require_autonomous(*fields: PhaseVectorField):
-    for x in fields:
-        if simplify(x.tau) != ZERO:
-            raise ValueError("operation requires tau = 0 (use evolutionary_form first)")
+def _require_autonomous(x: PhaseVectorField):
+    if simplify(x.tau) != ZERO:
+        raise ValueError("operation requires tau = 0 (use evolutionary_form first)")
 
 
 def bracket(sys: PhaseSystem, xc: Sequence[Expr], yc: Sequence[Expr]) -> tuple:
@@ -143,13 +142,6 @@ def bracket(sys: PhaseSystem, xc: Sequence[Expr], yc: Sequence[Expr]) -> tuple:
                        for part in (mul(xc[b], differentiate(yc[a], v)),
                                     neg(mul(yc[b], differentiate(xc[a], v))))])
                  for a in range(2 * sys.n))
-
-
-def lie_bracket(sys: PhaseSystem, x: PhaseVectorField, y: PhaseVectorField) -> PhaseVectorField:
-    """Commutator [X, Y] of two phase-space fields with tau = 0."""
-    _require_autonomous(x, y)
-    out = [simplify(c) for c in bracket(sys, x.components, y.components)]
-    return PhaseVectorField(tuple(out[:sys.n]), tuple(out[sys.n:]))
 
 
 def evolutionary_form(sys: PhaseSystem, x: PhaseVectorField) -> PhaseVectorField:

@@ -182,9 +182,13 @@ def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
 def integrate_first_order(exprs: Sequence[Expr], names: Sequence[str],
                           y0: Sequence[float], t0: float = 0.0,
                           t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP) -> Trajectory:
-    """Integrate dy/dt = f(t, y) given componentwise expressions."""
-    f = compile_exprs(exprs, ("t",) + tuple(names))
-    return Trajectory(tuple(names), t0, h, *_rk4_loop(f, y0, t0, t1, h))
+    """Integrate dy/dt = f(t, y) given componentwise expressions.  The flow is
+    compiled once and kept under the first expression, with the rest as
+    inputs (`expr.generated`), so integrating it again compiles nothing."""
+    names = tuple(names)
+    f = expr.generated(exprs[0], ("first order", names, len(exprs)), compile_exprs, exprs,
+                       ("t",) + names, inputs=exprs[1:])
+    return Trajectory(names, t0, h, *_rk4_loop(f, y0, t0, t1, h))
 
 
 def integrate_hamiltonian(sys, u0: Sequence[float], t0: float = 0.0,

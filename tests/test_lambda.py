@@ -1,6 +1,9 @@
+import math
 import random
+from functools import partial
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from lamsym.expr import (
@@ -9,9 +12,12 @@ from lamsym.expr import (
     SamplingError,
     Var,
     add,
+    compile_exprs,
+    differentiate,
     div,
     format_expr,
     is_identically_zero,
+    mul,
     neg,
     parse,
     simplify,
@@ -23,9 +29,11 @@ from lamsym.mechanics import (
     scale_field,
     total_time_derivative,
 )
+from lamsym.numeric import integrate_first_order, integrate_hamiltonian
 from lamsym.problem import load_problem
 from lamsym.symmetry import check_first_integral, check_point_symmetry, compute_S
 from lamsym.lambda_symmetry import (
+    LAGRANGIAN_SIDE,
     ChartError,
     LambdaMatrix,
     ReductionChart,
@@ -104,8 +112,14 @@ def exponential_system():
 
 # ------------------------------------------------------------ prolongation
 
+def on_shell_prolongation(sys, x, lam):
+    """The first perturbed prolongation of x along solutions, normalized."""
+    return tuple(map(simplify, lambda_prolongation(
+        partial(total_time_derivative, sys), x.components, lam.on_shell(sys))))
+
+
 def test_prolongation_of_momentum_shift():
-    coeffs = lambda_prolongation(crossed_system(), crossed_field(), crossed_lambda())
+    coeffs = on_shell_prolongation(crossed_system(), crossed_field(), crossed_lambda())
     assert coeffs == (ZERO, ZERO, ONE, ONE)
 
 
@@ -113,16 +127,14 @@ def test_prolongation_with_zero_matrix_is_standard():
     sys = crossed_system()
     x = crossed_field()
     lam0 = LambdaMatrix.zeros(4)
-    coeffs = lambda_prolongation(sys, x, lam0)
-    from lamsym.mechanics import total_time_derivative
+    coeffs = on_shell_prolongation(sys, x, lam0)
     expected = tuple(simplify(total_time_derivative(sys, c)) for c in x.components)
     assert coeffs == expected
 
 
 def test_prolongation_log_scaling_matches_displayed_coefficients():
     sys = log_scaling_system()
-    coeffs = lambda_prolongation(sys, log_scaling_field(), log_scaling_lambda())
-    from lamsym.mechanics import canonical_equations
+    coeffs = on_shell_prolongation(sys, log_scaling_field(), log_scaling_lambda())
     f = canonical_equations(sys)
     # velocity-direction coefficients (dq + q^2 p, -(dp + q p^2)) with the
     # velocity symbols replaced by the equations of motion
@@ -138,7 +150,21 @@ def test_prolongation_log_scaling_matches_displayed_coefficients():
 
 def test_prolongation_dimension_mismatch():
     with pytest.raises(ValueError, match="matrix"):
-        lambda_prolongation(crossed_system(), crossed_field(), LambdaMatrix.zeros(2))
+        on_shell_prolongation(crossed_system(), crossed_field(), LambdaMatrix.zeros(2))
+
+
+def test_second_prolongation_is_the_step_applied_twice():
+    # phi = q1 with Lambda = (c): psi1 = dq1 + c*q1, and
+    # psi2 = D_t psi1 + c*psi1 = ddq1 + 2*c*dq1 + c^2*q1
+    def dt(f):
+        return add(differentiate(f, "t"), mul(Var("dq1"), differentiate(f, "q1")),
+                   mul(Var("ddq1"), differentiate(f, "dq1")))
+
+    lam = LambdaMatrix(((Var("c"),),), LAGRANGIAN_SIDE)
+    psi1 = lambda_prolongation(dt, (Var("q1"),), lam)
+    psi2 = lambda_prolongation(dt, psi1, lam)
+    assert is_identically_zero(psi1[0] - parse("dq1 + c*q1")).tag == "ProvenZero"
+    assert is_identically_zero(psi2[0] - parse("ddq1 + 2*c*dq1 + c^2*q1")).tag == "ProvenZero"
 
 
 # ------------------------------------------------------------ lambda symmetry
@@ -441,6 +467,55 @@ def test_reduced_system_requires_verified_chart():
     bad = ReductionChart(chart.w, parse("p1+p2"), chart.inverse)
     with pytest.raises(ChartError):
         reduced_system(crossed_system(), crossed_field(), crossed_lambda(), bad)
+
+
+_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+
+def _chart_gaps(name, u0, added=None):
+    """At each step of _STEPS, the largest gap over the grid to t = 1 between
+    the chart image (w, z) of the full Hamiltonian flow from u0 and the flow
+    of the reduced system from the image of u0; `added` is added to W1."""
+    with resources.as_file(resources.files("lamsym").joinpath("problems", name)) as path:
+        problem = load_problem(str(path))
+    sys, chart = problem.phase_system(), problem.chart
+    rs = reduced_system(sys, problem.vector_field(), problem.lam, chart, problem.box)
+    rhs = [*rs.w_rhs, rs.z_rhs]
+    if added is not None:
+        rhs[0] = add(rhs[0], parse(added))
+    to_chart = compile_exprs([*chart.w, chart.z], ("t", *sys.u))
+    gaps = []
+    for h in _STEPS:
+        full = integrate_hamiltonian(sys, u0, 0.0, 1.0, h)
+        image = np.array([to_chart(t, *map(float, u)) for t, u in zip(full.times, full.states)])
+        reduced = integrate_first_order(rhs, (*chart.w_names, chart.z_name), image[0],
+                                        0.0, 1.0, h)
+        assert not full.truncated and not reduced.truncated
+        gaps.append(float(np.max(np.abs(reduced.states - image))))
+    return gaps
+
+
+def _orders(gaps):
+    return [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+
+
+def test_reduced_system_of_example2_is_its_flow_to_rounding():
+    # W and Z are linear in (w, z): both flows take the same steps
+    assert max(_chart_gaps("example2.json", [0.4, 0.3, 0.2, 0.1])) <= 8.9e-16
+
+
+def test_reduced_system_of_example3_converges_to_its_flow_at_order_4():
+    # measured 9.1e-11, 5.7e-12, 3.5e-13: the two RK4 flows agree up to
+    # their own error
+    gaps = _chart_gaps("example3.json", [0.8, 0.6, 0.5, 0.4])
+    assert gaps[0] < 1e-10
+    assert all(3.8 < k < 4.2 for k in _orders(gaps))
+
+
+def test_a_reduced_system_with_an_added_term_does_not_converge_to_the_flow():
+    gaps = _chart_gaps("example3.json", [0.8, 0.6, 0.5, 0.4], added="1/1000000")
+    assert min(gaps) > 1e-7
+    assert all(abs(k) < 0.1 for k in _orders(gaps))
 
 
 # ------------------------------------------------------------ separated G

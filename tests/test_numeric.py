@@ -879,13 +879,10 @@ def test_mon_compiles_its_monitored_expressions_once_per_check(builds):
     assert builds == []
 
 
-def test_a_second_run_compiles_no_list_of_trees_but_the_constraint_flow(monkeypatch,
-                                                                       fresh_keeper):
+def test_a_second_run_compiles_no_list_of_trees(monkeypatch, fresh_keeper):
     # the momenta of mon, the Noether rates of gl and the constrained momenta
-    # and forces of lz are kept with L.  The constraint flow of lz is not:
-    # integrate_first_order has only its component trees, any of which may be
-    # a module constant, to own it.  The zero-test residuals compile again
-    # because their normal forms die with the run's scope
+    # and forces of lz are kept with L, and the constraint flow of lz with
+    # its first component tree, the others as inputs
     calls = []
     for module in (lagmod, runner, numeric):
         def counting(exprs, names, _compile=module.compile_exprs, _module=module.__name__):
@@ -903,7 +900,14 @@ def test_a_second_run_compiles_no_list_of_trees_but_the_constraint_flow(monkeypa
     again = run_checks(problem)
     assert [(c.verdict, c.max_residual, c.detail) for c in again.checks] == \
         [(c.verdict, c.max_residual, c.detail) for c in report.checks]
-    assert calls == [("lamsym.numeric", positions)]
+    assert calls == []
+
+
+def test_a_first_order_flow_compiles_once(builds):
+    field = [parse("-1+0*y1"), parse("y1*y2")]
+    for y0 in ([0.5, 1.0], [0.7, 1.0]):
+        integrate_first_order(field, ["y1", "y2"], y0, 0.0, 0.1, 1e-2)
+    assert builds == [("t", "y1", "y2")]
 
 
 def test_monitor_compiles_a_tree_once(builds):

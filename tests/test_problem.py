@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -9,7 +10,7 @@ import pytest
 
 from lamsym import lagrangian, lambda_symmetry, symmetry
 from lamsym.cli import CORPUS, corpus_reports, main
-from lamsym.expr import Const, Verdicts, format_expr, parse, simplify
+from lamsym.expr import MAX_SAMPLES, Const, Verdicts, format_expr, parse, simplify
 from lamsym.problem import ProblemError, _items, load_problem
 from lamsym.runner import (
     CHECKS,
@@ -340,6 +341,47 @@ def test_mon_with_a_law_and_nothing_to_monitor_tests_no_residual(tmp_path):
         {"name": "mon", "eq": "MON", "verdict": "NumericallyZero", "max_residual": 0.0}]
 
 
+_SECOND_DOF = re.compile(r"\b(d?[qp])([12])\b")
+
+
+def _swap_dofs(item):
+    """item with q1, p1, dq1 and dp1 renamed to q2, p2, dq2 and dp2 and back."""
+    if isinstance(item, str):
+        return _SECOND_DOF.sub(lambda m: m[1] + "21"[int(m[2]) - 1], item)
+    if isinstance(item, list):
+        return [_swap_dofs(e) for e in item]
+    if isinstance(item, dict):
+        return {_swap_dofs(k): _swap_dofs(e) for k, e in item.items()}
+    return item
+
+
+def _swapped(row):
+    """A row over (q1, q2) or (q1, q2, p1, p2), with its degrees of freedom swapped."""
+    return [row[i] for i in (1, 0, 3, 2)[:len(row)]]
+
+
+@pytest.mark.parametrize("name", ["example2.json", "example3.json", "example5.json",
+                                  "example6.json"])
+def test_swapping_the_degrees_of_freedom_keeps_every_tag(tmp_path, name):
+    # names, the field, Lambda's rows and columns, the velocity map, the
+    # particular solution and the initial conditions are all swapped; the
+    # chart keeps its w1..w3 and z, and eta its order
+    doc = _swap_dofs(_bundled_doc(name))
+    doc["vector_field"] = {k: _swapped(v) for k, v in doc["vector_field"].items()}
+    doc["lambda"]["entries"] = _swapped([_swapped(row) for row in doc["lambda"]["entries"]])
+    candidates = doc["candidates"]
+    for key in ("velocity_map", "particular_solution"):
+        if key in candidates:
+            candidates[key] = _swapped(candidates[key])
+    if "initial_conditions" in candidates:
+        candidates["initial_conditions"] = list(map(_swapped, candidates["initial_conditions"]))
+    problem, swapped = load_problem(bundled(name)), load_problem(write_problem(tmp_path, doc))
+    for seed in (0, 1, 3):
+        tags = [[(r.name, r.verdict) for r in run_checks(p, None, RunConfig(seed=seed)).checks]
+                for p in (problem, swapped)]
+        assert tags[0] == tags[1], seed
+
+
 def test_cli_corpus_json_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["corpus", "--seed", "7", "--report", "json", "--out", str(a)]) == 0
@@ -558,6 +600,8 @@ def test_velocity_dependence_is_read_off_the_entries_when_not_stated(tmp_path, n
 @pytest.mark.parametrize("option, value, message", [
     ("--samples", "0", "samples must be at least 1"),
     ("--samples", "-5", "samples must be at least 1"),
+    ("--samples", "100001", "samples must be at most 100000"),
+    ("--samples", "1000000000", "samples must be at most 100000"),
     ("--tol", "nan", "tolerance must be finite"),
     ("--tol", "inf", "tolerance must be finite"),
     ("--tol", "-1e-9", "non-negative"),
@@ -578,4 +622,7 @@ def test_zero_test_config_is_keyword_only_and_checked():
         RunConfig(100)
     with pytest.raises(ValueError, match="samples"):
         RunConfig(samples=0)
+    with pytest.raises(ValueError, match="samples must be at most"):
+        RunConfig(samples=MAX_SAMPLES + 1)
+    assert RunConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
     assert RunConfig(seed=3) == RunConfig(samples=100, seed=3, abs_tol=1e-9)
