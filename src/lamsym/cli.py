@@ -3,7 +3,6 @@ the bundled corpus of worked examples."""
 
 from __future__ import annotations
 
-import argparse
 import sys
 from contextlib import contextmanager
 from importlib import resources
@@ -30,6 +29,7 @@ CORPUS = (
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse   # here, not at module level: library callers of CORPUS never parse
     ap = argparse.ArgumentParser(prog="lamsym",
                                  description="Verify symmetries and perturbed "
                                              "symmetries of canonical equations.")
@@ -63,13 +63,21 @@ def _config(args) -> ZeroTestConfig:
     return ZeroTestConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
 
 
+class _Unwritable(Exception):
+    """The --out file cannot be opened for writing."""
+
+
 @contextmanager
 def _output(path):
     """The file at path, open for writing until the block ends, or stdout."""
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as out:
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise _Unwritable(err) from None
+    with out:
         yield out
 
 
@@ -168,11 +176,12 @@ def _cmd_corpus(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "integrate":
-        return _cmd_integrate(args)
-    return _cmd_corpus(args)
+    command = {"check": _cmd_check, "integrate": _cmd_integrate, "corpus": _cmd_corpus}
+    try:
+        return command[args.command](args)
+    except _Unwritable as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

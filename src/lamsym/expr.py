@@ -35,7 +35,6 @@ import threading
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 from _weakref import _remove_dead_weakref
@@ -131,6 +130,55 @@ class Expr:
 _new = object.__new__
 _put_fv = Expr._fv.__set__   # the cache slots' setters, past the immutability guard
 _put_sk = Expr._sk.__set__
+
+
+class Record:
+    """Base class of the immutable value records: settings, verdicts,
+    reports and what a problem file describes.  A record's fields are the
+    `__slots__` of its classes, base first; each class's `__init__` takes
+    them with their defaults and checks and stores them, in field order,
+    with `Record.__init__(self, *values)`.  Unlike a node, a record is not
+    interned: `==` and `hash` go by field, between records of one class (so
+    a dict or array field makes it unhashable), as does the repr."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__dict__["__slots__"]
+        cls._puts = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values):
+        for put, value in zip(self._puts, values, strict=True):
+            put(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy store the fields as they are, past __init__
+        return _new, (type(self),), self._values()
+
+    def __setstate__(self, values):
+        Record.__init__(self, *values)
+
 
 # The intern table maps a node's key to a weak reference to the one live node
 # with that key.  The key is the node's class and fields and holds the very
@@ -1602,14 +1650,14 @@ def _compile_one(e: Expr, names: tuple) -> Callable[..., float]:
 DEFAULT_INTERVAL = (0.2, 1.2)
 
 
-@dataclass
-class DomainBox:
+class DomainBox(Record):
     """Closed intervals per variable; unlisted variables get the default
     interval, which keeps log/sqrt/division safe for all bundled problems."""
 
-    intervals: dict = field(default_factory=dict)
+    __slots__ = ("intervals",)
 
-    def __post_init__(self):
+    def __init__(self, intervals: Optional[dict] = None):
+        Record.__init__(self, {} if intervals is None else intervals)
         for name, (lo, hi) in self.intervals.items():
             if not lo < hi:
                 raise ValueError(f"empty interval for {name!r}: [{lo}, {hi}]")
@@ -1627,26 +1675,23 @@ class DomainBox:
             yield tuple([lo + width * draw() for lo, width in spans])
 
 
-@dataclass(frozen=True, kw_only=True)
-class ZeroTestConfig:
+class ZeroTestConfig(Record):
     """Settings of the sampling tier: 1 to MAX_SAMPLES sample points, and a
     finite, non-negative tolerance on the scaled residual."""
 
-    samples: int = 100
-    seed: int = 0
-    abs_tol: float = 1e-9
+    __slots__ = ("samples", "seed", "abs_tol")
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.samples > MAX_SAMPLES:
-            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError(f"tolerance must be finite and non-negative, got {self.abs_tol}")
+    def __init__(self, *, samples: int = 100, seed: int = 0, abs_tol: float = 1e-9):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+        if not (math.isfinite(abs_tol) and abs_tol >= 0):
+            raise ValueError(f"tolerance must be finite and non-negative, got {abs_tol}")
+        Record.__init__(self, samples, seed, abs_tol)
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(Record):
     """Outcome of a zero test.
 
     ProvenZero: the normal form is the literal zero constant.
@@ -1658,12 +1703,11 @@ class ZeroVerdict:
     errors, overflow or a non-finite residual.
     """
 
-    tag: str
-    samples: int = 0
-    rejected: int = 0
-    max_residual: float = 0.0
-    witness: Optional[dict] = None
-    witness_residual: Optional[float] = None
+    __slots__ = ("tag", "samples", "rejected", "max_residual", "witness", "witness_residual")
+
+    def __init__(self, tag: str, samples: int = 0, rejected: int = 0, max_residual: float = 0.0,
+                 witness: Optional[dict] = None, witness_residual: Optional[float] = None):
+        Record.__init__(self, tag, samples, rejected, max_residual, witness, witness_residual)
 
     @classmethod
     def within(cls, residual: float, tol: float, samples: int) -> "ZeroVerdict":
@@ -1688,13 +1732,15 @@ class ZeroVerdict:
 PROVEN_ZERO = ZeroVerdict("ProvenZero")
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(Record):
     """The zero verdicts of one check, as (label, ZeroVerdict) pairs in the
     order tested; the check holds when every verdict is ok.  Reports that
-    carry more than verdicts subclass it."""
+    carry more than verdicts subclass it, `checks` first."""
 
-    checks: tuple
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        Record.__init__(self, checks)
 
     @property
     def holds(self) -> bool:

@@ -12,7 +12,6 @@ along a trajectory is a verdict within its tolerance (`ZeroVerdict.within`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
@@ -22,6 +21,7 @@ import numpy as np
 from .expr import (
     DomainBox,
     Expr,
+    Record,
     Var,
     Verdicts,
     ZERO,
@@ -72,17 +72,17 @@ class LagrangianSystem(Coordinates):
         return [differentiate(d, vb) for d in dv for vb in self.dq]
 
 
-@dataclass(frozen=True)
-class ConfigVectorField:
+class ConfigVectorField(Record):
     """phi_alpha(t, q) d/dq_alpha over t and q1..qn, n the length of phi."""
 
-    phi: tuple
+    __slots__ = ("phi",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(coerce(e) for e in self.phi))
-        banned = set().union(*map(free_vars, self.phi)) - {"t", *Coordinates(self.n).q}
+    def __init__(self, phi: tuple):
+        phi = tuple(map(coerce, phi))
+        banned = set().union(*map(free_vars, phi)) - {"t", *Coordinates(len(phi)).q}
         if banned:
             raise ValueError(f"configuration field may only use (t, q): {sorted(banned)}")
+        Record.__init__(self, phi)
 
     @property
     def n(self) -> int:
@@ -155,11 +155,13 @@ def conjugate_momenta(lag: LagrangianSystem) -> tuple:
     return tuple(simplify(differentiate(lag.lagrangian, v)) for v in lag.dq)
 
 
-@dataclass(frozen=True)
 class LegendreReport(Verdicts):
     """The momentum checks, then the energy check H = p.v - L."""
 
-    min_hessian_det: float
+    __slots__ = ("min_hessian_det",)
+
+    def __init__(self, checks: tuple, min_hessian_det: float):
+        Record.__init__(self, checks, min_hessian_det)
 
 
 def verify_legendre(lag: LagrangianSystem, velocity_map: Sequence[Expr], h_expr: Expr,
@@ -222,13 +224,14 @@ def extend_vector_field(xl: ConfigVectorField, laml: Optional[LambdaMatrix] = No
     return PhaseVectorField(x.phi, tuple(psi)), None
 
 
-@dataclass(frozen=True)
 class LambdaExtensionReport(Verdicts):
     """The extended matrix, whose lower-right block was solved or a
     candidate; `checks` are the block constraints."""
 
-    matrix: LambdaMatrix
-    solved: bool
+    __slots__ = ("matrix", "solved")
+
+    def __init__(self, checks: tuple, matrix: LambdaMatrix, solved: bool):
+        Record.__init__(self, checks, matrix, solved)
 
 
 def _solve_lambda2(jac, laml: LambdaMatrix, box, cfg):
@@ -353,15 +356,15 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
     return Verdicts(tuple(checks))
 
 
-@dataclass(frozen=True)
 class ScalarConditionReport(Verdicts):
     """Scalar condition on the configuration side and its consequence for
     the extended matrix when the scalar is a constant c: Lambda Phi = c Phi,
     in `checks`, empty unless the constant branch is asserted."""
 
-    scalar: Optional[Expr]
-    is_constant: bool
-    note: str = ""
+    __slots__ = ("scalar", "is_constant", "note")
+
+    def __init__(self, checks: tuple, scalar: Optional[Expr], is_constant: bool, note: str = ""):
+        Record.__init__(self, checks, scalar, is_constant, note)
 
     @property
     def holds(self) -> bool:

@@ -12,12 +12,12 @@ zero verdicts in one `checks` tuple, plus what the check derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .expr import (
     DomainBox,
     Expr,
+    Record,
     Var,
     Verdicts,
     ZERO,
@@ -52,8 +52,7 @@ class ChartError(ValueError):
     """A reduction chart failed verification or is incomplete."""
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(Record):
     """Square matrix of expressions perturbing the prolongation.
 
     Hamiltonian-side matrices are 2n x 2n and act on the full phase
@@ -62,25 +61,21 @@ class LambdaMatrix:
     when an entry contains a velocity symbol of the matrix's side.
     """
 
-    entries: tuple
-    side: str = HAMILTONIAN_SIDE
-    velocity_dependent: bool = field(init=False)
+    __slots__ = ("entries", "side", "velocity_dependent")
 
-    def __post_init__(self):
-        rows = tuple(tuple(coerce(e) for e in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple, side: str = HAMILTONIAN_SIDE):
+        rows = tuple(tuple(coerce(e) for e in row) for row in entries)
         size = len(rows)
         if size == 0 or any(len(r) != size for r in rows):
             raise ValueError("lambda matrix must be square and non-empty")
-        if self.side not in (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE):
-            raise ValueError(f"unknown side {self.side!r}")
-        if self.side == HAMILTONIAN_SIDE and size % 2:
+        if side not in (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE):
+            raise ValueError(f"unknown side {side!r}")
+        if side == HAMILTONIAN_SIDE and size % 2:
             raise ValueError("hamiltonian-side matrix must have even size")
-        lagrangian = self.side == LAGRANGIAN_SIDE
+        lagrangian = side == LAGRANGIAN_SIDE
         c = Coordinates(size if lagrangian else size // 2)
         vel = set(c.dq if lagrangian else c.velocities)
-        object.__setattr__(self, "velocity_dependent",
-                           any(free_vars(e) & vel for row in rows for e in row))
+        Record.__init__(self, rows, side, any(free_vars(e) & vel for row in rows for e in row))
 
     @property
     def size(self) -> int:
@@ -112,20 +107,15 @@ class LambdaMatrix:
                                   for row in self.entries), self.side)
 
 
-@dataclass(frozen=True)
-class ReductionChart:
+class ReductionChart(Record):
     """Invariant coordinates w1..w_{2n-1}, the coordinate z rectifying the
     field (Xz = 1), and the explicit inverse map (t, w, z) -> (q, p)."""
 
-    w: tuple
-    z: Expr
-    inverse: Mapping[str, Expr]
+    __slots__ = ("w", "z", "inverse")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(coerce(e) for e in self.w))
-        object.__setattr__(self, "z", coerce(self.z))
-        object.__setattr__(self, "inverse",
-                           {k: coerce(v) for k, v in dict(self.inverse).items()})
+    def __init__(self, w: tuple, z: Expr, inverse: Mapping[str, Expr]):
+        Record.__init__(self, tuple(map(coerce, w)), coerce(z),
+                        {k: coerce(v) for k, v in dict(inverse).items()})
 
     z_name = "z"
 
@@ -208,15 +198,15 @@ def _apply_j(sys: PhaseSystem, v: Sequence[Expr]) -> tuple:
     return tuple(v[n:]) + tuple(neg(c) for c in v[:n])
 
 
-@dataclass(frozen=True)
 class LambdaConstantGReport(Verdicts):
     """Controlled conservation of a generating function G:
     grad(dG/dt along solutions) = J Lambda J grad G, componentwise; when
     Lambda Phi = lambda Phi, `checks` goes on with grad(rate) = -lambda grad G."""
 
-    g: Expr
-    rate: Expr
-    scalar: Optional[Expr] = None
+    __slots__ = ("g", "rate", "scalar")
+
+    def __init__(self, checks: tuple, g: Expr, rate: Expr, scalar: Optional[Expr] = None):
+        Record.__init__(self, checks, g, rate, scalar)
 
 
 def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -250,14 +240,14 @@ def check_lambda_constant_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMa
     return LambdaConstantGReport(tuple(checks), gv, rate, scalar)
 
 
-@dataclass(frozen=True)
 class LambdaConstantSReport(Verdicts):
     """Controlled conservation of the divergence quantity S:
     dS/dt along solutions = -div(Lambda Phi)."""
 
-    s: Expr
-    rate: Expr
-    divergence: Expr
+    __slots__ = ("s", "rate", "divergence")
+
+    def __init__(self, checks: tuple, s: Expr, rate: Expr, divergence: Expr):
+        Record.__init__(self, checks, s, rate, divergence)
 
 
 def check_lambda_constant_S(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -294,16 +284,15 @@ def verify_chart(sys: PhaseSystem, x: PhaseVectorField, chart: ReductionChart,
     return Verdicts(tuple(checks))
 
 
-@dataclass(frozen=True)
 class ReducedSystem(Verdicts):
     """Equations of motion rewritten in chart variables: dw_j/dt = W_j,
     dz/dt = Z, with the z-dependence certificates M: `checks` holds
     d(rate)/dz = M for each, and `z_free` which M vanish."""
 
-    w_rhs: tuple
-    z_rhs: Expr
-    m: tuple
-    z_free: tuple
+    __slots__ = ("w_rhs", "z_rhs", "m", "z_free")
+
+    def __init__(self, checks: tuple, w_rhs: tuple, z_rhs: Expr, m: tuple, z_free: tuple):
+        Record.__init__(self, checks, w_rhs, z_rhs, m, z_free)
 
 
 def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
@@ -337,13 +326,15 @@ def reduced_system(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,
     return ReducedSystem(checks, tuple(rates[:-1]), rates[-1], tuple(m_terms), z_free)
 
 
-@dataclass(frozen=True)
 class SeparatedGReport(Verdicts):
     """When Lambda Phi = lambda Phi and G is a chart coordinate, its
     reduced equation closes: dG/dt = gamma(t, G); gamma is None when a
     check failed."""
 
-    gamma: Optional[Expr]
+    __slots__ = ("gamma",)
+
+    def __init__(self, checks: tuple, gamma: Optional[Expr]):
+        Record.__init__(self, checks, gamma)
 
 
 def check_separated_G(sys: PhaseSystem, x: PhaseVectorField, lam: LambdaMatrix,

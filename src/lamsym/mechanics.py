@@ -10,11 +10,11 @@ are formatted; every other module reads them there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .expr import (
     Expr,
+    Record,
     ZERO,
     add,
     coerce,
@@ -58,20 +58,16 @@ class PhaseSystem(Coordinates):
         return f"PhaseSystem(n={self.n}, H={self.hamiltonian})"
 
 
-@dataclass(frozen=True)
-class PhaseVectorField:
+class PhaseVectorField(Record):
     """Lie point vector field phi.d/dq + psi.d/dp + tau.d/dt on phase space."""
 
-    phi: tuple
-    psi: tuple
-    tau: Expr = ZERO
+    __slots__ = ("phi", "psi", "tau")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(coerce(e) for e in self.phi))
-        object.__setattr__(self, "psi", tuple(coerce(e) for e in self.psi))
-        object.__setattr__(self, "tau", coerce(self.tau))
-        if len(self.phi) != len(self.psi):
+    def __init__(self, phi: tuple, psi: tuple, tau: Expr = ZERO):
+        phi, psi, tau = tuple(map(coerce, phi)), tuple(map(coerce, psi)), coerce(tau)
+        if len(phi) != len(psi):
             raise ValueError("phi and psi must have the same length")
+        Record.__init__(self, phi, psi, tau)
 
     @property
     def n(self) -> int:

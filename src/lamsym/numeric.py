@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .expr import (
     Expr,
     MINUS_ONE,
     Product,
+    Record,
     Sum,
     Var,
     compile_expr,
@@ -47,15 +47,15 @@ class IntegrationError(RuntimeError):
     a trajectory a check needs was truncated."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States on the uniform grid t0 + k*h, one row per grid point."""
+class Trajectory(Record):
+    """States on the uniform grid t0 + k*h, one row per grid point; `reason`
+    says why the trajectory ends early, if it does."""
 
-    names: tuple
-    t0: float
-    h: float
-    states: np.ndarray
-    reason: Optional[str] = None    # why the trajectory ends early, if it does
+    __slots__ = ("names", "t0", "h", "states", "reason")
+
+    def __init__(self, names: tuple, t0: float, h: float, states: np.ndarray,
+                 reason: Optional[str] = None):
+        Record.__init__(self, names, t0, h, states, reason)
 
     @property
     def truncated(self) -> bool:
@@ -66,15 +66,15 @@ class Trajectory:
         return self.t0 + self.h * np.arange(len(self.states))
 
 
-@dataclass(frozen=True)
-class MonitorSeries:
-    """Pointwise values of one expression along a trajectory."""
+class MonitorSeries(Record):
+    """Pointwise values of one expression along a trajectory; `reason` says
+    why the series ends early, if it does."""
 
-    label: str
-    t0: float
-    h: float
-    values: np.ndarray
-    reason: Optional[str] = None    # why the series ends early, if it does
+    __slots__ = ("label", "t0", "h", "values", "reason")
+
+    def __init__(self, label: str, t0: float, h: float, values: np.ndarray,
+                 reason: Optional[str] = None):
+        Record.__init__(self, label, t0, h, values, reason)
 
     @property
     def truncated_at(self) -> Optional[int]:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .expr import Const, DomainBox, Expr, ParseError, ZERO, free_vars, parse, substitute
+from .expr import (Const, DomainBox, Expr, ParseError, Record, ZERO, free_vars, parse,
+                   substitute)
 from .lagrangian import ConfigVectorField, LagrangianSystem, reduced_variables
 from .lambda_symmetry import (
     HAMILTONIAN_SIDE,
@@ -33,20 +33,18 @@ class ProblemError(ValueError):
     """Schema violation in a problem file; message carries the field path."""
 
 
-@dataclass
-class ProblemFile:
-    name: str
-    kind: str
-    n: int
-    hamiltonian: Optional[Expr] = None
-    lagrangian: Optional[Expr] = None
-    phi: tuple = ()
-    psi: tuple = ()
-    tau: Optional[Expr] = None
-    lam: Optional[LambdaMatrix] = None
-    box: DomainBox = field(default_factory=DomainBox)
-    chart: Optional[ReductionChart] = None
-    candidates: dict = field(default_factory=dict)
+class ProblemFile(Record):
+    __slots__ = ("name", "kind", "n", "hamiltonian", "lagrangian", "phi", "psi", "tau", "lam",
+                 "box", "chart", "candidates")
+
+    def __init__(self, name: str, kind: str, n: int, hamiltonian: Optional[Expr] = None,
+                 lagrangian: Optional[Expr] = None, phi: tuple = (), psi: tuple = (),
+                 tau: Optional[Expr] = None, lam: Optional[LambdaMatrix] = None,
+                 box: Optional[DomainBox] = None, chart: Optional[ReductionChart] = None,
+                 candidates: Optional[dict] = None):
+        Record.__init__(self, name, kind, n, hamiltonian, lagrangian, phi, psi, tau, lam,
+                        DomainBox() if box is None else box, chart,
+                        {} if candidates is None else candidates)
 
     def phase_system(self) -> PhaseSystem:
         if self.kind != "hamiltonian":
@@ -202,33 +200,33 @@ def load_problem(path: str) -> ProblemFile:
             _fail(path, "missing")
         return _read(within[key], path, params, *items[path])
 
-    problem = ProblemFile(name=name, kind=kind, n=n)
-    setattr(problem, kind, read(kind, raw))
+    system = {kind: read(kind, raw)}
 
     vf = _object(raw.get("vector_field"), "vector_field")
-    problem.phi = read("vector_field.phi", vf)
+    phi, psi, tau = read("vector_field.phi", vf), (), None
     if kind == "hamiltonian":
-        problem.psi = read("vector_field.psi", vf)
+        psi = read("vector_field.psi", vf)
         if "tau" in vf:
-            problem.tau = read("vector_field.tau", vf)
+            tau = read("vector_field.tau", vf)
     else:
         for key in ("psi", "tau"):
             if key in vf:
                 _fail(f"vector_field.{key}", "not allowed for lagrangian kind")
 
+    lam = box = chart = None
     if "lambda" in raw and raw["lambda"] is not None:
         lam_raw = _object(raw["lambda"], "lambda")
         side = HAMILTONIAN_SIDE if kind == "hamiltonian" else LAGRANGIAN_SIDE
         rows = read("lambda.entries", lam_raw)
         try:
-            problem.lam = LambdaMatrix(rows, side)
+            lam = LambdaMatrix(rows, side)
         except ValueError as err:
             _fail("lambda", str(err))
         # optional; when given it must say what the entries say
-        stated = lam_raw.get("velocity_dependent", problem.lam.velocity_dependent)
+        stated = lam_raw.get("velocity_dependent", lam.velocity_dependent)
         if not isinstance(stated, bool):
             _fail("lambda.velocity_dependent", f"expected true or false, got {stated!r}")
-        if stated != problem.lam.velocity_dependent:
+        if stated != lam.velocity_dependent:
             _fail("lambda.velocity_dependent",
                   f"is {str(stated).lower()}, but the entries "
                   f"{'do not ' if stated else ''}contain velocity symbols")
@@ -240,7 +238,7 @@ def load_problem(path: str) -> ProblemFile:
                 _fail(f"box.{vname}", "expected [lo, hi]")
             intervals[vname] = tuple(_float(b, f"box.{vname}[{i}]") for i, b in enumerate(bounds))
         try:
-            problem.box = DomainBox(intervals)
+            box = DomainBox(intervals)
         except ValueError as err:
             _fail("box", str(err))
 
@@ -250,16 +248,16 @@ def load_problem(path: str) -> ProblemFile:
         missing = [v for v in Coordinates(n).u if v not in inverse]
         if missing:
             _fail("chart.inverse", f"misses phase variables {missing}")
-        problem.chart = ReductionChart(w, z, inverse)
+        chart = ReductionChart(w, z, inverse)
 
-    cand = _object(raw.get("candidates"), "candidates")
+    cand, candidates = _object(raw.get("candidates"), "candidates"), {}
     for key in cand:
         if f"candidates.{key}" not in items and key != "initial_conditions":
             _fail(f"candidates.{key}", "unknown candidate")
     for path in items:
         head, _, key = path.partition(".")
         if head == "candidates" and key in cand:
-            problem.candidates[key] = read(path, cand)
+            candidates[key] = read(path, cand)
     if "initial_conditions" in cand:
         ics = cand["initial_conditions"]
         if not isinstance(ics, list):
@@ -271,6 +269,7 @@ def load_problem(path: str) -> ProblemFile:
                       f"expected {2*n} numbers")
             rows.append(tuple(_float(v, f"candidates.initial_conditions[{i}][{j}]")
                               for j, v in enumerate(row)))
-        problem.candidates["initial_conditions"] = tuple(rows)
+        candidates["initial_conditions"] = tuple(rows)
 
-    return problem
+    return ProblemFile(name, kind, n, **system, phi=phi, psi=psi, tau=tau, lam=lam, box=box,
+                       chart=chart, candidates=candidates)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -31,6 +30,7 @@ from . import lagrangian as lagmod
 from . import lambda_symmetry as lam_mod
 from . import numeric, symmetry
 from .expr import (
+    Record,
     SamplingError,
     ZeroTestConfig,
     ZeroVerdict,
@@ -65,26 +65,23 @@ _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 RunConfig = ZeroTestConfig
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    eq: str
-    verdict: str
-    max_residual: Optional[float] = None
-    witness: Optional[dict] = None
-    detail: str = ""
-    wall_ms: float = 0.0
+class CheckRecord(Record):
+    __slots__ = ("name", "eq", "verdict", "max_residual", "witness", "detail", "wall_ms")
+
+    def __init__(self, name: str, eq: str, verdict: str, max_residual: Optional[float] = None,
+                 witness: Optional[dict] = None, detail: str = "", wall_ms: float = 0.0):
+        Record.__init__(self, name, eq, verdict, max_residual, witness, detail, wall_ms)
 
     @property
     def failed(self) -> bool:
         return self.verdict in ("NonZero", "Error")
 
 
-@dataclass
-class Report:
-    problem: str
-    seed: int
-    checks: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("problem", "seed", "checks")
+
+    def __init__(self, problem: str, seed: int, checks: Optional[list] = None):
+        Record.__init__(self, problem, seed, [] if checks is None else checks)
 
     @property
     def status(self) -> str:
@@ -366,16 +363,16 @@ def _check_lz(ctx: _Context):
 # the check table
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """A row of the check table: tag, function, and per kind of problem the
     (inputs, prerequisites) in the order tested.  An input is (file items,
     reason when one is absent); a prerequisite is (earlier check, reason
     when it ran and did not pass)."""
 
-    tag: str
-    fn: Callable[[_Context], tuple]
-    needs: Mapping[str, tuple]
+    __slots__ = ("tag", "fn", "needs")
+
+    def __init__(self, tag: str, fn: Callable[[_Context], tuple], needs: Mapping[str, tuple]):
+        Record.__init__(self, tag, fn, needs)
 
 
 # prerequisites
@@ -460,7 +457,7 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
     else:
         wanted = list(order)
 
-    report = Report(problem=problem.name, seed=cfg.seed)
+    records = []
     ctx = _Context(problem, cfg)
     # the checks of one run share subtrees (canonical equations, derivatives
     # of H, components of Lambda Phi); their normal forms are kept for the run
@@ -470,17 +467,15 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
             t_start = time.perf_counter()
             try:
                 _require(check.needs[problem.kind], problem, ctx.passed)
-                verdict, max_resid, witness, detail = check.fn(ctx)
+                result = check.fn(ctx)
             except _Skip as sk:
-                record = CheckRecord(name, check.tag, "Skipped", detail=sk.reason)
+                result = "Skipped", None, None, sk.reason
             except (SamplingError, ValueError, RuntimeError, ArithmeticError) as err:
-                record = CheckRecord(name, check.tag, "Error", detail=str(err))
-            else:
-                record = CheckRecord(name, check.tag, verdict, max_resid, witness, detail)
-            record.wall_ms = (time.perf_counter() - t_start) * 1e3
-            ctx.passed[name] = record.verdict in ("ProvenZero", "NumericallyZero")
-            report.checks.append(record)
-    return report
+                result = "Error", None, None, str(err)
+            records.append(CheckRecord(name, check.tag, *result,
+                                       (time.perf_counter() - t_start) * 1e3))
+            ctx.passed[name] = result[0] in ("ProvenZero", "NumericallyZero")
+    return Report(problem.name, cfg.seed, records)
 
 
 # --------------------------------------------------------------------------

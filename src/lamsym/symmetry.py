@@ -11,12 +11,12 @@ A check of several residuals returns their labelled zero verdicts as an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .expr import (
     DomainBox,
     Expr,
+    Record,
     Verdicts,
     ZERO,
     ZeroTestConfig,
@@ -42,7 +42,6 @@ class NotASymmetryError(ValueError):
     """Raised when an operation requires a verified symmetry."""
 
 
-@dataclass(frozen=True)
 class GeneratingFunctionReport(Verdicts):
     """Result of testing whether X is generated by a function G.
 
@@ -56,10 +55,11 @@ class GeneratingFunctionReport(Verdicts):
         i.e. the rate of change of G depends on t alone.
     """
 
-    closed: bool
-    sign_flipped: bool
-    verified_g: Optional[Expr]
-    gradient_rate: tuple
+    __slots__ = ("closed", "sign_flipped", "verified_g", "gradient_rate")
+
+    def __init__(self, checks: tuple, closed: bool, sign_flipped: bool,
+                 verified_g: Optional[Expr], gradient_rate: tuple):
+        Record.__init__(self, checks, closed, sign_flipped, verified_g, gradient_rate)
 
     @property
     def rate_is_time_only(self) -> Optional[bool]:
@@ -79,12 +79,12 @@ CASE_CONSTANT_S = "constant-divergence"
 CASE_S_INTEGRAL = "divergence-first-integral"
 
 
-@dataclass(frozen=True)
-class CaseClassification:
-    tag: str
-    s: Expr
-    g: Optional[Expr] = None
-    s_conservation: Optional[ZeroVerdict] = None
+class CaseClassification(Record):
+    __slots__ = ("tag", "s", "g", "s_conservation")
+
+    def __init__(self, tag: str, s: Expr, g: Optional[Expr] = None,
+                 s_conservation: Optional[ZeroVerdict] = None):
+        Record.__init__(self, tag, s, g, s_conservation)
 
 
 def invariance_residuals(sys: PhaseSystem, x: PhaseVectorField, f: Sequence[Expr],

@@ -2,7 +2,9 @@
 and numpy."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,16 +14,21 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lamsym").glob("
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
 
-def _foreign_imports(path: Path) -> set:
-    """Top-level names of the absolute imports in path that are neither
-    standard library nor numpy."""
+def _imported_packages(path: Path) -> set:
+    """Top-level names of the absolute imports in path, at any depth."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module)
-    return {name for name in names if name.split(".")[0] not in ALLOWED}
+    return {name.split(".")[0] for name in names}
+
+
+def _foreign_imports(path: Path) -> set:
+    """Top-level names of the absolute imports in path that are neither
+    standard library nor numpy."""
+    return _imported_packages(path) - ALLOWED
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -34,6 +41,38 @@ def test_the_guard_flags_a_third_party_import(tmp_path):
     module.write_text("import json, numpy.linalg\nfrom . import expr\n"
                       "def f():\n    from hypothesis import given\n", encoding="utf-8")
     assert _foreign_imports(module) == {"hypothesis"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # records are expr.Record subclasses: a dataclass generates and execs
+    # its methods in every process that imports it
+    assert "dataclasses" not in _imported_packages(path)
+
+
+def test_the_guard_flags_a_dataclasses_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .expr import Record\nimport json\n"
+                      "def f():\n    from dataclasses import replace\n", encoding="utf-8")
+    assert "dataclasses" in _imported_packages(module)
+    module.write_text("import dataclasses as dc\n", encoding="utf-8")
+    assert "dataclasses" in _imported_packages(module)
+
+
+def test_importing_lamsym_and_its_cli_loads_neither_dataclasses_nor_argparse():
+    # what each import adds, so that a site hook loading either is no matter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "slow = {'dataclasses', 'argparse'}\n"
+            "before = set(sys.modules)\n"
+            "import lamsym\n"
+            "middle = set(sys.modules)\n"
+            "import lamsym.cli\n"
+            "print(sorted(slow & (middle - before)), sorted(slow & (set(sys.modules) - middle)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
 
 
 def _unused_imports(path: Path) -> set:

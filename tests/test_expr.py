@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -11,9 +12,10 @@ import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import make_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -29,9 +31,12 @@ from lamsym.expr import (
     Power,
     Product,
     Quotient,
+    Record,
     SamplingError,
     Sum,
     Var,
+    Verdicts,
+    ZERO,
     ZeroTestConfig,
     ZeroVerdict,
     _negate,
@@ -48,7 +53,7 @@ from lamsym.expr import (
     substitute,
 )
 from lamsym import expr as expr_mod
-from lamsym import runner
+from lamsym import lagrangian, lambda_symmetry, mechanics, numeric, runner, symmetry
 from lamsym.problem import load_problem
 from fractions import Fraction
 
@@ -950,7 +955,7 @@ def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
         seen.append(expr_mod._MEMO.get())
         return original(*args)
 
-    monkeypatch.setitem(runner.CHECKS, "cs", replace(check, fn=spy))
+    monkeypatch.setitem(runner.CHECKS, "cs", runner.Check(check.tag, spy, check.needs))
     assert runner.run_checks(problem, ("cs",)).status == "pass"
     assert isinstance(seen[0], dict) and seen[0]
     assert expr_mod._MEMO.get() is None
@@ -959,7 +964,7 @@ def test_run_checks_drops_the_memo_on_return_and_on_raise(monkeypatch):
         simplify(parse("q1*p1+q1*p1"))
         raise KeyError("boom")
 
-    monkeypatch.setitem(runner.CHECKS, "cs", replace(check, fn=boom))
+    monkeypatch.setitem(runner.CHECKS, "cs", runner.Check(check.tag, boom, check.needs))
     with pytest.raises(KeyError):
         runner.run_checks(problem, ("cs",))
     assert expr_mod._MEMO.get() is None
@@ -1044,9 +1049,9 @@ def test_zero_test_verdicts_are_remembered_per_residual_box_and_config():
     cfg = ZeroTestConfig(samples=20, seed=1, abs_tol=1e-9)
     variants = [
         (DomainBox({"x": (2.0, 3.0)}), cfg),
-        (box, replace(cfg, seed=2)),
-        (box, replace(cfg, samples=21)),
-        (box, replace(cfg, abs_tol=1e-3)),
+        (box, ZeroTestConfig(samples=20, seed=2, abs_tol=1e-9)),
+        (box, ZeroTestConfig(samples=21, seed=1, abs_tol=1e-9)),
+        (box, ZeroTestConfig(samples=20, seed=1, abs_tol=1e-3)),
     ]
     fresh = [is_identically_zero(r, b, c) for b, c in variants]
     with simplify_memo():
@@ -1058,6 +1063,8 @@ def test_zero_test_verdicts_are_remembered_per_residual_box_and_config():
             assert want != base
             assert is_identically_zero(r, b, c) == want
         assert is_identically_zero(r, box, cfg) is base
+        # an equal config is the same key
+        assert is_identically_zero(r, box, ZeroTestConfig(samples=20, seed=1)) is base
     with simplify_memo():
         # a sampling error is raised again, not remembered
         for _ in range(2):
@@ -1367,3 +1374,111 @@ def test_parse_rejects_deep_nesting_with_a_parse_error():
         parse("(" * 3000 + "x" + ")" * 3000)
     with pytest.raises(ParseError, match="nested deeper"):
         parse("/".join(["x", "y"] * 3000))
+
+
+# ---------------------------------------------------------------- records
+
+def _records() -> list:
+    """One record of each class, through its constructor."""
+    x, y = Var("q1"), Var("p1")
+    checks = (("a", ZeroVerdict("ProvenZero")), ("b", ZeroVerdict("NumericallyZero", 20)))
+    lam = lambda_symmetry.LambdaMatrix.diagonal([0, Var("dq1")])
+    record = runner.CheckRecord("cs", "CS", "NonZero", 0.5, {"q1": 0.25}, "why", 1.5)
+    return [
+        DomainBox({"q1": (0.1, 1.0)}),
+        ZeroTestConfig(samples=20, seed=3),
+        ZeroVerdict("NonZero", 5, 1, 0.5, {"q1": 0.3}, 0.5),
+        Verdicts(checks),
+        mechanics.PhaseVectorField((x,), (y,), 2),
+        symmetry.GeneratingFunctionReport(checks, True, False, x * y, checks),
+        symmetry.CaseClassification(symmetry.CASE_CONSTANT_S, x, None, ZeroVerdict("ProvenZero")),
+        lam,
+        lambda_symmetry.ReductionChart((x,), y, {"q1": Var("w1"), "p1": Var("z")}),
+        # two classes with equal fields
+        lambda_symmetry.LambdaConstantGReport(checks, x, y, ZERO),
+        lambda_symmetry.LambdaConstantSReport(checks, x, y, ZERO),
+        lambda_symmetry.ReducedSystem(checks, (x,), y, (ZERO, x), (True, False)),
+        lambda_symmetry.SeparatedGReport(checks, None),
+        lagrangian.ConfigVectorField((x, 1)),
+        lagrangian.LegendreReport(checks, 1.0),
+        lagrangian.LambdaExtensionReport(checks, lam, True),
+        lagrangian.ScalarConditionReport((), None, False, "no scalar reduction"),
+        numeric.Trajectory(("q1", "p1"), 0.0, 0.1, np.arange(6.0).reshape(3, 2)),
+        numeric.MonitorSeries("E", 0.0, 0.1, np.ones(3), "stopped"),
+        load_problem(str(Path(runner.__file__).parent / "problems" / "example2.json")),
+        record,
+        runner.Report("p", 3, [record]),
+        runner.CHECKS["cs"],
+    ]
+
+
+_RECORDS = _records()
+
+
+def _assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for name in a._fields:
+        u, v = getattr(a, name), getattr(b, name)
+        assert np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v, name
+
+
+def _all_record_classes(cls=Record) -> set:
+    return {c for sub in cls.__subclasses__() for c in {sub} | _all_record_classes(sub)}
+
+
+def test_every_record_class_has_a_sample():
+    assert {type(r) for r in _RECORDS} == _all_record_classes()
+    assert len(_all_record_classes()) == 23
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in record._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+def test_records_compare_and_hash_by_field_as_the_dataclasses_did(record):
+    cls, values = type(record), record._values()
+    twin = pickle.loads(pickle.dumps(record))
+    # the dataclass the record replaces: its repr, and its equality only
+    # between instances of one class
+    reference = make_dataclass(cls.__name__, record._fields, frozen=True)(*values)
+    assert repr(record) == repr(reference)
+    assert record != reference and record != values
+    assert all(record != other for other in _RECORDS if type(other) is not cls)
+    if any(isinstance(v, np.ndarray) for v in values):
+        with pytest.raises(ValueError):
+            record == twin
+    else:
+        assert record == twin
+    try:
+        hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+def test_records_copy_pickle_and_rebuild_with_the_same_fields(record):
+    _assert_same_fields(record, copy.copy(record))
+    _assert_same_fields(record, copy.deepcopy(record))
+    _assert_same_fields(record, pickle.loads(pickle.dumps(record)))
+    # the constructor takes the fields by name, in field order; a derived
+    # field is no parameter
+    params = list(inspect.signature(type(record)).parameters)
+    assert params == [f for f in record._fields if f != "velocity_dependent"]
+    _assert_same_fields(record, type(record)(**{f: getattr(record, f) for f in params}))
+
+
+def test_reports_keep_their_verdicts_first():
+    reports = {c for c in _all_record_classes() if issubclass(c, Verdicts)}
+    assert len(reports) == 9
+    for cls in reports:
+        assert cls._fields[0] == "checks"
+        assert next(iter(inspect.signature(cls).parameters)) == "checks"

@@ -244,12 +244,22 @@ def test_corpus_all_examples_pass():
         assert report.status == "pass", report_to_text(report)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["check", "--problem", bundled("example4.json"),
                  "--select", "las,dts", "--out", str(tmp_path / "r.txt")]) == 0
     assert main(["check", "--problem", bundled("example4.json"),
                  "--select", "cs", "--out", str(tmp_path / "r2.txt")]) == 1
     assert main(["check", "--problem", str(tmp_path / "missing.json")]) == 2
+    # an --out that cannot be written is an error of use, not a failed check
+    out = str(tmp_path / "missing" / "r.txt")
+    capsys.readouterr()
+    for argv in (["check", "--problem", bundled("example4.json"), "--select", "las"],
+                 ["integrate", "--problem", bundled("example1.json"), "--ic", "q1=1,p1=0",
+                  "--t1", "0.01"],
+                 ["corpus"]):
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
 
 
 @pytest.mark.parametrize("number", range(1, 8))
@@ -379,6 +389,25 @@ def test_swapping_the_degrees_of_freedom_keeps_every_tag(tmp_path, name):
     for seed in (0, 1, 3):
         tags = [[(r.name, r.verdict) for r in run_checks(p, None, RunConfig(seed=seed)).checks]
                 for p in (problem, swapped)]
+        assert tags[0] == tags[1], seed
+
+
+# the items a rational constant c shifts, with the sign of the shift: H or
+# L by +c; with L, the Legendre Hamiltonian by -c and the reduced L by +c
+_SHIFTED = {"hamiltonian": "+", "lagrangian": "+", "H_for_legendre": "-", "reduced_L": "+"}
+
+
+@pytest.mark.parametrize("number", range(1, 8))
+def test_adding_a_rational_constant_keeps_every_tag(tmp_path, number):
+    name = f"example{number}.json"
+    doc = _bundled_doc(name)
+    for items in (doc, doc["candidates"]):
+        for key in _SHIFTED.keys() & items.keys():
+            items[key] = f"({items[key]}){_SHIFTED[key]}7/3"
+    problem, shifted = load_problem(bundled(name)), load_problem(write_problem(tmp_path, doc))
+    for seed in (0, 1, 3):
+        tags = [[(r.name, r.verdict) for r in run_checks(p, None, RunConfig(seed=seed)).checks]
+                for p in (problem, shifted)]
         assert tags[0] == tags[1], seed
 
 
