@@ -87,6 +87,6 @@ from .numeric import (
     trajectory_to_csv,
 )
 from .problem import ProblemError, ProblemFile, load_problem
-from .runner import CheckRecord, Report, RunConfig, emit_report, run_checks
+from .runner import CheckRecord, Report, run_checks
 
 __version__ = "0.1.0"

@@ -1,16 +1,21 @@
 """Command-line front end: verify problem files, integrate flows, and run
-the bundled corpus of worked examples."""
+the bundled corpus of worked examples.
+
+A usage error (a file that cannot be read or is malformed, an unknown
+check, bad settings or initial conditions, an unwritable --out) raises
+ValueError, RuntimeError or OSError in the command; `main` alone turns it
+into one `error: ...` line and exit status 2."""
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from importlib import resources
 
-from .expr import ParseError, ZeroTestConfig, parse
+from .expr import ZeroTestConfig, parse
 from .numeric import integrate_euler_lagrange, integrate_hamiltonian, monitor, trajectory_to_csv
-from .problem import ProblemError, load_problem
-from .runner import emit_report, report_to_json, report_to_text, run_checks
+from .problem import load_problem
+from .runner import report_to_json, report_to_text, run_checks
 
 # Per-example check selections: checks that are expected to fail for
 # mathematical reasons (e.g. the exact symmetry condition on a field that
@@ -63,38 +68,18 @@ def _config(args) -> ZeroTestConfig:
     return ZeroTestConfig(seed=args.seed, samples=args.samples, abs_tol=args.tol)
 
 
-class _Unwritable(Exception):
-    """The --out file cannot be opened for writing."""
-
-
-@contextmanager
 def _output(path):
-    """The file at path, open for writing until the block ends, or stdout."""
-    if not path:
-        yield sys.stdout
-        return
-    try:
-        out = open(path, "w", encoding="utf-8")
-    except OSError as err:
-        raise _Unwritable(err) from None
-    with out:
-        yield out
+    """The file at path, open for writing, or stdout."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _cmd_check(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except (ProblemError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.problem)
     selection = args.select.split(",") if args.select else None
-    try:
-        report = run_checks(problem, selection, _config(args))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = run_checks(problem, selection, _config(args))
+    text = report_to_json(report) if args.report == "json" else report_to_text(report)
     with _output(args.out) as stream:
-        emit_report(report, args.report, stream)
+        stream.write(text + "\n")
     return 0 if report.status == "pass" else 1
 
 
@@ -116,28 +101,17 @@ def _parse_ic(text: str, names) -> list:
 
 
 def _cmd_integrate(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except (ProblemError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        if problem.kind == "hamiltonian":
-            sys_obj = problem.phase_system()
-            names = sys_obj.u
-            u0 = _parse_ic(args.ic, names)
-            traj = integrate_hamiltonian(sys_obj, u0, 0.0, args.t1, args.step)
-        else:
-            lag = problem.lagrangian_system()
-            names = lag.q + lag.dq
-            y0 = _parse_ic(args.ic, names)
-            traj = integrate_euler_lagrange(lag, y0[:lag.n], y0[lag.n:],
-                                            0.0, args.t1, args.step)
-        labels = [s.strip() for s in (args.monitor or "").split(";") if s.strip()]
-        series = monitor(traj, [parse(s) for s in labels], labels)
-    except (ValueError, ParseError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    problem = load_problem(args.problem)
+    if problem.kind == "hamiltonian":
+        sys_obj = problem.phase_system()
+        u0 = _parse_ic(args.ic, sys_obj.u)
+        traj = integrate_hamiltonian(sys_obj, u0, 0.0, args.t1, args.step)
+    else:
+        lag = problem.lagrangian_system()
+        y0 = _parse_ic(args.ic, lag.q + lag.dq)
+        traj = integrate_euler_lagrange(lag, y0[:lag.n], y0[lag.n:], 0.0, args.t1, args.step)
+    labels = [s.strip() for s in (args.monitor or "").split(";") if s.strip()]
+    series = monitor(traj, [parse(s) for s in labels], labels)
     with _output(args.out) as stream:
         trajectory_to_csv(traj, stream, series)
     warnings = [traj.reason] if traj.truncated else []
@@ -158,12 +132,7 @@ def corpus_reports(cfg: ZeroTestConfig) -> list:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        cfg = _config(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    reports = corpus_reports(cfg)
+    reports = corpus_reports(_config(args))
     with _output(args.out) as stream:
         if args.report == "json":
             body = ",\n".join(report_to_json(r) for r in reports)
@@ -179,7 +148,7 @@ def main(argv=None) -> int:
     command = {"check": _cmd_check, "integrate": _cmd_integrate, "corpus": _cmd_corpus}
     try:
         return command[args.command](args)
-    except _Unwritable as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,9 @@ box, reduction chart, candidate quantities, initial conditions).  All
 expressions are strings in the expression grammar; numeric parameters
 are substituted exactly before any check.  One table, `_items`, gives
 each expression item, H and L included, its shape, its length and the
-variables it may use; a file that breaks it, or names a parameter like
-one of those variables, is refused at load.
+variables it may use; a file that breaks it, names a parameter like one
+of those variables, or bounds a box name that is none of them, is refused
+at load.
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ def load_problem(path: str) -> ProblemFile:
     if "box" in raw and raw["box"] is not None:
         intervals = {}
         for vname, bounds in _object(raw["box"], "box").items():
+            if vname not in variables:
+                _fail(f"box.{vname}", "is not the name of a variable")
             if (not isinstance(bounds, list)) or len(bounds) != 2:
                 _fail(f"box.{vname}", "expected [lo, hi]")
             intervals[vname] = tuple(_float(b, f"box.{vname}[{i}]") for i, b in enumerate(bounds))

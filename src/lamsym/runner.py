@@ -9,10 +9,11 @@ Skipped with the reason of its first absent input, else with `prerequisite
 NAME not selected` or the reason of a prerequisite that did not pass.  On
 Lagrangian problems the phase-side checks take the phase field from `xh`
 and the perturbation matrix from `lh`.  Mathematical failures are verdicts
-(NonZero), never exceptions.  A check's result is the worst of the
-labelled verdicts its library function returns in `checks` (`_aggregate`);
-a residual along a trajectory (mon, gl, lz) is NumericallyZero within its
-tolerance and NonZero beyond it (`ZeroVerdict.within`).
+(NonZero), never exceptions.  Each check function returns its labelled
+verdicts and a detail string, `(checks, detail)`; `run_checks` alone
+decides the tag, as the worst of those verdicts (`_aggregate`), or Skipped
+or Error.  A residual along a trajectory (mon, gl, lz) is NumericallyZero
+within its tolerance and NonZero beyond it (`ZeroVerdict.within`).
 Report JSON is byte-stable for a fixed problem, seed and selection (wall
 times are never serialized).
 """
@@ -23,8 +24,6 @@ import json
 import time
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import lagrangian as lagmod
 from . import lambda_symmetry as lam_mod
@@ -60,9 +59,13 @@ REDUCTION_TOL = 1e-5
 _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 
 
-# a run's settings are its zero-test settings; callers of run_checks
-# (perfbench among them) still name them RunConfig
+# a run's settings are its zero-test settings; perfbench is the only
+# reader of this name
 RunConfig = ZeroTestConfig
+
+# the one verdict of a check that tests no residual yet holds: mon with
+# nothing to monitor, lala with a non-constant lambda or no extension
+_UNTESTED = (("no residual tested", ZeroVerdict("NumericallyZero")),)
 
 
 class CheckRecord(Record):
@@ -97,7 +100,7 @@ class Report(Record):
 def _aggregate(checks: Sequence[tuple], detail: str):
     """A check's result from its (label, ZeroVerdict) pairs: the worst tag,
     the max residual, the witness of the worst verdict that carries one, and
-    the detail."""
+    the detail.  No pairs is ProvenZero with no residual."""
     if not checks:
         return "ProvenZero", None, None, detail
 
@@ -158,12 +161,12 @@ class _Context:
 
 
 # --------------------------------------------------------------------------
-# individual checks; each returns (verdict, max_residual, witness, detail)
+# individual checks; each returns its (label, ZeroVerdict) pairs and detail
 # --------------------------------------------------------------------------
 
 def _check_cs(ctx: _Context):
     rep = symmetry.check_point_symmetry(ctx.sys, ctx.x, ctx.box, ctx.zc)
-    return _aggregate(rep.checks, f"{2*ctx.problem.n} symmetry-condition residuals")
+    return rep.checks, f"{2*ctx.problem.n} symmetry-condition residuals"
 
 
 def _check_ds(ctx: _Context):
@@ -174,7 +177,7 @@ def _check_ds(ctx: _Context):
     if expected is not None:
         checks.append(("S=S_expected", is_identically_zero(s - expected, ctx.box, ctx.zc)))
         detail += "; matches expected S"
-    return _aggregate(checks, detail)
+    return checks, detail
 
 
 def _check_g(ctx: _Context):
@@ -186,7 +189,7 @@ def _check_g(ctx: _Context):
         notes.append(f"G = {format_expr(rep.verified_g)}")
         notes.append("dG/dt is a function of t alone"
                      if rep.rate_is_time_only else "dG/dt depends on the phase variables")
-    return _aggregate(rep.checks, "; ".join(notes) if notes else "closedness only")
+    return rep.checks, ("; ".join(notes) if notes else "closedness only")
 
 
 def _check_case(ctx: _Context):
@@ -194,14 +197,13 @@ def _check_case(ctx: _Context):
     detail = f"{c.tag}; S = {format_expr(c.s)}"
     if c.g is not None:
         detail += f"; G = {format_expr(c.g)}"
-    if c.s_conservation is not None:
-        return _aggregate((("dS/dt", c.s_conservation),), detail)
-    return "ProvenZero", None, None, detail
+    checks = () if c.s_conservation is None else (("dS/dt", c.s_conservation),)
+    return checks, detail
 
 
 def _check_las(ctx: _Context):
     rep = lam_mod.check_lambda_symmetry(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
-    return _aggregate(rep.checks, f"{2*ctx.problem.n} perturbed-condition residuals")
+    return rep.checks, f"{2*ctx.problem.n} perturbed-condition residuals"
 
 
 def _check_dtg(ctx: _Context):
@@ -210,18 +212,18 @@ def _check_dtg(ctx: _Context):
     detail = f"dG/dt = {format_expr(rep.rate)}"
     if rep.scalar is not None:
         detail += f"; scalar reduction with lambda = {format_expr(rep.scalar)}"
-    return _aggregate(rep.checks, detail)
+    return rep.checks, detail
 
 
 def _check_dts(ctx: _Context):
     rep = lam_mod.check_lambda_constant_S(ctx.sys, ctx.x, ctx.lam, ctx.box, ctx.zc)
-    return _aggregate(rep.checks, f"S = {format_expr(rep.s)}; dS/dt = {format_expr(rep.rate)}")
+    return rep.checks, f"S = {format_expr(rep.s)}; dS/dt = {format_expr(rep.rate)}"
 
 
 def _check_chart(ctx: _Context):
     chart = ctx.problem.chart
     rep = lam_mod.verify_chart(ctx.sys, ctx.x, chart, ctx.box, ctx.zc)
-    return _aggregate(rep.checks, f"{len(chart.w)} invariants + rectification + inversion")
+    return rep.checks, f"{len(chart.w)} invariants + rectification + inversion"
 
 
 def _check_wzl(ctx: _Context):
@@ -232,7 +234,7 @@ def _check_wzl(ctx: _Context):
     eqs = [f"d{n}/dt = {format_expr(w)}" for n, w in zip(chart.w_names, rs.w_rhs)]
     eqs.append(f"dz/dt = {format_expr(rs.z_rhs)}")
     flags = ",".join("free" if zf else "z" for zf in rs.z_free)
-    return _aggregate(rs.checks, "; ".join(eqs) + f"; z-dependence [{flags}]")
+    return rs.checks, "; ".join(eqs) + f"; z-dependence [{flags}]"
 
 
 def _check_sep(ctx: _Context):
@@ -249,15 +251,14 @@ def _check_sep(ctx: _Context):
             break
     _need(g_index is not None, "G is not one of the chart coordinates")
     rep = lam_mod.check_separated_G(sys, x, lam, chart, g_index, box, zc)
-    return _aggregate(rep.checks,
-                      f"dG/dt = {format_expr(rep.gamma)} in (t, G)"
-                      if rep.gamma is not None else "rate depends on other coordinates")
+    return rep.checks, (f"dG/dt = {format_expr(rep.gamma)} in (t, G)"
+                        if rep.gamma is not None else "rate depends on other coordinates")
 
 
 def _check_gamma(ctx: _Context):
     candidate = ctx.problem.candidates["Gamma"]
     verdict = symmetry.check_first_integral(ctx.sys, candidate, ctx.box, ctx.zc)
-    return _aggregate((("dGamma/dt", verdict),), f"Gamma = {format_expr(candidate)}")
+    return (("dGamma/dt", verdict),), f"Gamma = {format_expr(candidate)}"
 
 
 def _check_mon(ctx: _Context):
@@ -279,8 +280,9 @@ def _check_mon(ctx: _Context):
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
         traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
         if big_gamma is not None:
-            values = numeric.values_along(traj, compile_expr(big_gamma, names), "monitor Gamma")
-            drift = float(np.max(np.abs(values - values[0])))
+            values = numeric.values_along(traj, compile_expr(big_gamma, names),
+                                          "monitor Gamma").tolist()
+            drift = max(abs(v - values[0]) for v in values)
             checks.append((f"drift {k}", ZeroVerdict.within(drift, MONITOR_TOL, len(values))))
             notes.append(f"drift {drift:.3e}")
         if gamma_law is not None and ctx.g is not None:
@@ -289,10 +291,8 @@ def _check_mon(ctx: _Context):
             dev = numeric.compare_with_scalar_ode(series, gamma_law, float(values[0]))
             checks.append((f"scalar law {k}", ZeroVerdict.within(dev, MONITOR_TOL, len(values))))
             notes.append(f"scalar-law deviation {dev:.3e}")
-    if not checks:
-        # a gamma law without G: no residual tested
-        return "NumericallyZero", 0.0, None, ""
-    return _aggregate(checks, "; ".join(notes))
+    # a gamma law without G tests no residual
+    return checks or _UNTESTED, "; ".join(notes)
 
 
 # ------------------------------------------------------- lagrangian pipeline
@@ -300,14 +300,14 @@ def _check_mon(ctx: _Context):
 def _check_xll(ctx: _Context):
     verdict = lagmod.check_lagrangian_lambda_invariance(
         ctx.lag, ctx.xl, ctx.laml, ctx.box, ctx.zc)
-    return _aggregate((("invariance", verdict),), "perturbed invariance residual")
+    return (("invariance", verdict),), "perturbed invariance residual"
 
 
 def _check_leg(ctx: _Context):
     candidates = ctx.problem.candidates
     rep = lagmod.verify_legendre(ctx.lag, candidates["velocity_map"],
                                  candidates["H_for_legendre"], ctx.box, ctx.zc)
-    return _aggregate(rep.checks, f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}")
+    return rep.checks, f"min |Hessian det| sampled: {rep.min_hessian_det:.3e}"
 
 
 def _check_xh(ctx: _Context):
@@ -318,7 +318,7 @@ def _check_xh(ctx: _Context):
     ctx.x = x
     ctx.g = ctx.problem.candidates.get("G", g)
     psi = ", ".join(format_expr(c) for c in x.psi)
-    return "ProvenZero", None, None, f"psi = ({psi}); {note}"
+    return (), f"psi = ({psi}); {note}"
 
 
 def _check_lh(ctx: _Context):
@@ -327,26 +327,28 @@ def _check_lh(ctx: _Context):
                                ctx.box, ctx.zc)
     ctx.lam = rep.matrix
     how = "solved" if rep.solved else "verified candidate"
-    return _aggregate(rep.checks, f"lower-right block {how}")
+    return rep.checks, f"lower-right block {how}"
 
 
 def _check_gl(ctx: _Context):
     rep = lagmod.check_noether_lambda(ctx.lag, ctx.xl, ctx.laml, ctx.box,
                                       ctx.problem.candidates["initial_conditions"],
                                       NOETHER_T1, TRAJECTORY_H, NOETHER_TOL)
-    return _aggregate(rep.checks, f"{len(rep.checks)} trajectories, tol {NOETHER_TOL:g}")
+    return rep.checks, f"{len(rep.checks)} trajectories, tol {NOETHER_TOL:g}"
 
 
 def _check_lala(ctx: _Context):
     rep = lagmod.check_scalar_condition(ctx.xl, ctx.laml, ctx.box, ctx.zc)
     if rep.scalar is None:
-        return "NonZero", None, None, "no scalar reduction on the configuration side"
+        # nothing was sampled: NonZero with no residual and no witness
+        return ((("scalar reduction", ZeroVerdict("NonZero", max_residual=None)),),
+                "no scalar reduction on the configuration side")
     detail = f"lambda = {format_expr(rep.scalar)}"
     if not rep.is_constant:
-        return "NumericallyZero", 0.0, None, detail + " (not constant; extension not asserted)"
+        return _UNTESTED, detail + " (not constant; extension not asserted)"
     if not rep.checks:
-        return "NumericallyZero", 0.0, None, detail + f"; {rep.note}"
-    return _aggregate(rep.checks, detail + "; extended matrix scales the field")
+        return _UNTESTED, detail + f"; {rep.note}"
+    return rep.checks, detail + "; extended matrix scales the field"
 
 
 def _check_lz(ctx: _Context):
@@ -356,7 +358,7 @@ def _check_lz(ctx: _Context):
         candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc,
         t1=TRAJECTORY_T1, h=TRAJECTORY_H, tol=REDUCTION_TOL)
     flow = dict(rep.checks)["constraint flow"].max_residual
-    return _aggregate(rep.checks, f"constraint-flow residual {flow:.3e} (tol {REDUCTION_TOL:g})")
+    return rep.checks, f"constraint-flow residual {flow:.3e} (tol {REDUCTION_TOL:g})"
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def run_checks(problem: ProblemFile, selection: Optional[Sequence[str]] = None,
             t_start = time.perf_counter()
             try:
                 _require(check.needs[problem.kind], problem, ctx.passed)
-                result = check.fn(ctx)
+                result = _aggregate(*check.fn(ctx))
             except _Skip as sk:
                 result = "Skipped", None, None, sk.reason
             except (SamplingError, ValueError, RuntimeError, ArithmeticError) as err:
@@ -509,13 +511,3 @@ def report_to_text(report: Report) -> str:
     lines.append(f"status: {report.status}")
     return "\n".join(lines)
 
-
-def emit_report(report: Report, fmt: str = "text", stream=None) -> None:
-    import sys as _sys
-    stream = stream or _sys.stdout
-    if fmt == "json":
-        stream.write(report_to_json(report) + "\n")
-    elif fmt == "text":
-        stream.write(report_to_text(report) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")

@@ -67,7 +67,7 @@ from lamsym.symmetry import (
     compute_S,
     generating_function_test,
 )
-from lamsym.runner import RunConfig, run_checks
+from lamsym.runner import run_checks
 
 from gen import in_order, random_polynomial, random_tree, well_conditioned
 

@@ -205,3 +205,60 @@ def test_the_guard_flags_a_tolerance_comparison(tmp_path):
                       "v = ZeroVerdict.within(r, NOETHER_TOL, n)\nb = 2 * tol > r\n"
                       "c = tolerance < 1\nd = max(r, REDUCTION_TOL)\n", encoding="utf-8")
     assert _tolerance_comparisons(module) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("runner.py", "cli.py")],
+                         ids=lambda p: p.name)
+def test_the_front_end_imports_no_numpy(path):
+    # runner and cli reach numpy only through the modules whose work they call
+    assert "numpy" not in _imported_packages(path)
+
+
+def test_the_guard_flags_a_numpy_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from . import numeric\nimport json\n"
+                      "def f(values):\n    import numpy as np\n    return np.max(values)\n",
+                      encoding="utf-8")
+    assert "numpy" in _imported_packages(module)
+
+
+_TAGS = {"ProvenZero", "NumericallyZero", "NonZero", "Skipped", "Error"}
+
+
+def _hand_decided_tags(path: Path) -> list:
+    """Lines of path that call _aggregate outside run_checks, or where a
+    _check_* function returns a tuple that starts with a verdict tag."""
+    lines = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and name != "run_checks"
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_aggregate"):
+                lines.add(node.lineno)
+            elif (isinstance(node, ast.Return) and (name or "").startswith("_check_")
+                  and isinstance(node.value, ast.Tuple) and node.value.elts
+                  and isinstance(node.value.elts[0], ast.Constant)
+                  and node.value.elts[0].value in _TAGS):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_run_checks_decides_a_tag():
+    # each _check_* returns (checks, detail); run_checks aggregates them
+    assert not _hand_decided_tags(SOURCES[0].parent / "runner.py")
+
+
+def test_the_guard_flags_a_tag_decided_outside_run_checks(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def _aggregate(checks, detail):\n"
+                      "    return 'ProvenZero', None, None, detail\n"
+                      "def _check_a(ctx):\n"
+                      "    return _aggregate(ctx.checks, 'a')\n"
+                      "def _check_b(ctx):\n"
+                      "    if ctx.x:\n"
+                      "        return 'NonZero', None, None, 'no reduction'\n"
+                      "    return (), 'b'\n"
+                      "def run_checks(fns, ctx):\n"
+                      "    return [_aggregate(*fn(ctx)) for fn in fns]\n"
+                      "first = runner._aggregate((), '')\n", encoding="utf-8")
+    assert _hand_decided_tags(module) == [4, 7, 11]

@@ -10,13 +10,13 @@ import pytest
 
 from lamsym import lagrangian, lambda_symmetry, symmetry
 from lamsym.cli import CORPUS, corpus_reports, main
-from lamsym.expr import MAX_SAMPLES, Const, Verdicts, format_expr, parse, simplify
+from lamsym.expr import (MAX_SAMPLES, Const, Verdicts, ZeroTestConfig, format_expr, parse,
+                         simplify)
 from lamsym.problem import ProblemError, _items, load_problem
 from lamsym.runner import (
     CHECKS,
     HAMILTONIAN_CHECKS,
     LAGRANGIAN_CHECKS,
-    RunConfig,
     report_to_json,
     report_to_text,
     run_checks,
@@ -238,7 +238,7 @@ def test_json_report_schema():
 # ------------------------------------------------------------------ corpus and cli
 
 def test_corpus_all_examples_pass():
-    reports = corpus_reports(RunConfig())
+    reports = corpus_reports(ZeroTestConfig())
     assert len(reports) == len(CORPUS)
     for report in reports:
         assert report.status == "pass", report_to_text(report)
@@ -249,17 +249,34 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--select", "las,dts", "--out", str(tmp_path / "r.txt")]) == 0
     assert main(["check", "--problem", bundled("example4.json"),
                  "--select", "cs", "--out", str(tmp_path / "r2.txt")]) == 1
-    assert main(["check", "--problem", str(tmp_path / "missing.json")]) == 2
-    # an --out that cannot be written is an error of use, not a failed check
-    out = str(tmp_path / "missing" / "r.txt")
+    # each error of use exits 2 with one line on stderr, never a traceback;
+    # an --out that cannot be written is one, not a failed check
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "missing" / "r.txt")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{\"kind\": ", encoding="utf-8")
+    check = ["check", "--problem", bundled("example4.json"), "--select", "las"]
+    integrate = ["integrate", "--problem", bundled("example1.json"), "--ic", "q1=1,p1=0",
+                 "--t1", "0.01"]
     capsys.readouterr()
-    for argv in (["check", "--problem", bundled("example4.json"), "--select", "las"],
-                 ["integrate", "--problem", bundled("example1.json"), "--ic", "q1=1,p1=0",
-                  "--t1", "0.01"],
-                 ["corpus"]):
-        assert main(argv + ["--out", out]) == 2
+    for argv, named in [
+            (["check", "--problem", missing], missing),
+            (["integrate", "--problem", missing, "--ic", "q1=1,p1=0"], missing),
+            (["check", "--problem", str(invalid)], "invalid JSON"),
+            (["integrate", "--problem", str(invalid), "--ic", "q1=1,p1=0"], "invalid JSON"),
+            (["check", "--problem", bundled("example4.json"), "--select", "las,bogus"],
+             "unknown checks for hamiltonian kind: ['bogus']"),
+            (check + ["--samples", "0"], "samples must be at least 1"),
+            (["corpus", "--samples", "0"], "samples must be at least 1"),
+            (check + ["--out", out], out),
+            (integrate + ["--out", out], out),
+            (["corpus", "--out", out], out),
+            (["integrate", "--problem", bundled("example1.json"), "--ic", "q1=1,p1"],
+             "bad assignment 'p1'"),
+            (integrate + ["--step", "-1"], "need h > 0 and t1 > t0")]:
+        assert main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and out in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, (argv, err)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("number", range(1, 8))
@@ -351,6 +368,20 @@ def test_mon_with_a_law_and_nothing_to_monitor_tests_no_residual(tmp_path):
         {"name": "mon", "eq": "MON", "verdict": "NumericallyZero", "max_residual": 0.0}]
 
 
+def test_lala_without_a_scalar_reduction_is_nonzero_with_no_residual(tmp_path, capsys):
+    # Lambda phi = (q2, 0) is no multiple of phi = (q1, q2): nothing is
+    # sampled, so the entry carries neither a residual nor a witness
+    doc = {"kind": "lagrangian", "n": 2, "lagrangian": "(dq1^2+dq2^2)/2",
+           "vector_field": {"phi": ["q1", "q2"]},
+           "lambda": {"entries": [["0", "1"], ["0", "0"]]}}
+    out = tmp_path / "r.json"
+    assert main(["check", "--problem", write_problem(tmp_path, doc), "--select", "lala",
+                 "--report", "json", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"] == [
+        {"name": "lala", "eq": "LALA", "verdict": "NonZero",
+         "detail": "no scalar reduction on the configuration side"}]
+
+
 _SECOND_DOF = re.compile(r"\b(d?[qp])([12])\b")
 
 
@@ -387,7 +418,8 @@ def test_swapping_the_degrees_of_freedom_keeps_every_tag(tmp_path, name):
         candidates["initial_conditions"] = list(map(_swapped, candidates["initial_conditions"]))
     problem, swapped = load_problem(bundled(name)), load_problem(write_problem(tmp_path, doc))
     for seed in (0, 1, 3):
-        tags = [[(r.name, r.verdict) for r in run_checks(p, None, RunConfig(seed=seed)).checks]
+        cfg = ZeroTestConfig(seed=seed)
+        tags = [[(r.name, r.verdict) for r in run_checks(p, None, cfg).checks]
                 for p in (problem, swapped)]
         assert tags[0] == tags[1], seed
 
@@ -406,7 +438,8 @@ def test_adding_a_rational_constant_keeps_every_tag(tmp_path, number):
             items[key] = f"({items[key]}){_SHIFTED[key]}7/3"
     problem, shifted = load_problem(bundled(name)), load_problem(write_problem(tmp_path, doc))
     for seed in (0, 1, 3):
-        tags = [[(r.name, r.verdict) for r in run_checks(p, None, RunConfig(seed=seed)).checks]
+        cfg = ZeroTestConfig(seed=seed)
+        tags = [[(r.name, r.verdict) for r in run_checks(p, None, cfg).checks]
                 for p in (problem, shifted)]
         assert tags[0] == tags[1], seed
 
@@ -584,6 +617,8 @@ MALFORMED = [
     # a Lagrangian file's field is phi alone
     ("example7.json", ("vector_field", "tau"), "1",
      "^vector_field.tau: not allowed for lagrangian kind$"),
+    # a box key that names no variable would leave every check on the default interval
+    ("example1.json", ("box",), {"Q1": [5, 6]}, r"^box.Q1: is not the name of a variable$"),
 ]
 
 
@@ -648,10 +683,10 @@ def test_bad_sampling_settings_exit_with_status_2(tmp_path, capsys, command, opt
 
 def test_zero_test_config_is_keyword_only_and_checked():
     with pytest.raises(TypeError):
-        RunConfig(100)
+        ZeroTestConfig(100)
     with pytest.raises(ValueError, match="samples"):
-        RunConfig(samples=0)
+        ZeroTestConfig(samples=0)
     with pytest.raises(ValueError, match="samples must be at most"):
-        RunConfig(samples=MAX_SAMPLES + 1)
-    assert RunConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
-    assert RunConfig(seed=3) == RunConfig(samples=100, seed=3, abs_tol=1e-9)
+        ZeroTestConfig(samples=MAX_SAMPLES + 1)
+    assert ZeroTestConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+    assert ZeroTestConfig(seed=3) == ZeroTestConfig(samples=100, seed=3, abs_tol=1e-9)
