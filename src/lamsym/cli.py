@@ -13,7 +13,8 @@ from contextlib import nullcontext
 from importlib import resources
 
 from .expr import ZeroTestConfig, parse
-from .numeric import integrate_euler_lagrange, integrate_hamiltonian, monitor, trajectory_to_csv
+from .numeric import (DEFAULT_HORIZON, DEFAULT_STEP, integrate_euler_lagrange,
+                      integrate_hamiltonian, monitor, trajectory_to_csv)
 from .problem import load_problem
 from .runner import report_to_json, report_to_text, run_checks
 
@@ -39,11 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Verify symmetries and perturbed "
                                              "symmetries of canonical equations.")
     sub = ap.add_subparsers(dest="command", required=True)
-    # the zero-test and report options of check and corpus (`_config`)
+    # options of check and corpus; the zero-test ones (`_config`) default as ZeroTestConfig
+    zc = ZeroTestConfig()
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--samples", type=int, default=100)
-    shared.add_argument("--tol", type=float, default=1e-9)
+    shared.add_argument("--seed", type=int, default=zc.seed)
+    shared.add_argument("--samples", type=int, default=zc.samples)
+    shared.add_argument("--tol", type=float, default=zc.abs_tol)
     shared.add_argument("--report", choices=("text", "json"), default="text")
     shared.add_argument("--out")
 
@@ -55,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--problem", required=True)
     pi.add_argument("--ic", required=True,
                     help="comma-separated assignments, e.g. q1=0.4,p1=0.2")
-    pi.add_argument("--t1", type=float, default=1.0)
-    pi.add_argument("--step", type=float, default=1e-3)
+    pi.add_argument("--t1", type=float, default=DEFAULT_HORIZON)
+    pi.add_argument("--step", type=float, default=DEFAULT_STEP)
     pi.add_argument("--monitor", help="semicolon-separated expressions")
     pi.add_argument("--out")
 

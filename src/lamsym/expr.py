@@ -222,6 +222,14 @@ def _intern(key, cls, *values) -> Expr:
     return e
 
 
+# Largest numerator or denominator, in bits, of a constant: below Python's
+# 4,300-digit limit on int to text (14,284 bits), so every constant prints
+# and sorts.  Building a larger one raises ValueError; `simplify` folds an
+# integer power (a/b)^k only when |k| * bits(max(|a|, b)) is within it, so
+# a larger power stays a Power of two constants, which keeps its value.
+MAX_CONST_BITS = 14_000
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
@@ -234,6 +242,8 @@ class Const(Expr):
                 value = value.numerator
         key = (cls, value.numerator, value.denominator)
         r = _TABLE.get(key)
+        if r is None and max(key[1].bit_length(), key[2].bit_length()) > MAX_CONST_BITS:
+            raise ValueError(f"constant beyond the limit of {MAX_CONST_BITS} bits")
         return r and r() or _intern(key, cls, value)
 
 
@@ -444,11 +454,6 @@ MAX_NESTING = 100
 # Most sample points a zero test may ask for: the sampling tier builds its
 # whole point set at once, and 100,000 is 500 times the most any caller uses.
 MAX_SAMPLES = 100_000
-
-# Largest size in bits, estimated as |k| * floor(log2 max(|a|, b)), of a
-# constant that `simplify` folds from an integer power (a/b)^k; a larger
-# power stays a Power of two constants, which keeps its value.
-MAX_POWER_BITS = 1 << 16
 
 
 class _Parser:
@@ -1131,8 +1136,7 @@ def _norm_power(b: Expr, x: Expr) -> Expr:
                         r = _norm_power(Const(root), Const(v.numerator))
             elif c == 0 and v < 0:
                 r = UNDEFINED
-            elif abs(v) * (max(abs(c.numerator), c.denominator).bit_length() - 1) \
-                    <= MAX_POWER_BITS:
+            elif abs(v) * max(abs(c.numerator), c.denominator).bit_length() <= MAX_CONST_BITS:
                 # v is an int; an int c to a negative power would be a float
                 r = Const(Fraction(c) ** v)
         elif isinstance(b, Power) and isinstance(b.exponent, Const):
@@ -1511,7 +1515,10 @@ class _Fuser:
                 try:
                     r = float(e.value)
                 except OverflowError:
-                    raise ValueError(f"constant of {len(str(abs(int(e.value))))} digits "
+                    # its digits, counted without str: those of 2^(bits-1), or one more
+                    k = abs(int(e.value))
+                    d = int((k.bit_length() - 1) * math.log10(2)) + 1
+                    raise ValueError(f"constant of {d + (k >= 10 ** d)} digits "
                                      "is beyond the float range") from None
             else:
                 r = _fold(e, tuple([operand(k) for k in _KIDS[t](e)]), nodes)
@@ -1730,6 +1737,10 @@ class ZeroVerdict(Record):
 
 
 PROVEN_ZERO = ZeroVerdict("ProvenZero")
+
+# the one verdict of a check that tests no residual yet holds: mon with
+# nothing to monitor, lala with a non-constant lambda or no extension
+UNTESTED = (("no residual tested", ZeroVerdict("NumericallyZero")),)
 
 
 class Verdicts(Record):

@@ -22,6 +22,7 @@ from .expr import (
     DomainBox,
     Expr,
     Record,
+    UNTESTED,
     Var,
     Verdicts,
     ZERO,
@@ -44,13 +45,19 @@ from .expr import (
 from .lambda_symmetry import (HAMILTONIAN_SIDE, LAGRANGIAN_SIDE, LambdaMatrix,
                               _require_shape, _scalar_multiple, lambda_prolongation)
 from .mechanics import Coordinates, PhaseVectorField, hamiltonian_vector_field
-from .numeric import (central_residual, integrate_euler_lagrange, integrate_first_order,
-                      values_along)
+from .numeric import (DEFAULT_HORIZON, DEFAULT_STEP, central_residual, integrate_euler_lagrange,
+                      integrate_first_order, values_along)
 
 # hessian_regularity samples the velocity Hessian at this many seeded points
 # and counts the Lagrangian regular when every |det| exceeds the threshold
 HESSIAN_SAMPLES = 25
 HESSIAN_DET_THRESHOLD = 1e-8
+
+# trajectory settings of check_noether_lambda (gl) and partial_reduction_check
+# (lz); both step by numeric.DEFAULT_STEP, lz to numeric.DEFAULT_HORIZON
+NOETHER_T1 = 0.5
+NOETHER_TOL = 1e-5
+REDUCTION_TOL = 1e-5
 
 
 class LagrangianSystem(Coordinates):
@@ -327,11 +334,10 @@ def config_scalar_reduction(xl: ConfigVectorField, laml: LambdaMatrix,
     return _scalar_multiple(laml.vec(xl.phi), xl.phi, box, cfg)
 
 
-def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
-                         laml: LambdaMatrix, box: Optional[DomainBox] = None,
-                         initial_conditions: Sequence[Sequence[float]] = (),
-                         t1: float = 0.5, h: float = 1e-3,
-                         tol: float = 1e-5) -> Verdicts:
+def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField, laml: LambdaMatrix,
+                         initial_conditions: Sequence[Sequence[float]],
+                         box: Optional[DomainBox] = None, t1: float = NOETHER_T1,
+                         h: float = DEFAULT_STEP, tol: float = NOETHER_TOL) -> Verdicts:
     """Integrate variational trajectories from each (q0..., dq0...) row and
     bound |d/dt(phi . p) + (Lambda phi) . p| along them, one verdict within
     tol per trajectory; the time derivative uses central differences on the
@@ -358,43 +364,42 @@ def check_noether_lambda(lag: LagrangianSystem, xl: ConfigVectorField,
 
 class ScalarConditionReport(Verdicts):
     """Scalar condition on the configuration side and its consequence for
-    the extended matrix when the scalar is a constant c: Lambda Phi = c Phi,
-    in `checks`, empty unless the constant branch is asserted."""
+    the extended matrix when the scalar is a constant c.  `checks` are the
+    verdicts to report: with no scalar, a NonZero with no residual; with a
+    non-constant scalar or no extension, `expr.UNTESTED`; else the 2n
+    components of Lambda Phi - c Phi.  `note` names the branch."""
 
     __slots__ = ("scalar", "is_constant", "note")
 
     def __init__(self, checks: tuple, scalar: Optional[Expr], is_constant: bool, note: str = ""):
         Record.__init__(self, checks, scalar, is_constant, note)
 
-    @property
-    def holds(self) -> bool:
-        return self.scalar is not None and super().holds
-
 
 def check_scalar_condition(xl: ConfigVectorField, laml: LambdaMatrix,
-                              box: Optional[DomainBox] = None,
-                              cfg: Optional[ZeroTestConfig] = None) -> ScalarConditionReport:
+                           box: Optional[DomainBox] = None,
+                           cfg: Optional[ZeroTestConfig] = None) -> ScalarConditionReport:
     """Detect Lambda^L phi = lambda phi; when lambda is a constant c,
     assert Lambda Phi = c Phi on the extended field and matrix."""
     scalar = config_scalar_reduction(xl, laml, box, cfg)
-    if scalar is None:
-        return ScalarConditionReport((), None, False, "no scalar reduction")
-    constant = all(is_identically_zero(differentiate(scalar, v), box, cfg).ok
-                   for v in free_vars(scalar))
-    if not constant:
-        return ScalarConditionReport((), scalar, False,
-                                     "scalar is not constant; extension not asserted")
+    if scalar is None:      # nothing sampled: NonZero with no residual
+        nonzero = ZeroVerdict("NonZero", max_residual=None)
+        return ScalarConditionReport((("scalar reduction", nonzero),), None, False,
+                                     "no scalar reduction on the configuration side")
+    if not all(is_identically_zero(differentiate(scalar, v), box, cfg).ok
+               for v in free_vars(scalar)):
+        return ScalarConditionReport(UNTESTED, scalar, False,
+                                     "not constant; extension not asserted")
     x, _g = extend_vector_field(xl)
     try:
         ext = extend_lambda(xl, laml, box=box, cfg=cfg)
     except ValueError as err:
-        return ScalarConditionReport((), scalar, True, f"extension unavailable: {err}")
+        return ScalarConditionReport(UNTESTED, scalar, True, f"extension unavailable: {err}")
     lam_phi = ext.matrix.vec(x.components)
     checks = tuple(
         (f"(Lambda Phi - c Phi)_{a+1}", is_identically_zero(
             add(lam_phi[a], neg(mul(scalar, x.components[a]))), box, cfg))
         for a in range(2 * xl.n))
-    return ScalarConditionReport(checks, scalar, True)
+    return ScalarConditionReport(checks, scalar, True, "extended matrix scales the field")
 
 
 def reduced_variables(n: int) -> tuple:
@@ -409,8 +414,8 @@ def partial_reduction_check(lag: LagrangianSystem, xl: ConfigVectorField,
                             reduced_l: Expr, particular: Sequence[Expr],
                             box: Optional[DomainBox] = None,
                             cfg: Optional[ZeroTestConfig] = None,
-                            t1: float = 1.0, h: float = 1e-3,
-                            tol: float = 1e-5) -> Verdicts:
+                            t1: float = DEFAULT_HORIZON, h: float = DEFAULT_STEP,
+                            tol: float = REDUCTION_TOL) -> Verdicts:
     """Verdicts for a reduction through differential invariants:
     invariance of each invariant under the perturbed prolongation, equality
     of the rewritten Lagrangian with the original ("composition"),

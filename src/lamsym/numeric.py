@@ -490,19 +490,17 @@ def monitor(traj: Trajectory, exprs: Sequence[Expr],
 
 
 def compare_with_scalar_ode(series: MonitorSeries, gamma: Expr, g0: float) -> float:
-    """Integrate dG/dt = gamma(t, G) on the series' grid and return the
-    maximum absolute deviation from the monitored values; gamma is compiled
-    once per tree and kept while it lives (`expr.generated`), so comparing
-    several series with one law compiles it once."""
+    """Integrate dG/dt = gamma(t, G) on the series' grid
+    (`integrate_first_order`) and return the maximum absolute deviation from
+    the monitored values."""
     n_steps = len(series.values) - 1
     if n_steps < 1:
         raise ValueError("series too short to compare")
-    h = series.h
-    law = expr.generated(gamma, ("law", ("t", "G")), compile_exprs, [gamma], ("t", "G"))
-    states, reason = _rk4_loop(law, [g0], series.t0, series.t0 + n_steps * h, h)
-    if reason is not None:
-        raise IntegrationError(f"scalar law integration failed: {reason}")
-    return float(np.max(np.abs(states[:, 0] - series.values)))
+    t0, h = series.t0, series.h
+    law = integrate_first_order([gamma], ("G",), [g0], t0, t0 + n_steps * h, h)
+    if law.truncated:
+        raise IntegrationError(f"scalar law integration failed: {law.reason}")
+    return float(np.max(np.abs(law.states[:, 0] - series.values)))
 
 
 def trajectory_to_csv(traj: Trajectory, stream, monitors: Sequence[MonitorSeries] = ()) -> None:

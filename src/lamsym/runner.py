@@ -31,6 +31,7 @@ from . import numeric, symmetry
 from .expr import (
     Record,
     SamplingError,
+    UNTESTED,
     ZeroTestConfig,
     ZeroVerdict,
     compile_expr,
@@ -48,13 +49,8 @@ HAMILTONIAN_CHECKS = ("cs", "ds", "g", "case", "las", "dtg", "dts",
 LAGRANGIAN_CHECKS = ("xll", "leg", "xh", "lh", "las", "g", "dtg", "dts",
                      "chart", "wzl", "sep", "gamma", "gl", "lala", "lz", "mon")
 
-# trajectory settings of the integrating checks (mon, gl, lz)
-TRAJECTORY_T1 = 1.0
-TRAJECTORY_H = 1e-3
+# mon's tolerance; mon integrates on numeric's default grid, gl and lz on lagrangian's
 MONITOR_TOL = 1e-6
-NOETHER_T1 = 0.5
-NOETHER_TOL = 1e-5
-REDUCTION_TOL = 1e-5
 
 _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 
@@ -62,10 +58,6 @@ _RANK = {"ProvenZero": 0, "NumericallyZero": 1, "NonZero": 2}
 # a run's settings are its zero-test settings; perfbench is the only
 # reader of this name
 RunConfig = ZeroTestConfig
-
-# the one verdict of a check that tests no residual yet holds: mon with
-# nothing to monitor, lala with a non-constant lambda or no extension
-_UNTESTED = (("no residual tested", ZeroVerdict("NumericallyZero")),)
 
 
 class CheckRecord(Record):
@@ -126,10 +118,10 @@ def _need(condition: bool, reason: str):
 
 
 class _Context:
-    """What the checks of one run read and derive.  Systems are built on
-    first use, by the first check that reads them.  On
-    Lagrangian problems `xh` sets the phase field `x` and the candidate `g`,
-    and `lh` sets the matrix `lam`."""
+    """What the checks of one run read and derive; systems are built by the
+    first check that reads them.  A file without a matrix states an exact
+    symmetry: Lambda = 0.  On Lagrangian problems `xh` sets the phase field
+    `x` and the candidate `g`, and `lh` the phase-side matrix `lam`."""
 
     def __init__(self, problem: ProblemFile, zc: ZeroTestConfig):
         self.problem = problem
@@ -139,7 +131,7 @@ class _Context:
         self.g = problem.candidates.get("G")
         if problem.kind == "hamiltonian":
             self.x = problem.vector_field()
-            self.lam = problem.lam
+            self.lam = problem.lam or lam_mod.LambdaMatrix.zeros(2 * problem.n)
         else:
             self.x = self.lam = None
             self.laml = problem.lam or lam_mod.LambdaMatrix.zeros(
@@ -228,9 +220,7 @@ def _check_chart(ctx: _Context):
 
 def _check_wzl(ctx: _Context):
     chart = ctx.problem.chart
-    # a Hamiltonian file without a matrix states an exact symmetry: Lambda = 0
-    lam = ctx.lam or lam_mod.LambdaMatrix.zeros(2 * ctx.problem.n)
-    rs = lam_mod.reduced_system(ctx.sys, ctx.x, lam, chart, ctx.box, ctx.zc)
+    rs = lam_mod.reduced_system(ctx.sys, ctx.x, ctx.lam, chart, ctx.box, ctx.zc)
     eqs = [f"d{n}/dt = {format_expr(w)}" for n, w in zip(chart.w_names, rs.w_rhs)]
     eqs.append(f"dz/dt = {format_expr(rs.z_rhs)}")
     flags = ",".join("free" if zf else "z" for zf in rs.z_free)
@@ -278,7 +268,7 @@ def _check_mon(ctx: _Context):
         u0 = list(ic)
         if problem.kind == "lagrangian":
             u0 = list(ic[:problem.n]) + list(momenta(0.0, *map(float, ic)))
-        traj = numeric.integrate_hamiltonian(ctx.sys, u0, 0.0, TRAJECTORY_T1, TRAJECTORY_H)
+        traj = numeric.integrate_hamiltonian(ctx.sys, u0)
         if big_gamma is not None:
             values = numeric.values_along(traj, compile_expr(big_gamma, names),
                                           "monitor Gamma").tolist()
@@ -292,7 +282,7 @@ def _check_mon(ctx: _Context):
             checks.append((f"scalar law {k}", ZeroVerdict.within(dev, MONITOR_TOL, len(values))))
             notes.append(f"scalar-law deviation {dev:.3e}")
     # a gamma law without G tests no residual
-    return checks or _UNTESTED, "; ".join(notes)
+    return checks or UNTESTED, "; ".join(notes)
 
 
 # ------------------------------------------------------- lagrangian pipeline
@@ -331,34 +321,27 @@ def _check_lh(ctx: _Context):
 
 
 def _check_gl(ctx: _Context):
-    rep = lagmod.check_noether_lambda(ctx.lag, ctx.xl, ctx.laml, ctx.box,
-                                      ctx.problem.candidates["initial_conditions"],
-                                      NOETHER_T1, TRAJECTORY_H, NOETHER_TOL)
-    return rep.checks, f"{len(rep.checks)} trajectories, tol {NOETHER_TOL:g}"
+    rep = lagmod.check_noether_lambda(ctx.lag, ctx.xl, ctx.laml,
+                                      ctx.problem.candidates["initial_conditions"], ctx.box)
+    return rep.checks, f"{len(rep.checks)} trajectories, tol {lagmod.NOETHER_TOL:g}"
 
 
 def _check_lala(ctx: _Context):
     rep = lagmod.check_scalar_condition(ctx.xl, ctx.laml, ctx.box, ctx.zc)
     if rep.scalar is None:
-        # nothing was sampled: NonZero with no residual and no witness
-        return ((("scalar reduction", ZeroVerdict("NonZero", max_residual=None)),),
-                "no scalar reduction on the configuration side")
-    detail = f"lambda = {format_expr(rep.scalar)}"
-    if not rep.is_constant:
-        return _UNTESTED, detail + " (not constant; extension not asserted)"
-    if not rep.checks:
-        return _UNTESTED, detail + f"; {rep.note}"
-    return rep.checks, detail + "; extended matrix scales the field"
+        return rep.checks, rep.note
+    scalar = format_expr(rep.scalar)
+    return rep.checks, (f"lambda = {scalar}; {rep.note}" if rep.is_constant
+                        else f"lambda = {scalar} ({rep.note})")
 
 
 def _check_lz(ctx: _Context):
     candidates = ctx.problem.candidates
     rep = lagmod.partial_reduction_check(
         ctx.lag, ctx.xl, ctx.laml, candidates.get("eta", ()), candidates["theta"],
-        candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc,
-        t1=TRAJECTORY_T1, h=TRAJECTORY_H, tol=REDUCTION_TOL)
+        candidates["reduced_L"], candidates["particular_solution"], ctx.box, ctx.zc)
     flow = dict(rep.checks)["constraint flow"].max_residual
-    return rep.checks, f"constraint-flow residual {flow:.3e} (tol {REDUCTION_TOL:g})"
+    return rep.checks, f"constraint-flow residual {flow:.3e} (tol {lagmod.REDUCTION_TOL:g})"
 
 
 # --------------------------------------------------------------------------

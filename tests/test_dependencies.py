@@ -2,6 +2,7 @@
 and numpy."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -262,3 +263,141 @@ def test_the_guard_flags_a_tag_decided_outside_run_checks(tmp_path):
                       "    return [_aggregate(*fn(ctx)) for fn in fns]\n"
                       "first = runner._aggregate((), '')\n", encoding="utf-8")
     assert _hand_decided_tags(module) == [4, 7, 11]
+
+
+def _called(node) -> str:
+    """The name a call node calls, as a name or an attribute, else ""."""
+    return getattr(node.func, "id", getattr(node.func, "attr", "")) if isinstance(
+        node, ast.Call) else ""
+
+
+def _number(node) -> bool:
+    """Whether node is a number literal, signed, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return bool(node.elts) and all(map(_number, node.elts))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _module_settings(path: Path) -> list:
+    """Lines of path that assign a number at module level, other than
+    MONITOR_TOL."""
+    return [node.lineno for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+            and _number(node.value)
+            and {getattr(t, "id", None) for t in
+                 (node.targets if isinstance(node, ast.Assign) else [node.target])}
+            != {"MONITOR_TOL"}]
+
+
+def test_the_runner_sets_no_trajectory_setting_but_mon_tolerance():
+    # gl and lz read their horizon and tolerances from lagrangian, every
+    # integrating check its step from numeric
+    assert not _module_settings(SOURCES[0].parent / "runner.py")
+
+
+def test_the_guard_flags_a_trajectory_setting_in_the_runner(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("TRAJECTORY_H = 1e-3\nMONITOR_TOL = 1e-6\nNOETHER_T1 = 0.5\n"
+                      "_RANK = {'a': 0}\nTOL = -1e-5\nT1, H = 1.0, 1e-3\nN: int = 4\n"
+                      "def f():\n    h = 1e-3\n", encoding="utf-8")
+    assert _module_settings(module) == [1, 3, 5, 6, 7]
+
+
+def _passed_settings(path: Path) -> list:
+    """Lines of path where check_noether_lambda or partial_reduction_check
+    is passed t1, h or tol, by keyword or by position."""
+    from lamsym import lagrangian
+    first = {name: list(inspect.signature(getattr(lagrangian, name)).parameters).index("t1")
+             for name in ("check_noether_lambda", "partial_reduction_check")}
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if _called(node) in first
+                   and (len(node.args) > first[_called(node)]
+                        or {k.arg for k in node.keywords} & {"t1", "h", "tol"})})
+
+
+def test_the_runner_passes_no_trajectory_setting_to_gl_or_lz():
+    assert not _passed_settings(SOURCES[0].parent / "runner.py")
+
+
+def test_the_guard_flags_a_trajectory_setting_passed_to_gl_or_lz(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("a = lagmod.check_noether_lambda(lag, xl, laml, ics, box)\n"
+                      "b = lagmod.check_noether_lambda(lag, xl, laml, ics, box, 0.5)\n"
+                      "c = check_noether_lambda(lag, xl, laml, ics, tol=1e-5)\n"
+                      "d = partial_reduction_check(lag, xl, laml, e, th, rl, ps, box, zc)\n"
+                      "e = partial_reduction_check(lag, xl, laml, e, th, rl, ps, box, zc,\n"
+                      "                            h=1e-3)\n"
+                      "f = integrate_hamiltonian(sys, u0, 0.0, 1.0, 1e-3)\n", encoding="utf-8")
+    assert _passed_settings(module) == [2, 3, 5]
+
+
+def _stray_calls(path: Path, callee: str, prefix: str) -> list:
+    """Lines of path that call `callee` outside every top-level function
+    whose name starts with `prefix`."""
+    return sorted({node.lineno for top in ast.parse(path.read_text(encoding="utf-8")).body
+                   if not getattr(top, "name", "").startswith(prefix)
+                   for node in ast.walk(top) if _called(node) == callee})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_integrators_run_the_rk4_loop(path):
+    # compare_with_scalar_ode integrates its law through integrate_first_order
+    assert not _stray_calls(path, "_rk4_loop", "integrate_")
+
+
+def test_the_guard_flags_the_rk4_loop_outside_an_integrator(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def integrate_flow(f, y0):\n    return _rk4_loop(f, y0, 0.0, 1.0, 1e-3)\n"
+                      "def compare(law, g0):\n    return numeric._rk4_loop(law, [g0], 0.0, 1.0, 1e-3)\n"
+                      "states = _rk4_loop(f, y0, 0.0, 1.0, 1e-3)\n", encoding="utf-8")
+    assert _stray_calls(module, "_rk4_loop", "integrate_") == [4, 5]
+
+
+def test_the_scalar_law_is_integrated_by_integrate_first_order():
+    numeric = SOURCES[0].parent / "numeric.py"
+    top = next(node for node in ast.parse(numeric.read_text(encoding="utf-8")).body
+               if getattr(node, "name", "") == "compare_with_scalar_ode")
+    assert "integrate_first_order" in {_called(node) for node in ast.walk(top)}
+
+
+def test_only_the_run_context_builds_a_zero_matrix():
+    # a file without a matrix means Lambda = 0, said once in runner._Context
+    assert not _stray_calls(SOURCES[0].parent / "runner.py", "zeros", "_Context")
+
+
+def test_the_guard_flags_a_zero_matrix_built_in_a_check(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class _Context:\n    def __init__(self, n):\n"
+                      "        self.lam = LambdaMatrix.zeros(2 * n)\n"
+                      "def _check_wzl(ctx):\n"
+                      "    lam = ctx.lam or lam_mod.LambdaMatrix.zeros(2 * ctx.problem.n)\n",
+                      encoding="utf-8")
+    assert _stray_calls(module, "zeros", "_Context") == [5]
+
+
+def test_the_scalar_condition_report_has_no_second_verdict():
+    # check_scalar_condition returns the verdicts to report in every branch
+    from lamsym.lagrangian import ScalarConditionReport
+    assert "holds" not in vars(ScalarConditionReport)
+
+
+def _literal_defaults(path: Path) -> list:
+    """Lines of path that give an option a number literal as its default."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if _called(node) == "add_argument"
+                   and any(k.arg == "default" and _number(k.value) for k in node.keywords)})
+
+
+def test_the_cli_states_no_default_the_library_holds():
+    assert not _literal_defaults(SOURCES[0].parent / "cli.py")
+
+
+def test_the_guard_flags_a_literal_cli_default(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("ap.add_argument('--seed', type=int, default=0)\n"
+                      "ap.add_argument('--tol', type=float, default=zc.abs_tol)\n"
+                      "ap.add_argument('--report', default='text')\n"
+                      "pi.add_argument('--step', type=float, default=1e-3)\n", encoding="utf-8")
+    assert _literal_defaults(module) == [1, 4]

@@ -616,6 +616,16 @@ def test_a_huge_constant_power_stays_unfolded():
     assert simplify(parse("(8/27)^(2/3)")) == Const(F(4, 9))
 
 
+def test_a_power_folds_only_within_the_constant_limit():
+    # |k| * bits(a) <= MAX_CONST_BITS folds a^k, so no folded constant trips the limit
+    assert simplify(parse("2^7000")) == Const(F(2) ** 7000)
+    assert isinstance(simplify(parse("2^7001")), Power)
+    # 2^65536 has 19,729 digits, past Python's limit on int to text
+    assert format_expr(simplify(parse("2^2^2^2^2^2*t"))) == "t*2^2^65536"
+    with pytest.raises(ValueError, match="^constant beyond the limit of 14000 bits$"):
+        simplify(parse("2^7000*3^4000*5^3000"))
+
+
 # ---------------------------------------------------------------- format
 
 def test_format_zero_and_power():
@@ -804,6 +814,14 @@ def test_constant_beyond_float_range_is_a_value_error():
         compile_exprs([parse("x"), Const(F(10) ** 400)], ("x",))
     with pytest.raises(ValueError, match=message):
         compile_exprs([parse("x"), Const(F(10 ** 401, 3))], ("x",))
+    # the digits are counted without str, whatever Python's limit on int to text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match="^constant of 4001 digits is beyond the float range$"):
+            compile_exprs([parse("x"), Const(F(10) ** 4000)], ("x",))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- memo, hashes

@@ -1,3 +1,4 @@
+import inspect
 import random
 from importlib import resources
 
@@ -35,7 +36,7 @@ from lamsym.lagrangian import (
     verify_legendre,
 )
 from lamsym.mechanics import PhaseSystem, canonical_equations, hamiltonian_vector_field
-from lamsym import lagrangian, runner
+from lamsym import expr, lagrangian, runner
 from lamsym.problem import load_problem
 from fractions import Fraction
 from gen import in_order
@@ -376,6 +377,16 @@ def test_exponential_noether_rate():
     assert rep.holds
 
 
+def test_the_noether_check_requires_initial_conditions():
+    # its old default, (), could only raise
+    param = inspect.signature(check_noether_lambda).parameters["initial_conditions"]
+    assert param.default is inspect.Parameter.empty
+    with pytest.raises(TypeError, match="initial_conditions"):
+        check_noether_lambda(two_scale_lagrangian(), two_scale_field(), two_scale_matrix())
+    with pytest.raises(ValueError, match="at least one initial condition"):
+        check_noether_lambda(two_scale_lagrangian(), two_scale_field(), two_scale_matrix(), ())
+
+
 # ------------------------------------------------------------- scalar condition
 
 def test_log_pair_scalar_is_constant_and_extends():
@@ -390,7 +401,7 @@ def test_two_scale_scalar_is_not_constant():
     rep = check_scalar_condition(two_scale_field(), two_scale_matrix())
     assert rep.scalar == Var("q1")
     assert not rep.is_constant
-    assert rep.checks == ()
+    assert rep.checks == expr.UNTESTED
 
 
 def test_zero_matrix_scalar_is_zero():

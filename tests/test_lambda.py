@@ -475,11 +475,22 @@ _STEPS = (1e-2, 5e-3, 2.5e-3)
 def _chart_gaps(name, u0, added=None):
     """At each step of _STEPS, the largest gap over the grid to t = 1 between
     the chart image (w, z) of the full Hamiltonian flow from u0 and the flow
-    of the reduced system from the image of u0; `added` is added to W1."""
+    of the reduced system from the image of u0; `added` is added to W1.  A
+    Lagrangian example flows by its H_for_legendre, with the lifted field and
+    the extended matrix."""
+    from lamsym.lagrangian import extend_lambda, extend_vector_field
     with resources.as_file(resources.files("lamsym").joinpath("problems", name)) as path:
         problem = load_problem(str(path))
-    sys, chart = problem.phase_system(), problem.chart
-    rs = reduced_system(sys, problem.vector_field(), problem.lam, chart, problem.box)
+    chart = problem.chart
+    if problem.kind == "hamiltonian":
+        sys, x, lam = problem.phase_system(), problem.vector_field(), problem.lam
+    else:
+        c, xl = problem.candidates, problem.config_field()
+        sys = PhaseSystem(problem.n, c["H_for_legendre"])
+        x, _g = extend_vector_field(xl, problem.lam, c.get("velocity_map"))
+        lam = extend_lambda(xl, problem.lam, c.get("lambda2_candidate"), problem.box).matrix
+    rs = reduced_system(sys, x, lam, chart, problem.box)
+    assert rs.holds
     rhs = [*rs.w_rhs, rs.z_rhs]
     if added is not None:
         rhs[0] = add(rhs[0], parse(added))
@@ -516,6 +527,26 @@ def test_a_reduced_system_with_an_added_term_does_not_converge_to_the_flow():
     gaps = _chart_gaps("example3.json", [0.8, 0.6, 0.5, 0.4], added="1/1000000")
     assert min(gaps) > 1e-7
     assert all(abs(k) < 0.1 for k in _orders(gaps))
+
+
+@pytest.mark.parametrize("name, u0, first", [
+    # measured 3.1e-10, 1.9e-11, 1.2e-12 and 2.7e-11, 1.7e-12, 1.1e-13
+    ("example6.json", [1.1, 0.8, 0.5, 0.4], 4e-10),
+    ("example7.json", [0.5, 0.3], 4e-11)])
+def test_reduced_system_of_a_lagrangian_example_converges_to_its_flow_at_order_4(name, u0, first):
+    gaps = _chart_gaps(name, u0)
+    assert gaps[0] < first
+    assert all(3.9 < k < 4.1 for k in _orders(gaps))
+
+
+@pytest.mark.parametrize("name, u0, gap", [
+    # measured 1.18e-6 and 8.4e-7 at every step
+    ("example6.json", [1.1, 0.8, 0.5, 0.4], 1.1e-6),
+    ("example7.json", [0.5, 0.3], 8e-7)])
+def test_a_lagrangian_reduced_system_with_an_added_term_does_not_converge(name, u0, gap):
+    gaps = _chart_gaps(name, u0, added="1/1000000")
+    assert min(gaps) > gap
+    assert all(abs(k) < 1e-3 for k in _orders(gaps))
 
 
 # ------------------------------------------------------------ separated G

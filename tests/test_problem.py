@@ -539,6 +539,46 @@ def test_constant_beyond_float_range_is_an_error_verdict(tmp_path):
     assert "float range" in record["detail"]
 
 
+# 2^2^2^2^2^2 is 2^(2^65536): 2^65536 has 19,729 digits, past Python's
+# 4,300-digit limit on int to text, so it must stay a power
+_TOWER = "2^2^2^2^2^2"
+
+
+def test_a_power_tower_in_the_field_is_a_sampling_error_verdict(tmp_path):
+    doc = dict(MINIMAL, vector_field={"phi": [f"{_TOWER}*t"], "psi": ["p1"]})
+    out = tmp_path / "r.json"
+    assert main(["check", "--problem", write_problem(tmp_path, doc), "--select", "cs",
+                 "--report", "json", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"] == [
+        {"name": "cs", "eq": "CS", "verdict": "Error",
+         "detail": "100/100 sample points rejected: 100 overflowed"}]
+
+
+def test_a_power_tower_in_the_hamiltonian_integrates_until_it_overflows(tmp_path, capsys):
+    doc = dict(MINIMAL, hamiltonian=f"{_TOWER}*p1^2/2")
+    assert main(["integrate", "--problem", write_problem(tmp_path, doc), "--ic", "q1=0.1,p1=0.2",
+                 "--t1", "0.01", "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "warning: state left safety box at t=0.001\n"
+
+
+def test_a_constant_past_the_kernel_limit_is_an_error_verdict(tmp_path):
+    # each power folds, but their product would have 20,307 bits
+    doc = dict(MINIMAL, hamiltonian="2^7000*3^4000*5^3000*p1^2/2")
+    report = run_checks(load_problem(write_problem(tmp_path, doc)), ["cs"])
+    assert (report.record("cs").verdict, report.record("cs").detail) == (
+        "Error", "constant beyond the limit of 14000 bits")
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from lamsym import numeric
+    from lamsym.cli import _build_parser, _config
+    parser = _build_parser()
+    for argv in (["check", "--problem", "p.json"], ["corpus"]):
+        assert _config(parser.parse_args(argv)) == ZeroTestConfig()
+    args = parser.parse_args(["integrate", "--problem", "p.json", "--ic", "q1=0"])
+    assert (args.t1, args.step) == (numeric.DEFAULT_HORIZON, numeric.DEFAULT_STEP)
+
+
 def test_deeply_nested_input_exits_with_status_2(tmp_path, capsys):
     doc = dict(MINIMAL, hamiltonian="(" * 3000 + "p1^2+q1^2" + ")" * 3000)
     assert main(["check", "--problem", write_problem(tmp_path, doc)]) == 2
