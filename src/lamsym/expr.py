@@ -451,6 +451,12 @@ _POW_PREC = 30
 # Half of the compiler's limit leaves room for derivatives and normal forms.
 MAX_NESTING = 100
 
+# Most digits in a part of a number literal (Python's limit on text to int) and
+# largest |exponent|: a nonzero literal beyond either is refused unbuilt, as it
+# is past MAX_CONST_BITS or Python's limit.
+MAX_LITERAL_DIGITS = 4_300
+MAX_LITERAL_EXPONENT = MAX_LITERAL_DIGITS + math.ceil(MAX_CONST_BITS / math.log2(10))
+
 # Most sample points a zero test may ask for: the sampling tier builds its
 # whole point set at once, and 100,000 is 500 times the most any caller uses.
 MAX_SAMPLES = 100_000
@@ -527,7 +533,17 @@ class _Parser:
     def nud(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
-            return Const(Fraction(val))
+            mantissa, _, exponent = val.lower().partition("e")
+            if not mantissa.strip("0."):
+                return ZERO     # whatever its exponent
+            if max(map(len, re.split(r"[.eE][+-]?", val))) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"number with a part of more than {MAX_LITERAL_DIGITS} digits", off)
+            if abs(int(exponent or 0)) > MAX_LITERAL_EXPONENT:
+                raise ParseError(f"number with an exponent beyond +-{MAX_LITERAL_EXPONENT}", off)
+            try:
+                return Const(Fraction(val))
+            except ValueError as err:   # past MAX_CONST_BITS
+                raise ParseError(str(err), off) from None
         if kind == "name":
             if val in FUNCTIONS:
                 nk, nv, noff = self.peek()
@@ -1392,12 +1408,18 @@ def _domain_error(err: ArithmeticError | ValueError) -> EvalDomainError:
 
 _COMPILE_ENV = {
     "__builtins__": {}, "ZeroDivisionError": ZeroDivisionError, "ValueError": ValueError,
+    "OverflowError": OverflowError, "abs": abs, "range": range, "_inf": math.inf,
     "_exp": math.exp, "_log": _c_log, "_sin": math.sin, "_cos": math.cos,
     "_sqrt": _c_sqrt, "_pow": _guard_pow, "_domain_error": _domain_error,
 }
 
 
-_FUNC_NAMES = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "sqrt": "_sqrt"}
+def _define(lines: list, name: str, **env) -> Callable:
+    """The function `name` that the source lines define, run in
+    `_COMPILE_ENV` with the names in env: the one place source becomes code."""
+    env = {**_COMPILE_ENV, **env}
+    exec("\n".join(lines) + "\n", env)
+    return env.pop(name)    # left in env, its own globals, it would be a cycle
 
 
 def _small_power(x) -> Optional[int]:
@@ -1442,7 +1464,7 @@ def _fold(e: Expr, kids: tuple, nodes: list):
             elif t is Power:
                 v = _guard_pow(*kids)
             else:
-                v = kids[0] / kids[1] if t is Quotient else _COMPILE_ENV[_FUNC_NAMES[e.name]](*kids)
+                v = kids[0] / kids[1] if t is Quotient else _COMPILE_ENV["_" + e.name](*kids)
         except (ArithmeticError, ValueError):
             v = math.inf
         if math.isfinite(v):
@@ -1491,8 +1513,7 @@ class _Fuser:
     """
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str]):
-        self.names = tuple(names)
-        self.sym = sym = {n: f"_v{i}" for i, n in enumerate(names)}
+        self.sym = sym = {n: f"_v{i}" for i, n in enumerate(names)}    # in argument order
         self.nodes: list = []       # node number -> (expr, operands)
         self.code: list = []        # node number -> bound local, or None
         self.refs: list = []        # node number -> references from distinct parents
@@ -1602,21 +1623,25 @@ class _Fuser:
         elif t is Quotient:
             src = "({}/{})".format(*self.emit(kids))
         else:
-            src = f"{_FUNC_NAMES[e.name]}({self.emit(kids)[0]})"
+            src = f"_{e.name}({self.emit(kids)[0]})"
         if self.refs[i] > 1:
             name = self.code[i] = f"_t{i}"
             self.lines.append(f"{name}={src}")
             return name
         return src
 
+    def assign(self, targets: list, roots: list) -> list:
+        """Lines that assign the roots' source to targets, in one try block."""
+        mark = len(self.lines)
+        src = self.emit(roots)
+        return _guarded(self.lines[mark:] + [f"{v} = {r}" for v, r in zip(targets, src)])
+
     def define(self, result: str) -> Callable:
-        args = ",".join(self.sym[n] for n in self.names)
-        env = dict(_COMPILE_ENV)
-        if not self.lines and not any(op in result for op in ("/", "_sin(", "_cos(")):
-            return eval(f"lambda {args}: {result}", env)    # nothing for the handler
-        body = "".join(f" {line}\n" for line in _guarded(self.lines + [f"return {result}"]))
-        exec(f"def _f({args}):\n{body}", env)
-        return env.pop("_f")    # left in env, its own globals, it would be a cycle
+        body = self.lines + [f"return {result}"]
+        if self.lines or any(op in result for op in ("/", "_sin(", "_cos(")):
+            body = _guarded(body)
+        return _define([f"def _f({','.join(self.sym.values())}):"]
+                       + [f" {line}" for line in body], "_f")
 
 
 def _guarded(lines: list) -> list:
@@ -1705,24 +1730,23 @@ class ZeroVerdict(Record):
     NumericallyZero: every sampled scaled residual was at most abs_tol, or
     a trajectory residual was within its tolerance (`within`).
     NonZero: carries a reproducible witness point and its scaled residual;
-    a trajectory residual beyond its tolerance has no witness point.
+    a trajectory residual has no witness, a verdict on no residual neither.
     `samples` counts the points evaluated, `rejected` those lost to domain
     errors, overflow or a non-finite residual.
     """
 
-    __slots__ = ("tag", "samples", "rejected", "max_residual", "witness", "witness_residual")
+    __slots__ = ("tag", "samples", "rejected", "max_residual", "witness")
 
     def __init__(self, tag: str, samples: int = 0, rejected: int = 0, max_residual: float = 0.0,
-                 witness: Optional[dict] = None, witness_residual: Optional[float] = None):
-        Record.__init__(self, tag, samples, rejected, max_residual, witness, witness_residual)
+                 witness: Optional[dict] = None):
+        Record.__init__(self, tag, samples, rejected, max_residual, witness)
 
     @classmethod
     def within(cls, residual: float, tol: float, samples: int) -> "ZeroVerdict":
         """The verdict on a residual over `samples` grid points, decided by
         the tolerance `tol`."""
-        if residual <= tol:
-            return cls("NumericallyZero", samples=samples, max_residual=residual)
-        return cls("NonZero", samples=samples, max_residual=residual, witness_residual=residual)
+        return cls("NumericallyZero" if residual <= tol else "NonZero", samples=samples,
+                   max_residual=residual)
 
     @property
     def ok(self) -> bool:
@@ -1733,7 +1757,10 @@ class ZeroVerdict(Record):
             return "ProvenZero"
         if self.tag == "NumericallyZero":
             return f"NumericallyZero(max={self.max_residual:.3e}, n={self.samples})"
-        return f"NonZero(residual={self.witness_residual:.3e} at {self.witness})"
+        if self.max_residual is None:
+            return "NonZero"
+        at = "" if self.witness is None else f" at {self.witness}"
+        return f"NonZero(residual={self.max_residual:.3e}{at})"
 
 
 PROVEN_ZERO = ZeroVerdict("ProvenZero")
@@ -1848,8 +1875,6 @@ def _sampled_verdict(z: Expr, names: list, box: DomainBox,
             causes.append(f"{nonfinite} gave a non-finite residual")
         raise SamplingError(f"{failures}/{cfg.samples} sample points rejected: "
                             + ", ".join(causes), blame)
-    if worst <= cfg.abs_tol:
-        return ZeroVerdict("NumericallyZero", samples=evaluated, rejected=failures,
-                           max_residual=worst)
-    return ZeroVerdict("NonZero", samples=evaluated, rejected=failures, max_residual=worst,
-                       witness=dict(zip(names, worst_point)), witness_residual=worst)
+    witness = None if worst <= cfg.abs_tol else dict(zip(names, worst_point))
+    return ZeroVerdict("NumericallyZero" if witness is None else "NonZero", samples=evaluated,
+                       rejected=failures, max_residual=worst, witness=witness)

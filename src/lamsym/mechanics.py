@@ -10,7 +10,7 @@ are formatted; every other module reads them there.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .expr import (
     Expr,
@@ -52,7 +52,6 @@ class PhaseSystem(Coordinates):
         extra = free_vars(self.hamiltonian) - set(self.u) - {self.t}
         if extra:
             raise ValueError(f"hamiltonian contains unknown variables: {sorted(extra)}")
-        self._rhs: Optional[tuple] = None
 
     def __repr__(self):
         return f"PhaseSystem(n={self.n}, H={self.hamiltonian})"
@@ -88,20 +87,15 @@ class PhaseVectorField(Record):
 
 
 def canonical_equations(sys: PhaseSystem) -> tuple:
-    """Right-hand side F of the equations of motion: (dH/dp, -dH/dq)."""
-    if sys._rhs is None:
-        h = sys.hamiltonian
-        with simplify_memo():
-            f_q = tuple(simplify(differentiate(h, v)) for v in sys.p)
-            f_p = tuple(simplify(neg(differentiate(h, v))) for v in sys.q)
-        sys._rhs = f_q + f_p
-    return sys._rhs
+    """Right-hand side F of the equations of motion, (dH/dp, -dH/dq): the field
+    H generates, answered from the memo inside a `simplify_memo()` scope."""
+    with simplify_memo():
+        return hamiltonian_vector_field(sys, sys.hamiltonian).components
 
 
 def on_shell_map(sys: PhaseSystem) -> dict:
     """Substitution map sending each velocity symbol to its F component."""
-    rhs = canonical_equations(sys)
-    return dict(zip(sys.velocities, rhs))
+    return dict(zip(sys.velocities, canonical_equations(sys)))
 
 
 def total_time_derivative(sys: PhaseSystem, f: Expr) -> Expr:

@@ -9,6 +9,7 @@ preservation would buy nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Callable, Optional, Sequence
@@ -92,18 +93,7 @@ def _grid_steps(t0: float, t1: float, h: float) -> int:
     return max(int(round(steps)), 1)
 
 
-def _generated(lines: list, name: str, **env) -> Callable:
-    """The function `name` that the source lines define, run with the
-    builtins abs, range and OverflowError, inf as _inf and the names in env."""
-    env = {**env, "__builtins__": {"abs": abs, "range": range, "OverflowError": OverflowError},
-           "_inf": math.inf}
-    exec("\n".join(lines) + "\n", env)
-    return env.pop(name)    # left in env, its own globals, it would be a cycle
-
-
-_LOOPS: dict = {}   # state size -> generated RK4 loop
-
-
+@functools.cache
 def _loop(d: int) -> Callable[..., None]:
     """The RK4 loop for states of d components, generated once per d:
     loop(f, append, t0, h, half, sixth, limit, k0, k1, y0, ..., y{d-1})
@@ -115,26 +105,23 @@ def _loop(d: int) -> Callable[..., None]:
     computed once, and the update `a + sixth * (b1 + (b2 + b2) + (b3 + b3) + b4)`,
     componentwise on locals: the same values as a float64 array loop, since
     b + b is 2 * b exactly."""
-    loop = _LOOPS.get(d)
-    if loop is None:
-        y, a, b, c, e = ([f"{p}{i}" for i in range(d)] for p in "yabce")
-        ys = ", ".join(y)
-        lines = [f"def loop(f, append, t0, h, half, sixth, limit, k0, k1, {ys}):",
-                 " for k in range(k0, k1):",
-                 "  t = t0 + k * h",
-                 "  t_half = t + half",
-                 f"  {''.join(v + ',' for v in a)} = f(t, {ys})"]
-        lines += [f"  {''.join(v + ',' for v in out)} = f({at}, "
-                  f"{', '.join(f'{yi} + {coef} * {ki}' for yi, ki in zip(y, k))})"
-                  for out, at, coef, k in ((b, "t_half", "half", a), (c, "t_half", "half", b),
-                                           (e, "t + h", "h", c))]
-        lines += [f"  {yi} = {yi} + sixth * ({ai} + ({bi} + {bi}) + ({ci} + {ci}) + {ei})"
-                  for yi, ai, bi, ci, ei in zip(y, a, b, c, e)]
-        lines += [f"  if not ({' and '.join(f'abs({yi}) <= limit' for yi in y)}):",
-                  "   return",
-                  f"  append(({ys},))"]
-        loop = _LOOPS[d] = _generated(lines, "loop")
-    return loop
+    y, a, b, c, e = ([f"{p}{i}" for i in range(d)] for p in "yabce")
+    ys = ", ".join(y)
+    lines = [f"def loop(f, append, t0, h, half, sixth, limit, k0, k1, {ys}):",
+             " for k in range(k0, k1):",
+             "  t = t0 + k * h",
+             "  t_half = t + half",
+             f"  {''.join(v + ',' for v in a)} = f(t, {ys})"]
+    lines += [f"  {''.join(v + ',' for v in out)} = f({at}, "
+              f"{', '.join(f'{yi} + {coef} * {ki}' for yi, ki in zip(y, k))})"
+              for out, at, coef, k in ((b, "t_half", "half", a), (c, "t_half", "half", b),
+                                       (e, "t + h", "h", c))]
+    lines += [f"  {yi} = {yi} + sixth * ({ai} + ({bi} + {bi}) + ({ci} + {ci}) + {ei})"
+              for yi, ai, bi, ci, ei in zip(y, a, b, c, e)]
+    lines += [f"  if not ({' and '.join(f'abs({yi}) <= limit' for yi in y)}):",
+              "   return",
+              f"  append(({ys},))"]
+    return expr._define(lines, "loop")
 
 
 def _rk4_loop(f: Callable[..., Sequence[float]], y0: Sequence[float],
@@ -337,10 +324,10 @@ def _euler_lagrange_stage(lag) -> Callable:
 
     rhs evaluates M, tests its condition number against limit, and only then
     evaluates the right-hand side b (`_euler_lagrange_system`), so a singular
-    M outranks any error in b.  Both are evaluated on locals from one
-    `expr._Fuser`, which binds the subtrees b shares with M while M is
+    M outranks any error in b.  One `expr._Fuser` assigns both to locals,
+    each in a try block, binding the subtrees b shares with M while M is
     emitted; a division by zero or sin or cos of inf raises as
-    `expr._domain_error` gives it.  The test is `_condition_lines` for
+    `expr._domain_error` gives it.  `expr._define` makes the code.  The test is `_condition_lines` for
     n <= 3; for n >= 4 it is `_certificate_lines`, with cert_limit =
     limit / 100 and the entries of M that compile to float literals folded,
     then, when that cannot decide, `_hessian_condition`'s SVD, outside the
@@ -356,13 +343,7 @@ def _euler_lagrange_stage(lag) -> Callable:
     dq, m = [fuser.sym[v] for v in lag.dq], [f"m{i}" for i in range(nn)]
     b, x = [f"b{i}" for i in range(n)], [f"x{i}" for i in range(n)]
 
-    def evaluate(targets: list, roots: list) -> list:
-        # the roots assigned to targets, with the lines they need, in one try
-        mark = len(fuser.lines)
-        src = fuser.emit(roots)
-        return expr._guarded(fuser.lines[mark:] + [f"{v} = {r}" for v, r in zip(targets, src)])
-
-    lines = evaluate(m, fuser.roots[:nn])
+    lines = fuser.assign(m, fuser.roots[:nn])
     if n <= 3:
         lines += _condition_lines(n)
         test = "cond <= limit"
@@ -371,7 +352,7 @@ def _euler_lagrange_stage(lag) -> Callable:
                                         if type(r) is float})
         test = f"cert or _hessian_condition(({', '.join(m)}), {n}) <= limit"
     lines += [f"if not ({test}):", f" raise _exceeded({t}, limit)"]
-    lines += evaluate(b, fuser.roots[nn:])
+    lines += fuser.assign(b, fuser.roots[nn:])
     if n == 1:
         lines += [f"return {dq[0]}, b0 / m0"]
     else:
@@ -380,10 +361,9 @@ def _euler_lagrange_stage(lag) -> Callable:
                   f"return {', '.join(dq + x)}"]
     head = ["def bind(solve, limit, buf, square, right):"]
     head += [" cert_limit = limit / 100"] * (n > 3) + [f" def rhs({args}):"]
-    return _generated(head + [f"  {line}" for line in lines] + [" return rhs"], "bind",
-                      **expr._COMPILE_ENV, _root=math.sqrt, _exceeded=_exceeded,
-                      _hessian_condition=_hessian_condition,
-                      _pack_into=struct.Struct(f"{nn + n}d").pack_into)
+    return expr._define(head + [f"  {line}" for line in lines] + [" return rhs"], "bind",
+                        _root=math.sqrt, _exceeded=_exceeded, _hessian_condition=_hessian_condition,
+                        _pack_into=struct.Struct(f"{nn + n}d").pack_into)
 
 
 def _euler_lagrange_system(lag) -> list:

@@ -401,3 +401,68 @@ def test_the_guard_flags_a_literal_cli_default(tmp_path):
                       "ap.add_argument('--report', default='text')\n"
                       "pi.add_argument('--step', type=float, default=1e-3)\n", encoding="utf-8")
     assert _literal_defaults(module) == [1, 4]
+
+
+def _code_from_text(path: Path) -> list:
+    """Lines of path that call eval, or exec outside expr.py's `_define`."""
+    home = "_define" if path.name == "expr.py" else None
+    return sorted({node.lineno for top in ast.parse(path.read_text(encoding="utf-8")).body
+                   for node in ast.walk(top)
+                   if _called(node) == "eval"
+                   or _called(node) == "exec" and getattr(top, "name", None) != home})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_expr_define_turns_source_into_code(path):
+    # every generated function is defined in the one environment, so one
+    # place can count or time them all
+    assert not _code_from_text(path)
+
+
+def test_the_package_has_one_exec_call():
+    assert sum(_called(node) == "exec" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))) == 1
+
+
+def test_the_guard_flags_code_made_outside_expr_define(tmp_path):
+    source = ("def _define(lines, name, **env):\n    exec('\\n'.join(lines), env)\n"
+              "def _generated(lines, name):\n    exec('\\n'.join(lines), {})\n"
+              "f = eval('lambda x: x')\n")
+    home, other = tmp_path / "expr.py", tmp_path / "numeric.py"
+    home.write_text(source, encoding="utf-8")
+    other.write_text(source, encoding="utf-8")
+    assert _code_from_text(home) == [4, 5]
+    assert _code_from_text(other) == [2, 4, 5]
+
+
+_KERNEL_HOOKS = {"_Fuser", "_define"}
+
+
+def _kernel_internals(path: Path) -> list:
+    """Lines of path that name a private attribute of expr other than _Fuser
+    and _define, import one from it, or read an attribute `lines`."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "lines" or getattr(node.value, "id", None) == "expr"
+                and node.attr.startswith("_") and node.attr not in _KERNEL_HOOKS):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("expr") and any(
+                a.name.startswith("_") and a.name not in _KERNEL_HOOKS for a in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_numeric_reaches_the_code_generator_through_two_names():
+    # numeric builds its loops and stages with expr._define and the stage's
+    # lines with expr._Fuser; the environment and the line buffer stay in expr
+    assert not _kernel_internals(SOURCES[0].parent / "numeric.py")
+
+
+def test_the_guard_flags_a_kernel_internal_read_in_numeric(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("fuser = expr._Fuser(rows, names)\nf = expr._define(lines, 'f')\n"
+                      "mark = len(fuser.lines)\nenv = dict(expr._COMPILE_ENV)\n"
+                      "body = expr._guarded(lines)\nfrom .expr import _guarded, Const\n"
+                      "from lamsym.expr import _define\nlines = []\n", encoding="utf-8")
+    assert _kernel_internals(module) == [3, 4, 5, 6]

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +104,44 @@ def test_parse_numbers_are_exact_rationals():
     assert parse("0.1") == Const(F(1, 10))
     assert parse("1.5e-3") == Const(F(3, 2000))
     assert parse("2e2") == Const(F(200))
+
+
+def _timed_parse(text: str):
+    """parse(text), or the ParseError it raises, and the seconds it took."""
+    start = time.perf_counter()
+    try:
+        out = parse(text)
+    except ParseError as err:
+        out = err
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    ("1e999999999", 0, "number with an exponent beyond +-8515"),      # 10^k is never built
+    ("x + 1e-8516", 4, "number with an exponent beyond +-8515"),
+    ("2*" + "7" * 5000, 2, "number with a part of more than 4300 digits"),
+    ("1." + "5" * 4301, 0, "number with a part of more than 4300 digits"),
+    ("1e8515", 0, "constant beyond the limit of 14000 bits"),
+])
+def test_a_literal_beyond_the_constant_limit_is_a_parse_error_at_once(text, offset, message):
+    err, seconds = _timed_parse(text)
+    assert isinstance(err, ParseError) and str(err) == f"{message} (offset {offset})"
+    assert err.offset == offset and seconds < 0.1
+
+
+@pytest.mark.parametrize("text", ["0e3000000", "0.000e-99999999", "0" * 5000])
+def test_a_zero_mantissa_is_zero_whatever_its_exponent(text):
+    e, seconds = _timed_parse(text)
+    assert e is ZERO and seconds < 0.1
+
+
+@pytest.mark.parametrize("text", [
+    "1e4000", "5e-4214", "2.5e+0", "0.000123e-7", "007.50E2",
+    "0" * 4000 + "." + "0" * 400 + "1",     # each part within the limit: 10^-401
+    "1" + "0" * 2199 + "." + "0" * 2200,    # 4,400 digits in all: 10^2199
+])
+def test_a_literal_within_the_limits_keeps_its_value(text):
+    assert parse(text) == Const(Fraction(text))
 
 
 def _canonical(v) -> bool:
@@ -503,8 +542,13 @@ def test_a_residual_within_its_tolerance_is_numerically_zero():
     assert (at.tag, at.max_residual, at.samples, at.witness) == ("NumericallyZero", tol, 999, None)
     for residual in (math.nextafter(tol, math.inf), math.inf):
         beyond = ZeroVerdict.within(residual, tol, 999)
-        assert (beyond.tag, beyond.max_residual, beyond.witness_residual, beyond.samples,
-                beyond.witness) == ("NonZero", residual, residual, 999, None)
+        assert (beyond.tag, beyond.max_residual, beyond.samples,
+                beyond.witness) == ("NonZero", residual, 999, None)
+    # a verdict prints whatever it lacks: no witness, or no residual at all
+    assert str(ZeroVerdict.within(0.5, tol, 999)) == "NonZero(residual=5.000e-01)"
+    assert str(ZeroVerdict("NonZero", max_residual=None)) == "NonZero"
+    assert str(ZeroVerdict("NonZero", 3, 0, 0.25, {"q1": 0.5})) == (
+        "NonZero(residual=2.500e-01 at {'q1': 0.5})")
 
 
 @pytest.mark.parametrize("text, lo, hi", [
@@ -556,7 +600,7 @@ def test_only_the_finite_samples_of_a_partly_overflowing_box_count():
                             DomainBox({"x": (1e307, 1.7e308), "y": (0.5, 1.5)}))
     assert v.tag == "NonZero" and v.rejected > 0
     assert v.samples + v.rejected == 100
-    assert math.isfinite(v.witness_residual)
+    assert math.isfinite(v.max_residual)
     x, y = v.witness["x"], v.witness["y"]
     assert math.isfinite(x * y)
 
@@ -572,7 +616,7 @@ def test_zero_constant_offset_is_nonzero_with_witness():
     assert v.witness is not None
     # the witness reproduces its residual
     again = is_identically_zero(parse("2*q*p - 2*q*p - 1/1000"))
-    assert again.witness_residual == v.witness_residual
+    assert again.max_residual == v.max_residual
 
 
 def test_zero_numeric_tier():
@@ -670,7 +714,7 @@ def test_nonzero_witness_reproduces_its_residual():
     vals = [compile_expr(t, names)(*args) for t in terms]
     scale = 1.0 + max(abs(x) for x in vals)
     resid = abs(math.fsum(vals)) / scale
-    assert resid == v.witness_residual
+    assert resid == v.max_residual
 
 
 # ---------------------------------------------------------------- compiling
@@ -1405,7 +1449,7 @@ def _records() -> list:
     return [
         DomainBox({"q1": (0.1, 1.0)}),
         ZeroTestConfig(samples=20, seed=3),
-        ZeroVerdict("NonZero", 5, 1, 0.5, {"q1": 0.3}, 0.5),
+        ZeroVerdict("NonZero", 5, 1, 0.5, {"q1": 0.3}),
         Verdicts(checks),
         mechanics.PhaseVectorField((x,), (y,), 2),
         symmetry.GeneratingFunctionReport(checks, True, False, x * y, checks),

@@ -415,6 +415,9 @@ def test_zero_matrix_scalar_is_zero():
 def test_non_proportional_matrix_has_no_scalar():
     laml = LambdaMatrix.diagonal([parse("q1"), parse("q2")], LAGRANGIAN_SIDE)
     assert config_scalar_reduction(log_pair_field(), laml) is None
+    # the one verdict is NonZero with no residual, and it prints
+    (label, verdict), = check_scalar_condition(log_pair_field(), laml).checks
+    assert (label, verdict.max_residual, str(verdict)) == ("scalar reduction", None, "NonZero")
 
 
 # ------------------------------------------------------------- partial reduction

@@ -485,9 +485,9 @@ def test_a_stage_reads_one_for_a_zeroth_power_of_a_bound_subtree(fname, monkeypa
     # base's own line raises its errors and b**0 is 1.0 for every float b, so
     # the stage reads 1.0; test_flows_keep_their_recorded_bits pins the flows
     sources = []
-    generated = numeric._generated
-    monkeypatch.setattr(numeric, "_generated",
-                        lambda lines, *a, **kw: sources.append(lines) or generated(lines, *a, **kw))
+    define = expr._define
+    monkeypatch.setattr(expr, "_define",
+                        lambda lines, *a, **kw: sources.append(lines) or define(lines, *a, **kw))
     numeric._euler_lagrange_stage(_bundled(fname).lagrangian_system())
     assert len(sources) == 1
     source = "\n".join(sources[0])
@@ -744,7 +744,7 @@ def _condition(n):
     run on the row-major entries of M."""
     lines = [f"def condition({', '.join(f'm{i}' for i in range(n * n))}):"]
     lines += [f" {line}" for line in numeric._condition_lines(n)] + [" return cond"]
-    return numeric._generated(lines, "condition")
+    return expr._define(lines, "condition")
 
 
 def test_hessian_condition_is_the_exact_one_norm_condition_for_small_n():
@@ -945,7 +945,7 @@ def test_nothing_is_generated_at_import():
     # generated code is built on first use, not in set-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import lamsym\nfrom lamsym import numeric as n\n"
-            "print(len(n._LOOPS))\n")
+            "print(n._loop.cache_info().currsize)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -956,7 +956,7 @@ def test_generated_functions_leave_no_reference_cycle():
     # a generated loop or stage is taken out of the namespace it was executed
     # in, which is its own globals, so no cycle is left for the collector
     lag = LagrangianSystem(2, parse("(dq1+dq2)^2/2 + dq2^2/2 + 1/q1 + q1*dq1*dq2"))
-    numeric._LOOPS.pop(9, None)
+    numeric._loop.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -1159,8 +1159,8 @@ def _certificate(n, literals=None):
     n*n entries of v with the stage's cert_limit."""
     lines = ["def certified(v):", f" {''.join(f'm{i}, ' for i in range(n * n))}*_ = v"]
     lines += [f" {line}" for line in numeric._certificate_lines(n, literals)] + [" return cert"]
-    return numeric._generated(lines, "certified", _root=math.sqrt,
-                              cert_limit=HESSIAN_CONDITION_LIMIT / 100)
+    return expr._define(lines, "certified", _root=math.sqrt,
+                        cert_limit=HESSIAN_CONDITION_LIMIT / 100)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1280,8 +1280,8 @@ def _matrix_function(n, lines, result):
     with the builtins the oracles call."""
     source = [f"def entries({', '.join(f'm{i}' for i in range(n * n))}):"]
     source += [f" {line}" for line in lines] + [f" return {result}"]
-    return numeric._generated(source, "entries", max=max, min=min, _isfinite=math.isfinite,
-                              _root=math.sqrt, cert_limit=HESSIAN_CONDITION_LIMIT / 100)
+    return expr._define(source, "entries", max=max, min=min, _isfinite=math.isfinite,
+                        _root=math.sqrt, cert_limit=HESSIAN_CONDITION_LIMIT / 100)
 
 
 _SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
@@ -1348,19 +1348,14 @@ def test_generated_code_has_no_unit_factor_and_no_int_doubling(monkeypatch, fres
     # the flow or stage of each bundled example and of two hand-written n = 4
     # Lagrangians, and the loop for states of 4 components
     sources = []
-    make, define = numeric._generated, expr._Fuser.define
+    define = expr._define
 
     def capture(lines, name, **env):
         sources.append("\n".join(lines) + "\n")
-        return make(lines, name, **env)
+        return define(lines, name, **env)
 
-    def capture_define(fuser, result):
-        sources.append("\n".join(fuser.lines + [f"return {result}"]) + "\n")
-        return define(fuser, result)
-
-    monkeypatch.setattr(numeric, "_generated", capture)
-    monkeypatch.setattr(expr._Fuser, "define", capture_define)
-    monkeypatch.setattr(numeric, "_LOOPS", {})
+    monkeypatch.setattr(expr, "_define", capture)
+    numeric._loop.cache_clear()
     systems = [_bundled(f"example{k}.json") for k in range(1, 8)]
     for problem in systems:
         if problem.kind == "hamiltonian":

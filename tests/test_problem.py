@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -53,6 +54,19 @@ def test_load_bundled_crossed_example():
     diag = [format_expr(problem.lam.entries[i][i]) for i in range(4)]
     assert diag == ["0", "0", "1", "1"]
     assert problem.chart is not None
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1e999999999", "number with an exponent beyond +-8515 (offset 0)"),
+    ("9" * 5000, "number with a part of more than 4300 digits (offset 0)"),
+])
+def test_a_literal_past_the_limit_names_its_item(tmp_path, literal, message):
+    doc = dict(MINIMAL, vector_field={"phi": [literal], "psi": ["p1"]})
+    start = time.perf_counter()
+    with pytest.raises(ProblemError) as err:
+        load_problem(write_problem(tmp_path, doc))
+    assert str(err.value) == f"vector_field.phi[0]: parse error: {message}"
+    assert time.perf_counter() - start < 0.1
 
 
 def test_missing_n_is_a_schema_error(tmp_path):
