@@ -2,24 +2,24 @@
 
 A problem file carries either a Hamiltonian or a Lagrangian, the vector
 field under test, and optional ingredients (perturbation matrix, domain
-box, reduction chart, candidate quantities, initial conditions).  All
-expressions are strings in the expression grammar; numeric parameters
-are substituted exactly before any check.  One table, `_items`, gives
-each expression item, H and L included, its shape, its length and the
-variables it may use; a file that breaks it, names a parameter like one
-of those variables, or bounds a box name that is none of them, is refused
-at load.
+box, reduction chart, candidate quantities, initial conditions).  One
+table, `_items`, gives every value of a file but its name, kind, n and
+`lambda.velocity_dependent` its shape and the variables it may use, and
+`_read` reads them all: expressions are strings in the expression
+grammar, numbers are JSON numbers or constant expressions, and numeric
+parameters are substituted exactly before any check.  A file with a key
+the table does not name, a value that breaks its row, a parameter named
+like a variable, or a box or inverse-chart key that names no variable of
+its kind, is refused at load.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from fractions import Fraction
 from typing import Optional
 
-from .expr import (Const, DomainBox, Expr, ParseError, Record, ZERO, free_vars, parse,
-                   substitute)
+from .expr import (MAX_LITERAL_DIGITS, Const, DomainBox, Expr, ParseError, Record, ZERO, coerce,
+                   free_vars, parse, simplify, substitute)
 from .lagrangian import ConfigVectorField, LagrangianSystem, reduced_variables
 from .lambda_symmetry import (
     HAMILTONIAN_SIDE,
@@ -77,23 +77,27 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        _fail(path, "expected a finite number")
-    return x
+def _list(value, path: str, length) -> list:
+    """value as a list of length entries, or of any number when length is None."""
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        _fail(path, f"expected {length} entries, got {len(value)}")
+    return value
+
+
+def _int(digits: str):
+    """json's reading of an integer; one past MAX_LITERAL_DIGITS characters
+    stays text, which the reader of its item refuses with its path."""
+    return int(digits) if len(digits) <= MAX_LITERAL_DIGITS else digits
 
 
 def _items(kind: str, n: int) -> dict:
-    """Every expression item of a problem file of this kind with n degrees
-    of freedom, by path: (shape, the variables it may use, length).  The
-    shape is "expr" for one expression, "map" for an object of them,
-    "list" for a list of length of them and "rows" for length such lists."""
+    """Every item of a problem file of this kind with n degrees of freedom,
+    by path: (shape, the variables its leaves may use).  The shape lists
+    the containers around a leaf, outermost first: "map" for an object, a
+    length for a list of that length and None for a list of any length.  A
+    leaf with no variables is a number, any other an expression string."""
     c = Coordinates(n)
     config = frozenset([c.t, *c.q])
     phase = frozenset([c.t, *c.u])
@@ -101,75 +105,81 @@ def _items(kind: str, n: int) -> dict:
     lifted = phase | set(c.velocities)
     theta, eta, deta = reduced_variables(n)
     reduced = frozenset([c.t, theta, *eta, *deta])
+    number = frozenset()
     ham = kind == "hamiltonian"
+    size = 2 * n if ham else n
     return {
-        kind: ("expr", phase if ham else velocity, None),
-        "vector_field.phi": ("list", phase if ham else config, n),
-        "vector_field.psi": ("list", phase, n),
-        "vector_field.tau": ("expr", phase, None),
-        "lambda.entries": ("rows", lifted if ham else velocity, 2 * n if ham else n),
-        "chart.w": ("list", phase, 2 * n - 1),
-        "chart.z": ("expr", phase, None),
-        "chart.inverse": ("map", frozenset(ReductionChart.variables_for(2 * n - 1)), None),
-        "candidates.G": ("expr", phase, None),
-        "candidates.S_expected": ("expr", phase, None),
-        "candidates.gamma": ("expr", frozenset([c.t, "G"]), None),
-        "candidates.Gamma": ("expr", phase, None),
-        "candidates.H_for_legendre": ("expr", phase, None),
-        "candidates.theta": ("expr", velocity, None),
-        "candidates.reduced_L": ("expr", reduced, None),
-        "candidates.velocity_map": ("list", phase, n),
-        "candidates.eta": ("list", config, n - 1),
-        "candidates.particular_solution": ("list", config, n),
-        "candidates.lambda2_candidate": ("rows", lifted, n),
+        "parameters": (("map",), number),
+        kind: ((), phase if ham else velocity),
+        "vector_field.phi": ((n,), phase if ham else config),
+        **({"vector_field.psi": ((n,), phase), "vector_field.tau": ((), phase)} if ham else {}),
+        "lambda.entries": ((size, size), lifted if ham else velocity),
+        "box": (("map", 2), number),
+        "chart.w": ((2 * n - 1,), phase),
+        "chart.z": ((), phase),
+        "chart.inverse": (("map",), frozenset(ReductionChart.variables_for(2 * n - 1))),
+        "candidates.G": ((), phase),
+        "candidates.S_expected": ((), phase),
+        "candidates.gamma": ((), frozenset([c.t, "G"])),
+        "candidates.Gamma": ((), phase),
+        "candidates.H_for_legendre": ((), phase),
+        "candidates.theta": ((), velocity),
+        "candidates.reduced_L": ((), reduced),
+        "candidates.velocity_map": ((n,), phase),
+        "candidates.eta": ((n - 1,), config),
+        "candidates.particular_solution": ((n,), config),
+        "candidates.lambda2_candidate": ((n, n), lifted),
+        "candidates.initial_conditions": ((None, 2 * n), number),
     }
 
 
-def _read(value, path: str, params: dict, shape: str, names: frozenset, length):
-    """The item at path in its shape, with params substituted; an
-    expression with a variable outside names is an error."""
-    if shape == "map":
-        return {k: _read(v, f"{path}.{k}", params, "expr", names, None)
+# the items that must be there when their section is given (phi is checked first)
+_REQUIRED = ("vector_field.psi", "lambda.entries", "chart.w", "chart.z", "chart.inverse")
+
+
+def _read(value, path: str, params: dict, shape: tuple, names: frozenset):
+    """The item at path in its shape, with params substituted.  A leaf with
+    names is an expression string that uses no other variable; one with
+    none is a number: a JSON number, or an expression string, that
+    simplifies to a constant whose float is finite."""
+    if shape and shape[0] == "map":
+        return {k: _read(v, f"{path}.{k}", params, shape[1:], names)
                 for k, v in _object(value, path).items()}
-    if shape == "rows" and (not isinstance(value, list) or len(value) != length):
-        _fail(path, f"expected {length} rows")
-    if shape == "list" and not isinstance(value, list):
-        _fail(path, "expected a list of expression strings")
-    if shape == "list" and len(value) != length:
-        _fail(path, f"expected {length} entries, got {len(value)}")
-    if shape != "expr":
-        inner = "list" if shape == "rows" else "expr"
-        return tuple(_read(v, f"{path}[{i}]", params, inner, names, length)
-                     for i, v in enumerate(value))
-    if not isinstance(value, str):
-        _fail(path, f"expected an expression string, got {type(value).__name__}")
-    try:
-        e = substitute(parse(value), params)
-    except ParseError as err:
-        _fail(path, f"parse error: {err}")
-    if free_vars(e) - names:
-        _fail(path, f"unknown variables {sorted(free_vars(e) - names)}")
-    return e
-
-
-def _exact_number(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        _fail(path, "expected a number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (float, str)):
+    if shape:
+        return tuple(_read(v, f"{path}[{i}]", params, shape[1:], names)
+                     for i, v in enumerate(_list(value, path, shape[0])))
+    if isinstance(value, str):
         try:
-            return Fraction(str(value))
-        except ValueError:
-            _fail(path, f"cannot read {value!r} as an exact number")
-    _fail(path, f"expected a number, got {type(value).__name__}")
+            value = substitute(parse(value), params)
+        except ParseError as err:
+            _fail(path, f"parse error: {err}")
+        if free_vars(value) - names:
+            _fail(path, f"unknown variables {sorted(free_vars(value) - names)}")
+        if names:
+            return value
+    elif names or isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected {'an expression string' if names else 'a number'}, "
+                    f"got {type(value).__name__}")
+    try:
+        e = simplify(coerce(value))
+        if type(e) is Const:
+            float(e.value)      # OverflowError past the float range
+            return e
+    except (ValueError, OverflowError):     # also an infinity, a nan, or past MAX_CONST_BITS
+        pass
+    _fail(path, "expected a finite number")
+
+
+def _floats(value):
+    """The floats of a number, or of a tuple of them, as read by _read."""
+    return float(value.value) if type(value) is Const else tuple(map(_floats, value))
 
 
 def load_problem(path: str) -> ProblemFile:
     """Load and validate a problem file, substituting parameters exactly."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_int)
         except json.JSONDecodeError as err:
             raise ProblemError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(raw, dict):
@@ -184,47 +194,51 @@ def load_problem(path: str) -> ProblemFile:
     n = raw["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         _fail("n", f"must be a positive integer, got {n!r}")
+    # phi bounds n before _items builds its sets of 2n and more names
+    vf = _object(raw.get("vector_field"), "vector_field")
+    if "phi" not in vf:
+        _fail("vector_field.phi", "missing")
+    _list(vf["phi"], "vector_field.phi", n)
 
     items = _items(kind, n)
-    variables = frozenset().union(*(names for _, names, _ in items.values()))
-    params = {}
-    for pname, pval in _object(raw.get("parameters"), "parameters").items():
+    # a key that names no item would be dropped, and its item read as absent
+    known = {*items, "name", "kind", "n", "lambda.velocity_dependent"}
+    tops = {p.partition(".")[0] for p in known}
+    unknown = [key for key in raw if key not in tops] + [
+        f"{top}.{key}" for top in sorted(tops - known) for key in _object(raw.get(top), top)
+        if f"{top}.{key}" not in known]
+    for key in unknown:
+        other = "lagrangian" if kind == "hamiltonian" else "hamiltonian"
+        _fail(key, f"not allowed for {kind} kind" if key in _items(other, 1) else
+              "unknown candidate" if key.startswith("candidates.") else "unknown key")
+
+    variables = frozenset().union(*(names for _, names in items.values()))
+    for pname in _object(raw.get("parameters"), "parameters"):
         if pname in variables:
             _fail(f"parameters.{pname}", "is the name of a variable")
-        params[pname] = Const(_exact_number(pval, f"parameters.{pname}"))
+    for vname in _object(raw.get("box"), "box"):
+        if vname not in variables:
+            _fail(f"box.{vname}", "is not the name of a variable")
 
-    def read(path: str, within: dict):
-        """The item at path, read from within, its parent; a missing item
-        is an error."""
-        key = path.rpartition(".")[2]
-        if key not in within:
+    # the parameters come first in items, and are read with none
+    values = {}
+    for path, (shape, names) in items.items():
+        top, _, key = path.rpartition(".")
+        within = _object(raw.get(top), top) if top else raw
+        if key in within:
+            values[path] = _read(within[key], path, values.get("parameters", {}), shape, names)
+        elif path == kind or path in _REQUIRED and raw.get(top) is not None:
             _fail(path, "missing")
-        return _read(within[key], path, params, *items[path])
 
-    system = {kind: read(kind, raw)}
-
-    vf = _object(raw.get("vector_field"), "vector_field")
-    phi, psi, tau = read("vector_field.phi", vf), (), None
-    if kind == "hamiltonian":
-        psi = read("vector_field.psi", vf)
-        if "tau" in vf:
-            tau = read("vector_field.tau", vf)
-    else:
-        for key in ("psi", "tau"):
-            if key in vf:
-                _fail(f"vector_field.{key}", "not allowed for lagrangian kind")
-
-    lam = box = chart = None
-    if "lambda" in raw and raw["lambda"] is not None:
-        lam_raw = _object(raw["lambda"], "lambda")
+    lam = chart = None
+    if "lambda.entries" in values:
         side = HAMILTONIAN_SIDE if kind == "hamiltonian" else LAGRANGIAN_SIDE
-        rows = read("lambda.entries", lam_raw)
         try:
-            lam = LambdaMatrix(rows, side)
+            lam = LambdaMatrix(values["lambda.entries"], side)
         except ValueError as err:
             _fail("lambda", str(err))
         # optional; when given it must say what the entries say
-        stated = lam_raw.get("velocity_dependent", lam.velocity_dependent)
+        stated = raw["lambda"].get("velocity_dependent", lam.velocity_dependent)
         if not isinstance(stated, bool):
             _fail("lambda.velocity_dependent", f"expected true or false, got {stated!r}")
         if stated != lam.velocity_dependent:
@@ -232,47 +246,25 @@ def load_problem(path: str) -> ProblemFile:
                   f"is {str(stated).lower()}, but the entries "
                   f"{'do not ' if stated else ''}contain velocity symbols")
 
-    if "box" in raw and raw["box"] is not None:
-        intervals = {}
-        for vname, bounds in _object(raw["box"], "box").items():
-            if vname not in variables:
-                _fail(f"box.{vname}", "is not the name of a variable")
-            if (not isinstance(bounds, list)) or len(bounds) != 2:
-                _fail(f"box.{vname}", "expected [lo, hi]")
-            intervals[vname] = tuple(_float(b, f"box.{vname}[{i}]") for i, b in enumerate(bounds))
-        try:
-            box = DomainBox(intervals)
-        except ValueError as err:
-            _fail("box", str(err))
+    try:
+        box = DomainBox({v: _floats(b) for v, b in values.get("box", {}).items()})
+    except ValueError as err:
+        _fail("box", str(err))
 
-    if "chart" in raw and raw["chart"] is not None:
-        ch = _object(raw["chart"], "chart")
-        w, z, inverse = (read(f"chart.{key}", ch) for key in ("w", "z", "inverse"))
-        missing = [v for v in Coordinates(n).u if v not in inverse]
+    if "chart.w" in values:
+        inverse, u = values["chart.inverse"], Coordinates(n).u
+        missing = [v for v in u if v not in inverse]
         if missing:
             _fail("chart.inverse", f"misses phase variables {missing}")
-        chart = ReductionChart(w, z, inverse)
+        for v in sorted(inverse.keys() - set(u)):
+            _fail(f"chart.inverse.{v}", "is not the name of a phase variable")
+        chart = ReductionChart(values["chart.w"], values["chart.z"], inverse)
 
-    cand, candidates = _object(raw.get("candidates"), "candidates"), {}
-    for key in cand:
-        if f"candidates.{key}" not in items and key != "initial_conditions":
-            _fail(f"candidates.{key}", "unknown candidate")
-    for path in items:
-        head, _, key = path.partition(".")
-        if head == "candidates" and key in cand:
-            candidates[key] = read(path, cand)
-    if "initial_conditions" in cand:
-        ics = cand["initial_conditions"]
-        if not isinstance(ics, list):
-            _fail("candidates.initial_conditions", "expected a list of state rows")
-        rows = []
-        for i, row in enumerate(ics):
-            if not isinstance(row, list) or len(row) != 2 * n:
-                _fail(f"candidates.initial_conditions[{i}]",
-                      f"expected {2*n} numbers")
-            rows.append(tuple(_float(v, f"candidates.initial_conditions[{i}][{j}]")
-                              for j, v in enumerate(row)))
-        candidates["initial_conditions"] = tuple(rows)
+    candidates = {path.partition(".")[2]: value for path, value in values.items()
+                  if path.startswith("candidates.")}
+    if "initial_conditions" in candidates:
+        candidates["initial_conditions"] = _floats(candidates["initial_conditions"])
 
-    return ProblemFile(name, kind, n, **system, phi=phi, psi=psi, tau=tau, lam=lam, box=box,
-                       chart=chart, candidates=candidates)
+    return ProblemFile(name, kind, n, **{kind: values[kind]}, phi=values["vector_field.phi"],
+                       psi=values.get("vector_field.psi", ()), tau=values.get("vector_field.tau"),
+                       lam=lam, box=box, chart=chart, candidates=candidates)

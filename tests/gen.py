@@ -6,7 +6,7 @@ import math
 import random
 
 from lamsym.expr import (
-    Const, Func, Power, Quotient, Var, add, mul, neg,
+    Const, Func, Power, Quotient, Var, add, free_vars, mul, neg,
     EvalDomainError, Expr, Product, Sum,
 )
 
@@ -54,6 +54,79 @@ def in_order(e, point):
     if math.isinf(a):
         raise EvalDomainError("sin or cos of an infinite argument")
     return getattr(math, e.name)(a)
+
+
+# Each coordinate of an exact sample point, and each atom's value, is one
+# of GRID rationals: the |S| of the Schwartz-Zippel bound.
+GRID = 10 ** 6
+
+
+def _integer_power(e) -> bool:
+    return isinstance(e, Power) and isinstance(e.exponent, Const) and type(e.exponent.value) is int
+
+
+def exact(e: Expr, point: dict, atoms: dict, rng: random.Random) -> Fraction:
+    """Normal form e at a point of rationals, in Fraction arithmetic.
+    Integer powers are exact; each Func and each power whose exponent is
+    not an integer is an atom, an independent random rational per distinct
+    subterm, kept in atoms.  A quotient by zero raises ZeroDivisionError."""
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Sum):
+        return sum((exact(k, point, atoms, rng) for k in e.terms), Fraction(0))
+    if isinstance(e, Product):
+        return math.prod((exact(k, point, atoms, rng) for k in e.factors), start=Fraction(1))
+    if isinstance(e, Quotient):
+        return exact(e.numerator, point, atoms, rng) / exact(e.denominator, point, atoms, rng)
+    if _integer_power(e):
+        return exact(e.base, point, atoms, rng) ** e.exponent.value
+    if e not in atoms:
+        atoms[e] = Fraction(rng.randint(1, GRID), GRID)
+    return atoms[e]
+
+
+def exact_samples(e: Expr, box, k: int, seed: int) -> list:
+    """The exact values of e at k seeded rational points of box where it is
+    defined, each coordinate lo + (hi - lo) * j / GRID with j in 1..GRID,
+    and fresh atoms at each point; a point where e is undefined is drawn
+    again, at most 10 * k draws in all."""
+    rng = random.Random(seed)
+    names = sorted(free_vars(e))
+    values = []
+    for _ in range(10 * k):
+        point = {}
+        for name in names:
+            lo, hi = map(Fraction, box.interval(name))
+            point[name] = lo + (hi - lo) * Fraction(rng.randint(1, GRID), GRID)
+        try:
+            values.append(exact(e, point, {}, rng))
+        except ZeroDivisionError:
+            continue
+        if len(values) == k:
+            break
+    return values
+
+
+def degree(e: Expr) -> tuple:
+    """Bounds on the total degrees of the numerator and the denominator of e
+    as a rational function of its variables and atoms (see `exact`)."""
+    if isinstance(e, Const):
+        return 0, 0
+    if isinstance(e, (Sum, Product)):
+        parts = [degree(k) for k in (e.terms if isinstance(e, Sum) else e.factors)]
+        den = sum(d for _, d in parts)
+        if isinstance(e, Product):
+            return sum(n for n, _ in parts), den
+        return max(n + den - d for n, d in parts), den
+    if isinstance(e, Quotient):
+        (a, b), (c, d) = degree(e.numerator), degree(e.denominator)
+        return a + d, b + c
+    if _integer_power(e):
+        (n, d), k = degree(e.base), e.exponent.value
+        return (k * n, k * d) if k >= 0 else (-k * d, -k * n)
+    return 1, 0     # a variable or an atom
 
 
 def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:

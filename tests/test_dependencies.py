@@ -466,3 +466,31 @@ def test_the_guard_flags_a_kernel_internal_read_in_numeric(tmp_path):
                       "body = expr._guarded(lines)\nfrom .expr import _guarded, Const\n"
                       "from lamsym.expr import _define\nlines = []\n", encoding="utf-8")
     assert _kernel_internals(module) == [3, 4, 5, 6]
+
+
+def _number_readers(path: Path) -> list:
+    """Lines of path, unless it is expr.py, that build a Fraction or import
+    the fractions module."""
+    if path.name == "expr.py":
+        return []
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if _called(node) == "Fraction"
+                   or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "fractions"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_expr_builds_a_fraction(path):
+    # a number of a problem file is read by the parser's literal rule or by
+    # expr.coerce, so its limits hold for every number
+    assert not _number_readers(path)
+
+
+def test_the_guard_flags_a_fraction_built_outside_expr(tmp_path):
+    source = ("from fractions import Fraction\nimport fractions as f\n"
+              "x = Fraction('1/3')\ny = f.Fraction(1)\nz = Const(1)\n")
+    home, other = tmp_path / "expr.py", tmp_path / "problem.py"
+    home.write_text(source, encoding="utf-8")
+    other.write_text(source, encoding="utf-8")
+    assert _number_readers(home) == []
+    assert _number_readers(other) == [1, 2, 3, 4]

@@ -55,10 +55,11 @@ from lamsym.expr import (
 )
 from lamsym import expr as expr_mod
 from lamsym import lagrangian, lambda_symmetry, mechanics, numeric, runner, symmetry
+from lamsym.cli import corpus_reports
 from lamsym.problem import load_problem
 from fractions import Fraction
 
-from gen import in_order, random_tree, well_conditioned
+from gen import GRID, degree, exact, exact_samples, in_order, random_tree, well_conditioned
 
 
 def F(n, d=1):
@@ -1272,6 +1273,56 @@ def test_bundled_examples_keep_their_recorded_normal_forms(seed):
     assert len(forms) == 858
     digest = hashlib.sha256("".join(f"{f}\n" for f in sorted(forms)).encode())
     assert digest.hexdigest() == _EXAMPLE_NORMAL_FORMS_SHA256
+
+
+def _corpus_sampled_verdicts(monkeypatch) -> list:
+    """(residual, box, verdict) of every sampled zero test of the seed-0 corpus."""
+    sampled, sample = [], expr_mod._sampled_verdict
+
+    def recorded(z, names, box, cfg):
+        verdict = sample(z, names, box, cfg)
+        sampled.append((z, box, verdict))
+        return verdict
+
+    monkeypatch.setattr(expr_mod, "_sampled_verdict", recorded)
+    corpus_reports(ZeroTestConfig(seed=0))
+    monkeypatch.undo()
+    return sampled
+
+
+def test_the_sampled_verdicts_of_the_corpus_hold_in_exact_arithmetic(monkeypatch):
+    """Each NumericallyZero residual of the seed-0 corpus is exactly 0 at
+    k = 20 rational points of its box, with every Func and non-integer power
+    an independent random atom.  Each coordinate and atom is one of
+    |S| = 10^6 rationals, and each residual is a rational function whose
+    numerator has total degree d <= 23 in its variables and atoms.  A
+    nonzero one would vanish at all 20 points with probability at most
+    (d/|S|)^k < 10^-92 (Schwartz, JACM 1980; Zippel, EUROSAM 1979), so each
+    is zero as a function of independent atoms, hence zero wherever it is
+    defined.  Each NonZero residual with no atom is exactly nonzero at its
+    witness, read as Fraction: a proof, not a sample."""
+    assert GRID == 10 ** 6
+    sampled = _corpus_sampled_verdicts(monkeypatch)
+    zeros = [(z, box) for z, box, v in sampled if v.tag == "NumericallyZero"]
+    assert len(zeros) == 11
+    for seed, (z, box) in enumerate(zeros):
+        assert degree(z)[0] <= 23
+        assert exact_samples(z, box, 20, seed) == [0] * 20, format_expr(z)
+    proven = 0
+    for z, _, v in sampled:
+        if v.tag == "NonZero":
+            atoms = {}
+            witness = {name: Fraction(x) for name, x in v.witness.items()}
+            value = exact(z, witness, atoms, random.Random(0))
+            if not atoms:
+                assert value != 0, format_expr(z)
+                proven += 1
+    assert proven == 37
+    # the audit sees an offset the tolerance forgives
+    z, box = zeros[0]
+    mutant = simplify(z + Const(Fraction(1, 10 ** 12)) * Var("q1"))
+    assert is_identically_zero(mutant, box).tag == "NumericallyZero"
+    assert exact_samples(mutant, box, 20, 0) != [0] * 20
 
 
 def _reference_split(n):

@@ -69,6 +69,85 @@ def test_a_literal_past_the_limit_names_its_item(tmp_path, literal, message):
     assert time.perf_counter() - start < 0.1
 
 
+def _with_parameter(tmp_path, literal: str) -> str:
+    """MINIMAL with the parameter a written as the JSON text literal."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(MINIMAL)[:-1] + f', "parameters": {{"a": {literal}}}}}',
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("literal, message", [
+    ('"1e1000000"', "parse error: number with an exponent beyond +-8515 (offset 0)"),
+    ('"1e8000"', "parse error: constant beyond the limit of 14000 bits (offset 0)"),
+    # past Python's 4,300-digit limit json would raise; the digits stay text
+    ("9" * 5000, "parse error: number with a part of more than 4300 digits (offset 0)"),
+    ("-" + "9" * 5000, "parse error: number with a part of more than 4300 digits (offset 1)"),
+    ("9" * 4250, "expected a finite number"),
+], ids=["1e1000000", "1e8000", "5000 digits", "-5000 digits", "4250 digits"])
+def test_a_hostile_number_exits_2_at_once_naming_its_item(tmp_path, capsys, literal, message):
+    path = _with_parameter(tmp_path, literal)
+    start = time.perf_counter()
+    assert main(["check", "--problem", path]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == f"error: parameters.a: {message}\n"
+
+
+@pytest.mark.parametrize("value, expected", [
+    (7, 7), (-0.25, Fraction(-1, 4)), (0.1, Fraction(1, 10)), ("1/3", Fraction(1, 3)),
+    ("2*3", 6), ("-2.5e-1", Fraction(-1, 4)), ("(1/2)^-2", 4), (1e300, 10 ** 300),
+    ("1e-400", Fraction(1, 10 ** 400)),
+])
+def test_a_number_is_a_json_number_or_a_constant_expression(tmp_path, value, expected):
+    doc = dict(MINIMAL, parameters={"a": value}, hamiltonian="a")
+    assert load_problem(write_problem(tmp_path, doc)).hamiltonian is Const(expected)
+
+
+@pytest.mark.parametrize("value, message", [
+    # the grammar's literals, not Python's
+    ("1_000", "parse error: unexpected token '_000' (offset 1)"),
+    (".5", "parse error: unexpected character '.' (offset 0)"),
+    ("+2", "parse error: unexpected token '+' (offset 0)"),
+    ("5.", "parse error: unexpected character '.' (offset 1)"),
+    # a constant whose float is not finite, or no constant
+    (10 ** 400, "expected a finite number"),
+    ("10^400", "expected a finite number"),
+    (float("inf"), "expected a finite number"),
+    (float("nan"), "expected a finite number"),
+    ("1/0", "expected a finite number"),
+    ("sqrt(2)", "expected a finite number"),
+    ("2^2^2^2^2^2", "expected a finite number"),
+    # a parameter uses no variable and no other parameter
+    ("q1", "unknown variables ['q1']"),
+    ("b", "unknown variables ['b']"),
+    (True, "expected a number, got bool"),
+    (None, "expected a number, got NoneType"),
+    ([1], "expected a number, got list"),
+])
+def test_a_parameter_that_is_no_finite_constant_is_refused(tmp_path, value, message):
+    doc = dict(MINIMAL, parameters={"b": 1, "a": value})
+    with pytest.raises(ProblemError) as err:
+        load_problem(write_problem(tmp_path, doc))
+    assert str(err.value) == f"parameters.a: {message}"
+
+
+def test_a_box_bound_or_initial_condition_may_be_a_constant_expression(tmp_path):
+    doc = dict(MINIMAL, parameters={"a": "3/4"}, box={"q1": ["-1/2", "a"], "p1": [-1, 2]},
+               candidates={"initial_conditions": [["1/4", "2*a"], [0.5, 1]]})
+    problem = load_problem(write_problem(tmp_path, doc))
+    assert problem.box.intervals == {"q1": (-0.5, 0.75), "p1": (-1.0, 2.0)}
+    assert problem.candidates["initial_conditions"] == ((0.25, 1.5), (0.5, 1.0))
+    assert all(type(x) is float for row in problem.candidates["initial_conditions"] for x in row)
+
+
+def test_n_is_checked_against_phi_before_the_variables_are_built(tmp_path, capsys):
+    path = write_problem(tmp_path, dict(MINIMAL, n=1_000_000))
+    start = time.perf_counter()
+    assert main(["check", "--problem", path]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == "error: vector_field.phi: expected 1000000 entries, got 1\n"
+
+
 def test_missing_n_is_a_schema_error(tmp_path):
     doc = dict(MINIMAL)
     del doc["n"]
@@ -673,6 +752,24 @@ MALFORMED = [
      "^vector_field.tau: not allowed for lagrangian kind$"),
     # a box key that names no variable would leave every check on the default interval
     ("example1.json", ("box",), {"Q1": [5, 6]}, r"^box.Q1: is not the name of a variable$"),
+    ("example1.json", ("box",), {"q1": [0, 1, 2]}, r"^box.q1: expected 2 entries, got 3$"),
+    ("example1.json", ("box",), {"q1": [0, "q1"]}, r"^box.q1\[1\]: unknown variables \['q1'\]$"),
+    ("example2.json", ("candidates", "initial_conditions"), [[0.4, 0.3, 0.2]],
+     r"^candidates.initial_conditions\[0\]: expected 4 entries, got 3$"),
+    # an inverse chart key that is no phase variable would be substituted too
+    ("example2.json", ("chart", "inverse", "t"), "w1",
+     "^chart.inverse.t: is not the name of a phase variable$"),
+    ("example2.json", ("chart", "inverse", "p9"), "w1",
+     "^chart.inverse.p9: is not the name of a phase variable$"),
+    # a key that names no item would be dropped, and the file checked without
+    # it: with Lambda = 0 for lamda, tau = 0 for tua
+    ("example2.json", ("lamda",), {"entries": [["0"] * 4] * 4}, "^lamda: unknown key$"),
+    ("example1.json", ("vector_field", "tua"), "q1", "^vector_field.tua: unknown key$"),
+    ("example2.json", ("lambda", "entires"), [], "^lambda.entires: unknown key$"),
+    ("example2.json", ("chart", "W"), [], "^chart.W: unknown key$"),
+    ("example2.json", ("candidates", "gama"), "-G", "^candidates.gama: unknown candidate$"),
+    ("example1.json", ("lagrangian",), "dq1^2/2", "^lagrangian: not allowed for hamiltonian kind$"),
+    ("example7.json", ("hamiltonian",), "p1^2/2", "^hamiltonian: not allowed for lagrangian kind$"),
 ]
 
 
