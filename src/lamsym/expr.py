@@ -971,52 +971,34 @@ def _factor_list(e: Expr):
 
 
 def _term_power_map(t: Expr):
-    """Base -> rational exponent map of one sum term (opaque powers count
-    as whole factors with exponent 1)."""
+    """Base -> rational exponent map of one sum term (an opaque power is a
+    base with exponent 1)."""
     _c, r = _split_coeff(t)
     pm: dict = {}
     if r == ONE:
         return pm
     for f in _factor_list(r):
-        if isinstance(f, Power) and not isinstance(f.exponent, Const):
-            pm[f] = pm.get(f, 0) + 1
-        else:
-            b, x = _rational_exponent(f)
-            pm[b] = pm.get(b, 0) + x
+        b, x = _rational_exponent(f)
+        pm[b] = pm.get(b, 0) + x
     return pm
 
 
 def _sum_content(s: Sum):
     """Common positive monomial content of every term of a sum."""
     maps = [_term_power_map(t) for t in s.terms]
-    common = {}
-    for b, x in maps[0].items():
-        m = x
-        for pm in maps[1:]:
-            if b not in pm:
-                m = None
-                break
-            m = min(m, pm[b])
-        if m is not None and m > 0:
-            common[b] = m
-    return common
+    least = {b: min(pm.get(b, 0) for pm in maps) for b in maps[0]}
+    return {b: x for b, x in least.items() if x > 0}
 
 
 def _strip_content(s: Sum, common: dict) -> Expr:
     parts = []
     for t in s.terms:
-        c, r = _split_coeff(t)
-        pm = _term_power_map(t)
         factors = []
-        for b in pm:
-            x = pm[b] - common.get(b, 0)
-            if x == 0:
-                continue
-            factors.append(b if x == 1 else Power(b, Const(x)))
-        rest = ONE if not factors else (
-            factors[0] if len(factors) == 1 else Product(tuple(factors)))
-        parts.append(_join_coeff(c, _norm_product(_factor_list(rest))
-                                 if rest != ONE else ONE))
+        for b, x in _term_power_map(t).items():
+            x -= common.get(b, 0)
+            if x != 0:
+                factors.append(b if x == 1 else Power(b, Const(x)))
+        parts.append(_join_coeff(_split_coeff(t)[0], _norm_product(factors) if factors else ONE))
     return _norm_sum(parts)
 
 
@@ -1034,80 +1016,54 @@ def _norm_quotient(num: Expr, den: Expr) -> Expr:
     elif isinstance(num, Const) and num.value == 0:
         r = ZERO
     else:
-        nc, nrest = _split_coeff(num)
-        dc, drest = _split_coeff(den)
-        nf = _factor_list(nrest) if nrest != ONE else []
-        df = _factor_list(drest) if drest != ONE else []
-
-        # cancel common factors; powers of a common base cancel by exponent
-        powers: dict = {}
-        opaque_num: list = []
-        opaque_den: list = []
-
-        def pull_sum_content(factors, sign):
-            # a sum whose terms share a monomial factor donates it to the
-            # quotient so that it can cancel against the other side
-            out = []
-            for f in factors:
+        # cancel common factors in one pass over num's factors, then den's:
+        # powers of a common base cancel by exponent, and an opaque power
+        # (non-constant exponent) below cancels an equal one above
+        powers: dict = {}  # base -> exponent in num minus exponent in den
+        opaque_num, opaque_den = [], []
+        (nc, nrest), (dc, drest) = _split_coeff(num), _split_coeff(den)
+        for sign, rest in ((1, nrest), (-1, drest)):
+            for f in _factor_list(rest) if rest != ONE else ():
                 if isinstance(f, Sum):
+                    # a sum donates the monomial content its terms share
                     common = _sum_content(f)
                     if common:
                         for b, x in common.items():
                             powers[b] = powers.get(b, 0) + sign * x
-                        out.append(_strip_content(f, common))
-                        continue
-                out.append(f)
-            return out
-
-        nf = pull_sum_content(nf, 1)
-        df = pull_sum_content(df, -1)
-
-        def absorb(factors, sign, opaque):
-            for f in factors:
+                        f = _strip_content(f, common)
                 if isinstance(f, Power) and not isinstance(f.exponent, Const):
-                    if sign > 0 and f in opaque_den:
-                        opaque_den.remove(f)
-                    elif sign < 0 and f in opaque_num:
+                    if sign < 0 and f in opaque_num:
                         opaque_num.remove(f)
                     else:
-                        opaque.append(f)
+                        (opaque_num if sign > 0 else opaque_den).append(f)
                 else:
                     b, x = _rational_exponent(f)
                     powers[b] = powers.get(b, 0) + sign * x
 
-        absorb(nf, 1, opaque_num)
-        absorb(df, -1, opaque_den)
-
         new_nf, new_df = [], []
         for b in sorted(powers, key=_sort_key):
             x = powers[b]
-            if x == 0:
-                continue
-            side = new_nf if x > 0 else new_df
-            x = abs(x)
-            side.append(b if x == 1 else Power(b, Const(x)))
+            if x != 0:
+                side, x = (new_nf, x) if x > 0 else (new_df, -x)
+                side.append(b if x == 1 else Power(b, Const(x)))
         new_nf.extend(opaque_num)
         new_df.extend(opaque_den)
 
-        c = _ratio(nc, dc)
-        new_num = _norm_product([Const(c)] + new_nf) if new_nf else Const(c)
-        if not new_df:
+        c = Const(_ratio(nc, dc))
+        new_num = _norm_product([c] + new_nf) if new_nf else c
+        # what is left above can multiply out to 0 although num is not 0: in
+        # (|q|-q)*(|q|+q)*S/(S*p), S a sum too long to expand num, S cancels
+        if not new_df or new_num is ZERO:
             r = new_num
-        elif isinstance(new_num, Const) and new_num.value == 0:
-            r = ZERO
         else:
             new_den = _norm_product(new_df)
-            if not (isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const))):
-                dc2, dr2 = _split_coeff(new_den)
-                if dc2 != 1:
-                    # keep denominators coefficient-free (monic leading term)
-                    new_num = _norm_product([Const(_ratio(1, dc2)), new_num])
-                    new_den = dr2
             if isinstance(new_num, Quotient) or isinstance(new_den, (Quotient, Const)):
                 r = _norm_quotient(new_num, new_den)
-            elif isinstance(new_num, Const) and new_num.value == 0:
-                r = ZERO
             else:
+                # keep denominators coefficient-free (monic leading term)
+                dc, new_den = _split_coeff(new_den)
+                if dc != 1:
+                    new_num = _norm_product([Const(_ratio(1, dc)), new_num])
                 r = Quotient(new_num, new_den)
     memo[key] = r
     return r
@@ -1216,17 +1172,10 @@ def _norm_func(name: str, a: Expr) -> Expr:
 # printing
 # --------------------------------------------------------------------------
 
-def _const_prec(v: int | Fraction) -> int:
-    if v < 0:
-        return _ADD_PREC
-    if v.denominator != 1:
-        return _MUL_PREC
-    return 40
-
-
 def _node_prec(e: Expr) -> int:
+    """The precedence of a node that `_sign_split` left without a sign."""
     if isinstance(e, Const):
-        return _const_prec(e.value)
+        return _MUL_PREC if e.value.denominator != 1 else 40
     if isinstance(e, (Var, Func)):
         return 40
     if isinstance(e, Power):

@@ -68,6 +68,12 @@ def _fail(path: str, message: str):
     raise ProblemError(f"{path}: {message}")
 
 
+def _echo(value) -> str:
+    """repr(value), cut after 40 characters: a message quotes no file at length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _object(value, path: str) -> dict:
     """value as a dict; an absent or null item is an empty one."""
     if value is None:
@@ -184,16 +190,19 @@ def load_problem(path: str) -> ProblemFile:
             raise ProblemError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ProblemError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    name = raw.get("name") or str(path)
+    name = raw.get("name")
+    if name is not None and not isinstance(name, str):
+        _fail("name", f"expected a string, got {type(name).__name__}")
+    name = name or str(path)
 
     kind = raw.get("kind")
     if kind not in ("hamiltonian", "lagrangian"):
-        _fail("kind", f"must be 'hamiltonian' or 'lagrangian', got {kind!r}")
+        _fail("kind", f"must be 'hamiltonian' or 'lagrangian', got {_echo(kind)}")
     if "n" not in raw:
         _fail("n", "missing")
     n = raw["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        _fail("n", f"must be a positive integer, got {n!r}")
+        _fail("n", f"must be a positive integer, got {_echo(n)}")
     # phi bounds n before _items builds its sets of 2n and more names
     vf = _object(raw.get("vector_field"), "vector_field")
     if "phi" not in vf:
@@ -240,7 +249,7 @@ def load_problem(path: str) -> ProblemFile:
         # optional; when given it must say what the entries say
         stated = raw["lambda"].get("velocity_dependent", lam.velocity_dependent)
         if not isinstance(stated, bool):
-            _fail("lambda.velocity_dependent", f"expected true or false, got {stated!r}")
+            _fail("lambda.velocity_dependent", f"expected true or false, got {_echo(stated)}")
         if stated != lam.velocity_dependent:
             _fail("lambda.velocity_dependent",
                   f"is {str(stated).lower()}, but the entries "

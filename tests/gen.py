@@ -7,7 +7,7 @@ import random
 
 from lamsym.expr import (
     Const, Func, Power, Quotient, Var, add, free_vars, mul, neg,
-    EvalDomainError, Expr, Product, Sum,
+    EvalDomainError, Expr, Product, Sum, _KIDS, _split_coeff,
 )
 
 
@@ -65,26 +65,56 @@ def _integer_power(e) -> bool:
     return isinstance(e, Power) and isinstance(e.exponent, Const) and type(e.exponent.value) is int
 
 
-def exact(e: Expr, point: dict, atoms: dict, rng: random.Random) -> Fraction:
+def exp_roots(e: Expr) -> dict:
+    """u -> L_u, the least common denominator of every c with exp(c*u) a
+    subterm of e, where (c, u) is `_split_coeff` of the argument."""
+    roots, todo = {}, [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Func) and x.name == "exp":
+            c, u = _split_coeff(x.arg)
+            roots[u] = math.lcm(roots.get(u, 1), Fraction(c).denominator)
+        todo.extend(_KIDS.get(type(x), lambda _: ())(x))
+    return roots
+
+
+def _atom(e: Expr, roots: dict):
+    """The atom of a subterm that `exact` does not compute, and the integer
+    power of it that the subterm is: exp(c*u) is t_u^(c*L_u), with t_u keyed
+    ("exp", u); any other subterm is its own atom, to the power 1."""
+    if isinstance(e, Func) and e.name == "exp":
+        c, u = _split_coeff(e.arg)
+        return ("exp", u), int(c * roots[u])
+    return e, 1
+
+
+def exact(e: Expr, point: dict, atoms: dict, rng: random.Random, roots=None) -> Fraction:
     """Normal form e at a point of rationals, in Fraction arithmetic.
-    Integer powers are exact; each Func and each power whose exponent is
-    not an integer is an atom, an independent random rational per distinct
-    subterm, kept in atoms.  A quotient by zero raises ZeroDivisionError."""
+    Integer powers are exact; exp(c*u) is t_u^(c*L_u), an integer power of
+    one atom t_u per u (see `exp_roots`); each other Func and each power
+    whose exponent is not an integer is an atom.  An atom is an independent
+    random rational per distinct subterm (per u for t_u), kept in atoms.  A
+    quotient by zero raises ZeroDivisionError."""
+    if roots is None:
+        roots = exp_roots(e)
     if isinstance(e, Const):
         return Fraction(e.value)
     if isinstance(e, Var):
         return point[e.name]
     if isinstance(e, Sum):
-        return sum((exact(k, point, atoms, rng) for k in e.terms), Fraction(0))
+        return sum((exact(k, point, atoms, rng, roots) for k in e.terms), Fraction(0))
     if isinstance(e, Product):
-        return math.prod((exact(k, point, atoms, rng) for k in e.factors), start=Fraction(1))
+        return math.prod((exact(k, point, atoms, rng, roots) for k in e.factors),
+                         start=Fraction(1))
     if isinstance(e, Quotient):
-        return exact(e.numerator, point, atoms, rng) / exact(e.denominator, point, atoms, rng)
+        return exact(e.numerator, point, atoms, rng, roots) \
+            / exact(e.denominator, point, atoms, rng, roots)
     if _integer_power(e):
-        return exact(e.base, point, atoms, rng) ** e.exponent.value
-    if e not in atoms:
-        atoms[e] = Fraction(rng.randint(1, GRID), GRID)
-    return atoms[e]
+        return exact(e.base, point, atoms, rng, roots) ** e.exponent.value
+    key, k = _atom(e, roots)
+    if key not in atoms:
+        atoms[key] = Fraction(rng.randint(1, GRID), GRID)
+    return atoms[key] ** k
 
 
 def exact_samples(e: Expr, box, k: int, seed: int) -> list:
@@ -109,24 +139,27 @@ def exact_samples(e: Expr, box, k: int, seed: int) -> list:
     return values
 
 
-def degree(e: Expr) -> tuple:
+def degree(e: Expr, roots=None) -> tuple:
     """Bounds on the total degrees of the numerator and the denominator of e
     as a rational function of its variables and atoms (see `exact`)."""
+    if roots is None:
+        roots = exp_roots(e)
     if isinstance(e, Const):
         return 0, 0
     if isinstance(e, (Sum, Product)):
-        parts = [degree(k) for k in (e.terms if isinstance(e, Sum) else e.factors)]
+        parts = [degree(k, roots) for k in (e.terms if isinstance(e, Sum) else e.factors)]
         den = sum(d for _, d in parts)
         if isinstance(e, Product):
             return sum(n for n, _ in parts), den
         return max(n + den - d for n, d in parts), den
     if isinstance(e, Quotient):
-        (a, b), (c, d) = degree(e.numerator), degree(e.denominator)
+        (a, b), (c, d) = degree(e.numerator, roots), degree(e.denominator, roots)
         return a + d, b + c
     if _integer_power(e):
-        (n, d), k = degree(e.base), e.exponent.value
+        (n, d), k = degree(e.base, roots), e.exponent.value
         return (k * n, k * d) if k >= 0 else (-k * d, -k * n)
-    return 1, 0     # a variable or an atom
+    _, k = _atom(e, roots)     # a variable is its own atom
+    return (k, 0) if k >= 0 else (0, -k)
 
 
 def well_conditioned(e: Expr, point: dict, cap: float = 1e6) -> bool:
@@ -184,6 +217,45 @@ def random_tree(rng: random.Random, depth: int, names, funcs: bool = True):
         return neg(random_tree(rng, depth - 1, names, funcs))
     return Func(rng.choice(("exp", "log", "sin", "cos", "sqrt")),
                 random_tree(rng, depth - 1, names, funcs))
+
+
+def random_quotient_tree(rng: random.Random, depth: int, names):
+    """A random raw expression tree that, beside `random_tree`'s nodes,
+    draws powers with a non-constant exponent (opaque powers), fractional
+    exponents p/q with q <= 3, and quotients whose two sides share a factor
+    and an opaque power: the cancellations of the normalizer's quotient step."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return random_const(rng)
+        return Var(rng.choice(names))
+
+    def sub():
+        return random_quotient_tree(rng, depth - 1, names)
+
+    def opaque():
+        return Power(rng.choice((Var(rng.choice(names)), sub())),
+                     rng.choice((Var(rng.choice(names)), sub())))
+
+    kind = rng.randrange(8)
+    if kind == 0:
+        return add(*[sub() for _ in range(rng.randint(2, 3))])
+    if kind == 1:
+        return mul(*[sub() for _ in range(rng.randint(2, 3))])
+    if kind == 2:
+        exponent = Const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        return Power(sub(), exponent)
+    if kind == 3:
+        return opaque()
+    if kind == 4:
+        return Quotient(sub(), sub())
+    if kind == 5:
+        shared, power, k = sub(), opaque(), rng.randint(1, 3)
+        num = [sub(), Power(shared, Const(rng.randint(1, 3))), power]
+        den = [sub(), Power(shared, Const(k))] + [power] * rng.randint(1, 2)
+        return Quotient(mul(*rng.sample(num, 3)), mul(*rng.sample(den, len(den))))
+    if kind == 6:
+        return neg(sub())
+    return Func(rng.choice(("exp", "log", "sin", "cos", "sqrt")), sub())
 
 
 def random_polynomial(rng: random.Random, names, n_terms: int = 3):

@@ -59,7 +59,10 @@ from lamsym.cli import corpus_reports
 from lamsym.problem import load_problem
 from fractions import Fraction
 
-from gen import GRID, degree, exact, exact_samples, in_order, random_tree, well_conditioned
+from gen import (
+    GRID, degree, exact, exact_samples, in_order, random_quotient_tree, random_tree,
+    well_conditioned,
+)
 
 
 def F(n, d=1):
@@ -1290,12 +1293,26 @@ def _corpus_sampled_verdicts(monkeypatch) -> list:
     return sampled
 
 
+def test_the_exact_evaluator_reads_exp_of_multiples_as_powers_of_one_atom():
+    # the c of exp(2*q) and exp(-q/3) have least common denominator 3, so
+    # both are powers of t = exp(q/3): t^6 and t^-1; sin(q) is its own atom
+    q = Var("q")
+    e = simplify(parse("exp(2*q)+exp(-q/3)+sin(q)"))
+    atoms = {}
+    value = exact(e, {"q": Fraction(1, 2)}, atoms, random.Random(0))
+    t = atoms[("exp", q)]
+    assert sorted(atoms, key=str) == [("exp", q), Func("sin", q)]
+    assert value == t ** 6 + 1 / t + atoms[Func("sin", q)]
+    assert degree(e) == (7, 1)     # (t^7 + 1 + sin(q)*t) / t
+
+
 def test_the_sampled_verdicts_of_the_corpus_hold_in_exact_arithmetic(monkeypatch):
     """Each NumericallyZero residual of the seed-0 corpus is exactly 0 at
-    k = 20 rational points of its box, with every Func and non-integer power
-    an independent random atom.  Each coordinate and atom is one of
+    k = 20 rational points of its box, with exp(c*u) an integer power of
+    one atom per u and every other Func and non-integer power an
+    independent random atom.  Each coordinate and atom is one of
     |S| = 10^6 rationals, and each residual is a rational function whose
-    numerator has total degree d <= 23 in its variables and atoms.  A
+    numerator has total degree d <= 24 in its variables and atoms.  A
     nonzero one would vanish at all 20 points with probability at most
     (d/|S|)^k < 10^-92 (Schwartz, JACM 1980; Zippel, EUROSAM 1979), so each
     is zero as a function of independent atoms, hence zero wherever it is
@@ -1306,7 +1323,7 @@ def test_the_sampled_verdicts_of_the_corpus_hold_in_exact_arithmetic(monkeypatch
     zeros = [(z, box) for z, box, v in sampled if v.tag == "NumericallyZero"]
     assert len(zeros) == 11
     for seed, (z, box) in enumerate(zeros):
-        assert degree(z)[0] <= 23
+        assert degree(z)[0] <= 24
         assert exact_samples(z, box, 20, seed) == [0] * 20, format_expr(z)
     proven = 0
     for z, _, v in sampled:
@@ -1406,6 +1423,43 @@ def test_random_trees_keep_their_recorded_normal_forms():
         n, dn = simplify(e), simplify(differentiate(e, "q"))
         digest.update(f"{format_expr(n)}\n{format_expr(dn)}\n".encode())
     assert digest.hexdigest() == _NORMAL_FORMS_SHA256
+
+
+# sha256 of the printed normal forms of 1,000 seeded `random_quotient_tree`s,
+# recorded at d8c8005, before the quotient step became one cancellation pass;
+# they draw the opaque powers and the sums with monomial content that the
+# quotient step cancels across its two sides
+_QUOTIENT_FORMS_SHA256 = "6965dc226ef508ba621ad5fdeb216dedb9daa635537172344f6b48ed1e7abc36"
+
+
+def test_quotient_trees_keep_their_recorded_normal_forms():
+    rng = random.Random(37)
+    trees = [random_quotient_tree(rng, 4, ("q", "p", "w")) for _ in range(1000)]
+    forms = "".join(f"{format_expr(e)}\n" for e in trees)
+    assert hashlib.sha256(forms.encode()).hexdigest() == _QUOTIENT_FORMS_SHA256
+
+
+def test_a_quotient_whose_cancelled_numerator_multiplies_out_to_zero_is_zero():
+    # (|q|-q)*(|q|+q) is q^2-q^2 = 0 once expanded; times a 33-term sum S it
+    # is past the expansion limit, so the numerator stays a nonzero product
+    # until the quotient step cancels S against the denominator
+    s = "+".join(f"w^{k}" for k in range(33))
+    num = parse(f"(sqrt(q^2)-q)*(sqrt(q^2)+q)*({s})")
+    assert simplify(num) != ZERO
+    assert simplify(num / parse(f"({s})*p")) is ZERO
+
+
+def test_roots_of_a_constant_that_cancel_to_a_rational_fold():
+    # 8^(1/6)/8^(1/2) leaves 8^(1/3) = 2: below, the denominator is then
+    # the constant 2; above, the numerator takes the 2
+    assert format_expr(parse("8^(1/6)*q/8^(1/2)")) == "1/2*q"
+    assert format_expr(parse("8^(1/2)*q/(8^(1/6)*p)")) == "2*q/p"
+
+
+def test_a_variable_only_in_the_exponent_is_differentiated_through_log():
+    # d(b^x)/dq = b^x * log(b) * dx/dq when q is not in b
+    got = differentiate(parse("(p+1)^(q^2)"), "q")
+    assert simplify(got) is simplify(parse("2*q*(p+1)^(q^2)*log(p+1)"))
 
 
 def test_the_derivative_of_a_zeroth_power_is_zero_where_the_power_is_one():

@@ -336,6 +336,31 @@ def test_a_zero_pivot_is_solved_on_a_diagonal_jacobian_only():
         extend_lambda(ConfigVectorField((parse("q1"), parse("q1"))), two_scale_matrix())
 
 
+@pytest.mark.parametrize("phi, block", [
+    # lower-triangular dphi/dq = [[1, 0], [1, 1]]: J^T Lambda^T J^-T by hand
+    (("q1", "q1+q2"), (("1+q2", "q1-q2-1"), ("1", "q1-1"))),
+    # upper-triangular dphi/dq = [[1, 2*q2], [0, 1]]
+    (("q1+q2^2", "q2"), (("q2", "0"), ("1+2*q2^2-2*q1*q2", "q1"))),
+])
+def test_a_triangular_jacobian_is_solved_by_substitution(phi, block):
+    lam = LambdaMatrix(((parse("q2"), parse("1")), (ZERO, parse("q1"))), LAGRANGIAN_SIDE)
+    rep = extend_lambda(ConfigVectorField(tuple(map(parse, phi))), lam)
+    assert rep.solved and [v.tag for _, v in rep.checks] == ["ProvenZero"] * 4
+    assert [[simplify(e) for e in row[2:]] for row in rep.matrix.entries[2:]] \
+        == [[simplify(parse(e)) for e in row] for row in block]
+
+
+def test_leftover_velocities_are_rewritten_through_the_velocity_map():
+    # Lambda^L = [[dq1^2]] adds -2*dq1*phi*p1 = -2*dq1*p1 to psi, and the
+    # velocity map dq1 = p1 leaves -2*p1^2
+    lam = LambdaMatrix(((parse("dq1^2"),),), LAGRANGIAN_SIDE)
+    field = ConfigVectorField((parse("1"),))
+    x, g = extend_vector_field(field, lam, velocity_map=(parse("p1"),))
+    assert x.psi == (simplify(parse("-2*p1^2")),) and g is None
+    with pytest.raises(ValueError, match=r"^extension still contains \['dq1'\]"):
+        extend_vector_field(field, lam)
+
+
 def test_matrix_extension_accepts_verified_candidate():
     rep = extend_lambda(two_scale_field(), two_scale_matrix(),
                         candidate_lambda2=[[parse("q1"), ZERO], [ZERO, ZERO]])

@@ -22,6 +22,7 @@ from lamsym.expr import (
     parse,
     simplify,
 )
+from lamsym import expr as expr_mod
 from lamsym.mechanics import (
     PhaseSystem,
     PhaseVectorField,
@@ -47,7 +48,7 @@ from lamsym.lambda_symmetry import (
     verify_chart,
 )
 from fractions import Fraction
-from gen import random_polynomial, random_tree
+from gen import exact, exact_samples, random_polynomial, random_tree
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
@@ -222,12 +223,20 @@ def test_generated_lambda_symmetries_of_polynomial_potentials():
         assert "NonZero" in _tags(check_lambda_symmetry(sys, x, LambdaMatrix.diagonal(mutant)))
 
 
-def test_generated_lambda_symmetries_of_random_tree_potentials():
+def test_generated_lambda_symmetries_of_random_tree_potentials(monkeypatch):
     rng = random.Random(1004)
-    nonzero = []
+    nonzero, sampled, sample = [], [], expr_mod._sampled_verdict
+
+    def recorded(z, names, box, cfg):
+        verdict = sample(z, names, box, cfg)
+        sampled.append((z, box, verdict))
+        return verdict
+
+    monkeypatch.setattr(expr_mod, "_sampled_verdict", recorded)
     for _ in range(30):
         potential = random_tree(rng, 3, Q)
         sys, x, entry = _scaled_flow(rng, potential)
+        sampled.clear()
         try:
             verdict = check_lambda_symmetry(sys, x, LambdaMatrix.diagonal([entry] * 4))
         except SamplingError:
@@ -237,11 +246,19 @@ def test_generated_lambda_symmetries_of_random_tree_potentials():
             continue
         if "NonZero" in _tags(verdict):
             nonzero.append(format_expr(potential))
+            wrong = [(z, box, v) for z, box, v in sampled if v.tag == "NonZero"]
     # A known false NonZero: the pole q1 + q2 = 5/4 lies inside the box, the
     # normal form keeps the square and the fourth power of 1-4/5*q1-4/5*q2
     # expanded as two unrelated denominators, and near the pole those
     # expanded sums cancel to a relative error of 3e-4 in float arithmetic.
     assert nonzero == ["-4/5*q2^4/(1-4/5*q1-4/5*q2)"]
+    # In exact arithmetic, with exp(c*u) a power of one atom per u, both of
+    # its NonZero residuals are 0 at their witness and at 20 box points.
+    assert len(wrong) == 2
+    for seed, (z, box, v) in enumerate(wrong):
+        witness = {name: Fraction(x) for name, x in v.witness.items()}
+        assert exact(z, witness, {}, random.Random(seed)) == 0
+        assert exact_samples(z, box, 20, seed) == [0] * 20
 
 
 def test_zero_matrix_degenerates_to_point_symmetry():

@@ -188,6 +188,13 @@ def test_evolutionary_form_of_time_translation():
     assert simplify(xt.psi[0]) == simplify(parse("q1"))
 
 
+def test_a_field_with_a_time_part_differentiates_along_t():
+    # X f = phi df/dq1 + psi df/dp1 + tau df/dt for f = t*q1*p1
+    x = PhaseVectorField((Var("q1"),), (Var("p1"),), parse("t^2"))
+    got = x.apply(oscillator(), parse("t*q1*p1"))
+    assert simplify(got) == simplify(parse("2*t*q1*p1 + t^2*q1*p1"))
+
+
 # ---------------------------------------------------------- scaling
 
 def test_scale_field_by_one_and_zero():

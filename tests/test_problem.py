@@ -148,6 +148,28 @@ def test_n_is_checked_against_phi_before_the_variables_are_built(tmp_path, capsy
     assert capsys.readouterr().err == "error: vector_field.phi: expected 1000000 entries, got 1\n"
 
 
+@pytest.mark.parametrize("item, text, message", [
+    ("name", '"name": ["a", 1]', "expected a string, got list"),
+    ("name", '"name": false', "expected a string, got bool"),
+    ("n", '"n": ' + "9" * 5000, "must be a positive integer, got '9999"),
+    ("kind", '"kind": "' + "x" * 100_000 + '"', "must be 'hamiltonian' or 'lagrangian', got"),
+    ("lambda.velocity_dependent",
+     '"lambda": {"entries": [["0", "0"], ["0", "0"]], "velocity_dependent": [%s]}'
+     % ", ".join(["0"] * 10_000), "expected true or false, got [0, 0"),
+], ids=["list name", "false name", "5000-digit n", "long kind", "long velocity_dependent"])
+def test_a_bad_top_level_value_exits_2_with_a_short_message(tmp_path, capsys, item, text,
+                                                            message):
+    # the value is quoted in at most 40 characters, whatever its length: a
+    # short one whole (MALFORMED), a long one cut
+    doc = {key: value for key, value in MINIMAL.items() if key != item}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc)[:-1] + f", {text}}}", encoding="utf-8")
+    assert main(["check", "--problem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {item}: {message}") and err.endswith("\n")
+    assert len(err.encode()) < 200
+
+
 def test_missing_n_is_a_schema_error(tmp_path):
     doc = dict(MINIMAL)
     del doc["n"]
@@ -315,6 +337,29 @@ def test_text_report_one_line_per_check():
     assert lines[1].startswith("las    [LAS] ")
     assert lines[2].startswith("dts    [DTS] ")
     assert lines[-1] == "status: pass"
+
+
+def test_text_report_gives_the_detail_of_a_skipped_check(capsys):
+    assert main(["check", "--problem", bundled("example1.json"), "--select", "ds"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] \
+        == "ds     [DS] Skipped (prerequisite cs not selected)"
+
+
+def test_corpus_text_report_has_the_golden_verdicts(tmp_path):
+    # one block per example, a line per check with the verdict the golden
+    # json report gives it, and a blank line after each block
+    out = tmp_path / "corpus.txt"
+    assert main(["corpus", "--report", "text", "--out", str(out)]) == 0
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+                         / "corpus_seed0.json").read_text(encoding="utf-8"))
+    blocks = out.read_text(encoding="utf-8").split("\n\n")
+    assert blocks[-1] == "" and len(blocks) == len(golden) + 1
+    for block, doc in zip(blocks, golden):
+        lines = block.split("\n")
+        assert lines[0] == f"problem {doc['problem']} (seed 0)"
+        assert [line.split()[:3] for line in lines[1:-1]] \
+            == [[c["name"], f"[{c['eq']}]", c["verdict"]] for c in doc["checks"]]
+        assert lines[-1] == f"status: {doc['status']}"
 
 
 def test_json_report_schema():
@@ -770,6 +815,12 @@ MALFORMED = [
     ("example2.json", ("candidates", "gama"), "-G", "^candidates.gama: unknown candidate$"),
     ("example1.json", ("lagrangian",), "dq1^2/2", "^lagrangian: not allowed for hamiltonian kind$"),
     ("example7.json", ("hamiltonian",), "p1^2/2", "^hamiltonian: not allowed for lagrangian kind$"),
+    # a short value is quoted whole; a long one is cut (see
+    # test_a_bad_top_level_value_exits_2_with_a_short_message)
+    ("example2.json", ("lambda", "velocity_dependent"), "no",
+     "^lambda.velocity_dependent: expected true or false, got 'no'$"),
+    ("example1.json", ("kind",), "hamiltonain",
+     "^kind: must be 'hamiltonian' or 'lagrangian', got 'hamiltonain'$"),
 ]
 
 
